@@ -3,9 +3,9 @@ GO ?= go
 # The benchmark selection shared by `make bench` and `make bench-json`.
 BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors
 
-.PHONY: all build build-cross test test-durability test-reconfig vet lint bench bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz
+.PHONY: all build build-cross test test-durability test-reconfig vet lint bench bench-check bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz
 
-all: vet lint build test race
+all: vet lint build test bench-check race
 
 build:
 	$(GO) build ./...
@@ -38,7 +38,9 @@ test-reconfig:
 race:
 	$(GO) test -race ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
+	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt -l:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -tags purego ./...
 
@@ -53,6 +55,14 @@ lint:
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem ./internal/gf256/ ./internal/rs/
+
+# bench-check vets and tests the repository benchmark. bench/ is a Go
+# module of its own, so the root `go test ./...` never reaches it; its
+# tests include `-smoke` (every workload for 1 s, untraced and traced,
+# names checked against BENCHMARK.json).
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
 
 # bench-smoke compiles and runs every benchmark a fixed 10 iterations on
 # both the SIMD and purego kernel ladders: a CI-friendly check that the

@@ -22,7 +22,7 @@ func TestMulTableSmall(t *testing.T) {
 		{1, 1, 1},
 		{1, 0xFF, 0xFF},
 		{2, 2, 4},
-		{2, 0x80, 0x1D}, // 2*x^7 = x^8 = poly reduction
+		{2, 0x80, 0x1D},    // 2*x^7 = x^8 = poly reduction
 		{0x53, 0xCA, 0x8F}, // validated against the schoolbook reference below
 	}
 	for _, c := range cases {

@@ -332,8 +332,8 @@ func TestDecodeErrorsInto(t *testing.T) {
 
 	shards := cloneShards(orig)
 	buf := make([]byte, size)
-	shards[4] = buf[:0]   // erasure repaired into the caller's buffer
-	shards[12] = nil      // erasure accounted for, not repaired
+	shards[4] = buf[:0] // erasure repaired into the caller's buffer
+	shards[12] = nil    // erasure accounted for, not repaired
 	corruptShard(rng, shards, 7)
 	corrupt := make([]int, 0, 4)
 	got, err := e.DecodeErrorsInto(shards, corrupt)

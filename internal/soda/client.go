@@ -22,9 +22,9 @@ var (
 // Conn is a client's handle to one server, implemented by the
 // multiplexed TCP transport (mux.go), the dial-per-op TCP transport
 // (tcp.go), and the in-process loopback (loopback.go). Every operation
-// addresses one named register by key. Transports copy elements at the
-// boundary in both directions: a put's elem is not retained after the
-// call returns, and a served element never aliases server storage.
+// addresses one named register by key. A put's elem is not retained
+// after the call returns, a GetElem result is the caller's own copy,
+// and a Delivery's Elem is read-only and valid until GetData returns.
 type Conn interface {
 	// Index returns the server's shard index in [0, n).
 	Index() int
@@ -373,12 +373,18 @@ func (wc *writeCall) run() {
 	if nudge {
 		wc.signal()
 	}
+	// A straggler whose get-tag returns after the write completed finds
+	// both channels ready: the minted tag wins, so the put still lands.
 	var minted Tag
 	select {
 	case minted = <-wc.mint:
-	case <-wc.ctx.Done():
-		wc.sc.release(&wc.w.scratch)
-		return
+	default:
+		select {
+		case minted = <-wc.mint:
+		case <-wc.ctx.Done():
+			wc.sc.release(&wc.w.scratch)
+			return
+		}
 	}
 	err = c.PutData(wc.ctx, wc.key, minted, wc.sc.shards[c.Index()], wc.vlen)
 	wc.sc.release(&wc.w.scratch)
@@ -728,7 +734,10 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	}
 	b := make([]byte, 0, len(r.ridPrefix)+20)
 	rid := string(strconv.AppendUint(append(b, r.ridPrefix...), readSeq.Add(1), 10))
-	rctx, cancel := context.WithCancel(ctx)
+	// Subscriptions end only through this deferred cancel, once the read
+	// has stopped touching delivered elements: unregistering is what lets
+	// a loopback server overwrite the buffers it handed out.
+	rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer cancel()
 
 	// The effective quarantine is the static list plus the membership
@@ -793,6 +802,9 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 		}
 		return res, nil
 	case <-ctx.Done():
+		st.mu.Lock()
+		st.finished = true // waits out a decode in flight; later sinks go inert
+		st.mu.Unlock()
 		return ReadResult{}, ctx.Err()
 	}
 }
@@ -1155,64 +1167,38 @@ func newerVersion(a, b version) bool {
 func (st *readState) decode(v version, ts *tagState) (ReadResult, bool) {
 	codec := st.r.codec
 	n, k := codec.N(), codec.K()
-	need := k + 2*st.r.e
-	if ts.count < need {
+	if ts.count < k+2*st.r.e {
 		return ReadResult{}, false
 	}
-
-	if st.r.e == 0 {
-		// Fast path: all k data shards in hand means the value is just
-		// their concatenation — no reconstruction, no defensive clones
-		// (DecodeValue copies out without mutating its inputs).
-		haveData := true
-		for i := 0; i < k; i++ {
-			if ts.elems[i] == nil {
-				haveData = false
-				break
-			}
-		}
-		if haveData {
-			value, err := codec.DecodeValue(ts.elems[:k], v.vlen)
-			if err != nil {
-				return ReadResult{}, false
-			}
-			return ReadResult{Tag: v.tag, Value: value}, true
-		}
-	}
-
-	shards := make([][]byte, n)
-	present := 0
-	for i, el := range ts.elems {
-		if el == nil {
-			continue
-		}
-		// Clone: the decoders repair in place, and delivered elements
-		// may alias server storage (loopback) or later decode tries.
-		shards[i] = slices.Clone(el)
-		present++
-	}
-
+	// With e == 0 nothing writes the delivered elements — the value is the
+	// concatenation of the k data shards, any missing one reconstructed
+	// into the result — so there are no defensive clones.
+	shards, decodeValue := ts.elems, codec.DecodeValue
 	var corrupt []int
 	if st.r.e == 0 {
-		if err := codec.enc.ReconstructData(shards); err != nil {
-			return ReadResult{}, false
+		if slices.ContainsFunc(shards[:k], func(el []byte) bool { return el == nil }) {
+			decodeValue = codec.decodeDegraded
 		}
 	} else {
-		runDecode := true
-		if present == n {
-			if ok, _ := codec.enc.Verify(shards); ok {
-				runDecode = false // all elements healthy
-			}
+		// SODA_err clones: the error decoder repairs corrupt shards in
+		// place, and delivered elements are read-only (over loopback the
+		// servers' own buffers) and feed later decode tries.
+		shards = make([][]byte, n)
+		for i, el := range ts.elems {
+			shards[i] = slices.Clone(el) // nil stays nil
 		}
-		if runDecode {
+		healthy := false
+		if ts.count == n {
+			healthy, _ = codec.enc.Verify(shards) // the cheap all-healthy path
+		}
+		if !healthy {
 			var err error
-			corrupt, err = codec.enc.DecodeErrors(shards)
-			if err != nil {
+			if corrupt, err = codec.enc.DecodeErrors(shards); err != nil {
 				return ReadResult{}, false
 			}
 		}
 	}
-	value, err := codec.DecodeValue(shards, v.vlen)
+	value, err := decodeValue(shards, v.vlen)
 	if err != nil {
 		return ReadResult{}, false
 	}

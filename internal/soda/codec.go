@@ -1,8 +1,10 @@
 package soda
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/rs"
 )
@@ -110,7 +112,8 @@ func (c *Codec) encodeValueInto(value []byte, sc *encodeScratch) error {
 
 // DecodeValue reassembles a value of vlen bytes from the k data
 // shards (shards[0..k-1] must be present at the element size for
-// vlen; parity entries are ignored).
+// vlen; parity entries are ignored), joined into a fresh buffer that
+// is never zero-filled first.
 func (c *Codec) DecodeValue(shards [][]byte, vlen int) ([]byte, error) {
 	if vlen <= 0 {
 		return nil, fmt.Errorf("%w: value length %d", ErrConfig, vlen)
@@ -120,12 +123,32 @@ func (c *Codec) DecodeValue(shards [][]byte, vlen int) ([]byte, error) {
 	if len(shards) < k {
 		return nil, fmt.Errorf("%w: %d shards, need the %d data shards", ErrConfig, len(shards), k)
 	}
-	out := make([]byte, k*s)
 	for i := 0; i < k; i++ {
 		if len(shards[i]) != s {
 			return nil, fmt.Errorf("%w: data shard %d has %d bytes, want %d", ErrConfig, i, len(shards[i]), s)
 		}
-		copy(out[i*s:], shards[i])
+	}
+	return bytes.Join(shards[:k], nil)[:vlen], nil
+}
+
+// decodeDegraded is DecodeValue for k or more elements (server-indexed,
+// nil = absent) that lack a data shard: the missing ones are
+// reconstructed straight into the result. elems is only read — the rs
+// decoder never writes a present shard.
+func (c *Codec) decodeDegraded(elems [][]byte, vlen int) ([]byte, error) {
+	k := c.enc.K()
+	s := c.shardSize(vlen)
+	out := make([]byte, k*s)
+	shards := slices.Clone(elems)
+	for i := 0; i < k; i++ {
+		if elems[i] == nil {
+			shards[i] = out[i*s : i*s : (i+1)*s]
+		} else {
+			copy(out[i*s:(i+1)*s], elems[i])
+		}
+	}
+	if err := c.enc.ReconstructInto(shards); err != nil {
+		return nil, err
 	}
 	return out[:vlen], nil
 }

@@ -44,7 +44,7 @@ func TestErrRepairQuorumIsTarget(t *testing.T) {
 	ctx := testCtx(t)
 	codec, lb := newCluster(t, 5, 3)
 	m := NewMembership(5)
-	w := mustWriter(t, "w1", codec, lb.Conns())
+	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterFaults(0)) // all n hold it on return
 	if _, err := w.Write(ctx, testKey, []byte("needs k=3 donors to repair")); err != nil {
 		t.Fatalf("Write: %v", err)
 	}

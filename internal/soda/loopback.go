@@ -29,11 +29,12 @@ var ErrServerDown = errors.New("soda: server is down")
 //     relays first passes through a caller-supplied transform, which
 //     is what the SODA_err read path exists to catch.
 //
-// Like the TCP transport, loopback conns model the wire's copy
-// semantics: put elements are cloned on the way in, served elements on
-// the way out, so a client reusing a pooled encode buffer can never
-// alias server storage. Loopback is the substrate for deterministic
-// protocol tests and the sodademo binary.
+// Loopback conns keep the Conn contract without a wire: the server
+// copies a put's element into its register (a client's pooled encode
+// buffer never aliases storage) and copies a get-elem out under the
+// register lock. Only a Delivery's element is the server's own buffer,
+// pinned by the registration (see register). Loopback is the substrate
+// for deterministic protocol tests and the sodademo binary.
 type Loopback struct {
 	mu sync.Mutex // serializes the fault-injection mutators
 	// servers holds atomic pointers so Recover can swap in a freshly
@@ -330,9 +331,7 @@ func (c *loopConn) PutData(ctx context.Context, key string, t Tag, elem []byte, 
 	if nack := srv.Admit(opClient, c.epoch); nack != nil {
 		return nack
 	}
-	// The wire would copy: the server takes ownership, and the caller
-	// (a pooled writer scratch) is free to reuse elem immediately.
-	srv.PutData(key, t, slices.Clone(elem), vlen)
+	srv.PutData(key, t, elem, vlen) // the server copies what it keeps
 	return nil
 }
 
@@ -357,10 +356,14 @@ func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver fu
 	// the reader re-register under the new configuration.
 	flipped := srv.EpochChanged()
 	initial := srv.Register(key, readerID, wrap)
-	defer srv.Unregister(key, readerID)
+	// Only cancellation is the reader saying it is done with what it was
+	// handed; a stream that dies under it leaves it holding the elements.
+	forced := true
+	defer func() { srv.unregister(key, readerID, forced) }()
 	wrap(initial)
 	select {
 	case <-ctx.Done():
+		forced = false
 		return nil
 	case <-down:
 		return ErrServerDown
@@ -385,14 +388,8 @@ func (c *loopConn) GetElem(ctx context.Context, key string) (Tag, []byte, int, e
 	if nack := srv.Admit(opDonor, c.epoch); nack != nil {
 		return Tag{}, nil, 0, nack
 	}
-	srv.metrics.getElems.Add(1)
-	t, elem, vlen := srv.Snapshot(key)
+	t, elem, vlen := srv.getElem(key)
 	d := c.lb.transform(c.idx, Delivery{Server: c.idx, Tag: t, Elem: elem, VLen: vlen})
-	if len(d.Elem) > 0 && &d.Elem[0] == &elem[0] {
-		// No transform ran: copy out of the server's live buffer so a
-		// concurrent put cannot mutate the caller's view.
-		d.Elem = slices.Clone(d.Elem)
-	}
 	return d.Tag, d.Elem, d.VLen, nil
 }
 
@@ -404,7 +401,7 @@ func (c *loopConn) RepairPut(ctx context.Context, key string, t Tag, elem []byte
 	if nack := srv.Admit(opRepair, c.epoch); nack != nil {
 		return false, nack
 	}
-	return srv.RepairPut(key, t, slices.Clone(elem), vlen), nil
+	return srv.RepairPut(key, t, elem, vlen), nil
 }
 
 // Keys enumerates the server's written keys — the repair namespace.

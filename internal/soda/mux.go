@@ -204,7 +204,9 @@ func frameForSend() *[]byte {
 }
 
 // writeBuf finishes and writes a frame built by frameForSend,
-// recycling the buffer.
+// recycling the buffer. An oversize frame is refused before a byte is
+// written and fails only its own exchange; a failed write tears the
+// (now desynced) session down.
 func (c *MuxConn) writeBuf(s *muxSession, bp *[]byte) error {
 	p := *bp
 	if len(p)-4 > maxFrame {
@@ -217,6 +219,9 @@ func (c *MuxConn) writeBuf(s *muxSession, bp *[]byte) error {
 	_, err := s.conn.Write(p)
 	c.wmu.Unlock()
 	putFrame(bp)
+	if err != nil {
+		c.teardown(s, err)
+	}
 	return err
 }
 
@@ -340,13 +345,15 @@ func (c *MuxConn) unary(ctx context.Context, build func(b []byte, req uint64) []
 		c.mu.Lock()
 		delete(c.pending, req)
 		c.mu.Unlock()
-		c.teardown(s, err)
 		return nil, err
 	}
 	select {
 	case payload := <-ch:
 		return payload, nil
 	case <-s.done:
+		if len(ch) > 0 { // routed just before the session died
+			return <-ch, nil
+		}
 		return nil, s.err
 	case <-ctx.Done():
 		c.mu.Lock()
@@ -460,7 +467,6 @@ func (c *MuxConn) GetData(ctx context.Context, key, readerID string, deliver fun
 		c.mu.Lock()
 		delete(c.streams, req)
 		c.mu.Unlock()
-		c.teardown(s, err)
 		return err
 	}
 	select {
@@ -468,14 +474,12 @@ func (c *MuxConn) GetData(ctx context.Context, key, readerID string, deliver fun
 		c.mu.Lock()
 		delete(c.streams, req)
 		c.mu.Unlock()
+		// Best effort: when the write fails writeBuf kills the session,
+		// and the server's conn-close cleanup unregisters every stream at
+		// once instead of relaying to a reader that left.
 		bp := frameForSend()
 		*bp = appendReaderDone(*bp, req, c.opts.epoch)
-		if err := c.writeBuf(s, bp); err != nil {
-			// Best effort failed: without the reader-done frame the server
-			// would keep relaying to a reader that left, so kill the session
-			// — its conn-close cleanup unregisters every stream at once.
-			c.teardown(s, err)
-		}
+		c.writeBuf(s, bp)
 		return nil
 	case err := <-st.errc:
 		// The server NACKed the stream's epoch (pump already dropped the

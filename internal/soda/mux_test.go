@@ -402,7 +402,7 @@ func TestMuxEndToEndCluster(t *testing.T) {
 	addrs, servers := startTCPServers(t, 5)
 	conns := TCPMuxConns(addrs)
 	defer CloseConns(conns)
-	w := mustWriter(t, "w1", codec, conns)
+	w := mustWriter(t, "w1", codec, conns, WithWriterFaults(0)) // every server must list every key below
 	r := mustReader(t, "r1", codec, conns)
 
 	keys := []string{"alpha", "beta", "gamma"}

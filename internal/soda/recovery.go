@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 )
@@ -325,7 +326,7 @@ func (s *Server) installRecovered(key string, t Tag, elem []byte, vlen int) {
 	}
 	r := s.lookup(key, true)
 	r.mu.Lock()
-	r.tag, r.elem, r.vlen = t, elem, vlen
+	r.store(t, elem, vlen)
 	r.mu.Unlock()
 }
 
@@ -338,14 +339,14 @@ func (s *Server) replayRecord(rec walRecord) {
 		r := s.lookup(rec.key, true)
 		r.mu.Lock()
 		if r.tag.Less(rec.tag) {
-			r.tag, r.elem, r.vlen = rec.tag, rec.elem, rec.vlen
+			r.store(rec.tag, rec.elem, rec.vlen)
 		}
 		r.mu.Unlock()
 	case walOpRepair:
 		r := s.lookup(rec.key, true)
 		r.mu.Lock()
 		if !rec.tag.Less(r.tag) {
-			r.tag, r.elem, r.vlen = rec.tag, rec.elem, rec.vlen
+			r.store(rec.tag, rec.elem, rec.vlen)
 		}
 		r.mu.Unlock()
 	case walOpWipe:
@@ -372,9 +373,7 @@ func (s *Server) snapEntries() []snapEntry {
 		for key, r := range sh.regs {
 			r.mu.Lock()
 			if r.tag != (Tag{}) {
-				elem := make([]byte, len(r.elem))
-				copy(elem, r.elem)
-				entries = append(entries, snapEntry{key: key, tag: r.tag, elem: elem, vlen: r.vlen})
+				entries = append(entries, snapEntry{key: key, tag: r.tag, elem: slices.Clone(r.elem), vlen: r.vlen})
 			}
 			r.mu.Unlock()
 		}

@@ -389,7 +389,9 @@ func TestRepairDetectsCorruptDonor(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	codec, lb := newCluster(t, 9, 3, rs.WithGenerator(rs.GeneratorRSView))
-	w := mustWriter(t, "w1", codec, lb.Conns())
+	// f=0: the write returns only once every server holds the element,
+	// so no straggler leg is still landing when the faults below start.
+	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterFaults(0))
 	v1 := []byte("regenerated despite a rotten donor")
 	tag1, err := w.Write(ctx, testKey, v1)
 	if err != nil {
@@ -558,8 +560,13 @@ func TestWriterExcludesQuarantinedServers(t *testing.T) {
 	if _, err := w.Write(ctx, testKey, []byte("back in the quorum")); err != nil {
 		t.Fatalf("Write after readmission: %v", err)
 	}
-	if gets[4].Load() == 0 || puts[4].Load() == 0 {
-		t.Fatal("writer still skipping the readmitted server")
+	// Server 4 may be the straggler whose leg is still landing when the
+	// n-f quorum returns the write.
+	for deadline := time.Now().Add(5 * time.Second); gets[4].Load() == 0 || puts[4].Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("writer still skipping the readmitted server")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 
 	// Quarantine past the fault budget (f=1 here) fails fast.

@@ -2,6 +2,7 @@ package soda
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,8 @@ import (
 // (Initial) or the relay of a put-data that arrived while the reader
 // was registered. A server that has never been written delivers the
 // zero Tag with a nil element. Epoch is the configuration epoch the
-// server held the element under when it relayed it.
+// server held the element under when it relayed it. Elem is read-only:
+// from a Server it is the register's own buffer, pinned (see register).
 type Delivery struct {
 	Server  int
 	Tag     Tag
@@ -42,12 +44,32 @@ type registration struct {
 // at that cardinality a linear scan beats two string-map mutations per
 // subscription — the slice's backing array recycles across reads where
 // map buckets would churn.
+//
+// elem is the register's one stable buffer: store copies each new
+// element into it. Readers are handed elem by reference, so the reader
+// set is the pin — while it is non-empty a put installs a fresh buffer
+// instead — and lent extends the pin to a buffer someone outside the
+// set may still be reading (a relay in flight, a force-dropped reader).
 type register struct {
 	mu      sync.Mutex
 	tag     Tag
 	elem    []byte
 	vlen    int
+	lent    bool
 	readers []registration
+}
+
+// store installs (t, elem, vlen), copying the borrowed elem: in place
+// when nobody can be reading the buffer, else into a fresh one that
+// replaces it. Caller holds r.mu.
+func (r *register) store(t Tag, elem []byte, vlen int) {
+	if len(r.readers) == 0 && !r.lent && len(elem) > 0 && cap(r.elem) >= len(elem) {
+		r.elem = r.elem[:len(elem)]
+		copy(r.elem, elem)
+	} else {
+		r.elem, r.lent = slices.Clone(elem), false
+	}
+	r.tag, r.vlen = t, vlen
 }
 
 // serverShardCount stripes the namespace map; must be a power of two.
@@ -327,45 +349,63 @@ func (s *Server) GetTag(key string) Tag {
 	return r.tag
 }
 
-// relayLocked collects the sinks a put under tag t must reach. Caller
-// holds r.mu; the returned sinks are invoked after it is released.
-func relayLocked(r *register, t Tag) []func(Delivery) {
+// put is the body PutData and RepairPut share: accept (t, elem, vlen)
+// iff t is above the key's tag — or, for a repair, equal to it — and
+// relay it to every registered reader whose treq it satisfies (a
+// rejected put-data still relays; a rejected repair does nothing).
+// Sinks run after r.mu is released, on a server-owned copy: the stored
+// buffer, marked lent because a sink can outlive its registration by
+// one call, or a private clone.
+func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int) bool {
+	r := s.lookup(key, true)
+	r.mu.Lock()
+	stored := r.tag.Less(t) || (op == walOpRepair && r.tag == t)
+	if !stored && op == walOpRepair {
+		r.mu.Unlock()
+		return false
+	}
+	if stored {
+		// Log before apply, under the register lock: the WAL's per-key
+		// record order is the apply order, and with FsyncAlways the
+		// mutation is on disk before anyone can observe it applied.
+		if s.dur != nil {
+			s.dur.logMutation(op, key, t, elem, vlen)
+		}
+		r.store(t, elem, vlen)
+	}
 	var sinks []func(Delivery)
 	for i := range r.readers {
 		if !t.Less(r.readers[i].treq) {
 			sinks = append(sinks, r.readers[i].sink)
 		}
 	}
-	return sinks
+	if len(sinks) == 0 {
+		r.mu.Unlock()
+		return stored
+	}
+	own := r.elem
+	if stored {
+		r.lent = true
+	} else {
+		own = slices.Clone(elem)
+	}
+	r.mu.Unlock()
+	s.metrics.relays.Add(uint64(len(sinks)))
+	d := Delivery{Server: s.idx, Tag: t, Elem: own, VLen: vlen, Epoch: s.epochSt.Load().epoch}
+	for _, sink := range sinks {
+		sink(d)
+	}
+	return stored
 }
 
 // PutData answers the writer's second phase: store (t, elem) under key
 // if t is new, and relay it to every reader registered on the key
 // whose registration tag it satisfies — including readers that arrived
-// after a newer write, since a concurrent reader may be collecting
-// exactly this tag. The server takes ownership of elem.
+// after a newer write. elem is borrowed for the call: the server copies
+// what it keeps.
 func (s *Server) PutData(key string, t Tag, elem []byte, vlen int) {
 	s.metrics.putDatas.Add(1)
-	r := s.lookup(key, true)
-	r.mu.Lock()
-	if r.tag.Less(t) {
-		// Log before apply, under the register lock: the WAL's per-key
-		// record order is the apply order, and with FsyncAlways the
-		// mutation is on disk before anyone can observe it applied.
-		if s.dur != nil {
-			s.dur.logMutation(walOpPut, key, t, elem, vlen)
-		}
-		r.tag, r.elem, r.vlen = t, elem, vlen
-	}
-	sinks := relayLocked(r, t)
-	r.mu.Unlock()
-	if len(sinks) > 0 {
-		s.metrics.relays.Add(uint64(len(sinks)))
-		d := Delivery{Server: s.idx, Tag: t, Elem: elem, VLen: vlen, Epoch: s.epochSt.Load().epoch}
-		for _, sink := range sinks {
-			sink(d)
-		}
-	}
+	s.put(walOpPut, key, t, elem, vlen)
 }
 
 // RepairPut answers the Repairer's install: accept (t, elem, vlen)
@@ -378,36 +418,17 @@ func (s *Server) PutData(key string, t Tag, elem []byte, vlen int) {
 // reader's f < k atomicity argument depends on. An accepted repair
 // relays to the key's registered readers exactly like a put-data, so a
 // reader that registered while the server was catching up still sees
-// the element it is waiting for. The server takes ownership of elem.
+// the element it is waiting for. elem is borrowed, as in PutData.
 func (s *Server) RepairPut(key string, t Tag, elem []byte, vlen int) bool {
 	s.metrics.repairPuts.Add(1)
 	// A zero-tag repair of an absent key installs the state the key
 	// already has; succeed without materializing a register.
-	if t == (Tag{}) && s.lookup(key, false) == nil {
+	installed := t == (Tag{}) && s.lookup(key, false) == nil
+	if installed || s.put(walOpRepair, key, t, elem, vlen) {
 		s.metrics.repairInstalls.Add(1)
 		return true
 	}
-	r := s.lookup(key, true)
-	r.mu.Lock()
-	if t.Less(r.tag) {
-		r.mu.Unlock()
-		return false
-	}
-	if s.dur != nil {
-		s.dur.logMutation(walOpRepair, key, t, elem, vlen)
-	}
-	r.tag, r.elem, r.vlen = t, elem, vlen
-	sinks := relayLocked(r, t)
-	r.mu.Unlock()
-	s.metrics.repairInstalls.Add(1)
-	if len(sinks) > 0 {
-		s.metrics.relays.Add(uint64(len(sinks)))
-		d := Delivery{Server: s.idx, Tag: t, Elem: elem, VLen: vlen, Epoch: s.epochSt.Load().epoch}
-		for _, sink := range sinks {
-			sink(d)
-		}
-	}
-	return true
+	return false
 }
 
 // Wipe clears key's stored element, modeling a server that restarts
@@ -517,8 +538,13 @@ func (s *Server) Register(key, readerID string, sink func(Delivery)) Delivery {
 // connection closing), collecting the register if nothing is left. The
 // collect is attempted only when the register looked dead under its
 // own lock — the common unregister, on a written key, never touches
-// the shard-exclusive lock.
-func (s *Server) Unregister(key, readerID string) {
+// the shard-exclusive lock. Unregistering is the reader's promise that
+// it has stopped reading every element it was handed.
+func (s *Server) Unregister(key, readerID string) { s.unregister(key, readerID, false) }
+
+// unregister with forced set drops a reader that made no such promise
+// (its stream died under it): the buffer it may hold is marked lent.
+func (s *Server) unregister(key, readerID string, forced bool) {
 	r := s.lookup(key, false)
 	if r == nil {
 		return
@@ -532,6 +558,7 @@ func (s *Server) Unregister(key, readerID string) {
 			r.readers[last] = registration{} // drop the sink reference
 			r.readers = r.readers[:last]
 			had = true
+			r.lent = r.lent || forced
 			break
 		}
 	}
@@ -546,7 +573,8 @@ func (s *Server) Unregister(key, readerID string) {
 }
 
 // UnregisterAll drops every registration on every key; a crashing
-// server relays to nobody.
+// server relays to nobody. Dropped readers may still be reading what
+// they were handed: their buffers are marked lent.
 func (s *Server) UnregisterAll() {
 	var emptied []string
 	var dropped uint64
@@ -556,6 +584,7 @@ func (s *Server) UnregisterAll() {
 		for key, r := range sh.regs {
 			r.mu.Lock()
 			dropped += uint64(len(r.readers))
+			r.lent = r.lent || len(r.readers) > 0
 			clear(r.readers) // zero the entries so sink references drop
 			r.readers = r.readers[:0]
 			if r.tag == (Tag{}) {
@@ -584,8 +613,9 @@ func (s *Server) Readers(key string) int {
 }
 
 // Snapshot returns key's stored tag, coded element, and value length.
-// The element is the server's live buffer; callers must not mutate
-// it.
+// The element is the server's live buffer, which a put may overwrite
+// in place: while puts run only its length and presence mean anything,
+// and callers must never mutate it (getElem copies).
 func (s *Server) Snapshot(key string) (Tag, []byte, int) {
 	r := s.lookup(key, false)
 	if r == nil {
@@ -594,4 +624,17 @@ func (s *Server) Snapshot(key string) (Tag, []byte, int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.tag, r.elem, r.vlen
+}
+
+// getElem serves get-elem: key's state with the element copied out
+// under the register lock, so it always matches the tag beside it.
+func (s *Server) getElem(key string) (Tag, []byte, int) {
+	s.metrics.getElems.Add(1)
+	r := s.lookup(key, false)
+	if r == nil {
+		return Tag{}, nil, 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tag, slices.Clone(r.elem), r.vlen
 }

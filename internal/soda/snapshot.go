@@ -157,7 +157,7 @@ func readSnapshot(dir string) (uint64, epochState, []snapEntry, error) {
 		e.key = c.key()
 		e.tag = c.tag()
 		e.vlen = int(c.u32())
-		e.elem = c.bytes()
+		e.elem = c.view() // borrows data; installRecovered copies it
 		entries = append(entries, e)
 	}
 	if err := c.err("snapshot"); err != nil {

@@ -138,7 +138,8 @@ func (ns *NetServer) watchEpochs(w *connWriter, subMu *sync.Mutex, subs map[uint
 			}
 			subMu.Lock()
 			for req, sub := range subs {
-				ns.core.Unregister(sub.key, sub.rid)
+				// Forced: the handler may still be copying the initial element.
+				ns.core.unregister(sub.key, sub.rid, true)
 				bp := getFrame()
 				*bp = appendEpochNack(*bp, req, st, want)
 				w.trySend(bp)
@@ -277,8 +278,7 @@ func (ns *NetServer) handle(conn net.Conn) {
 				}
 				continue
 			}
-			t, elem, vlen := ns.core.Snapshot(key)
-			ns.core.Metrics().getElems.Add(1)
+			t, elem, vlen := ns.core.getElem(key)
 			bp := getFrame()
 			*bp = appendElemResp(*bp, req, cur(), t, elem, vlen)
 			if !w.send(bp) {
@@ -628,9 +628,9 @@ func stampStale(err error, idx int) error {
 // id 1 on it. MuxConn is the production path; this one survives as
 // the benchmark baseline and a zero-shared-state fallback.
 type tcpConn struct {
-	idx   int
-	addr  string
-	opts  tcpOpts
+	idx  int
+	addr string
+	opts tcpOpts
 }
 
 // TCPConn returns a Conn that dials addr for each operation, acting

@@ -88,7 +88,10 @@ func TestTCPRelayStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	conns, _ := startTCPCluster(t, 5)
-	w := mustWriter(t, "w1", codec, conns)
+	// f=0: a dial-per-op straggler leg cannot dial once the write's
+	// context is cancelled, so only a full ack quorum guarantees that
+	// server 2 — the one subscribed to below — holds every write.
+	w := mustWriter(t, "w1", codec, conns, WithWriterFaults(0))
 	v1 := []byte("subscription smoke value")
 	tag1, err := w.Write(ctx, testKey, v1)
 	if err != nil {

@@ -166,7 +166,7 @@ func parseWALRecord(data []byte) (walRecord, int, error) {
 		rec.key = c.key()
 		rec.tag = c.tag()
 		vlen := c.u32()
-		rec.elem = c.bytes()
+		rec.elem = c.view() // borrows data; replay copies it into the register
 		if vlen > math.MaxInt32 {
 			c.failed = true
 		}

@@ -56,9 +56,9 @@ const (
 	msgKeys       byte = 13 // c->s: enumerate the server's non-empty keys
 	msgKeysResp   byte = 14 // s->c: {count, key...}
 
-	msgEpochNack     byte = 15 // s->c: {want, sealed}: frame epoch rejected; header carries server's epoch
-	msgReconfig      byte = 16 // c->s: coordinator op {op, epoch, n, k}: status/seal/activate
-	msgReconfigResp  byte = 17 // s->c: {epoch, pending, sealed}: the server's epoch state
+	msgEpochNack    byte = 15 // s->c: {want, sealed}: frame epoch rejected; header carries server's epoch
+	msgReconfig     byte = 16 // c->s: coordinator op {op, epoch, n, k}: status/seal/activate
+	msgReconfigResp byte = 17 // s->c: {epoch, pending, sealed}: the server's epoch state
 )
 
 // maxFrame bounds a frame payload; a peer announcing more is treated
@@ -456,15 +456,16 @@ func (c *cursor) key() string {
 	return string(c.take(int(n)))
 }
 
+// view returns a length-prefixed byte string as a borrow of the
+// payload: valid only while the caller keeps the buffer it is parsing.
+func (c *cursor) view() []byte {
+	return c.take(int(c.u32()))
+}
+
 // bytes returns a copy of a length-prefixed byte string, so decoded
 // messages never alias a transport read buffer.
 func (c *cursor) bytes() []byte {
-	n := c.u32()
-	p := c.take(int(n))
-	if p == nil {
-		return nil
-	}
-	return append([]byte(nil), p...)
+	return append([]byte(nil), c.view()...)
 }
 
 // err reports a typed decode failure for the named message: truncated
@@ -581,11 +582,12 @@ func decodeTagResp(payload []byte) (uint64, Tag, error) {
 }
 
 // decodeTaggedElem parses the shared {tag, vlen, elem} tail of
-// put-data, elem-resp, and repair-put.
+// put-data, elem-resp, and repair-put. The element borrows the payload
+// (the server copies a put's element anyway); elem-resp copies it out.
 func decodeTaggedElem(c *cursor, name string) (Tag, []byte, int, error) {
 	t := c.tag()
 	vlen := c.u32()
-	elem := c.bytes()
+	elem := c.view()
 	if vlen > math.MaxInt32 {
 		c.failed = true
 	}
@@ -659,7 +661,7 @@ func decodeElemResp(payload []byte) (uint64, Tag, []byte, int, error) {
 		return req, Tag{}, nil, 0, err
 	}
 	t, elem, vlen, err := decodeTaggedElem(c, "elem-resp")
-	return req, t, elem, vlen, err
+	return req, t, append([]byte(nil), elem...), vlen, err
 }
 
 func decodeRepairPut(payload []byte) (uint64, uint64, string, Tag, []byte, int, error) {
