@@ -91,12 +91,15 @@ bench-soda-json:
 # schema: a CI-friendly determinism check on the harness and its
 # output shape, with no performance gating.
 bench-soda-smoke:
-	$(GO) run ./cmd/sodaload -suite -rate 2000 -duration 300ms -keys 256 -out /tmp/bench_soda_a.json
-	$(GO) run ./cmd/sodaload -suite -rate 2000 -duration 300ms -keys 256 -seed 2 -out /tmp/bench_soda_b.json
-	$(GO) run ./cmd/sodaload -compare-schema /tmp/bench_soda_a.json /tmp/bench_soda_b.json
-	$(GO) run ./cmd/sodaload -compare-schema /tmp/bench_soda_a.json BENCH_soda.json
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && set -ex && \
+	$(GO) run ./cmd/sodaload -suite -rate 2000 -duration 300ms -keys 256 -out "$$d/a.json" && \
+	$(GO) run ./cmd/sodaload -suite -rate 2000 -duration 300ms -keys 256 -seed 2 -out "$$d/b.json" && \
+	$(GO) run ./cmd/sodaload -compare-schema "$$d/a.json" "$$d/b.json" && \
+	$(GO) run ./cmd/sodaload -compare-schema "$$d/a.json" BENCH_soda.json
 
 # fuzz runs each fuzz target briefly; lengthen with FUZZTIME=5m etc.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/rs/ -fuzz FuzzDecodeErrors -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/soda/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/soda/ -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)

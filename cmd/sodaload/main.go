@@ -16,9 +16,9 @@
 //	go run ./cmd/sodaload -transport tcp-mux -keys 64 -rate 400 -read-frac 0
 //
 // Suite mode (-suite) runs the repository's benchmark set — loopback
-// throughput across the full keyspace, then write latency over
-// dial-per-op TCP vs the persistent multiplexed transport at the same
-// offered load — and regenerates BENCH_soda.json deterministically
+// throughput across the full keyspace, write latency over the
+// multiplexed TCP transport, and the kill-repair survival run — and
+// regenerates BENCH_soda.json deterministically
 // (sorted keys, tool-computed derived ratios, narrative notes
 // preserved). -compare-schema A B checks two such files have the same
 // shape, which is how CI pins regeneration determinism without pinning
@@ -45,7 +45,7 @@ import (
 )
 
 type runConfig struct {
-	transport string // loopback | tcp-mux | tcp-dial
+	transport string // loopback | tcp-mux
 	n, k      int
 	keys      int
 	rate      float64 // offered arrivals per second
@@ -109,14 +109,14 @@ type suiteOutput struct {
 	Date       string               `json:"date"`
 	GoMaxProcs int                  `json:"gomaxprocs"`
 	Go         string               `json:"go"`
-	Notes      string               `json:"notes,omitempty"`
+	Notes      string               `json:"notes"`
 	Runs       map[string]runResult `json:"runs"`
 	Derived    map[string]float64   `json:"derived"`
 }
 
 func main() {
 	var (
-		transport = flag.String("transport", "loopback", "loopback | tcp-mux | tcp-dial")
+		transport = flag.String("transport", "loopback", "loopback | tcp-mux")
 		n         = flag.Int("n", 5, "cluster size")
 		k         = flag.Int("k", 3, "code dimension (data shards)")
 		keys      = flag.Int("keys", 10000, "distinct register keys to spread traffic across")
@@ -189,9 +189,8 @@ func main() {
 
 // runSuite executes the repository benchmark set and regenerates the
 // output file: the loopback namespace throughput run at the full key
-// count, then the transport comparison — the same write-only offered
-// load over dial-per-op TCP (the before) and multiplexed TCP (the
-// after).
+// count, a write-only offered load over multiplexed TCP, and the
+// kill-repair survival run.
 func runSuite(base runConfig, outPath string) error {
 	tcpDur := min(base.duration, 2*time.Second)
 	tcpKeys := min(base.keys, 64)
@@ -204,11 +203,6 @@ func runSuite(base runConfig, outPath string) error {
 			transport: "loopback", n: base.n, k: base.k, keys: base.keys,
 			rate: base.rate, duration: base.duration, readFrac: base.readFrac,
 			vsize: base.vsize, inflight: base.inflight, prewrite: true, seed: base.seed,
-		}},
-		{"tcp-dial/write-lat", runConfig{
-			transport: "tcp-dial", n: base.n, k: base.k, keys: tcpKeys,
-			rate: tcpRate, duration: tcpDur, readFrac: 0,
-			vsize: base.vsize, inflight: 64, seed: base.seed,
 		}},
 		{"tcp-mux/write-lat", runConfig{
 			transport: "tcp-mux", n: base.n, k: base.k, keys: tcpKeys,
@@ -253,9 +247,6 @@ func runSuite(base runConfig, outPath string) error {
 		res.Runs[r.name] = rr
 	}
 
-	dial, mux := res.Runs["tcp-dial/write-lat"], res.Runs["tcp-mux/write-lat"]
-	res.Derived["dial_over_mux_write_p50"] = round2(ratio(dial.WriteP50Us, mux.WriteP50Us))
-	res.Derived["dial_over_mux_write_p99"] = round2(ratio(dial.WriteP99Us, mux.WriteP99Us))
 	res.Derived["loopback_goodput_kops_s"] = round2(res.Runs["loopback/namespace"].GoodputOpsS / 1000)
 	res.Derived["kill_heal_p99_ms"] = res.Runs["loopback/kill-repair"].HealP99Ms
 
@@ -325,7 +316,7 @@ func startCluster(cfg runConfig) (*cluster, error) {
 			servers[i] = lb.Server(i)
 		}
 		return &cluster{conns: lb.Conns(), servers: servers, lb: lb, close: func() {}}, nil
-	case "tcp-mux", "tcp-dial":
+	case "tcp-mux":
 		if cfg.kill {
 			return nil, fmt.Errorf("-kill needs the loopback transport (PowerCut/Recover are in-process faults)")
 		}
@@ -341,12 +332,7 @@ func startCluster(cfg runConfig) (*cluster, error) {
 			nets[i] = ns
 			addrs[i] = ns.Addr()
 		}
-		var conns []soda.Conn
-		if cfg.transport == "tcp-mux" {
-			conns = soda.TCPMuxConns(addrs)
-		} else {
-			conns = soda.TCPConns(addrs)
-		}
+		conns := soda.TCPMuxConns(addrs)
 		return &cluster{conns: conns, servers: servers, close: func() {
 			soda.CloseConns(conns)
 			for _, ns := range nets {
@@ -638,13 +624,6 @@ func pctileUs(sorted []int64, p float64) float64 {
 // percentile of sorted ns values in ms.
 func pctileMs(sorted []int64, p float64) float64 {
 	return round2(pctileUs(sorted, p) / 1000)
-}
-
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }
 
 func round2(v float64) float64 { return math.Round(v*100) / 100 }

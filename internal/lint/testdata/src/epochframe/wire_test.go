@@ -8,4 +8,7 @@ func TestFrameShape(t *testing.T) {
 	if got := appendHeader(nil, 1, 7, 0); len(got) != 3 {
 		t.Fatalf("frame length %d, want 3", len(got))
 	}
+	if r := (request{epoch: 0}); r.id != 0 { // ok: same exemption for the struct form
+		t.Fatal("zero value")
+	}
 }

@@ -20,8 +20,8 @@ var (
 )
 
 // Conn is a client's handle to one server, implemented by the
-// multiplexed TCP transport (mux.go), the dial-per-op TCP transport
-// (tcp.go), and the in-process loopback (loopback.go). Every operation
+// multiplexed TCP transport (mux.go) and the in-process loopback
+// (loopback.go). Every operation
 // addresses one named register by key. A put's elem is not retained
 // after the call returns, a GetElem result is the caller's own copy,
 // and a Delivery's Elem is read-only and valid until GetData returns.
@@ -341,12 +341,12 @@ func (wc *writeCall) signal() {
 
 // run is one server's leg of a fused write: report the server's tag,
 // wait for the writer to mint, then deliver the coded element. A
-// server whose get-tag failed still attempts put-data — with
-// dial-per-op transports the second dial can succeed where the first
-// did not, and the unfused path retried it the same way. Each phase's
-// thresholds (need successes, allowed+1 failures) sum past the leg
-// count, so at most one of them fires per phase and a completed phase
-// always nudges the caller exactly once.
+// server whose get-tag failed still attempts put-data — the TCP
+// transport redials on demand, so the second exchange can succeed where
+// the first did not, and the unfused path retried it the same way. Each
+// phase's thresholds (need successes, allowed+1 failures) sum past the
+// leg count, so at most one of them fires per phase and a completed
+// phase always nudges the caller exactly once.
 func (wc *writeCall) run() {
 	defer wc.release()
 	c := wc.conns[wc.next.Add(1)-1]

@@ -54,8 +54,33 @@
 // 2e + erasures <= n - k).
 //
 // Transport: messages ride a small length-prefixed binary framing
-// (wire.go) either over real TCP connections (tcp.go) or over the
-// deterministic in-process Loopback (loopback.go), which adds
+// (wire.go) either over real TCP connections — NetServer (tcp.go) and
+// its one client, the persistent multiplexed MuxConn (mux.go) — or over
+// the deterministic in-process Loopback (loopback.go), which adds
 // fail-stop, silent-crash, and corrupt-storage fault injection for
 // tests and the sodademo binary.
+//
+// The message set is the paper's plus RADON's two repair messages, key
+// enumeration and the reconfiguration op. wire.go has one request and
+// one response value with one append/decode pair each; rpc.go has the
+// table the server dispatches every frame through and the client reads
+// its expected response type from:
+//
+//	type  request      admission  request body            response
+//	   1  get-tag      client     key                      2 tag-resp {tag}
+//	   3  put-data     client     key, tag, vlen, elem     4 ack {}
+//	   5  get-data     client     key, reader id           6 data {tag, vlen, initial, elem}, streamed
+//	   7  reader-done  exempt     -                        none
+//	   8  get-elem     donor      key                      9 elem-resp {tag, vlen, elem}
+//	  10  repair-put   repair     key, tag, vlen, elem    11 repair-resp {accepted}
+//	  13  keys         donor      -                       14 keys-resp {count, key...}
+//	  16  reconfig     exempt     op, target epoch, n, k  17 reconfig-resp {epoch, pending, sealed, n, k}
+//
+// Any request may instead draw 12 error {message} or 15 epoch-nack
+// {want, sealed}. The admission classes are Server.Admit's: client
+// needs the active epoch unsealed, donor the active epoch sealed or
+// not, repair the active epoch or the pending one while sealed.
+// Loopback calls the Server directly instead of going through the
+// table: it has no frames to decode, and an indirect call would move
+// its arguments to the heap on the in-process hot path.
 package soda

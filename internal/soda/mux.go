@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // MuxConn is the persistent multiplexed TCP client: one long-lived
@@ -34,6 +35,9 @@ type muxSession struct {
 	done chan struct{}
 	err  error
 	once sync.Once
+	// rearm is when the connection's write deadline next needs pushing
+	// out (see writeBuf); guarded by the owning MuxConn's wmu.
+	rearm time.Time
 }
 
 func (s *muxSession) fail(err error) {
@@ -203,10 +207,17 @@ func frameForSend() *[]byte {
 	return bp
 }
 
+// writeStall bounds how long one frame write may sit in a full socket
+// buffer. A peer that accepted the connection and then stopped reading
+// would otherwise block conn.Write — and, behind wmu, every later
+// exchange to that server — forever, whatever the callers' contexts
+// say. A var only so the stalled-peer test can shorten it.
+var writeStall = 10 * time.Second
+
 // writeBuf finishes and writes a frame built by frameForSend,
 // recycling the buffer. An oversize frame is refused before a byte is
-// written and fails only its own exchange; a failed write tears the
-// (now desynced) session down.
+// written and fails only its own exchange; a failed write — a stalled
+// one included — tears the (now desynced) session down.
 func (c *MuxConn) writeBuf(s *muxSession, bp *[]byte) error {
 	p := *bp
 	if len(p)-4 > maxFrame {
@@ -215,6 +226,13 @@ func (c *MuxConn) writeBuf(s *muxSession, bp *[]byte) error {
 	}
 	binary.BigEndian.PutUint32(p[:4], uint32(len(p)-4))
 	c.wmu.Lock()
+	// The deadline is pushed out lazily, once per half period instead of
+	// once per frame, so a write always starts with between writeStall/2
+	// and writeStall left on it.
+	if now := time.Now(); now.After(s.rearm) {
+		s.conn.SetWriteDeadline(now.Add(writeStall))
+		s.rearm = now.Add(writeStall / 2)
+	}
 	//lint:ignore lockhold wmu is the connection's dedicated write-serialization lock: it guards exactly this Write and nothing else ever blocks on it
 	_, err := s.conn.Write(p)
 	c.wmu.Unlock()
@@ -227,8 +245,8 @@ func (c *MuxConn) writeBuf(s *muxSession, bp *[]byte) error {
 
 // readLoop is the demux pump: route every inbound frame by (type,
 // request id). Stream deliveries are decoded here (the buffer is
-// reused; decoders copy elements out); unary responses are handed to
-// their waiter whole.
+// reused; the decoder copies elements out); unary responses are handed
+// to their waiter whole.
 func (c *MuxConn) readLoop(s *muxSession) {
 	br := bufio.NewReader(s.conn)
 	var buf []byte
@@ -238,94 +256,69 @@ func (c *MuxConn) readLoop(s *muxSession) {
 			c.teardown(s, err)
 			return
 		}
-		typ, req, ok := peekHeader(payload)
-		if !ok {
-			c.teardown(s, &FrameError{Want: "header", Msg: "short frame"})
+		typ, id, _, _, err := header(payload, "response")
+		if err != nil {
+			c.teardown(s, err)
 			return
 		}
+		buf = payload
 		switch {
+		case typ == msgError && id == 0:
+			// Connection-level error: the server could not even parse a
+			// header on this connection; nothing multiplexed on it can
+			// be trusted to complete.
+			c.teardown(s, decodeResponse(payload, msgError, &response{}))
+			return
 		case typ == msgData:
-			buf = payload
-			_, d, err := decodeData(payload)
-			if err != nil {
+			var resp response
+			if err := decodeResponse(payload, msgData, &resp); err != nil {
 				c.teardown(s, err)
 				return
 			}
 			c.mu.Lock()
-			st := c.streams[req]
+			st := c.streams[id]
 			c.mu.Unlock()
 			if st != nil {
-				d.Server = c.idx
-				st.deliver(d)
+				st.deliver(Delivery{Server: c.idx, Tag: resp.tag, Elem: resp.elem, VLen: resp.vlen, Initial: resp.initial, Epoch: resp.epoch})
 			}
-		case typ == msgEpochNack:
-			// An epoch NACK either answers a unary exchange (route the
-			// whole payload; the waiter's decoder surfaces the typed
-			// error) or kills a relay stream the server just swept in an
-			// epoch flip.
+		default:
+			// A unary response goes to its waiter whole, whose decoder
+			// surfaces an error or epoch-nack frame as the typed error. An
+			// epoch NACK may instead kill a relay stream the server just
+			// swept in an epoch flip.
 			c.mu.Lock()
-			st := c.streams[req]
-			if st != nil {
-				delete(c.streams, req)
-			}
-			ch := c.pending[req]
-			if ch != nil {
-				delete(c.pending, req)
+			ch := c.pending[id]
+			delete(c.pending, id)
+			var st *muxStream
+			if typ == msgEpochNack {
+				st = c.streams[id]
+				delete(c.streams, id)
 			}
 			c.mu.Unlock()
 			switch {
 			case st != nil:
-				buf = payload
-				_, serr := decodeEpochNack(payload)
-				if serr == nil {
-					serr = &FrameError{Want: "epoch-nack", Msg: "well-formed nack decoded to nil"}
-				}
 				select {
-				case st.errc <- stampStale(serr, c.idx):
+				case st.errc <- stampStale(decodeResponse(payload, msgData, &response{}), c.idx):
 				default:
 				}
 			case ch != nil:
 				ch <- payload // buffered; never blocks the pump
 				buf = nil     // ownership moved to the waiter
-			default:
-				buf = payload // nack for a cancelled or unknown exchange
 			}
-		case typ == msgError && req == 0:
-			// Connection-level error: the server could not even parse a
-			// header on this connection; nothing multiplexed on it can
-			// be trusted to complete.
-			buf = payload
-			_, rerr := decodeError(payload)
-			if rerr == nil {
-				rerr = errors.New("soda: unspecified connection error")
-			}
-			c.teardown(s, rerr)
-			return
-		default:
-			c.mu.Lock()
-			ch := c.pending[req]
-			if ch != nil {
-				delete(c.pending, req)
-			}
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- payload // buffered; never blocks the pump
-				buf = nil     // ownership moved to the waiter
-			} else {
-				buf = payload // response for a cancelled or unknown exchange
-			}
+			// Otherwise: a response for a cancelled or unknown exchange.
 		}
 	}
 }
 
-// unary runs one request/response exchange: register a waiter, send
-// the frame, wait for the pump to route the response back.
-func (c *MuxConn) unary(ctx context.Context, build func(b []byte, req uint64) []byte) ([]byte, error) {
+// unary runs one request/response exchange: register a waiter under a
+// fresh request id, send req, wait for the pump to route the response
+// payload back.
+func (c *MuxConn) unary(ctx context.Context, req *request) ([]byte, error) {
 	s, err := c.session(ctx)
 	if err != nil {
 		return nil, err
 	}
-	req := c.reqSeq.Add(1)
+	req.id = c.reqSeq.Add(1)
 	ch := make(chan []byte, 1)
 	c.mu.Lock()
 	if c.sess != s {
@@ -337,13 +330,13 @@ func (c *MuxConn) unary(ctx context.Context, build func(b []byte, req uint64) []
 			return nil, errConnClosed
 		}
 	}
-	c.pending[req] = ch
+	c.pending[req.id] = ch
 	c.mu.Unlock()
 	bp := frameForSend()
-	*bp = build(*bp, req)
+	*bp = appendRequest(*bp, req)
 	if err := c.writeBuf(s, bp); err != nil {
 		c.mu.Lock()
-		delete(c.pending, req)
+		delete(c.pending, req.id)
 		c.mu.Unlock()
 		return nil, err
 	}
@@ -357,79 +350,58 @@ func (c *MuxConn) unary(ctx context.Context, build func(b []byte, req uint64) []
 		return nil, s.err
 	case <-ctx.Done():
 		c.mu.Lock()
-		delete(c.pending, req)
+		delete(c.pending, req.id)
 		c.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
 
-func (c *MuxConn) GetTag(ctx context.Context, key string) (Tag, error) {
-	payload, err := c.unary(ctx, func(b []byte, req uint64) []byte {
-		return appendGetTag(b, req, c.opts.epoch, key)
-	})
-	if err != nil {
-		return Tag{}, err
-	}
-	_, t, err := decodeTagResp(payload)
-	return t, stampStale(err, c.idx)
-}
-
-func (c *MuxConn) PutData(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
-	payload, err := c.unary(ctx, func(b []byte, req uint64) []byte {
-		return appendPutData(b, req, c.opts.epoch, key, t, elem, vlen)
-	})
+// call is every unary Conn method: one exchange, answered by the
+// response type the message table pairs with the request's.
+func (c *MuxConn) call(ctx context.Context, req *request, resp *response) error {
+	payload, err := c.unary(ctx, req)
 	if err != nil {
 		return err
 	}
-	_, err = decodeAck(payload)
-	return stampStale(err, c.idx)
+	return stampStale(decodeResponse(payload, rpcs[req.typ].resp, resp), c.idx)
+}
+
+func (c *MuxConn) GetTag(ctx context.Context, key string) (Tag, error) {
+	var resp response
+	err := c.call(ctx, &request{typ: msgGetTag, epoch: c.opts.epoch, key: key}, &resp)
+	return resp.tag, err
+}
+
+func (c *MuxConn) PutData(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
+	var resp response
+	return c.call(ctx, &request{typ: msgPutData, epoch: c.opts.epoch, key: key, tag: t, elem: elem, vlen: vlen}, &resp)
 }
 
 func (c *MuxConn) GetElem(ctx context.Context, key string) (Tag, []byte, int, error) {
-	payload, err := c.unary(ctx, func(b []byte, req uint64) []byte {
-		return appendGetElem(b, req, c.opts.epoch, key)
-	})
-	if err != nil {
-		return Tag{}, nil, 0, err
-	}
-	_, t, elem, vlen, err := decodeElemResp(payload)
-	return t, elem, vlen, stampStale(err, c.idx)
+	var resp response
+	err := c.call(ctx, &request{typ: msgGetElem, epoch: c.opts.epoch, key: key}, &resp)
+	return resp.tag, resp.elem, resp.vlen, err
 }
 
 func (c *MuxConn) RepairPut(ctx context.Context, key string, t Tag, elem []byte, vlen int) (bool, error) {
-	payload, err := c.unary(ctx, func(b []byte, req uint64) []byte {
-		return appendRepairPut(b, req, c.opts.epoch, key, t, elem, vlen)
-	})
-	if err != nil {
-		return false, err
-	}
-	_, accepted, err := decodeRepairResp(payload)
-	return accepted, stampStale(err, c.idx)
+	var resp response
+	err := c.call(ctx, &request{typ: msgRepairPut, epoch: c.opts.epoch, key: key, tag: t, elem: elem, vlen: vlen}, &resp)
+	return resp.accepted, err
 }
 
 func (c *MuxConn) Keys(ctx context.Context) ([]string, error) {
-	payload, err := c.unary(ctx, func(b []byte, req uint64) []byte {
-		return appendKeysReq(b, req, c.opts.epoch)
-	})
-	if err != nil {
-		return nil, err
-	}
-	_, keys, err := decodeKeysResp(payload)
-	return keys, stampStale(err, c.idx)
+	var resp response
+	err := c.call(ctx, &request{typ: msgKeys, epoch: c.opts.epoch}, &resp)
+	return resp.keys, err
 }
 
 // Reconfig drives the server's epoch state machine on behalf of a
 // reconfiguration coordinator. Reconfig frames are not themselves
 // epoch-checked: they are what moves the epoch.
 func (c *MuxConn) Reconfig(ctx context.Context, op ReconfigOp, target uint64, n, k int) (EpochStatus, error) {
-	payload, err := c.unary(ctx, func(b []byte, req uint64) []byte {
-		return appendReconfig(b, req, op, target, n, k)
-	})
-	if err != nil {
-		return EpochStatus{}, err
-	}
-	_, st, err := decodeReconfigResp(payload)
-	return st, err
+	var resp response
+	err := c.call(ctx, &request{typ: msgReconfig, epoch: epochNone, op: op, target: target, n: n, k: k}, &resp)
+	return resp.status, err
 }
 
 // GetData opens a key-scoped relay stream: register the sink under a
@@ -462,7 +434,7 @@ func (c *MuxConn) GetData(ctx context.Context, key, readerID string, deliver fun
 	c.streams[req] = st
 	c.mu.Unlock()
 	bp := frameForSend()
-	*bp = appendGetData(*bp, req, c.opts.epoch, key, readerID)
+	*bp = appendRequest(*bp, &request{typ: msgGetData, id: req, epoch: c.opts.epoch, key: key, reader: readerID})
 	if err := c.writeBuf(s, bp); err != nil {
 		c.mu.Lock()
 		delete(c.streams, req)
@@ -478,7 +450,7 @@ func (c *MuxConn) GetData(ctx context.Context, key, readerID string, deliver fun
 		// and the server's conn-close cleanup unregisters every stream at
 		// once instead of relaying to a reader that left.
 		bp := frameForSend()
-		*bp = appendReaderDone(*bp, req, c.opts.epoch)
+		*bp = appendRequest(*bp, &request{typ: msgReaderDone, id: req, epoch: c.opts.epoch})
 		c.writeBuf(s, bp)
 		return nil
 	case err := <-st.errc:

@@ -158,14 +158,14 @@ func TestMuxIgnoresUnknownRequestIDs(t *testing.T) {
 		if err != nil {
 			return
 		}
-		req, _, _, err := decodeGetTag(payload)
-		if err != nil {
+		var req request
+		if decodeRequest(payload, &req) != nil {
 			return
 		}
 		// A stray response for an exchange that does not exist, then the
 		// real one.
-		writeFrame(conn, appendTagResp(nil, req+999, SeedEpoch, Tag{TS: 1, Writer: "bogus"}))
-		writeFrame(conn, appendTagResp(nil, req, SeedEpoch, want))
+		writeFrame(conn, appendResponse(nil, &response{typ: msgTagResp, id: req.id + 999, epoch: SeedEpoch, tag: Tag{TS: 1, Writer: "bogus"}}))
+		writeFrame(conn, appendResponse(nil, &response{typ: msgTagResp, id: req.id, epoch: SeedEpoch, tag: want}))
 	}()
 
 	c := TCPMuxConn(0, ln.Addr().String())
@@ -179,33 +179,86 @@ func TestMuxIgnoresUnknownRequestIDs(t *testing.T) {
 	}
 }
 
-// TestDialConnRejectsMismatchedRequestID pins the dial-per-op client's
-// request-id check: a server answering with the wrong id is reported
-// as a framing error, not silently accepted.
-func TestDialConnRejectsMismatchedRequestID(t *testing.T) {
+// TestMuxStalledPeerUnblocksWriters: a peer that accepts the connection
+// and never reads must not hold a write — and everyone queued behind it
+// on wmu — forever. The write-stall deadline fails the stuck write, the
+// session is torn down like after any failed write, and the next
+// operation redials.
+func TestMuxStalledPeerUnblocksWriters(t *testing.T) {
 	checkNoLeaks(t)
-	ctx := testCtx(t)
+	defer func(d time.Duration) { writeStall = d }(writeStall)
+	writeStall = 200 * time.Millisecond
+
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	accepted := make(chan net.Conn, 4)
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				close(accepted)
+				return
+			}
+			accepted <- conn // held open, never read
 		}
-		defer conn.Close()
-		if _, err := readFrame(bufio.NewReader(conn), nil); err != nil {
-			return
-		}
-		writeFrame(conn, appendTagResp(nil, dialReq+6, SeedEpoch, Tag{TS: 9, Writer: "w"}))
 	}()
-	c := TCPConn(0, ln.Addr().String())
-	_, err = c.GetTag(ctx, testKey)
-	var fe *FrameError
-	if !errors.As(err, &fe) || !strings.Contains(fe.Msg, "response for request") {
-		t.Fatalf("mismatched request id produced %v, want a FrameError naming the id", err)
+	defer func() {
+		ln.Close()
+		for conn := range accepted {
+			conn.Close()
+		}
+	}()
+
+	c := TCPMuxConn(0, ln.Addr().String())
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(testCtx(t), 300*time.Millisecond)
+	defer cancel()
+
+	start := time.Now()
+	putErr := make(chan error, 1)
+	go func() {
+		// Far more than the socket buffers hold: the write must stall.
+		putErr <- c.PutData(ctx, testKey, Tag{TS: 1, Writer: "w"}, make([]byte, 8<<20), 8<<20)
+	}()
+	// A second exchange, queued behind the stalled write.
+	time.Sleep(50 * time.Millisecond)
+	tagErr := make(chan error, 1)
+	go func() {
+		_, err := c.GetTag(ctx, testKey)
+		tagErr <- err
+	}()
+	var ne net.Error
+	for name, ch := range map[string]chan error{"PutData": putErr, "GetTag": tagErr} {
+		select {
+		case err := <-ch:
+			if err == nil {
+				t.Fatalf("%s to a peer that never reads succeeded", name)
+			}
+			if name == "PutData" && (!errors.As(err, &ne) || !ne.Timeout()) {
+				t.Fatalf("stalled PutData = %v, want the write deadline's timeout", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still blocked %v after its context expired", name, time.Since(start)-300*time.Millisecond)
+		}
+	}
+	c.mu.Lock()
+	torn := c.sess == nil
+	c.mu.Unlock()
+	if !torn {
+		t.Fatal("session survived a stalled write")
+	}
+	// The next operation dials a fresh connection (which this peer also
+	// ignores, so the exchange itself ends with the context).
+	cctx, ccancel := context.WithTimeout(testCtx(t), 100*time.Millisecond)
+	defer ccancel()
+	if _, err := c.GetTag(cctx, testKey); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("GetTag after the teardown = %v", err)
+	}
+	if len(accepted) != 2 {
+		t.Fatalf("peer saw %d connections, want 2 (the stalled one and a redial)", len(accepted))
 	}
 }
 
@@ -236,13 +289,11 @@ func TestMuxConnSurvivesBadRequests(t *testing.T) {
 	}
 	// Garbage type byte injected through the raw frame path under a
 	// pending unary id: the error frame routes back to this exchange.
-	payload, err := c.unary(ctx, func(b []byte, req uint64) []byte {
-		return appendHeader(b, 0xEE, req, SeedEpoch)
-	})
+	payload, err := c.unary(ctx, &request{typ: 0xEE, epoch: SeedEpoch})
 	if err != nil {
 		t.Fatalf("unary: %v", err)
 	}
-	if _, rerr := decodeError(payload); !errors.As(rerr, &re) || !strings.Contains(re.Msg, "unknown message type") {
+	if rerr := decodeResponse(payload, msgAck, &response{}); !errors.As(rerr, &re) || !strings.Contains(re.Msg, "unknown message type") {
 		t.Fatalf("garbage type byte produced %v, want *RemoteError", rerr)
 	}
 
@@ -281,22 +332,23 @@ func TestRawConnSurvivesGarbageRequestID(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no error frame came back: %v", err)
 	}
-	req, rerr := decodeError(payload)
+	var resp response
+	rerr := decodeResponse(payload, msgError, &resp)
 	var re *RemoteError
-	if req != 0xFEEDFACE || !errors.As(rerr, &re) {
-		t.Fatalf("error frame = req %d, %v; want the echoed garbage id", req, rerr)
+	if resp.id != 0xFEEDFACE || !errors.As(rerr, &re) {
+		t.Fatalf("error frame = req %d, %v; want the echoed garbage id", resp.id, rerr)
 	}
 
 	// Same connection, now a real request.
-	if err := writeFrame(conn, appendGetTag(nil, 5, SeedEpoch, testKey)); err != nil {
+	if err := writeFrame(conn, appendRequest(nil, &request{typ: msgGetTag, id: 5, epoch: SeedEpoch, key: testKey})); err != nil {
 		t.Fatal(err)
 	}
 	payload, err = readFrame(br, nil)
 	if err != nil {
 		t.Fatalf("connection died after the garbage request: %v", err)
 	}
-	if req, tag, err := decodeTagResp(payload); err != nil || req != 5 || !tag.IsZero() {
-		t.Fatalf("tag-resp after garbage = req %d tag %v, %v", req, tag, err)
+	if err := decodeResponse(payload, msgTagResp, &resp); err != nil || resp.id != 5 || !resp.tag.IsZero() {
+		t.Fatalf("tag-resp after garbage = req %d tag %v, %v", resp.id, resp.tag, err)
 	}
 }
 
@@ -313,9 +365,7 @@ func TestConnWriterBatchesFlushes(t *testing.T) {
 	// is waiting when the first drain begins, so all of them must
 	// coalesce into one buffered batch.
 	for i := 1; i <= frames; i++ {
-		bp := getFrame()
-		*bp = appendAck(*bp, uint64(i), SeedEpoch)
-		if !w.send(bp) {
+		if !w.send(frame(&response{typ: msgAck, id: uint64(i), epoch: SeedEpoch})) {
 			t.Fatalf("send %d refused", i)
 		}
 	}
@@ -330,8 +380,9 @@ func TestConnWriterBatchesFlushes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if req, err := decodeAck(payload); err != nil || req != uint64(i) {
-			t.Fatalf("frame %d = req %d, %v (reordered?)", i, req, err)
+		var resp response
+		if err := decodeResponse(payload, msgAck, &resp); err != nil || resp.id != uint64(i) {
+			t.Fatalf("frame %d = req %d, %v (reordered?)", i, resp.id, err)
 		}
 	}
 	w.shutdown()

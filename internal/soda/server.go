@@ -123,6 +123,7 @@ const (
 	opClient opClass = iota // get-tag, put-data, get-data: full service only
 	opDonor                 // get-elem, keys: served while sealed (migration donors)
 	opRepair                // repair-put: active epoch, or pending epoch while sealed
+	opExempt                // reconfig, reader-done: never put to Admit (one moves the epoch, one outlives it)
 )
 
 // NewServer returns the state machine for the server holding codeword

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// TCP transport, server side plus the dial-per-op client.
+// TCP transport, server side.
 //
 // The server speaks the multiplexed wire protocol: one connection
 // carries any number of concurrent request/response exchanges routed
@@ -21,11 +21,8 @@ import (
 // batched into a single flush whenever the queue has more than one
 // frame waiting, which is what makes relay fan-out cheap under load.
 //
-// Two client transports implement Conn over this server: MuxConn
-// (mux.go) — one persistent pipelined connection, the fast path — and
-// tcpConn below, which dials per operation. The dialing client is kept
-// deliberately: it is the "before" in the transport benchmark and a
-// conservative fallback.
+// MuxConn (mux.go) is the client: one persistent pipelined connection
+// per server.
 
 // NetServer serves one SODA server over TCP with the wire.go framing.
 type NetServer struct {
@@ -119,6 +116,43 @@ type streamSub struct {
 	rid string
 }
 
+// netConn is the server side of one client connection: the outbound
+// queue, the relay streams open on it, and the request and response the
+// read loop is currently serving (reused frame to frame, so the table's
+// indirect call costs no allocation).
+type netConn struct {
+	core *Server
+	w    *connWriter
+
+	mu   sync.Mutex // guards subs
+	subs map[uint64]streamSub
+
+	req  request
+	resp response
+}
+
+// frame encodes resp into a pooled buffer for the connWriter.
+func frame(resp *response) *[]byte {
+	bp := getFrame()
+	*bp = appendResponse(*bp, resp)
+	return bp
+}
+
+// reject answers a malformed-but-framed request with an explicit error
+// and keeps the connection alive: the framing is still in sync, so one
+// bad request must not kill the other exchanges multiplexed on this
+// connection.
+func (sc *netConn) reject(id uint64, msg string) bool {
+	return sc.w.send(frame(&response{typ: msgError, id: id, epoch: epochNone, msg: msg}))
+}
+
+// nack answers a request whose configuration epoch the state machine
+// refused; the connection survives — the client refetches its config
+// and retries.
+func (sc *netConn) nack(id uint64, se *StaleEpochError) bool {
+	return sc.w.send(frame(&response{typ: msgEpochNack, id: id, epoch: se.ServerEpoch, want: se.Want, sealed: se.Sealed}))
+}
+
 // watchEpochs is a per-connection goroutine that kills relay streams
 // when the server's configuration epoch moves: every open get-data
 // stream gets an epoch NACK on its own request id (so the client's
@@ -126,26 +160,24 @@ type streamSub struct {
 // new epoch) and its registration is dropped. The status-compare loop
 // re-checks after each sweep, so back-to-back transitions cannot slip
 // between a wakeup and re-arming the change channel.
-func (ns *NetServer) watchEpochs(w *connWriter, subMu *sync.Mutex, subs map[uint64]streamSub, stop <-chan struct{}) {
+func (sc *netConn) watchEpochs(stop <-chan struct{}) {
 	var last EpochStatus
 	for {
-		ch := ns.core.EpochChanged()
-		st := ns.core.EpochStatus()
+		ch := sc.core.EpochChanged()
+		st := sc.core.EpochStatus()
 		if st != last {
 			want := st.Epoch
 			if st.Sealed {
 				want = st.Pending
 			}
-			subMu.Lock()
-			for req, sub := range subs {
+			sc.mu.Lock()
+			for id, sub := range sc.subs {
 				// Forced: the handler may still be copying the initial element.
-				ns.core.unregister(sub.key, sub.rid, true)
-				bp := getFrame()
-				*bp = appendEpochNack(*bp, req, st, want)
-				w.trySend(bp)
-				delete(subs, req)
+				sc.core.unregister(sub.key, sub.rid, true)
+				sc.w.trySend(frame(&response{typ: msgEpochNack, id: id, epoch: st.Epoch, want: want, sealed: st.Sealed}))
+				delete(sc.subs, id)
 			}
-			subMu.Unlock()
+			sc.mu.Unlock()
 			last = st
 			continue
 		}
@@ -159,53 +191,30 @@ func (ns *NetServer) watchEpochs(w *connWriter, subMu *sync.Mutex, subs map[uint
 
 func (ns *NetServer) handle(conn net.Conn) {
 	defer ns.wg.Done()
-	w := newConnWriter(conn, outQueueDepth)
+	sc := &netConn{core: ns.core, w: newConnWriter(conn, outQueueDepth), subs: make(map[uint64]streamSub)}
 	ns.wg.Add(1)
 	go func() {
 		defer ns.wg.Done()
-		w.run()
+		sc.w.run()
 	}()
-
-	var subMu sync.Mutex
-	subs := make(map[uint64]streamSub)
 	stopWatch := make(chan struct{})
 	ns.wg.Add(1)
 	go func() {
 		defer ns.wg.Done()
-		ns.watchEpochs(w, &subMu, subs, stopWatch)
+		sc.watchEpochs(stopWatch)
 	}()
 	defer func() {
 		close(stopWatch)
-		subMu.Lock()
-		for _, sub := range subs {
+		sc.mu.Lock()
+		for _, sub := range sc.subs {
 			ns.core.Unregister(sub.key, sub.rid)
 		}
-		subMu.Unlock()
-		w.shutdown() // drains queued frames, then closes conn
+		sc.mu.Unlock()
+		sc.w.shutdown() // drains queued frames, then closes conn
 		ns.mu.Lock()
 		delete(ns.conns, conn)
 		ns.mu.Unlock()
 	}()
-
-	// reject answers a malformed-but-framed request with an explicit
-	// error and keeps the connection alive: the framing is still in
-	// sync, so one bad request must not kill the other exchanges
-	// multiplexed on this connection.
-	reject := func(req uint64, msg string) bool {
-		bp := getFrame()
-		*bp = appendError(*bp, req, msg)
-		return w.send(bp)
-	}
-	// nack answers a request whose configuration epoch the state
-	// machine refused; the connection survives — the client refetches
-	// its config and retries.
-	nack := func(req uint64, se *StaleEpochError) bool {
-		bp := getFrame()
-		*bp = appendEpochNack(*bp, req, EpochStatus{Epoch: se.ServerEpoch, Sealed: se.Sealed}, se.Want)
-		return w.send(bp)
-	}
-	// epoch responses carry the server's active epoch at reply time.
-	cur := func() uint64 { return ns.core.EpochStatus().Epoch }
 
 	br := bufio.NewReader(conn)
 	var buf []byte
@@ -215,215 +224,113 @@ func (ns *NetServer) handle(conn net.Conn) {
 			return
 		}
 		buf = payload
-		typ, req, ok := peekHeader(payload)
-		if !ok {
-			// Not even a header: connection-level error, then close —
-			// there is no request id to answer on.
-			bp := getFrame()
-			*bp = appendError(*bp, 0, fmt.Sprintf("short frame: %d bytes", len(payload)))
-			w.send(bp)
+		if !sc.serve(payload) {
 			return
 		}
-		switch typ {
-		case msgGetTag:
-			_, epoch, key, err := decodeGetTag(payload)
-			if err != nil {
-				if !reject(req, "malformed get-tag: "+err.Error()) {
-					return
-				}
-				continue
-			}
-			if se := ns.core.Admit(opClient, epoch); se != nil {
-				if !nack(req, se) {
-					return
-				}
-				continue
-			}
-			bp := getFrame()
-			*bp = appendTagResp(*bp, req, cur(), ns.core.GetTag(key))
-			if !w.send(bp) {
-				return
-			}
-		case msgPutData:
-			_, epoch, key, t, elem, vlen, err := decodePutData(payload)
-			if err != nil {
-				if !reject(req, "malformed put-data: "+err.Error()) {
-					return
-				}
-				continue
-			}
-			if se := ns.core.Admit(opClient, epoch); se != nil {
-				if !nack(req, se) {
-					return
-				}
-				continue
-			}
-			ns.core.PutData(key, t, elem, vlen)
-			bp := getFrame()
-			*bp = appendAck(*bp, req, cur())
-			if !w.send(bp) {
-				return
-			}
-		case msgGetElem:
-			_, epoch, key, err := decodeGetElem(payload)
-			if err != nil {
-				if !reject(req, "malformed get-elem: "+err.Error()) {
-					return
-				}
-				continue
-			}
-			if se := ns.core.Admit(opDonor, epoch); se != nil {
-				if !nack(req, se) {
-					return
-				}
-				continue
-			}
-			t, elem, vlen := ns.core.getElem(key)
-			bp := getFrame()
-			*bp = appendElemResp(*bp, req, cur(), t, elem, vlen)
-			if !w.send(bp) {
-				return
-			}
-		case msgRepairPut:
-			_, epoch, key, t, elem, vlen, err := decodeRepairPut(payload)
-			if err != nil {
-				if !reject(req, "malformed repair-put: "+err.Error()) {
-					return
-				}
-				continue
-			}
-			if se := ns.core.Admit(opRepair, epoch); se != nil {
-				if !nack(req, se) {
-					return
-				}
-				continue
-			}
-			accepted := ns.core.RepairPut(key, t, elem, vlen)
-			bp := getFrame()
-			*bp = appendRepairResp(*bp, req, cur(), accepted)
-			if !w.send(bp) {
-				return
-			}
-		case msgKeys:
-			_, epoch, err := decodeKeysReq(payload)
-			if err != nil {
-				if !reject(req, "malformed keys: "+err.Error()) {
-					return
-				}
-				continue
-			}
-			if se := ns.core.Admit(opDonor, epoch); se != nil {
-				if !nack(req, se) {
-					return
-				}
-				continue
-			}
-			bp := getFrame()
-			*bp = appendKeysResp(*bp, req, cur(), ns.core.Keys())
-			if !w.send(bp) {
-				return
-			}
-		case msgReconfig:
-			_, op, target, rn, rk, err := decodeReconfig(payload)
-			if err != nil {
-				if !reject(req, "malformed reconfig: "+err.Error()) {
-					return
-				}
-				continue
-			}
-			st, rerr := ns.core.Reconfig(op, target, rn, rk)
-			if rerr != nil {
-				if !reject(req, rerr.Error()) {
-					return
-				}
-				continue
-			}
-			bp := getFrame()
-			*bp = appendReconfigResp(*bp, req, st)
-			if !w.send(bp) {
-				return
-			}
-		case msgGetData:
-			_, epoch, key, rid, err := decodeGetData(payload)
-			if err != nil {
-				if !reject(req, "malformed get-data: "+err.Error()) {
-					return
-				}
-				continue
-			}
-			if se := ns.core.Admit(opClient, epoch); se != nil {
-				if !nack(req, se) {
-					return
-				}
-				continue
-			}
-			subMu.Lock()
-			_, dup := subs[req]
-			if !dup {
-				subs[req] = streamSub{key: key, rid: rid}
-			}
-			subMu.Unlock()
-			if dup {
-				if !reject(req, "get-data request id already streaming") {
-					return
-				}
-				continue
-			}
-			// The relay sink runs on whichever goroutine performs a
-			// put-data; it must never block on this connection, so it
-			// try-sends and kills the connection on overflow — a reader
-			// that stopped draining is indistinguishable from dead.
-			streamReq := req
-			sink := func(d Delivery) {
-				bp := getFrame()
-				*bp = appendData(*bp, streamReq, d)
-				if !w.trySend(bp) {
-					ns.core.Metrics().relayDrops.Add(1)
-					w.kill()
-				}
-			}
-			initial := ns.core.Register(key, rid, sink)
-			// A flip that lands between the admission check and the
-			// registration would leave a stream the epoch watcher already
-			// swept; re-checking after Register closes the race.
-			if se := ns.core.Admit(opClient, epoch); se != nil {
-				ns.core.Unregister(key, rid)
-				subMu.Lock()
-				delete(subs, req)
-				subMu.Unlock()
-				if !nack(req, se) {
-					return
-				}
-				continue
-			}
-			sink(initial)
-		case msgReaderDone:
-			if _, err := decodeReaderDone(payload); err != nil {
-				if !reject(req, "malformed reader-done: "+err.Error()) {
-					return
-				}
-				continue
-			}
-			// A reader-done for an unknown request id (a stream this
-			// server never saw, or one already torn down) is ignored:
-			// tear-down is idempotent.
-			subMu.Lock()
-			if sub, ok := subs[req]; ok {
-				ns.core.Unregister(sub.key, sub.rid)
-				delete(subs, req)
-			}
-			subMu.Unlock()
-		default:
-			// A type byte from a future protocol version (or garbage):
-			// tell the peer explicitly instead of a silent close, so a
-			// version-skewed client degrades into a legible
-			// *RemoteError rather than a mystery EOF. The framing is
-			// still in sync, so the connection survives.
-			if !reject(req, fmt.Sprintf("unknown message type %#x", typ)) {
-				return
-			}
+	}
+}
+
+// serve answers one inbound frame, the same way whatever its type:
+// decode it, look its row up in the message table, check its epoch
+// under the row's admission class, run it, reply. It reports false
+// when the connection is finished.
+func (sc *netConn) serve(payload []byte) bool {
+	if len(payload) < headerLen {
+		// Not even a header: connection-level error, then close — there
+		// is no request id to answer on.
+		sc.reject(0, fmt.Sprintf("short frame: %d bytes", len(payload)))
+		return false
+	}
+	req, resp := &sc.req, &sc.resp
+	*req = request{}
+	err := decodeRequest(payload, req)
+	h := rpcFor(req.typ)
+	if h == nil {
+		// A type byte from a future protocol version (or garbage): tell
+		// the peer explicitly instead of a silent close, so a
+		// version-skewed client degrades into a legible *RemoteError
+		// rather than a mystery EOF. The framing is still in sync, so the
+		// connection survives.
+		return sc.reject(req.id, fmt.Sprintf("unknown message type %#x", req.typ))
+	}
+	if err != nil {
+		return sc.reject(req.id, "malformed "+msgNames[req.typ]+": "+err.Error())
+	}
+	if h.class != opExempt {
+		if se := sc.core.Admit(h.class, req.epoch); se != nil {
+			return sc.nack(req.id, se)
 		}
 	}
+	switch req.typ {
+	case msgGetData:
+		return sc.openStream(req)
+	case msgReaderDone:
+		sc.closeStream(req.id)
+		return true
+	}
+	*resp = response{typ: h.resp, id: req.id}
+	if err := h.serve(sc.core, req, resp); err != nil {
+		return sc.reject(req.id, err.Error())
+	}
+	// Responses carry the server's active epoch at reply time.
+	resp.epoch = sc.core.EpochStatus().Epoch
+	bp := frame(resp)
+	*resp = response{} // an idle connection must not pin the element or key list it last sent
+	return sc.w.send(bp)
+}
+
+// openStream serves an admitted get-data: register the reader and relay
+// to it on the request's id until reader-done, an epoch flip, or the
+// end of the connection.
+func (sc *netConn) openStream(req *request) bool {
+	id, key, rid := req.id, req.key, req.reader
+	sc.mu.Lock()
+	_, dup := sc.subs[id]
+	if !dup {
+		sc.subs[id] = streamSub{key: key, rid: rid}
+	}
+	sc.mu.Unlock()
+	if dup {
+		return sc.reject(id, "get-data request id already streaming")
+	}
+	// The relay sink runs on whichever goroutine performs a put-data; it
+	// must never block on this connection, so it try-sends and kills the
+	// connection on overflow — a reader that stopped draining is
+	// indistinguishable from dead. Each frame carries the delivery's own
+	// epoch: a relayed element belongs to the configuration the server
+	// held it under.
+	sink := func(d Delivery) {
+		bp := frame(&response{typ: msgData, id: id, epoch: d.Epoch, tag: d.Tag, vlen: d.VLen, initial: d.Initial, elem: d.Elem})
+		if !sc.w.trySend(bp) {
+			sc.core.Metrics().relayDrops.Add(1)
+			sc.w.kill()
+		}
+	}
+	initial := sc.core.Register(key, rid, sink)
+	// A flip that lands between the admission check and the registration
+	// would leave a stream the epoch watcher already swept; re-checking
+	// after Register closes the race.
+	if se := sc.core.Admit(opClient, req.epoch); se != nil {
+		sc.core.Unregister(key, rid)
+		sc.mu.Lock()
+		delete(sc.subs, id)
+		sc.mu.Unlock()
+		return sc.nack(id, se)
+	}
+	sink(initial)
+	return true
+}
+
+// closeStream serves reader-done. One for an unknown request id (a
+// stream this server never saw, or one already torn down) is ignored:
+// tear-down is idempotent.
+func (sc *netConn) closeStream(id uint64) {
+	sc.mu.Lock()
+	if sub, ok := sc.subs[id]; ok {
+		sc.core.Unregister(sub.key, sub.rid)
+		delete(sc.subs, id)
+	}
+	sc.mu.Unlock()
 }
 
 // connWriter owns a connection's write side: every outbound frame —
@@ -537,8 +444,7 @@ func (w *connWriter) run() {
 	}
 }
 
-// dialPolicy is the shared dial behavior of both TCP client
-// transports: a per-attempt deadline — a dial that has not completed
+// dialPolicy is how the TCP client dials: a per-attempt deadline — a dial that has not completed
 // in timeout is as dead as a refused one; without the cap, a
 // blackholed server would pin a quorum goroutine until the caller's
 // whole context expired — and bounded retry with backoff so a server
@@ -573,9 +479,8 @@ func (p dialPolicy) dial(ctx context.Context, addr string) (net.Conn, error) {
 	return conn, err
 }
 
-// tcpOpts is the assembled client-conn configuration shared by the
-// dialing and multiplexed transports: the dial policy plus the
-// configuration epoch the conn stamps on every frame.
+// tcpOpts is the assembled client-conn configuration: the dial policy
+// plus the configuration epoch the conn stamps on every frame.
 type tcpOpts struct {
 	policy dialPolicy
 	epoch  uint64
@@ -583,7 +488,7 @@ type tcpOpts struct {
 
 func defaultTCPOpts() tcpOpts { return tcpOpts{policy: defaultDialPolicy()} }
 
-// TCPOption configures a client-side TCP conn (dialing or mux).
+// TCPOption configures a client-side TCP conn.
 type TCPOption func(*tcpOpts)
 
 // WithDialTimeout caps each dial attempt; the effective deadline is
@@ -621,217 +526,4 @@ func stampStale(err error, idx int) error {
 		se.Server = idx
 	}
 	return err
-}
-
-// tcpConn is the dial-per-operation client Conn for one server
-// address. Every operation opens a fresh connection and uses request
-// id 1 on it. MuxConn is the production path; this one survives as
-// the benchmark baseline and a zero-shared-state fallback.
-type tcpConn struct {
-	idx  int
-	addr string
-	opts tcpOpts
-}
-
-// TCPConn returns a Conn that dials addr for each operation, acting
-// for the server at shard index idx.
-func TCPConn(idx int, addr string, opts ...TCPOption) Conn {
-	c := &tcpConn{idx: idx, addr: addr, opts: defaultTCPOpts()}
-	for _, opt := range opts {
-		opt(&c.opts)
-	}
-	return c
-}
-
-// TCPConns builds the dial-per-op conn set for a cluster from its
-// address list, in shard-index order.
-func TCPConns(addrs []string, opts ...TCPOption) []Conn {
-	conns := make([]Conn, len(addrs))
-	for i, a := range addrs {
-		conns[i] = TCPConn(i, a, opts...)
-	}
-	return conns
-}
-
-func (c *tcpConn) Index() int { return c.idx }
-
-// dialReq is the request id a dial-per-op exchange uses: the
-// connection carries exactly one.
-const dialReq uint64 = 1
-
-// unary performs one request/response exchange on a fresh connection,
-// verifying the response echoes the request id.
-func (c *tcpConn) unary(ctx context.Context, req []byte) ([]byte, error) {
-	conn, err := c.opts.policy.dial(ctx, c.addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(0, 1)) })
-	defer stop()
-	if err := writeFrame(conn, req); err != nil {
-		return nil, err
-	}
-	payload, err := readFrame(bufio.NewReader(conn), nil)
-	if err != nil && ctx.Err() != nil {
-		err = ctx.Err()
-	}
-	return payload, err
-}
-
-// checkReq verifies a unary response was for our exchange. On a
-// one-request connection any other id means the server is broken.
-func checkReq(req uint64, name string) error {
-	if req != dialReq {
-		return &FrameError{Want: name, Msg: fmt.Sprintf("response for request %d, want %d", req, dialReq)}
-	}
-	return nil
-}
-
-func (c *tcpConn) GetTag(ctx context.Context, key string) (Tag, error) {
-	bp := getFrame()
-	*bp = appendGetTag(*bp, dialReq, c.opts.epoch, key)
-	payload, err := c.unary(ctx, *bp)
-	putFrame(bp)
-	if err != nil {
-		return Tag{}, err
-	}
-	req, t, err := decodeTagResp(payload)
-	if err != nil {
-		return Tag{}, stampStale(err, c.idx)
-	}
-	return t, checkReq(req, "tag-resp")
-}
-
-func (c *tcpConn) PutData(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
-	bp := getFrame()
-	*bp = appendPutData(*bp, dialReq, c.opts.epoch, key, t, elem, vlen)
-	payload, err := c.unary(ctx, *bp)
-	putFrame(bp)
-	if err != nil {
-		return err
-	}
-	req, err := decodeAck(payload)
-	if err != nil {
-		return stampStale(err, c.idx)
-	}
-	return checkReq(req, "ack")
-}
-
-func (c *tcpConn) GetElem(ctx context.Context, key string) (Tag, []byte, int, error) {
-	bp := getFrame()
-	*bp = appendGetElem(*bp, dialReq, c.opts.epoch, key)
-	payload, err := c.unary(ctx, *bp)
-	putFrame(bp)
-	if err != nil {
-		return Tag{}, nil, 0, err
-	}
-	req, t, elem, vlen, err := decodeElemResp(payload)
-	if err != nil {
-		return Tag{}, nil, 0, stampStale(err, c.idx)
-	}
-	return t, elem, vlen, checkReq(req, "elem-resp")
-}
-
-func (c *tcpConn) RepairPut(ctx context.Context, key string, t Tag, elem []byte, vlen int) (bool, error) {
-	bp := getFrame()
-	*bp = appendRepairPut(*bp, dialReq, c.opts.epoch, key, t, elem, vlen)
-	payload, err := c.unary(ctx, *bp)
-	putFrame(bp)
-	if err != nil {
-		return false, err
-	}
-	req, accepted, err := decodeRepairResp(payload)
-	if err != nil {
-		return false, stampStale(err, c.idx)
-	}
-	return accepted, checkReq(req, "repair-resp")
-}
-
-func (c *tcpConn) Keys(ctx context.Context) ([]string, error) {
-	bp := getFrame()
-	*bp = appendKeysReq(*bp, dialReq, c.opts.epoch)
-	payload, err := c.unary(ctx, *bp)
-	putFrame(bp)
-	if err != nil {
-		return nil, err
-	}
-	req, keys, err := decodeKeysResp(payload)
-	if err != nil {
-		return nil, stampStale(err, c.idx)
-	}
-	return keys, checkReq(req, "keys-resp")
-}
-
-// Reconfig drives the server's epoch state machine on behalf of a
-// reconfiguration coordinator. Reconfig frames are not themselves
-// epoch-checked: they are what moves the epoch.
-func (c *tcpConn) Reconfig(ctx context.Context, op ReconfigOp, target uint64, n, k int) (EpochStatus, error) {
-	bp := getFrame()
-	*bp = appendReconfig(*bp, dialReq, op, target, n, k)
-	payload, err := c.unary(ctx, *bp)
-	putFrame(bp)
-	if err != nil {
-		return EpochStatus{}, err
-	}
-	req, st, err := decodeReconfigResp(payload)
-	if err != nil {
-		return EpochStatus{}, err
-	}
-	return st, checkReq(req, "reconfig-resp")
-}
-
-func (c *tcpConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
-	conn, err := c.opts.policy.dial(ctx, c.addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	// On cancellation, tell the server the reader is done (best
-	// effort) and tear the stream down; the blocked readFrame below
-	// then fails and the nil return reports a clean unsubscribe. The
-	// mutex keeps the reader-done frame from interleaving with the
-	// registration frame if cancellation lands mid-write.
-	var wmu sync.Mutex
-	stop := context.AfterFunc(ctx, func() {
-		wmu.Lock()
-		conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-		bp := getFrame()
-		*bp = appendReaderDone(*bp, dialReq, c.opts.epoch)
-		writeFrame(conn, *bp)
-		putFrame(bp)
-		wmu.Unlock()
-		conn.Close()
-	})
-	defer stop()
-	bp := getFrame()
-	*bp = appendGetData(*bp, dialReq, c.opts.epoch, key, readerID)
-	wmu.Lock()
-	err = writeFrame(conn, *bp)
-	wmu.Unlock()
-	putFrame(bp)
-	if err != nil {
-		return err
-	}
-	br := bufio.NewReader(conn)
-	var buf []byte
-	for {
-		payload, err := readFrame(br, buf)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil // our own cancellation
-			}
-			return err
-		}
-		buf = payload // reuse: decodeData copies the element out
-		_, d, err := decodeData(payload)
-		if err != nil {
-			return stampStale(err, c.idx)
-		}
-		d.Server = c.idx
-		deliver(d)
-	}
 }

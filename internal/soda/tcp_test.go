@@ -1,20 +1,24 @@
 package soda
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
 
 // startTCPCluster brings up n NetServers on ephemeral localhost ports
-// and returns their dial-per-op conns.
+// and returns their conns, closed at cleanup.
 func startTCPCluster(t *testing.T, n int) ([]Conn, []*NetServer) {
 	t.Helper()
 	addrs, servers := startTCPServers(t, n)
-	return TCPConns(addrs), servers
+	conns := TCPMuxConns(addrs)
+	t.Cleanup(func() { CloseConns(conns) })
+	return conns, servers
 }
 
 func startTCPServers(t *testing.T, n int) ([]string, []*NetServer) {
@@ -88,9 +92,9 @@ func TestTCPRelayStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	conns, _ := startTCPCluster(t, 5)
-	// f=0: a dial-per-op straggler leg cannot dial once the write's
-	// context is cancelled, so only a full ack quorum guarantees that
-	// server 2 — the one subscribed to below — holds every write.
+	// f=0: Write returns on n-f acks, so only a full ack quorum
+	// guarantees that server 2 — the one subscribed to below — holds
+	// every write by the time it does.
 	w := mustWriter(t, "w1", codec, conns, WithWriterFaults(0))
 	v1 := []byte("subscription smoke value")
 	tag1, err := w.Write(ctx, testKey, v1)
@@ -195,41 +199,69 @@ func TestTCPRepairRPCs(t *testing.T) {
 // header gets a connection-level error (request id 0).
 func TestTCPUnknownTypeByte(t *testing.T) {
 	checkNoLeaks(t)
-	ctx := testCtx(t)
-	conns, _ := startTCPCluster(t, 1)
-	c := conns[0].(*tcpConn)
+	addrs, _ := startTCPServers(t, 1)
+	// exchange sends one raw frame on a fresh connection and decodes the
+	// error frame that answers it.
+	exchange := func(payload []byte) (uint64, *RemoteError) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeFrame(conn, payload); err != nil {
+			t.Fatal(err)
+		}
+		answer, err := readFrame(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("no frame came back: %v", err)
+		}
+		var resp response
+		var re *RemoteError
+		if err := decodeResponse(answer, msgError, &resp); !errors.As(err, &re) {
+			t.Fatalf("answer decodes to %v, want a *RemoteError", err)
+		}
+		return resp.id, re
+	}
 
 	// Unknown type byte under a well-formed header.
-	payload, err := c.unary(ctx, appendHeader(nil, 0xFF, 7, SeedEpoch))
-	if err != nil {
-		t.Fatalf("unary: %v", err)
-	}
-	req, rerr := decodeError(payload)
-	var re *RemoteError
-	if req != 7 || !errors.As(rerr, &re) {
-		t.Fatalf("garbage type byte produced req %d, %v; want an echoed *RemoteError", req, rerr)
-	}
-	if re.Msg != "unknown message type 0xff" {
-		t.Fatalf("RemoteError.Msg = %q", re.Msg)
+	req, re := exchange(appendHeader(nil, 0xFF, 7, SeedEpoch))
+	if req != 7 || re.Msg != "unknown message type 0xff" {
+		t.Fatalf("garbage type byte produced req %d, %q; want the id echoed", req, re.Msg)
 	}
 
 	// A malformed known-type message gets the same treatment.
-	payload, err = c.unary(ctx, append(appendHeader(nil, msgPutData, 9, SeedEpoch), 0xDE, 0xAD))
-	if err != nil {
-		t.Fatalf("unary: %v", err)
-	}
-	if req, rerr := decodeError(payload); req != 9 || !errors.As(rerr, &re) {
-		t.Fatalf("truncated put-data produced req %d, %v", req, rerr)
+	req, re = exchange(append(appendHeader(nil, msgPutData, 9, SeedEpoch), 0xDE, 0xAD))
+	if req != 9 || !strings.HasPrefix(re.Msg, "malformed put-data: ") {
+		t.Fatalf("truncated put-data produced req %d, %q", req, re.Msg)
 	}
 
 	// A headerless frame cannot be answered on a request id: the server
 	// sends a connection-level error (request id 0) and closes.
-	payload, err = c.unary(ctx, []byte{0xFF})
-	if err != nil {
-		t.Fatalf("unary: %v", err)
+	if req, re = exchange([]byte{0xFF}); req != 0 {
+		t.Fatalf("headerless frame produced req %d, %q; want a request-id-0 error", req, re.Msg)
 	}
-	if req, rerr := decodeError(payload); req != 0 || !errors.As(rerr, &re) {
-		t.Fatalf("headerless frame produced req %d, %v; want a request-id-0 error", req, rerr)
+
+	// Over the client, a connection-level error fails the exchange that
+	// provoked it with the server's words, and the next one redials.
+	c := TCPMuxConn(0, addrs[0])
+	defer c.Close()
+	ctx := testCtx(t)
+	s, err := c.session(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := frameForSend()
+	*bp = append(*bp, 0xFF)
+	if err := c.writeBuf(s, bp); err != nil {
+		t.Fatal(err)
+	}
+	<-s.done
+	if !errors.As(s.err, &re) || !strings.HasPrefix(re.Msg, "short frame") {
+		t.Fatalf("session died with %v, want the server's short-frame error", s.err)
+	}
+	if _, err := c.GetTag(ctx, testKey); err != nil {
+		t.Fatalf("GetTag after a connection-level error: %v", err)
 	}
 }
 
@@ -248,7 +280,8 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 	ln.Close()
 
 	ctx := testCtx(t)
-	c := TCPConn(0, dead, WithDialRetry(3, Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}))
+	c := TCPMuxConn(0, dead, WithDialRetry(3, Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}))
+	defer c.Close()
 	start := time.Now()
 	if _, err := c.GetTag(ctx, testKey); err == nil {
 		t.Fatal("GetTag against a dead address succeeded")
@@ -258,7 +291,8 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 	}
 
 	// Cancellation aborts the inter-attempt backoff immediately.
-	slow := TCPConn(0, dead, WithDialRetry(100, Backoff{Base: time.Hour})).(*tcpConn)
+	slow := TCPMuxConn(0, dead, WithDialRetry(100, Backoff{Base: time.Hour}))
+	defer slow.Close()
 	cctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start = time.Now()
@@ -276,7 +310,7 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	conns, _ := startTCPCluster(t, 5)
-	conns[0] = TCPConn(0, dead, WithDialRetry(1, Backoff{Base: time.Millisecond}))
+	conns[0] = TCPMuxConn(0, dead, WithDialRetry(1, Backoff{Base: time.Millisecond}))
 	w := mustWriter(t, "w1", codec, conns)
 	if _, err := w.Write(testCtx(t), testKey, []byte("around the dead address")); err != nil {
 		t.Fatalf("Write with one dead address: %v", err)

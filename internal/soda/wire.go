@@ -227,19 +227,87 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// peekHeader reads the fixed header without consuming anything: the
-// demux pump routes a frame by (type, request-id) before the full
-// decoder runs.
-func peekHeader(payload []byte) (typ byte, req uint64, ok bool) {
-	if len(payload) < headerLen {
-		return 0, 0, false
-	}
-	return payload[0], binary.BigEndian.Uint64(payload[1:9]), true
+// msgNames names each message type in diagnostics: FrameError.Want and
+// the server's "malformed <name>" rejections. Indexable by any byte.
+var msgNames = [256]string{
+	msgGetTag: "get-tag", msgTagResp: "tag-resp", msgPutData: "put-data", msgAck: "ack",
+	msgGetData: "get-data", msgData: "data", msgReaderDone: "reader-done",
+	msgGetElem: "get-elem", msgElemResp: "elem-resp", msgRepairPut: "repair-put",
+	msgRepairResp: "repair-resp", msgError: "error", msgKeys: "keys", msgKeysResp: "keys-resp",
+	msgEpochNack: "epoch-nack", msgReconfig: "reconfig", msgReconfigResp: "reconfig-resp",
 }
 
-// Append-style encoders. Each appends a complete payload (header
-// included) to b and returns the extended slice, so hot paths encode
-// into pooled buffers.
+// request is any client→server message. The type byte chooses which
+// fields travel:
+//
+//	get-tag, get-elem     {key}
+//	put-data, repair-put  {key, tag, vlen, elem}
+//	get-data              {key, reader}
+//	reader-done, keys     {}
+//	reconfig              {op, target, n, k}; the header epoch is epochNone
+type request struct {
+	typ    byte
+	id     uint64
+	epoch  uint64
+	key    string
+	tag    Tag
+	vlen   int
+	elem   []byte // decoded as a borrow of the frame: the server copies what it keeps
+	reader string
+	op     ReconfigOp
+	target uint64 // the epoch a reconfig op moves the server towards
+	n, k   int
+}
+
+// response is any server→client message. The type byte chooses which
+// fields travel:
+//
+//	tag-resp       {tag}
+//	ack            {}
+//	data           {tag, vlen, initial, elem}; the header epoch is the delivery's
+//	elem-resp      {tag, vlen, elem}
+//	repair-resp    {accepted}
+//	keys-resp      {count, key...}
+//	reconfig-resp  {status}
+//	error          {msg}; the header epoch is epochNone
+//	epoch-nack     {want, sealed}; the header epoch is the server's
+//
+// decodeResponse never fills msg, want or sealed: an error or epoch-nack
+// frame decodes to the typed error it stands for.
+type response struct {
+	typ      byte
+	id       uint64
+	epoch    uint64
+	tag      Tag
+	vlen     int
+	elem     []byte // decoded as a copy: it outlives the transport's read buffer
+	initial  bool
+	accepted bool
+	keys     []string
+	status   EpochStatus
+	msg      string
+	want     uint64 // the epoch a NACKed client should retry with
+	sealed   bool
+}
+
+// header parses the fixed payload prefix. It is the only place a frame
+// header is read: both decoders start here, and the client's demux pump
+// routes a frame by (type, request id) with it before any body is
+// decoded. want names the message the caller expected, for the error.
+func header(payload []byte, want string) (typ byte, id, epoch uint64, body []byte, err error) {
+	if len(payload) == 0 {
+		return 0, 0, 0, nil, &FrameError{Want: want, Msg: "empty payload"}
+	}
+	if len(payload) < headerLen {
+		return 0, 0, 0, nil, &FrameError{Want: want, Got: payload[0], Msg: "truncated header"}
+	}
+	return payload[0], binary.BigEndian.Uint64(payload[1:9]), binary.BigEndian.Uint64(payload[9:17]), payload[headerLen:], nil
+}
+
+// Append-style encoders: each appends to b and returns the extended
+// slice, so hot paths encode into pooled buffers. appendRequest and
+// appendResponse append a complete payload, header included; the field
+// encoders they are built from are shared with the WAL and snapshots.
 
 func appendHeader(b []byte, typ byte, req, epoch uint64) []byte {
 	b = append(b, typ)
@@ -271,124 +339,75 @@ func appendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-func appendGetTag(b []byte, req, epoch uint64, key string) []byte {
-	return appendKey(appendHeader(b, msgGetTag, req, epoch), key)
-}
-
-func appendTagResp(b []byte, req, epoch uint64, t Tag) []byte {
-	return appendTag(appendHeader(b, msgTagResp, req, epoch), t)
-}
-
-func appendPutData(b []byte, req, epoch uint64, key string, t Tag, elem []byte, vlen int) []byte {
-	b = appendKey(appendHeader(b, msgPutData, req, epoch), key)
-	b = appendTag(b, t)
-	b = binary.BigEndian.AppendUint32(b, uint32(vlen))
-	return appendBytes(b, elem)
-}
-
-func appendAck(b []byte, req, epoch uint64) []byte { return appendHeader(b, msgAck, req, epoch) }
-
-func appendGetData(b []byte, req, epoch uint64, key, readerID string) []byte {
-	b = appendKey(appendHeader(b, msgGetData, req, epoch), key)
-	return appendBytes(b, []byte(readerID))
-}
-
-// appendData stamps the delivery's own epoch into the header: a relay
-// element belongs to the configuration the server held it under.
-func appendData(b []byte, req uint64, d Delivery) []byte {
-	b = appendTag(appendHeader(b, msgData, req, d.Epoch), d.Tag)
-	b = binary.BigEndian.AppendUint32(b, uint32(d.VLen))
-	var initial byte
-	if d.Initial {
-		initial = 1
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
 	}
-	b = append(b, initial)
-	return appendBytes(b, d.Elem)
-}
-
-func appendReaderDone(b []byte, req, epoch uint64) []byte {
-	return appendHeader(b, msgReaderDone, req, epoch)
-}
-
-func appendGetElem(b []byte, req, epoch uint64, key string) []byte {
-	return appendKey(appendHeader(b, msgGetElem, req, epoch), key)
-}
-
-func appendElemResp(b []byte, req, epoch uint64, t Tag, elem []byte, vlen int) []byte {
-	b = appendTag(appendHeader(b, msgElemResp, req, epoch), t)
-	b = binary.BigEndian.AppendUint32(b, uint32(vlen))
-	return appendBytes(b, elem)
-}
-
-func appendRepairPut(b []byte, req, epoch uint64, key string, t Tag, elem []byte, vlen int) []byte {
-	b = appendKey(appendHeader(b, msgRepairPut, req, epoch), key)
-	b = appendTag(b, t)
-	b = binary.BigEndian.AppendUint32(b, uint32(vlen))
-	return appendBytes(b, elem)
-}
-
-func appendRepairResp(b []byte, req, epoch uint64, accepted bool) []byte {
-	var a byte
-	if accepted {
-		a = 1
-	}
-	return append(appendHeader(b, msgRepairResp, req, epoch), a)
-}
-
-func appendKeysReq(b []byte, req, epoch uint64) []byte { return appendHeader(b, msgKeys, req, epoch) }
-
-func appendKeysResp(b []byte, req, epoch uint64, keys []string) []byte {
-	b = appendHeader(b, msgKeysResp, req, epoch)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(keys)))
-	for _, k := range keys {
-		b = appendKey(b, k)
-	}
-	return b
-}
-
-// appendEpochNack encodes a server's epoch rejection: the header epoch
-// is the server's active epoch, the body the epoch the client should
-// retry with and whether a flip is in progress.
-func appendEpochNack(b []byte, req uint64, st EpochStatus, want uint64) []byte {
-	b = appendHeader(b, msgEpochNack, req, st.Epoch)
-	b = binary.BigEndian.AppendUint64(b, want)
-	var sealed byte
-	if st.Sealed {
-		sealed = 1
-	}
-	return append(b, sealed)
-}
-
-func appendReconfig(b []byte, req uint64, op ReconfigOp, epoch uint64, n, k int) []byte {
-	b = appendHeader(b, msgReconfig, req, epochNone)
-	b = append(b, byte(op))
-	b = binary.BigEndian.AppendUint64(b, epoch)
-	b = binary.BigEndian.AppendUint16(b, uint16(n))
-	return binary.BigEndian.AppendUint16(b, uint16(k))
-}
-
-func appendReconfigResp(b []byte, req uint64, st EpochStatus) []byte {
-	b = appendHeader(b, msgReconfigResp, req, st.Epoch)
-	b = binary.BigEndian.AppendUint64(b, st.Epoch)
-	b = binary.BigEndian.AppendUint64(b, st.Pending)
-	var sealed byte
-	if st.Sealed {
-		sealed = 1
-	}
-	b = append(b, sealed)
-	b = binary.BigEndian.AppendUint16(b, uint16(st.N))
-	return binary.BigEndian.AppendUint16(b, uint16(st.K))
+	return append(b, 0)
 }
 
 // maxErrorMsg caps the error-frame text a peer can make us relay or
 // store.
 const maxErrorMsg = 512
 
-func appendError(b []byte, req uint64, msg string) []byte {
-	if len(msg) > maxErrorMsg {
-		msg = msg[:maxErrorMsg]
+// appendRequest appends r's complete payload, header included, to b.
+func appendRequest(b []byte, r *request) []byte {
+	b = appendHeader(b, r.typ, r.id, r.epoch)
+	switch r.typ {
+	case msgGetTag, msgGetElem:
+		b = appendKey(b, r.key)
+	case msgPutData, msgRepairPut:
+		b = appendTag(appendKey(b, r.key), r.tag)
+		b = binary.BigEndian.AppendUint32(b, uint32(r.vlen))
+		b = appendBytes(b, r.elem)
+	case msgGetData:
+		b = appendKey(b, r.key)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(r.reader)))
+		b = append(b, r.reader...)
+	case msgReconfig:
+		b = append(b, byte(r.op))
+		b = binary.BigEndian.AppendUint64(b, r.target)
+		b = binary.BigEndian.AppendUint16(b, uint16(r.n))
+		b = binary.BigEndian.AppendUint16(b, uint16(r.k))
 	}
-	return appendBytes(appendHeader(b, msgError, req, epochNone), []byte(msg))
+	return b
+}
+
+// appendResponse appends r's complete payload, header included, to b.
+func appendResponse(b []byte, r *response) []byte {
+	b = appendHeader(b, r.typ, r.id, r.epoch)
+	switch r.typ {
+	case msgTagResp:
+		b = appendTag(b, r.tag)
+	case msgData, msgElemResp:
+		b = appendTag(b, r.tag)
+		b = binary.BigEndian.AppendUint32(b, uint32(r.vlen))
+		if r.typ == msgData {
+			b = appendBool(b, r.initial)
+		}
+		b = appendBytes(b, r.elem)
+	case msgRepairResp:
+		b = appendBool(b, r.accepted)
+	case msgKeysResp:
+		b = binary.BigEndian.AppendUint32(b, uint32(len(r.keys)))
+		for _, k := range r.keys {
+			b = appendKey(b, k)
+		}
+	case msgReconfigResp:
+		b = binary.BigEndian.AppendUint64(b, r.status.Epoch)
+		b = binary.BigEndian.AppendUint64(b, r.status.Pending)
+		b = appendBool(b, r.status.Sealed)
+		b = binary.BigEndian.AppendUint16(b, uint16(r.status.N))
+		b = binary.BigEndian.AppendUint16(b, uint16(r.status.K))
+	case msgError:
+		msg := r.msg[:min(len(r.msg), maxErrorMsg)]
+		b = binary.BigEndian.AppendUint32(b, uint32(len(msg)))
+		b = append(b, msg...)
+	case msgEpochNack:
+		b = binary.BigEndian.AppendUint64(b, r.want)
+		b = appendBool(b, r.sealed)
+	}
+	return b
 }
 
 // cursor is a bounds-checked payload parser: every getter records an
@@ -481,294 +500,117 @@ func (c *cursor) err(want string) error {
 	return nil
 }
 
-// Decoders. Each checks the type byte itself so dispatch sites stay
-// honest about what they expect, and each surfaces a peer's explicit
-// msgError frame as a *RemoteError — a version-skewed peer degrades
-// into a legible error instead of a desynced stream. Every decoder
-// returns the request id from the header so unary callers can detect a
-// response routed to the wrong exchange.
-
-// header begins decoding: it consumes the type byte, request id, and
-// epoch, intercepting error and epoch-nack frames and reporting
-// unexpected types as typed errors.
-func header(c *cursor, want byte, name string) (uint64, uint64, error) {
-	if len(c.b) == 0 {
-		return 0, 0, &FrameError{Want: name, Msg: "empty payload"}
+// flag parses a one-byte boolean; any value but 0 or 1 is malformed.
+func (c *cursor) flag() bool {
+	v := c.u8()
+	if v > 1 {
+		c.failed = true
 	}
-	got := c.u8()
-	req := c.u64()
-	epoch := c.u64()
-	if c.failed {
-		return 0, 0, &FrameError{Want: name, Got: got, Msg: "truncated header"}
-	}
-	if got == want {
-		return req, epoch, nil
-	}
-	if got == msgError {
-		return req, epoch, decodeErrorTail(c)
-	}
-	if got == msgEpochNack {
-		return req, epoch, decodeEpochNackTail(c, epoch)
-	}
-	return req, epoch, &FrameError{Want: name, Got: got, Msg: fmt.Sprintf("unexpected message type %#x", got)}
+	return v == 1
 }
 
-// decodeEpochNackTail parses the remainder of an msgEpochNack payload
-// (the header already consumed; serverEpoch came from it) into the
-// typed rejection every client path surfaces.
-func decodeEpochNackTail(c *cursor, serverEpoch uint64) error {
-	want := c.u64()
-	sealed := c.u8() == 1
-	if err := c.err("epoch-nack"); err != nil {
+// vlen parses a value length, refusing one no int32 could hold.
+func (c *cursor) vlen() int {
+	v := c.u32()
+	if v > math.MaxInt32 {
+		c.failed = true
+	}
+	return int(v)
+}
+
+// decodeRequest parses any client→server payload into r. The header
+// fields of r are set whenever the header itself parses, so a server can
+// answer a request with a malformed body on its own request id.
+func decodeRequest(payload []byte, r *request) error {
+	typ, id, epoch, body, err := header(payload, "request")
+	if err != nil {
 		return err
 	}
-	return &StaleEpochError{Server: -1, ServerEpoch: serverEpoch, Want: want, Sealed: sealed}
+	r.typ, r.id, r.epoch = typ, id, epoch
+	c := cursor{b: body}
+	switch typ {
+	case msgGetTag, msgGetElem:
+		r.key = c.key()
+	case msgPutData, msgRepairPut:
+		r.key = c.key()
+		r.tag = c.tag()
+		r.vlen = c.vlen()
+		r.elem = c.view()
+	case msgGetData:
+		r.key = c.key()
+		r.reader = string(c.view())
+	case msgReaderDone, msgKeys:
+	case msgReconfig:
+		r.op = ReconfigOp(c.u8())
+		r.target = c.u64()
+		r.n = int(c.u16())
+		r.k = int(c.u16())
+	default:
+		return &FrameError{Want: "request", Got: typ, Msg: fmt.Sprintf("unexpected message type %#x", typ)}
+	}
+	return c.err(msgNames[typ])
 }
 
-// decodeErrorTail parses the remainder of an msgError payload (the
-// header already consumed).
-func decodeErrorTail(c *cursor) error {
-	msg := string(c.bytes())
-	if err := c.err("error"); err != nil {
+// decodeResponse parses a server→client payload the caller expects to
+// be of type want into r. It is the one place a peer's explicit error
+// frame becomes a *RemoteError and an epoch rejection a
+// *StaleEpochError, whatever was expected — a version-skewed peer
+// degrades into a legible error instead of a desynced stream. r's header
+// fields are set whenever the header parses, so the caller can still see
+// which exchange a failed frame belonged to.
+func decodeResponse(payload []byte, want byte, r *response) error {
+	name := msgNames[want]
+	typ, id, epoch, body, err := header(payload, name)
+	if err != nil {
 		return err
 	}
-	if len(msg) > maxErrorMsg {
-		msg = msg[:maxErrorMsg]
-	}
-	return &RemoteError{Msg: msg}
-}
-
-// decodeError parses an msgError payload, returning the echoed
-// request id and the *RemoteError (or a FrameError when the frame is
-// not actually an error frame).
-func decodeError(payload []byte) (uint64, error) {
-	c := &cursor{b: payload}
-	if len(c.b) == 0 {
-		return 0, &FrameError{Want: "error", Msg: "empty payload"}
-	}
-	got := c.u8()
-	req := c.u64()
-	epoch := c.u64()
-	if c.failed {
-		return 0, &FrameError{Want: "error", Got: got, Msg: "truncated header"}
-	}
-	switch got {
+	r.typ, r.id, r.epoch = typ, id, epoch
+	c := cursor{b: body}
+	switch typ {
 	case msgError:
-		return req, decodeErrorTail(c)
-	case msgEpochNack:
-		return req, decodeEpochNackTail(c, epoch)
-	}
-	return req, &FrameError{Want: "error", Got: got, Msg: fmt.Sprintf("unexpected message type %#x", got)}
-}
-
-func decodeGetTag(payload []byte) (uint64, uint64, string, error) {
-	c := &cursor{b: payload}
-	req, epoch, err := header(c, msgGetTag, "get-tag")
-	if err != nil {
-		return req, epoch, "", err
-	}
-	key := c.key()
-	return req, epoch, key, c.err("get-tag")
-}
-
-func decodeTagResp(payload []byte) (uint64, Tag, error) {
-	c := &cursor{b: payload}
-	req, _, err := header(c, msgTagResp, "tag-resp")
-	if err != nil {
-		return req, Tag{}, err
-	}
-	t := c.tag()
-	return req, t, c.err("tag-resp")
-}
-
-// decodeTaggedElem parses the shared {tag, vlen, elem} tail of
-// put-data, elem-resp, and repair-put. The element borrows the payload
-// (the server copies a put's element anyway); elem-resp copies it out.
-func decodeTaggedElem(c *cursor, name string) (Tag, []byte, int, error) {
-	t := c.tag()
-	vlen := c.u32()
-	elem := c.view()
-	if vlen > math.MaxInt32 {
-		c.failed = true
-	}
-	return t, elem, int(vlen), c.err(name)
-}
-
-func decodePutData(payload []byte) (uint64, uint64, string, Tag, []byte, int, error) {
-	c := &cursor{b: payload}
-	req, epoch, err := header(c, msgPutData, "put-data")
-	if err != nil {
-		return req, epoch, "", Tag{}, nil, 0, err
-	}
-	key := c.key()
-	t, elem, vlen, err := decodeTaggedElem(c, "put-data")
-	return req, epoch, key, t, elem, vlen, err
-}
-
-func decodeGetData(payload []byte) (uint64, uint64, string, string, error) {
-	c := &cursor{b: payload}
-	req, epoch, err := header(c, msgGetData, "get-data")
-	if err != nil {
-		return req, epoch, "", "", err
-	}
-	key := c.key()
-	rid := string(c.bytes())
-	return req, epoch, key, rid, c.err("get-data")
-}
-
-func decodeData(payload []byte) (uint64, Delivery, error) {
-	c := &cursor{b: payload}
-	req, epoch, err := header(c, msgData, "data")
-	if err != nil {
-		return req, Delivery{}, err
-	}
-	var d Delivery
-	d.Epoch = epoch
-	d.Tag = c.tag()
-	vlen := c.u32()
-	if vlen > math.MaxInt32 {
-		c.failed = true
-	}
-	d.VLen = int(vlen)
-	d.Initial = c.u8() == 1
-	d.Elem = c.bytes()
-	return req, d, c.err("data")
-}
-
-func decodeReaderDone(payload []byte) (uint64, error) {
-	c := &cursor{b: payload}
-	req, _, err := header(c, msgReaderDone, "reader-done")
-	if err != nil {
-		return req, err
-	}
-	return req, c.err("reader-done")
-}
-
-func decodeGetElem(payload []byte) (uint64, uint64, string, error) {
-	c := &cursor{b: payload}
-	req, epoch, err := header(c, msgGetElem, "get-elem")
-	if err != nil {
-		return req, epoch, "", err
-	}
-	key := c.key()
-	return req, epoch, key, c.err("get-elem")
-}
-
-func decodeElemResp(payload []byte) (uint64, Tag, []byte, int, error) {
-	c := &cursor{b: payload}
-	req, _, err := header(c, msgElemResp, "elem-resp")
-	if err != nil {
-		return req, Tag{}, nil, 0, err
-	}
-	t, elem, vlen, err := decodeTaggedElem(c, "elem-resp")
-	return req, t, append([]byte(nil), elem...), vlen, err
-}
-
-func decodeRepairPut(payload []byte) (uint64, uint64, string, Tag, []byte, int, error) {
-	c := &cursor{b: payload}
-	req, epoch, err := header(c, msgRepairPut, "repair-put")
-	if err != nil {
-		return req, epoch, "", Tag{}, nil, 0, err
-	}
-	key := c.key()
-	t, elem, vlen, err := decodeTaggedElem(c, "repair-put")
-	return req, epoch, key, t, elem, vlen, err
-}
-
-func decodeAck(payload []byte) (uint64, error) {
-	c := &cursor{b: payload}
-	req, _, err := header(c, msgAck, "ack")
-	if err != nil {
-		return req, err
-	}
-	return req, c.err("ack")
-}
-
-func decodeRepairResp(payload []byte) (uint64, bool, error) {
-	c := &cursor{b: payload}
-	req, _, err := header(c, msgRepairResp, "repair-resp")
-	if err != nil {
-		return req, false, err
-	}
-	accepted := c.u8() == 1
-	return req, accepted, c.err("repair-resp")
-}
-
-func decodeKeysReq(payload []byte) (uint64, uint64, error) {
-	c := &cursor{b: payload}
-	req, epoch, err := header(c, msgKeys, "keys")
-	if err != nil {
-		return req, epoch, err
-	}
-	return req, epoch, c.err("keys")
-}
-
-func decodeKeysResp(payload []byte) (uint64, []string, error) {
-	c := &cursor{b: payload}
-	req, _, err := header(c, msgKeysResp, "keys-resp")
-	if err != nil {
-		return req, nil, err
-	}
-	n := c.u32()
-	if n > maxKeys {
-		c.failed = true
-	}
-	var keys []string
-	if !c.failed && n > 0 {
-		keys = make([]string, 0, min(int(n), 1024))
-		for i := uint32(0); i < n && !c.failed; i++ {
-			keys = append(keys, c.key())
+		msg := string(c.view())
+		if err := c.err("error"); err != nil {
+			return err
 		}
+		return &RemoteError{Msg: msg[:min(len(msg), maxErrorMsg)]}
+	case msgEpochNack:
+		se := &StaleEpochError{Server: -1, ServerEpoch: epoch, Want: c.u64(), Sealed: c.flag()}
+		if err := c.err("epoch-nack"); err != nil {
+			return err
+		}
+		return se
 	}
-	if err := c.err("keys-resp"); err != nil {
-		return req, nil, err
+	if typ != want {
+		return &FrameError{Want: name, Got: typ, Msg: fmt.Sprintf("unexpected message type %#x", typ)}
 	}
-	return req, keys, nil
-}
-
-// decodeEpochNack parses a standalone msgEpochNack frame (the demux
-// pump routes one to a stream it must tear down).
-func decodeEpochNack(payload []byte) (uint64, error) {
-	c := &cursor{b: payload}
-	if len(c.b) == 0 {
-		return 0, &FrameError{Want: "epoch-nack", Msg: "empty payload"}
+	switch typ {
+	case msgTagResp:
+		r.tag = c.tag()
+	case msgAck:
+	case msgData, msgElemResp:
+		r.tag = c.tag()
+		r.vlen = c.vlen()
+		if typ == msgData {
+			r.initial = c.flag()
+		}
+		r.elem = c.bytes()
+	case msgRepairResp:
+		r.accepted = c.flag()
+	case msgKeysResp:
+		n := c.u32()
+		if n > maxKeys {
+			c.failed = true
+		}
+		if !c.failed && n > 0 {
+			r.keys = make([]string, 0, min(int(n), 1024))
+			for i := uint32(0); i < n && !c.failed; i++ {
+				r.keys = append(r.keys, c.key())
+			}
+		}
+	case msgReconfigResp:
+		r.status = EpochStatus{Epoch: c.u64(), Pending: c.u64(), Sealed: c.flag(), N: int(c.u16()), K: int(c.u16())}
+	default:
+		return &FrameError{Want: name, Got: typ, Msg: "not a response type"}
 	}
-	got := c.u8()
-	req := c.u64()
-	epoch := c.u64()
-	if c.failed {
-		return 0, &FrameError{Want: "epoch-nack", Got: got, Msg: "truncated header"}
-	}
-	if got != msgEpochNack {
-		return req, &FrameError{Want: "epoch-nack", Got: got, Msg: fmt.Sprintf("unexpected message type %#x", got)}
-	}
-	return req, decodeEpochNackTail(c, epoch)
-}
-
-func decodeReconfig(payload []byte) (uint64, ReconfigOp, uint64, int, int, error) {
-	c := &cursor{b: payload}
-	req, _, err := header(c, msgReconfig, "reconfig")
-	if err != nil {
-		return req, 0, 0, 0, 0, err
-	}
-	op := ReconfigOp(c.u8())
-	epoch := c.u64()
-	n := int(c.u16())
-	k := int(c.u16())
-	return req, op, epoch, n, k, c.err("reconfig")
-}
-
-func decodeReconfigResp(payload []byte) (uint64, EpochStatus, error) {
-	c := &cursor{b: payload}
-	req, _, err := header(c, msgReconfigResp, "reconfig-resp")
-	if err != nil {
-		return req, EpochStatus{}, err
-	}
-	var st EpochStatus
-	st.Epoch = c.u64()
-	st.Pending = c.u64()
-	st.Sealed = c.u8() == 1
-	st.N = int(c.u16())
-	st.K = int(c.u16())
-	return req, st, c.err("reconfig-resp")
+	return c.err(name)
 }
