@@ -3,7 +3,7 @@ GO ?= go
 # The benchmark selection shared by `make bench` and `make bench-json`.
 BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors
 
-.PHONY: all build build-cross test test-durability test-reconfig vet lint bench bench-check bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz
+.PHONY: all build build-cross test test-durability test-reconfig vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz
 
 all: vet lint build test bench-check race
 
@@ -63,6 +63,18 @@ bench:
 bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
+
+# bench-pairs compares PARENT (a revision) with the working tree by the
+# pair protocol of bench/README.md: PAIRS alternating pairs of SECONDS-
+# second runs per workload, medians, quartiles, pairs won and a verdict
+# per (workload, metric). `make bench-pairs PARENT=HEAD~1`; narrow it
+# with WORKLOADS="loop-large". Ten pairs of all four workloads at 20 s
+# take about half an hour, on an otherwise idle machine.
+PAIRS ?= 10
+SECONDS ?= 20
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [PAIRS=10] [SECONDS=20] [WORKLOADS=...]"; exit 2; }
+	scripts/bench-pairs.sh $(PARENT) $(PAIRS) $(SECONDS) $(WORKLOADS)
 
 # bench-smoke compiles and runs every benchmark a fixed 10 iterations on
 # both the SIMD and purego kernel ladders: a CI-friendly check that the

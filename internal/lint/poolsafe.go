@@ -12,7 +12,12 @@ import (
 // or a release/unref-class refcount method (sc.release(pool)), the
 // pool owns it — any later reference on the same path reads or
 // mutates memory that a concurrent Get may already have handed to
-// another goroutine. These races are invisible to the race detector
+// another goroutine. A slice variable passed as elem to a Conn's
+// PutData is consumed the same way: the conn may own it from the call
+// on (soda hands large elements over instead of copying them), and
+// whether it did depends on a length the analyzer cannot see, so the
+// rule is the stricter contract. RepairPut only ever borrows and is
+// not covered. These races are invisible to the race detector
 // unless a test actually interleaves a reuse, which is exactly why
 // the refcount-pooled call state from PR 7 needs a machine-checked
 // rule.
@@ -130,10 +135,11 @@ func (s *poolScanner) terminates(st ast.Stmt) bool {
 func (s *poolScanner) scanStmt(st ast.Stmt, live []*pooledPut) []*pooledPut {
 	switch n := st.(type) {
 	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
-			if put := s.putCall(call); put != nil {
-				live = append(live, put)
-			}
+		live = s.putExpr(n.X, live)
+	case *ast.AssignStmt:
+		// err := c.PutData(...): a consuming call that also returns.
+		for _, rhs := range n.Rhs {
+			live = s.putExpr(rhs, live)
 		}
 	case *ast.DeferStmt:
 		// A deferred put runs at function exit: every lexical use
@@ -143,6 +149,9 @@ func (s *poolScanner) scanStmt(st ast.Stmt, live []*pooledPut) []*pooledPut {
 	case *ast.LabeledStmt:
 		live = s.scanStmt(n.Stmt, live)
 	case *ast.IfStmt:
+		if n.Init != nil {
+			live = s.scanStmt(n.Init, live)
+		}
 		out := s.branchJoin(live,
 			func(in []*pooledPut) []*pooledPut { return s.scanList(n.Body.List, in) },
 			func(in []*pooledPut) []*pooledPut {
@@ -210,6 +219,46 @@ func (s *poolScanner) caseBodies(list []ast.Stmt, live []*pooledPut) []*pooledPu
 	return s.branchJoin(live, branches...)
 }
 
+// putExpr adds the put e makes, if e is a pool-consuming call.
+func (s *poolScanner) putExpr(e ast.Expr, live []*pooledPut) []*pooledPut {
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+		if put := s.putCall(call); put != nil {
+			live = append(live, put)
+		}
+	}
+	return live
+}
+
+// connPutDataElem returns the argument a call passes as the elem
+// parameter of a Conn's PutData: a method of that name, on the
+// package's Conn interface or a type implementing it, with a slice
+// parameter called elem.
+func (s *poolScanner) connPutDataElem(fn *types.Func, call *ast.CallExpr) ast.Expr {
+	if fn.Name() != "PutData" {
+		return nil
+	}
+	tn, _ := s.p.Pkg.Scope().Lookup("Conn").(*types.TypeName)
+	if tn == nil {
+		return nil
+	}
+	iface, _ := tn.Type().Underlying().(*types.Interface)
+	sig := fn.Type().(*types.Signature)
+	if iface == nil || sig.Recv() == nil {
+		return nil
+	}
+	if recv := sig.Recv().Type(); !types.Implements(recv, iface) && !types.Implements(types.NewPointer(recv), iface) {
+		return nil
+	}
+	for i := 0; i < sig.Params().Len() && i < len(call.Args); i++ {
+		if par := sig.Params().At(i); par.Name() == "elem" {
+			if _, isSlice := par.Type().Underlying().(*types.Slice); isSlice {
+				return call.Args[i]
+			}
+		}
+	}
+	return nil
+}
+
 // putCall recognizes the pool-consuming calls and returns the pooled
 // variable, if it is a plain identifier we can track.
 func (s *poolScanner) putCall(call *ast.CallExpr) *pooledPut {
@@ -235,7 +284,10 @@ func (s *poolScanner) putCall(call *ast.CallExpr) *pooledPut {
 		valueExpr = call.Args[0]
 		what = fn.Name()
 	default:
-		return nil
+		if valueExpr = s.connPutDataElem(fn, call); valueExpr == nil {
+			return nil
+		}
+		what = "Conn.PutData"
 	}
 	id, ok := ast.Unparen(valueExpr).(*ast.Ident)
 	if !ok {

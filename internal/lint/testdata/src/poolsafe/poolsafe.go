@@ -57,3 +57,62 @@ func branchPutThenUse(f *frame, cold bool) int {
 	}
 	return len(f.b) // want `returned to the pool`
 }
+
+// A slice variable passed as elem to a Conn's PutData may be the
+// conn's from the call on.
+
+type Conn interface {
+	PutData(key string, elem []byte, vlen int) error
+	RepairPut(key string, elem []byte, vlen int) (bool, error)
+}
+
+type loop struct{}
+
+func (loop) PutData(key string, elem []byte, vlen int) error           { return nil }
+func (loop) RepairPut(key string, elem []byte, vlen int) (bool, error) { return true, nil }
+
+// store has a PutData that borrows, like soda.Server's: it is not a Conn.
+type store struct{}
+
+func (store) PutData(key string, elem []byte, vlen int) {}
+
+func putDataThenUse(c Conn, elem []byte) byte {
+	if err := c.PutData("k", elem, len(elem)); err != nil {
+		return 0
+	}
+	return elem[0] // want `returned to the pool at .*Conn.PutData`
+}
+
+func putDataAssigned(c loop, elem []byte) int {
+	err := c.PutData("k", elem, len(elem))
+	if err != nil {
+		return 0
+	}
+	return len(elem) // want `returned to the pool at .*Conn.PutData`
+}
+
+func putDataBare(c Conn, elem []byte) {
+	c.PutData("k", elem, len(elem))
+	clear(elem) // want `returned to the pool`
+}
+
+func putDataFresh(c Conn, elem []byte) {
+	c.PutData("k", elem, len(elem))
+	elem = make([]byte, 8)
+	c.PutData("k", elem, len(elem)) // ok: a fresh buffer each time
+}
+
+func repairPutBorrows(c Conn, elem []byte) byte {
+	c.RepairPut("k", elem, len(elem))
+	return elem[0] // ok: RepairPut borrows; retries re-send the same slice
+}
+
+func serverPutDataBorrows(s store, elem []byte) byte {
+	s.PutData("k", elem, len(elem))
+	return elem[0] // ok: not a Conn; the server copies what it keeps
+}
+
+func putDataNotAVariable(c Conn, shards [][]byte) int {
+	c.PutData("k", shards[0], len(shards[0]))
+	return len(shards[0]) // ok: only a plain variable is tracked
+}

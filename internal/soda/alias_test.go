@@ -3,10 +3,12 @@ package soda
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -378,4 +380,531 @@ func TestReadsRaceInPlaceWrites(t *testing.T) {
 		}(ri)
 	}
 	wg.Wait()
+}
+
+// The ownership rules of a handed-off put-data (see handoff): an elem
+// of elemHandoffMin bytes or more is the conn's from the PutData call
+// on, a loopback server installs it as the register by pointer swap,
+// and the buffer the swap displaces is recycled iff nobody else can see
+// it. The tests below run with every recycled buffer poisoned, so a
+// second holder of one reads garbage instead of plausible bytes.
+
+// freedElems is what the poison hook saw: one entry per putElem.
+type freedElems struct {
+	mu  sync.Mutex
+	ptr []*byte
+	ch  chan struct{} // one token per free, for tests that wait on one
+}
+
+// poisonFreedElems installs the putElem hook for the calling test:
+// every freed buffer is filled with 0xDB and recorded.
+func poisonFreedElems(t *testing.T) *freedElems {
+	t.Helper()
+	f := &freedElems{ch: make(chan struct{}, 1<<16)} // far more tokens than any test frees
+	testHookPutElem = func(b []byte) {
+		for i := range b {
+			b[i] = 0xDB
+		}
+		f.mu.Lock()
+		f.ptr = append(f.ptr, &b[0])
+		f.mu.Unlock()
+		select {
+		case f.ch <- struct{}{}:
+		default:
+		}
+	}
+	t.Cleanup(func() { testHookPutElem = nil })
+	return f
+}
+
+// times reports how often the buffer starting at id was freed. Tests
+// take id before they hand the buffer over: afterwards it is not theirs
+// to name (sodavet's poolsafe holds them to that).
+func (f *freedElems) times(id *byte) (n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, p := range f.ptr {
+		if p == id {
+			n++
+		}
+	}
+	return n
+}
+
+func (f *freedElems) total() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.ptr)
+}
+
+// await blocks until n buffers in all have been freed.
+func (f *freedElems) await(t *testing.T, n int) {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for f.total() < n {
+		select {
+		case <-f.ch:
+		case <-timeout:
+			t.Fatalf("%d buffers freed, want %d", f.total(), n)
+		}
+	}
+}
+
+// TestOwnedPutWithReader walks one register through the owned-put
+// lifecycle on a loopback conn: while a reader is registered every
+// delivery it holds keeps its bytes and no displaced buffer is
+// recycled; the relay leaves the buffer lent, so the first put after
+// the reader left still recycles nothing; from then on each put
+// recycles exactly the buffer it displaced.
+func TestOwnedPutWithReader(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	freed := poisonFreedElems(t)
+	const size = elemHandoffMin
+	lb := NewLoopback(1)
+	c, s := lb.Conns()[0], lb.Server(0)
+	elems := make([][]byte, 8)
+	put := func(ts uint64) {
+		t.Helper()
+		elems[ts] = elemFor(ts, size)
+		if err := c.PutData(ctx, testKey, Tag{TS: ts, Writer: "w"}, elems[ts], size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(1)
+	var got []held
+	sink := func(d Delivery) { got = append(got, held{live: d.Elem, want: bytes.Clone(d.Elem)}) }
+	sink(s.Register(testKey, "r", sink))
+	put(2)
+	put(3)
+	if len(got) != 3 || &got[2].live[0] != &elems[3][0] {
+		t.Fatalf("reader holds %d deliveries; the relay must be the handed-off buffer itself", len(got))
+	}
+	if n := freed.total(); n != 0 {
+		t.Fatalf("%d buffers recycled under a live registration", n)
+	}
+	s.Unregister(testKey, "r")
+	put(4) // elems[3] went out on a relay: lent, not recycled
+	if n := freed.total(); n != 0 {
+		t.Fatalf("the lent buffer was recycled (%d frees)", n)
+	}
+	put(5)
+	put(6)
+	if freed.times(&elems[4][0]) != 1 || freed.times(&elems[5][0]) != 1 || freed.total() != 2 {
+		t.Fatalf("after the reader left: %d frees, want exactly the two displaced buffers once each", freed.total())
+	}
+	for i, h := range got {
+		if !bytes.Equal(h.live, h.want) {
+			t.Fatalf("delivery %d changed after it was handed out", i)
+		}
+	}
+	if tag, elem, _ := s.Snapshot(testKey); tag.TS != 6 || &elem[0] != &elems[6][0] || !bytes.Equal(elem, elemFor(6, size)) {
+		t.Fatalf("server holds tag %v; want the sixth buffer itself, intact", tag)
+	}
+}
+
+// TestOwnedPutStaleTag: an owned put below the register's tag is freed
+// when nobody wants it and relayed as it is — no clone, no free — when a
+// registered reader does; the register never moves.
+func TestOwnedPutStaleTag(t *testing.T) {
+	ctx := testCtx(t)
+	freed := poisonFreedElems(t)
+	const size = elemHandoffMin
+	lb := NewLoopback(1)
+	c, s := lb.Conns()[0], lb.Server(0)
+	put := func(ts uint64) (id *byte) {
+		t.Helper()
+		elem := elemFor(ts, size)
+		id = &elem[0]
+		if err := c.PutData(ctx, testKey, Tag{TS: ts, Writer: "w"}, elem, size); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	put(9)
+	stale := put(5)
+	if freed.times(stale) != 1 || freed.total() != 1 {
+		t.Fatalf("stale put with no reader: %d frees of it, %d in all, want 1 and 1", freed.times(stale), freed.total())
+	}
+
+	// A reader registered at treq 3 (wiped and rewritten key) still wants
+	// tag 5 after the server has moved to 9.
+	s.Wipe(testKey)
+	s.PutData(testKey, Tag{TS: 3, Writer: "w"}, elemFor(3, size), size)
+	var relayed []Delivery
+	s.Register(testKey, "r", func(d Delivery) { relayed = append(relayed, d) })
+	newest := put(9)
+	stale = put(5)
+	if len(relayed) != 2 || relayed[1].Tag.TS != 5 || &relayed[1].Elem[0] != stale {
+		t.Fatalf("stale put with a reader: %d relays; want the rejected buffer itself relayed", len(relayed))
+	}
+	if freed.times(stale) != 0 || !bytes.Equal(relayed[1].Elem, elemFor(5, size)) {
+		t.Fatal("the relayed stale buffer was recycled")
+	}
+	if tag, elem, _ := s.Snapshot(testKey); tag.TS != 9 || &elem[0] != newest {
+		t.Fatalf("a stale put moved the register to %v", tag)
+	}
+	s.Unregister(testKey, "r")
+}
+
+// TestOwnedPutRefusedFreesOnce: a conn that cannot deliver a handed-off
+// elem — crashed, hung until the context ends, behind a stale epoch,
+// or a mux conn with nobody listening — frees it exactly once, and a
+// mux conn that did deliver frees it once its exchange is over, after
+// the server copied it out of the frame.
+func TestOwnedPutRefusedFreesOnce(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	freed := poisonFreedElems(t)
+	const size = elemHandoffMin
+	tag := Tag{TS: 1, Writer: "w"}
+	lb := NewLoopback(3)
+	conns := lb.Conns()
+	lb.Crash(0)
+	lb.Hang(1)
+	lb.Server(2).Reconfig(ReconfigSeal, 1, 5, 3)
+	short, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
+	defer cancel()
+	for i, want := range []error{ErrServerDown, context.DeadlineExceeded, ErrStaleEpoch} {
+		elem := elemFor(1, size)
+		id := &elem[0]
+		if err := conns[i].PutData(short, testKey, tag, elem, size); !errors.Is(err, want) {
+			t.Fatalf("conn %d: PutData = %v, want %v", i, err, want)
+		}
+		if n := freed.times(id); n != 1 {
+			t.Fatalf("conn %d (%v): elem freed %d times, want 1", i, want, n)
+		}
+		if _, stored, _ := lb.Server(i).Snapshot(testKey); stored != nil {
+			t.Fatalf("conn %d stored the refused elem", i)
+		}
+	}
+
+	addrs, servers := startTCPServers(t, 1)
+	mc := TCPMuxConn(0, addrs[0])
+	defer mc.Close()
+	elem := elemFor(2, size)
+	id := &elem[0]
+	if err := mc.PutData(ctx, testKey, tag, elem, size); err != nil {
+		t.Fatal(err)
+	}
+	if n := freed.times(id); n != 1 {
+		t.Fatalf("mux: delivered elem freed %d times, want 1", n)
+	}
+	if _, stored, _ := servers[0].Core().Snapshot(testKey); !bytes.Equal(stored, elemFor(2, size)) {
+		t.Fatal("mux: the server does not hold the bytes that were sent")
+	}
+	dead := TCPMuxConn(0, "127.0.0.1:1", WithDialRetry(1, Backoff{}))
+	defer dead.Close()
+	elem = elemFor(3, size)
+	id = &elem[0]
+	if err := dead.PutData(short, testKey, tag, elem, size); err == nil {
+		t.Fatal("PutData to a dead address succeeded")
+	}
+	if n := freed.times(id); n != 1 {
+		t.Fatalf("mux: unsent elem freed %d times, want 1", n)
+	}
+}
+
+// TestUnsentLegsFreeTheirElements: a write whose context ends before
+// the tag is minted never calls PutData, so every leg gives its element
+// back itself — n frees, no more — and so does Write for the servers a
+// membership view excluded before any leg ran.
+func TestUnsentLegsFreeTheirElements(t *testing.T) {
+	checkNoLeaks(t)
+	freed := poisonFreedElems(t)
+	codec, lb := newCluster(t, 5, 3)
+	value := make([]byte, 3*elemHandoffMin)
+	release := make(chan struct{})
+	conns := lb.Conns()
+	for i := range conns {
+		conns[i] = &slowTagConn{Conn: conns[i], release: release}
+	}
+	w := mustWriter(t, "w", codec, conns)
+	ctx, cancel := context.WithCancel(testCtx(t))
+	errc := make(chan error, 1)
+	go func() {
+		_, err := w.Write(ctx, testKey, value)
+		errc <- err
+	}()
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Write = %v, want context.Canceled", err)
+	}
+	close(release)
+	freed.await(t, 5)
+
+	m := NewMembership(5)
+	m.MarkSuspect(4, errors.New("test"))
+	w = mustWriter(t, "w2", codec, lb.Conns(), WithWriterMembership(m))
+	if _, err := w.Write(testCtx(t), testKey, value); err != nil {
+		t.Fatal(err)
+	}
+	// Write frees the excluded server's element before any leg runs, and
+	// nothing was displaced: the four registers were empty.
+	if n := freed.total(); n != 6 {
+		t.Fatalf("%d frees, want 6: five unsent legs and one excluded server", n)
+	}
+	if _, elem, _ := lb.Server(4).Snapshot(testKey); elem != nil {
+		t.Fatal("the excluded server was written")
+	}
+}
+
+// TestHandoffForkStoresSameState writes values whose elements sit on
+// both sides of elemHandoffMin: each server must end up holding exactly
+// the codec's element either way, the small side never touches the free
+// list, and an overwrite on the large side recycles what it displaced.
+func TestHandoffForkStoresSameState(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	freed := poisonFreedElems(t)
+	const n, k = 5, 3
+	for _, elemSize := range []int{elemHandoffMin - 1, elemHandoffMin} {
+		codec, lb := newCluster(t, n, k)
+		w := mustWriter(t, "w", codec, lb.Conns(), WithWriterFaults(0))
+		before := freed.total()
+		for round := 0; round < 3; round++ {
+			value := elemFor(uint64(round), k*elemSize-1) // last data shard zero-padded by one byte
+			want, err := codec.EncodeValue(value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Write(ctx, testKey, value); err != nil {
+				t.Fatal(err)
+			}
+			clear(value) // the caller's buffer is the caller's again
+			for i := 0; i < n; i++ {
+				if _, elem, vlen := lb.Server(i).Snapshot(testKey); vlen != len(value) || !bytes.Equal(elem, want[i]) {
+					t.Fatalf("element size %d, round %d: server %d does not hold the codec's element", elemSize, round, i)
+				}
+			}
+		}
+		wantFrees := 0
+		if handoff(elemSize) {
+			wantFrees = 2 * n // rounds 1 and 2 displace n buffers each
+		}
+		if got := freed.total() - before; got != wantFrees {
+			t.Fatalf("element size %d: %d buffers recycled, want %d", elemSize, got, wantFrees)
+		}
+	}
+}
+
+// TestStragglerLegOwnsItsElement: the leg still in its get-tag when
+// Write returns holds an element that is its own, not a view of
+// anything the next write reuses. The caller overwrites its value and
+// writes other keys before the straggler is released; the slow server
+// must still receive the first write's element, byte for byte.
+func TestStragglerLegOwnsItsElement(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	poisonFreedElems(t)
+	codec, lb := newCluster(t, 5, 3)
+	const slow = 4
+	conns := lb.Conns()
+	sc := &slowTagConn{Conn: conns[slow], release: make(chan struct{})}
+	conns[slow] = sc
+	w := mustWriter(t, "w", codec, conns)
+	value := elemFor(1, 1<<20)
+	want, err := codec.EncodeValue(value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag, err := w.Write(ctx, testKey, value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := mustWriter(t, "w2", codec, lb.Conns())
+	for i := 0; i < 4; i++ {
+		copy(value, elemFor(uint64(2+i), 1<<20))
+		if _, err := other.Write(ctx, fmt.Sprintf("other-%d", i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(sc.release)
+	deadline := time.Now().Add(5 * time.Second)
+	for lb.Server(slow).GetTag(testKey) != tag {
+		if time.Now().After(deadline) {
+			t.Fatal("the straggler's element never arrived")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	if _, elem, _ := lb.Server(slow).Snapshot(testKey); !bytes.Equal(elem, want[slow]) {
+		t.Fatal("the straggler delivered bytes that are not the first write's element")
+	}
+}
+
+// TestLargeSameKeySoak is the benchmark's loop-large shape squeezed onto
+// one key: two writers and two readers, 1 MiB values carrying writer,
+// sequence and a CRC of the body, each writer refilling its one value
+// buffer the instant Write returns. With recycled buffers poisoned, any
+// buffer that ever had two owners shows up as a failed CRC here or as a
+// report from the race detector.
+func TestLargeSameKeySoak(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	poisonFreedElems(t)
+	codec, lb := newCluster(t, 5, 3)
+	const size, opsEach = 1 << 20, 40
+	fill := func(v []byte, writer, seq uint32) {
+		stamp := uint64(writer)<<32 | uint64(seq)
+		body := v[12:]
+		for i := 0; i < 3; i++ {
+			binary.LittleEndian.PutUint64(body[i*(len(body)/3):], stamp)
+		}
+		binary.LittleEndian.PutUint32(v[0:], writer)
+		binary.LittleEndian.PutUint32(v[4:], seq)
+		binary.LittleEndian.PutUint32(v[8:], crc32.ChecksumIEEE(body))
+	}
+	var wg sync.WaitGroup
+	var writing atomic.Int32
+	for wi := uint32(0); wi < 2; wi++ {
+		w := mustWriter(t, fmt.Sprintf("w%d", wi), codec, lb.Conns())
+		writing.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer writing.Add(-1)
+			v := elemFor(uint64(wi), size)
+			for seq := uint32(0); seq < opsEach; seq++ {
+				fill(v, wi, seq)
+				if _, err := w.Write(ctx, testKey, v); err != nil {
+					t.Errorf("writer %d: %v", wi, err)
+					return
+				}
+			}
+		}()
+	}
+	for ri := 0; ri < 2; ri++ {
+		r := mustReader(t, fmt.Sprintf("r%d", ri), codec, lb.Conns())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := [2]int64{-1, -1}
+			for writing.Load() > 0 {
+				res, err := r.Read(ctx, testKey)
+				if err != nil {
+					t.Errorf("reader %d: %v", ri, err)
+					return
+				}
+				if res.Tag.IsZero() {
+					continue
+				}
+				v := res.Value
+				if len(v) != size || binary.LittleEndian.Uint32(v[8:]) != crc32.ChecksumIEEE(v[12:]) {
+					t.Errorf("reader %d: tag %v returned a value that fails its CRC", ri, res.Tag)
+					return
+				}
+				wi, seq := binary.LittleEndian.Uint32(v[0:]), int64(binary.LittleEndian.Uint32(v[4:]))
+				if wi > 1 || seq < last[wi] {
+					t.Errorf("reader %d: writer %d went back from sequence %d to %d", ri, wi, last[wi], seq)
+					return
+				}
+				last[wi] = seq
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// opAllocs runs op n times on one P and returns the mean heap
+// allocations and allocated bytes per run.
+func opAllocs(n int, op func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 8; i++ {
+		op() // fill the pools
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestWholeOpAllocCeilings pins what a whole loopback Write and Read
+// allocate in steady state. At 128 B the counts are the ones measured
+// before put-data could hand its buffer over — 3 per write, 13 per read
+// — and the small path may not gain one. At 1 MiB a write allocates no
+// element-sized buffer (its elements come from the free list and go
+// back to it) and a read allocates about one value.
+func TestWholeOpAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its puts under -race")
+	}
+	ctx := testCtx(t)
+	for _, tc := range []struct {
+		size                int
+		writeAllocs, writeB float64
+		readAllocs, readB   float64
+	}{
+		{128, 3, 208, 13, 760},
+		{1 << 20, 3, (1 << 20) / 3 / 4, 14, 1<<20 + 16<<10},
+	} {
+		codec, lb := newCluster(t, 5, 3)
+		w := mustWriter(t, "w", codec, lb.Conns(), WithWriterFaults(0))
+		r := mustReader(t, "r", codec, lb.Conns())
+		value := make([]byte, tc.size)
+		allocs, bytes := opAllocs(200, func() {
+			if _, err := w.Write(ctx, testKey, value); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.writeAllocs+0.5 || bytes > tc.writeB*1.1 {
+			t.Errorf("%d B write: %.2f allocs, %.0f B per op; ceilings %v and %.0f", tc.size, allocs, bytes, tc.writeAllocs, tc.writeB)
+		}
+		allocs, bytes = opAllocs(200, func() {
+			if _, err := r.Read(ctx, testKey); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.readAllocs+0.5 || bytes > tc.readB*1.1 || bytes < float64(tc.size) {
+			t.Errorf("%d B read: %.2f allocs, %.0f B per op; ceilings %v and %.0f, floor one value", tc.size, allocs, bytes, tc.readAllocs, tc.readB)
+		}
+	}
+}
+
+// BenchmarkPutDataCopyVsHandoff is the measurement behind
+// elemHandoffMin: one put-data per op into a store of ~64 MiB of
+// registers (so the register a put lands on is as cold as in a real
+// store), the element produced by a copy standing in for the encoder.
+// "copy" produces into one warm scratch and lets Server.PutData copy it
+// into the register in place; "handoff" produces into a buffer from the
+// free list and swaps it in. Run with -cpu 1. The free list refuses
+// buffers below elemHandoffMin, so the handoff rows under it time an
+// allocation per put; to see where the swap itself starts to win, lower
+// the constant for the run.
+func BenchmarkPutDataCopyVsHandoff(b *testing.B) {
+	for _, size := range []int{1 << 10, 4 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 1 << 20} {
+		keys := make([]string, max(64<<20/size, 16))
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k%06d", i)
+		}
+		src := elemFor(1, size)
+		run := func(name string, put func(s *Server, key string, t Tag)) {
+			b.Run(fmt.Sprintf("%s/%dKiB", name, size>>10), func(b *testing.B) {
+				s := NewServer(0)
+				ts := uint64(0)
+				for range keys { // every register exists at its size before timing
+					ts++
+					put(s, keys[ts%uint64(len(keys))], Tag{TS: ts, Writer: "w"})
+				}
+				b.SetBytes(int64(size))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ts++
+					put(s, keys[ts%uint64(len(keys))], Tag{TS: ts, Writer: "w"})
+				}
+			})
+		}
+		scratch := make([]byte, size)
+		run("copy", func(s *Server, key string, t Tag) {
+			copy(scratch, src)
+			s.PutData(key, t, scratch, size)
+		})
+		run("handoff", func(s *Server, key string, t Tag) {
+			elem := getElem(size)
+			copy(elem, src)
+			s.putOwned(key, t, elem, size)
+		})
+	}
 }

@@ -21,16 +21,22 @@ var (
 
 // Conn is a client's handle to one server, implemented by the
 // multiplexed TCP transport (mux.go) and the in-process loopback
-// (loopback.go). Every operation
-// addresses one named register by key. A put's elem is not retained
-// after the call returns, a GetElem result is the caller's own copy,
-// and a Delivery's Elem is read-only and valid until GetData returns.
+// (loopback.go). Every operation addresses one named register by key.
+//
+// The put contract: PutData borrows an elem below elemHandoffMin
+// (64 KiB) for the call and never retains it; an elem of that size or
+// more is the conn's from the call on, whatever the call returns — the
+// caller must not read, write or re-send it, and a Conn that wraps
+// another passes it through. RepairPut always borrows. A GetElem
+// result is the caller's own copy, and a Delivery's Elem is read-only
+// and valid until GetData returns.
 type Conn interface {
 	// Index returns the server's shard index in [0, n).
 	Index() int
 	// GetTag asks for the server's highest stored tag under key.
 	GetTag(ctx context.Context, key string) (Tag, error)
-	// PutData stores one coded element under (key, tag).
+	// PutData stores one coded element under (key, tag); see the put
+	// contract above for who owns elem afterwards.
 	PutData(ctx context.Context, key string, t Tag, elem []byte, vlen int) error
 	// GetData registers readerID with the server on key, delivers the
 	// key's current state marked Initial, then every relayed put-data
@@ -45,7 +51,8 @@ type Conn interface {
 	// RepairPut installs a repaired element under key, accepted only if
 	// t is at least the key's current tag (repair never rolls a server
 	// backwards). It reports whether the server installed it; false
-	// means the server already holds something newer.
+	// means the server already holds something newer. elem is borrowed
+	// at every size: callers retry with the same slice.
 	RepairPut(ctx context.Context, key string, t Tag, elem []byte, vlen int) (bool, error)
 	// Keys enumerates the keys the server holds written elements for —
 	// the namespace a Repairer must heal.
@@ -160,7 +167,9 @@ func stripeOf(key string) uint32 {
 // one n*s backing array resliced into shards. It is refcounted across
 // the quorum fan-out — straggler goroutines still hold the shards
 // after the quorum completes, so the buffer returns to the pool only
-// when the last per-server op finishes.
+// when the last per-server op finishes. For elements that change hands
+// with their put-data (see handoff) shards are n independent buffers
+// instead, each gone with its leg's PutData, and buf stays unused.
 type encodeScratch struct {
 	buf    []byte
 	shards [][]byte
@@ -172,6 +181,17 @@ type encodeScratch struct {
 func (sc *encodeScratch) release(pool *sync.Pool) {
 	if sc.refs.Add(-1) == 0 {
 		pool.Put(sc)
+	}
+}
+
+// unsent frees the handed-off elements that no leg will pass to a conn:
+// those of the servers not in sent. Small elements are views of buf and
+// putElem ignores them.
+func (sc *encodeScratch) unsent(sent []Conn) {
+	for i, el := range sc.shards {
+		if !slices.ContainsFunc(sent, func(c Conn) bool { return c.Index() == i }) {
+			putElem(el)
+		}
 	}
 }
 
@@ -382,6 +402,7 @@ func (wc *writeCall) run() {
 		select {
 		case minted = <-wc.mint:
 		case <-wc.ctx.Done():
+			putElem(wc.sc.shards[c.Index()]) // never sent: still this leg's
 			wc.sc.release(&wc.w.scratch)
 			return
 		}
@@ -433,7 +454,7 @@ func (w *Writer) Write(ctx context.Context, key string, value []byte) (Tag, erro
 	l.Lock()
 	defer l.Unlock()
 
-	live, _, err := w.quorumConns()
+	live, excluded, err := w.quorumConns()
 	if err != nil {
 		return Tag{}, fmt.Errorf("soda: get-tag: %w", err)
 	}
@@ -444,6 +465,9 @@ func (w *Writer) Write(ctx context.Context, key string, value []byte) (Tag, erro
 	if err := w.codec.encodeValueInto(value, sc); err != nil {
 		w.scratch.Put(sc)
 		return Tag{}, err
+	}
+	if excluded > 0 {
+		sc.unsent(live)
 	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -550,10 +574,16 @@ func (w *Writer) quorumConns() ([]Conn, int, error) {
 
 // WriteTagged is the put-data phase: encode the value into a pooled
 // scratch and send coded element i to server i, completing on n-f
-// acks. Transports copy the element before returning, so the scratch
-// is reusable as soon as every per-server op has finished — which is
-// exactly when its refcount pools it.
+// acks. A conn borrows a small element only for its PutData — the
+// loopback server copies it into the register, the TCP client into a
+// frame — so the scratch is reusable as soon as every per-server op
+// has finished, which is exactly when its refcount pools it; a large
+// element is its conn's to keep (see Conn).
 func (w *Writer) WriteTagged(ctx context.Context, key string, tag Tag, value []byte) error {
+	live, excluded, err := w.quorumConns()
+	if err != nil {
+		return fmt.Errorf("soda: put-data %v: %w", tag, err)
+	}
 	sc, _ := w.scratch.Get().(*encodeScratch)
 	if sc == nil {
 		sc = &encodeScratch{}
@@ -562,10 +592,8 @@ func (w *Writer) WriteTagged(ctx context.Context, key string, tag Tag, value []b
 		w.scratch.Put(sc)
 		return err
 	}
-	live, _, err := w.quorumConns()
-	if err != nil {
-		w.scratch.Put(sc)
-		return fmt.Errorf("soda: put-data %v: %w", tag, err)
+	if excluded > 0 {
+		sc.unsent(live)
 	}
 	vlen := len(value)
 	sc.refs.Store(int32(len(live)))

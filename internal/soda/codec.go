@@ -92,6 +92,9 @@ func (c *Codec) encodeValueInto(value []byte, sc *encodeScratch) error {
 	}
 	n, k := c.enc.N(), c.enc.K()
 	s := c.shardSize(len(value))
+	if handoff(s) {
+		return c.encodeOwned(value, sc, s)
+	}
 	if total := n * s; cap(sc.buf) < total {
 		sc.buf = make([]byte, total)
 	} else {
@@ -108,6 +111,28 @@ func (c *Codec) encodeValueInto(value []byte, sc *encodeScratch) error {
 		sc.shards[i] = sc.buf[i*s : (i+1)*s]
 	}
 	return c.enc.EncodeInto(sc.shards)
+}
+
+// encodeOwned is encodeValueInto for elements that change hands with
+// their put-data (see handoff): sc.shards become n independent buffers
+// from the element free list, each of which its conn will own, and
+// sc.buf is not used at all.
+func (c *Codec) encodeOwned(value []byte, sc *encodeScratch, s int) error {
+	n, k := c.enc.N(), c.enc.K()
+	sc.shards = slices.Grow(sc.shards[:0], n)[:n]
+	for i := range sc.shards {
+		sc.shards[i] = getElem(s)
+	}
+	for i, rest := 0, value; i < k; i++ {
+		m := copy(sc.shards[i], rest)
+		clear(sc.shards[i][m:]) // recycled buffers come back dirty
+		rest = rest[m:]
+	}
+	err := c.enc.EncodeInto(sc.shards)
+	if err != nil {
+		sc.unsent(nil)
+	}
+	return err
 }
 
 // DecodeValue reassembles a value of vlen bytes from the k data

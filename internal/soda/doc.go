@@ -76,6 +76,15 @@
 //	  13  keys         donor      -                       14 keys-resp {count, key...}
 //	  16  reconfig     exempt     op, target epoch, n, k  17 reconfig-resp {epoch, pending, sealed, n, k}
 //
+// Who owns a put's element: below elemHandoffMin (64 KiB) Conn.PutData
+// borrows elem for the call — the loopback server copies it into the
+// register's one buffer, the TCP client into a frame. At or above it
+// elem is the conn's from the call on: a Writer encodes such a value
+// straight into n buffers from a free list, the loopback server swaps
+// the buffer in as the register, and the buffer it displaces goes back
+// to the list unless a reader may still hold it. RepairPut and the
+// exported Server methods always borrow.
+//
 // Any request may instead draw 12 error {message} or 15 epoch-nack
 // {want, sealed}. The admission classes are Server.Admit's: client
 // needs the active epoch unsealed, donor the active epoch sealed or

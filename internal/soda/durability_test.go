@@ -2,6 +2,7 @@ package soda
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -593,6 +594,53 @@ func TestKillRecoverRejoinSoak(t *testing.T) {
 	}
 	if res.Tag.IsZero() {
 		t.Fatal("final read returned the initial state after all that traffic")
+	}
+}
+
+// TestPutPastTheGateIsNotAckedAfterWALCut pins what a power cut does to
+// a put that was already past the loopback's crash gate: the WAL is cut
+// under the server directly — the state such a put finds, with no
+// timing involved — and the put must then fail with ErrServerDown and
+// leave memory alone, small and handed-off elements alike, because
+// Recover rebuilds from a disk that never saw it. A closed WAL is not a
+// failed one: WALFailures stays 0.
+func TestPutPastTheGateIsNotAckedAfterWALCut(t *testing.T) {
+	ctx := testCtx(t)
+	lb, err := NewDurableLoopback(1, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.CloseServers()
+	c := lb.Conns()[0]
+	t1 := Tag{TS: 1, Writer: "w"}
+	if err := c.PutData(ctx, testKey, t1, []byte{1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	srv := lb.Server(0)
+	srv.dur.powerCut()
+
+	for ts, size := range map[uint64]int{2: 1, 3: elemHandoffMin} {
+		if err := c.PutData(ctx, testKey, Tag{TS: ts, Writer: "w"}, make([]byte, size), size); !errors.Is(err, ErrServerDown) {
+			t.Errorf("PutData of %d bytes after the WAL was cut = %v, want ErrServerDown", size, err)
+		}
+	}
+	if ok, err := c.RepairPut(ctx, testKey, Tag{TS: 4, Writer: "w"}, []byte{4}, 1); ok || !errors.Is(err, ErrServerDown) {
+		t.Errorf("RepairPut after the WAL was cut = %v, %v, want false, ErrServerDown", ok, err)
+	}
+	if tag := srv.GetTag(testKey); tag != t1 {
+		t.Errorf("memory holds %v after the refused puts, want %v", tag, t1)
+	}
+	if n := srv.MetricsSnapshot().WALFailures; n != 0 {
+		t.Errorf("WALFailures = %d after a cut, want 0: closed is not failed", n)
+	}
+
+	lb.PowerCut(0)
+	rec, err := lb.Recover(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag := rec.GetTag(testKey); tag != t1 {
+		t.Fatalf("recovered %v, want %v: exactly the acknowledged puts", tag, t1)
 	}
 }
 

@@ -30,11 +30,12 @@ var ErrServerDown = errors.New("soda: server is down")
 //     is what the SODA_err read path exists to catch.
 //
 // Loopback conns keep the Conn contract without a wire: the server
-// copies a put's element into its register (a client's pooled encode
-// buffer never aliases storage) and copies a get-elem out under the
-// register lock. Only a Delivery's element is the server's own buffer,
-// pinned by the registration (see register). Loopback is the substrate
-// for deterministic protocol tests and the sodademo binary.
+// copies a borrowed put's element into its register (a client's pooled
+// encode buffer never aliases storage), takes a handed-off one as the
+// register itself, and copies a get-elem out under the register lock.
+// Only a Delivery's element is the server's own buffer, pinned by the
+// registration (see register). Loopback is the substrate for
+// deterministic protocol tests and the sodademo binary.
 type Loopback struct {
 	mu sync.Mutex // serializes the fault-injection mutators
 	// servers holds atomic pointers so Recover can swap in a freshly
@@ -324,6 +325,9 @@ func (c *loopConn) GetTag(ctx context.Context, key string) (Tag, error) {
 }
 
 func (c *loopConn) PutData(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
+	if handoff(len(elem)) {
+		return c.putOwned(ctx, key, t, elem, vlen)
+	}
 	if err := c.gate(ctx); err != nil {
 		return err
 	}
@@ -331,8 +335,23 @@ func (c *loopConn) PutData(ctx context.Context, key string, t Tag, elem []byte, 
 	if nack := srv.Admit(opClient, c.epoch); nack != nil {
 		return nack
 	}
-	srv.PutData(key, t, elem, vlen) // the server copies what it keeps
-	return nil
+	return srv.putData(key, t, elem, vlen) // the server copies what it keeps
+}
+
+// putOwned is PutData for an elem that is this conn's from the call on:
+// it becomes the server's register as it is, or is freed on the way out.
+func (c *loopConn) putOwned(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
+	if err := c.gate(ctx); err != nil {
+		putElem(elem)
+		return err
+	}
+	srv := c.lb.servers[c.idx].Load()
+	if nack := srv.Admit(opClient, c.epoch); nack != nil {
+		putElem(elem)
+		return nack
+	}
+	srv.metrics.putDatas.Add(1)
+	return srv.putOwned(key, t, elem, vlen)
 }
 
 func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
@@ -401,7 +420,7 @@ func (c *loopConn) RepairPut(ctx context.Context, key string, t Tag, elem []byte
 	if nack := srv.Admit(opRepair, c.epoch); nack != nil {
 		return false, nack
 	}
-	return srv.RepairPut(key, t, elem, vlen), nil
+	return srv.repairPut(key, t, elem, vlen)
 }
 
 // Keys enumerates the server's written keys — the repair namespace.

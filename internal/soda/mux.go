@@ -374,7 +374,13 @@ func (c *MuxConn) GetTag(ctx context.Context, key string) (Tag, error) {
 
 func (c *MuxConn) PutData(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
 	var resp response
-	return c.call(ctx, &request{typ: msgPutData, epoch: c.opts.epoch, key: key, tag: t, elem: elem, vlen: vlen}, &resp)
+	err := c.call(ctx, &request{typ: msgPutData, epoch: c.opts.epoch, key: key, tag: t, elem: elem, vlen: vlen}, &resp)
+	if handoff(len(elem)) {
+		// The conn's since the call began, and the exchange is over: the
+		// frame carried a copy, if it was sent at all.
+		putElem(elem)
+	}
+	return err
 }
 
 func (c *MuxConn) GetElem(ctx context.Context, key string) (Tag, []byte, int, error) {

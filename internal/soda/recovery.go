@@ -209,14 +209,19 @@ func (d *durability) background() {
 // logMutation appends one accepted mutation, nudging the snapshotter
 // when the active segment has grown past the threshold. Called with
 // the key's register lock held, so the log's per-key record order is
-// exactly the apply order. A degraded WAL (disk error) counts a
-// failure and the server keeps serving from memory — the operator
-// signal is the metric, not a wedged cluster.
-func (d *durability) logMutation(op byte, key string, t Tag, elem []byte, vlen int) {
+// exactly the apply order. A failed WAL (disk error) counts a failure
+// and the server keeps serving from memory — the operator signal is
+// the metric, not a wedged cluster. A closed one (power cut, Close) is
+// not a failure but the end of this server: it reports false, and the
+// caller must not apply what the disk will not remember.
+func (d *durability) logMutation(op byte, key string, t Tag, elem []byte, vlen int) bool {
 	size, err := d.wal.append(walRecord{op: op, key: key, tag: t, elem: elem, vlen: vlen}, false)
 	if err != nil {
+		if errors.Is(err, errWALClosed) {
+			return false
+		}
 		d.srv.metrics.walFailures.Add(1)
-		return
+		return true
 	}
 	d.srv.metrics.walAppends.Add(1)
 	if size >= d.cfg.snapThreshold {
@@ -225,6 +230,7 @@ func (d *durability) logMutation(op byte, key string, t Tag, elem []byte, vlen i
 		default:
 		}
 	}
+	return true
 }
 
 // logEpoch appends one configuration-epoch transition, synced

@@ -23,8 +23,7 @@ var rpcs = [...]*rpc{
 		return nil
 	}},
 	msgPutData: {opClient, msgAck, func(s *Server, req *request, resp *response) error {
-		s.PutData(req.key, req.tag, req.elem, req.vlen)
-		return nil
+		return s.putData(req.key, req.tag, req.elem, req.vlen)
 	}},
 	msgGetData:    {opClient, msgData, nil},
 	msgReaderDone: {opExempt, 0, nil},
@@ -32,9 +31,9 @@ var rpcs = [...]*rpc{
 		resp.tag, resp.elem, resp.vlen = s.getElem(req.key)
 		return nil
 	}},
-	msgRepairPut: {opRepair, msgRepairResp, func(s *Server, req *request, resp *response) error {
-		resp.accepted = s.RepairPut(req.key, req.tag, req.elem, req.vlen)
-		return nil
+	msgRepairPut: {opRepair, msgRepairResp, func(s *Server, req *request, resp *response) (err error) {
+		resp.accepted, err = s.repairPut(req.key, req.tag, req.elem, req.vlen)
+		return err
 	}},
 	msgKeys: {opDonor, msgKeysResp, func(s *Server, req *request, resp *response) error {
 		resp.keys = s.Keys()

@@ -50,6 +50,9 @@ type registration struct {
 // set is the pin — while it is non-empty a put installs a fresh buffer
 // instead — and lent extends the pin to a buffer someone outside the
 // set may still be reading (a relay in flight, a force-dropped reader).
+// A handed-off element (adopt) replaces the buffer instead of being
+// copied into it, and the same pin decides whether the old one may be
+// reused.
 type register struct {
 	mu      sync.Mutex
 	tag     Tag
@@ -70,6 +73,19 @@ func (r *register) store(t Tag, elem []byte, vlen int) {
 		r.elem, r.lent = slices.Clone(elem), false
 	}
 	r.tag, r.vlen = t, vlen
+}
+
+// adopt installs (t, elem, vlen) with elem itself as the buffer, and
+// returns the buffer it displaced when nobody can be reading that one —
+// exactly when store would have written it in place — else nil. Caller
+// holds r.mu and gives elem up.
+func (r *register) adopt(t Tag, elem []byte, vlen int) (displaced []byte) {
+	if len(r.readers) == 0 && !r.lent {
+		displaced = r.elem
+	}
+	r.elem, r.lent = elem, false
+	r.tag, r.vlen = t, vlen
+	return displaced
 }
 
 // serverShardCount stripes the namespace map; must be a power of two.
@@ -356,21 +372,25 @@ func (s *Server) GetTag(key string) Tag {
 // rejected put-data still relays; a rejected repair does nothing).
 // Sinks run after r.mu is released, on a server-owned copy: the stored
 // buffer, marked lent because a sink can outlive its registration by
-// one call, or a private clone.
-func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int) bool {
+// one call, or a private clone. On a server whose WAL was closed under
+// it (power cut, Close) an accepted put fails with ErrServerDown before
+// it stores or relays anything: memory must not get ahead of a disk
+// that can no longer follow.
+func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int) (bool, error) {
 	r := s.lookup(key, true)
 	r.mu.Lock()
 	stored := r.tag.Less(t) || (op == walOpRepair && r.tag == t)
 	if !stored && op == walOpRepair {
 		r.mu.Unlock()
-		return false
+		return false, nil
 	}
 	if stored {
 		// Log before apply, under the register lock: the WAL's per-key
 		// record order is the apply order, and with FsyncAlways the
 		// mutation is on disk before anyone can observe it applied.
-		if s.dur != nil {
-			s.dur.logMutation(op, key, t, elem, vlen)
+		if s.dur != nil && !s.dur.logMutation(op, key, t, elem, vlen) {
+			r.mu.Unlock()
+			return false, ErrServerDown
 		}
 		r.store(t, elem, vlen)
 	}
@@ -382,7 +402,7 @@ func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int) bool {
 	}
 	if len(sinks) == 0 {
 		r.mu.Unlock()
-		return stored
+		return stored, nil
 	}
 	own := r.elem
 	if stored {
@@ -391,12 +411,56 @@ func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int) bool {
 		own = slices.Clone(elem)
 	}
 	r.mu.Unlock()
+	s.relay(sinks, t, own, vlen)
+	return stored, nil
+}
+
+// putOwned is put for a put-data whose elem the caller gives away (see
+// handoff): storing is a pointer swap (register.adopt), and nothing is
+// copied on any path. The buffer the swap displaces goes to the element
+// free list if nobody can be reading it and is otherwise left to the
+// GC, like the buffer a borrowed put replaces. A rejected elem is
+// relayed as it is, or freed.
+func (s *Server) putOwned(key string, t Tag, elem []byte, vlen int) error {
+	r := s.lookup(key, true)
+	r.mu.Lock()
+	stored := r.tag.Less(t)
+	free := elem // the buffer nobody holds once this put is done
+	if stored {
+		if s.dur != nil && !s.dur.logMutation(walOpPut, key, t, elem, vlen) {
+			r.mu.Unlock()
+			putElem(elem)
+			return ErrServerDown
+		}
+		free = r.adopt(t, elem, vlen)
+	}
+	var sinks []func(Delivery)
+	for i := range r.readers {
+		if !t.Less(r.readers[i].treq) {
+			sinks = append(sinks, r.readers[i].sink)
+		}
+	}
+	if len(sinks) == 0 {
+		r.mu.Unlock()
+		putElem(free)
+		return nil
+	}
+	// elem goes out on the relay: lent if it is now the register's,
+	// the sinks' to drop if it was rejected. free is not freed — a sink
+	// implies a registered reader, so it is nil or elem itself.
+	r.lent = r.lent || stored
+	r.mu.Unlock()
+	s.relay(sinks, t, elem, vlen)
+	return nil
+}
+
+// relay hands (t, elem, vlen) to sinks, outside every lock.
+func (s *Server) relay(sinks []func(Delivery), t Tag, elem []byte, vlen int) {
 	s.metrics.relays.Add(uint64(len(sinks)))
-	d := Delivery{Server: s.idx, Tag: t, Elem: own, VLen: vlen, Epoch: s.epochSt.Load().epoch}
+	d := Delivery{Server: s.idx, Tag: t, Elem: elem, VLen: vlen, Epoch: s.epochSt.Load().epoch}
 	for _, sink := range sinks {
 		sink(d)
 	}
-	return stored
 }
 
 // PutData answers the writer's second phase: store (t, elem) under key
@@ -405,8 +469,15 @@ func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int) bool {
 // after a newer write. elem is borrowed for the call: the server copies
 // what it keeps.
 func (s *Server) PutData(key string, t Tag, elem []byte, vlen int) {
+	s.putData(key, t, elem, vlen)
+}
+
+// putData is PutData for the transports, which must not ack a put the
+// server refused (ErrServerDown: its WAL is closed).
+func (s *Server) putData(key string, t Tag, elem []byte, vlen int) error {
 	s.metrics.putDatas.Add(1)
-	s.put(walOpPut, key, t, elem, vlen)
+	_, err := s.put(walOpPut, key, t, elem, vlen)
+	return err
 }
 
 // RepairPut answers the Repairer's install: accept (t, elem, vlen)
@@ -421,15 +492,23 @@ func (s *Server) PutData(key string, t Tag, elem []byte, vlen int) {
 // reader that registered while the server was catching up still sees
 // the element it is waiting for. elem is borrowed, as in PutData.
 func (s *Server) RepairPut(key string, t Tag, elem []byte, vlen int) bool {
+	installed, _ := s.repairPut(key, t, elem, vlen)
+	return installed
+}
+
+// repairPut is RepairPut for the transports; the error is putData's.
+func (s *Server) repairPut(key string, t Tag, elem []byte, vlen int) (bool, error) {
 	s.metrics.repairPuts.Add(1)
 	// A zero-tag repair of an absent key installs the state the key
 	// already has; succeed without materializing a register.
-	installed := t == (Tag{}) && s.lookup(key, false) == nil
-	if installed || s.put(walOpRepair, key, t, elem, vlen) {
-		s.metrics.repairInstalls.Add(1)
-		return true
+	installed, err := t == (Tag{}) && s.lookup(key, false) == nil, error(nil)
+	if !installed {
+		installed, err = s.put(walOpRepair, key, t, elem, vlen)
 	}
-	return false
+	if installed {
+		s.metrics.repairInstalls.Add(1)
+	}
+	return installed, err
 }
 
 // Wipe clears key's stored element, modeling a server that restarts
