@@ -1,7 +1,7 @@
 GO ?= go
 
 # The benchmark selection shared by `make bench` and `make bench-json`.
-BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors
+BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors|Stream
 
 .PHONY: all build build-cross test test-durability test-reconfig vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz
 
@@ -78,10 +78,14 @@ bench-pairs:
 
 # bench-smoke compiles and runs every benchmark a fixed 10 iterations on
 # both the SIMD and purego kernel ladders: a CI-friendly check that the
-# benchmark suite itself stays healthy, with no performance gating.
+# benchmark suite itself stays healthy, with no performance gating. Of
+# internal/soda only the streaming-encode layer benchmark depends on the
+# ladder, so only it rides along.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=10x ./internal/gf256/ ./internal/rs/
+	$(GO) test -run '^$$' -bench Stream -benchtime=10x ./internal/soda/
 	$(GO) test -tags purego -run '^$$' -bench . -benchtime=10x ./internal/gf256/ ./internal/rs/
+	$(GO) test -tags purego -run '^$$' -bench Stream -benchtime=10x ./internal/soda/
 
 # bench-json reruns the bench suite and regenerates BENCH_rs.json in one
 # deterministic format (sorted keys, tool-computed derived ratios), so

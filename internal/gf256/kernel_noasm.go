@@ -41,3 +41,9 @@ func mulMultiGFNI(mats *[256]uint64, coeffs []byte, srcs [][]byte, dst []byte, o
 func mulAddMultiGFNI(mats *[256]uint64, coeffs []byte, srcs [][]byte, dst []byte, off int) {
 	panic("gf256: SIMD kernel called on a build without it")
 }
+
+// MulMultiStream is MulMulti: a portable build has no streaming stores.
+func MulMultiStream(coeffs []byte, inputs [][]byte, dst []byte) { MulMulti(coeffs, inputs, dst) }
+
+// CopyStream is copy: a portable build has no streaming stores.
+func CopyStream(dst, src []byte) int { return copy(dst, src) }

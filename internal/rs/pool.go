@@ -86,7 +86,7 @@ func (p *workerPool) worker() {
 	for {
 		select {
 		case t := <-p.tasks:
-			codeRange(t.coeffs, t.inputs, t.outputs, t.lo, t.hi)
+			codeRange(t.coeffs, t.inputs, t.outputs, nil, t.lo, t.hi)
 			t.wg.Done()
 		case <-p.stop:
 			// Drain anything that raced with close so no caller is
@@ -94,7 +94,7 @@ func (p *workerPool) worker() {
 			for {
 				select {
 				case t := <-p.tasks:
-					codeRange(t.coeffs, t.inputs, t.outputs, t.lo, t.hi)
+					codeRange(t.coeffs, t.inputs, t.outputs, nil, t.lo, t.hi)
 					t.wg.Done()
 				default:
 					return
@@ -173,8 +173,10 @@ func tileSize(k int) int {
 
 // codeRange computes outputs[o][lo:hi] = sum_j coeffs[o][j] *
 // inputs[j][lo:hi] for every output, tiling the range so the inputs
-// are walked from L2, one fused pass per output tile.
-func codeRange(coeffs, inputs, outputs [][]byte, lo, hi int) {
+// are walked from L2, one fused pass per output tile. An output whose
+// stream flag is set is written with non-temporal stores; a nil stream
+// means none is.
+func codeRange(coeffs, inputs, outputs [][]byte, stream []bool, lo, hi int) {
 	if lo >= hi {
 		return
 	}
@@ -190,7 +192,11 @@ func codeRange(coeffs, inputs, outputs [][]byte, lo, hi int) {
 			views[j] = in[lo:bhi]
 		}
 		for o, out := range outputs {
-			gf256.MulMulti(coeffs[o], views, out[lo:bhi])
+			if stream != nil && stream[o] {
+				gf256.MulMultiStream(coeffs[o], views, out[lo:bhi])
+			} else {
+				gf256.MulMulti(coeffs[o], views, out[lo:bhi])
+			}
 		}
 		lo = bhi
 	}
@@ -207,7 +213,7 @@ func (e *Encoder) codeStriped(coeffs, inputs, outputs [][]byte, size int) {
 		return
 	}
 	if e.pool == nil || size < e.stripeMin {
-		codeRange(coeffs, inputs, outputs, 0, size)
+		codeRange(coeffs, inputs, outputs, nil, 0, size)
 		return
 	}
 	e.pool.ensure()
@@ -219,11 +225,11 @@ func (e *Encoder) codeStriped(coeffs, inputs, outputs [][]byte, size int) {
 		wg.Add(1)
 		t := codeTask{coeffs: coeffs, inputs: inputs, outputs: outputs, lo: lo, hi: lo + chunk, wg: wg}
 		if !e.pool.trySubmit(t) {
-			codeRange(coeffs, inputs, outputs, lo, lo+chunk)
+			codeRange(coeffs, inputs, outputs, nil, lo, lo+chunk)
 			wg.Done()
 		}
 	}
-	codeRange(coeffs, inputs, outputs, lo, size) // final stripe on the caller
+	codeRange(coeffs, inputs, outputs, nil, lo, size) // final stripe on the caller
 	wg.Wait()
 	wgPool.Put(wg)
 }

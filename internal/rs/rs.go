@@ -25,12 +25,13 @@
 //     readers share it under an RLock.
 //   - striping: above a size threshold, stripes are spread over the
 //     Encoder's reusable worker pool (up to WithConcurrency goroutines,
-//     default runtime.GOMAXPROCS).
+//     default runtime.GOMAXPROCS). EncodeParity never stripes: it
+//     codes on the caller, and can stream an output past the cache.
 //
-// The steady-state entry points — EncodeInto, ReconstructInto, Verify,
-// and Encode/Reconstruct with pre-allocated targets — perform no heap
-// allocations: coefficients are precomputed, and call scratch is
-// recycled through sync.Pools.
+// The steady-state entry points — EncodeInto, EncodeParity,
+// ReconstructInto, Verify, and Encode/Reconstruct with pre-allocated
+// targets — perform no heap allocations: coefficients are precomputed,
+// and call scratch is recycled through sync.Pools.
 package rs
 
 import (
@@ -282,6 +283,31 @@ func (e *Encoder) EncodeInto(shards [][]byte) error {
 	return nil
 }
 
+// EncodeParity computes the n-k parity shards from k data slices that
+// need not be neighbours in one shards slice — a value's own sub-slices,
+// say — so the caller can encode before (or without) copying the data
+// anywhere. All slices must have one nonzero size. It codes tile by tile
+// on the calling goroutine, never on the worker pool, and allocates
+// nothing. parity[i] is written with non-temporal stores where
+// stream[i] is set (gf256.MulMultiStream: for a buffer known to be out
+// of cache and not read back soon); stream may be nil.
+func (e *Encoder) EncodeParity(data, parity [][]byte, stream []bool) error {
+	if len(data) != e.k || len(parity) != e.n-e.k || (stream != nil && len(stream) != len(parity)) {
+		return fmt.Errorf("%w: got %d data, %d parity, %d stream flags, want %d, %d", ErrShardCount, len(data), len(parity), len(stream), e.k, e.n-e.k)
+	}
+	size, err := e.dataSize(data)
+	if err != nil {
+		return err
+	}
+	for i, p := range parity {
+		if len(p) != size {
+			return fmt.Errorf("%w: parity shard %d has size %d, want %d", ErrShardSize, e.k+i, len(p), size)
+		}
+	}
+	codeRange(e.parityCoeffs, data, parity, stream, 0, size)
+	return nil
+}
+
 // Verify recomputes the parity shards and reports whether they match.
 // All n shards must be present with equal size. On a mismatch it
 // returns false together with a *ParityMismatchError listing every
@@ -343,7 +369,7 @@ func (e *Encoder) Verify(shards [][]byte) (bool, error) {
 		if testHookVerifyChunk != nil {
 			testHookVerifyChunk(nl)
 		}
-		codeRange(vs.coefs[:nl], vs.ins, vs.outs[:nl], 0, m)
+		codeRange(vs.coefs[:nl], vs.ins, vs.outs[:nl], nil, 0, m)
 		w := 0
 		for s, idx := range live {
 			if bytes.Equal(vs.outs[s], shards[idx][lo:hi]) {

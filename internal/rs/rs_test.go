@@ -216,6 +216,86 @@ func TestEncodeInto(t *testing.T) {
 	}
 }
 
+// TestEncodeParity checks the inline encode from scattered data slices:
+// for every shape and for sizes on both sides of a tile edge, parity
+// equals Encode's whatever mix of outputs is streamed, the data is only
+// read, nothing is allocated, and a wrong count or size is an error.
+func TestEncodeParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, sh := range shapes {
+		e, err := New(sh.n, sh.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		np := sh.n - sh.k
+		for _, size := range []int{1, 513, tileSize(sh.k) - 1, tileSize(sh.k), tileSize(sh.k) + 257, 3*tileSize(sh.k) + 64} {
+			want := makeShards(t, rng, e, size)
+			data := cloneShards(want[:sh.k])
+			for mask := 0; mask < 1<<np; mask += max(1, (1<<np)/4) {
+				parity := make([][]byte, np)
+				stream := make([]bool, np)
+				for i := range parity {
+					parity[i] = bytes.Repeat([]byte{0xa5}, size)
+					stream[i] = mask&(1<<i) != 0
+				}
+				if mask == 0 {
+					stream = nil
+				}
+				if err := e.EncodeParity(data, parity, stream); err != nil {
+					t.Fatalf("[%d,%d] size %d: EncodeParity: %v", sh.n, sh.k, size, err)
+				}
+				for i := range parity {
+					if !bytes.Equal(parity[i], want[sh.k+i]) {
+						t.Fatalf("[%d,%d] size %d mask %b: parity %d differs from Encode", sh.n, sh.k, size, mask, i)
+					}
+				}
+				for i := range data {
+					if !bytes.Equal(data[i], want[i]) {
+						t.Fatalf("[%d,%d] size %d: EncodeParity wrote data shard %d", sh.n, sh.k, size, i)
+					}
+				}
+			}
+		}
+	}
+
+	e, err := New(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]byte, 3) // not makeShards: its striped Encode starts the pool
+	for i := range data {
+		data[i] = make([]byte, 100<<10)
+		rng.Read(data[i])
+	}
+	parity := [][]byte{make([]byte, 100<<10), make([]byte, 100<<10)}
+	stream := []bool{true, false}
+	run := func() {
+		if err := e.EncodeParity(data, parity, stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("EncodeParity allocates %.1f times per op, want 0", allocs)
+	}
+	if e.pool.workersStarted() {
+		t.Error("EncodeParity started the worker pool; it codes on the caller")
+	}
+	for name, call := range map[string]func() error{
+		"two data":      func() error { return e.EncodeParity(data[:2], parity, nil) },
+		"one parity":    func() error { return e.EncodeParity(data, parity[:1], nil) },
+		"one flag":      func() error { return e.EncodeParity(data, parity, stream[:1]) },
+		"empty data":    func() error { return e.EncodeParity([][]byte{nil, nil, nil}, parity, nil) },
+		"short data":    func() error { return e.EncodeParity([][]byte{data[0], data[1], data[2][:5]}, parity, nil) },
+		"short parity":  func() error { return e.EncodeParity(data, [][]byte{parity[0], parity[1][:5]}, nil) },
+		"absent parity": func() error { return e.EncodeParity(data, [][]byte{parity[0], nil}, nil) },
+	} {
+		if err := call(); !errors.Is(err, ErrShardCount) && !errors.Is(err, ErrShardSize) {
+			t.Errorf("%s: EncodeParity = %v, want a shard count/size error", name, err)
+		}
+	}
+}
+
 // TestReconstructInto checks the caller-supplied-buffer repair path:
 // zero-length entries with capacity are filled in place, nil entries
 // are skipped, and an undersized buffer is an error.

@@ -389,11 +389,13 @@ func TestReadsRaceInPlaceWrites(t *testing.T) {
 // it. The tests below run with every recycled buffer poisoned, so a
 // second holder of one reads garbage instead of plausible bytes.
 
-// freedElems is what the poison hook saw: one entry per putElem.
+// freedElems is what the poison hook saw: one entry per freed buffer,
+// with the cold bit it was freed under.
 type freedElems struct {
-	mu  sync.Mutex
-	ptr []*byte
-	ch  chan struct{} // one token per free, for tests that wait on one
+	mu   sync.Mutex
+	ptr  []*byte
+	cold []bool
+	ch   chan struct{} // one token per free, for tests that wait on one
 }
 
 // poisonFreedElems installs the putElem hook for the calling test:
@@ -401,12 +403,13 @@ type freedElems struct {
 func poisonFreedElems(t *testing.T) *freedElems {
 	t.Helper()
 	f := &freedElems{ch: make(chan struct{}, 1<<16)} // far more tokens than any test frees
-	testHookPutElem = func(b []byte) {
+	testHookPutElem = func(b []byte, cold bool) {
 		for i := range b {
 			b[i] = 0xDB
 		}
 		f.mu.Lock()
 		f.ptr = append(f.ptr, &b[0])
+		f.cold = append(f.cold, cold)
 		f.mu.Unlock()
 		select {
 		case f.ch <- struct{}{}:
@@ -435,6 +438,20 @@ func (f *freedElems) total() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.ptr)
+}
+
+// colds reports how many buffers were freed cold. Only a register's
+// displaced buffer may be: whatever a conn or a leg frees was written a
+// moment ago.
+func (f *freedElems) colds() (n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, c := range f.cold {
+		if c {
+			n++
+		}
+	}
+	return n
 }
 
 // await blocks until n buffers in all have been freed.
@@ -493,6 +510,9 @@ func TestOwnedPutWithReader(t *testing.T) {
 	if freed.times(&elems[4][0]) != 1 || freed.times(&elems[5][0]) != 1 || freed.total() != 2 {
 		t.Fatalf("after the reader left: %d frees, want exactly the two displaced buffers once each", freed.total())
 	}
+	if n := freed.colds(); n != 2 {
+		t.Fatalf("%d of the two displaced buffers were freed cold", n)
+	}
 	for i, h := range got {
 		if !bytes.Equal(h.live, h.want) {
 			t.Fatalf("delivery %d changed after it was handed out", i)
@@ -523,8 +543,8 @@ func TestOwnedPutStaleTag(t *testing.T) {
 	}
 	put(9)
 	stale := put(5)
-	if freed.times(stale) != 1 || freed.total() != 1 {
-		t.Fatalf("stale put with no reader: %d frees of it, %d in all, want 1 and 1", freed.times(stale), freed.total())
+	if freed.times(stale) != 1 || freed.total() != 1 || freed.colds() != 0 {
+		t.Fatalf("stale put with no reader: %d frees of it, %d in all, %d cold, want 1, 1 and 0", freed.times(stale), freed.total(), freed.colds())
 	}
 
 	// A reader registered at treq 3 (wiped and rewritten key) still wants
@@ -603,6 +623,9 @@ func TestOwnedPutRefusedFreesOnce(t *testing.T) {
 	if n := freed.times(id); n != 1 {
 		t.Fatalf("mux: unsent elem freed %d times, want 1", n)
 	}
+	if n := freed.colds(); n != 0 {
+		t.Fatalf("%d refused or sent elems were freed cold: only a displaced buffer is", n)
+	}
 }
 
 // TestUnsentLegsFreeTheirElements: a write whose context ends before
@@ -641,8 +664,8 @@ func TestUnsentLegsFreeTheirElements(t *testing.T) {
 	}
 	// Write frees the excluded server's element before any leg runs, and
 	// nothing was displaced: the four registers were empty.
-	if n := freed.total(); n != 6 {
-		t.Fatalf("%d frees, want 6: five unsent legs and one excluded server", n)
+	if n := freed.total(); n != 6 || freed.colds() != 0 {
+		t.Fatalf("%d frees, %d cold, want 6 and 0: five unsent legs and one excluded server", n, freed.colds())
 	}
 	if _, elem, _ := lb.Server(4).Snapshot(testKey); elem != nil {
 		t.Fatal("the excluded server was written")
@@ -682,8 +705,103 @@ func TestHandoffForkStoresSameState(t *testing.T) {
 		if handoff(elemSize) {
 			wantFrees = 2 * n // rounds 1 and 2 displace n buffers each
 		}
-		if got := freed.total() - before; got != wantFrees {
-			t.Fatalf("element size %d: %d buffers recycled, want %d", elemSize, got, wantFrees)
+		if got := freed.total() - before; got != wantFrees || freed.colds() != freed.total() {
+			t.Fatalf("element size %d: %d buffers recycled, want %d; %d of %d in all cold, want every one", elemSize, got, wantFrees, freed.colds(), freed.total())
+		}
+	}
+}
+
+// TestEncodeOwnedMatchesEncodeValue: whatever mix of cold and fresh
+// buffers the free list hands the large-value encode — so whichever of
+// the streaming and plain stores fill them — the n elements are
+// Codec.EncodeValue's, byte for byte, dirty buffers notwithstanding.
+// Lengths: 1 MiB (the last data element zero-padded by two), a multiple
+// of k, and both sides of the element size where handoff begins.
+func TestEncodeOwnedMatchesEncodeValue(t *testing.T) {
+	const n, k = 5, 3
+	codec, err := NewCodec(n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vlen := range []int{1 << 20, k * 100000, k*elemHandoffMin - 1, k * elemHandoffMin, k*elemHandoffMin + 1} {
+		value := elemFor(uint64(vlen), vlen)
+		orig := bytes.Clone(value)
+		want, err := codec.EncodeValue(value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := codec.shardSize(vlen)
+		if !handoff(s) {
+			t.Fatalf("vlen %d: elements of %d bytes do not take the path under test", vlen, s)
+		}
+		for name, cold := range map[string][]bool{
+			"all cold":  {true, true, true, true, true},
+			"all fresh": {false, false, false, false, false},
+			"mixed":     {true, false, true, false, true},
+			"mixed'":    {false, true, false, true, false},
+		} {
+			sc := &encodeScratch{shards: make([][]byte, n), cold: cold}
+			for i := range sc.shards {
+				sc.shards[i] = bytes.Repeat([]byte{0xDB}, s)
+			}
+			if err := codec.encodeElems(value, sc, s); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if !bytes.Equal(sc.shards[i], want[i]) {
+					t.Errorf("vlen %d, %s buffers: element %d differs from EncodeValue's", vlen, name, i)
+				}
+			}
+			for _, in := range sc.inputs {
+				if in != nil {
+					t.Errorf("vlen %d: the scratch still holds a view of the value", vlen)
+				}
+			}
+		}
+		if !bytes.Equal(value, orig) {
+			t.Errorf("vlen %d: the encode wrote the caller's value", vlen)
+		}
+	}
+
+	// The fork itself, one element size down: no free-list buffer.
+	sc := &encodeScratch{}
+	value := elemFor(7, k*elemHandoffMin-k)
+	want, _ := codec.EncodeValue(value)
+	if err := codec.encodeValueInto(value, sc); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !bytes.Equal(sc.shards[i], want[i]) {
+			t.Errorf("element %d of the copy path differs from EncodeValue's", i)
+		}
+	}
+}
+
+// TestElemFreeListKeepsTheColdBit: a buffer comes back from the free
+// list with the bit it was freed under; a fresh one is never cold.
+func TestElemFreeListKeepsTheColdBit(t *testing.T) {
+	if b, cold := getElem(3 * elemHandoffMin); cold || len(b) != 3*elemHandoffMin {
+		t.Fatalf("a fresh buffer: len %d, cold %v", len(b), cold)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of its puts under -race")
+	}
+	// A size of its own, so nothing another test left behind fits.
+	const size = 5*elemHandoffMin + 64
+	for _, want := range []bool{true, false, true} {
+		b := make([]byte, size)
+		id := &b[0]
+		freeElem(b, want)
+		got, cold := getElem(size - 1)
+		if &got[0] != id {
+			t.Skip("the goroutine moved to another P between put and get")
+		}
+		if cold != want || len(got) != size-1 {
+			t.Fatalf("freed with cold=%v, came back len %d cold=%v", want, len(got), cold)
+		}
+		putElem(got[:size-1])
+		if got, cold := getElem(size - 1); &got[0] == id && cold {
+			t.Fatal("a buffer a conn freed came back cold")
 		}
 	}
 }
@@ -902,9 +1020,59 @@ func BenchmarkPutDataCopyVsHandoff(b *testing.B) {
 			s.PutData(key, t, scratch, size)
 		})
 		run("handoff", func(s *Server, key string, t Tag) {
-			elem := getElem(size)
+			elem, _ := getElem(size)
 			copy(elem, src)
 			s.putOwned(key, t, elem, size)
+		})
+	}
+}
+
+// BenchmarkEncodeOwnedStream is the layer measurement behind the cold
+// bit: one 1 MiB encode per op into element buffers flagged fresh
+// ("plain" stores) or cold ("stream", non-temporal stores). "rotating"
+// walks 160 buffer sets, 280 MB, so every destination line is out of
+// cache when it is written, as a displaced register buffer is; "hot"
+// reuses one set, the case the bit exists to keep off the streaming
+// stores. The value is warm in both, as it is for a caller that has
+// just produced it. Run with -cpu 1,2.
+func BenchmarkEncodeOwnedStream(b *testing.B) {
+	const n, k, vlen = 5, 3, 1 << 20
+	codec, err := NewCodec(n, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := codec.shardSize(vlen)
+	value := elemFor(1, vlen)
+	sets := make([][][]byte, 160)
+	for i := range sets {
+		sets[i] = make([][]byte, n)
+		for j := range sets[i] {
+			sets[i][j] = bytes.Repeat([]byte{0xDB}, s) // faulted in before the clock starts
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		sets [][][]byte
+		cold bool
+	}{
+		{"rotating/plain", sets, false},
+		{"rotating/stream", sets, true},
+		{"hot/plain", sets[:1], false},
+		{"hot/stream", sets[:1], true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sc := &encodeScratch{shards: make([][]byte, n), cold: make([]bool, n)}
+			for i := range sc.cold {
+				sc.cold[i] = bc.cold
+			}
+			b.SetBytes(vlen)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(sc.shards, bc.sets[i%len(bc.sets)])
+				if err := codec.encodeElems(value, sc, s); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -169,10 +169,15 @@ func stripeOf(key string) uint32 {
 // after the quorum completes, so the buffer returns to the pool only
 // when the last per-server op finishes. For elements that change hands
 // with their put-data (see handoff) shards are n independent buffers
-// instead, each gone with its leg's PutData, and buf stays unused.
+// instead, each gone with its leg's PutData, and buf stays unused;
+// inputs, outs and cold are Codec.encodeOwned's per-write views and
+// flags, kept here so a large write allocates none of them.
 type encodeScratch struct {
 	buf    []byte
 	shards [][]byte
+	inputs [][]byte
+	outs   [][]byte
+	cold   []bool
 	refs   atomic.Int32
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/gf256"
 	"repro/internal/rs"
 )
 
@@ -118,22 +119,72 @@ func (c *Codec) encodeValueInto(value []byte, sc *encodeScratch) error {
 // from the element free list, each of which its conn will own, and
 // sc.buf is not used at all.
 func (c *Codec) encodeOwned(value []byte, sc *encodeScratch, s int) error {
-	n, k := c.enc.N(), c.enc.K()
+	n := c.enc.N()
 	sc.shards = slices.Grow(sc.shards[:0], n)[:n]
+	sc.cold = slices.Grow(sc.cold[:0], n)[:n]
 	for i := range sc.shards {
-		sc.shards[i] = getElem(s)
+		sc.shards[i], sc.cold[i] = getElem(s)
 	}
-	for i, rest := 0, value; i < k; i++ {
-		m := copy(sc.shards[i], rest)
-		clear(sc.shards[i][m:]) // recycled buffers come back dirty
-		rest = rest[m:]
-	}
-	err := c.enc.EncodeInto(sc.shards)
+	err := c.encodeElems(value, sc, s)
 	if err != nil {
 		sc.unsent(nil)
 	}
 	return err
 }
+
+// encodeElems fills sc.shards — n buffers of s bytes, dirty, flagged by
+// sc.cold — with value's coded elements. Every stored byte is written
+// once, and into a cold buffer (see elemBox) with non-temporal stores:
+// parity is computed from the value's own slices — warm, the caller has
+// just produced them — and only then are those slices copied out as the
+// data elements. The zero padding (pad < k bytes at the end of the last
+// data element, since handoff(s)) is never materialised as an input:
+// the parity of the last pad bytes is a second, tiny encode against
+// zeroPad.
+func (c *Codec) encodeElems(value []byte, sc *encodeScratch, s int) error {
+	n, k := c.enc.N(), c.enc.K()
+	sc.inputs = slices.Grow(sc.inputs[:0], k)[:k]
+	sc.outs = slices.Grow(sc.outs[:0], n-k)[:n-k]
+	defer clear(sc.inputs) // a pooled scratch must not pin the value
+	pad := k*s - len(value)
+	body := s - pad // what the last data element holds of the value
+	for i := range sc.inputs {
+		sc.inputs[i] = value[i*s : i*s+body]
+	}
+	for i := range sc.outs {
+		sc.outs[i] = sc.shards[k+i][:body]
+	}
+	if err := c.enc.EncodeParity(sc.inputs, sc.outs, sc.cold[k:]); err != nil {
+		return err
+	}
+	if pad > 0 {
+		for i := 0; i < k-1; i++ {
+			sc.inputs[i] = value[i*s+body : (i+1)*s]
+		}
+		sc.inputs[k-1] = zeroPad[:pad]
+		for i := range sc.outs {
+			sc.outs[i] = sc.shards[k+i][body:]
+		}
+		if err := c.enc.EncodeParity(sc.inputs, sc.outs, nil); err != nil {
+			return err
+		}
+	}
+	for i, rest := 0, value; i < k; i++ {
+		var m int
+		if sc.cold[i] {
+			m = gf256.CopyStream(sc.shards[i], rest)
+		} else {
+			m = copy(sc.shards[i], rest)
+		}
+		rest = rest[m:]
+	}
+	clear(sc.shards[k-1][body:])
+	return nil
+}
+
+// zeroPad stands in for the padding of the last data element; a code
+// has at most 256 shards, so the padding is under 256 bytes.
+var zeroPad [256]byte
 
 // DecodeValue reassembles a value of vlen bytes from the k data
 // shards (shards[0..k-1] must be present at the element size for

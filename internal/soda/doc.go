@@ -83,7 +83,11 @@
 // straight into n buffers from a free list, the loopback server swaps
 // the buffer in as the register, and the buffer it displaces goes back
 // to the list unless a reader may still hold it. RepairPut and the
-// exported Server methods always borrow.
+// exported Server methods always borrow. A displaced buffer goes back
+// marked cold — nobody has stored to it for a whole write of its key —
+// and the next encode fills it with non-temporal stores, so its bytes
+// cross the memory bus once instead of being read for ownership first;
+// a fresh buffer, or one a conn freed, takes plain stores.
 //
 // Any request may instead draw 12 error {message} or 15 epoch-nack
 // {want, sealed}. The admission classes are Server.Admit's: client

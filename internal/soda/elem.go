@@ -19,54 +19,70 @@ const elemHandoffMin = 64 << 10
 func handoff(size int) bool { return size >= elemHandoffMin }
 
 // The element free list: buffers a handed-off put-data displaced from a
-// register nobody else could see, waiting for the next large encode.
-// Two sync.Pools of boxes — full and empty — so the steady state
-// allocates neither buffers nor boxes, and an idle list is the GC's to
-// drop.
-type elemBox struct{ b []byte }
+// register nobody else could see, and elements a conn was given and did
+// not keep, waiting for the next large encode. Two sync.Pools of boxes —
+// full and empty — so the steady state allocates neither buffers nor
+// boxes, and an idle list is the GC's to drop.
+//
+// cold marks a buffer a register displaced: its bytes were stored by an
+// earlier write of its key and the write path has not touched them
+// since, so it is out of cache as far as anyone can tell, and the next
+// encode fills it with non-temporal stores. Every other buffer — fresh
+// from make, or freed by a conn that just sent or refused it — was
+// written a moment ago, and a streaming store would only evict it.
+type elemBox struct {
+	b    []byte
+	cold bool
+}
 
 var (
 	elemFree  sync.Pool // *elemBox holding a free buffer
 	elemBoxes sync.Pool // *elemBox holding nothing
 )
 
-// testHookPutElem, when non-nil, sees every buffer putElem takes.
-// Test-only: the ownership tests poison the buffer, so any second
-// holder reads garbage.
-var testHookPutElem func([]byte)
+// testHookPutElem, when non-nil, sees every buffer the free list takes,
+// and its cold bit. Test-only: the ownership tests poison the buffer,
+// so any second holder reads garbage.
+var testHookPutElem func(b []byte, cold bool)
 
-// getElem returns a buffer of size bytes whose contents are undefined.
-// A free buffer is taken only when size fills at least 7/8 of it, so
-// the list can never grow the heap beyond what the elements need; one
-// of the wrong size is dropped for the GC.
-func getElem(size int) []byte {
+// getElem returns a buffer of size bytes whose contents are undefined,
+// and whether it is cold. A free buffer is taken only when size fills
+// at least 7/8 of it, so the list can never grow the heap beyond what
+// the elements need; one of the wrong size is dropped for the GC.
+func getElem(size int) ([]byte, bool) {
 	if box, _ := elemFree.Get().(*elemBox); box != nil {
-		b := box.b
+		b, cold := box.b, box.cold
 		box.b = nil
 		elemBoxes.Put(box)
 		if size <= cap(b) && cap(b)-size <= cap(b)/8 {
-			return b[:size]
+			return b[:size], cold
 		}
 	}
-	return make([]byte, size)
+	return make([]byte, size), false
 }
 
 // putElem gives up b, which the caller must be the only holder of.
 // Only b's length changes hands, not spare capacity behind it, and a
 // slice below the handoff size is never an element of its own — it is
 // a view of a scratch or a frame — so it is ignored.
-func putElem(b []byte) {
+func putElem(b []byte) { freeElem(b, false) }
+
+// putDisplaced is putElem for the buffer a register just stopped using:
+// the one place a buffer is known cold.
+func putDisplaced(b []byte) { freeElem(b, true) }
+
+func freeElem(b []byte, cold bool) {
 	if !handoff(len(b)) {
 		return
 	}
 	b = b[:len(b):len(b)]
 	if testHookPutElem != nil {
-		testHookPutElem(b)
+		testHookPutElem(b, cold)
 	}
 	box, _ := elemBoxes.Get().(*elemBox)
 	if box == nil {
 		box = new(elemBox)
 	}
-	box.b = b
+	box.b, box.cold = b, cold
 	elemFree.Put(box)
 }

@@ -322,6 +322,64 @@ func TestReconfigWALRecoversEpochState(t *testing.T) {
 	}
 }
 
+// TestReconfigIsRefusedAfterWALCut pins what a power cut does to a seal
+// or activate that was already past the transport's crash gate: the WAL
+// is cut under the server directly, and the transition must then fail
+// with ErrServerDown and leave the epoch state alone, because Recover
+// rebuilds it from a disk that never saw the record. A closed WAL is
+// not a failed one: WALFailures stays 0.
+func TestReconfigIsRefusedAfterWALCut(t *testing.T) {
+	lb, err := NewDurableLoopback(1, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.CloseServers()
+	srv := lb.Server(0)
+	if _, err := srv.Reconfig(ReconfigSeal, 1, 7, 4); err != nil {
+		t.Fatalf("seal: %v", err)
+	}
+	sealed := srv.EpochStatus()
+	flips := srv.MetricsSnapshot().EpochFlips
+	srv.dur.powerCut()
+
+	st, err := srv.Reconfig(ReconfigActivate, 1, 7, 4)
+	if !errors.Is(err, ErrServerDown) {
+		t.Errorf("activate after the WAL was cut = %v, want ErrServerDown", err)
+	}
+	if st != sealed || srv.EpochStatus() != sealed {
+		t.Errorf("status after the refused activate = %+v (returned %+v), want %+v", srv.EpochStatus(), st, sealed)
+	}
+	m := srv.MetricsSnapshot()
+	if m.WALFailures != 0 {
+		t.Errorf("WALFailures = %d after a cut, want 0: closed is not failed", m.WALFailures)
+	}
+	if m.EpochFlips != flips {
+		t.Errorf("EpochFlips moved %d -> %d on a refused transition", flips, m.EpochFlips)
+	}
+
+	lb.PowerCut(0)
+	rec, err := lb.Recover(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.EpochStatus(); got != sealed {
+		t.Fatalf("recovered %+v, want %+v: exactly the logged transitions", got, sealed)
+	}
+	// A seal is refused the same way: cut a server that has flipped and
+	// ask it to seal for the next epoch.
+	if _, err := rec.Reconfig(ReconfigActivate, 1, 7, 4); err != nil {
+		t.Fatalf("activate after recovery: %v", err)
+	}
+	active := rec.EpochStatus()
+	rec.dur.powerCut()
+	if _, err := rec.Reconfig(ReconfigSeal, 2, 5, 3); !errors.Is(err, ErrServerDown) {
+		t.Errorf("seal after the WAL was cut = %v, want ErrServerDown", err)
+	}
+	if got := rec.EpochStatus(); got != active {
+		t.Errorf("status after the refused seal = %+v, want %+v", got, active)
+	}
+}
+
 // TestReconfigGrowShrinkSoak is the acceptance soak: a durable n=5
 // cluster grows to n=7 and shrinks back to n=5 while two writers and
 // two readers race both flips through the shared ConfigView; one node

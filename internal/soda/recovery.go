@@ -237,14 +237,19 @@ func (d *durability) logMutation(op byte, key string, t Tag, elem []byte, vlen i
 // regardless of the fsync mode: a node must come back from a power cut
 // knowing which geometry it belongs to, whatever it risks for data
 // records. Called under the server's epochMu, before the state
-// applies.
-func (d *durability) logEpoch(est *epochState) {
+// applies. Failed and closed WALs differ as in logMutation: false means
+// the log is closed and the transition must not apply.
+func (d *durability) logEpoch(est *epochState) bool {
 	_, err := d.wal.append(walRecord{op: walOpEpoch, est: *est}, true)
 	if err != nil {
+		if errors.Is(err, errWALClosed) {
+			return false
+		}
 		d.srv.metrics.walFailures.Add(1)
-		return
+		return true
 	}
 	d.srv.metrics.walAppends.Add(1)
+	return true
 }
 
 // snapshot checkpoints the namespace and truncates the log: rotate the

@@ -235,7 +235,9 @@ func (s *Server) Admit(class opClass, epoch uint64) *StaleEpochError {
 // as WAL epoch records before they apply (synced regardless of fsync
 // mode — a geometry change is too rare and too important to lose), and
 // drop every reader registration so relay streams die with the old
-// epoch instead of leaking cross-epoch deliveries.
+// epoch instead of leaking cross-epoch deliveries. On a server whose
+// WAL is closed (power cut, Close) a transition is refused with
+// ErrServerDown and nothing changes.
 func (s *Server) Reconfig(op ReconfigOp, target uint64, n, k int) (EpochStatus, error) {
 	if op == ReconfigStatus {
 		return s.EpochStatus(), nil
@@ -254,7 +256,9 @@ func (s *Server) Reconfig(op ReconfigOp, target uint64, n, k int) (EpochStatus, 
 			return s.statusLocked(), fmt.Errorf("soda: server %d: seal for epoch %d conflicts with pending flip to %d", s.idx, target, st.pending)
 		}
 		next := &epochState{epoch: st.epoch, n: st.n, k: st.k, sealed: true, pending: target, pn: n, pk: k}
-		s.transitionLocked(next)
+		if !s.transitionLocked(next) {
+			return s.statusLocked(), ErrServerDown
+		}
 	case ReconfigActivate:
 		if st.epoch >= target {
 			return s.statusLocked(), nil
@@ -263,7 +267,9 @@ func (s *Server) Reconfig(op ReconfigOp, target uint64, n, k int) (EpochStatus, 
 			return s.statusLocked(), fmt.Errorf("soda: server %d: activate epoch %d without matching seal (sealed=%v pending=%d)", s.idx, target, st.sealed, st.pending)
 		}
 		next := &epochState{epoch: target, n: n, k: k}
-		s.transitionLocked(next)
+		if !s.transitionLocked(next) {
+			return s.statusLocked(), ErrServerDown
+		}
 	default:
 		return s.statusLocked(), fmt.Errorf("soda: server %d: unknown reconfig op %d", s.idx, op)
 	}
@@ -276,10 +282,12 @@ func (s *Server) statusLocked() EpochStatus {
 }
 
 // transitionLocked logs, applies, and broadcasts one epoch transition.
-// Caller holds epochMu.
-func (s *Server) transitionLocked(next *epochState) {
-	if s.dur != nil {
-		s.dur.logEpoch(next)
+// Caller holds epochMu. It reports false, with nothing applied, when
+// the WAL is closed under the server (power cut, Close): memory must not
+// move to an epoch the disk will not remember.
+func (s *Server) transitionLocked(next *epochState) bool {
+	if s.dur != nil && !s.dur.logEpoch(next) {
+		return false
 	}
 	s.epochSt.Store(next)
 	s.metrics.epochFlips.Add(1)
@@ -291,6 +299,7 @@ func (s *Server) transitionLocked(next *epochState) {
 	// streams end and they re-register (min(treq, tag) semantics) under
 	// the new epoch.
 	s.UnregisterAll()
+	return true
 }
 
 // installEpochState restores epoch state during recovery replay,
@@ -425,14 +434,14 @@ func (s *Server) putOwned(key string, t Tag, elem []byte, vlen int) error {
 	r := s.lookup(key, true)
 	r.mu.Lock()
 	stored := r.tag.Less(t)
-	free := elem // the buffer nobody holds once this put is done
+	var displaced []byte
 	if stored {
 		if s.dur != nil && !s.dur.logMutation(walOpPut, key, t, elem, vlen) {
 			r.mu.Unlock()
 			putElem(elem)
 			return ErrServerDown
 		}
-		free = r.adopt(t, elem, vlen)
+		displaced = r.adopt(t, elem, vlen)
 	}
 	var sinks []func(Delivery)
 	for i := range r.readers {
@@ -442,12 +451,19 @@ func (s *Server) putOwned(key string, t Tag, elem []byte, vlen int) error {
 	}
 	if len(sinks) == 0 {
 		r.mu.Unlock()
-		putElem(free)
+		// The buffer nobody holds once this put is done: the one the
+		// register gave up, last written a whole write ago, or the
+		// rejected elem, which its writer has only just filled.
+		if stored {
+			putDisplaced(displaced)
+		} else {
+			putElem(elem)
+		}
 		return nil
 	}
 	// elem goes out on the relay: lent if it is now the register's,
-	// the sinks' to drop if it was rejected. free is not freed — a sink
-	// implies a registered reader, so it is nil or elem itself.
+	// the sinks' to drop if it was rejected. Nothing is freed — a sink
+	// implies a registered reader, so adopt displaced nothing.
 	r.lent = r.lent || stored
 	r.mu.Unlock()
 	s.relay(sinks, t, elem, vlen)
