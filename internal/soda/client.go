@@ -153,15 +153,8 @@ func quorum(ctx context.Context, conns []Conn, need int, op func(context.Context
 // be a power of two.
 const writeStripes = 64
 
-// stripeOf hashes a key onto a lock stripe (FNV-1a).
-func stripeOf(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h & (writeStripes - 1)
-}
+// stripeOf hashes a key onto a lock stripe.
+func stripeOf(key string) uint32 { return keyHash(key) & (writeStripes - 1) }
 
 // encodeScratch is a reusable encode buffer for the put-data phase:
 // one n*s backing array resliced into shards. It is refcounted across
@@ -292,6 +285,7 @@ type writeCall struct {
 	wake chan struct{} // condition nudge; cap 1, coalescing
 	mint chan Tag      // minted-tag handoff; cap n, one token per server
 	body func()        // reusable spawn thunk: go wc.body() allocates nothing
+	idle *idleList     // where this call's legs leave from and park (see workerPool)
 	refs atomic.Int32
 	next atomic.Int32
 
@@ -321,6 +315,7 @@ func (w *Writer) getCall(ctx context.Context, key string, conns []Conn, sc *enco
 		wc = &writeCall{
 			wake: make(chan struct{}, 1),
 			mint: make(chan Tag, len(w.conns)),
+			idle: spawnPool.list(),
 		}
 		wc.body = wc.run
 	}
@@ -480,7 +475,7 @@ func (w *Writer) Write(ctx context.Context, key string, value []byte) (Tag, erro
 	wc := w.getCall(wctx, key, live, sc, len(value))
 	defer wc.release()
 	for range live {
-		spawnPool.spawn(wc.body)
+		wc.idle.spawn(wc.body)
 	}
 
 	// Phase 0: park until the tag quorum resolves. Every wake re-reads
@@ -819,7 +814,7 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 		st.lose(q, errQuarantined)
 	}
 	for range contact {
-		spawnPool.spawn(st.body)
+		st.idle.spawn(st.body)
 	}
 
 	select {
@@ -874,6 +869,7 @@ func (r *Reader) getState() *readState {
 			hasInit:  make([]bool, n),
 			lost:     make([]bool, n),
 			done:     make(chan struct{}, 1),
+			idle:     spawnPool.list(),
 		}
 		st.body = st.runConn
 	}
@@ -956,6 +952,7 @@ type readState struct {
 	refs atomic.Int32 // caller + one per subscription goroutine
 	next atomic.Int32 // conn claim counter for the spawn thunk
 	body func()       // reusable spawn thunk: go st.body() allocates nothing
+	idle *idleList    // where this read's legs leave from and park (see workerPool)
 
 	// Per-read wiring, set before the spawns, cleared at pool time.
 	rctx    context.Context

@@ -18,6 +18,7 @@ import (
 // Allowlisted (long-lived by design, not leaks):
 //   - (*workerPool).work: the shared erasure-codec worker pool parks
 //     its goroutines process-wide and never retires them.
+//   - (*idleList).work: so do the fan-out pool's idle lists (pool.go).
 //   - (*Repairer).Run: the anti-entropy background loop; tests that
 //     start one stop it via context, but the stop is asynchronous.
 //   - (*durability).background: the durable server's snapshot/
@@ -90,6 +91,7 @@ func goroutineID(stanza string) string {
 func allowlistedGoroutine(stanza string) bool {
 	for _, frame := range []string{
 		"(*workerPool).work",
+		"(*idleList).work",
 		"(*Repairer).Run",
 		"(*durability).background",
 		"testing.(*T).Run", // parent test goroutines parked in Wait

@@ -49,6 +49,7 @@ type Loopback struct {
 	down      []atomic.Value // chan struct{}; closed by Crash, replaced by Restart
 	corrupt   []atomic.Pointer[func([]byte) []byte]
 	onDeliver atomic.Pointer[func(server int, key, readerID string, d Delivery)]
+	admitted  func(server int) // test hook: a get-data passed admission and has yet to register
 	// Durable clusters only: per-node state directories and the options
 	// Recover re-opens them with.
 	durDir  string
@@ -350,7 +351,7 @@ func (c *loopConn) putOwned(ctx context.Context, key string, t Tag, elem []byte,
 		putElem(elem)
 		return nack
 	}
-	srv.metrics.putDatas.Add(1)
+	srv.metrics.of(key).putDatas.Add(1)
 	return srv.putOwned(key, t, elem, vlen)
 }
 
@@ -359,8 +360,17 @@ func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver fu
 		return err
 	}
 	srv := c.lb.servers[c.idx].Load()
+	// The stream dies when the server's epoch moves: the registration
+	// was dropped by the transition, and the stale error is what makes
+	// the reader re-register under the new configuration. The channel is
+	// sampled before the admission check, so a flip that lands after the
+	// check — before or after Register — closes the one this stream holds.
+	flipped := srv.EpochChanged()
 	if nack := srv.Admit(opClient, c.epoch); nack != nil {
 		return nack
+	}
+	if c.lb.admitted != nil {
+		c.lb.admitted(c.idx)
 	}
 	wrap := func(d Delivery) {
 		d = c.lb.transform(c.idx, d)
@@ -370,10 +380,6 @@ func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver fu
 		}
 	}
 	down := c.lb.downCh(c.idx)
-	// The stream dies when the server's epoch moves: the registration
-	// was dropped by the transition, and the stale error is what makes
-	// the reader re-register under the new configuration.
-	flipped := srv.EpochChanged()
 	initial := srv.Register(key, readerID, wrap)
 	// Only cancellation is the reader saying it is done with what it was
 	// handed; a stream that dies under it leaves it holding the elements.

@@ -639,3 +639,121 @@ func TestEpochWriterReaderFollowFlip(t *testing.T) {
 		t.Fatalf("final read = %q, %v", got.Value, err)
 	}
 }
+
+// TestEpochChangedSeesEveryFlip races seals and activations against a
+// re-arm loop of the watchEpochs shape (sample the channel, then the
+// status; sweep when the status moved, else park on the channel) and
+// against admission checks. The flipper moves on the moment the watcher
+// reports a transition, so every next flip lands inside the watcher's
+// re-arm window: none may be missed. And a channel sampled after Admit
+// accepted an epoch is never one an earlier transition closes — it is
+// closed only once the server has left the state Admit saw.
+func TestEpochChangedSeesEveryFlip(t *testing.T) {
+	const epochs = 200
+	s := NewServer(0)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+
+	seen := make(chan EpochStatus)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last EpochStatus
+		for {
+			ch := s.EpochChanged()
+			if st := s.EpochStatus(); st != last {
+				last = st
+				select {
+				case seen <- st:
+				case <-stop:
+					return
+				}
+				continue
+			}
+			select {
+			case <-ch:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e := s.EpochStatus().Epoch
+				if s.Admit(opClient, e) != nil {
+					continue
+				}
+				select {
+				case <-s.EpochChanged():
+					if st := s.EpochStatus(); st.Epoch == e && !st.Sealed {
+						t.Errorf("Admit accepted epoch %d and EpochChanged then returned a channel already closed, with the server still at %+v", e, st)
+						return
+					}
+				default:
+				}
+			}
+		}()
+	}
+
+	for e := uint64(1); e <= epochs; e++ {
+		for _, op := range []ReconfigOp{ReconfigSeal, ReconfigActivate} {
+			want, err := s.Reconfig(op, e, 5, 3)
+			if err != nil {
+				t.Fatalf("reconfig op %d to epoch %d: %v", op, e, err)
+			}
+			select {
+			case got := <-seen:
+				if got != want {
+					t.Fatalf("watcher saw %+v after the transition to %+v", got, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("watcher missed the transition to %+v", want)
+			}
+		}
+	}
+}
+
+// TestGetDataFlipBetweenAdmitAndRegister: a loopback get-data that
+// passes admission, and only then sees its server's epoch move, must
+// still die with the flip. It used to sample the change channel after
+// the admission check, so a flip in between left it registered under
+// the new configuration, holding a channel that only the next flip
+// closes — with a reader of the old geometry behind it dropping every
+// delivery as mis-sized, for ever.
+func TestGetDataFlipBetweenAdmitAndRegister(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	lb := NewLoopback(5)
+	var once sync.Once
+	lb.admitted = func(server int) {
+		once.Do(func() {
+			if _, err := lb.Server(server).Reconfig(ReconfigSeal, 1, 5, 3); err != nil {
+				t.Errorf("seal inside the window: %v", err)
+			}
+		})
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- lb.Conns()[0].GetData(ctx, testKey, "r#1", func(Delivery) {}) }()
+	select {
+	case err := <-errc:
+		var stale *StaleEpochError
+		if !errors.As(err, &stale) || !stale.Sealed || stale.Want != 1 {
+			t.Fatalf("get-data across the flip returned %v, want a sealed stale-epoch NACK wanting epoch 1", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a get-data admitted before the flip and registered after it outlived the flip")
+	}
+	if n := lb.Server(0).Readers(testKey); n != 0 {
+		t.Fatalf("%d stale-epoch readers left registered on the sealed server", n)
+	}
+}

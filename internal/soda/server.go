@@ -112,13 +112,15 @@ type Server struct {
 	shards  [serverShardCount]serverShard
 
 	// Configuration-epoch state. epochSt is read lock-free on every
-	// admission check; transitions serialize on epochMu and broadcast by
-	// closing-and-replacing epochCh (the Membership.Changed pattern), so
-	// transports can tear down relay streams the moment the geometry
-	// moves.
+	// admission check and every get-data; transitions serialize on
+	// epochMu and broadcast by closing the replaced state's changed
+	// channel (the Membership.Changed pattern), so transports can tear
+	// down relay streams the moment the geometry moves. moving is set
+	// while a transition is between publishing its state and having
+	// dropped the old state's readers.
 	epochSt atomic.Pointer[epochState]
 	epochMu sync.Mutex
-	epochCh chan struct{}
+	moving  atomic.Bool
 }
 
 // epochState is the server's view of the cluster configuration: the
@@ -130,6 +132,11 @@ type epochState struct {
 	sealed  bool
 	pending uint64
 	pn, pk  int // pending geometry, meaningful only while sealed
+
+	// changed is closed when this state is replaced. It is published by
+	// the same store as the state, so a channel sampled before an
+	// admission check outlives the state that check saw. Not persisted.
+	changed chan struct{}
 }
 
 // opClass buckets wire operations for epoch admission.
@@ -145,8 +152,8 @@ const (
 // NewServer returns the state machine for the server holding codeword
 // shard idx.
 func NewServer(idx int) *Server {
-	s := &Server{idx: idx, epochCh: make(chan struct{})}
-	s.epochSt.Store(&epochState{})
+	s := &Server{idx: idx}
+	s.epochSt.Store(&epochState{changed: make(chan struct{})})
 	for i := range s.shards {
 		s.shards[i].regs = make(map[string]*register)
 	}
@@ -184,11 +191,17 @@ func (s *Server) EpochStatus() EpochStatus {
 }
 
 // EpochChanged returns a channel closed at the server's next epoch
-// transition (seal or activate). Callers re-arm by calling again.
+// transition (seal or activate). Callers re-arm by calling again. It
+// takes no lock unless a transition is under way, which it waits out: a
+// get-data admitted under the state this channel belongs to must not
+// register while that state's transition is still dropping readers.
 func (s *Server) EpochChanged() <-chan struct{} {
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
-	return s.epochCh
+	st := s.epochSt.Load()
+	if s.moving.Load() {
+		s.epochMu.Lock() // held by the transition until it is done
+		s.epochMu.Unlock()
+	}
+	return st.changed
 }
 
 // Admit checks a frame's configuration epoch against the server's
@@ -289,16 +302,17 @@ func (s *Server) transitionLocked(next *epochState) bool {
 	if s.dur != nil && !s.dur.logEpoch(next) {
 		return false
 	}
-	s.epochSt.Store(next)
+	s.moving.Store(true)
+	defer s.moving.Store(false)
+	next.changed = make(chan struct{})
+	prev := s.epochSt.Swap(next)
 	s.metrics.epochFlips.Add(1)
-	ch := s.epochCh
-	s.epochCh = make(chan struct{})
-	close(ch)
 	// Registered readers belong to the configuration they registered
 	// under; the flip hands them off by dropping them here so their
 	// streams end and they re-register (min(treq, tag) semantics) under
 	// the new epoch.
 	s.UnregisterAll()
+	close(prev.changed)
 	return true
 }
 
@@ -307,18 +321,24 @@ func (s *Server) transitionLocked(next *epochState) bool {
 func (s *Server) installEpochState(next *epochState) {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
+	next.changed = s.epochSt.Load().changed // nobody is told: nothing is served yet
 	s.epochSt.Store(next)
 }
 
-// shardOf hashes a key onto its stripe (FNV-1a, inlined to keep the
-// lookup allocation-free).
+// shardOf hashes a key onto its stripe.
 func (s *Server) shardOf(key string) *serverShard {
+	return &s.shards[keyHash(key)&(serverShardCount-1)]
+}
+
+// keyHash is FNV-1a, inlined to keep every striped lookup — namespace
+// shard, hot counters, writer lock — allocation-free.
+func keyHash(key string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return &s.shards[h&(serverShardCount-1)]
+	return h
 }
 
 // lookup returns the key's register, or nil when absent and create is
@@ -365,7 +385,7 @@ func (s *Server) collect(key string) {
 // under key. A never-written key is the zero tag and does not cost a
 // register.
 func (s *Server) GetTag(key string) Tag {
-	s.metrics.getTags.Add(1)
+	s.metrics.of(key).getTags.Add(1)
 	r := s.lookup(key, false)
 	if r == nil {
 		return Tag{}
@@ -491,7 +511,7 @@ func (s *Server) PutData(key string, t Tag, elem []byte, vlen int) {
 // putData is PutData for the transports, which must not ack a put the
 // server refused (ErrServerDown: its WAL is closed).
 func (s *Server) putData(key string, t Tag, elem []byte, vlen int) error {
-	s.metrics.putDatas.Add(1)
+	s.metrics.of(key).putDatas.Add(1)
 	_, err := s.put(walOpPut, key, t, elem, vlen)
 	return err
 }
@@ -574,7 +594,7 @@ func (s *Server) WipeAll() {
 		}
 		sh.mu.Unlock()
 	}
-	s.metrics.regGCs.Add(dropped)
+	s.metrics.hot[0].regGCs.Add(dropped) // any stripe: Snapshot sums them
 	s.metrics.registerGCs.Add(removed)
 }
 
@@ -605,7 +625,7 @@ func (s *Server) Keys() []string {
 // the initial delivery. The caller (transport) delivers the returned
 // snapshot and every subsequent sink invocation until Unregister.
 func (s *Server) Register(key, readerID string, sink func(Delivery)) Delivery {
-	s.metrics.getDatas.Add(1)
+	s.metrics.of(key).getDatas.Add(1)
 	r := s.lookup(key, true)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -661,7 +681,7 @@ func (s *Server) unregister(key, readerID string, forced bool) {
 	dead = r.tag == (Tag{}) && len(r.readers) == 0
 	r.mu.Unlock()
 	if had {
-		s.metrics.regGCs.Add(1)
+		s.metrics.of(key).regGCs.Add(1)
 		if dead {
 			s.collect(key)
 		}
@@ -690,7 +710,7 @@ func (s *Server) UnregisterAll() {
 		}
 		sh.mu.RUnlock()
 	}
-	s.metrics.regGCs.Add(dropped)
+	s.metrics.hot[0].regGCs.Add(dropped) // any stripe: Snapshot sums them
 	for _, key := range emptied {
 		s.collect(key)
 	}
