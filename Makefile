@@ -80,8 +80,9 @@ bench-pairs:
 # both the SIMD and purego kernel ladders: a CI-friendly check that the
 # benchmark suite itself stays healthy, with no performance gating. Of
 # internal/soda only the streaming-encode layer benchmark depends on the
-# ladder, so only it rides along on both; the small-op contention layer
-# benchmark runs once, at the -cpu list it is quoted at.
+# ladder, so only it rides along on both; the client quorum-path layer
+# benchmark (inline and on legs, 128 B and 1 MiB) runs once, at the -cpu
+# list it is quoted at.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=10x ./internal/gf256/ ./internal/rs/
 	$(GO) test -run '^$$' -bench Stream -benchtime=10x ./internal/soda/

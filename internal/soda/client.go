@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -30,6 +31,13 @@ var (
 // another passes it through. RepairPut always borrows. A GetElem
 // result is the caller's own copy, and a Delivery's Elem is read-only
 // and valid until GetData returns.
+//
+// Every method may park, and a Writer or Reader calls them from one
+// goroutine per server (a leg) so that n-f answers complete a phase
+// however slow the rest are. The loopback's conn can also answer without
+// parking, which a client built on nothing else uses to run without legs
+// (allLoopConns); that ability is not part of Conn, and a Conn that
+// wraps another hides it.
 type Conn interface {
 	// Index returns the server's shard index in [0, n).
 	Index() int
@@ -98,6 +106,21 @@ func liveConns(conns []Conn, m *Membership) ([]Conn, int) {
 		}
 	}
 	return live, len(conns) - len(live)
+}
+
+// allLoopConns reports whether every conn of a client is the loopback's
+// own — the one conn that can answer an exchange without parking
+// (loopConn.getTagNow, putDataNow, subscribeNow) — so that the client
+// runs its quorum phases on the calling goroutine. It goes by what the
+// conns are, not by an option: a conn that wraps a loopConn hides the
+// capability, and a set with one such conn in it runs on legs.
+func allLoopConns(conns []Conn) bool {
+	for _, c := range conns {
+		if _, ok := c.(*loopConn); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // reportSuspect feeds an affirmative per-server failure into a shared
@@ -171,6 +194,7 @@ type encodeScratch struct {
 	inputs [][]byte
 	outs   [][]byte
 	cold   []bool
+	owed   []Conn // Writer.writeNow's list of conns that need a leg, kept for its capacity
 	refs   atomic.Int32
 }
 
@@ -204,6 +228,7 @@ type Writer struct {
 	id      string
 	codec   *Codec
 	conns   []Conn
+	inline  bool // every conn answers without parking: see allLoopConns
 	f       int
 	m       *Membership
 	locks   [writeStripes]sync.Mutex // serialize Write's get-tag -> put-data pair per key
@@ -259,7 +284,7 @@ func NewWriter(id string, codec *Codec, conns []Conn, opts ...WriterOption) (*Wr
 	if err := validateConns(conns, codec.N()); err != nil {
 		return nil, err
 	}
-	w := &Writer{id: id, codec: codec, conns: conns, f: (codec.N() - codec.K()) / 2}
+	w := &Writer{id: id, codec: codec, conns: conns, f: (codec.N() - codec.K()) / 2, inline: allLoopConns(conns)}
 	for _, opt := range opts {
 		if err := opt(w); err != nil {
 			return nil, err
@@ -271,25 +296,13 @@ func NewWriter(id string, codec *Codec, conns []Conn, opts ...WriterOption) (*Wr
 	return w, nil
 }
 
-// writeCall is the pooled fan-out state of one fused Write: a single
-// goroutine per server runs both phases back to back, so a write costs
-// n goroutine spawns instead of the 2n a quorum() per phase would, and
-// the channels and spawn thunk are reused across writes. Legs report
-// by bumping counters under wc.mu and nudging the cap-1 wake channel
-// only when a counter crosses its phase threshold, so the caller parks
-// about once per phase instead of consuming 2n messages. The refcount
-// covers the n server goroutines plus the caller; the last one off
-// drains the channels and pools the struct, so straggler sends can
-// never pollute a later write.
-type writeCall struct {
-	wake chan struct{} // condition nudge; cap 1, coalescing
-	mint chan Tag      // minted-tag handoff; cap n, one token per server
-	body func()        // reusable spawn thunk: go wc.body() allocates nothing
-	idle *idleList     // where this call's legs leave from and park (see workerPool)
-	refs atomic.Int32
-	next atomic.Int32
-
-	mu       sync.Mutex
+// writeTally is the quorum accounting of one write: what the servers
+// have answered in each phase, and the two rules that read it. The
+// inline pass keeps one on its stack; a writeCall holds one under its
+// mutex for its legs. Each phase's thresholds (need successes, allowed+1
+// failures) sum past the server count, so at most one of them is ever
+// crossed per phase.
+type writeTally struct {
 	tagMax   Tag   // running max of phase-0 tags
 	oks      int   // phase-0 successes
 	errs     int   // phase-0 failures
@@ -299,6 +312,85 @@ type writeCall struct {
 	ackErr   error // first phase-1 failure
 	need     int   // successes that complete a phase
 	allowed  int   // failures a phase absorbs
+}
+
+// gotTag records one server's get-tag answer and reports whether it is
+// the one that resolves phase 0.
+func (q *writeTally) gotTag(t Tag, err error) bool {
+	if err != nil {
+		if q.firstErr == nil {
+			q.firstErr = err
+		}
+		q.errs++
+		return q.errs == q.allowed+1
+	}
+	if q.tagMax.Less(t) {
+		q.tagMax = t
+	}
+	q.oks++
+	return q.oks == q.need
+}
+
+// gotAck records one server's put-data answer and reports whether it is
+// the one that resolves phase 1.
+func (q *writeTally) gotAck(err error) bool {
+	if err != nil {
+		if q.ackErr == nil {
+			q.ackErr = err
+		}
+		q.aerrs++
+		return q.aerrs == q.allowed+1
+	}
+	q.acks++
+	return q.acks == q.need
+}
+
+// mintTag is the rule that ends phase 0: need tags fix the write's tag as
+// the successor of their maximum, allowed+1 failures fail the write. A
+// zero tag with a nil error means neither has happened yet.
+func (q *writeTally) mintTag(id string) (Tag, error) {
+	switch {
+	case q.oks >= q.need:
+		return q.tagMax.Next(id), nil
+	case q.errs > q.allowed:
+		return Tag{}, fmt.Errorf("soda: get-tag: %w: %d of %d servers failed (need %d): %w",
+			ErrUnavailable, q.errs, q.need+q.allowed, q.need, q.firstErr)
+	}
+	return Tag{}, nil
+}
+
+// acked is the rule that ends phase 1, in the same shape: done with a
+// nil error on need acks, done with ErrUnavailable on allowed+1 failures.
+func (q *writeTally) acked(minted Tag) (bool, error) {
+	switch {
+	case q.acks >= q.need:
+		return true, nil
+	case q.aerrs > q.allowed:
+		return true, fmt.Errorf("soda: put-data %v: %w: %d of %d servers failed (need %d): %w",
+			minted, ErrUnavailable, q.aerrs, q.need+q.allowed, q.need, q.ackErr)
+	}
+	return false, nil
+}
+
+// writeCall is the pooled fan-out state of one fused Write: a single
+// goroutine per server runs both phases back to back, so a write costs
+// n goroutine spawns instead of the 2n a quorum() per phase would, and
+// the channels and spawn thunk are reused across writes. Legs report
+// into the tally under wc.mu and nudge the cap-1 wake channel only when
+// their answer resolves a phase, so the caller parks about once per
+// phase instead of consuming 2n messages. The refcount covers the server
+// goroutines plus the caller; the last one off drains the channels and
+// pools the struct, so straggler sends can never pollute a later write.
+type writeCall struct {
+	wake chan struct{} // condition nudge; cap 1, coalescing
+	mint chan Tag      // minted-tag handoff; cap n, one token per server
+	body func()        // reusable spawn thunk: go wc.body() allocates nothing
+	idle *idleList     // where this call's legs leave from and park (see workerPool)
+	refs atomic.Int32
+	next atomic.Int32
+
+	mu sync.Mutex
+	writeTally
 
 	// Per-call fields, set before the spawns and zeroed at pool time.
 	w     *Writer
@@ -307,9 +399,13 @@ type writeCall struct {
 	conns []Conn
 	sc    *encodeScratch
 	vlen  int
+	given Tag // put-only legs: the tag the caller already minted, else zero
 }
 
-func (w *Writer) getCall(ctx context.Context, key string, conns []Conn, sc *encodeScratch, vlen int) *writeCall {
+// getCall checks out the fan-out state for legs over conns. q is the
+// write's tally so far and given the tag it has minted, if its phase 0
+// is already over: the legs then only put.
+func (w *Writer) getCall(ctx context.Context, key string, conns []Conn, sc *encodeScratch, vlen int, q writeTally, given Tag) *writeCall {
 	wc, _ := w.calls.Get().(*writeCall)
 	if wc == nil || cap(wc.mint) < len(w.conns) {
 		wc = &writeCall{
@@ -320,12 +416,8 @@ func (w *Writer) getCall(ctx context.Context, key string, conns []Conn, sc *enco
 		wc.body = wc.run
 	}
 	wc.next.Store(0)
-	wc.tagMax = Tag{}
-	wc.oks, wc.errs, wc.acks, wc.aerrs = 0, 0, 0, 0
-	wc.firstErr, wc.ackErr = nil, nil
-	wc.need = len(w.conns) - w.f
-	wc.allowed = len(conns) - wc.need
-	wc.w, wc.ctx, wc.key, wc.conns, wc.sc, wc.vlen = w, ctx, key, conns, sc, vlen
+	wc.writeTally = q
+	wc.w, wc.ctx, wc.key, wc.conns, wc.sc, wc.vlen, wc.given = w, ctx, key, conns, sc, vlen, given
 	wc.refs.Store(int32(len(conns)) + 1) // servers + caller
 	return wc
 }
@@ -343,6 +435,7 @@ func (wc *writeCall) release() {
 		default:
 			w := wc.w
 			wc.w, wc.ctx, wc.key, wc.conns, wc.sc = nil, nil, "", nil, nil
+			wc.writeTally = writeTally{} // drops the error values
 			w.calls.Put(wc)
 			return
 		}
@@ -350,7 +443,7 @@ func (wc *writeCall) release() {
 }
 
 // signal nudges the caller; the cap-1 buffer coalesces concurrent
-// nudges, and the caller re-reads the counters after every wake, so a
+// nudges, and the caller re-reads the tally after every wake, so a
 // dropped token can never lose an edge that happened before the send.
 func (wc *writeCall) signal() {
 	select {
@@ -360,70 +453,45 @@ func (wc *writeCall) signal() {
 }
 
 // run is one server's leg of a fused write: report the server's tag,
-// wait for the writer to mint, then deliver the coded element. A
-// server whose get-tag failed still attempts put-data — the TCP
-// transport redials on demand, so the second exchange can succeed where
-// the first did not, and the unfused path retried it the same way. Each
-// phase's thresholds (need successes, allowed+1 failures) sum past the
-// leg count, so at most one of them fires per phase and a completed
-// phase always nudges the caller exactly once.
+// wait for the writer to mint, then deliver the coded element — or, when
+// the caller has minted already, only the last. A server whose get-tag
+// failed still attempts put-data — the TCP transport redials on demand,
+// so the second exchange can succeed where the first did not, and the
+// unfused path retried it the same way.
 func (wc *writeCall) run() {
 	defer wc.release()
 	c := wc.conns[wc.next.Add(1)-1]
-	t, err := c.GetTag(wc.ctx, wc.key)
-	if err != nil {
+	minted := wc.given
+	if minted.IsZero() {
+		t, err := c.GetTag(wc.ctx, wc.key)
 		reportSuspect(wc.w.m, wc.ctx, c.Index(), err)
-	}
-	wc.mu.Lock()
-	nudge := false
-	if err != nil {
-		if wc.firstErr == nil {
-			wc.firstErr = err
+		wc.mu.Lock()
+		nudge := wc.gotTag(t, err)
+		wc.mu.Unlock()
+		if nudge {
+			wc.signal()
 		}
-		wc.errs++
-		nudge = wc.errs == wc.allowed+1
-	} else {
-		if wc.tagMax.Less(t) {
-			wc.tagMax = t
-		}
-		wc.oks++
-		nudge = wc.oks == wc.need
-	}
-	wc.mu.Unlock()
-	if nudge {
-		wc.signal()
-	}
-	// A straggler whose get-tag returns after the write completed finds
-	// both channels ready: the minted tag wins, so the put still lands.
-	var minted Tag
-	select {
-	case minted = <-wc.mint:
-	default:
+		// A straggler can find both channels ready — the write minted,
+		// completed and cancelled while this leg was on its way here — and
+		// select picks among ready cases at random: the minted tag wins, so
+		// the put still lands.
 		select {
 		case minted = <-wc.mint:
 		case <-wc.ctx.Done():
-			putElem(wc.sc.shards[c.Index()]) // never sent: still this leg's
-			wc.sc.release(&wc.w.scratch)
-			return
+			select {
+			case minted = <-wc.mint:
+			default:
+				putElem(wc.sc.shards[c.Index()]) // never sent: still this leg's
+				wc.sc.release(&wc.w.scratch)
+				return
+			}
 		}
 	}
-	err = c.PutData(wc.ctx, wc.key, minted, wc.sc.shards[c.Index()], wc.vlen)
+	err := c.PutData(wc.ctx, wc.key, minted, wc.sc.shards[c.Index()], wc.vlen)
 	wc.sc.release(&wc.w.scratch)
-	if err != nil {
-		reportSuspect(wc.w.m, wc.ctx, c.Index(), err)
-	}
+	reportSuspect(wc.w.m, wc.ctx, c.Index(), err)
 	wc.mu.Lock()
-	nudge = false
-	if err != nil {
-		if wc.ackErr == nil {
-			wc.ackErr = err
-		}
-		wc.aerrs++
-		nudge = wc.aerrs == wc.allowed+1
-	} else {
-		wc.acks++
-		nudge = wc.acks == wc.need
-	}
+	nudge := wc.gotAck(err)
 	wc.mu.Unlock()
 	if nudge {
 		wc.signal()
@@ -431,14 +499,16 @@ func (wc *writeCall) run() {
 }
 
 // Write performs one atomic write of key: get-tag, then put-data,
-// returning the tag the value was written under. The two phases are
-// fused per server — one goroutine per conn runs get-tag and then,
-// once n-f tags have fixed the minted tag, put-data on the same leg —
-// which is observationally the same message sequence as
+// returning the tag the value was written under. Over a socket the two
+// phases are fused per server — one goroutine per conn runs get-tag and
+// then, once n-f tags have fixed the minted tag, put-data on the same
+// leg — which is observationally the same message sequence as
 // NextTag+WriteTagged but costs half the fan-out. Per-server phases
 // may overlap (one server can be receiving its element while a
 // straggler is still answering get-tag); the protocol never needed
-// the phases globally barriered, only the mint to follow n-f tags.
+// the phases globally barriered, only the mint to follow n-f tags. Over
+// conns that can answer without parking (the loopback's) there is no
+// fan-out at all: both phases run on the calling goroutine, see writeNow.
 //
 // On a put-data-phase failure the minted tag is returned alongside the
 // error: the attempt may have installed elements under it on fewer
@@ -450,13 +520,36 @@ func (w *Writer) Write(ctx context.Context, key string, value []byte) (Tag, erro
 	if err := validateKey(key); err != nil {
 		return Tag{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
+	minted, inline, err := w.write(ctx, key, value)
+	if inline && handoff(w.codec.shardSize(len(value))) {
+		yieldAfterLargeInlineOp()
+	}
+	return minted, err
+}
+
+// yieldAfterLargeInlineOp is called by an operation that moved a
+// handoff-sized value without parking once, after it has let go of
+// everything it held. At GOMAXPROCS=2 the GC has no dedicated mark
+// worker, only a fractional one that runs at scheduling points; an op on
+// legs parks a dozen times, an inline one never, and with two such
+// clients a concurrent mark phase lasts six times longer (267 -> 1587 ms
+// of mark wall time over 6 s of loop-large, assist CPU 46 -> 111 ms),
+// during which every 1 MiB read allocation stalls on assist credit
+// (read p99 +16...+45 %). One yield per large op gives the worker its
+// turn; on every op it would cost the small ones 10-25 % of their
+// throughput, so it is tied to the bytes moved.
+func yieldAfterLargeInlineOp() { runtime.Gosched() }
+
+// write is Write under the key's stripe lock. inline reports that no
+// part of the write left the calling goroutine.
+func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Tag, inline bool, err error) {
 	l := &w.locks[stripeOf(key)]
 	l.Lock()
 	defer l.Unlock()
 
 	live, excluded, err := w.quorumConns()
 	if err != nil {
-		return Tag{}, fmt.Errorf("soda: get-tag: %w", err)
+		return Tag{}, false, fmt.Errorf("soda: get-tag: %w", err)
 	}
 	sc, _ := w.scratch.Get().(*encodeScratch)
 	if sc == nil {
@@ -464,68 +557,131 @@ func (w *Writer) Write(ctx context.Context, key string, value []byte) (Tag, erro
 	}
 	if err := w.codec.encodeValueInto(value, sc); err != nil {
 		w.scratch.Put(sc)
-		return Tag{}, err
+		return Tag{}, false, err
 	}
 	if excluded > 0 {
 		sc.unsent(live)
 	}
+	q := writeTally{need: len(w.conns) - w.f}
+	q.allowed = len(live) - q.need
+	owed := live // the conns a leg still has to take this write to
+	// The legs know what a dead context does to a write.
+	if w.inline && ctx.Err() == nil {
+		var done bool
+		if minted, owed, done, err = w.writeNow(ctx, key, live, sc, len(value), &q); done {
+			w.scratch.Put(sc)
+			return minted, true, err
+		}
+	}
+
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sc.refs.Store(int32(len(live)))
-	wc := w.getCall(wctx, key, live, sc, len(value))
+	sc.refs.Store(int32(len(owed)))
+	wc := w.getCall(wctx, key, owed, sc, len(value), q, minted)
 	defer wc.release()
-	for range live {
+	for range owed {
 		wc.idle.spawn(wc.body)
 	}
 
 	// Phase 0: park until the tag quorum resolves. Every wake re-reads
-	// the counters, so coalesced or stale nudges only cost a loop turn.
-	var minted Tag
-	for minted.IsZero() {
-		//lint:ignore lockhold the stripe lock serializes whole write ops by design (PR 5: concurrent same-writer tags must stay unique); parking under it is the point
-		select {
-		case <-wc.wake:
-		case <-ctx.Done():
-			return Tag{}, ctx.Err()
-		}
-		wc.mu.Lock()
-		switch {
-		case wc.oks >= wc.need:
-			minted = wc.tagMax.Next(w.id)
-		case wc.errs > wc.allowed:
-			errs, firstErr := wc.errs, wc.firstErr
+	// the tally, so coalesced or stale nudges only cost a loop turn.
+	if minted.IsZero() {
+		for minted.IsZero() {
+			//lint:ignore lockhold the stripe lock serializes whole write ops by design (PR 5: concurrent same-writer tags must stay unique); parking under it is the point
+			select {
+			case <-wc.wake:
+			case <-ctx.Done():
+				return Tag{}, false, ctx.Err()
+			}
+			wc.mu.Lock()
+			minted, err = wc.mintTag(w.id)
 			wc.mu.Unlock()
-			return Tag{}, fmt.Errorf("soda: get-tag: %w: %d of %d servers failed (need %d): %w",
-				ErrUnavailable, errs, len(live), wc.need, firstErr)
+			if err != nil {
+				return Tag{}, false, err
+			}
 		}
-		wc.mu.Unlock()
-	}
-	for range live {
-		//lint:ignore lockhold mint sends ride the held stripe lock by design: one buffered slot per leg exists before the send, so this never blocks past leg pickup
-		wc.mint <- minted
+		for range owed {
+			//lint:ignore lockhold mint sends ride the held stripe lock by design: one buffered slot per leg exists before the send, so this never blocks past leg pickup
+			wc.mint <- minted
+		}
 	}
 
-	// Phase 1: park until the ack quorum resolves.
+	// Phase 1: park until the ack quorum resolves. The tally is read
+	// before the first park: acks counted before the legs started may
+	// have resolved it already, and then no leg's answer is the one that
+	// nudges.
 	for {
+		wc.mu.Lock()
+		done, err := wc.acked(minted)
+		wc.mu.Unlock()
+		if done {
+			return minted, false, err
+		}
 		//lint:ignore lockhold the stripe lock serializes whole write ops by design (PR 5); the ack-quorum park mirrors the phase-0 park above
 		select {
 		case <-wc.wake:
 		case <-ctx.Done():
-			return minted, ctx.Err()
+			return minted, false, ctx.Err()
 		}
-		wc.mu.Lock()
-		switch {
-		case wc.acks >= wc.need:
-			wc.mu.Unlock()
-			return minted, nil
-		case wc.aerrs > wc.allowed:
-			aerrs, ackErr := wc.aerrs, wc.ackErr
-			wc.mu.Unlock()
-			return minted, fmt.Errorf("soda: put-data %v: %w: %d of %d servers failed (need %d): %w",
-				minted, ErrUnavailable, aerrs, len(live), wc.need, ackErr)
-		}
-		wc.mu.Unlock()
 	}
+}
+
+// writeNow runs a write's phases on the calling goroutine, over conns
+// that can all answer without parking: each phase is one pass over live
+// in index order, a server's answer going through the same tally and
+// rules as a leg's. A hung server is a leg that never answers; if a
+// phase cannot resolve without the hung ones the write waits out ctx,
+// as its legs would have. It returns done when the write is over, minted
+// tag and error being Write's. Otherwise some exchange needs a leg after
+// all (errNotNow): with a zero tag nothing has happened and owed is live;
+// with a minted one phase 0 is over, q holds the acks so far and owed
+// are the conns whose put-data is still to be sent, their elements
+// untouched. Elements of conns not in owed are sent or freed.
+func (w *Writer) writeNow(ctx context.Context, key string, live []Conn, sc *encodeScratch, vlen int, q *writeTally) (minted Tag, owed []Conn, done bool, err error) {
+	for _, c := range live {
+		t, err := c.(*loopConn).getTagNow(key)
+		switch err {
+		case errNotNow:
+			*q = writeTally{need: q.need, allowed: q.allowed}
+			return Tag{}, live, false, nil
+		case errSilent:
+			continue
+		}
+		reportSuspect(w.m, ctx, c.Index(), err)
+		q.gotTag(t, err)
+	}
+	minted, err = q.mintTag(w.id)
+	if minted.IsZero() {
+		if err == nil {
+			<-ctx.Done()
+			err = ctx.Err()
+		}
+		for _, c := range live {
+			putElem(sc.shards[c.Index()]) // never sent: still the writer's
+		}
+		return Tag{}, nil, true, err
+	}
+	owed = sc.owed[:0]
+	for _, c := range live {
+		err := c.(*loopConn).putDataNow(key, minted, sc.shards[c.Index()], vlen)
+		switch err {
+		case errNotNow:
+			owed = append(owed, c)
+			continue
+		case errSilent:
+			continue
+		}
+		reportSuspect(w.m, ctx, c.Index(), err)
+		q.gotAck(err)
+	}
+	if sc.owed = owed; len(owed) > 0 {
+		return minted, owed, false, nil
+	}
+	if done, err = q.acked(minted); !done {
+		<-ctx.Done()
+		err = ctx.Err()
+	}
+	return minted, nil, true, err
 }
 
 // NextTag is the get-tag phase on its own: query all servers for key,
@@ -628,6 +784,7 @@ type Reader struct {
 	ridPrefix  string // id + process token, precomputed off the Read path
 	codec      *Codec
 	conns      []Conn
+	inline     bool // every conn answers without parking: see allLoopConns
 	f          int
 	e          int
 	quarantine []int
@@ -721,7 +878,7 @@ func NewReader(id string, codec *Codec, conns []Conn, opts ...ReaderOption) (*Re
 	if f > codec.K()-1 {
 		f = codec.K() - 1 // see WithReaderFaults: atomicity needs f < k
 	}
-	r := &Reader{id: id, ridPrefix: id + "-" + procToken + "#", codec: codec, conns: conns, f: f}
+	r := &Reader{id: id, ridPrefix: id + "-" + procToken + "#", codec: codec, conns: conns, f: f, inline: allLoopConns(conns)}
 	for _, opt := range opts {
 		if err := opt(r); err != nil {
 			return nil, err
@@ -755,19 +912,13 @@ var (
 
 // Read performs one atomic read of key. It blocks until enough servers
 // have responded (or relayed a concurrent write) to pin down a value,
-// or until ctx is cancelled.
+// or until ctx is cancelled. Over conns that can register a reader
+// without parking (the loopback's) it first tries the whole read on the
+// calling goroutine, see readNow.
 func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	if err := validateKey(key); err != nil {
 		return ReadResult{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	b := make([]byte, 0, len(r.ridPrefix)+20)
-	rid := string(strconv.AppendUint(append(b, r.ridPrefix...), readSeq.Add(1), 10))
-	// Subscriptions end only through this deferred cancel, once the read
-	// has stopped touching delivered elements: unregistering is what lets
-	// a loopback server overwrite the buffers it handed out.
-	rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	defer cancel()
-
 	// The effective quarantine is the static list plus the membership
 	// view's current suspects; a server the Repairer readmitted before
 	// this Read started is contacted again.
@@ -780,7 +931,45 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 			}
 		}
 	}
+	if r.inline && ctx.Err() == nil {
+		if res, done, err := r.readNow(ctx, key, quarantine); done {
+			if err == nil && handoff(r.codec.shardSize(len(res.Value))) {
+				yieldAfterLargeInlineOp()
+			}
+			return res, err
+		}
+	}
 
+	// Subscriptions end only through this deferred cancel, once the read
+	// has stopped touching delivered elements: unregistering is what lets
+	// a loopback server overwrite the buffers it handed out.
+	rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancel()
+	st := r.begin(rctx, key, quarantine)
+	st.refs.Add(int32(len(st.contact))) // one per subscription
+	defer st.release()
+	for range st.contact {
+		st.idle.spawn(st.body)
+	}
+
+	select {
+	case <-st.done:
+		return st.outcome()
+	case <-ctx.Done():
+		st.mu.Lock()
+		st.finished = true // waits out a decode in flight; later sinks go inert
+		st.mu.Unlock()
+		return ReadResult{}, ctx.Err()
+	}
+}
+
+// begin checks out the state of one read attempt, held by the caller:
+// a fresh registration id, the generation-pinned sink, the conns to
+// contact, and the quarantined servers already counted as lost. rctx is
+// what the attempt's legs run under; an attempt without legs has none.
+func (r *Reader) begin(rctx context.Context, key string, quarantine []int) *readState {
+	b := make([]byte, 0, len(r.ridPrefix)+20)
+	rid := string(strconv.AppendUint(append(b, r.ridPrefix...), readSeq.Add(1), 10))
 	st := r.getState()
 	st.mu.Lock()
 	st.rctx, st.key, st.rid = rctx, key, rid
@@ -806,35 +995,71 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	}
 	st.contact = contact
 	st.next.Store(0)
-	st.refs.Store(int32(len(contact)) + 1) // subscriptions + this caller
+	st.refs.Store(1)
 	st.mu.Unlock()
-	defer st.release()
-
 	for _, q := range quarantine {
 		st.lose(q, errQuarantined)
 	}
-	for range contact {
-		st.idle.spawn(st.body)
-	}
+	return st
+}
 
-	select {
-	case <-st.done:
-		st.mu.Lock()
-		res, rerr := st.result, st.err
-		st.mu.Unlock()
-		if rerr != nil {
-			return ReadResult{}, rerr
-		}
-		if r.m != nil {
-			r.m.ReportRead(res)
-		}
-		return res, nil
-	case <-ctx.Done():
-		st.mu.Lock()
-		st.finished = true // waits out a decode in flight; later sinks go inert
-		st.mu.Unlock()
-		return ReadResult{}, ctx.Err()
+// outcome is how a finished attempt ends its Read.
+func (st *readState) outcome() (ReadResult, error) {
+	st.mu.Lock()
+	res, err := st.result, st.err
+	st.mu.Unlock()
+	if err != nil {
+		return ReadResult{}, err
 	}
+	if m := st.r.m; m != nil {
+		m.ReportRead(res)
+	}
+	return res, nil
+}
+
+// readNow attempts a whole read on the calling goroutine, over conns
+// that can all register a reader without parking: one pass subscribes to
+// each contacted server in index order, the initial delivery arriving
+// through the same sink, addLocked, check and lose as on a leg, and
+// stops at the server whose answer completes the read. A hung server is
+// a subscription that never delivers. The subscriptions are closed
+// before returning, unforced — the attempt is finished with every
+// element it was handed, whether it completed or not. It reports done
+// with Read's result when the pass completed the read or proved it
+// impossible. Otherwise — an exchange needs a leg (errNotNow), or the
+// read is waiting for something no pass can bring: a concurrent write's
+// relay, a hung server's answer, the caller's deadline — nothing is left
+// of the attempt, and the read starts again on legs under a new
+// registration id, which parks the way this one may not.
+func (r *Reader) readNow(ctx context.Context, key string, quarantine []int) (res ReadResult, done bool, err error) {
+	st := r.begin(nil, key, quarantine)
+	defer st.release()
+	subs := st.subs[:0]
+	for _, c := range st.contact {
+		sub, err := c.(*loopConn).subscribeNow(key, st.rid, st.sink)
+		if err == nil {
+			subs = append(subs, sub)
+		} else if err != errSilent && err != errNotNow {
+			reportSuspect(r.m, ctx, c.Index(), err)
+			st.lose(c.Index(), err)
+		}
+		if err == errNotNow || st.isFinished() {
+			break
+		}
+	}
+	st.mu.Lock()
+	done = st.finished
+	st.finished = true // waits out a decode in flight; later sinks go inert
+	st.mu.Unlock()
+	for _, sub := range subs {
+		sub.close(false)
+	}
+	clear(subs)
+	st.subs = subs
+	if done {
+		res, err = st.outcome()
+	}
+	return res, done, err
 }
 
 // runConn is one server's subscription leg of a read, spawned once per
@@ -960,6 +1185,7 @@ type readState struct {
 	rid     string
 	sink    func(Delivery)
 	contact []Conn
+	subs    []loopSub // readNow's open subscriptions, kept for its capacity
 
 	initials []Tag // server-indexed tag of the Initial delivery
 	hasInit  []bool
@@ -977,6 +1203,13 @@ type readState struct {
 	result   ReadResult
 	err      error
 	done     chan struct{} // cap 1; finish sends once per generation
+}
+
+// isFinished samples finished for a caller outside the lock.
+func (st *readState) isFinished() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.finished
 }
 
 func (st *readState) finish(res ReadResult, err error) {

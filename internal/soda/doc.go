@@ -58,7 +58,8 @@
 // its one client, the persistent multiplexed MuxConn (mux.go) — or over
 // the deterministic in-process Loopback (loopback.go), which adds
 // fail-stop, silent-crash, and corrupt-storage fault injection for
-// tests and the sodademo binary.
+// tests and the sodademo binary, and whose clients run without a
+// goroutine per server (see "Where the quorum phases run" below).
 //
 // The message set is the paper's plus RADON's two repair messages, key
 // enumeration and the reconfiguration op. wire.go has one request and
@@ -96,4 +97,20 @@
 // Loopback calls the Server directly instead of going through the
 // table: it has no frames to decode, and an indirect call would move
 // its arguments to the heap on the in-process hot path.
+//
+// Where the quorum phases run: a Writer or Reader sends each phase from
+// one goroutine per server (a leg) and completes it on the first n-f
+// answers — what a socket needs. When every conn is the loopback's own,
+// a reply is a function return and the phases run instead as passes
+// over the servers on the calling goroutine, through the same tally and
+// completion rules the legs report into (writeTally; readState.addLocked,
+// check, lose): Writer.writeNow, Reader.readNow. Three things still go
+// out on legs: any operation while a Loopback test hook is installed; a
+// put-data to a durable server, whose fsyncs only overlap from n
+// goroutines; and a read its pass left pending (on a concurrent write's
+// relay, a hung server, the deadline), which closes its registrations
+// and starts again on legs under a new reader id. A hung server is a leg
+// that never answers. An inline operation that moved a handoff-sized
+// value yields the processor once before returning, because a client
+// that never parks starves the garbage collector's mark worker.
 package soda

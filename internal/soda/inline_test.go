@@ -1,0 +1,893 @@
+package soda
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/rs"
+)
+
+// A Writer or Reader whose conns are all loopConns runs its quorum
+// phases on the calling goroutine; any other conn set runs them on legs.
+// The tests below hold the two paths to the same behaviour, and pin each
+// way the inline path hands an operation back to the legs.
+
+// opaqueConn hides what its conn can do beyond Conn: a client built on a
+// wrapped set takes the leg path over the same servers.
+type opaqueConn struct{ Conn }
+
+func opaque(conns []Conn) []Conn {
+	out := make([]Conn, len(conns))
+	for i, c := range conns {
+		out[i] = opaqueConn{c}
+	}
+	return out
+}
+
+func rawConns(conns []Conn) []Conn { return conns }
+
+// countedConn is an opaqueConn that counts the client exchanges it has
+// seen return, so a sequential test can tell when an operation's legs —
+// which outlive it: a write returns on n-f acks — have all come home.
+type countedConn struct {
+	Conn
+	returned *atomic.Int64
+}
+
+func (c countedConn) GetTag(ctx context.Context, key string) (Tag, error) {
+	defer c.returned.Add(1)
+	return c.Conn.GetTag(ctx, key)
+}
+
+func (c countedConn) PutData(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
+	defer c.returned.Add(1)
+	return c.Conn.PutData(ctx, key, t, elem, vlen)
+}
+
+func (c countedConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
+	defer c.returned.Add(1)
+	return c.Conn.GetData(ctx, key, readerID, deliver)
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// startedGoroutines counts the live goroutines other than the caller and
+// the process-wide parked pools checkNoLeaks allows (the rs coding
+// workers start lazily, on the first degraded 1 MiB decode).
+func startedGoroutines() (n int) {
+	for _, g := range goroutineStanzas() {
+		if !allowlistedGoroutine(g) {
+			n++
+		}
+	}
+	return n
+}
+
+// thisGoroutine names the calling goroutine ("goroutine 17").
+func thisGoroutine() string {
+	buf := make([]byte, 64)
+	return goroutineID(string(buf[:runtime.Stack(buf, false)]))
+}
+
+// diffOp is what one operation of a differential schedule came to.
+type diffOp struct {
+	desc    string
+	class   string // ok, unavailable, ctx
+	stale   bool   // a StaleEpochError is in the chain; compared only when no server is crashed
+	tag     Tag
+	value   []byte
+	corrupt string
+}
+
+func classify(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return "ctx"
+	case errors.Is(err, ErrUnavailable):
+		return "unavailable"
+	}
+	return "other: " + err.Error()
+}
+
+// runDiffSchedule plays the schedule seed names against a fresh n5k3
+// loopback cluster through wrap(conns): writes and reads over three keys
+// from one goroutine, with a crash, hang, restart, corruption, single-
+// server seal or whole-cluster epoch flip drawn from the same RNG
+// between operations. Everything the RNG is asked depends only on the
+// seed and on the fault state it produced, so two runs of one seed ask
+// it the same questions. An operation the fault state leaves waiting on
+// a server that will never answer gets a short deadline, and the run
+// checks that exactly those end on it. With legs set the conns are
+// wrapped, and the run waits after every operation until each of its
+// legs has made its last exchange: a leg is a message in flight, it still
+// lands after its operation returned, and the next fault must find the
+// same servers written either way.
+func runDiffSchedule(t *testing.T, seed int64, e int, legs bool) (ops []diffOp, final []string) {
+	t.Helper()
+	const n, k, steps = 5, 3, 160
+	var copts []rs.Option
+	var ropts []ReaderOption
+	readerF := 1
+	if e > 0 {
+		copts = append(copts, rs.WithGenerator(rs.GeneratorRSView))
+		ropts = append(ropts, WithReaderFaults(0), WithReadErrors(e))
+		readerF = 0
+	}
+	codec, lb := newCluster(t, n, k, copts...)
+	rng := rand.New(rand.NewSource(seed))
+	keys := []string{"diff/a", "diff/b", "diff/c"}
+	var crashed, hung, sealed, corrupt [n]bool
+	count := func(b [n]bool) (c int) {
+		for _, v := range b {
+			if v {
+				c++
+			}
+		}
+		return c
+	}
+	epoch := uint64(SeedEpoch)
+	var w *Writer
+	var r *Reader
+	var returned, sent atomic.Int64
+	build := func() {
+		conns := lb.ConnsAt(epoch, n)
+		for i, c := range conns {
+			if legs {
+				conns[i] = countedConn{c, &returned}
+			}
+		}
+		w = mustWriter(t, "w", codec, conns)
+		r = mustReader(t, "r", codec, conns, ropts...)
+	}
+	build()
+	answers := func(i int) bool { return !crashed[i] && !hung[i] && !sealed[i] }
+
+	for step := 0; step < steps; step++ {
+		i := rng.Intn(n)
+		down := count(crashed) + count(hung)
+		switch x := rng.Intn(100); {
+		case x < 8:
+			if !crashed[i] && !hung[i] && down < 2 {
+				lb.Crash(i)
+				crashed[i] = true
+			}
+		case x < 14:
+			if !crashed[i] && !hung[i] && down < 2 {
+				lb.Hang(i)
+				hung[i] = true
+			}
+		case x < 34:
+			for s := 0; s < n; s++ { // the first server down from i on
+				if j := (i + s) % n; crashed[j] || hung[j] {
+					lb.Restart(j)
+					crashed[j], hung[j] = false, false
+					break
+				}
+			}
+		case x < 40:
+			if corrupt[i] {
+				lb.Corrupt(i, nil)
+				corrupt[i] = false
+			} else if count(corrupt) < e {
+				lb.Corrupt(i, FlipByte(rng.Intn(64)))
+				corrupt[i] = true
+			}
+		case x < 45:
+			if !sealed[i] {
+				if _, err := lb.Server(i).Reconfig(ReconfigSeal, epoch+1, n, k); err != nil {
+					t.Fatalf("seed %d step %d: seal %d: %v", seed, step, i, err)
+				}
+				sealed[i] = true
+			}
+		case x < 53:
+			for s := 0; s < n; s++ {
+				for _, op := range []ReconfigOp{ReconfigSeal, ReconfigActivate} {
+					if _, err := lb.Server(s).Reconfig(op, epoch+1, n, k); err != nil {
+						t.Fatalf("seed %d step %d: flip of %d: %v", seed, step, s, err)
+					}
+				}
+			}
+			epoch++
+			sealed = [n]bool{}
+			build()
+		}
+
+		key := keys[rng.Intn(len(keys))]
+		write := rng.Intn(2) == 0
+		size := 1 + rng.Intn(300)
+		if rng.Intn(16) == 0 {
+			size = 3*elemHandoffMin + rng.Intn(1000) // elements that change hands
+		}
+
+		// What the fault state does to this operation.
+		up, refused := 0, 0
+		var newest Tag
+		for s := 0; s < n; s++ {
+			if crashed[s] || (sealed[s] && !hung[s]) {
+				refused++
+			}
+			if answers(s) {
+				up++
+				if tag, _, _ := lb.Server(s).Snapshot(key); newest.Less(tag) {
+					newest = tag
+				}
+			}
+		}
+		holders := 0
+		for s := 0; s < n; s++ {
+			if tag, _, _ := lb.Server(s).Snapshot(key); answers(s) && tag == newest {
+				holders++
+			}
+		}
+		f := 1 // the writer's
+		if !write {
+			f = readerF
+		}
+		waits := refused <= f && up < n-f
+		if !write && refused <= f && up >= n-f && !newest.IsZero() && holders < k+2*e {
+			waits = true // a stale server where SODA_err needs every element
+		}
+		timeout := 20 * time.Second
+		if waits {
+			timeout = 5 * time.Millisecond
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		op := diffOp{}
+		var err error
+		if write {
+			value := make([]byte, size)
+			rng.Read(value)
+			op.desc = fmt.Sprintf("step %d: write %s (%d B)", step, key, size)
+			op.tag, err = w.Write(ctx, key, value)
+			op.value = value
+		} else {
+			var res ReadResult
+			op.desc = fmt.Sprintf("step %d: read %s", step, key)
+			res, err = r.Read(ctx, key)
+			op.tag, op.value, op.corrupt = res.Tag, res.Value, fmt.Sprint(res.Corrupt)
+		}
+		cancel()
+		op.class = classify(err)
+		var stale *StaleEpochError
+		op.stale = count(crashed) == 0 && errors.As(err, &stale)
+		if (op.class == "ctx") != waits {
+			t.Fatalf("seed %d: %s ended %s (%v); the fault state (crashed %v hung %v sealed %v, newest tag on %d) says waits=%v",
+				seed, op.desc, op.class, err, crashed, hung, sealed, holders, waits)
+		}
+		// Every leg asks for the tag or registers, and a write that minted
+		// has sent every leg on to put.
+		sent.Add(n)
+		if write && !op.tag.IsZero() {
+			sent.Add(n)
+		}
+		if legs {
+			for deadline := time.Now().Add(5 * time.Second); returned.Load() != sent.Load(); time.Sleep(50 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("seed %d: %s (%s, %v): its legs made %d exchanges, want %d\n%s", seed, op.desc, op.class, err, returned.Load(), sent.Load(), strings.Join(goroutineStanzas(), "\n\n"))
+				}
+			}
+		}
+		if waits {
+			for s := 0; s < n; s++ {
+				if hung[s] {
+					lb.Restart(s)
+					hung[s] = false
+				}
+			}
+		}
+		ops = append(ops, op)
+	}
+	for _, key := range keys {
+		for s := 0; s < n; s++ {
+			tag, _, vlen := lb.Server(s).Snapshot(key)
+			final = append(final, fmt.Sprintf("%s on server %d: %v, %d B", key, s, tag, vlen))
+		}
+	}
+	return ops, final
+}
+
+// TestInlineVsLegsSequential: one seeded schedule run through raw
+// loopback conns (inline) and through wrapped ones (legs) gives every
+// operation the same outcome — class of error, tag, value, corrupt
+// servers named — and leaves the same (tag, vlen) under every key on
+// every server, for SODA and for SODA_err with e=1.
+func TestInlineVsLegsSequential(t *testing.T) {
+	checkNoLeaks(t)
+	for _, e := range []int{0, 1} {
+		for _, seed := range []int64{24, 2400} {
+			inline, inlineFinal := runDiffSchedule(t, seed, e, false)
+			legs, legsFinal := runDiffSchedule(t, seed, e, true)
+			classes := map[string]int{}
+			for i := range inline {
+				a, b := inline[i], legs[i]
+				if a.desc != b.desc {
+					t.Fatalf("e=%d seed %d: the runs diverged: %q inline, %q on legs", e, seed, a.desc, b.desc)
+				}
+				if a.class != b.class || a.stale != b.stale || a.tag != b.tag || a.corrupt != b.corrupt ||
+					(a.class == "ok" && !bytes.Equal(a.value, b.value)) {
+					t.Fatalf("e=%d seed %d: %s: inline %s stale=%v tag %v corrupt %s (%d B), legs %s stale=%v tag %v corrupt %s (%d B)",
+						e, seed, a.desc, a.class, a.stale, a.tag, a.corrupt, len(a.value), b.class, b.stale, b.tag, b.corrupt, len(b.value))
+				}
+				classes[a.class]++
+				if a.stale {
+					classes["stale"]++
+				}
+			}
+			for i := range inlineFinal {
+				if inlineFinal[i] != legsFinal[i] {
+					t.Fatalf("e=%d seed %d: final state: inline %s, legs %s", e, seed, inlineFinal[i], legsFinal[i])
+				}
+			}
+			for _, class := range []string{"ok", "unavailable", "ctx", "stale"} {
+				if classes[class] == 0 {
+					t.Errorf("e=%d seed %d: no operation ended %s: the schedule does not cover it (%v)", e, seed, class, classes)
+				}
+			}
+		}
+	}
+}
+
+// diffValue is a self-describing value, as in bench/: key index, writing
+// client, per-client sequence number, a random body and the CRC-32C of
+// it all, so a read is checked without trusting the system's tags.
+func diffValue(rng *rand.Rand, key, client, seq int) []byte {
+	v := make([]byte, 16+rng.Intn(200))
+	rng.Read(v[12 : len(v)-4])
+	binary.LittleEndian.PutUint32(v[0:], uint32(key))
+	binary.LittleEndian.PutUint32(v[4:], uint32(client))
+	binary.LittleEndian.PutUint32(v[8:], uint32(seq))
+	binary.LittleEndian.PutUint32(v[len(v)-4:], crc32.Checksum(v[:len(v)-4], crc32.MakeTable(crc32.Castagnoli)))
+	return v
+}
+
+// TestInlineVsLegsConcurrent: two clients on raw conns and two on
+// wrapped ones share one cluster and three keys, each writing and
+// reading in turn. Every value read must carry its key and an intact
+// CRC, and every key's history must pass lin_test.go's real-time rules:
+// inline and leg operations interleave on the same registers, and
+// same-key traffic sends inline reads down their restart path.
+func TestInlineVsLegsConcurrent(t *testing.T) {
+	checkNoLeaks(t)
+	const seed, clients, opsEach, nkeys = 24, 4, 300, 3
+	ctx := testCtx(t)
+	codec, lb := newCluster(t, 5, 3)
+	hist := make([]*history, nkeys)
+	for i := range hist {
+		hist[i] = &history{}
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		conns := lb.Conns()
+		if c%2 == 1 {
+			conns = opaque(conns)
+		}
+		w := mustWriter(t, fmt.Sprintf("w%d", c), codec, conns)
+		r := mustReader(t, fmt.Sprintf("r%d", c), codec, conns)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed + int64(c)))
+			for j := 0; j < opsEach; j++ {
+				ki := rng.Intn(nkeys)
+				key, h := fmt.Sprintf("conc/%d", ki), hist[ki]
+				if j%2 == 0 {
+					value := diffValue(rng, ki, c, j)
+					inv := h.begin()
+					tag, err := w.Write(ctx, key, value)
+					if err != nil {
+						t.Errorf("seed %d: client %d write %d: %v", seed, c, j, err)
+						return
+					}
+					h.end(true, inv, tag, string(value))
+					continue
+				}
+				inv := h.begin()
+				res, err := r.Read(ctx, key)
+				if err != nil {
+					t.Errorf("seed %d: client %d read %d: %v", seed, c, j, err)
+					return
+				}
+				h.end(false, inv, res.Tag, string(res.Value))
+				if v := res.Value; len(v) > 0 {
+					if len(v) < 16 || int(binary.LittleEndian.Uint32(v)) != ki ||
+						binary.LittleEndian.Uint32(v[len(v)-4:]) != crc32.Checksum(v[:len(v)-4], castagnoli) {
+						t.Errorf("seed %d: client %d read %d of %s: value fails its own check", seed, c, j, key)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, h := range hist {
+		h.check(t)
+	}
+}
+
+// TestInlineRidesThroughHungServers: with one server hung at any
+// position of the pass an inline write and read of a 1 MiB value
+// complete, and the hung server's element, which no leg exists to free,
+// is freed exactly once. With f+1 hung the write can never mint and the
+// read can never fix its target: both wait out the caller's deadline and
+// return its error, and the write frees all n elements, once each.
+func TestInlineRidesThroughHungServers(t *testing.T) {
+	checkNoLeaks(t)
+	freed := poisonFreedElems(t)
+	codec, lb := newCluster(t, 5, 3)
+	w := mustWriter(t, "w", codec, lb.Conns())
+	r := mustReader(t, "r", codec, lb.Conns())
+	goroutines := startedGoroutines()
+	value := elemFor(7, 1<<20)
+	// warm is what the conns and writer freed themselves (displaced
+	// register buffers are freed cold): the elements nobody stored.
+	warm := func() int { return freed.total() - freed.colds() }
+	distinct := func(from int) {
+		t.Helper()
+		freed.mu.Lock()
+		defer freed.mu.Unlock()
+		seen := map[*byte]bool{}
+		for _, p := range freed.ptr[from:] {
+			if seen[p] {
+				t.Fatalf("buffer %p freed twice within one operation", p)
+			}
+			seen[p] = true
+		}
+	}
+	for pos := 0; pos < 5; pos++ {
+		lb.Hang(pos)
+		value[0] = byte(pos)
+		mark, before := freed.total(), warm()
+		if _, err := w.Write(testCtx(t), testKey, value); err != nil {
+			t.Fatalf("write with server %d hung: %v", pos, err)
+		}
+		if got := warm() - before; got != 1 {
+			t.Fatalf("write with server %d hung freed %d unsent elements, want the hung server's one", pos, got)
+		}
+		distinct(mark)
+		res, err := r.Read(testCtx(t), testKey)
+		if err != nil || !bytes.Equal(res.Value, value) {
+			t.Fatalf("read with server %d hung: %d bytes, %v; want the value just written", pos, len(res.Value), err)
+		}
+		lb.Restart(pos)
+	}
+	if got := startedGoroutines(); got != goroutines {
+		t.Fatalf("riding through one hung server took goroutines: %d before, %d after", goroutines, got)
+	}
+
+	lb.Hang(1)
+	lb.Hang(3)
+	for _, op := range []struct {
+		name string
+		run  func(context.Context) error
+		free int
+	}{
+		{"write", func(ctx context.Context) error { _, err := w.Write(ctx, testKey, value); return err }, 5},
+		{"read", func(ctx context.Context) error { _, err := r.Read(ctx, testKey); return err }, 0},
+	} {
+		const deadline = 60 * time.Millisecond
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		mark, before, start := freed.total(), warm(), time.Now()
+		err := op.run(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || time.Since(start) < deadline {
+			t.Fatalf("%s with f+1 servers hung returned %v after %v, want the context's error at its %v deadline", op.name, err, time.Since(start), deadline)
+		}
+		if got := warm() - before; got != op.free || freed.total()-mark != op.free {
+			t.Fatalf("%s with f+1 servers hung freed %d elements (%d buffers in all), want %d", op.name, got, freed.total()-mark, op.free)
+		}
+		distinct(mark)
+	}
+}
+
+// TestHookInstalledMeansLegs: a delivery hook is handed the protocol's
+// goroutines — tests crash servers, seal them and park from inside one —
+// so with a hook installed nothing runs on the caller's. The hook here
+// crashes a server the moment its initial response has reached the
+// reader, between the read's two phases; the read rides through it, and
+// neither that delivery nor a write's relay to a registered reader ever
+// ran the hook on the goroutine that called Read or Write.
+func TestHookInstalledMeansLegs(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	codec, lb := newCluster(t, 5, 3)
+	w := mustWriter(t, "w", codec, lb.Conns())
+	r := mustReader(t, "r", codec, lb.Conns())
+	v1 := []byte("written inline, before any hook")
+	if _, err := w.Write(ctx, testKey, v1); err != nil {
+		t.Fatal(err)
+	}
+
+	caller := thisGoroutine()
+	var hooked, onCaller atomic.Int32
+	var crash sync.Once
+	lb.OnDeliver(func(server int, key, readerID string, d Delivery) {
+		hooked.Add(1)
+		if thisGoroutine() == caller {
+			onCaller.Add(1)
+		}
+		if server == 2 && d.Initial {
+			crash.Do(func() { lb.Crash(2) })
+		}
+	})
+	res, err := r.Read(ctx, testKey)
+	if err != nil || !bytes.Equal(res.Value, v1) {
+		t.Fatalf("read across the crash = %q, %v; want %q", res.Value, err, v1)
+	}
+	if hooked.Load() == 0 || onCaller.Load() != 0 {
+		t.Fatalf("the hook ran %d times, %d of them on the goroutine that called Read", hooked.Load(), onCaller.Load())
+	}
+
+	// A reader registered on server 0 by hand: the write's put-data
+	// relays to it, and the relay runs the hook on the put's goroutine.
+	subCtx, stop := context.WithCancel(ctx)
+	subDone := make(chan error, 1)
+	registered, relayed := make(chan struct{}), make(chan struct{}, 8)
+	go func() {
+		subDone <- lb.Conns()[0].GetData(subCtx, testKey, "by-hand#1", func(d Delivery) {
+			if d.Initial {
+				close(registered)
+			} else {
+				relayed <- struct{}{}
+			}
+		})
+	}()
+	<-registered
+	hooked.Store(0)
+	if _, err := w.Write(ctx, testKey, []byte("written with a hook installed")); err != nil {
+		t.Fatal(err)
+	}
+	<-relayed
+	if hooked.Load() == 0 || onCaller.Load() != 0 {
+		t.Fatalf("the hook ran %d times, %d of them on the goroutine that called Write", hooked.Load(), onCaller.Load())
+	}
+	stop()
+	if err := <-subDone; err != nil {
+		t.Fatalf("hand-made subscription ended with %v", err)
+	}
+}
+
+// TestInlineReadRestartsBehindAParkedWriter: a writer of the same key is
+// parked inside a relay with its element on server 0 only, so the inline
+// pass fixes the read's target at that write's tag and finds one element
+// of it. Nothing a pass can do brings the others: the read closes what
+// it opened, starts again on legs — a second registration on every
+// server — and returns the writer's value once the writer moves on.
+func TestInlineReadRestartsBehindAParkedWriter(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	codec, lb := newCluster(t, 5, 3)
+	w := mustWriter(t, "w", codec, lb.Conns(), WithWriterFaults(0))
+	r := mustReader(t, "r", codec, lb.Conns())
+	if _, err := w.Write(ctx, testKey, []byte("version one")); err != nil {
+		t.Fatal(err)
+	}
+
+	// The relay that parks the writer: a hand-made reader on server 0
+	// whose sink blocks on everything but its initial delivery.
+	subCtx, stop := context.WithCancel(ctx)
+	subDone := make(chan error, 1)
+	registered, parked, letGo := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		subDone <- lb.Conns()[0].GetData(subCtx, testKey, "by-hand#1", func(d Delivery) {
+			if d.Initial {
+				close(registered)
+			} else {
+				close(parked)
+				<-letGo
+			}
+		})
+	}()
+	<-registered
+	v2 := []byte("version two, stuck after its first put")
+	type written struct {
+		tag Tag
+		err error
+	}
+	wrote := make(chan written, 1)
+	go func() {
+		tag, err := w.Write(ctx, testKey, v2)
+		wrote <- written{tag, err}
+	}()
+	<-parked
+
+	registrations := func() (n uint64) {
+		for i := 0; i < 5; i++ {
+			n += lb.Server(i).MetricsSnapshot().GetDatas
+		}
+		return n
+	}
+	before := registrations()
+	type outcome struct {
+		res ReadResult
+		err error
+	}
+	read := make(chan outcome, 1)
+	go func() {
+		res, err := r.Read(ctx, testKey)
+		read <- outcome{res, err}
+	}()
+	waitFor(t, "the read's second registration on every server", func() bool { return registrations()-before == 5+5 })
+	select {
+	case o := <-read:
+		t.Fatalf("read returned %q, %v with one element of its target tag written", o.res.Value, o.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(letGo)
+	wr := <-wrote
+	if wr.err != nil {
+		t.Fatal(wr.err)
+	}
+	if o := <-read; o.err != nil || o.res.Tag != wr.tag || !bytes.Equal(o.res.Value, v2) {
+		t.Fatalf("read = %v %q, %v; want %v %q", o.res.Tag, o.res.Value, o.err, wr.tag, v2)
+	}
+	stop()
+	if err := <-subDone; err != nil {
+		t.Fatalf("hand-made subscription ended with %v", err)
+	}
+}
+
+// TestReadSealedBetweenAdmitAndRegister: every server is sealed in the
+// window between a get-data's admission check and its registration
+// (the admitted hook, as in TestGetDataFlipBetweenAdmitAndRegister). The
+// hook puts the read on legs, whose subscriptions all die of the flip
+// they were registered across: a read that its initial deliveries leave
+// pending fails with the stale-epoch NACK, and does not hang.
+func TestReadSealedBetweenAdmitAndRegister(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	codec, lb := newCluster(t, 5, 3)
+	w := mustWriter(t, "w", codec, lb.Conns())
+	if _, err := w.Write(ctx, testKey, []byte("written before the seal")); err != nil {
+		t.Fatal(err)
+	}
+	// A newer write stuck on f+1 servers: every read's target, and one
+	// element short of readable, so the read is left to its subscriptions.
+	t2 := Tag{TS: 2, Writer: "w2"}
+	for _, c := range lb.Conns()[:2] {
+		if err := c.PutData(ctx, testKey, t2, []byte("half a write"), 36); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lb.admitted = func(server int) {
+		if _, err := lb.Server(server).Reconfig(ReconfigSeal, 1, 5, 3); err != nil {
+			t.Errorf("seal inside the window: %v", err)
+		}
+	}
+	r := mustReader(t, "r", codec, lb.Conns())
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Read(ctx, testKey)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var stale *StaleEpochError
+		if !errors.Is(err, ErrUnavailable) || !errors.As(err, &stale) || !stale.Sealed || stale.Want != 1 {
+			t.Fatalf("read across the seal returned %v, want ErrUnavailable over a sealed stale-epoch NACK wanting epoch 1", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a read admitted before the seal and registered after it outlived the seal")
+	}
+	for i := 0; i < 5; i++ {
+		if n := lb.Server(i).Readers(testKey); n != 0 {
+			t.Fatalf("%d readers left registered on sealed server %d", n, i)
+		}
+	}
+}
+
+// TestDurablePutsGoOutOnLegs: a put-data to a durable server enters the
+// kernel, so an otherwise inline write sends those from one leg each.
+// Server 0's WAL is held shut under the write: its put sits in append,
+// the other four land and complete the f=1 quorum — from the calling
+// goroutine the write would still be queueing on server 0 — and the tag
+// came from an inline get-tag pass, which a held WAL does not touch.
+func TestDurablePutsGoOutOnLegs(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	lb, err := NewDurableLoopback(5, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.CloseServers()
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mustWriter(t, "w", codec, lb.Conns())
+	r := mustReader(t, "r", codec, lb.Conns())
+	v1, v2 := []byte("durable one"), []byte("durable two")
+	if _, err := w.Write(ctx, testKey, v1); err != nil {
+		t.Fatal(err)
+	}
+
+	// The first write's put-data to server 0 may be its straggler: held up
+	// under the key's register lock, it would hold up the inline get-tag.
+	waitFor(t, "the first write on server 0", func() bool { return lb.Server(0).GetTag(testKey).TS == 1 })
+	letGo := holdWAL(lb.Server(0))
+	defer letGo()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := w.Write(ctx, testKey, v2)
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a write with f=1 waited for the one server whose WAL is stuck: its put-data did not go out on a leg")
+	}
+	// Server 0's stuck put holds the key's register lock, so nothing looks
+	// at that register until the WAL lets go.
+	if n := lb.Server(0).Metrics().Snapshot().WALAppends; n != 1 {
+		t.Fatalf("server 0 logged %d records with its WAL held shut, want the first write's one", n)
+	}
+	letGo()
+	res, err := r.Read(ctx, testKey)
+	if err != nil || !bytes.Equal(res.Value, v2) {
+		t.Fatalf("read = %q, %v; want %q", res.Value, err, v2)
+	}
+	waitFor(t, "the straggler put on server 0", func() bool {
+		tag, _, _ := lb.Server(0).Snapshot(testKey)
+		return tag == res.Tag
+	})
+}
+
+// holdWAL stops every append to s's log until the function it returns
+// is called; calling that again is harmless.
+func holdWAL(s *Server) (letGo func()) {
+	s.dur.wal.mu.Lock()
+	var once sync.Once
+	return func() { once.Do(s.dur.wal.mu.Unlock) }
+}
+
+// TestInlineOpsStartNothing: ten thousand writes and reads over raw
+// loopback conns start no goroutine and wake no parked one — the count
+// of live goroutines and of workers parked on every idle list is what it
+// was.
+func TestInlineOpsStartNothing(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	codec, lb := newCluster(t, 5, 3)
+	w := mustWriter(t, "w", codec, lb.Conns())
+	r := mustReader(t, "r", codec, lb.Conns())
+	goroutines, parked := startedGoroutines(), parkedWorkers()
+	value := make([]byte, 128)
+	for i := 0; i < 5000; i++ {
+		key := fmt.Sprintf("k%03d", i%257)
+		value[0] = byte(i)
+		if _, err := w.Write(ctx, key, value); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := r.Read(ctx, key); err != nil || !bytes.Equal(res.Value, value) {
+			t.Fatalf("read %d = %v, %v", i, res.Value, err)
+		}
+	}
+	if got := startedGoroutines(); got > goroutines { // fewer: an earlier test's stragglers went home
+		t.Errorf("%d goroutines before 10 000 inline ops, %d after", goroutines, got)
+	}
+	if got := parkedWorkers(); got != parked {
+		t.Errorf("%d workers parked before 10 000 inline ops, %d after", parked, got)
+	}
+	if w.calls.Get() != nil {
+		t.Error("an inline write checked out fan-out state")
+	}
+}
+
+// BenchmarkSmallOpsParallel is the layer number for the client's quorum
+// path: GOMAXPROCS closed-loop clients on one shared Writer and Reader
+// over a loopback n5k3 cluster, writes and reads alternating — the
+// repository benchmark's loop-small (128 B values over 10 000 keys) and
+// loop-large (1 MiB over 64) without its harness. "inline" runs on raw
+// loopback conns, "legs" on the same conns wrapped, which is the path
+// any other transport takes. Quote it at -cpu 1,2,4: the -cpu 1 row is
+// per-op cost, the rows above it add contention between clients.
+func BenchmarkSmallOpsParallel(b *testing.B) {
+	for _, bc := range []struct {
+		name        string
+		size, nkeys int
+		wrap        func([]Conn) []Conn
+	}{
+		{"inline/128B", 128, 10000, rawConns},
+		{"legs/128B", 128, 10000, opaque},
+		{"inline/1MiB", 1 << 20, 64, rawConns},
+		{"legs/1MiB", 1 << 20, 64, opaque},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := context.Background()
+			codec, err := NewCodec(5, 3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			conns := bc.wrap(NewLoopback(5).Conns())
+			w, err := NewWriter("w", codec, conns)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := NewReader("r", codec, conns)
+			if err != nil {
+				b.Fatal(err)
+			}
+			value := make([]byte, bc.size)
+			keys := make([]string, bc.nkeys)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%05d", i)
+				if _, err := w.Write(ctx, keys[i], value); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var clients atomic.Uint64
+			b.SetBytes(int64(bc.size))
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				x := clients.Add(1) * 0x9E3779B97F4A7C15
+				for write := true; pb.Next(); write = !write {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					key := keys[x%uint64(len(keys))]
+					var err error
+					if write {
+						_, err = w.Write(ctx, key, value)
+					} else {
+						_, err = r.Read(ctx, key)
+					}
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestOpaqueConnHidesTheCapability pins the selection itself: a client
+// is inline exactly when every one of its conns is the loopback's own.
+func TestOpaqueConnHidesTheCapability(t *testing.T) {
+	codec, lb := newCluster(t, 5, 3)
+	mixed := lb.Conns()
+	mixed[3] = opaqueConn{mixed[3]}
+	for _, tc := range []struct {
+		name  string
+		conns []Conn
+		want  bool
+	}{
+		{"raw", lb.Conns(), true},
+		{"wrapped", opaque(lb.Conns()), false},
+		{"mixed", mixed, false},
+	} {
+		if w := mustWriter(t, "w", codec, tc.conns); w.inline != tc.want {
+			t.Errorf("%s conns: writer inline = %v, want %v", tc.name, w.inline, tc.want)
+		}
+		if r := mustReader(t, "r", codec, tc.conns); r.inline != tc.want {
+			t.Errorf("%s conns: reader inline = %v, want %v", tc.name, r.inline, tc.want)
+		}
+	}
+}

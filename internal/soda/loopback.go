@@ -17,8 +17,14 @@ var ErrServerDown = errors.New("soda: server is down")
 // Loopback is an in-process cluster of n SODA servers with
 // synchronous, deterministic message delivery — every client call
 // runs the server state machine on the calling goroutine, and every
-// relay runs on the goroutine of the put that triggered it — plus
-// fault injection:
+// relay runs on the goroutine of the put that triggered it. A Writer or
+// Reader built on nothing but its conns takes that literally: it runs
+// its quorum phases as passes over the servers on the goroutine that
+// called Write or Read, and starts none (see errNotNow for the three
+// cases that still go out on one leg per server). The caller then waits
+// for each server's apply in turn, register lock included, where a leg
+// per server would have let n-f of them outrun a slow one: Hang, not a
+// stalled apply, is this transport's silent server. Fault injection:
 //
 //   - Crash: fail-stop; the server's conns error immediately and its
 //     registered readers stop hearing relays.
@@ -314,10 +320,56 @@ func (c *loopConn) gate(ctx context.Context) error {
 	return nil
 }
 
+// The three client exchanges also come in a form that never parks —
+// getTagNow, putDataNow and subscribeNow — which is what lets a Writer or a
+// Reader whose conns are all loopConns run its quorum phases on the
+// calling goroutine (see Writer.writeNow, Reader.readNow): here a reply
+// is a function return, and a leg per server buys nothing. Each answers,
+// fails with the error its parking twin would return, or reports one of
+// two things the twin would have slept through.
+var (
+	// errSilent: the server is hung. Its leg would never answer — gate
+	// blocks until the context ends — so the pass counts nothing for it.
+	errSilent = errors.New("soda: hung server answers nothing")
+	// errNotNow: this exchange has to go out on a leg, and nothing was
+	// done or consumed. Either a test hook is installed — hooks are handed
+	// the protocol's goroutines to crash, seal and park on, and the
+	// caller's is not one of them — or it is a put-data to a durable
+	// server, which enters the kernel: n of those overlap their fsyncs
+	// from n legs and would queue on each WAL's lock from one goroutine.
+	errNotNow = errors.New("soda: exchange needs a leg")
+)
+
+// now is gate for the non-parking forms.
+func (c *loopConn) now() error {
+	if c.lb.onDeliver.Load() != nil || c.lb.admitted != nil {
+		return errNotNow
+	}
+	crashed, hung := c.lb.state(c.idx)
+	if crashed {
+		return ErrServerDown
+	}
+	if hung {
+		return errSilent
+	}
+	return nil
+}
+
 func (c *loopConn) GetTag(ctx context.Context, key string) (Tag, error) {
 	if err := c.gate(ctx); err != nil {
 		return Tag{}, err
 	}
+	return c.getTag(key)
+}
+
+func (c *loopConn) getTagNow(key string) (Tag, error) {
+	if err := c.now(); err != nil {
+		return Tag{}, err
+	}
+	return c.getTag(key)
+}
+
+func (c *loopConn) getTag(key string) (Tag, error) {
 	srv := c.lb.servers[c.idx].Load()
 	if nack := srv.Admit(opClient, c.epoch); nack != nil {
 		return Tag{}, nack
@@ -326,39 +378,58 @@ func (c *loopConn) GetTag(ctx context.Context, key string) (Tag, error) {
 }
 
 func (c *loopConn) PutData(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
-	if handoff(len(elem)) {
-		return c.putOwned(ctx, key, t, elem, vlen)
-	}
 	if err := c.gate(ctx); err != nil {
+		putElem(elem)
 		return err
 	}
+	return c.put(c.lb.servers[c.idx].Load(), key, t, elem, vlen)
+}
+
+// putDataNow keeps PutData's ownership rule — a handed-off elem is the
+// conn's whatever comes back — except under errNotNow, which leaves elem
+// with the caller for the leg that will send it.
+func (c *loopConn) putDataNow(key string, t Tag, elem []byte, vlen int) error {
 	srv := c.lb.servers[c.idx].Load()
+	if srv.dur != nil {
+		return errNotNow
+	}
+	if err := c.now(); err != nil {
+		if err != errNotNow {
+			putElem(elem)
+		}
+		return err
+	}
+	return c.put(srv, key, t, elem, vlen)
+}
+
+// put is the server side of a put-data that passed the fault flags. An
+// elem that changes hands with the call (see handoff) becomes the
+// server's register as it is, or is freed on the way out; putElem
+// ignores the borrowed ones.
+func (c *loopConn) put(srv *Server, key string, t Tag, elem []byte, vlen int) error {
 	if nack := srv.Admit(opClient, c.epoch); nack != nil {
+		putElem(elem)
 		return nack
+	}
+	if handoff(len(elem)) {
+		srv.metrics.of(key).putDatas.Add(1)
+		return srv.putOwned(key, t, elem, vlen)
 	}
 	return srv.putData(key, t, elem, vlen) // the server copies what it keeps
 }
 
-// putOwned is PutData for an elem that is this conn's from the call on:
-// it becomes the server's register as it is, or is freed on the way out.
-func (c *loopConn) putOwned(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
-	if err := c.gate(ctx); err != nil {
-		putElem(elem)
-		return err
-	}
-	srv := c.lb.servers[c.idx].Load()
-	if nack := srv.Admit(opClient, c.epoch); nack != nil {
-		putElem(elem)
-		return nack
-	}
-	srv.metrics.of(key).putDatas.Add(1)
-	return srv.putOwned(key, t, elem, vlen)
+// loopSub is one reader's live registration on one loopback server.
+type loopSub struct {
+	srv           *Server
+	key, readerID string
+	down, flipped <-chan struct{}
 }
 
-func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
-	if err := c.gate(ctx); err != nil {
-		return err
-	}
+// subscribe is the half of GetData that cannot park: admission, the
+// registration, and the initial delivery, made before it returns. Every
+// later relay reaches deliver from the goroutine of the put that caused
+// it, until close.
+func (c *loopConn) subscribe(key, readerID string, deliver func(Delivery)) (loopSub, error) {
 	srv := c.lb.servers[c.idx].Load()
 	// The stream dies when the server's epoch moves: the registration
 	// was dropped by the transition, and the stale error is what makes
@@ -367,7 +438,7 @@ func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver fu
 	// check — before or after Register — closes the one this stream holds.
 	flipped := srv.EpochChanged()
 	if nack := srv.Admit(opClient, c.epoch); nack != nil {
-		return nack
+		return loopSub{}, nack
 	}
 	if c.lb.admitted != nil {
 		c.lb.admitted(c.idx)
@@ -380,23 +451,45 @@ func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver fu
 		}
 	}
 	down := c.lb.downCh(c.idx)
-	initial := srv.Register(key, readerID, wrap)
-	// Only cancellation is the reader saying it is done with what it was
-	// handed; a stream that dies under it leaves it holding the elements.
-	forced := true
-	defer func() { srv.unregister(key, readerID, forced) }()
-	wrap(initial)
+	wrap(srv.Register(key, readerID, wrap))
+	return loopSub{srv: srv, key: key, readerID: readerID, down: down, flipped: flipped}, nil
+}
+
+// subscribeNow is subscribe behind the fault flags, as getTagNow is
+// getTag: GetData's own gate parks.
+func (c *loopConn) subscribeNow(key, readerID string, deliver func(Delivery)) (loopSub, error) {
+	if err := c.now(); err != nil {
+		return loopSub{}, err
+	}
+	return c.subscribe(key, readerID, deliver)
+}
+
+// close ends the registration. Unforced, it is the reader saying it is
+// done with every element it was handed; a stream that dies under its
+// reader is forced, and leaves it holding them.
+func (s loopSub) close(forced bool) { s.srv.unregister(s.key, s.readerID, forced) }
+
+func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
+	if err := c.gate(ctx); err != nil {
+		return err
+	}
+	sub, err := c.subscribe(key, readerID, deliver)
+	if err != nil {
+		return err
+	}
 	select {
 	case <-ctx.Done():
-		forced = false
+		sub.close(false)
 		return nil
-	case <-down:
+	case <-sub.down:
+		sub.close(true)
 		return ErrServerDown
-	case <-flipped:
-		if nack := srv.Admit(opClient, c.epoch); nack != nil {
+	case <-sub.flipped:
+		sub.close(true)
+		if nack := sub.srv.Admit(opClient, c.epoch); nack != nil {
 			return nack
 		}
-		st := srv.EpochStatus()
+		st := sub.srv.EpochStatus()
 		return &StaleEpochError{Server: c.idx, ServerEpoch: st.Epoch, Want: st.Epoch, Sealed: st.Sealed}
 	}
 }
