@@ -69,7 +69,13 @@ bench-check:
 # second runs per workload, medians, quartiles, pairs won and a verdict
 # per (workload, metric). `make bench-pairs PARENT=HEAD~1`; narrow it
 # with WORKLOADS="loop-large". Ten pairs of all four workloads at 20 s
-# take about half an hour, on an otherwise idle machine.
+# take about half an hour, on an otherwise idle machine. WALDIR=<dir> in
+# the environment puts both sides' WALs on that directory's device
+# instead of the benchmark's private tmpfs:
+# `WALDIR=/root/scratch/wal make bench-pairs PARENT=HEAD~1
+# WORKLOADS=wal-small` is how the device side of the durable put-data
+# rule (inline while fsyncs return from the page cache, legs once they
+# wait) is compared.
 PAIRS ?= 10
 SECONDS ?= 20
 bench-pairs:
@@ -81,8 +87,9 @@ bench-pairs:
 # benchmark suite itself stays healthy, with no performance gating. Of
 # internal/soda only the streaming-encode layer benchmark depends on the
 # ladder, so only it rides along on both; the client quorum-path layer
-# benchmark (inline and on legs, 128 B and 1 MiB) runs once, at the -cpu
-# list it is quoted at.
+# benchmark (inline and on legs: 128 B, 1 MiB, and 128 B over servers
+# that log to b.TempDir() without syncing) runs once, at the -cpu list it
+# is quoted at.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=10x ./internal/gf256/ ./internal/rs/
 	$(GO) test -run '^$$' -bench Stream -benchtime=10x ./internal/soda/

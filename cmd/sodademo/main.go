@@ -332,6 +332,8 @@ func run(ctx context.Context) error {
 	}
 	fmt.Printf("  durable cluster metrics: %d WAL appends, %d recoveries, %d torn-record drops, %d WAL failures\n",
 		dms.WALAppends, dms.Recoveries, dms.WALTornDrops, dms.WALFailures)
+	fmt.Printf("  slowest log's last timed fsync: %v (w1 logs on its own goroutine while fsyncs return from the page cache, on one leg per server once they wait for a device)\n",
+		time.Duration(dms.WALSyncNanos))
 
 	// ---- scenario 6: online reconfiguration — grow live, read across the flip, shrink back
 	fmt.Println("\nscenario 6: online reconfiguration — grow [5,3] -> [7,4] live, then shrink back")

@@ -18,7 +18,11 @@ import (
 // that needs the lock — at best a latency cliff, at worst a deadlock
 // when the unblocking party needs the same lock. `defer Unlock` paths
 // are analyzed too: the lock stays held across everything after the
-// defer.
+// defer. A lock taken by TryLock/TryRLock in an if condition is held
+// where the condition says it was acquired: inside `if mu.TryLock() {`,
+// and after `if !mu.TryLock() { return }` — through !, && and ||, a lock
+// the outcome only may have acquired counting as held. A try whose
+// result goes anywhere but an if condition is not modelled.
 //
 // Deliberately NOT flagged: a send or receive that is a case of a
 // select with a default clause (non-blocking by construction — the
@@ -165,10 +169,11 @@ func (s *lockScanner) stmt(st ast.Stmt, held lockSet) (lockSet, bool) {
 			held, _ = s.stmt(n.Init, held)
 		}
 		s.exprs(held, n.Cond)
-		thenHeld, thenTerm := s.stmts(n.Body.List, held.clone())
-		elseHeld, elseTerm := held.clone(), false
+		onTrue, onFalse := s.tryLocks(n.Cond)
+		thenHeld, thenTerm := s.stmts(n.Body.List, union(held, onTrue))
+		elseHeld, elseTerm := union(held, onFalse), false
 		if n.Else != nil {
-			elseHeld, elseTerm = s.stmt(n.Else, held.clone())
+			elseHeld, elseTerm = s.stmt(n.Else, elseHeld)
 		}
 		switch {
 		case thenTerm && elseTerm:
@@ -209,6 +214,32 @@ func (s *lockScanner) stmt(st ast.Stmt, held lockSet) (lockSet, bool) {
 		return s.selectStmt(n, held)
 	}
 	return held, false
+}
+
+// tryLocks returns the locks a condition's TryLock/TryRLock calls may
+// have acquired when it comes out true, and when it comes out false.
+func (s *lockScanner) tryLocks(cond ast.Expr) (onTrue, onFalse lockSet) {
+	switch e := ast.Unparen(cond).(type) {
+	case *ast.CallExpr:
+		if key, method, ok := s.mutexMethod(e); ok && (method == "TryLock" || method == "TryRLock") {
+			return lockSet{key: e.Pos()}, nil
+		}
+	case *ast.UnaryExpr:
+		if e.Op == token.NOT {
+			onTrue, onFalse = s.tryLocks(e.X)
+			return onFalse, onTrue
+		}
+	case *ast.BinaryExpr:
+		xTrue, xFalse := s.tryLocks(e.X)
+		yTrue, yFalse := s.tryLocks(e.Y)
+		switch e.Op {
+		case token.LAND: // false: x false, or x true and then y false
+			return union(xTrue, yTrue), union(xFalse, union(xTrue, yFalse))
+		case token.LOR: // true: x true, or x false and then y true
+			return union(xTrue, union(xFalse, yTrue)), union(xFalse, yFalse)
+		}
+	}
+	return nil, nil
 }
 
 // clauses scans switch/type-switch case bodies, unioning the

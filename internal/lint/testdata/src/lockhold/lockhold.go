@@ -130,3 +130,50 @@ func otherFunctionsLockIsNotOurs(s *state) {
 	// out of scope by design.
 	s.ch <- 1
 }
+
+func tryThenEarlyReturn(s *state) {
+	if !s.mu.TryLock() {
+		s.ch <- 1 // ok: the try failed, nothing is held on this branch
+		return
+	}
+	s.ch <- 1 // want `channel send while holding s.mu`
+	s.mu.Unlock()
+	s.ch <- 1 // ok: the lock was released
+}
+
+func tryPositiveBranch(s *state, rec []byte) {
+	if s.rw.TryRLock() {
+		s.log.Append(rec) // want `WAL Append \(append/fsync class\) while holding s.rw`
+		s.rw.RUnlock()
+	} else {
+		s.log.Append(rec) // ok: the try failed
+	}
+	s.log.Append(rec) // ok: released on the one branch that held it
+}
+
+func tryBehindAGuard(s *state, syncs bool) {
+	if syncs && !s.mu.TryLock() {
+		return
+	}
+	time.Sleep(time.Millisecond) // want `time.Sleep while holding s.mu`
+	if syncs {
+		s.mu.Unlock()
+	}
+}
+
+func tryEither(s *state) {
+	if !s.mu.TryLock() || !s.rw.TryLock() {
+		s.wg.Wait() // want `WaitGroup.Wait while holding s.mu`
+		return
+	}
+	s.wg.Wait() // want `WaitGroup.Wait while holding s.mu, s.rw`
+}
+
+func tryResultStored(s *state) {
+	ok := s.mu.TryLock()
+	if !ok {
+		return
+	}
+	s.ch <- 1 // not modelled: only a try in the if condition itself is followed
+	s.mu.Unlock()
+}

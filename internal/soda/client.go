@@ -35,9 +35,9 @@ var (
 // Every method may park, and a Writer or Reader calls them from one
 // goroutine per server (a leg) so that n-f answers complete a phase
 // however slow the rest are. The loopback's conn can also answer without
-// parking, which a client built on nothing else uses to run without legs
-// (allLoopConns); that ability is not part of Conn, and a Conn that
-// wraps another hides it.
+// parking — or say that it cannot just now — which a client built on
+// nothing else uses to run without legs (allLoopConns); that ability is
+// not part of Conn, and a Conn that wraps another hides it.
 type Conn interface {
 	// Index returns the server's shard index in [0, n).
 	Index() int
@@ -627,11 +627,12 @@ func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Ta
 }
 
 // writeNow runs a write's phases on the calling goroutine, over conns
-// that can all answer without parking: each phase is one pass over live
-// in index order, a server's answer going through the same tally and
-// rules as a leg's. A hung server is a leg that never answers; if a
-// phase cannot resolve without the hung ones the write waits out ctx,
-// as its legs would have. It returns done when the write is over, minted
+// that can all answer without parking: each phase is a pass over live in
+// index order (phase 1 makes a second over the servers its first found
+// busy), a server's answer going through the same tally and rules as a
+// leg's. A hung server is a leg that never answers; if a phase cannot
+// resolve without the hung ones the write waits out ctx, as its legs
+// would have. It returns done when the write is over, minted
 // tag and error being Write's. Otherwise some exchange needs a leg after
 // all (errNotNow): with a zero tag nothing has happened and owed is live;
 // with a minted one phase 0 is over, q holds the acks so far and owed
@@ -661,20 +662,32 @@ func (w *Writer) writeNow(ctx context.Context, key string, live []Conn, sc *enco
 		}
 		return Tag{}, nil, true, err
 	}
-	owed = sc.owed[:0]
-	for _, c := range live {
-		err := c.(*loopConn).putDataNow(key, minted, sc.shards[c.Index()], vlen)
-		switch err {
-		case errNotNow:
-			owed = append(owed, c)
-			continue
-		case errSilent:
-			continue
+	// Phase 1 visits every server, then once more those that were busy
+	// the first time — a put needs n-f acks in any order, so a log another
+	// writer is in is one to come back to, not to queue on. One more visit
+	// is what there is to gain: two writers that walk the servers in step
+	// collide on each (23 % of wal-small's writes needed a leg without it
+	// and write p99 was 39 us; 3.6 % and 29 us with it; the same with a
+	// third), and the second round finds the other writer gone. What is
+	// busy twice gets a leg.
+	owed = live
+	for pass := 0; pass < 2 && len(owed) > 0; pass++ {
+		busy := sc.owed[:0] // pass 1 filters sc.owed in place
+		for _, c := range owed {
+			err := c.(*loopConn).putDataNow(key, minted, sc.shards[c.Index()], vlen)
+			switch err {
+			case errNotNow:
+				busy = append(busy, c)
+				continue
+			case errSilent:
+				continue
+			}
+			reportSuspect(w.m, ctx, c.Index(), err)
+			q.gotAck(err)
 		}
-		reportSuspect(w.m, ctx, c.Index(), err)
-		q.gotAck(err)
+		owed, sc.owed = busy, busy
 	}
-	if sc.owed = owed; len(owed) > 0 {
+	if len(owed) > 0 {
 		return minted, owed, false, nil
 	}
 	if done, err = q.acked(minted); !done {

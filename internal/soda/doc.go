@@ -106,10 +106,13 @@
 // completion rules the legs report into (writeTally; readState.addLocked,
 // check, lose): Writer.writeNow, Reader.readNow. Three things still go
 // out on legs: any operation while a Loopback test hook is installed; a
-// put-data to a durable server, whose fsyncs only overlap from n
-// goroutines; and a read its pass left pending (on a concurrent write's
-// relay, a hung server, the deadline), which closes its registrations
-// and starts again on legs under a new reader id. A hung server is a leg
+// put-data to a durable server whose log (or register) the writer found
+// busy on two visits — it does not queue there, having other servers to
+// put to meanwhile — or whose fsyncs wait for a device, since those only
+// overlap from n goroutines (the log times one fsync in 64 to tell); and
+// a read its pass left pending (on a concurrent write's relay, a hung
+// server, the deadline), which closes its registrations and starts again
+// on legs under a new reader id. A hung server is a leg
 // that never answers. An inline operation that moved a handoff-sized
 // value yields the processor once before returning, because a client
 // that never parks starves the garbage collector's mark worker.

@@ -602,8 +602,9 @@ func TestKillRecoverRejoinSoak(t *testing.T) {
 // under the server directly — the state such a put finds, with no
 // timing involved — and the put must then fail with ErrServerDown and
 // leave memory alone, small and handed-off elements alike, because
-// Recover rebuilds from a disk that never saw it. A closed WAL is not a
-// failed one: WALFailures stays 0.
+// Recover rebuilds from a disk that never saw it — through PutData and
+// through the non-waiting form a loopback writer's own pass uses. A closed
+// WAL is not a failed one: WALFailures stays 0.
 func TestPutPastTheGateIsNotAckedAfterWALCut(t *testing.T) {
 	ctx := testCtx(t)
 	lb, err := NewDurableLoopback(1, t.TempDir())
@@ -617,14 +618,20 @@ func TestPutPastTheGateIsNotAckedAfterWALCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := lb.Server(0)
+	pinSyncs(srv, 0) // whatever the temp dir is on, putDataNow is to try this log
 	srv.dur.powerCut()
 
 	for ts, size := range map[uint64]int{2: 1, 3: elemHandoffMin} {
 		if err := c.PutData(ctx, testKey, Tag{TS: ts, Writer: "w"}, make([]byte, size), size); !errors.Is(err, ErrServerDown) {
 			t.Errorf("PutData of %d bytes after the WAL was cut = %v, want ErrServerDown", size, err)
 		}
+		// The form a writer runs on its own goroutine finds the log free,
+		// and closed: the same refusal, not a put to come back to.
+		if err := c.(*loopConn).putDataNow(testKey, Tag{TS: ts + 2, Writer: "w"}, make([]byte, size), size); !errors.Is(err, ErrServerDown) {
+			t.Errorf("putDataNow of %d bytes after the WAL was cut = %v, want ErrServerDown", size, err)
+		}
 	}
-	if ok, err := c.RepairPut(ctx, testKey, Tag{TS: 4, Writer: "w"}, []byte{4}, 1); ok || !errors.Is(err, ErrServerDown) {
+	if ok, err := c.RepairPut(ctx, testKey, Tag{TS: 6, Writer: "w"}, []byte{6}, 1); ok || !errors.Is(err, ErrServerDown) {
 		t.Errorf("RepairPut after the WAL was cut = %v, %v, want false, ErrServerDown", ok, err)
 	}
 	if tag := srv.GetTag(testKey); tag != t1 {

@@ -123,7 +123,17 @@ func classify(err error) string {
 // legs has made its last exchange: a leg is a message in flight, it still
 // lands after its operation returned, and the next fault must find the
 // same servers written either way.
-func runDiffSchedule(t *testing.T, seed int64, e int, legs bool) (ops []diffOp, final []string) {
+//
+// With durable set the servers log to a temp dir under the given fsync
+// mode (syncs pinned to take no time, see pinnedCluster), a crash is a
+// power cut and a crashed server comes back by Recover, from its disk. An
+// FsyncNone log is synced before its cut — acknowledged puts lost to one
+// are outside the crash model this schedule predicts, and have their own
+// tests — and a server that is down is brought back before its epoch is
+// moved, which a closed log refuses. At the end every node is closed,
+// recovered from its directory once more and compared with what it held
+// live: whichever goroutine logged a put, the log replays to it.
+func runDiffSchedule(t *testing.T, seed int64, e int, legs, durable bool, mode FsyncMode) (ops []diffOp, final []string) {
 	t.Helper()
 	const n, k, steps = 5, 3, 160
 	var copts []rs.Option
@@ -135,6 +145,16 @@ func runDiffSchedule(t *testing.T, seed int64, e int, legs bool) (ops []diffOp, 
 		readerF = 0
 	}
 	codec, lb := newCluster(t, n, k, copts...)
+	if durable {
+		lb = pinnedLoopback(t, mode)
+	}
+	recoverServer := func(i int) {
+		rec, err := lb.Recover(i)
+		if err != nil {
+			t.Fatalf("seed %d: recover %d: %v", seed, i, err)
+		}
+		pinSyncs(rec, 0)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	keys := []string{"diff/a", "diff/b", "diff/c"}
 	var crashed, hung, sealed, corrupt [n]bool
@@ -169,7 +189,14 @@ func runDiffSchedule(t *testing.T, seed int64, e int, legs bool) (ops []diffOp, 
 		switch x := rng.Intn(100); {
 		case x < 8:
 			if !crashed[i] && !hung[i] && down < 2 {
-				lb.Crash(i)
+				if durable {
+					if err := lb.Server(i).Sync(); err != nil {
+						t.Fatalf("seed %d step %d: sync %d: %v", seed, step, i, err)
+					}
+					lb.PowerCut(i)
+				} else {
+					lb.Crash(i)
+				}
 				crashed[i] = true
 			}
 		case x < 14:
@@ -180,7 +207,11 @@ func runDiffSchedule(t *testing.T, seed int64, e int, legs bool) (ops []diffOp, 
 		case x < 34:
 			for s := 0; s < n; s++ { // the first server down from i on
 				if j := (i + s) % n; crashed[j] || hung[j] {
-					lb.Restart(j)
+					if durable && crashed[j] {
+						recoverServer(j)
+					} else {
+						lb.Restart(j)
+					}
 					crashed[j], hung[j] = false, false
 					break
 				}
@@ -194,7 +225,7 @@ func runDiffSchedule(t *testing.T, seed int64, e int, legs bool) (ops []diffOp, 
 				corrupt[i] = true
 			}
 		case x < 45:
-			if !sealed[i] {
+			if !sealed[i] && !(durable && crashed[i]) {
 				if _, err := lb.Server(i).Reconfig(ReconfigSeal, epoch+1, n, k); err != nil {
 					t.Fatalf("seed %d step %d: seal %d: %v", seed, step, i, err)
 				}
@@ -202,6 +233,10 @@ func runDiffSchedule(t *testing.T, seed int64, e int, legs bool) (ops []diffOp, 
 			}
 		case x < 53:
 			for s := 0; s < n; s++ {
+				if durable && crashed[s] {
+					recoverServer(s)
+					crashed[s] = false
+				}
 				for _, op := range []ReconfigOp{ReconfigSeal, ReconfigActivate} {
 					if _, err := lb.Server(s).Reconfig(op, epoch+1, n, k); err != nil {
 						t.Fatalf("seed %d step %d: flip of %d: %v", seed, step, s, err)
@@ -298,10 +333,33 @@ func runDiffSchedule(t *testing.T, seed int64, e int, legs bool) (ops []diffOp, 
 		}
 		ops = append(ops, op)
 	}
-	for _, key := range keys {
-		for s := 0; s < n; s++ {
-			tag, _, vlen := lb.Server(s).Snapshot(key)
-			final = append(final, fmt.Sprintf("%s on server %d: %v, %d B", key, s, tag, vlen))
+	state := func() (held []string) {
+		for _, key := range keys {
+			for s := 0; s < n; s++ {
+				tag, elem, vlen := lb.Server(s).Snapshot(key)
+				held = append(held, fmt.Sprintf("%s on server %d: %v, %d B, element %08x", key, s, tag, vlen, crc32.ChecksumIEEE(elem)))
+			}
+		}
+		return held
+	}
+	if !durable {
+		return ops, state()
+	}
+	for s := 0; s < n; s++ {
+		if crashed[s] {
+			recoverServer(s)
+		}
+	}
+	final = state()
+	if err := lb.CloseServers(); err != nil {
+		t.Fatalf("seed %d: closing the logs: %v", seed, err)
+	}
+	for s := 0; s < n; s++ {
+		recoverServer(s)
+	}
+	for i, replayed := range state() {
+		if final[i] != replayed {
+			t.Fatalf("seed %d (legs=%v): live, %s; recovered from its directory, %s", seed, legs, final[i], replayed)
 		}
 	}
 	return ops, final
@@ -314,10 +372,26 @@ func runDiffSchedule(t *testing.T, seed int64, e int, legs bool) (ops []diffOp, 
 // every server, for SODA and for SODA_err with e=1.
 func TestInlineVsLegsSequential(t *testing.T) {
 	checkNoLeaks(t)
-	for _, e := range []int{0, 1} {
+	diffSequential(t, []int{0, 1}, false, 0)
+}
+
+// TestInlineVsLegsSequentialDurable is the same over servers that log:
+// never syncing, and syncing every record. The inline run logs on the
+// test's goroutine, the other from legs; besides what the memory run
+// compares, each must replay to what it held (see runDiffSchedule).
+func TestInlineVsLegsSequentialDurable(t *testing.T) {
+	checkNoLeaks(t)
+	for _, mode := range []FsyncMode{FsyncNone, FsyncAlways} {
+		diffSequential(t, []int{0}, true, mode)
+	}
+}
+
+func diffSequential(t *testing.T, es []int, durable bool, mode FsyncMode) {
+	t.Helper()
+	for _, e := range es {
 		for _, seed := range []int64{24, 2400} {
-			inline, inlineFinal := runDiffSchedule(t, seed, e, false)
-			legs, legsFinal := runDiffSchedule(t, seed, e, true)
+			inline, inlineFinal := runDiffSchedule(t, seed, e, false, durable, mode)
+			legs, legsFinal := runDiffSchedule(t, seed, e, true, durable, mode)
 			classes := map[string]int{}
 			for i := range inline {
 				a, b := inline[i], legs[i]
@@ -369,14 +443,37 @@ func diffValue(rng *rand.Rand, key, client, seq int) []byte {
 // same-key traffic sends inline reads down their restart path.
 func TestInlineVsLegsConcurrent(t *testing.T) {
 	checkNoLeaks(t)
+	codec, lb := newCluster(t, 5, 3)
+	diffConcurrent(t, codec, lb, false)
+}
+
+// TestInlineVsLegsConcurrentDurable is the same over servers that log,
+// where the raw-conn clients log on their own goroutines next to the
+// wrapped clients' legs: the two kinds of appender meet on every log's
+// locks. Under FsyncAlways a power cut loses nothing acknowledged, so
+// there one server at a time is also cut and recovered from its disk
+// while the clients run, and the histories must still linearize.
+func TestInlineVsLegsConcurrentDurable(t *testing.T) {
+	checkNoLeaks(t)
+	for _, mode := range []FsyncMode{FsyncNone, FsyncAlways} {
+		codec, lb := pinnedCluster(t, mode)
+		diffConcurrent(t, codec, lb, mode == FsyncAlways)
+	}
+}
+
+func diffConcurrent(t *testing.T, codec *Codec, lb *Loopback, cuts bool) {
+	t.Helper()
 	const seed, clients, opsEach, nkeys = 24, 4, 300, 3
 	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3)
 	hist := make([]*history, nkeys)
 	for i := range hist {
 		hist[i] = &history{}
 	}
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	// One token per finished operation paces the power cuts: a server goes
+	// down, comes back forty operations later, and the next goes forty
+	// after that, whatever the machine's speed.
+	progress := make(chan struct{}, clients*opsEach)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		conns := lb.Conns()
@@ -390,6 +487,7 @@ func TestInlineVsLegsConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(c)))
 			for j := 0; j < opsEach; j++ {
+				progress <- struct{}{}
 				ki := rng.Intn(nkeys)
 				key, h := fmt.Sprintf("conc/%d", ki), hist[ki]
 				if j%2 == 0 {
@@ -420,7 +518,30 @@ func TestInlineVsLegsConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	go func() {
+		wg.Wait()
+		close(progress)
+	}()
+	rng := rand.New(rand.NewSource(seed - 1))
+	for down, ops := -1, 0; ; ops++ {
+		if _, running := <-progress; !running {
+			break
+		}
+		if !cuts || ops%40 != 39 {
+			continue
+		}
+		if down < 0 {
+			down = rng.Intn(lb.Size())
+			lb.PowerCut(down)
+			continue
+		}
+		rec, err := lb.Recover(down)
+		if err != nil {
+			t.Fatalf("seed %d: recover %d: %v", seed, down, err)
+		}
+		pinSyncs(rec, 0)
+		down = -1
+	}
 	if t.Failed() {
 		return
 	}
@@ -700,103 +821,58 @@ func TestReadSealedBetweenAdmitAndRegister(t *testing.T) {
 	}
 }
 
-// TestDurablePutsGoOutOnLegs: a put-data to a durable server enters the
-// kernel, so an otherwise inline write sends those from one leg each.
-// Server 0's WAL is held shut under the write: its put sits in append,
-// the other four land and complete the f=1 quorum — from the calling
-// goroutine the write would still be queueing on server 0 — and the tag
-// came from an inline get-tag pass, which a held WAL does not touch.
-func TestDurablePutsGoOutOnLegs(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	lb, err := NewDurableLoopback(5, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lb.CloseServers()
-	codec, err := NewCodec(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := mustWriter(t, "w", codec, lb.Conns())
-	r := mustReader(t, "r", codec, lb.Conns())
-	v1, v2 := []byte("durable one"), []byte("durable two")
-	if _, err := w.Write(ctx, testKey, v1); err != nil {
-		t.Fatal(err)
-	}
-
-	// The first write's put-data to server 0 may be its straggler: held up
-	// under the key's register lock, it would hold up the inline get-tag.
-	waitFor(t, "the first write on server 0", func() bool { return lb.Server(0).GetTag(testKey).TS == 1 })
-	letGo := holdWAL(lb.Server(0))
-	defer letGo()
-	wrote := make(chan error, 1)
-	go func() {
-		_, err := w.Write(ctx, testKey, v2)
-		wrote <- err
-	}()
-	select {
-	case err := <-wrote:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a write with f=1 waited for the one server whose WAL is stuck: its put-data did not go out on a leg")
-	}
-	// Server 0's stuck put holds the key's register lock, so nothing looks
-	// at that register until the WAL lets go.
-	if n := lb.Server(0).Metrics().Snapshot().WALAppends; n != 1 {
-		t.Fatalf("server 0 logged %d records with its WAL held shut, want the first write's one", n)
-	}
-	letGo()
-	res, err := r.Read(ctx, testKey)
-	if err != nil || !bytes.Equal(res.Value, v2) {
-		t.Fatalf("read = %q, %v; want %q", res.Value, err, v2)
-	}
-	waitFor(t, "the straggler put on server 0", func() bool {
-		tag, _, _ := lb.Server(0).Snapshot(testKey)
-		return tag == res.Tag
-	})
-}
-
-// holdWAL stops every append to s's log until the function it returns
-// is called; calling that again is harmless.
-func holdWAL(s *Server) (letGo func()) {
-	s.dur.wal.mu.Lock()
-	var once sync.Once
-	return func() { once.Do(s.dur.wal.mu.Unlock) }
-}
-
-// TestInlineOpsStartNothing: ten thousand writes and reads over raw
-// loopback conns start no goroutine and wake no parked one — the count
-// of live goroutines and of workers parked on every idle list is what it
-// was.
+// TestInlineOpsStartNothing: thousands of writes and reads over raw
+// loopback conns start no goroutine, wake no parked one — the count of
+// live goroutines and of workers parked on every idle list is what it was
+// — and check out no fan-out state. Over servers that keep their registers
+// in memory, over servers that log every put and never sync, and over
+// servers that sync every record to a device that answers at once (see
+// pinnedCluster; fewer operations there: the clock is pinned, the fsyncs
+// are real, and on a disk there are five in a row to a write). A server
+// that logs has logged exactly the put-datas it counted.
 func TestInlineOpsStartNothing(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3)
-	w := mustWriter(t, "w", codec, lb.Conns())
-	r := mustReader(t, "r", codec, lb.Conns())
-	goroutines, parked := startedGoroutines(), parkedWorkers()
-	value := make([]byte, 128)
-	for i := 0; i < 5000; i++ {
-		key := fmt.Sprintf("k%03d", i%257)
-		value[0] = byte(i)
-		if _, err := w.Write(ctx, key, value); err != nil {
-			t.Fatal(err)
-		}
-		if res, err := r.Read(ctx, key); err != nil || !bytes.Equal(res.Value, value) {
-			t.Fatalf("read %d = %v, %v", i, res.Value, err)
-		}
-	}
-	if got := startedGoroutines(); got > goroutines { // fewer: an earlier test's stragglers went home
-		t.Errorf("%d goroutines before 10 000 inline ops, %d after", goroutines, got)
-	}
-	if got := parkedWorkers(); got != parked {
-		t.Errorf("%d workers parked before 10 000 inline ops, %d after", parked, got)
-	}
-	if w.calls.Get() != nil {
-		t.Error("an inline write checked out fan-out state")
+	for _, tc := range []struct {
+		name    string
+		ops     int
+		cluster func(t *testing.T) (*Codec, *Loopback)
+	}{
+		{"memory", 5000, func(t *testing.T) (*Codec, *Loopback) { return newCluster(t, 5, 3) }},
+		{"wal, never synced", 5000, func(t *testing.T) (*Codec, *Loopback) { return pinnedCluster(t, FsyncNone) }},
+		{"wal, every record synced", 500, func(t *testing.T) (*Codec, *Loopback) { return pinnedCluster(t, FsyncAlways) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkNoLeaks(t)
+			ctx := testCtx(t)
+			codec, lb := tc.cluster(t)
+			w := mustWriter(t, "w", codec, lb.Conns())
+			r := mustReader(t, "r", codec, lb.Conns())
+			goroutines, parked := startedGoroutines(), parkedWorkers()
+			value := make([]byte, 128)
+			for i := 0; i < tc.ops; i++ {
+				key := fmt.Sprintf("k%03d", i%257)
+				value[0], value[1] = byte(i), byte(i>>8)
+				if _, err := w.Write(ctx, key, value); err != nil {
+					t.Fatal(err)
+				}
+				if res, err := r.Read(ctx, key); err != nil || !bytes.Equal(res.Value, value) {
+					t.Fatalf("read %d = %v, %v", i, res.Value, err)
+				}
+			}
+			if got := startedGoroutines(); got > goroutines { // fewer: an earlier test's stragglers went home
+				t.Errorf("%d goroutines before %d inline writes and reads, %d after", goroutines, tc.ops, got)
+			}
+			if got := parkedWorkers(); got != parked {
+				t.Errorf("%d workers parked before %d inline writes and reads, %d after", parked, tc.ops, got)
+			}
+			if w.calls.Get() != nil {
+				t.Error("an inline write checked out fan-out state")
+			}
+			for i := 0; i < lb.Size(); i++ {
+				if a, p := walCounts(lb.Server(i)); p != uint64(tc.ops) || (lb.Server(i).Durable() && a != p) {
+					t.Errorf("server %d counted %d put-datas and logged %d records, want %d", i, p, a, tc.ops)
+				}
+			}
+		})
 	}
 }
 
@@ -807,17 +883,25 @@ func TestInlineOpsStartNothing(t *testing.T) {
 // loop-large (1 MiB over 64) without its harness. "inline" runs on raw
 // loopback conns, "legs" on the same conns wrapped, which is the path
 // any other transport takes. Quote it at -cpu 1,2,4: the -cpu 1 row is
-// per-op cost, the rows above it add contention between clients.
+// per-op cost, the rows above it add contention between clients. The
+// wal-none rows are wal-small's path without a device in the number: 128 B
+// over servers that log every put with write() and never sync, where
+// "inline" logs on the client's goroutine unless it finds the log busy
+// (-cpu 2: the other client is in it) and "legs" from one leg per server.
 func BenchmarkSmallOpsParallel(b *testing.B) {
+	memory := func(testing.TB, FsyncMode) *Loopback { return NewLoopback(5) }
 	for _, bc := range []struct {
 		name        string
 		size, nkeys int
+		cluster     func(testing.TB, FsyncMode) *Loopback
 		wrap        func([]Conn) []Conn
 	}{
-		{"inline/128B", 128, 10000, rawConns},
-		{"legs/128B", 128, 10000, opaque},
-		{"inline/1MiB", 1 << 20, 64, rawConns},
-		{"legs/1MiB", 1 << 20, 64, opaque},
+		{"inline/128B", 128, 10000, memory, rawConns},
+		{"legs/128B", 128, 10000, memory, opaque},
+		{"inline/1MiB", 1 << 20, 64, memory, rawConns},
+		{"legs/1MiB", 1 << 20, 64, memory, opaque},
+		{"wal-none/inline", 128, 10000, pinnedLoopback, rawConns},
+		{"wal-none/legs", 128, 10000, pinnedLoopback, opaque},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ctx := context.Background()
@@ -825,7 +909,7 @@ func BenchmarkSmallOpsParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			conns := bc.wrap(NewLoopback(5).Conns())
+			conns := bc.wrap(bc.cluster(b, FsyncNone).Conns())
 			w, err := NewWriter("w", codec, conns)
 			if err != nil {
 				b.Fatal(err)

@@ -20,11 +20,14 @@ var ErrServerDown = errors.New("soda: server is down")
 // relay runs on the goroutine of the put that triggered it. A Writer or
 // Reader built on nothing but its conns takes that literally: it runs
 // its quorum phases as passes over the servers on the goroutine that
-// called Write or Read, and starts none (see errNotNow for the three
-// cases that still go out on one leg per server). The caller then waits
-// for each server's apply in turn, register lock included, where a leg
-// per server would have let n-f of them outrun a slow one: Hang, not a
-// stalled apply, is this transport's silent server. Fault injection:
+// called Write or Read, and starts none (see errNotNow for the cases
+// that still go out on one leg per server). The caller then waits for
+// each server's get-tag and registration in turn, register lock included,
+// where a leg per server would have let n-f of them outrun a slow one:
+// Hang, not a stalled apply, is this transport's silent server. A
+// put-data is the exception: a durable server logs and syncs it under
+// the register lock, so the writer only tries the locks a put takes and
+// leaves a busy server for later, then for a leg. Fault injection:
 //
 //   - Crash: fail-stop; the server's conns error immediately and its
 //     registered readers stop hearing relays.
@@ -331,12 +334,17 @@ var (
 	// errSilent: the server is hung. Its leg would never answer — gate
 	// blocks until the context ends — so the pass counts nothing for it.
 	errSilent = errors.New("soda: hung server answers nothing")
-	// errNotNow: this exchange has to go out on a leg, and nothing was
-	// done or consumed. Either a test hook is installed — hooks are handed
-	// the protocol's goroutines to crash, seal and park on, and the
-	// caller's is not one of them — or it is a put-data to a durable
-	// server, which enters the kernel: n of those overlap their fsyncs
-	// from n legs and would queue on each WAL's lock from one goroutine.
+	// errNotNow: this exchange cannot be made here and now, and nothing
+	// was done, counted or consumed. A test hook is installed — hooks are
+	// handed the protocol's goroutines to crash, seal and park on, and the
+	// caller's is not one of them; or it is a put-data to a durable server
+	// that would have to wait: for the key's register or the log, which
+	// someone else is in (the writer visits its other servers and comes
+	// back once; queueing instead, two writers that walk the servers in
+	// step convoyed on every log), or for a device, when the log's fsyncs
+	// do not return from the page cache (wal.syncsWait: five of those
+	// overlap from five legs and add up from one goroutine). What is
+	// still not possible on the second visit goes out on a leg.
 	errNotNow = errors.New("soda: exchange needs a leg")
 )
 
@@ -382,40 +390,50 @@ func (c *loopConn) PutData(ctx context.Context, key string, t Tag, elem []byte, 
 		putElem(elem)
 		return err
 	}
-	return c.put(c.lb.servers[c.idx].Load(), key, t, elem, vlen)
+	return c.put(c.lb.servers[c.idx].Load(), key, t, elem, vlen, true)
 }
 
 // putDataNow keeps PutData's ownership rule — a handed-off elem is the
 // conn's whatever comes back — except under errNotNow, which leaves elem
-// with the caller for the leg that will send it.
+// with the caller for the later visit, or the leg, that will send it. On a
+// durable server it logs, syncs and applies on the calling goroutine when
+// it finds the key's register and the log free and the log's syncs return
+// from the page cache; else errNotNow, with nothing logged, applied or
+// counted.
 func (c *loopConn) putDataNow(key string, t Tag, elem []byte, vlen int) error {
-	srv := c.lb.servers[c.idx].Load()
-	if srv.dur != nil {
-		return errNotNow
-	}
 	if err := c.now(); err != nil {
 		if err != errNotNow {
 			putElem(elem)
 		}
 		return err
 	}
-	return c.put(srv, key, t, elem, vlen)
+	srv := c.lb.servers[c.idx].Load()
+	if srv.dur != nil && srv.dur.wal.syncsWait() {
+		return errNotNow
+	}
+	return c.put(srv, key, t, elem, vlen, false)
 }
 
-// put is the server side of a put-data that passed the fault flags. An
-// elem that changes hands with the call (see handoff) becomes the
-// server's register as it is, or is freed on the way out; putElem
-// ignores the borrowed ones.
-func (c *loopConn) put(srv *Server, key string, t Tag, elem []byte, vlen int) error {
+// put is the server side of a put-data that passed the fault flags, wait
+// being Server.put's. An elem that changes hands with the call (see
+// handoff) becomes the server's register as it is, or is freed on the way
+// out; putElem ignores the borrowed ones. A put the server could not take
+// now never happened: it keeps its elem and is not counted.
+func (c *loopConn) put(srv *Server, key string, t Tag, elem []byte, vlen int, wait bool) error {
 	if nack := srv.Admit(opClient, c.epoch); nack != nil {
 		putElem(elem)
 		return nack
 	}
+	var err error
 	if handoff(len(elem)) {
-		srv.metrics.of(key).putDatas.Add(1)
-		return srv.putOwned(key, t, elem, vlen)
+		err = srv.putOwned(key, t, elem, vlen, wait)
+	} else {
+		_, err = srv.put(walOpPut, key, t, elem, vlen, wait) // the server copies what it keeps
 	}
-	return srv.putData(key, t, elem, vlen) // the server copies what it keeps
+	if err != errNotNow {
+		srv.metrics.of(key).putDatas.Add(1)
+	}
+	return err
 }
 
 // loopSub is one reader's live registration on one loopback server.

@@ -60,6 +60,7 @@ type MetricsSnapshot struct {
 	EpochNacks     uint64 // frames rejected for carrying the wrong configuration epoch
 	EpochFlips     uint64 // epoch transitions applied (seals + activations)
 	WALGroupSyncs  uint64 // fsyncs that covered more than one FsyncAlways append
+	WALSyncNanos   uint64 // gauge: how long the last timed WAL fsync took (1 in 64 is) — what decides whether a loopback writer logs its put-datas itself or sends legs
 	Registers      uint64 // gauge: registers currently in the namespace
 	Registrations  uint64 // gauge: reader registrations currently held
 }
@@ -97,7 +98,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 // Add accumulates another snapshot into s, so a harness can report one
 // cluster-wide line instead of n per-server ones. Gauges add too: the
 // sum is "registers held across the cluster", which for an n-way
-// replicated namespace is n× the key count.
+// replicated namespace is n× the key count. The sync sample does not: a
+// cluster's is its slowest log's.
 func (s *MetricsSnapshot) Add(o MetricsSnapshot) {
 	s.GetTags += o.GetTags
 	s.PutDatas += o.PutDatas
@@ -118,6 +120,7 @@ func (s *MetricsSnapshot) Add(o MetricsSnapshot) {
 	s.EpochNacks += o.EpochNacks
 	s.EpochFlips += o.EpochFlips
 	s.WALGroupSyncs += o.WALGroupSyncs
+	s.WALSyncNanos = max(s.WALSyncNanos, o.WALSyncNanos)
 	s.Registers += o.Registers
 	s.Registrations += o.Registrations
 }

@@ -102,7 +102,7 @@ func NewDurableServer(idx int, dir string, opts ...DurableOption) (*Server, erro
 	s := NewServer(idx)
 	d := &durability{
 		srv:   s,
-		wal:   &wal{dir: dir, mode: cfg.mode, failAfter: cfg.failAfter, metrics: &s.metrics},
+		wal:   &wal{dir: dir, mode: cfg.mode, failAfter: cfg.failAfter, metrics: &s.metrics, now: time.Now},
 		cfg:   cfg,
 		snapC: make(chan struct{}, 1),
 		stop:  make(chan struct{}),
@@ -212,16 +212,27 @@ func (d *durability) background() {
 // exactly the apply order. A failed WAL (disk error) counts a failure
 // and the server keeps serving from memory — the operator signal is
 // the metric, not a wedged cluster. A closed one (power cut, Close) is
-// not a failure but the end of this server: it reports false, and the
-// caller must not apply what the disk will not remember.
-func (d *durability) logMutation(op byte, key string, t Tag, elem []byte, vlen int) bool {
-	size, err := d.wal.append(walRecord{op: op, key: key, tag: t, elem: elem, vlen: vlen}, false)
-	if err != nil {
-		if errors.Is(err, errWALClosed) {
-			return false
-		}
+// not a failure but the end of this server: ErrServerDown, and the
+// caller must not apply what the disk will not remember. A caller that
+// will not wait gets errNotNow from a busy log, with nothing logged.
+func (d *durability) logMutation(op byte, key string, t Tag, elem []byte, vlen int, wait bool) error {
+	rec := walRecord{op: op, key: key, tag: t, elem: elem, vlen: vlen}
+	var size int64
+	var err error
+	if wait {
+		size, err = d.wal.append(rec, false)
+	} else {
+		size, err = d.wal.tryAppend(rec)
+	}
+	switch {
+	case err == nil:
+	case err == errNotNow:
+		return err
+	case errors.Is(err, errWALClosed):
+		return ErrServerDown
+	default:
 		d.srv.metrics.walFailures.Add(1)
-		return true
+		return nil
 	}
 	d.srv.metrics.walAppends.Add(1)
 	if size >= d.cfg.snapThreshold {
@@ -230,7 +241,7 @@ func (d *durability) logMutation(op byte, key string, t Tag, elem []byte, vlen i
 		default:
 		}
 	}
-	return true
+	return nil
 }
 
 // logEpoch appends one configuration-epoch transition, synced

@@ -170,6 +170,9 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 // MetricsSnapshot returns the counters plus current namespace gauges.
 func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	snap := s.metrics.Snapshot()
+	if s.dur != nil {
+		snap.WALSyncNanos = uint64(s.dur.wal.syncNanos.Load())
+	}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
@@ -404,10 +407,18 @@ func (s *Server) GetTag(key string) Tag {
 // one call, or a private clone. On a server whose WAL was closed under
 // it (power cut, Close) an accepted put fails with ErrServerDown before
 // it stores or relays anything: memory must not get ahead of a disk
-// that can no longer follow.
-func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int) (bool, error) {
+// that can no longer follow. wait is how the caller takes the two things
+// a put can queue on, the key's register lock and the log: parked behind
+// their holders, or — a writer running its own put-data pass, which has
+// other servers to visit meanwhile — not at all, and then a busy one
+// answers errNotNow with nothing logged, stored or relayed.
+func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int, wait bool) (bool, error) {
 	r := s.lookup(key, true)
-	r.mu.Lock()
+	if wait {
+		r.mu.Lock()
+	} else if !r.mu.TryLock() {
+		return false, errNotNow
+	}
 	stored := r.tag.Less(t) || (op == walOpRepair && r.tag == t)
 	if !stored && op == walOpRepair {
 		r.mu.Unlock()
@@ -417,9 +428,11 @@ func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int) (bool, e
 		// Log before apply, under the register lock: the WAL's per-key
 		// record order is the apply order, and with FsyncAlways the
 		// mutation is on disk before anyone can observe it applied.
-		if s.dur != nil && !s.dur.logMutation(op, key, t, elem, vlen) {
-			r.mu.Unlock()
-			return false, ErrServerDown
+		if s.dur != nil {
+			if err := s.dur.logMutation(op, key, t, elem, vlen, wait); err != nil {
+				r.mu.Unlock()
+				return false, err
+			}
 		}
 		r.store(t, elem, vlen)
 	}
@@ -449,17 +462,26 @@ func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int) (bool, e
 // copied on any path. The buffer the swap displaces goes to the element
 // free list if nobody can be reading it and is otherwise left to the
 // GC, like the buffer a borrowed put replaces. A rejected elem is
-// relayed as it is, or freed.
-func (s *Server) putOwned(key string, t Tag, elem []byte, vlen int) error {
+// relayed as it is, or freed. wait is put's; errNotNow leaves elem the
+// caller's.
+func (s *Server) putOwned(key string, t Tag, elem []byte, vlen int, wait bool) error {
 	r := s.lookup(key, true)
-	r.mu.Lock()
+	if wait {
+		r.mu.Lock()
+	} else if !r.mu.TryLock() {
+		return errNotNow
+	}
 	stored := r.tag.Less(t)
 	var displaced []byte
 	if stored {
-		if s.dur != nil && !s.dur.logMutation(walOpPut, key, t, elem, vlen) {
-			r.mu.Unlock()
-			putElem(elem)
-			return ErrServerDown
+		if s.dur != nil {
+			if err := s.dur.logMutation(walOpPut, key, t, elem, vlen, wait); err != nil {
+				r.mu.Unlock()
+				if err != errNotNow {
+					putElem(elem)
+				}
+				return err
+			}
 		}
 		displaced = r.adopt(t, elem, vlen)
 	}
@@ -512,7 +534,7 @@ func (s *Server) PutData(key string, t Tag, elem []byte, vlen int) {
 // server refused (ErrServerDown: its WAL is closed).
 func (s *Server) putData(key string, t Tag, elem []byte, vlen int) error {
 	s.metrics.of(key).putDatas.Add(1)
-	_, err := s.put(walOpPut, key, t, elem, vlen)
+	_, err := s.put(walOpPut, key, t, elem, vlen, true)
 	return err
 }
 
@@ -539,7 +561,7 @@ func (s *Server) repairPut(key string, t Tag, elem []byte, vlen int) (bool, erro
 	// already has; succeed without materializing a register.
 	installed, err := t == (Tag{}) && s.lookup(key, false) == nil, error(nil)
 	if !installed {
-		installed, err = s.put(walOpRepair, key, t, elem, vlen)
+		installed, err = s.put(walOpRepair, key, t, elem, vlen, true)
 	}
 	if installed {
 		s.metrics.repairInstalls.Add(1)
@@ -560,7 +582,7 @@ func (s *Server) Wipe(key string) {
 	}
 	r.mu.Lock()
 	if s.dur != nil && r.tag != (Tag{}) {
-		s.dur.logMutation(walOpWipe, key, Tag{}, nil, 0)
+		s.dur.logMutation(walOpWipe, key, Tag{}, nil, 0, true)
 	}
 	r.tag, r.elem, r.vlen = Tag{}, nil, 0
 	r.mu.Unlock()
@@ -582,7 +604,7 @@ func (s *Server) WipeAll() {
 		for key, r := range sh.regs {
 			r.mu.Lock()
 			if s.dur != nil && r.tag != (Tag{}) {
-				s.dur.logMutation(walOpWipe, key, Tag{}, nil, 0)
+				s.dur.logMutation(walOpWipe, key, Tag{}, nil, 0, true)
 			}
 			r.tag, r.elem, r.vlen = Tag{}, nil, 0
 			dropped += uint64(len(r.readers))

@@ -19,11 +19,16 @@
 # The change is the working tree as it stands (tracked and untracked
 # files, not ignored ones); CHANGE=<rev> compares a commit instead.
 # SEED0=<n> shifts the seeds (default 0), OUT=<dir> keeps the raw
-# results. Keep the machine idle while it runs: a concurrent go test
-# moves mux-small by ~10 %.
+# results. WALDIR=<dir> is passed through as -waldir: the WALs of both
+# sides go under that directory, on whatever device it is on, instead of
+# the private tmpfs the benchmark mounts for itself — wal-small then
+# measures the device (run-to-run spread 20-35 % on the sandbox's ext4),
+# which is the other side of the rule that sends a durable put-data
+# inline or on legs. Keep the machine idle while it runs: a concurrent
+# go test moves mux-small by ~10 %.
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 parent=$1
 pairs=${2:-10}
 seconds=${3:-20}
@@ -45,11 +50,17 @@ else
 	git ls-files -z --cached --others --exclude-standard | tar -c --null --ignore-failed-read -T - 2>/dev/null | tar -x -C "$tmp/change"
 fi
 
+waldir=()
+if [ -n "${WALDIR:-}" ]; then
+	mkdir -p "$WALDIR"
+	waldir=(-waldir "$(cd "$WALDIR" && pwd)")
+fi
+
 run() { # side workload seed
 	local line
 	# A run that fails its output check still prints its result line;
 	# pairstat reports the failed ops.
-	line=$(cd "$tmp/$1" && go run -C bench . -workload "$2" -seed "$3" -seconds "$seconds" -trace 0 | tail -n 1) || true
+	line=$(cd "$tmp/$1" && go run -C bench . -workload "$2" -seed "$3" -seconds "$seconds" -trace 0 ${waldir[@]+"${waldir[@]}"} | tail -n 1) || true
 	printf '%s\n' "$line" >>"$out/$2.$1.jsonl"
 }
 
