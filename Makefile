@@ -129,3 +129,5 @@ fuzz:
 	$(GO) test ./internal/rs/ -fuzz FuzzDecodeErrors -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/soda/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/soda/ -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/soda/ -run '^$$' -fuzz FuzzParseWALRecord -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/soda/ -run '^$$' -fuzz FuzzReadSnapshot -fuzztime $(FUZZTIME)

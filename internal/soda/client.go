@@ -32,12 +32,11 @@ var (
 // result is the caller's own copy, and a Delivery's Elem is read-only
 // and valid until GetData returns.
 //
-// Every method may park, and a Writer or Reader calls them from one
-// goroutine per server (a leg) so that n-f answers complete a phase
-// however slow the rest are. The loopback's conn can also answer without
-// parking — or say that it cannot just now — which a client built on
-// nothing else uses to run without legs (allLoopConns); that ability is
-// not part of Conn, and a Conn that wraps another hides it.
+// Every method may park, so a Writer or Reader calls them from one
+// goroutine per server (a leg): n-f answers complete a phase however slow
+// the rest are. A loopback conn is asked on the caller's goroutine first,
+// where it answers or says not now (loopConnsOf); that is not part of
+// Conn, and a Conn that wraps another is simply owed its leg.
 type Conn interface {
 	// Index returns the server's shard index in [0, n).
 	Index() int
@@ -69,8 +68,8 @@ type Conn interface {
 
 // Reconfigurer is the optional Conn capability a reconfiguration
 // coordinator needs: driving a server's epoch state machine (status,
-// seal, activate). All three built-in transports implement it; a Conn
-// that does not cannot be part of a live geometry flip.
+// seal, activate). Both built-in transports implement it; a Conn that
+// does not cannot be part of a live geometry flip.
 type Reconfigurer interface {
 	Reconfig(ctx context.Context, op ReconfigOp, target uint64, n, k int) (EpochStatus, error)
 }
@@ -108,19 +107,17 @@ func liveConns(conns []Conn, m *Membership) ([]Conn, int) {
 	return live, len(conns) - len(live)
 }
 
-// allLoopConns reports whether every conn of a client is the loopback's
-// own — the one conn that can answer an exchange without parking
-// (loopConn.getTagNow, putDataNow, subscribeNow) — so that the client
-// runs its quorum phases on the calling goroutine. It goes by what the
-// conns are, not by an option: a conn that wraps a loopConn hides the
-// capability, and a set with one such conn in it runs on legs.
-func allLoopConns(conns []Conn) bool {
+// loopConnsOf resolves once, when a client is built, which of its conns
+// are the loopback's own — the one conn that can answer an exchange
+// without parking (loopConn.getTagNow, putDataNow, subscribeNow) — by
+// server index; for a socket or a wrapper it holds nil, and a nil
+// *loopConn answers errNotNow to everything.
+func loopConnsOf(conns []Conn) []*loopConn {
+	loops := make([]*loopConn, len(conns))
 	for _, c := range conns {
-		if _, ok := c.(*loopConn); !ok {
-			return false
-		}
+		loops[c.Index()], _ = c.(*loopConn)
 	}
-	return true
+	return loops
 }
 
 // reportSuspect feeds an affirmative per-server failure into a shared
@@ -134,42 +131,6 @@ func reportSuspect(m *Membership, opctx context.Context, server int, err error) 
 		return
 	}
 	m.MarkSuspect(server, err)
-}
-
-// quorum runs op against every conn and returns nil once need of them
-// have succeeded, cancelling the stragglers. It fails fast with
-// ErrUnavailable as soon as too many conns have errored for need
-// successes to remain possible.
-func quorum(ctx context.Context, conns []Conn, need int, op func(context.Context, Conn) error) error {
-	qctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	res := make(chan error, len(conns))
-	for _, c := range conns {
-		go func(c Conn) { res <- op(qctx, c) }(c)
-	}
-	oks, errs := 0, 0
-	var firstErr error
-	for range conns {
-		select {
-		case err := <-res:
-			if err == nil {
-				if oks++; oks >= need {
-					return nil
-				}
-			} else {
-				if firstErr == nil {
-					firstErr = err
-				}
-				if errs++; errs > len(conns)-need {
-					return fmt.Errorf("%w: %d of %d servers failed (need %d): %w",
-						ErrUnavailable, errs, len(conns), need, firstErr)
-				}
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return fmt.Errorf("%w: quorum accounting exhausted", ErrUnavailable) // unreachable
 }
 
 // writeStripes stripes the writer's per-key serialization locks; must
@@ -228,7 +189,7 @@ type Writer struct {
 	id      string
 	codec   *Codec
 	conns   []Conn
-	inline  bool // every conn answers without parking: see allLoopConns
+	loops   []*loopConn // see loopConnsOf
 	f       int
 	m       *Membership
 	locks   [writeStripes]sync.Mutex // serialize Write's get-tag -> put-data pair per key
@@ -284,7 +245,7 @@ func NewWriter(id string, codec *Codec, conns []Conn, opts ...WriterOption) (*Wr
 	if err := validateConns(conns, codec.N()); err != nil {
 		return nil, err
 	}
-	w := &Writer{id: id, codec: codec, conns: conns, f: (codec.N() - codec.K()) / 2, inline: allLoopConns(conns)}
+	w := &Writer{id: id, codec: codec, conns: conns, f: (codec.N() - codec.K()) / 2, loops: loopConnsOf(conns)}
 	for _, opt := range opts {
 		if err := opt(w); err != nil {
 			return nil, err
@@ -372,12 +333,11 @@ func (q *writeTally) acked(minted Tag) (bool, error) {
 	return false, nil
 }
 
-// writeCall is the pooled fan-out state of one fused Write: a single
-// goroutine per server runs both phases back to back, so a write costs
-// n goroutine spawns instead of the 2n a quorum() per phase would, and
-// the channels and spawn thunk are reused across writes. Legs report
-// into the tally under wc.mu and nudge the cap-1 wake channel only when
-// their answer resolves a phase, so the caller parks about once per
+// writeCall is the pooled fan-out state of one Write: a single goroutine
+// per server runs both phases back to back, so a write costs n spawns,
+// not 2n, and the channels and spawn thunk are reused across writes. Legs
+// report into the tally under wc.mu and nudge the cap-1 wake channel only
+// when their answer resolves a phase, so the caller parks about once per
 // phase instead of consuming 2n messages. The refcount covers the server
 // goroutines plus the caller; the last one off drains the channels and
 // pools the struct, so straggler sends can never pollute a later write.
@@ -456,8 +416,7 @@ func (wc *writeCall) signal() {
 // wait for the writer to mint, then deliver the coded element — or, when
 // the caller has minted already, only the last. A server whose get-tag
 // failed still attempts put-data — the TCP transport redials on demand,
-// so the second exchange can succeed where the first did not, and the
-// unfused path retried it the same way.
+// so the second exchange can succeed where the first did not.
 func (wc *writeCall) run() {
 	defer wc.release()
 	c := wc.conns[wc.next.Add(1)-1]
@@ -499,16 +458,13 @@ func (wc *writeCall) run() {
 }
 
 // Write performs one atomic write of key: get-tag, then put-data,
-// returning the tag the value was written under. Over a socket the two
-// phases are fused per server — one goroutine per conn runs get-tag and
-// then, once n-f tags have fixed the minted tag, put-data on the same
-// leg — which is observationally the same message sequence as
-// NextTag+WriteTagged but costs half the fan-out. Per-server phases
+// returning the tag the value was written under. It asks on its own
+// goroutine whichever conns answer there (writeNow) and sends a leg for
+// each exchange still owed: one goroutine per conn runs get-tag and then,
+// once n-f tags have fixed the minted tag, put-data. Per-server phases
 // may overlap (one server can be receiving its element while a
 // straggler is still answering get-tag); the protocol never needed
-// the phases globally barriered, only the mint to follow n-f tags. Over
-// conns that can answer without parking (the loopback's) there is no
-// fan-out at all: both phases run on the calling goroutine, see writeNow.
+// the phases globally barriered, only the mint to follow n-f tags.
 //
 // On a put-data-phase failure the minted tag is returned alongside the
 // error: the attempt may have installed elements under it on fewer
@@ -566,7 +522,7 @@ func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Ta
 	q.allowed = len(live) - q.need
 	owed := live // the conns a leg still has to take this write to
 	// The legs know what a dead context does to a write.
-	if w.inline && ctx.Err() == nil {
+	if ctx.Err() == nil {
 		var done bool
 		if minted, owed, done, err = w.writeNow(ctx, key, live, sc, len(value), &q); done {
 			w.scratch.Put(sc)
@@ -626,34 +582,39 @@ func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Ta
 	}
 }
 
-// writeNow runs a write's phases on the calling goroutine, over conns
-// that can all answer without parking: each phase is a pass over live in
-// index order (phase 1 makes a second over the servers its first found
-// busy), a server's answer going through the same tally and rules as a
-// leg's. A hung server is a leg that never answers; if a phase cannot
-// resolve without the hung ones the write waits out ctx, as its legs
-// would have. It returns done when the write is over, minted
-// tag and error being Write's. Otherwise some exchange needs a leg after
-// all (errNotNow): with a zero tag nothing has happened and owed is live;
-// with a minted one phase 0 is over, q holds the acks so far and owed
-// are the conns whose put-data is still to be sent, their elements
-// untouched. Elements of conns not in owed are sent or freed.
+// writeNow runs on the calling goroutine as much of a write as its conns
+// answer there: each phase is a pass over live in index order (phase 1
+// makes a second over the servers its first found busy), a server's
+// answer going through the same tally and rules as a leg's. A hung server
+// is a leg that never answers; if a phase cannot resolve without the hung
+// ones the write waits out ctx, as its legs would have. It returns done
+// when the write is over, minted tag and error being Write's. Otherwise
+// legs are owed: with a zero tag the answers to be had there did not
+// settle phase 0, nothing has happened and owed is live; with a minted
+// one q holds the acks so far and owed are the conns whose put-data is
+// still to be sent. Elements of conns not in owed are sent or freed.
 func (w *Writer) writeNow(ctx context.Context, key string, live []Conn, sc *encodeScratch, vlen int, q *writeTally) (minted Tag, owed []Conn, done bool, err error) {
+	missed := false
 	for _, c := range live {
-		t, err := c.(*loopConn).getTagNow(key)
+		i := c.Index()
+		t, err := w.loops[i].getTagNow(key)
 		switch err {
 		case errNotNow:
-			*q = writeTally{need: q.need, allowed: q.allowed}
-			return Tag{}, live, false, nil
+			missed = true
+			continue
 		case errSilent:
 			continue
 		}
-		reportSuspect(w.m, ctx, c.Index(), err)
+		reportSuspect(w.m, ctx, i, err)
 		q.gotTag(t, err)
 	}
 	minted, err = q.mintTag(w.id)
 	if minted.IsZero() {
 		if err == nil {
+			if missed {
+				*q = writeTally{need: q.need, allowed: q.allowed}
+				return Tag{}, live, false, nil
+			}
 			<-ctx.Done()
 			err = ctx.Err()
 		}
@@ -674,7 +635,8 @@ func (w *Writer) writeNow(ctx context.Context, key string, live []Conn, sc *enco
 	for pass := 0; pass < 2 && len(owed) > 0; pass++ {
 		busy := sc.owed[:0] // pass 1 filters sc.owed in place
 		for _, c := range owed {
-			err := c.(*loopConn).putDataNow(key, minted, sc.shards[c.Index()], vlen)
+			i := c.Index()
+			err := w.loops[i].putDataNow(key, minted, sc.shards[i], vlen)
 			switch err {
 			case errNotNow:
 				busy = append(busy, c)
@@ -682,7 +644,7 @@ func (w *Writer) writeNow(ctx context.Context, key string, live []Conn, sc *enco
 			case errSilent:
 				continue
 			}
-			reportSuspect(w.m, ctx, c.Index(), err)
+			reportSuspect(w.m, ctx, i, err)
 			q.gotAck(err)
 		}
 		owed, sc.owed = busy, busy
@@ -697,39 +659,6 @@ func (w *Writer) writeNow(ctx context.Context, key string, live []Conn, sc *enco
 	return minted, nil, true, err
 }
 
-// NextTag is the get-tag phase on its own: query all servers for key,
-// wait for n-f tags, and mint the successor of their maximum. Exposed
-// separately (with WriteTagged) so tests can fault-inject a writer
-// crash between the phases; callers driving the phases by hand own
-// the per-key serialization Write otherwise provides.
-func (w *Writer) NextTag(ctx context.Context, key string) (Tag, error) {
-	live, _, err := w.quorumConns()
-	if err != nil {
-		return Tag{}, fmt.Errorf("soda: get-tag: %w", err)
-	}
-	var mu sync.Mutex
-	var max Tag
-	err = quorum(ctx, live, len(w.conns)-w.f, func(qctx context.Context, c Conn) error {
-		t, err := c.GetTag(qctx, key)
-		if err != nil {
-			reportSuspect(w.m, qctx, c.Index(), err)
-			return err
-		}
-		mu.Lock()
-		if max.Less(t) {
-			max = t
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return Tag{}, fmt.Errorf("soda: get-tag: %w", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return max.Next(w.id), nil
-}
-
 // quorumConns samples the membership view for one phase: the conns to
 // contact, the number quarantined, and an ErrUnavailable when so many
 // are quarantined that the n-f quorum cannot be met without them.
@@ -739,45 +668,6 @@ func (w *Writer) quorumConns() ([]Conn, int, error) {
 		return nil, excluded, fmt.Errorf("%w: %d servers quarantined, fault budget f=%d", ErrUnavailable, excluded, w.f)
 	}
 	return live, excluded, nil
-}
-
-// WriteTagged is the put-data phase: encode the value into a pooled
-// scratch and send coded element i to server i, completing on n-f
-// acks. A conn borrows a small element only for its PutData — the
-// loopback server copies it into the register, the TCP client into a
-// frame — so the scratch is reusable as soon as every per-server op
-// has finished, which is exactly when its refcount pools it; a large
-// element is its conn's to keep (see Conn).
-func (w *Writer) WriteTagged(ctx context.Context, key string, tag Tag, value []byte) error {
-	live, excluded, err := w.quorumConns()
-	if err != nil {
-		return fmt.Errorf("soda: put-data %v: %w", tag, err)
-	}
-	sc, _ := w.scratch.Get().(*encodeScratch)
-	if sc == nil {
-		sc = &encodeScratch{}
-	}
-	if err := w.codec.encodeValueInto(value, sc); err != nil {
-		w.scratch.Put(sc)
-		return err
-	}
-	if excluded > 0 {
-		sc.unsent(live)
-	}
-	vlen := len(value)
-	sc.refs.Store(int32(len(live)))
-	err = quorum(ctx, live, len(w.conns)-w.f, func(qctx context.Context, c Conn) error {
-		defer sc.release(&w.scratch)
-		if err := c.PutData(qctx, key, tag, sc.shards[c.Index()], vlen); err != nil {
-			reportSuspect(w.m, qctx, c.Index(), err)
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("soda: put-data %v: %w", tag, err)
-	}
-	return nil
 }
 
 // ReadResult is a completed read: the value, the tag it was written
@@ -797,7 +687,7 @@ type Reader struct {
 	ridPrefix  string // id + process token, precomputed off the Read path
 	codec      *Codec
 	conns      []Conn
-	inline     bool // every conn answers without parking: see allLoopConns
+	loops      []*loopConn // see loopConnsOf
 	f          int
 	e          int
 	quarantine []int
@@ -891,7 +781,7 @@ func NewReader(id string, codec *Codec, conns []Conn, opts ...ReaderOption) (*Re
 	if f > codec.K()-1 {
 		f = codec.K() - 1 // see WithReaderFaults: atomicity needs f < k
 	}
-	r := &Reader{id: id, ridPrefix: id + "-" + procToken + "#", codec: codec, conns: conns, f: f, inline: allLoopConns(conns)}
+	r := &Reader{id: id, ridPrefix: id + "-" + procToken + "#", codec: codec, conns: conns, f: f, loops: loopConnsOf(conns)}
 	for _, opt := range opts {
 		if err := opt(r); err != nil {
 			return nil, err
@@ -925,9 +815,13 @@ var (
 
 // Read performs one atomic read of key. It blocks until enough servers
 // have responded (or relayed a concurrent write) to pin down a value,
-// or until ctx is cancelled. Over conns that can register a reader
-// without parking (the loopback's) it first tries the whole read on the
-// calling goroutine, see readNow.
+// or until ctx is cancelled, under one registration id throughout. A pass
+// on the calling goroutine registers with every conn that answers there,
+// the initial delivery arriving through the same sink as on a leg, and
+// stops at the server whose answer completes the read — which then closes
+// what it opened and has started nothing. A read the pass leaves waiting
+// keeps its registrations and sends a leg to watch each, and one to each
+// conn still owed its get-data. A hung server never delivers.
 func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	if err := validateKey(key); err != nil {
 		return ReadResult{}, fmt.Errorf("%w: %v", ErrConfig, err)
@@ -944,24 +838,55 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 			}
 		}
 	}
-	if r.inline && ctx.Err() == nil {
-		if res, done, err := r.readNow(ctx, key, quarantine); done {
-			if err == nil && handoff(r.codec.shardSize(len(res.Value))) {
-				yieldAfterLargeInlineOp()
-			}
-			return res, err
+	st := r.begin(key, quarantine)
+	defer st.release()
+	live := ctx.Err() == nil // the legs know what a dead context does to a read
+	var done bool
+	for i := 0; ; i++ { // finished is sampled once per conn and once after the last
+		if done = st.isFinished(); done || i == len(r.conns) {
+			break
+		}
+		c := r.conns[i]
+		idx := c.Index()
+		if slices.Contains(quarantine, idx) {
+			continue
+		}
+		sub, err := loopSub{}, errNotNow
+		if live {
+			sub, err = r.loops[idx].subscribeNow(key, st.rid, st.sink)
+		}
+		switch err {
+		case nil:
+			st.subs = append(st.subs, sub)
+		case errNotNow:
+			st.owed = append(st.owed, c)
+		case errSilent:
+		default:
+			reportSuspect(r.m, ctx, idx, err)
+			st.lose(idx, err)
 		}
 	}
+	if done {
+		// Unforced: the read is finished with every element it was handed.
+		for _, sub := range st.subs {
+			sub.close(false)
+		}
+		res, err := st.outcome()
+		if err == nil && handoff(r.codec.shardSize(len(res.Value))) {
+			yieldAfterLargeInlineOp()
+		}
+		return res, err
+	}
 
-	// Subscriptions end only through this deferred cancel, once the read
+	// Registrations end only through this deferred cancel, once the read
 	// has stopped touching delivered elements: unregistering is what lets
 	// a loopback server overwrite the buffers it handed out.
 	rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer cancel()
-	st := r.begin(rctx, key, quarantine)
-	st.refs.Add(int32(len(st.contact))) // one per subscription
-	defer st.release()
-	for range st.contact {
+	st.rctx = rctx
+	legs := len(st.subs) + len(st.owed)
+	st.refs.Add(int32(legs))
+	for range legs {
 		st.idle.spawn(st.body)
 	}
 
@@ -976,16 +901,15 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	}
 }
 
-// begin checks out the state of one read attempt, held by the caller:
-// a fresh registration id, the generation-pinned sink, the conns to
-// contact, and the quarantined servers already counted as lost. rctx is
-// what the attempt's legs run under; an attempt without legs has none.
-func (r *Reader) begin(rctx context.Context, key string, quarantine []int) *readState {
+// begin checks out the state of one read, held by the caller: a fresh
+// registration id, the generation-pinned sink, and the quarantined servers
+// already counted as lost.
+func (r *Reader) begin(key string, quarantine []int) *readState {
 	b := make([]byte, 0, len(r.ridPrefix)+20)
 	rid := string(strconv.AppendUint(append(b, r.ridPrefix...), readSeq.Add(1), 10))
 	st := r.getState()
 	st.mu.Lock()
-	st.rctx, st.key, st.rid = rctx, key, rid
+	st.key, st.rid = key, rid
 	gen := st.gen
 	// The sink is the one piece of this read the servers hold onto: a
 	// relay snapshotting the sink set just before Unregister can still
@@ -1000,13 +924,6 @@ func (r *Reader) begin(rctx context.Context, key string, quarantine []int) *read
 		}
 		st.addLocked(d)
 	}
-	contact := st.contact[:0]
-	for _, c := range r.conns {
-		if !slices.Contains(quarantine, c.Index()) {
-			contact = append(contact, c)
-		}
-	}
-	st.contact = contact
 	st.next.Store(0)
 	st.refs.Store(1)
 	st.mu.Unlock()
@@ -1016,7 +933,7 @@ func (r *Reader) begin(rctx context.Context, key string, quarantine []int) *read
 	return st
 }
 
-// outcome is how a finished attempt ends its Read.
+// outcome is how a finished read ends its Read.
 func (st *readState) outcome() (ReadResult, error) {
 	st.mu.Lock()
 	res, err := st.result, st.err
@@ -1030,57 +947,18 @@ func (st *readState) outcome() (ReadResult, error) {
 	return res, nil
 }
 
-// readNow attempts a whole read on the calling goroutine, over conns
-// that can all register a reader without parking: one pass subscribes to
-// each contacted server in index order, the initial delivery arriving
-// through the same sink, addLocked, check and lose as on a leg, and
-// stops at the server whose answer completes the read. A hung server is
-// a subscription that never delivers. The subscriptions are closed
-// before returning, unforced — the attempt is finished with every
-// element it was handed, whether it completed or not. It reports done
-// with Read's result when the pass completed the read or proved it
-// impossible. Otherwise — an exchange needs a leg (errNotNow), or the
-// read is waiting for something no pass can bring: a concurrent write's
-// relay, a hung server's answer, the caller's deadline — nothing is left
-// of the attempt, and the read starts again on legs under a new
-// registration id, which parks the way this one may not.
-func (r *Reader) readNow(ctx context.Context, key string, quarantine []int) (res ReadResult, done bool, err error) {
-	st := r.begin(nil, key, quarantine)
-	defer st.release()
-	subs := st.subs[:0]
-	for _, c := range st.contact {
-		sub, err := c.(*loopConn).subscribeNow(key, st.rid, st.sink)
-		if err == nil {
-			subs = append(subs, sub)
-		} else if err != errSilent && err != errNotNow {
-			reportSuspect(r.m, ctx, c.Index(), err)
-			st.lose(c.Index(), err)
-		}
-		if err == errNotNow || st.isFinished() {
-			break
-		}
-	}
-	st.mu.Lock()
-	done = st.finished
-	st.finished = true // waits out a decode in flight; later sinks go inert
-	st.mu.Unlock()
-	for _, sub := range subs {
-		sub.close(false)
-	}
-	clear(subs)
-	st.subs = subs
-	if done {
-		res, err = st.outcome()
-	}
-	return res, done, err
-}
-
-// runConn is one server's subscription leg of a read, spawned once per
-// contacted conn through the pooled spawn thunk.
+// runConn is one server's leg of a read the pass left waiting: the first
+// len(subs) watch a registration it made, the rest make their own.
 func (st *readState) runConn() {
 	defer st.release()
-	c := st.contact[st.next.Add(1)-1]
-	err := c.GetData(st.rctx, st.key, st.rid, st.sink)
+	var idx int
+	var err error
+	if j := int(st.next.Add(1)) - 1; j < len(st.subs) {
+		idx, err = st.subs[j].c.idx, st.subs[j].await(st.rctx)
+	} else {
+		c := st.owed[j-len(st.subs)]
+		idx, err = c.Index(), c.GetData(st.rctx, st.key, st.rid, st.sink)
+	}
 	if st.rctx.Err() == nil {
 		// The subscription died while the read still wanted it: a
 		// crashed or closing server. Anything it already delivered
@@ -1088,8 +966,8 @@ func (st *readState) runConn() {
 		if err == nil {
 			err = errStreamClosed
 		}
-		reportSuspect(st.r.m, st.rctx, c.Index(), err)
-		st.lose(c.Index(), err)
+		reportSuspect(st.r.m, st.rctx, idx, err)
+		st.lose(idx, err)
 	}
 }
 
@@ -1132,14 +1010,15 @@ func (st *readState) release() {
 	st.nvers = 0
 	clear(st.hasInit)
 	clear(st.lost)
-	for i := range st.initials {
-		st.initials[i] = Tag{}
-	}
+	clear(st.initials)
 	st.nInit, st.nLost = 0, 0
 	st.tTargetSet, st.tTarget = false, Tag{}
 	st.finished, st.result, st.err = false, ReadResult{}, nil
 	st.rctx, st.key, st.rid, st.sink = nil, "", "", nil
-	st.contact = st.contact[:0]
+	// Not the caller's to clear: a leg may start after Read has returned.
+	clear(st.subs)
+	clear(st.owed)
+	st.subs, st.owed = st.subs[:0], st.owed[:0]
 	select {
 	case <-st.done: // unconsumed completion signal (caller left via ctx)
 	default:
@@ -1193,12 +1072,12 @@ type readState struct {
 	idle *idleList    // where this read's legs leave from and park (see workerPool)
 
 	// Per-read wiring, set before the spawns, cleared at pool time.
-	rctx    context.Context
-	key     string
-	rid     string
-	sink    func(Delivery)
-	contact []Conn
-	subs    []loopSub // readNow's open subscriptions, kept for its capacity
+	rctx context.Context // what the legs run under; a read without legs has none
+	key  string
+	rid  string
+	sink func(Delivery)
+	subs []loopSub // the registrations the pass made
+	owed []Conn    // the conns it could not ask: each needs a leg to run its get-data
 
 	initials []Tag // server-indexed tag of the Initial delivery
 	hasInit  []bool

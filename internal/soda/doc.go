@@ -98,22 +98,21 @@
 // table: it has no frames to decode, and an indirect call would move
 // its arguments to the heap on the in-process hot path.
 //
-// Where the quorum phases run: a Writer or Reader sends each phase from
-// one goroutine per server (a leg) and completes it on the first n-f
-// answers — what a socket needs. When every conn is the loopback's own,
-// a reply is a function return and the phases run instead as passes
-// over the servers on the calling goroutine, through the same tally and
-// completion rules the legs report into (writeTally; readState.addLocked,
-// check, lose): Writer.writeNow, Reader.readNow. Three things still go
-// out on legs: any operation while a Loopback test hook is installed; a
-// put-data to a durable server whose log (or register) the writer found
-// busy on two visits — it does not queue there, having other servers to
-// put to meanwhile — or whose fsyncs wait for a device, since those only
-// overlap from n goroutines (the log times one fsync in 64 to tell); and
-// a read its pass left pending (on a concurrent write's relay, a hung
-// server, the deadline), which closes its registrations and starts again
-// on legs under a new reader id. A hung server is a leg
-// that never answers. An inline operation that moved a handoff-sized
-// value yields the processor once before returning, because a client
-// that never parks starves the garbage collector's mark worker.
+// Where the quorum phases run: a pass, then legs for what is owed. A
+// Writer or Reader first asks, on the calling goroutine, each conn that
+// can answer there — the loopback's own, where a reply is a function
+// return — through the same tally and completion rules the legs report
+// into (writeTally; readState.addLocked, check, lose): Writer.writeNow,
+// Reader.Read. For each exchange still owed it then sends one goroutine
+// per server (a leg), completing on the first n-f answers — what a socket
+// needs. What can be owed: every exchange of a conn that is not the
+// loopback's own (MuxConn, a wrapper), or made while a Loopback test hook
+// is installed; a put-data to a durable server whose log or register was
+// busy on two visits, or whose fsyncs wait for a device (those only
+// overlap from n goroutines; the log times one fsync in 64 to tell); and
+// the wait of a read the pass left pending — on a concurrent write's
+// relay, a hung server, the deadline — whose legs watch the registrations
+// it made. A hung server is a leg that never answers. An operation that
+// moved a handoff-sized value on the pass alone yields the processor once:
+// a client that never parks starves the garbage collector's mark worker.
 package soda

@@ -18,13 +18,13 @@ import (
 	"repro/internal/rs"
 )
 
-// A Writer or Reader whose conns are all loopConns runs its quorum
-// phases on the calling goroutine; any other conn set runs them on legs.
-// The tests below hold the two paths to the same behaviour, and pin each
-// way the inline path hands an operation back to the legs.
+// A Writer or Reader asks each loopback conn on the calling goroutine and
+// sends a leg for every exchange still owed; a conn that wraps another is
+// owed them all. The tests below hold raw, wrapped and mixed conn sets to
+// the same behaviour, and pin each way an exchange comes to be owed.
 
-// opaqueConn hides what its conn can do beyond Conn: a client built on a
-// wrapped set takes the leg path over the same servers.
+// opaqueConn hides what its conn can do beyond Conn: it is owed a leg for
+// every exchange.
 type opaqueConn struct{ Conn }
 
 func opaque(conns []Conn) []Conn {
@@ -37,27 +37,55 @@ func opaque(conns []Conn) []Conn {
 
 func rawConns(conns []Conn) []Conn { return conns }
 
-// countedConn is an opaqueConn that counts the client exchanges it has
-// seen return, so a sequential test can tell when an operation's legs —
-// which outlive it: a write returns on n-f acks — have all come home.
+// mixedServer is the one server mixedConns wraps.
+const mixedServer = 3
+
+// mixedConns wraps one conn of the set: that server is owed its legs, the
+// others are asked on the caller's goroutine.
+func mixedConns(conns []Conn) []Conn {
+	conns[mixedServer] = opaqueConn{conns[mixedServer]}
+	return conns
+}
+
+// exchanges counts what a countedConn was asked.
+type exchanges struct{ getTags, putDatas, getDatas atomic.Int64 }
+
+// countedConn is an opaqueConn that counts the client exchanges sent
+// through it: only a leg sends any.
 type countedConn struct {
 	Conn
-	returned *atomic.Int64
+	seen *exchanges
 }
 
 func (c countedConn) GetTag(ctx context.Context, key string) (Tag, error) {
-	defer c.returned.Add(1)
+	c.seen.getTags.Add(1)
 	return c.Conn.GetTag(ctx, key)
 }
 
 func (c countedConn) PutData(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
-	defer c.returned.Add(1)
+	c.seen.putDatas.Add(1)
 	return c.Conn.PutData(ctx, key, t, elem, vlen)
 }
 
 func (c countedConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
-	defer c.returned.Add(1)
+	c.seen.getDatas.Add(1)
 	return c.Conn.GetData(ctx, key, readerID, deliver)
+}
+
+// legsHome reports whether every fan-out worker in the process is parked
+// on its idle list: no leg is running, and none is on its way to a worker.
+// A leg is a message in flight — it outlives the operation that sent it (a
+// write returns on n-f acks, a read leaves its registrations to be closed
+// behind it) — and a sequential test waits for this before its next step.
+func legsHome() bool {
+	idle := 0
+	for i := range spawnPool.lists {
+		l := &spawnPool.lists[i]
+		l.mu.Lock()
+		idle += len(l.idle)
+		l.mu.Unlock()
+	}
+	return idle == parkedWorkers()
 }
 
 // waitFor polls cond for up to five seconds.
@@ -118,11 +146,10 @@ func classify(err error) string {
 // seed and on the fault state it produced, so two runs of one seed ask
 // it the same questions. An operation the fault state leaves waiting on
 // a server that will never answer gets a short deadline, and the run
-// checks that exactly those end on it. With legs set the conns are
-// wrapped, and the run waits after every operation until each of its
-// legs has made its last exchange: a leg is a message in flight, it still
-// lands after its operation returned, and the next fault must find the
-// same servers written either way.
+// checks that exactly those end on it. The run waits after every
+// operation until its legs are home (legsHome): a leg still lands after
+// its operation returned, and the next fault must find the same servers
+// written whichever conns were owed one.
 //
 // With durable set the servers log to a temp dir under the given fsync
 // mode (syncs pinned to take no time, see pinnedCluster), a crash is a
@@ -133,7 +160,7 @@ func classify(err error) string {
 // moved, which a closed log refuses. At the end every node is closed,
 // recovered from its directory once more and compared with what it held
 // live: whichever goroutine logged a put, the log replays to it.
-func runDiffSchedule(t *testing.T, seed int64, e int, legs, durable bool, mode FsyncMode) (ops []diffOp, final []string) {
+func runDiffSchedule(t *testing.T, seed int64, e int, wrap func([]Conn) []Conn, durable bool, mode FsyncMode) (ops []diffOp, final []string) {
 	t.Helper()
 	const n, k, steps = 5, 3, 160
 	var copts []rs.Option
@@ -169,14 +196,8 @@ func runDiffSchedule(t *testing.T, seed int64, e int, legs, durable bool, mode F
 	epoch := uint64(SeedEpoch)
 	var w *Writer
 	var r *Reader
-	var returned, sent atomic.Int64
 	build := func() {
-		conns := lb.ConnsAt(epoch, n)
-		for i, c := range conns {
-			if legs {
-				conns[i] = countedConn{c, &returned}
-			}
-		}
+		conns := wrap(lb.ConnsAt(epoch, n))
 		w = mustWriter(t, "w", codec, conns)
 		r = mustReader(t, "r", codec, conns, ropts...)
 	}
@@ -310,17 +331,9 @@ func runDiffSchedule(t *testing.T, seed int64, e int, legs, durable bool, mode F
 			t.Fatalf("seed %d: %s ended %s (%v); the fault state (crashed %v hung %v sealed %v, newest tag on %d) says waits=%v",
 				seed, op.desc, op.class, err, crashed, hung, sealed, holders, waits)
 		}
-		// Every leg asks for the tag or registers, and a write that minted
-		// has sent every leg on to put.
-		sent.Add(n)
-		if write && !op.tag.IsZero() {
-			sent.Add(n)
-		}
-		if legs {
-			for deadline := time.Now().Add(5 * time.Second); returned.Load() != sent.Load(); time.Sleep(50 * time.Microsecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("seed %d: %s (%s, %v): its legs made %d exchanges, want %d\n%s", seed, op.desc, op.class, err, returned.Load(), sent.Load(), strings.Join(goroutineStanzas(), "\n\n"))
-				}
+		for deadline := time.Now().Add(5 * time.Second); !legsHome(); time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("seed %d: %s (%s, %v): its legs are still out\n%s", seed, op.desc, op.class, err, strings.Join(goroutineStanzas(), "\n\n"))
 			}
 		}
 		if waits {
@@ -359,26 +372,28 @@ func runDiffSchedule(t *testing.T, seed int64, e int, legs, durable bool, mode F
 	}
 	for i, replayed := range state() {
 		if final[i] != replayed {
-			t.Fatalf("seed %d (legs=%v): live, %s; recovered from its directory, %s", seed, legs, final[i], replayed)
+			t.Fatalf("seed %d: live, %s; recovered from its directory, %s", seed, final[i], replayed)
 		}
 	}
 	return ops, final
 }
 
 // TestInlineVsLegsSequential: one seeded schedule run through raw
-// loopback conns (inline) and through wrapped ones (legs) gives every
-// operation the same outcome — class of error, tag, value, corrupt
-// servers named — and leaves the same (tag, vlen) under every key on
-// every server, for SODA and for SODA_err with e=1.
+// loopback conns (nothing owed), through wrapped ones (every exchange on
+// a leg) and with one server wrapped gives every operation the same
+// outcome — class of error, tag, value, corrupt servers named — and
+// leaves the same (tag, vlen, element) under every key on every server,
+// for SODA and for SODA_err with e=1.
 func TestInlineVsLegsSequential(t *testing.T) {
 	checkNoLeaks(t)
 	diffSequential(t, []int{0, 1}, false, 0)
 }
 
 // TestInlineVsLegsSequentialDurable is the same over servers that log:
-// never syncing, and syncing every record. The inline run logs on the
-// test's goroutine, the other from legs; besides what the memory run
-// compares, each must replay to what it held (see runDiffSchedule).
+// never syncing, and syncing every record. The raw run logs on the test's
+// goroutine, the wrapped one from legs, the mixed one from both; besides
+// what the memory run compares, each must replay to what it held (see
+// runDiffSchedule).
 func TestInlineVsLegsSequentialDurable(t *testing.T) {
 	checkNoLeaks(t)
 	for _, mode := range []FsyncMode{FsyncNone, FsyncAlways} {
@@ -390,32 +405,39 @@ func diffSequential(t *testing.T, es []int, durable bool, mode FsyncMode) {
 	t.Helper()
 	for _, e := range es {
 		for _, seed := range []int64{24, 2400} {
-			inline, inlineFinal := runDiffSchedule(t, seed, e, false, durable, mode)
-			legs, legsFinal := runDiffSchedule(t, seed, e, true, durable, mode)
+			inline, inlineFinal := runDiffSchedule(t, seed, e, rawConns, durable, mode)
 			classes := map[string]int{}
-			for i := range inline {
-				a, b := inline[i], legs[i]
-				if a.desc != b.desc {
-					t.Fatalf("e=%d seed %d: the runs diverged: %q inline, %q on legs", e, seed, a.desc, b.desc)
-				}
-				if a.class != b.class || a.stale != b.stale || a.tag != b.tag || a.corrupt != b.corrupt ||
-					(a.class == "ok" && !bytes.Equal(a.value, b.value)) {
-					t.Fatalf("e=%d seed %d: %s: inline %s stale=%v tag %v corrupt %s (%d B), legs %s stale=%v tag %v corrupt %s (%d B)",
-						e, seed, a.desc, a.class, a.stale, a.tag, a.corrupt, len(a.value), b.class, b.stale, b.tag, b.corrupt, len(b.value))
-				}
+			for _, a := range inline {
 				classes[a.class]++
 				if a.stale {
 					classes["stale"]++
 				}
 			}
-			for i := range inlineFinal {
-				if inlineFinal[i] != legsFinal[i] {
-					t.Fatalf("e=%d seed %d: final state: inline %s, legs %s", e, seed, inlineFinal[i], legsFinal[i])
-				}
-			}
 			for _, class := range []string{"ok", "unavailable", "ctx", "stale"} {
 				if classes[class] == 0 {
 					t.Errorf("e=%d seed %d: no operation ended %s: the schedule does not cover it (%v)", e, seed, class, classes)
+				}
+			}
+			for _, other := range []struct {
+				name string
+				wrap func([]Conn) []Conn
+			}{{"wrapped", opaque}, {"one server wrapped", mixedConns}} {
+				legs, legsFinal := runDiffSchedule(t, seed, e, other.wrap, durable, mode)
+				for i := range inline {
+					a, b := inline[i], legs[i]
+					if a.desc != b.desc {
+						t.Fatalf("e=%d seed %d: the runs diverged: %q raw, %q %s", e, seed, a.desc, b.desc, other.name)
+					}
+					if a.class != b.class || a.stale != b.stale || a.tag != b.tag || a.corrupt != b.corrupt ||
+						(a.class == "ok" && !bytes.Equal(a.value, b.value)) {
+						t.Fatalf("e=%d seed %d: %s: raw %s stale=%v tag %v corrupt %s (%d B), %s %s stale=%v tag %v corrupt %s (%d B)",
+							e, seed, a.desc, a.class, a.stale, a.tag, a.corrupt, len(a.value), other.name, b.class, b.stale, b.tag, b.corrupt, len(b.value))
+					}
+				}
+				for i := range inlineFinal {
+					if inlineFinal[i] != legsFinal[i] {
+						t.Fatalf("e=%d seed %d: final state: raw %s, %s %s", e, seed, inlineFinal[i], other.name, legsFinal[i])
+					}
 				}
 			}
 		}
@@ -435,12 +457,12 @@ func diffValue(rng *rand.Rand, key, client, seq int) []byte {
 	return v
 }
 
-// TestInlineVsLegsConcurrent: two clients on raw conns and two on
-// wrapped ones share one cluster and three keys, each writing and
-// reading in turn. Every value read must carry its key and an intact
-// CRC, and every key's history must pass lin_test.go's real-time rules:
-// inline and leg operations interleave on the same registers, and
-// same-key traffic sends inline reads down their restart path.
+// TestInlineVsLegsConcurrent: clients on raw conns, on wrapped ones and
+// on a set with one server wrapped share one cluster and three keys, each
+// writing and reading in turn. Every value read must carry its key and an
+// intact CRC, and every key's history must pass lin_test.go's real-time
+// rules: caller-side and leg exchanges interleave on the same registers,
+// and same-key traffic leaves reads waiting on their registrations.
 func TestInlineVsLegsConcurrent(t *testing.T) {
 	checkNoLeaks(t)
 	codec, lb := newCluster(t, 5, 3)
@@ -449,7 +471,7 @@ func TestInlineVsLegsConcurrent(t *testing.T) {
 
 // TestInlineVsLegsConcurrentDurable is the same over servers that log,
 // where the raw-conn clients log on their own goroutines next to the
-// wrapped clients' legs: the two kinds of appender meet on every log's
+// others' legs: the two kinds of appender meet on every log's
 // locks. Under FsyncAlways a power cut loses nothing acknowledged, so
 // there one server at a time is also cut and recovered from its disk
 // while the clients run, and the histories must still linearize.
@@ -476,10 +498,7 @@ func diffConcurrent(t *testing.T, codec *Codec, lb *Loopback, cuts bool) {
 	progress := make(chan struct{}, clients*opsEach)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
-		conns := lb.Conns()
-		if c%2 == 1 {
-			conns = opaque(conns)
-		}
+		conns := []func([]Conn) []Conn{rawConns, opaque, mixedConns, opaque}[c](lb.Conns())
 		w := mustWriter(t, fmt.Sprintf("w%d", c), codec, conns)
 		r := mustReader(t, fmt.Sprintf("r%d", c), codec, conns)
 		wg.Add(1)
@@ -692,13 +711,13 @@ func TestHookInstalledMeansLegs(t *testing.T) {
 	}
 }
 
-// TestInlineReadRestartsBehindAParkedWriter: a writer of the same key is
-// parked inside a relay with its element on server 0 only, so the inline
-// pass fixes the read's target at that write's tag and finds one element
-// of it. Nothing a pass can do brings the others: the read closes what
-// it opened, starts again on legs — a second registration on every
-// server — and returns the writer's value once the writer moves on.
-func TestInlineReadRestartsBehindAParkedWriter(t *testing.T) {
+// TestPendingReadKeepsItsRegistrations: a writer of the same key is
+// parked inside a relay with its element on server 0 only, so the read's
+// pass fixes its target at that write's tag and finds one element of it.
+// Nothing a pass can do brings the others: the read waits on the
+// registrations it has — one per server and one reader id for the whole
+// read — and returns the writer's value once the writer moves on.
+func TestPendingReadKeepsItsRegistrations(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	codec, lb := newCluster(t, 5, 3)
@@ -742,7 +761,7 @@ func TestInlineReadRestartsBehindAParkedWriter(t *testing.T) {
 		}
 		return n
 	}
-	before := registrations()
+	before, ids := registrations(), readSeq.Load()
 	type outcome struct {
 		res ReadResult
 		err error
@@ -752,7 +771,7 @@ func TestInlineReadRestartsBehindAParkedWriter(t *testing.T) {
 		res, err := r.Read(ctx, testKey)
 		read <- outcome{res, err}
 	}()
-	waitFor(t, "the read's second registration on every server", func() bool { return registrations()-before == 5+5 })
+	waitFor(t, "the read's registration on every server", func() bool { return registrations()-before == 5 })
 	select {
 	case o := <-read:
 		t.Fatalf("read returned %q, %v with one element of its target tag written", o.res.Value, o.err)
@@ -766,10 +785,159 @@ func TestInlineReadRestartsBehindAParkedWriter(t *testing.T) {
 	if o := <-read; o.err != nil || o.res.Tag != wr.tag || !bytes.Equal(o.res.Value, v2) {
 		t.Fatalf("read = %v %q, %v; want %v %q", o.res.Tag, o.res.Value, o.err, wr.tag, v2)
 	}
+	if regs, took := registrations()-before, readSeq.Load()-ids; regs != 5 || took != 1 {
+		t.Fatalf("the read registered %d times under %d reader ids, want once per server under one", regs, took)
+	}
 	stop()
 	if err := <-subDone; err != nil {
 		t.Fatalf("hand-made subscription ended with %v", err)
 	}
+}
+
+// pendingRead leaves testKey with a complete write and a newer one on
+// servers 0 and 1 only — every read's target, and one element short of
+// readable — and starts read, which registers with all five servers on its
+// own goroutine and is left waiting on those registrations. It returns the
+// newer write's tag, value and elements, and where the read will report.
+func pendingRead(t *testing.T, codec *Codec, lb *Loopback, read func(context.Context, string) (ReadResult, error)) (t2 Tag, v2 []byte, shards [][]byte, done <-chan error) {
+	t.Helper()
+	ctx := testCtx(t)
+	w := mustWriter(t, "w", codec, lb.Conns())
+	if _, err := w.Write(ctx, testKey, []byte("written in full")); err != nil {
+		t.Fatal(err)
+	}
+	t2, v2 = Tag{TS: 2, Writer: "w2"}, []byte("written to two servers so far")
+	shards, err := codec.EncodeValue(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range lb.Conns()[:2] {
+		if err := c.PutData(ctx, testKey, t2, shards[i], len(v2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ended := make(chan error, 1)
+	go func() {
+		res, err := read(ctx, testKey)
+		if err == nil && (res.Tag != t2 || !bytes.Equal(res.Value, v2)) {
+			err = fmt.Errorf("read = %v %q, want %v %q", res.Tag, res.Value, t2, v2)
+		}
+		ended <- err
+	}()
+	waitFor(t, "the read's registration on every server", func() bool {
+		for i := 0; i < lb.Size(); i++ {
+			if lb.Server(i).Readers(testKey) != 1 {
+				return false
+			}
+		}
+		return true
+	})
+	select {
+	case err := <-ended:
+		t.Fatalf("read ended (%v) with two elements of its target tag written", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	return t2, v2, shards, ended
+}
+
+// TestPendingReadLosesACrashedServer: the registrations a waiting read
+// holds were made by its pass, and each is watched by a leg. A server
+// that crashes under one is lost to the read — reported to the membership
+// view, the read still waiting — and once so many are down that no tag
+// can reach k elements the read ends ErrUnavailable, and does not hang.
+func TestPendingReadLosesACrashedServer(t *testing.T) {
+	checkNoLeaks(t)
+	codec, lb := newCluster(t, 5, 3)
+	m := NewMembership(5)
+	r := mustReader(t, "r", codec, lb.Conns(), WithReaderMembership(m))
+	_, _, _, ended := pendingRead(t, codec, lb, r.Read)
+	lb.Crash(4)
+	waitFor(t, "the read to report the crashed server", func() bool { return m.Health(4) == Suspect })
+	if !errors.Is(m.Cause(4), ErrServerDown) {
+		t.Fatalf("server 4 is suspect of %v, want ErrServerDown", m.Cause(4))
+	}
+	lb.Crash(3)
+	select {
+	case err := <-ended:
+		t.Fatalf("read ended (%v) with three servers up and a writer that may yet reach them", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	lb.Crash(2)
+	select {
+	case err := <-ended:
+		if !errors.Is(err, ErrUnavailable) || !errors.Is(err, ErrServerDown) {
+			t.Fatalf("read with three servers crashed under it ended %v, want ErrUnavailable over ErrServerDown", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a read whose registrations died with their servers outlived them")
+	}
+}
+
+// TestPendingReadEndsOnTheFlip: every server is sealed under a waiting
+// read's registrations. A Reader ends with the sealed stale-epoch NACK,
+// leaving nobody registered; an EpochReader, the flip completed and the
+// new configuration installed, reads again under it and returns the newer
+// write, which a third put has made readable meanwhile.
+func TestPendingReadEndsOnTheFlip(t *testing.T) {
+	reconfig := func(t *testing.T, lb *Loopback, op ReconfigOp) {
+		t.Helper()
+		for i := 0; i < lb.Size(); i++ {
+			if _, err := lb.Server(i).Reconfig(op, 1, 5, 3); err != nil {
+				t.Fatalf("server %d: %v", i, err)
+			}
+		}
+	}
+	t.Run("Reader", func(t *testing.T) {
+		checkNoLeaks(t)
+		codec, lb := newCluster(t, 5, 3)
+		_, _, _, ended := pendingRead(t, codec, lb, mustReader(t, "r", codec, lb.Conns()).Read)
+		reconfig(t, lb, ReconfigSeal)
+		select {
+		case err := <-ended:
+			var stale *StaleEpochError
+			if !errors.Is(err, ErrUnavailable) || !errors.As(err, &stale) || !stale.Sealed || stale.Want != 1 {
+				t.Fatalf("read sealed under its registrations ended %v, want ErrUnavailable over a sealed stale-epoch NACK wanting epoch 1", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a read registered before the seal outlived it")
+		}
+		for i := 0; i < lb.Size(); i++ {
+			if n := lb.Server(i).Readers(testKey); n != 0 {
+				t.Fatalf("%d readers left registered on sealed server %d", n, i)
+			}
+		}
+	})
+	t.Run("EpochReader", func(t *testing.T) {
+		checkNoLeaks(t)
+		ctx := testCtx(t)
+		codec, lb := newCluster(t, 5, 3)
+		view, err := NewConfigView(&Config{Epoch: SeedEpoch, Codec: codec, Conns: lb.Conns(), F: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		er, err := NewEpochReader("r", view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2, v2, shards, ended := pendingRead(t, codec, lb, er.Read)
+		reconfig(t, lb, ReconfigSeal)
+		reconfig(t, lb, ReconfigActivate)
+		next := lb.ConnsAt(1, 5)
+		if err := next[2].PutData(ctx, testKey, t2, shards[2], len(v2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Install(&Config{Epoch: 1, Codec: codec, Conns: next, F: -1}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-ended:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("an EpochReader flipped under its registrations did not read again under the new view")
+		}
+	})
 }
 
 // TestReadSealedBetweenAdmitAndRegister: every server is sealed in the
@@ -952,26 +1120,122 @@ func BenchmarkSmallOpsParallel(b *testing.B) {
 	}
 }
 
-// TestOpaqueConnHidesTheCapability pins the selection itself: a client
-// is inline exactly when every one of its conns is the loopback's own.
-func TestOpaqueConnHidesTheCapability(t *testing.T) {
-	codec, lb := newCluster(t, 5, 3)
-	mixed := lb.Conns()
-	mixed[3] = opaqueConn{mixed[3]}
+// TestLegsOnlyForWrappedConns pins what is owed a leg on a healthy
+// cluster: nothing on raw conns, everything on wrapped ones, and with one
+// server wrapped that server's exchanges only — its put-data, since the
+// other four settle the get-tag phase and complete a read without it;
+// with a server down a read needs the wrapped one, and sends its one leg
+// there. Where an exchange ran is seen from inside it: a hand-made
+// reader's relay runs on the goroutine of the put (onPut), a corruption
+// transform on the goroutine that registered.
+func TestLegsOnlyForWrappedConns(t *testing.T) {
+	const ops = 50
 	for _, tc := range []struct {
-		name  string
-		conns []Conn
-		want  bool
+		name                        string
+		wrapped                     []int
+		putsOnCaller, regsOnCaller  int   // of a write's five put-datas; of the registrations a read made
+		getTags, putDatas, getDatas int64 // sent through the wrapped conns by one write and one read
+		regsOnCallerOneDown         int
 	}{
-		{"raw", lb.Conns(), true},
-		{"wrapped", opaque(lb.Conns()), false},
-		{"mixed", mixed, false},
+		{"raw", nil, 5, 4, 0, 0, 0, 4},
+		{"one server wrapped", []int{mixedServer}, 4, 4, 0, 1, 0, 3},
+		{"wrapped", []int{0, 1, 2, 3, 4}, 0, 0, 5, 5, 5, 0},
 	} {
-		if w := mustWriter(t, "w", codec, tc.conns); w.inline != tc.want {
-			t.Errorf("%s conns: writer inline = %v, want %v", tc.name, w.inline, tc.want)
-		}
-		if r := mustReader(t, "r", codec, tc.conns); r.inline != tc.want {
-			t.Errorf("%s conns: reader inline = %v, want %v", tc.name, r.inline, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			checkNoLeaks(t)
+			ctx := testCtx(t)
+			codec, lb := newCluster(t, 5, 3)
+			var seen exchanges
+			conns := lb.Conns()
+			for _, i := range tc.wrapped {
+				conns[i] = countedConn{conns[i], &seen}
+			}
+			w := mustWriter(t, "w", codec, conns)
+			r := mustReader(t, "r", codec, conns)
+			if _, err := w.Write(ctx, testKey, []byte("so that there is something to relay after")); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the first write's legs", legsHome)
+			seen = exchanges{}
+
+			var mu sync.Mutex
+			var registeredOn [5]string
+			for i := range registeredOn {
+				lb.Corrupt(i, func(b []byte) []byte {
+					g := thisGoroutine()
+					mu.Lock()
+					registeredOn[i] = g
+					mu.Unlock()
+					return b
+				})
+			}
+			read := func(want []byte) (onCaller int) {
+				t.Helper()
+				mu.Lock()
+				registeredOn = [5]string{}
+				mu.Unlock()
+				res, err := r.Read(ctx, testKey)
+				if err != nil || !bytes.Equal(res.Value, want) {
+					t.Fatalf("read = %q, %v; want %q", res.Value, err, want)
+				}
+				waitFor(t, "the read's legs", legsHome)
+				mu.Lock()
+				defer mu.Unlock()
+				for _, g := range registeredOn {
+					if g == thisGoroutine() {
+						onCaller++
+					}
+				}
+				return onCaller
+			}
+			var putOn [5]string
+			for i := range putOn {
+				onPut(t, lb, i, testKey, func() {
+					g := thisGoroutine()
+					mu.Lock()
+					putOn[i] = g
+					mu.Unlock()
+				})
+			}
+			write := func(value []byte) (onCaller int) {
+				t.Helper()
+				if _, err := w.Write(ctx, testKey, value); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, "the write's legs", legsHome)
+				mu.Lock()
+				defer mu.Unlock()
+				for i, g := range putOn {
+					if g == thisGoroutine() {
+						onCaller++
+					}
+					putOn[i] = ""
+				}
+				return onCaller
+			}
+			value := []byte("a value, written again and again")
+			for i := 0; i < ops; i++ {
+				value[0] = byte(i)
+				if n := write(value); n != tc.putsOnCaller {
+					t.Fatalf("write %d: %d of 5 put-datas ran on the writer's goroutine, want %d", i, n, tc.putsOnCaller)
+				}
+				if n := read(value); n != tc.regsOnCaller {
+					t.Fatalf("read %d: registered with %d servers on the reader's goroutine, want %d", i, n, tc.regsOnCaller)
+				}
+			}
+			if g, p, d := seen.getTags.Load(), seen.putDatas.Load(), seen.getDatas.Load(); g != ops*tc.getTags || p != ops*tc.putDatas || d != ops*tc.getDatas {
+				t.Fatalf("the wrapped conns saw %d get-tags, %d put-datas, %d get-datas in %d writes and reads, want %d, %d, %d of each",
+					g, p, d, ops, tc.getTags, tc.putDatas, tc.getDatas)
+			}
+
+			lb.Crash(0)
+			before := seen.getDatas.Load()
+			if n := read(value); n != tc.regsOnCallerOneDown {
+				t.Fatalf("read with server 0 down: registered with %d servers on the reader's goroutine, want %d", n, tc.regsOnCallerOneDown)
+			}
+			if d := seen.getDatas.Load() - before; d != int64(len(tc.wrapped)) {
+				t.Fatalf("read with server 0 down sent %d get-datas through the wrapped conns, want one through each", d)
+			}
+		})
 	}
 }

@@ -18,16 +18,15 @@ var ErrServerDown = errors.New("soda: server is down")
 // synchronous, deterministic message delivery — every client call
 // runs the server state machine on the calling goroutine, and every
 // relay runs on the goroutine of the put that triggered it. A Writer or
-// Reader built on nothing but its conns takes that literally: it runs
-// its quorum phases as passes over the servers on the goroutine that
-// called Write or Read, and starts none (see errNotNow for the cases
-// that still go out on one leg per server). The caller then waits for
-// each server's get-tag and registration in turn, register lock included,
+// Reader takes that literally: it asks each of these conns on the
+// goroutine that called Write or Read, and sends a leg only for what that
+// pass leaves owed (see errNotNow). The caller then waits for each
+// server's get-tag and registration in turn, register lock included,
 // where a leg per server would have let n-f of them outrun a slow one:
 // Hang, not a stalled apply, is this transport's silent server. A
-// put-data is the exception: a durable server logs and syncs it under
-// the register lock, so the writer only tries the locks a put takes and
-// leaves a busy server for later, then for a leg. Fault injection:
+// put-data only tries the locks it takes — a durable server logs and
+// syncs under the register lock — and leaves a busy server for later.
+// Fault injection:
 //
 //   - Crash: fail-stop; the server's conns error immediately and its
 //     registered readers stop hearing relays.
@@ -324,33 +323,32 @@ func (c *loopConn) gate(ctx context.Context) error {
 }
 
 // The three client exchanges also come in a form that never parks —
-// getTagNow, putDataNow and subscribeNow — which is what lets a Writer or a
-// Reader whose conns are all loopConns run its quorum phases on the
-// calling goroutine (see Writer.writeNow, Reader.readNow): here a reply
-// is a function return, and a leg per server buys nothing. Each answers,
-// fails with the error its parking twin would return, or reports one of
-// two things the twin would have slept through.
+// getTagNow, putDataNow and subscribeNow — which a Writer or Reader asks
+// on the calling goroutine (Writer.writeNow, Reader.Read): here a reply
+// is a function return, and a leg buys nothing. Each answers, fails with
+// the error its parking twin would return, or reports one of two things
+// the twin would have slept through.
 var (
 	// errSilent: the server is hung. Its leg would never answer — gate
 	// blocks until the context ends — so the pass counts nothing for it.
 	errSilent = errors.New("soda: hung server answers nothing")
-	// errNotNow: this exchange cannot be made here and now, and nothing
-	// was done, counted or consumed. A test hook is installed — hooks are
-	// handed the protocol's goroutines to crash, seal and park on, and the
-	// caller's is not one of them; or it is a put-data to a durable server
-	// that would have to wait: for the key's register or the log, which
-	// someone else is in (the writer visits its other servers and comes
-	// back once; queueing instead, two writers that walk the servers in
-	// step convoyed on every log), or for a device, when the log's fsyncs
-	// do not return from the page cache (wal.syncsWait: five of those
-	// overlap from five legs and add up from one goroutine). What is
-	// still not possible on the second visit goes out on a leg.
+	// errNotNow: this exchange cannot be made here and now; nothing was
+	// done, counted or consumed, and it is owed a leg. The conn is not the
+	// loopback's own (a nil *loopConn). Or a test hook is installed: hooks
+	// are handed the protocol's goroutines to crash, seal and park on, and
+	// the caller's is not one of them. Or it is a put-data to a durable
+	// server that would have to wait — for the key's register or the log,
+	// which someone else is in (the writer comes back once before sending
+	// the leg: queueing instead, two writers walking the servers in step
+	// convoyed on every log), or for a device (wal.syncsWait: five such
+	// fsyncs overlap from five legs and add up from one goroutine).
 	errNotNow = errors.New("soda: exchange needs a leg")
 )
 
-// now is gate for the non-parking forms.
+// now is gate for the non-parking forms. A client holds a nil *loopConn
+// for each conn that is not the loopback's own (loopConnsOf).
 func (c *loopConn) now() error {
-	if c.lb.onDeliver.Load() != nil || c.lb.admitted != nil {
+	if c == nil || c.lb.onDeliver.Load() != nil || c.lb.admitted != nil {
 		return errNotNow
 	}
 	crashed, hung := c.lb.state(c.idx)
@@ -438,6 +436,7 @@ func (c *loopConn) put(srv *Server, key string, t Tag, elem []byte, vlen int, wa
 
 // loopSub is one reader's live registration on one loopback server.
 type loopSub struct {
+	c             *loopConn
 	srv           *Server
 	key, readerID string
 	down, flipped <-chan struct{}
@@ -470,7 +469,7 @@ func (c *loopConn) subscribe(key, readerID string, deliver func(Delivery)) (loop
 	}
 	down := c.lb.downCh(c.idx)
 	wrap(srv.Register(key, readerID, wrap))
-	return loopSub{srv: srv, key: key, readerID: readerID, down: down, flipped: flipped}, nil
+	return loopSub{c: c, srv: srv, key: key, readerID: readerID, down: down, flipped: flipped}, nil
 }
 
 // subscribeNow is subscribe behind the fault flags, as getTagNow is
@@ -487,6 +486,27 @@ func (c *loopConn) subscribeNow(key, readerID string, deliver func(Delivery)) (l
 // reader is forced, and leaves it holding them.
 func (s loopSub) close(forced bool) { s.srv.unregister(s.key, s.readerID, forced) }
 
+// await is the half of GetData that parks: it holds the registration open
+// until ctx ends or the stream dies under it. The channels were sampled at
+// registration, so a crash or a flip since is seen however late the call.
+func (s loopSub) await(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		s.close(false)
+		return nil
+	case <-s.down:
+		s.close(true)
+		return ErrServerDown
+	case <-s.flipped:
+		s.close(true)
+		if nack := s.srv.Admit(opClient, s.c.epoch); nack != nil {
+			return nack
+		}
+		st := s.srv.EpochStatus()
+		return &StaleEpochError{Server: s.c.idx, ServerEpoch: st.Epoch, Want: st.Epoch, Sealed: st.Sealed}
+	}
+}
+
 func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
 	if err := c.gate(ctx); err != nil {
 		return err
@@ -495,21 +515,7 @@ func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver fu
 	if err != nil {
 		return err
 	}
-	select {
-	case <-ctx.Done():
-		sub.close(false)
-		return nil
-	case <-sub.down:
-		sub.close(true)
-		return ErrServerDown
-	case <-sub.flipped:
-		sub.close(true)
-		if nack := sub.srv.Admit(opClient, c.epoch); nack != nil {
-			return nack
-		}
-		st := sub.srv.EpochStatus()
-		return &StaleEpochError{Server: c.idx, ServerEpoch: st.Epoch, Want: st.Epoch, Sealed: st.Sealed}
-	}
+	return sub.await(ctx)
 }
 
 // GetElem serves the repair collection phase. The corruption transform

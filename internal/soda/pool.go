@@ -8,9 +8,8 @@ import (
 
 // workerPool amortizes goroutine startup for the protocol's fan-outs.
 // Over a socket every write runs one leg per server and every read one
-// subscription per server (a loopback client has legs only for the
-// put-datas a durable cluster could not take at once and for its
-// fallbacks, see Writer.writeNow); spawning those as fresh goroutines
+// subscription per server (a loopback client has legs only for what its
+// pass left owed, see Writer.writeNow); spawning those as fresh goroutines
 // means each one starts on a minimum stack and grows it through the same deep server call
 // chain, only for the runtime to shrink the stack again at exit. The
 // pool parks finished workers instead (LIFO, so the hottest worker —

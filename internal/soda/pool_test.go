@@ -69,18 +69,20 @@ func TestIdleListNeverThrottlesAndTrimsToCap(t *testing.T) {
 	l.mu.Unlock()
 }
 
-// stuckConn is a Conn whose get-tag never answers and ignores
-// cancellation until the test lets go: a leg that outlives its write.
+// stuckConn is a Conn whose put-data never answers and ignores
+// cancellation until the test lets go: a leg that outlives its write. It
+// is the one wrapped conn of its set, so the put-data is all its leg
+// carries: the other four settle the get-tag phase without it.
 type stuckConn struct {
 	Conn
 	stuck   atomic.Int32
 	release chan struct{}
 }
 
-func (c *stuckConn) GetTag(ctx context.Context, key string) (Tag, error) {
+func (c *stuckConn) PutData(context.Context, string, Tag, []byte, int) error {
 	c.stuck.Add(1)
 	<-c.release
-	return Tag{}, ErrServerDown
+	return ErrServerDown
 }
 
 // TestHungLegsPastIdleCapDoNotStallQuorums: every write leaves one leg

@@ -59,6 +59,7 @@ type register struct {
 	elem    []byte
 	vlen    int
 	lent    bool
+	gone    bool // collect took it out of the namespace: see hold
 	readers []registration
 }
 
@@ -363,6 +364,25 @@ func (s *Server) lookup(key string, create bool) *register {
 	return r
 }
 
+// hold returns key's register, created if need be, with its lock taken, or
+// nil when wait is unset and the lock is not free. A register removed from
+// the namespace since it was found is one no later operation can see: a put
+// would be lost in it and a reader wait on it for ever, so hold looks again.
+func (s *Server) hold(key string, wait bool) *register {
+	for {
+		r := s.lookup(key, true)
+		if wait {
+			r.mu.Lock()
+		} else if !r.mu.TryLock() {
+			return nil
+		}
+		if !r.gone {
+			return r
+		}
+		r.mu.Unlock()
+	}
+}
+
 // collect removes the register if it still holds nothing and serves
 // nobody — the namespace GC that keeps touched-but-empty keys from
 // accumulating. Lock order is shard then register, same as every
@@ -377,6 +397,7 @@ func (s *Server) collect(key string) {
 	}
 	r.mu.Lock()
 	dead := r.tag == (Tag{}) && len(r.readers) == 0
+	r.gone = dead
 	r.mu.Unlock()
 	if dead {
 		delete(sh.regs, key)
@@ -413,10 +434,8 @@ func (s *Server) GetTag(key string) Tag {
 // other servers to visit meanwhile — not at all, and then a busy one
 // answers errNotNow with nothing logged, stored or relayed.
 func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int, wait bool) (bool, error) {
-	r := s.lookup(key, true)
-	if wait {
-		r.mu.Lock()
-	} else if !r.mu.TryLock() {
+	r := s.hold(key, wait)
+	if r == nil {
 		return false, errNotNow
 	}
 	stored := r.tag.Less(t) || (op == walOpRepair && r.tag == t)
@@ -465,10 +484,8 @@ func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int, wait boo
 // relayed as it is, or freed. wait is put's; errNotNow leaves elem the
 // caller's.
 func (s *Server) putOwned(key string, t Tag, elem []byte, vlen int, wait bool) error {
-	r := s.lookup(key, true)
-	if wait {
-		r.mu.Lock()
-	} else if !r.mu.TryLock() {
+	r := s.hold(key, wait)
+	if r == nil {
 		return errNotNow
 	}
 	stored := r.tag.Less(t)
@@ -606,7 +623,7 @@ func (s *Server) WipeAll() {
 			if s.dur != nil && r.tag != (Tag{}) {
 				s.dur.logMutation(walOpWipe, key, Tag{}, nil, 0, true)
 			}
-			r.tag, r.elem, r.vlen = Tag{}, nil, 0
+			r.tag, r.elem, r.vlen, r.gone = Tag{}, nil, 0, true
 			dropped += uint64(len(r.readers))
 			clear(r.readers) // zero the entries so sink references drop
 			r.readers = r.readers[:0]
@@ -648,8 +665,7 @@ func (s *Server) Keys() []string {
 // snapshot and every subsequent sink invocation until Unregister.
 func (s *Server) Register(key, readerID string, sink func(Delivery)) Delivery {
 	s.metrics.of(key).getDatas.Add(1)
-	r := s.lookup(key, true)
-	r.mu.Lock()
+	r := s.hold(key, true)
 	defer r.mu.Unlock()
 	for i := range r.readers {
 		if r.readers[i].reader == readerID {
