@@ -3,9 +3,9 @@ GO ?= go
 # The benchmark selection shared by `make bench` and `make bench-json`.
 BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors|Stream
 
-.PHONY: all build build-cross test test-durability test-reconfig vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz
+.PHONY: all build build-cross test test-durability test-reconfig test-transport vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz
 
-all: vet lint build test bench-check race
+all: vet lint build test test-transport bench-check race
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,13 @@ test-durability:
 # concurrent epoch-following writers/readers — under the race detector.
 test-reconfig:
 	$(GO) test -race -run 'Reconfig|Epoch' ./internal/soda/
+
+# test-transport is the socket lane: the multiplexed client and the
+# NetServer behind it — frames sent from the caller and on legs, the
+# write-stall deadline, a server killed mid-phase, reader-dones riding the
+# next frame — three times over under the race detector.
+test-transport:
+	$(GO) test -race -count=3 -run 'Mux|TCP|Stall|ConnWriter' ./internal/soda/
 
 race:
 	$(GO) test -race ./...

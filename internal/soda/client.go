@@ -32,11 +32,19 @@ var (
 // result is the caller's own copy, and a Delivery's Elem is read-only
 // and valid until GetData returns.
 //
-// Every method may park, so a Writer or Reader calls them from one
-// goroutine per server (a leg): n-f answers complete a phase however slow
-// the rest are. A loopback conn is asked on the caller's goroutine first,
-// where it answers or says not now (loopConnsOf); that is not part of
-// Conn, and a Conn that wraps another is simply owed its leg.
+// Every method may park, so a Writer or Reader calls one only from a
+// goroutine of its own, one per server (a leg): n-f answers complete a
+// phase however slow the rest are. Before it sends a leg it asks the conn
+// itself, on the calling goroutine, for a form of the exchange that cannot
+// park, and there are three cases. A loopback conn answers now: the reply
+// is a function return (loopConnsOf). A MuxConn is sent now and answers on
+// its pump: the frame is written there and then, if the session is up,
+// nobody else is writing to it and what the server has not yet answered
+// stays within callerSendMax, and the reply reaches the operation's tally
+// from the conn's read loop (muxConnsOf, MuxConn.send). Everything else is
+// owed a leg: a Conn that wraps another, a conn still dialing, contended
+// or stalled, an element too large for the bound. None of this is part of
+// Conn.
 type Conn interface {
 	// Index returns the server's shard index in [0, n).
 	Index() int
@@ -120,6 +128,18 @@ func loopConnsOf(conns []Conn) []*loopConn {
 	return loops
 }
 
+// muxConnsOf is the same resolution for the conns that are the socket
+// transport's own, which can send an exchange from the calling goroutine
+// and have it answered on the conn's pump (MuxConn.getTagStart,
+// putDataStart, getDataStart); a nil *MuxConn never sends.
+func muxConnsOf(conns []Conn) []*MuxConn {
+	muxes := make([]*MuxConn, len(conns))
+	for _, c := range conns {
+		muxes[c.Index()], _ = c.(*MuxConn)
+	}
+	return muxes
+}
+
 // reportSuspect feeds an affirmative per-server failure into a shared
 // membership view. Cancellation is not evidence — a straggler losing
 // the quorum race, or the caller's own deadline, says nothing about
@@ -190,6 +210,7 @@ type Writer struct {
 	codec   *Codec
 	conns   []Conn
 	loops   []*loopConn // see loopConnsOf
+	muxes   []*MuxConn  // see muxConnsOf
 	f       int
 	m       *Membership
 	locks   [writeStripes]sync.Mutex // serialize Write's get-tag -> put-data pair per key
@@ -245,7 +266,7 @@ func NewWriter(id string, codec *Codec, conns []Conn, opts ...WriterOption) (*Wr
 	if err := validateConns(conns, codec.N()); err != nil {
 		return nil, err
 	}
-	w := &Writer{id: id, codec: codec, conns: conns, f: (codec.N() - codec.K()) / 2, loops: loopConnsOf(conns)}
+	w := &Writer{id: id, codec: codec, conns: conns, f: (codec.N() - codec.K()) / 2, loops: loopConnsOf(conns), muxes: muxConnsOf(conns)}
 	for _, opt := range opts {
 		if err := opt(w); err != nil {
 			return nil, err
@@ -333,17 +354,19 @@ func (q *writeTally) acked(minted Tag) (bool, error) {
 	return false, nil
 }
 
-// writeCall is the pooled fan-out state of one Write: a single goroutine
-// per server runs both phases back to back, so a write costs n spawns,
-// not 2n, and the channels and spawn thunk are reused across writes. Legs
-// report into the tally under wc.mu and nudge the cap-1 wake channel only
-// when their answer resolves a phase, so the caller parks about once per
-// phase instead of consuming 2n messages. The refcount covers the server
-// goroutines plus the caller; the last one off drains the channels and
-// pools the struct, so straggler sends can never pollute a later write.
+// writeCall is the pooled state of a Write some of whose exchanges are
+// answered off its goroutine: on a leg — a single goroutine per server runs
+// both phases back to back, so a write costs n spawns, not 2n, and the
+// channels and spawn thunk are reused across writes — or on a MuxConn's
+// pump, for a frame the writer sent itself. Either reports into the tally
+// under wc.mu and nudges the cap-1 wake channel only when its answer
+// resolves a phase, so the caller parks about once per phase instead of
+// consuming 2n messages. The refcount covers the legs, the exchanges out on
+// a pump and the caller; the last one off drains the channels and pools the
+// struct, so straggler sends can never pollute a later write.
 type writeCall struct {
 	wake chan struct{} // condition nudge; cap 1, coalescing
-	mint chan Tag      // minted-tag handoff; cap n, one token per server
+	mint chan Tag      // minted-tag handoff; cap n, one token per leg
 	body func()        // reusable spawn thunk: go wc.body() allocates nothing
 	idle *idleList     // where this call's legs leave from and park (see workerPool)
 	refs atomic.Int32
@@ -356,36 +379,39 @@ type writeCall struct {
 	w     *Writer
 	ctx   context.Context
 	key   string
-	conns []Conn
+	conns []Conn // the legs' conns, one claimed by each through next; len n
+	full  int    // conns[:full] get a whole leg, get-tag first; the rest only the put-data
 	sc    *encodeScratch
 	vlen  int
-	given Tag // put-only legs: the tag the caller already minted, else zero
 }
 
-// getCall checks out the fan-out state for legs over conns. q is the
-// write's tally so far and given the tag it has minted, if its phase 0
-// is already over: the legs then only put.
-func (w *Writer) getCall(ctx context.Context, key string, conns []Conn, sc *encodeScratch, vlen int, q writeTally, given Tag) *writeCall {
+// getCall checks out the state for what is left of a write whose tally
+// so far is q.
+func (w *Writer) getCall(ctx context.Context, key string, sc *encodeScratch, vlen int, q writeTally) *writeCall {
 	wc, _ := w.calls.Get().(*writeCall)
 	if wc == nil || cap(wc.mint) < len(w.conns) {
 		wc = &writeCall{
-			wake: make(chan struct{}, 1),
-			mint: make(chan Tag, len(w.conns)),
-			idle: spawnPool.list(),
+			wake:  make(chan struct{}, 1),
+			mint:  make(chan Tag, len(w.conns)),
+			idle:  spawnPool.list(),
+			conns: make([]Conn, len(w.conns)),
 		}
 		wc.body = wc.run
 	}
 	wc.next.Store(0)
 	wc.writeTally = q
-	wc.w, wc.ctx, wc.key, wc.conns, wc.sc, wc.vlen, wc.given = w, ctx, key, conns, sc, vlen, given
-	wc.refs.Store(int32(len(conns)) + 1) // servers + caller
+	wc.w, wc.ctx, wc.key, wc.full, wc.sc, wc.vlen = w, ctx, key, 0, sc, vlen
+	wc.refs.Store(1) // the caller
 	return wc
 }
 
 // release drops one hold on the call; the last holder drains and pools
 // it.
 func (wc *writeCall) release() {
-	if wc.refs.Add(-1) != 0 {
+	if n := wc.refs.Add(-1); n != 0 {
+		if n < 0 {
+			panic("soda: write call released by more holders than it had")
+		}
 		return
 	}
 	for {
@@ -394,7 +420,8 @@ func (wc *writeCall) release() {
 		case <-wc.mint:
 		default:
 			w := wc.w
-			wc.w, wc.ctx, wc.key, wc.conns, wc.sc = nil, nil, "", nil, nil
+			wc.w, wc.ctx, wc.key, wc.sc = nil, nil, "", nil
+			clear(wc.conns)
 			wc.writeTally = writeTally{} // drops the error values
 			w.calls.Put(wc)
 			return
@@ -412,43 +439,29 @@ func (wc *writeCall) signal() {
 	}
 }
 
-// run is one server's leg of a fused write: report the server's tag,
-// wait for the writer to mint, then deliver the coded element — or, when
-// the caller has minted already, only the last. A server whose get-tag
-// failed still attempts put-data — the TCP transport redials on demand,
-// so the second exchange can succeed where the first did not.
-func (wc *writeCall) run() {
-	defer wc.release()
-	c := wc.conns[wc.next.Add(1)-1]
-	minted := wc.given
-	if minted.IsZero() {
-		t, err := c.GetTag(wc.ctx, wc.key)
-		reportSuspect(wc.w.m, wc.ctx, c.Index(), err)
-		wc.mu.Lock()
-		nudge := wc.gotTag(t, err)
-		wc.mu.Unlock()
-		if nudge {
-			wc.signal()
-		}
-		// A straggler can find both channels ready — the write minted,
-		// completed and cancelled while this leg was on its way here — and
-		// select picks among ready cases at random: the minted tag wins, so
-		// the put still lands.
-		select {
-		case minted = <-wc.mint:
-		case <-wc.ctx.Done():
-			select {
-			case minted = <-wc.mint:
-			default:
-				putElem(wc.sc.shards[c.Index()]) // never sent: still this leg's
-				wc.sc.release(&wc.w.scratch)
-				return
-			}
-		}
+// spawn starts n more legs, each holding the element buffers until its
+// put-data is over; the call they hold already.
+func (wc *writeCall) spawn(n int) {
+	wc.sc.refs.Add(int32(n))
+	for range n {
+		wc.idle.spawn(wc.body)
 	}
-	err := c.PutData(wc.ctx, wc.key, minted, wc.sc.shards[c.Index()], wc.vlen)
-	wc.sc.release(&wc.w.scratch)
-	reportSuspect(wc.w.m, wc.ctx, c.Index(), err)
+}
+
+// gotTagFrom and gotAckFrom count one server's answer, brought by its
+// leg or by its conn's pump.
+func (wc *writeCall) gotTagFrom(server int, t Tag, err error) {
+	reportSuspect(wc.w.m, wc.ctx, server, err)
+	wc.mu.Lock()
+	nudge := wc.gotTag(t, err)
+	wc.mu.Unlock()
+	if nudge {
+		wc.signal()
+	}
+}
+
+func (wc *writeCall) gotAckFrom(server int, err error) {
+	reportSuspect(wc.w.m, wc.ctx, server, err)
 	wc.mu.Lock()
 	nudge := wc.gotAck(err)
 	wc.mu.Unlock()
@@ -457,11 +470,66 @@ func (wc *writeCall) run() {
 	}
 }
 
+// tagReply and ackReply are a writeCall as the waiter of a get-tag and of
+// a put-data the writer sent itself; each exchange holds the call until it
+// is answered.
+type (
+	tagReply writeCall
+	ackReply writeCall
+)
+
+func (r *tagReply) answer(c *MuxConn, resp *response, err error) {
+	wc := (*writeCall)(r)
+	defer wc.release()
+	wc.gotTagFrom(c.idx, resp.tag, err)
+}
+
+func (r *ackReply) answer(c *MuxConn, _ *response, err error) {
+	wc := (*writeCall)(r)
+	defer wc.release()
+	wc.gotAckFrom(c.idx, err)
+}
+
+// run is one server's leg of a write: report the server's tag, wait for
+// the writer to mint, then deliver the coded element — or, for a conn
+// whose get-tag has been asked already, only the last. A server whose
+// get-tag failed still attempts put-data — the TCP transport redials on
+// demand, so the second exchange can succeed where the first did not.
+func (wc *writeCall) run() {
+	defer wc.release()
+	j := int(wc.next.Add(1)) - 1
+	c := wc.conns[j]
+	if j < wc.full {
+		t, err := c.GetTag(wc.ctx, wc.key)
+		wc.gotTagFrom(c.Index(), t, err)
+	}
+	// A straggler can find both channels ready — the write minted,
+	// completed and cancelled while this leg was on its way here — and
+	// select picks among ready cases at random: the minted tag wins, so
+	// the put still lands.
+	var minted Tag
+	select {
+	case minted = <-wc.mint:
+	case <-wc.ctx.Done():
+		select {
+		case minted = <-wc.mint:
+		default:
+			putElem(wc.sc.shards[c.Index()]) // never sent: still this leg's
+			wc.sc.release(&wc.w.scratch)
+			return
+		}
+	}
+	err := c.PutData(wc.ctx, wc.key, minted, wc.sc.shards[c.Index()], wc.vlen)
+	wc.sc.release(&wc.w.scratch)
+	wc.gotAckFrom(c.Index(), err)
+}
+
 // Write performs one atomic write of key: get-tag, then put-data,
 // returning the tag the value was written under. It asks on its own
-// goroutine whichever conns answer there (writeNow) and sends a leg for
-// each exchange still owed: one goroutine per conn runs get-tag and then,
-// once n-f tags have fixed the minted tag, put-data. Per-server phases
+// goroutine whichever conns answer there (writeNow), writes the frames of
+// those that answer on their pump, and sends a leg for each exchange still
+// owed: one goroutine per conn runs get-tag and then, once n-f tags have
+// fixed the minted tag, put-data. Per-server phases
 // may overlap (one server can be receiving its element while a
 // straggler is still answering get-tag); the protocol never needed
 // the phases globally barriered, only the mint to follow n-f tags.
@@ -520,9 +588,9 @@ func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Ta
 	}
 	q := writeTally{need: len(w.conns) - w.f}
 	q.allowed = len(live) - q.need
-	owed := live // the conns a leg still has to take this write to
-	// The legs know what a dead context does to a write.
-	if ctx.Err() == nil {
+	owed := live              // the conns with an exchange of this write still to come
+	alive := ctx.Err() == nil // the legs know what a dead context does to a write
+	if alive {
 		var done bool
 		if minted, owed, done, err = w.writeNow(ctx, key, live, sc, len(value), &q); done {
 			w.scratch.Put(sc)
@@ -532,35 +600,61 @@ func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Ta
 
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sc.refs.Store(int32(len(owed)))
-	wc := w.getCall(wctx, key, owed, sc, len(value), q, minted)
+	sc.refs.Store(1) // the writer's own hold: the frames it sends itself copy from sc
+	defer sc.release(&w.scratch)
+	wc := w.getCall(wctx, key, sc, len(value), q)
 	defer wc.release()
-	for range owed {
-		wc.idle.spawn(wc.body)
-	}
+	legs := 0 // conns listed in wc.conns, for a leg each
 
-	// Phase 0: park until the tag quorum resolves. Every wake re-reads
-	// the tally, so coalesced or stale nudges only cost a loop turn.
+	// Phase 0: a get-tag to every owed conn — written here and answered on
+	// the conn's pump where that takes no waiting, else a leg's — then park
+	// until the tag quorum resolves. Every wake re-reads the tally, so
+	// coalesced or stale nudges only cost a loop turn.
+	puts := owed // the conns with no leg yet to send their put-data
 	if minted.IsZero() {
-		for minted.IsZero() {
+		puts = sc.owed[:0]
+		wc.refs.Add(int32(len(owed))) // an exchange each, on a pump or on a leg
+		for _, c := range owed {
+			if alive && w.muxes[c.Index()].getTagStart(key, (*tagReply)(wc)) {
+				puts = append(puts, c)
+			} else {
+				wc.conns[legs] = c
+				legs++
+			}
+		}
+		sc.owed, wc.full = puts, legs
+		wc.spawn(legs)
+		for minted.IsZero() && err == nil {
 			//lint:ignore lockhold the stripe lock serializes whole write ops by design (PR 5: concurrent same-writer tags must stay unique); parking under it is the point
 			select {
 			case <-wc.wake:
+				wc.mu.Lock()
+				minted, err = wc.mintTag(w.id)
+				wc.mu.Unlock()
 			case <-ctx.Done():
-				return Tag{}, false, ctx.Err()
-			}
-			wc.mu.Lock()
-			minted, err = wc.mintTag(w.id)
-			wc.mu.Unlock()
-			if err != nil {
-				return Tag{}, false, err
+				err = ctx.Err()
 			}
 		}
-		for range owed {
-			//lint:ignore lockhold mint sends ride the held stripe lock by design: one buffered slot per leg exists before the send, so this never blocks past leg pickup
-			wc.mint <- minted
+		if err != nil {
+			for _, c := range puts {
+				putElem(sc.shards[c.Index()]) // never sent: still the writer's
+			}
+			return Tag{}, false, err
 		}
 	}
+	// The put-datas, the same way, and every leg is told the tag.
+	wc.refs.Add(int32(len(puts)))
+	for _, c := range puts {
+		if i := c.Index(); !alive || !w.muxes[i].putDataStart(key, minted, sc.shards[i], len(value), (*ackReply)(wc)) {
+			wc.conns[legs] = c
+			legs++
+		}
+	}
+	for range legs { // before the new legs start: the tag is there when they look
+		//lint:ignore lockhold mint sends ride the held stripe lock by design: one buffered slot per leg exists before the send, so this never blocks
+		wc.mint <- minted
+	}
+	wc.spawn(legs - wc.full)
 
 	// Phase 1: park until the ack quorum resolves. The tally is read
 	// before the first park: acks counted before the legs started may
@@ -688,6 +782,7 @@ type Reader struct {
 	codec      *Codec
 	conns      []Conn
 	loops      []*loopConn // see loopConnsOf
+	muxes      []*MuxConn  // see muxConnsOf
 	f          int
 	e          int
 	quarantine []int
@@ -781,7 +876,7 @@ func NewReader(id string, codec *Codec, conns []Conn, opts ...ReaderOption) (*Re
 	if f > codec.K()-1 {
 		f = codec.K() - 1 // see WithReaderFaults: atomicity needs f < k
 	}
-	r := &Reader{id: id, ridPrefix: id + "-" + procToken + "#", codec: codec, conns: conns, f: f, loops: loopConnsOf(conns)}
+	r := &Reader{id: id, ridPrefix: id + "-" + procToken + "#", codec: codec, conns: conns, f: f, loops: loopConnsOf(conns), muxes: muxConnsOf(conns)}
 	for _, opt := range opts {
 		if err := opt(r); err != nil {
 			return nil, err
@@ -819,9 +914,11 @@ var (
 // on the calling goroutine registers with every conn that answers there,
 // the initial delivery arriving through the same sink as on a leg, and
 // stops at the server whose answer completes the read — which then closes
-// what it opened and has started nothing. A read the pass leaves waiting
-// keeps its registrations and sends a leg to watch each, and one to each
-// conn still owed its get-data. A hung server never delivers.
+// what it opened and has started nothing; a MuxConn's get-data is written
+// from there too and delivers from the conn's pump. A read the pass leaves
+// waiting keeps its registrations and sends a leg to watch each loopback
+// one, and one to each conn still owed its get-data. A hung server never
+// delivers.
 func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	if err := validateKey(key); err != nil {
 		return ReadResult{}, fmt.Errorf("%w: %v", ErrConfig, err)
@@ -840,6 +937,7 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	}
 	st := r.begin(key, quarantine)
 	defer st.release()
+	defer st.endStreams()
 	live := ctx.Err() == nil // the legs know what a dead context does to a read
 	var done bool
 	for i := 0; ; i++ { // finished is sampled once per conn and once after the last
@@ -859,7 +957,9 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 		case nil:
 			st.subs = append(st.subs, sub)
 		case errNotNow:
-			st.owed = append(st.owed, c)
+			if !live || !st.stream(r.muxes[idx]) {
+				st.owed = append(st.owed, c)
+			}
 		case errSilent:
 		default:
 			reportSuspect(r.m, ctx, idx, err)
@@ -878,16 +978,17 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 		return res, err
 	}
 
-	// Registrations end only through this deferred cancel, once the read
-	// has stopped touching delivered elements: unregistering is what lets
-	// a loopback server overwrite the buffers it handed out.
-	rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	defer cancel()
-	st.rctx = rctx
-	legs := len(st.subs) + len(st.owed)
-	st.refs.Add(int32(legs))
-	for range legs {
-		st.idle.spawn(st.body)
+	if legs := len(st.subs) + len(st.owed); legs > 0 {
+		// Their registrations end only through this deferred cancel, once
+		// the read has stopped touching delivered elements: unregistering is
+		// what lets a loopback server overwrite the buffers it handed out.
+		rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		defer cancel()
+		st.rctx = rctx
+		st.refs.Add(int32(legs))
+		for range legs {
+			st.idle.spawn(st.body)
+		}
 	}
 
 	select {
@@ -931,6 +1032,54 @@ func (r *Reader) begin(key string, quarantine []int) *readState {
 		st.lose(q, errQuarantined)
 	}
 	return st
+}
+
+// muxSub is one get-data a read sent on its own goroutine: the stream's
+// conn and request id, by which the read ends it.
+type muxSub struct {
+	c  *MuxConn
+	id uint64
+}
+
+// stream sends c's get-data from the calling goroutine, if c can without
+// waiting (a nil c cannot). The stream delivers to the read's sink from
+// the conn's pump and holds the state until one side ends it: the read,
+// through endStreams, or the server or the session's death, through
+// answer.
+func (st *readState) stream(c *MuxConn) bool {
+	st.refs.Add(1)
+	id, sent := c.getDataStart(st.key, st.rid, st, st.sink)
+	if !sent {
+		st.refs.Add(-1)
+		return false
+	}
+	st.streams = append(st.streams, muxSub{c, id})
+	return true
+}
+
+// answer ends a stream under its read: NACKed in an epoch flip, refused,
+// or gone with its session. Whatever it delivered stays usable.
+func (st *readState) answer(c *MuxConn, _ *response, err error) {
+	defer st.release()
+	if !st.isFinished() {
+		reportSuspect(st.r.m, context.Background(), c.idx, err)
+		st.lose(c.idx, err)
+	}
+}
+
+// endStreams is the read done with the streams it opened. Each one still
+// registered is dropped, its reader-done left to ride the conn's next frame,
+// and gives up its hold, which is never the last: the caller's is still out.
+func (st *readState) endStreams() {
+	var ended int32
+	for _, s := range st.streams {
+		if s.c.drop(s.id, true) {
+			ended++
+		}
+	}
+	if ended > 0 {
+		st.refs.Add(-ended)
+	}
 }
 
 // outcome is how a finished read ends its Read.
@@ -995,7 +1144,10 @@ func (r *Reader) getState() *readState {
 // release drops one hold; the last holder resets the state and pools
 // it.
 func (st *readState) release() {
-	if st.refs.Add(-1) != 0 {
+	if n := st.refs.Add(-1); n != 0 {
+		if n < 0 {
+			panic("soda: read state released by more holders than it had")
+		}
 		return
 	}
 	st.mu.Lock()
@@ -1018,7 +1170,8 @@ func (st *readState) release() {
 	// Not the caller's to clear: a leg may start after Read has returned.
 	clear(st.subs)
 	clear(st.owed)
-	st.subs, st.owed = st.subs[:0], st.owed[:0]
+	clear(st.streams)
+	st.subs, st.owed, st.streams = st.subs[:0], st.owed[:0], st.streams[:0]
 	select {
 	case <-st.done: // unconsumed completion signal (caller left via ctx)
 	default:
@@ -1072,12 +1225,13 @@ type readState struct {
 	idle *idleList    // where this read's legs leave from and park (see workerPool)
 
 	// Per-read wiring, set before the spawns, cleared at pool time.
-	rctx context.Context // what the legs run under; a read without legs has none
-	key  string
-	rid  string
-	sink func(Delivery)
-	subs []loopSub // the registrations the pass made
-	owed []Conn    // the conns it could not ask: each needs a leg to run its get-data
+	rctx    context.Context // what the legs run under; a read without legs has none
+	key     string
+	rid     string
+	sink    func(Delivery)
+	subs    []loopSub // the registrations the pass made
+	streams []muxSub  // the get-datas it sent, answered on their conns' pumps
+	owed    []Conn    // the conns it could not ask: each needs a leg to run its get-data
 
 	initials []Tag // server-indexed tag of the Initial delivery
 	hasInit  []bool

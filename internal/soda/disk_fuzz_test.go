@@ -23,7 +23,7 @@ import (
 // returns what server 0 left on disk: its log, record by record, and the
 // snapshot it then took. The values are small: a mutator is slow on a
 // large seed, and an element's bytes are nothing to either parser.
-func diskSeeds(f *testing.F) (records [][]byte, snapshot []byte) {
+func diskSeeds(f testing.TB) (records [][]byte, snapshot []byte) {
 	f.Helper()
 	ctx := context.Background()
 	lb, err := NewDurableLoopback(5, f.TempDir(), WithFsync(FsyncNone))
@@ -85,14 +85,74 @@ func diskSeeds(f *testing.F) (records [][]byte, snapshot []byte) {
 	return records, snapshot
 }
 
-// Both formats carry the epoch state's sealed flag as one byte and read
-// anything but 1 as unsealed, where the wire's cursor.flag refuses 2..255:
-// the one input either parser accepts without re-encoding to it. These are
-// the flag's offsets, in a log record and in a snapshot file.
+// Both formats carry the epoch state's sealed flag as one byte, and both
+// parsers once read anything but 1 as unsealed where the wire's cursor.flag
+// refuses 2..255. These are the flag's offsets, in a log record and in a
+// snapshot file.
 const (
 	walSealedAt  = walHeaderLen + 8 + 1 + 8 + 8
 	snapSealedAt = 8 + 8 + 8 + 8
 )
+
+// withSealed returns data — a log record's payload or a snapshot file
+// less its checksum, which the fuzz targets put back — with the sealed
+// flag at offset at set to v.
+func withSealed(data []byte, at int, v byte) []byte {
+	data = bytes.Clone(data)
+	data[at] = v
+	return data
+}
+
+// epochRecord is the seed log's epoch record.
+func epochRecord(t testing.TB, records [][]byte) []byte {
+	t.Helper()
+	for _, rec := range records {
+		if parsed, _, err := parseWALRecord(rec); err == nil && parsed.op == walOpEpoch {
+			return rec
+		}
+	}
+	t.Fatal("the seed log holds no epoch record")
+	return nil
+}
+
+// TestSealedFlagOutOfRange: a sealed byte of 2 or 255 under a correct
+// checksum is a corrupt record and a corrupt snapshot, not an unsealed
+// epoch; 0 and 1 parse as themselves.
+func TestSealedFlagOutOfRange(t *testing.T) {
+	records, snapshot := diskSeeds(t)
+	payload := epochRecord(t, records)[walHeaderLen:]
+	body := snapshot[:len(snapshot)-4]
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		flag      byte
+		ok, state bool
+	}{{0, true, false}, {1, true, true}, {2, false, false}, {255, false, false}} {
+		p := withSealed(payload, walSealedAt-walHeaderLen, tc.flag)
+		var hdr [walHeaderLen]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(p)))
+		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(p))
+		rec, n, err := parseWALRecord(append(hdr[:], p...))
+		if tc.ok && (err != nil || rec.est.sealed != tc.state) {
+			t.Errorf("log record with sealed = %d: sealed %v, %v", tc.flag, rec.est.sealed, err)
+		}
+		if !tc.ok && (!errors.Is(err, errWALCorrupt) || n != 0) {
+			t.Errorf("log record with sealed = %d parsed as sealed %v (%d bytes, %v), want errWALCorrupt", tc.flag, rec.est.sealed, n, err)
+		}
+
+		b := withSealed(body, snapSealedAt, tc.flag)
+		b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(snapshotMagic):]))
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, est, _, err := readSnapshot(dir)
+		if tc.ok && (err != nil || est.sealed != tc.state) {
+			t.Errorf("snapshot with sealed = %d: sealed %v, %v", tc.flag, est.sealed, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrFrame) {
+			t.Errorf("snapshot with sealed = %d read as sealed %v (%v), want a frame error", tc.flag, est.sealed, err)
+		}
+	}
+}
 
 // FuzzParseWALRecord: no input panics the record parser; a refusal is
 // one of its two typed errors and consumes nothing; and a record that
@@ -103,6 +163,7 @@ func FuzzParseWALRecord(f *testing.F) {
 		f.Add(rec, false)
 		f.Add(rec[walHeaderLen:], true)
 	}
+	f.Add(withSealed(epochRecord(f, records)[walHeaderLen:], walSealedAt-walHeaderLen, 2), true)
 	f.Fuzz(func(t *testing.T, data []byte, frame bool) {
 		if frame { // data is a payload: give it the header it would have
 			var hdr [walHeaderLen]byte
@@ -123,14 +184,7 @@ func FuzzParseWALRecord(f *testing.F) {
 		if rec.key != "" && validateKey(rec.key) != nil || rec.vlen < 0 {
 			t.Fatalf("parsed a %d-byte key, vlen %d", len(rec.key), rec.vlen)
 		}
-		got := appendWALRecord(nil, rec)
-		if rec.op == walOpEpoch && data[walSealedAt] > 1 {
-			if len(got) != n {
-				t.Fatalf("re-encoded to %d bytes, parsed from %d", len(got), n)
-			}
-			return
-		}
-		if !bytes.Equal(got, data[:n]) {
+		if got := appendWALRecord(nil, rec); !bytes.Equal(got, data[:n]) {
 			t.Fatalf("re-encoded\n %x, parsed from\n %x", got, data[:n])
 		}
 	})
@@ -142,6 +196,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	_, snapshot := diskSeeds(f)
 	f.Add(snapshot, false)
 	f.Add(snapshot[:len(snapshot)-4], true)
+	f.Add(withSealed(snapshot[:len(snapshot)-4], snapSealedAt, 2), true)
 	f.Fuzz(func(t *testing.T, data []byte, sum bool) {
 		if sum && len(data) >= len(snapshotMagic) { // data lacks its checksum: append the right one
 			data = binary.BigEndian.AppendUint32(bytes.Clone(data), crc32.ChecksumIEEE(data[len(snapshotMagic):]))
@@ -165,12 +220,6 @@ func FuzzReadSnapshot(f *testing.F) {
 		got, err := os.ReadFile(filepath.Join(dir, snapshotName))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if data[snapSealedAt] > 1 {
-			if len(got) != len(data) {
-				t.Fatalf("wrote back %d bytes, read from %d", len(got), len(data))
-			}
-			return
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("wrote back\n %x, read from\n %x", got, data)

@@ -58,8 +58,8 @@
 // its one client, the persistent multiplexed MuxConn (mux.go) — or over
 // the deterministic in-process Loopback (loopback.go), which adds
 // fail-stop, silent-crash, and corrupt-storage fault injection for
-// tests and the sodademo binary, and whose clients run without a
-// goroutine per server (see "Where the quorum phases run" below).
+// tests and the sodademo binary. A healthy small operation starts no
+// goroutine over either (see "Where the quorum phases run" below).
 //
 // The message set is the paper's plus RADON's two repair messages, key
 // enumeration and the reconfiguration op. wire.go has one request and
@@ -98,19 +98,35 @@
 // table: it has no frames to decode, and an indirect call would move
 // its arguments to the heap on the in-process hot path.
 //
-// Where the quorum phases run: a pass, then legs for what is owed. A
-// Writer or Reader first asks, on the calling goroutine, each conn that
-// can answer there — the loopback's own, where a reply is a function
-// return — through the same tally and completion rules the legs report
-// into (writeTally; readState.addLocked, check, lose): Writer.writeNow,
-// Reader.Read. For each exchange still owed it then sends one goroutine
-// per server (a leg), completing on the first n-f answers — what a socket
-// needs. What can be owed: every exchange of a conn that is not the
-// loopback's own (MuxConn, a wrapper), or made while a Loopback test hook
-// is installed; a put-data to a durable server whose log or register was
-// busy on two visits, or whose fsyncs wait for a device (those only
-// overlap from n goroutines; the log times one fsync in 64 to tell); and
-// the wait of a read the pass left pending — on a concurrent write's
+// Where the quorum phases run: on the calling goroutine, then on legs
+// for what is owed. A Writer or Reader asks each conn for the form of an
+// exchange that cannot park, and reports what comes back through the same
+// tally and completion rules the legs report into (writeTally;
+// readState.addLocked, check, lose). Three cases. (1) Answers now: the
+// loopback's own conn, where a reply is a function return —
+// Writer.writeNow, the pass in Reader.Read. (2) Sent now, answers on the
+// pump: a MuxConn writes the get-tag, put-data or get-data frame from the
+// caller's goroutine, and its read loop hands the reply to the operation
+// (writeCall's tally and wake, readState's sink) — so an operation over
+// sockets starts no goroutine either, and parks about once a phase. The
+// caller may never wait for a socket, so a frame is sent this way only if
+// the session is up, the conn's write lock is free (TryLock), and the
+// bytes written to the session that no answer yet vouches for stay within
+// callerSendMax = 8 KiB: TCP delivers in order, so an answer proves the
+// server has read everything written before its request, and what it has
+// not is all that can still sit in a socket buffer — 16 KiB at the least
+// (Linux's default tcp_wmem before autotuning) plus the peer's receive
+// buffer; half of that leaves the kernel its bookkeeping. A read's
+// reader-dones are not written at all: they wait on the conn for its next
+// frame and go out in the same write, or after a millisecond on their own.
+// (3) Owed a leg, one goroutine per server, completing on the first n-f
+// answers: every exchange of a Conn that wraps another; of a MuxConn that
+// is dialing, being written to by someone else, past the bound (a stalled
+// peer, a 1 MiB value's elements); anything while a Loopback test hook is
+// installed; a put-data to a durable server whose log or register was busy
+// on two visits, or whose fsyncs wait for a device (those only overlap
+// from n goroutines; the log times one fsync in 64 to tell); and the wait
+// of a read the loopback pass left pending — on a concurrent write's
 // relay, a hung server, the deadline — whose legs watch the registrations
 // it made. A hung server is a leg that never answers. An operation that
 // moved a handoff-sized value on the pass alone yields the processor once:

@@ -466,7 +466,7 @@ func diffValue(rng *rand.Rand, key, client, seq int) []byte {
 func TestInlineVsLegsConcurrent(t *testing.T) {
 	checkNoLeaks(t)
 	codec, lb := newCluster(t, 5, 3)
-	diffConcurrent(t, codec, lb, false)
+	diffConcurrent(t, codec, loopSets(lb), nil)
 }
 
 // TestInlineVsLegsConcurrentDurable is the same over servers that log,
@@ -479,11 +479,26 @@ func TestInlineVsLegsConcurrentDurable(t *testing.T) {
 	checkNoLeaks(t)
 	for _, mode := range []FsyncMode{FsyncNone, FsyncAlways} {
 		codec, lb := pinnedCluster(t, mode)
-		diffConcurrent(t, codec, lb, mode == FsyncAlways)
+		cut := lb
+		if mode != FsyncAlways {
+			cut = nil
+		}
+		diffConcurrent(t, codec, loopSets(lb), cut)
 	}
 }
 
-func diffConcurrent(t *testing.T, codec *Codec, lb *Loopback, cuts bool) {
+// loopSets gives the four clients of diffConcurrent their conns to lb's
+// servers: raw, wrapped, one server wrapped, wrapped.
+func loopSets(lb *Loopback) func(client int) []Conn {
+	return func(client int) []Conn {
+		return []func([]Conn) []Conn{rawConns, opaque, mixedConns, opaque}[client](lb.Conns())
+	}
+}
+
+// diffConcurrent runs four clients, each on connsOf's conns for it, all to
+// one cluster. With cut set it power-cuts and recovers that loopback's
+// servers, one at a time, while they run.
+func diffConcurrent(t *testing.T, codec *Codec, connsOf func(client int) []Conn, cut *Loopback) {
 	t.Helper()
 	const seed, clients, opsEach, nkeys = 24, 4, 300, 3
 	ctx := testCtx(t)
@@ -498,7 +513,7 @@ func diffConcurrent(t *testing.T, codec *Codec, lb *Loopback, cuts bool) {
 	progress := make(chan struct{}, clients*opsEach)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
-		conns := []func([]Conn) []Conn{rawConns, opaque, mixedConns, opaque}[c](lb.Conns())
+		conns := connsOf(c)
 		w := mustWriter(t, fmt.Sprintf("w%d", c), codec, conns)
 		r := mustReader(t, fmt.Sprintf("r%d", c), codec, conns)
 		wg.Add(1)
@@ -546,15 +561,15 @@ func diffConcurrent(t *testing.T, codec *Codec, lb *Loopback, cuts bool) {
 		if _, running := <-progress; !running {
 			break
 		}
-		if !cuts || ops%40 != 39 {
+		if cut == nil || ops%40 != 39 {
 			continue
 		}
 		if down < 0 {
-			down = rng.Intn(lb.Size())
-			lb.PowerCut(down)
+			down = rng.Intn(cut.Size())
+			cut.PowerCut(down)
 			continue
 		}
-		rec, err := lb.Recover(down)
+		rec, err := cut.Recover(down)
 		if err != nil {
 			t.Fatalf("seed %d: recover %d: %v", seed, down, err)
 		}
@@ -1238,4 +1253,63 @@ func TestLegsOnlyForWrappedConns(t *testing.T) {
 			}
 		})
 	}
+
+	// Over sockets what is owed is settled frame by frame: a MuxConn that
+	// somebody else is writing to takes nothing from the caller, who does
+	// not wait for it. Here the test holds server 2's write lock: a write
+	// and a read complete on the other four, that conn's exchanges wait on
+	// legs, and the write's reach the server once the lock is let go.
+	t.Run("a MuxConn whose write lock is held", func(t *testing.T) {
+		checkNoLeaks(t)
+		const held = 2
+		ctx := testCtx(t)
+		codec, err := NewCodec(5, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns, servers := startTCPCluster(t, 5)
+		mc, core := conns[held].(*MuxConn), servers[held].core
+		w := mustWriter(t, "w", codec, conns)
+		r := mustReader(t, "r", codec, conns)
+		if _, err := w.Write(ctx, testKey, []byte("written to dial the conns")); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the first write on every server", func() bool {
+			for _, ns := range servers {
+				if ns.core.MetricsSnapshot().PutDatas != 1 {
+					return false
+				}
+			}
+			return true
+		})
+		waitFor(t, "the first write's legs", legsHome)
+		seen := legsSeen(conns)
+
+		letGo := holdMutex(&mc.wmu)
+		defer letGo()
+		value := []byte("written past a conn that is busy")
+		tag, err := w.Write(ctx, testKey, value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := r.Read(ctx, testKey); err != nil || !bytes.Equal(res.Value, value) {
+			t.Fatalf("read = %q, %v; want %q", res.Value, err, value)
+		}
+		waitFor(t, "the leg of the write's exchanges with the held conn", func() bool { return seen.getTags.Load() == 1 })
+		if m := core.MetricsSnapshot(); m.GetTags != 1 || m.PutDatas != 1 || m.GetDatas != 0 || seen.putDatas.Load() != 0 {
+			t.Fatalf("behind the held lock server %d has served %d get-tags, %d put-datas, %d get-datas, and legs sent %d put-datas; want what the first write left and none",
+				held, m.GetTags, m.PutDatas, m.GetDatas, seen.putDatas.Load())
+		}
+		letGo()
+		waitFor(t, "the write's leg to land", func() bool {
+			got, _, _ := core.Snapshot(testKey)
+			return got == tag
+		})
+		waitFor(t, "the legs", legsHome)
+		// The read sent a leg too, unless the other four had answered by the
+		// time its pass was over.
+		if g, p, d := seen.getTags.Load(), seen.putDatas.Load(), seen.getDatas.Load(); g != 1 || p != 1 || d > 1 {
+			t.Fatalf("legs made %d get-tags, %d put-datas and %d get-datas, want the held conn's: one, one, and one or none", g, p, d)
+		}
+	})
 }

@@ -16,9 +16,9 @@ import (
 // connection per server carrying every concurrent exchange — get-tag,
 // put-data, get-elem, repair-put, keys — pipelined and routed back by
 // request id, plus any number of key-scoped relay streams. A demux
-// pump (readLoop) routes each inbound frame to the exchange that owns
-// its request id; responses for unknown ids are dropped on the floor,
-// which makes late responses to cancelled requests harmless.
+// pump (readLoop) hands each inbound frame to the exchange waiting
+// under its request id; responses for unknown ids are dropped on the
+// floor, which makes late responses to cancelled requests harmless.
 //
 // The connection is established lazily and re-established on demand
 // after a failure; concurrent operations needing a connection share
@@ -27,26 +27,33 @@ import (
 // per-server error the quorum layer already knows how to charge.
 var errConnClosed = errors.New("soda: mux conn closed")
 
-// muxSession is one live connection generation. err is set exactly
-// once, before done closes, so any goroutine that observed done may
-// read it.
+// muxSession is one live connection generation.
 type muxSession struct {
 	conn net.Conn
-	done chan struct{}
-	err  error
-	once sync.Once
 	// rearm is when the connection's write deadline next needs pushing
-	// out (see writeBuf); guarded by the owning MuxConn's wmu.
+	// out (see write); guarded by the owning MuxConn's wmu.
 	rearm time.Time
+	// Guarded by the MuxConn's mu. err is what the session died of, set by
+	// teardown. sent counts the bytes written to conn, answered how many of
+	// them the server is known to have read: TCP delivers in order, so an
+	// answer to one request vouches for every byte written before it.
+	err            error
+	sent, answered int64
 }
 
-func (s *muxSession) fail(err error) {
-	s.once.Do(func() {
-		s.err = err
-		close(s.done)
-	})
-	s.conn.Close()
-}
+// callerSendMax bounds sent-answered for a frame that is written by a
+// goroutine which may not wait for the socket (send with no session). What
+// is written and not yet vouched for is all that can still sit in the two
+// kernels' buffers, and a write parks only on a full send buffer. Linux
+// gives a TCP socket 16 KiB of one before any autotuning (the default of
+// net.ipv4.tcp_wmem; the BSDs' net.inet.tcp.sendspace is 32 KiB or more),
+// on top of the peer's receive buffer; half the smaller figure leaves the
+// kernel's own per-segment bookkeeping its share.
+const callerSendMax = 8 << 10
+
+// doneFlush is how long a reader-done waits for a frame to ride with
+// before the conn writes it on its own.
+const doneFlush = time.Millisecond
 
 // dialAttempt is the singleflight cell concurrent session() calls
 // share: the winner dials and publishes, the rest wait on done.
@@ -56,13 +63,36 @@ type dialAttempt struct {
 	err  error
 }
 
-// muxStream is one live get-data stream on the connection: the relay
-// sink plus an error slot the demux pump fails it through when the
-// server NACKs the stream's epoch mid-flight.
-type muxStream struct {
-	deliver func(Delivery)
-	errc    chan error // cap 1; at most one terminal error per stream
+// muxWaiter is what an exchange is completed through, exactly once, by
+// whoever takes it out of the conn's table: the pump, with the server's
+// answer decoded into resp (lent for the call) or the typed error an error
+// or epoch-nack frame stands for; teardown, with what the session died of
+// and an empty resp. It runs on that goroutine and must not park.
+type muxWaiter interface {
+	answer(c *MuxConn, resp *response, err error)
 }
+
+// muxExchange is one request awaiting its answer. A get-data stays
+// registered through its deliveries, which go to deliver, until a frame
+// of any other type ends it.
+type muxExchange struct {
+	w       muxWaiter
+	deliver func(Delivery) // a get-data's relay sink, else nil
+	want    byte           // the response type that answers it
+	mark    int64          // the session's sent once the request was written
+}
+
+// muxAnswer is what the exchange of a goroutine that parks for it came to.
+type muxAnswer struct {
+	resp response
+	err  error
+}
+
+// chanWaiter is that goroutine's waiter; cap 1, so the one answer never
+// blocks whoever brings it.
+type chanWaiter chan muxAnswer
+
+func (w chanWaiter) answer(_ *MuxConn, resp *response, err error) { w <- muxAnswer{*resp, err} }
 
 // MuxConn implements Conn over one persistent multiplexed connection.
 type MuxConn struct {
@@ -73,12 +103,14 @@ type MuxConn struct {
 	reqSeq atomic.Uint64
 	wmu    sync.Mutex // serializes frame writes to the live connection
 
-	mu      sync.Mutex
-	sess    *muxSession
-	dialing *dialAttempt
-	closed  bool
-	pending map[uint64]chan []byte // unary waiters by request id
-	streams map[uint64]*muxStream  // get-data streams by request id
+	mu       sync.Mutex
+	sess     *muxSession
+	dialing  *dialAttempt
+	closed   bool
+	waiting  map[uint64]muxExchange // every exchange in flight on sess, by request id
+	dones    []uint64               // ended streams whose reader-done is still to be written
+	flusher  *time.Timer            // writes dones when no request comes by to carry them
+	flushing bool                   // flusher is armed
 }
 
 // TCPMuxConn returns the multiplexed Conn for the server at shard
@@ -88,8 +120,7 @@ func TCPMuxConn(idx int, addr string, opts ...TCPOption) *MuxConn {
 		idx:     idx,
 		addr:    addr,
 		opts:    defaultTCPOpts(),
-		pending: make(map[uint64]chan []byte),
-		streams: make(map[uint64]*muxStream),
+		waiting: make(map[uint64]muxExchange),
 	}
 	for _, opt := range opts {
 		opt(&c.opts)
@@ -125,6 +156,9 @@ func (c *MuxConn) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	s := c.sess
+	if c.flusher != nil {
+		c.flusher.Stop()
+	}
 	c.mu.Unlock()
 	if s != nil {
 		c.teardown(s, errConnClosed)
@@ -165,7 +199,7 @@ func (c *MuxConn) session(ctx context.Context) (*muxSession, error) {
 				close(att.done)
 				return nil, err
 			}
-			s := &muxSession{conn: conn, done: make(chan struct{})}
+			s := &muxSession{conn: conn}
 			c.sess = s
 			c.mu.Unlock()
 			att.sess = s
@@ -186,25 +220,29 @@ func (c *MuxConn) session(ctx context.Context) (*muxSession, error) {
 	}
 }
 
-// teardown fails a session and clears every exchange registered on it.
-// Waiters wake via the session's done channel and read its error.
+// teardown ends a session — once, however many find it broken — and
+// completes every exchange registered on it with err.
 func (c *MuxConn) teardown(s *muxSession, err error) {
 	c.mu.Lock()
+	var lost map[uint64]muxExchange
 	if c.sess == s {
-		c.sess = nil
-		c.pending = make(map[uint64]chan []byte)
-		c.streams = make(map[uint64]*muxStream)
+		c.sess, s.err = nil, err
+		lost, c.waiting = c.waiting, make(map[uint64]muxExchange)
+		c.dones = c.dones[:0] // the server's conn-close cleanup unregisters every stream at once
 	}
 	c.mu.Unlock()
-	s.fail(err)
+	s.conn.Close()
+	for _, e := range lost {
+		e.w.answer(c, &response{}, err)
+	}
 }
 
-// frameForSend starts a pooled frame with room for the length prefix,
-// so the whole frame goes out in one conn.Write.
-func frameForSend() *[]byte {
-	bp := getFrame()
-	*bp = append(*bp, 0, 0, 0, 0)
-	return bp
+// appendFrame appends req as one length-prefixed frame.
+func appendFrame(b []byte, req *request) []byte {
+	at := len(b)
+	b = appendRequest(append(b, 0, 0, 0, 0), req)
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
 }
 
 // writeStall bounds how long one frame write may sit in a full socket
@@ -214,18 +252,67 @@ func frameForSend() *[]byte {
 // say. A var only so the stalled-peer test can shorten it.
 var writeStall = 10 * time.Second
 
-// writeBuf finishes and writes a frame built by frameForSend,
-// recycling the buffer. An oversize frame is refused before a byte is
-// written and fails only its own exchange; a failed write — a stalled
-// one included — tears the (now desynced) session down.
-func (c *MuxConn) writeBuf(s *muxSession, bp *[]byte) error {
-	p := *bp
-	if len(p)-4 > maxFrame {
-		putFrame(bp)
-		return fmt.Errorf("%w: %d byte frame exceeds %d", ErrFrame, len(p)-4, maxFrame)
+// send registers w for req's answer and writes req, and with it the
+// reader-dones that were waiting for a frame to ride, in one conn.Write.
+// Given the session a leg has dialed, it takes its turn at the connection
+// like any writer. Given none it runs on the goroutine that called Write or
+// Read, which may not wait for a socket: it sends only if a session is up,
+// nobody else is writing, and callerSendMax holds — else errNotNow. An
+// oversize frame is refused and fails only its own exchange. After an
+// error nothing is registered and not a byte written; after nil, w is
+// completed exactly once, a failed write included — a stalled one too —
+// which tears the (now desynced) session down under everything on it.
+func (c *MuxConn) send(s *muxSession, req *request, w muxWaiter, deliver func(Delivery)) error {
+	req.id = c.reqSeq.Add(1)
+	bp := getFrame()
+	*bp = appendFrame(*bp, req)
+	var err error
+	switch n := len(*bp) - 4; {
+	case n > maxFrame:
+		err = fmt.Errorf("%w: %d byte frame exceeds %d", ErrFrame, n, maxFrame)
+	case s != nil:
+		c.wmu.Lock()
+	case !c.wmu.TryLock():
+		err = errNotNow
 	}
-	binary.BigEndian.PutUint32(p[:4], uint32(len(p)-4))
-	c.wmu.Lock()
+	if err != nil {
+		putFrame(bp)
+		return err
+	}
+	c.mu.Lock()
+	if s == nil {
+		if s = c.sess; s == nil || s.sent-s.answered+int64(len(*bp)) > callerSendMax {
+			err = errNotNow
+		}
+	} else if c.sess != s {
+		err = s.err
+	}
+	if err != nil {
+		c.mu.Unlock()
+		c.wmu.Unlock()
+		putFrame(bp)
+		return err
+	}
+	c.carry(s, bp)
+	c.waiting[req.id] = muxExchange{w: w, deliver: deliver, want: rpcs[req.typ].resp, mark: s.sent}
+	c.mu.Unlock()
+	c.write(s, bp)
+	return nil
+}
+
+// carry appends the waiting reader-dones to bp and counts all of bp as
+// sent. Both locks are held.
+func (c *MuxConn) carry(s *muxSession, bp *[]byte) {
+	for _, id := range c.dones {
+		*bp = appendFrame(*bp, &request{typ: msgReaderDone, id: id, epoch: c.opts.epoch})
+	}
+	c.dones = c.dones[:0]
+	s.sent += int64(len(*bp))
+}
+
+// write puts bp on the wire, recycles it and gives up wmu, which the
+// caller took.
+func (c *MuxConn) write(s *muxSession, bp *[]byte) {
 	// The deadline is pushed out lazily, once per half period instead of
 	// once per frame, so a write always starts with between writeStall/2
 	// and writeStall left on it.
@@ -233,23 +320,74 @@ func (c *MuxConn) writeBuf(s *muxSession, bp *[]byte) error {
 		s.conn.SetWriteDeadline(now.Add(writeStall))
 		s.rearm = now.Add(writeStall / 2)
 	}
-	//lint:ignore lockhold wmu is the connection's dedicated write-serialization lock: it guards exactly this Write and nothing else ever blocks on it
-	_, err := s.conn.Write(p)
+	_, err := s.conn.Write(*bp)
 	c.wmu.Unlock()
 	putFrame(bp)
 	if err != nil {
 		c.teardown(s, err)
 	}
-	return err
 }
 
-// readLoop is the demux pump: route every inbound frame by (type,
-// request id). Stream deliveries are decoded here (the buffer is
-// reused; the decoder copies elements out); unary responses are handed
-// to their waiter whole.
+// drop takes an exchange back from the client's side: a cancelled call, a
+// stream its reader is done with. It reports whether the exchange was
+// still registered — then nothing will complete its waiter, and that falls
+// to the caller. A dropped stream owes the server a reader-done, so that
+// the registration ends now and not with the connection: it goes out with
+// the next frame to this server, or after doneFlush on its own.
+func (c *MuxConn) drop(id uint64, stream bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.waiting[id]; !ok {
+		return false
+	}
+	delete(c.waiting, id)
+	if stream {
+		c.dones = append(c.dones, id)
+		if !c.flushing && !c.closed {
+			c.flushing = true
+			if c.flusher == nil {
+				c.flusher = time.AfterFunc(doneFlush, c.flushDones)
+			} else {
+				c.flusher.Reset(doneFlush)
+			}
+		}
+	}
+	return true
+}
+
+// flushDones is the flusher: it writes the reader-dones no frame came by
+// to carry. Best effort — a failed write kills the session, and the
+// server's cleanup behind it ends every registration.
+func (c *MuxConn) flushDones() {
+	c.mu.Lock()
+	c.flushing = false
+	carried := len(c.dones) == 0
+	c.mu.Unlock()
+	if carried {
+		return // the usual case, and no reason to take the lock a caller may be trying
+	}
+	c.wmu.Lock()
+	c.mu.Lock()
+	s := c.sess
+	if s == nil || len(c.dones) == 0 {
+		c.mu.Unlock()
+		c.wmu.Unlock()
+		return
+	}
+	bp := getFrame()
+	c.carry(s, bp)
+	c.mu.Unlock()
+	c.write(s, bp)
+}
+
+// readLoop is the demux pump: it decodes every inbound frame (the buffer
+// is reused; the decoder copies elements out) and hands it to the exchange
+// registered under its request id — a delivery to a stream's sink, any
+// other frame to the waiter, as the end of the exchange.
 func (c *MuxConn) readLoop(s *muxSession) {
 	br := bufio.NewReader(s.conn)
 	var buf []byte
+	var resp response
 	for {
 		payload, err := readFrame(br, buf)
 		if err != nil {
@@ -262,108 +400,89 @@ func (c *MuxConn) readLoop(s *muxSession) {
 			return
 		}
 		buf = payload
-		switch {
-		case typ == msgError && id == 0:
+		if typ == msgError && id == 0 {
 			// Connection-level error: the server could not even parse a
 			// header on this connection; nothing multiplexed on it can
 			// be trusted to complete.
 			c.teardown(s, decodeResponse(payload, msgError, &response{}))
 			return
-		case typ == msgData:
-			var resp response
-			if err := decodeResponse(payload, msgData, &resp); err != nil {
-				c.teardown(s, err)
-				return
+		}
+		c.mu.Lock()
+		e, ok := c.waiting[id]
+		if ok {
+			if typ != msgData {
+				delete(c.waiting, id)
 			}
-			c.mu.Lock()
-			st := c.streams[id]
-			c.mu.Unlock()
-			if st != nil {
-				st.deliver(Delivery{Server: c.idx, Tag: resp.tag, Elem: resp.elem, VLen: resp.vlen, Initial: resp.initial, Epoch: resp.epoch})
-			}
+			s.answered = max(s.answered, e.mark)
+		}
+		c.mu.Unlock()
+		if !ok || (typ == msgData && e.deliver == nil) {
+			continue // a response for a cancelled or unknown exchange
+		}
+		resp = response{}
+		err = stampStale(decodeResponse(payload, e.want, &resp), c.idx)
+		switch {
+		case typ != msgData:
+			// An error or epoch-nack frame has decoded to the typed error it
+			// stands for; on a stream it is the NACK of an epoch flip that
+			// has already swept the registration.
+			e.w.answer(c, &resp, err)
+		case err != nil:
+			c.teardown(s, err)
+			return
 		default:
-			// A unary response goes to its waiter whole, whose decoder
-			// surfaces an error or epoch-nack frame as the typed error. An
-			// epoch NACK may instead kill a relay stream the server just
-			// swept in an epoch flip.
-			c.mu.Lock()
-			ch := c.pending[id]
-			delete(c.pending, id)
-			var st *muxStream
-			if typ == msgEpochNack {
-				st = c.streams[id]
-				delete(c.streams, id)
-			}
-			c.mu.Unlock()
-			switch {
-			case st != nil:
-				select {
-				case st.errc <- stampStale(decodeResponse(payload, msgData, &response{}), c.idx):
-				default:
-				}
-			case ch != nil:
-				ch <- payload // buffered; never blocks the pump
-				buf = nil     // ownership moved to the waiter
-			}
-			// Otherwise: a response for a cancelled or unknown exchange.
+			e.deliver(Delivery{Server: c.idx, Tag: resp.tag, Elem: resp.elem, VLen: resp.vlen, Initial: resp.initial, Epoch: resp.epoch})
 		}
 	}
 }
 
-// unary runs one request/response exchange: register a waiter under a
-// fresh request id, send req, wait for the pump to route the response
-// payload back.
-func (c *MuxConn) unary(ctx context.Context, req *request) ([]byte, error) {
-	s, err := c.session(ctx)
-	if err != nil {
-		return nil, err
-	}
-	req.id = c.reqSeq.Add(1)
-	ch := make(chan []byte, 1)
-	c.mu.Lock()
-	if c.sess != s {
-		c.mu.Unlock()
-		select {
-		case <-s.done:
-			return nil, s.err
-		default:
-			return nil, errConnClosed
-		}
-	}
-	c.pending[req.id] = ch
-	c.mu.Unlock()
-	bp := frameForSend()
-	*bp = appendRequest(*bp, req)
-	if err := c.writeBuf(s, bp); err != nil {
-		c.mu.Lock()
-		delete(c.pending, req.id)
-		c.mu.Unlock()
-		return nil, err
-	}
-	select {
-	case payload := <-ch:
-		return payload, nil
-	case <-s.done:
-		if len(ch) > 0 { // routed just before the session died
-			return <-ch, nil
-		}
-		return nil, s.err
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, req.id)
-		c.mu.Unlock()
-		return nil, ctx.Err()
-	}
-}
-
-// call is every unary Conn method: one exchange, answered by the
-// response type the message table pairs with the request's.
+// call is every unary Conn method: one exchange on a leg, which parks
+// until the pump brings the response the message table pairs with the
+// request's type.
 func (c *MuxConn) call(ctx context.Context, req *request, resp *response) error {
-	payload, err := c.unary(ctx, req)
+	s, err := c.session(ctx)
 	if err != nil {
 		return err
 	}
-	return stampStale(decodeResponse(payload, rpcs[req.typ].resp, resp), c.idx)
+	ch := make(chanWaiter, 1)
+	if err := c.send(s, req, ch, nil); err != nil {
+		return err
+	}
+	select {
+	case a := <-ch:
+		*resp = a.resp
+		return a.err
+	case <-ctx.Done():
+		c.drop(req.id, false)
+		return ctx.Err()
+	}
+}
+
+// The three client exchanges also come in the form a Writer or Reader
+// calls on its own goroutine: sent now, if that takes no waiting (send),
+// and answered on the pump, through w. A nil *MuxConn — a client's entry
+// for a conn that is not one (muxConnsOf) — never sends; false means
+// nothing happened and the exchange is owed a leg.
+
+func (c *MuxConn) getTagStart(key string, w muxWaiter) bool {
+	return c != nil && c.send(nil, &request{typ: msgGetTag, epoch: c.opts.epoch, key: key}, w, nil) == nil
+}
+
+// putDataStart borrows elem for the call: the frame carries a copy. An
+// element that would change hands (see handoff) is far past callerSendMax.
+func (c *MuxConn) putDataStart(key string, t Tag, elem []byte, vlen int, w muxWaiter) bool {
+	return c != nil && len(elem) < callerSendMax &&
+		c.send(nil, &request{typ: msgPutData, epoch: c.opts.epoch, key: key, tag: t, elem: elem, vlen: vlen}, w, nil) == nil
+}
+
+// getDataStart returns the stream's id, for drop: the reader ends it.
+func (c *MuxConn) getDataStart(key, readerID string, w muxWaiter, deliver func(Delivery)) (uint64, bool) {
+	if c == nil {
+		return 0, false
+	}
+	req := request{typ: msgGetData, epoch: c.opts.epoch, key: key, reader: readerID}
+	sent := c.send(nil, &req, w, deliver) == nil
+	return req.id, sent
 }
 
 func (c *MuxConn) GetTag(ctx context.Context, key string) (Tag, error) {
@@ -410,11 +529,11 @@ func (c *MuxConn) Reconfig(ctx context.Context, op ReconfigOp, target uint64, n,
 	return resp.status, err
 }
 
-// GetData opens a key-scoped relay stream: register the sink under a
-// fresh request id and let the pump feed it until the caller cancels
-// (clean unsubscribe, nil) or the connection dies (server lost,
-// error). Cancellation sends a best-effort reader-done so the server
-// drops the registration promptly instead of at connection teardown.
+// GetData opens a key-scoped relay stream on a leg: register the sink
+// under a fresh request id and let the pump feed it until the caller
+// cancels (clean unsubscribe, nil), the server NACKs the stream's epoch
+// (the typed error, so the read retries under the new configuration) or
+// the connection dies (server lost).
 func (c *MuxConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
 	s, err := c.session(ctx)
 	if err != nil {
@@ -425,51 +544,16 @@ func (c *MuxConn) GetData(ctx context.Context, key, readerID string, deliver fun
 	if err := ctx.Err(); err != nil {
 		return nil
 	}
-	req := c.reqSeq.Add(1)
-	st := &muxStream{deliver: deliver, errc: make(chan error, 1)}
-	c.mu.Lock()
-	if c.sess != s {
-		c.mu.Unlock()
-		select {
-		case <-s.done:
-			return s.err
-		default:
-			return errConnClosed
-		}
-	}
-	c.streams[req] = st
-	c.mu.Unlock()
-	bp := frameForSend()
-	*bp = appendRequest(*bp, &request{typ: msgGetData, id: req, epoch: c.opts.epoch, key: key, reader: readerID})
-	if err := c.writeBuf(s, bp); err != nil {
-		c.mu.Lock()
-		delete(c.streams, req)
-		c.mu.Unlock()
+	req := request{typ: msgGetData, epoch: c.opts.epoch, key: key, reader: readerID}
+	ch := make(chanWaiter, 1)
+	if err := c.send(s, &req, ch, deliver); err != nil {
 		return err
 	}
 	select {
+	case a := <-ch:
+		return a.err
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.streams, req)
-		c.mu.Unlock()
-		// Best effort: when the write fails writeBuf kills the session,
-		// and the server's conn-close cleanup unregisters every stream at
-		// once instead of relaying to a reader that left.
-		bp := frameForSend()
-		*bp = appendRequest(*bp, &request{typ: msgReaderDone, id: req, epoch: c.opts.epoch})
-		c.writeBuf(s, bp)
+		c.drop(req.id, true)
 		return nil
-	case err := <-st.errc:
-		// The server NACKed the stream's epoch (pump already dropped the
-		// registration on both ends); surface the typed error so the
-		// read retries under the new configuration.
-		return err
-	case <-s.done:
-		// Session death races the reader loop's stream sweep; deleting
-		// here too keeps the map from briefly pinning the closure.
-		c.mu.Lock()
-		delete(c.streams, req)
-		c.mu.Unlock()
-		return s.err
 	}
 }

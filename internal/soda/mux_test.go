@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -289,11 +293,19 @@ func TestMuxConnSurvivesBadRequests(t *testing.T) {
 	}
 	// Garbage type byte injected through the raw frame path under a
 	// pending unary id: the error frame routes back to this exchange.
-	payload, err := c.unary(ctx, &request{typ: 0xEE, epoch: SeedEpoch})
+	s, err := c.session(ctx)
 	if err != nil {
-		t.Fatalf("unary: %v", err)
+		t.Fatal(err)
 	}
-	if rerr := decodeResponse(payload, msgAck, &response{}); !errors.As(rerr, &re) || !strings.Contains(re.Msg, "unknown message type") {
+	garbage := make(chanWaiter, 1)
+	c.mu.Lock()
+	c.waiting[1<<40] = muxExchange{w: garbage, want: msgAck}
+	c.mu.Unlock()
+	frame := binary.BigEndian.AppendUint32(nil, headerLen)
+	if _, err := s.conn.Write(appendHeader(frame, 0xEE, 1<<40, SeedEpoch)); err != nil {
+		t.Fatal(err)
+	}
+	if rerr := (<-garbage).err; !errors.As(rerr, &re) || !strings.Contains(re.Msg, "unknown message type") {
 		t.Fatalf("garbage type byte produced %v, want *RemoteError", rerr)
 	}
 
@@ -659,7 +671,7 @@ func TestMuxStreamCleanupOnCancel(t *testing.T) {
 	}
 	waitNoReaders(t, servers[0].core, testKey)
 	c.mu.Lock()
-	n := len(c.streams)
+	n := len(c.waiting)
 	c.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("client still tracks %d streams after cancel", n)
@@ -687,7 +699,7 @@ func TestMuxStreamCleanupOnConnClose(t *testing.T) {
 	}
 	waitNoReaders(t, servers[0].core, testKey)
 	c.mu.Lock()
-	n := len(c.streams)
+	n := len(c.waiting)
 	c.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("client still tracks %d streams after Close", n)
@@ -718,7 +730,7 @@ func TestMuxStreamCleanupOnServerLoss(t *testing.T) {
 		t.Fatalf("dead server's conn teardown left %d registrations", n)
 	}
 	c.mu.Lock()
-	n := len(c.streams)
+	n := len(c.waiting)
 	c.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("client still tracks %d streams after session death", n)
@@ -748,9 +760,504 @@ func TestMuxGetDataDeadContextNeverRegisters(t *testing.T) {
 		t.Fatalf("dead-context GetData registered %d readers", n)
 	}
 	c.mu.Lock()
-	n := len(c.streams)
+	n := len(c.waiting)
 	c.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("dead-context GetData left %d stream entries", n)
+	}
+}
+
+// A Writer or Reader sends a MuxConn's exchanges from its own goroutine
+// and has them answered on the conn's pump, where that takes no waiting,
+// and owes a leg everything else. The tests below hold raw, wrapped and
+// mixed conn sets over sockets to the same behaviour, as inline_test.go
+// does over the loopback, and pin what makes a MuxConn refuse.
+
+// legsSeen wraps, in place, the conns a client was built on. The client
+// resolved what each conn can do when it was built, so what it sends
+// itself still goes to the raw conn; a leg takes its conn from the set,
+// and is counted.
+func legsSeen(conns []Conn) *exchanges {
+	seen := &exchanges{}
+	for i, c := range conns {
+		conns[i] = countedConn{c, seen}
+	}
+	return seen
+}
+
+func (e *exchanges) total() int64 { return e.getTags.Load() + e.putDatas.Load() + e.getDatas.Load() }
+
+// sockCounter keeps what each Write call on a session's socket wrote.
+type sockCounter struct {
+	net.Conn
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (c *sockCounter) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, bytes.Clone(p))
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// count reports the Write calls that carried a request, those that
+// carried reader-dones only, and those that carried both.
+func (c *sockCounter) count(t *testing.T) (requests, donesOnly, both int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range c.writes {
+		dones, others := 0, 0
+		for len(p) > 0 {
+			n := int(binary.BigEndian.Uint32(p))
+			if p[4] == msgReaderDone {
+				dones++
+			} else {
+				others++
+			}
+			p = p[4+n:]
+		}
+		switch {
+		case others == 0:
+			donesOnly++
+		case dones > 0:
+			both++
+			fallthrough
+		default:
+			requests++
+		}
+	}
+	return requests, donesOnly, both
+}
+
+// countWrites puts a sockCounter under the live session of each conn,
+// which has answered an exchange already: its pump has the socket it
+// reads from.
+func countWrites(t *testing.T, conns []Conn) []*sockCounter {
+	t.Helper()
+	out := make([]*sockCounter, len(conns))
+	for i, c := range conns {
+		mc := c.(*MuxConn)
+		mc.wmu.Lock()
+		mc.mu.Lock()
+		if mc.sess == nil {
+			t.Fatalf("conn %d has no session", i)
+		}
+		out[i] = &sockCounter{Conn: mc.sess.conn}
+		mc.sess.conn = out[i]
+		mc.mu.Unlock()
+		mc.wmu.Unlock()
+	}
+	return out
+}
+
+// unanswered is what c's session has written that no answer vouches for.
+func unanswered(c *MuxConn) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.sess == nil {
+		return 0
+	}
+	return c.sess.sent - c.sess.answered
+}
+
+// TestMuxSteadyStateStartsNothing: once its conns are dialed, a Writer
+// and Reader over raw MuxConns take no goroutine to a 128 B write or read —
+// no leg makes an exchange, and no goroutine is left that was not there —
+// and the client's side of a write is ten socket writes, of a read five:
+// the reader-dones of one read go out in the writes of the next operation.
+func TestMuxSteadyStateStartsNothing(t *testing.T) {
+	checkNoLeaks(t)
+	const ops = 200
+	ctx := testCtx(t)
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns, servers := startTCPCluster(t, 5)
+	raw := slices.Clone(conns)
+	w := mustWriter(t, "w", codec, conns, WithWriterFaults(0))
+	r := mustReader(t, "r", codec, conns)
+	value := make([]byte, 128)
+	if _, err := w.Write(ctx, testKey, value); err != nil { // dials, on legs
+		t.Fatal(err)
+	}
+	waitFor(t, "the dialing write's legs", legsHome)
+	seen := legsSeen(conns)
+	socks := countWrites(t, raw)
+	goroutines := startedGoroutines()
+	for i := 0; i < ops; i++ {
+		key := fmt.Sprintf("k%02d", i%17)
+		value[0] = byte(i)
+		if _, err := w.Write(ctx, key, value); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := r.Read(ctx, key); err != nil || !bytes.Equal(res.Value, value) {
+			t.Fatalf("read %d = %v, %v", i, res.Value, err)
+		}
+	}
+	var requests, donesOnly, both int
+	for _, s := range socks {
+		r, d, b := s.count(t)
+		requests, donesOnly, both = requests+r, donesOnly+d, both+b
+	}
+	// The one thing a lone client can find a conn busy with is the flusher
+	// in its write, when a millisecond passed between a read and the next
+	// frame to that server (a loaded machine, the race detector): the frame
+	// that met it went on a leg, which makes two exchanges of a write.
+	if n := seen.total(); n > 2*int64(donesOnly) {
+		t.Errorf("legs made %d exchanges (%d get-tags, %d put-datas, %d get-datas) in %d steady-state writes and reads, and the flusher wrote %d times",
+			n, seen.getTags.Load(), seen.putDatas.Load(), seen.getDatas.Load(), ops, donesOnly)
+	}
+	if got := startedGoroutines(); got > goroutines {
+		t.Errorf("%d goroutines before %d writes and reads, %d after", goroutines, ops, got)
+	}
+	// A read that completes on four answers may not send the fifth get-data.
+	if requests > 15*ops || requests < 14*ops {
+		t.Errorf("%d socket writes carried a request in %d writes and reads, want ten to a write and five (or four) to a read", requests, ops)
+	}
+	// The flusher's turn comes when a millisecond passes between a read and
+	// the next write to the same server: rarely, on a loaded machine.
+	if donesOnly > ops/4 || both < 4*ops {
+		t.Errorf("%d socket writes carried reader-dones alone and %d with a request, in %d reads of five servers", donesOnly, both, ops)
+	}
+	// An idle conn set: the last read's reader-dones leave on their own.
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for i := 0; i < len(servers); {
+		if servers[i].core.MetricsSnapshot().Registrations == 0 {
+			i++
+		} else if time.Now().After(deadline) {
+			t.Fatalf("server %d still holds a registration 50 ms after the last read", i)
+		}
+	}
+}
+
+// muxSchedule plays the op stream seed names — writes and reads of three
+// keys from one goroutine, most values small, some with elements past
+// callerSendMax, some with elements that change hands — on conns, with
+// f = 0 on both sides so that every operation has an exchange with every
+// server, and returns what each came to and what every server counted and
+// holds at the end.
+func muxSchedule(t *testing.T, seed int64, codec *Codec, conns []Conn, cores []*Server) (ops []diffOp, final []string) {
+	t.Helper()
+	ctx := testCtx(t)
+	w := mustWriter(t, "w", codec, conns, WithWriterFaults(0))
+	r := mustReader(t, "r", codec, conns, WithReaderFaults(0))
+	rng := rand.New(rand.NewSource(seed))
+	keys := []string{"diff/a", "diff/b", "diff/c"}
+	for step := 0; step < 200; step++ {
+		key := keys[rng.Intn(len(keys))]
+		op := diffOp{}
+		var err error
+		if rng.Intn(2) == 0 {
+			size := 1 + rng.Intn(300)
+			switch rng.Intn(16) {
+			case 0:
+				size = 3*elemHandoffMin + rng.Intn(1000)
+			case 1, 2:
+				size = 3*callerSendMax + rng.Intn(1000)
+			}
+			op.value = make([]byte, size)
+			rng.Read(op.value)
+			op.desc = fmt.Sprintf("step %d: write %s (%d B)", step, key, size)
+			op.tag, err = w.Write(ctx, key, op.value)
+		} else {
+			var res ReadResult
+			op.desc = fmt.Sprintf("step %d: read %s", step, key)
+			res, err = r.Read(ctx, key)
+			op.tag, op.value = res.Tag, res.Value
+		}
+		if err != nil {
+			t.Fatalf("seed %d: %s: %v", seed, op.desc, err)
+		}
+		ops = append(ops, op)
+	}
+	waitFor(t, "the last operation's legs", legsHome)
+	for s, core := range cores {
+		waitFor(t, "the last reads' registrations to end", func() bool { return core.MetricsSnapshot().Registrations == 0 })
+		m := core.MetricsSnapshot()
+		final = append(final, fmt.Sprintf("get-tags: server %d served %d", s, m.GetTags),
+			fmt.Sprintf("server %d served %d put-datas, %d get-datas", s, m.PutDatas, m.GetDatas))
+		for _, key := range keys {
+			tag, elem, vlen := core.Snapshot(key)
+			final = append(final, fmt.Sprintf("%s on server %d: %v, %d B, element %08x", key, s, tag, vlen, crc32.ChecksumIEEE(elem)))
+		}
+	}
+	return ops, final
+}
+
+// TestMuxCallerSentVsLegsSequential: one seeded op stream over raw MuxConns
+// (sent from the caller wherever the conn takes it), over the same wrapped
+// (every exchange on a leg) and over a loopback one of whose servers is
+// reached through a socket (a MuxConn among loopConns) gives every
+// operation the same tag and value and leaves every server with the same
+// counts and the same (tag, vlen, element) under every key. The get-tags
+// of the third run are not compared: a write whose loopback pass could not
+// settle phase 0 — here, with f = 0, any — asks them all again on legs.
+func TestMuxCallerSentVsLegsSequential(t *testing.T) {
+	checkNoLeaks(t)
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overSockets := func(wrap func([]Conn) []Conn) func(*testing.T) ([]Conn, []*Server) {
+		return func(t *testing.T) ([]Conn, []*Server) {
+			conns, servers := startTCPCluster(t, 5)
+			cores := make([]*Server, len(servers))
+			for i, ns := range servers {
+				cores[i] = ns.core
+			}
+			return wrap(conns), cores
+		}
+	}
+	oneSocket := func(t *testing.T) ([]Conn, []*Server) {
+		lb := NewLoopback(5)
+		ns, err := ListenAndServe(lb.Server(mixedServer), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc := TCPMuxConn(mixedServer, ns.Addr())
+		t.Cleanup(func() {
+			mc.Close()
+			ns.Close()
+		})
+		conns, cores := lb.Conns(), make([]*Server, lb.Size())
+		conns[mixedServer] = mc
+		for i := range cores {
+			cores[i] = lb.Server(i)
+		}
+		return conns, cores
+	}
+	for _, seed := range []int64{28, 2800} {
+		conns, cores := overSockets(rawConns)(t)
+		sent, sentFinal := muxSchedule(t, seed, codec, conns, cores)
+		for _, other := range []struct {
+			name    string
+			cluster func(*testing.T) ([]Conn, []*Server)
+			getTags bool
+		}{{"wrapped", overSockets(opaque), true}, {"a MuxConn among loopConns", oneSocket, false}} {
+			conns, cores := other.cluster(t)
+			legs, legsFinal := muxSchedule(t, seed, codec, conns, cores)
+			for i := range sent {
+				if a, b := sent[i], legs[i]; a.desc != b.desc || a.tag != b.tag || !bytes.Equal(a.value, b.value) {
+					t.Fatalf("seed %d: %s: raw tag %v (%d B), %s: %s: tag %v (%d B)", seed, a.desc, a.tag, len(a.value), other.name, b.desc, b.tag, len(b.value))
+				}
+			}
+			for i := range sentFinal {
+				if sentFinal[i] != legsFinal[i] && (other.getTags || !strings.HasPrefix(sentFinal[i], "get-tags:")) {
+					t.Fatalf("seed %d: raw: %s; %s: %s", seed, sentFinal[i], other.name, legsFinal[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMuxCallerSentVsLegsConcurrent: four clients share five servers behind
+// sockets and three keys — two on one set of raw MuxConns, so that each
+// finds the other writing to a conn now and then and sends that exchange on
+// a leg, one on wrapped conns, one on a set with one conn wrapped. Every
+// value read must carry its key and an intact CRC, and every key's history
+// must pass lin_test.go's real-time rules.
+func TestMuxCallerSentVsLegsConcurrent(t *testing.T) {
+	checkNoLeaks(t)
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, _ := startTCPServers(t, 5)
+	sets := make([][]Conn, 3)
+	for i := range sets {
+		sets[i] = TCPMuxConns(addrs)
+		t.Cleanup(func() { CloseConns(sets[i]) })
+	}
+	diffConcurrent(t, codec, func(client int) []Conn {
+		return [][]Conn{sets[0], opaque(sets[1]), sets[0], mixedConns(slices.Clone(sets[2]))}[client]
+	}, nil)
+}
+
+// TestMuxStalledPeerNeverParksCallers: one of five servers accepts its
+// connection and never reads. Writes and reads complete on the other four,
+// none taking anywhere near writeStall: the stalled server's frames are
+// sent from the caller while what it has not answered fits callerSendMax —
+// the socket takes them without a wait — and by legs from then on, which
+// wait in the caller's place.
+func TestMuxStalledPeerNeverParksCallers(t *testing.T) {
+	checkNoLeaks(t)
+	const stalled, limit = 2, time.Second // writeStall is ten
+	ctx := testCtx(t)
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, conn) // held open, never read
+		}
+	}()
+	addrs, _ := startTCPServers(t, 5)
+	addrs[stalled] = ln.Addr().String()
+	conns := TCPMuxConns(addrs)
+	defer func() {
+		CloseConns(conns)
+		ln.Close()
+		<-accepting
+		for _, conn := range held {
+			conn.Close()
+		}
+	}()
+	mc := conns[stalled].(*MuxConn)
+	w := mustWriter(t, "w", codec, conns)
+	r := mustReader(t, "r", codec, conns)
+	seen := legsSeen(conns)
+
+	value := make([]byte, 128)
+	var slowest [2]time.Duration // before the bound trips, and after
+	tripped, opsSince := 0, 0
+	for i := 0; opsSince < 100; i++ {
+		if i == 2000 {
+			t.Fatalf("callerSendMax never tripped: %d bytes unanswered after %d operations", unanswered(mc), 2*i)
+		}
+		legs := seen.total()
+		start := time.Now()
+		value[0] = byte(i)
+		if _, err := w.Write(ctx, testKey, value); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		if res, err := r.Read(ctx, testKey); err != nil || !bytes.Equal(res.Value, value) {
+			t.Fatalf("read %d = %v, %v", i, res.Value, err)
+		}
+		slowest[tripped] = max(slowest[tripped], time.Since(start))
+		// Once its session is up, the stalled conn alone gives legs work.
+		if i > 0 && tripped == 0 && seen.total() > legs && unanswered(mc) > callerSendMax/2 {
+			tripped = 1
+		}
+		opsSince += tripped
+	}
+	if n := unanswered(mc); n <= callerSendMax {
+		t.Fatalf("%d bytes unanswered on the stalled conn: the legs have not been writing to it", n)
+	}
+	for i, d := range slowest {
+		if d > limit {
+			t.Errorf("a write and read took %v with a stalled server (%v), want well under %v", d, []string{"frames sent from the caller", "frames on legs"}[i], limit)
+		}
+	}
+}
+
+// countWaiter counts how often it is completed.
+type countWaiter struct{ n atomic.Int32 }
+
+func (w *countWaiter) answer(*MuxConn, *response, error) { w.n.Add(1) }
+
+// TestMuxServerKilledMidPhase: two hundred times over, a server is
+// closed under clients in the middle of their writes and reads and brought
+// back on its address. Every exchange that was registered on its conn is
+// completed exactly once — by its answer or by the teardown, never both
+// (a second completion of a pooled call state panics in release) — every
+// operation that had f to spare succeeds, and every value read is one that
+// was written.
+func TestMuxServerKilledMidPhase(t *testing.T) {
+	checkNoLeaks(t)
+	const rounds = 200
+	ctx := testCtx(t)
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, servers := startTCPServers(t, 5)
+	conns := TCPMuxConns(addrs, WithDialRetry(1, Backoff{}), WithDialTimeout(time.Second))
+	defer CloseConns(conns)
+	w := mustWriter(t, "w", codec, conns)
+	r := mustReader(t, "r", codec, conns)
+	if _, err := w.Write(ctx, "kill/0", diffValue(rand.New(rand.NewSource(1)), 0, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	var unavailable atomic.Int64
+	var wg sync.WaitGroup
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for j := 0; !stop.Load(); j++ {
+				ki := rng.Intn(3)
+				key := fmt.Sprintf("kill/%d", ki)
+				var err error
+				if j%2 == 0 {
+					_, err = w.Write(ctx, key, diffValue(rng, ki, c, j))
+				} else {
+					var res ReadResult
+					res, err = r.Read(ctx, key)
+					if v := res.Value; err == nil && len(v) > 0 && (len(v) < 16 || int(binary.LittleEndian.Uint32(v)) != ki ||
+						binary.LittleEndian.Uint32(v[len(v)-4:]) != crc32.Checksum(v[:len(v)-4], castagnoli)) {
+						t.Errorf("client %d read %d of %s: value fails its own check", c, j, key)
+						return
+					}
+				}
+				// Two rounds' victims inside one operation are more than f.
+				if errors.Is(err, ErrUnavailable) {
+					unavailable.Add(1)
+				} else if err != nil {
+					t.Errorf("client %d op %d: %v", c, j, err)
+					return
+				}
+			}
+		}()
+	}
+
+	rng := rand.New(rand.NewSource(28))
+	var probes []*countWaiter
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		victim := rng.Intn(len(servers))
+		mc := conns[victim].(*MuxConn)
+		for i := 0; i < 3; i++ {
+			if p := new(countWaiter); mc.getTagStart("kill/0", p) {
+				probes = append(probes, p)
+			}
+		}
+		time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
+		servers[victim].Close()
+		ns, err := ListenAndServe(servers[victim].core, addrs[victim])
+		for tries := 0; err != nil && tries < 100; tries++ {
+			time.Sleep(time.Millisecond)
+			ns, err = ListenAndServe(servers[victim].core, addrs[victim])
+		}
+		if err != nil {
+			stop.Store(true)
+			wg.Wait()
+			t.Skipf("could not rebind %s: %v", addrs[victim], err)
+		}
+		t.Cleanup(func() { ns.Close() })
+		servers[victim] = ns
+		time.Sleep(time.Duration(rng.Intn(1000)) * time.Microsecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+	CloseConns(conns) // what is still registered is completed now
+	if len(probes) < rounds {
+		t.Errorf("only %d probe exchanges were sent from the caller in %d rounds", len(probes), rounds)
+	}
+	for i, p := range probes {
+		if n := p.n.Load(); n != 1 {
+			t.Fatalf("probe exchange %d was completed %d times", i, n)
+		}
+	}
+	t.Logf("%d operations met two dead servers", unavailable.Load())
+	for _, ns := range servers {
+		waitFor(t, "the closed conns' registrations to end", func() bool { return ns.core.MetricsSnapshot().Registrations == 0 })
 	}
 }

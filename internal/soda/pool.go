@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// workerPool amortizes goroutine startup for the protocol's fan-outs.
-// Over a socket every write runs one leg per server and every read one
-// subscription per server (a loopback client has legs only for what its
-// pass left owed, see Writer.writeNow); spawning those as fresh goroutines
-// means each one starts on a minimum stack and grows it through the same deep server call
-// chain, only for the runtime to shrink the stack again at exit. The
+// workerPool amortizes goroutine startup for the protocol's legs: a
+// write or read sends one per exchange a conn could not take from the
+// calling goroutine (see Conn). Spawning those as fresh goroutines means
+// each one starts on a minimum stack and grows it through the same deep
+// server call chain, only for the runtime to shrink the stack again at
+// exit. The
 // pool parks finished workers instead (LIFO, so the hottest worker —
 // the one whose stack is already grown and cached — goes out first)
 // and grows without bound under load: a leg can block for its whole

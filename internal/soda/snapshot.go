@@ -145,7 +145,7 @@ func readSnapshot(dir string) (uint64, epochState, []snapEntry, error) {
 	covered := c.u64()
 	est.epoch = c.u64()
 	est.pending = c.u64()
-	est.sealed = c.u8() == 1
+	est.sealed = c.flag()
 	est.n = int(c.u16())
 	est.k = int(c.u16())
 	est.pn = int(c.u16())

@@ -251,14 +251,15 @@ func TestTCPUnknownTypeByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := frameForSend()
-	*bp = append(*bp, 0xFF)
-	if err := c.writeBuf(s, bp); err != nil {
+	died := make(chanWaiter, 1)
+	c.mu.Lock()
+	c.waiting[1<<40] = muxExchange{w: died, want: msgAck}
+	c.mu.Unlock()
+	if _, err := s.conn.Write([]byte{0, 0, 0, 1, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
-	<-s.done
-	if !errors.As(s.err, &re) || !strings.HasPrefix(re.Msg, "short frame") {
-		t.Fatalf("session died with %v, want the server's short-frame error", s.err)
+	if err := (<-died).err; !errors.As(err, &re) || !strings.HasPrefix(re.Msg, "short frame") {
+		t.Fatalf("session died with %v, want the server's short-frame error", err)
 	}
 	if _, err := c.GetTag(ctx, testKey); err != nil {
 		t.Fatalf("GetTag after a connection-level error: %v", err)

@@ -178,7 +178,7 @@ func parseWALRecord(data []byte) (walRecord, int, error) {
 	case walOpEpoch:
 		rec.est.epoch = c.u64()
 		rec.est.pending = c.u64()
-		rec.est.sealed = c.u8() == 1
+		rec.est.sealed = c.flag()
 		rec.est.n = int(c.u16())
 		rec.est.k = int(c.u16())
 		rec.est.pn = int(c.u16())
