@@ -3,7 +3,7 @@ GO ?= go
 # The benchmark selection shared by `make bench` and `make bench-json`.
 BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors|Stream
 
-.PHONY: all build build-cross test test-durability test-reconfig test-transport vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz
+.PHONY: all build build-cross test test-durability test-reconfig test-transport vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz loc
 
 all: vet lint build test test-transport bench-check race
 
@@ -59,6 +59,14 @@ vet:
 lint:
 	$(GO) run ./cmd/sodavet ./...
 	$(GO) test ./internal/lint/
+
+# loc prints what the working tree adds to and removes from PARENT in
+# non-test source lines (Go, assembly, scripts): the acceptance line of
+# ROADMAP item 3 as one command. `make loc PARENT=HEAD~1`.
+loc:
+	@test -n "$(PARENT)" || { echo "usage: make loc PARENT=<rev>"; exit 2; }
+	@git diff --numstat $(PARENT) -- '*.go' '*.s' '*.sh' ':!*_test.go' ':!**/testdata/**' | \
+		awk '{ a += $$1; r += $$2 } END { printf "+%d -%d = %+d non-test lines against $(PARENT)\n", a, r, a - r }'
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem ./internal/gf256/ ./internal/rs/

@@ -37,7 +37,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/rs"
 	"repro/internal/soda"
 )
 
@@ -54,9 +53,9 @@ func main() {
 func run(ctx context.Context) error {
 	const n, k = 5, 3
 	const key = "demo/register" // every scenario works one key of the namespace
-	fmt.Printf("SODA demo — n=%d servers, [n,k]=[%d,%d] rs-view code, storage cost n/k = %.2f× the value\n\n", n, n, k, float64(n)/float64(k))
+	fmt.Printf("SODA demo — n=%d servers, [n,k]=[%d,%d] Reed-Solomon code, storage cost n/k = %.2f× the value\n\n", n, n, k, float64(n)/float64(k))
 
-	codec, err := soda.NewCodec(n, k, rs.WithGenerator(rs.GeneratorRSView))
+	codec, err := soda.NewCodec(n, k)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,7 @@
 // Package matrix implements dense matrices over GF(2^8).
 //
 // The erasure-coding stack uses these for systematic MDS generator
-// construction (Vandermonde / Cauchy) and for reconstruction by
+// construction (Vandermonde) and for reconstruction by
 // Gauss-Jordan inversion of the sub-generator selected by the surviving
 // coded elements. Matrices are small (at most n x n for cluster sizes of
 // a few hundred), so the O(n^3) dense algorithms are the right tool.
@@ -72,26 +72,6 @@ func Vandermonde(rows, cols int) *Matrix {
 		for j := 0; j < cols; j++ {
 			m.Set(i, j, v)
 			v = gf256.Mul(v, alpha)
-		}
-	}
-	return m
-}
-
-// Cauchy returns the rows x cols Cauchy matrix with entry
-// 1 / (x_i + y_j), where the x_i and y_j are 2*max(rows,cols) distinct
-// field elements. Every square submatrix of a Cauchy matrix is
-// invertible, so stacking it under an identity yields a systematic MDS
-// generator directly.
-func Cauchy(rows, cols int) *Matrix {
-	if rows+cols > 256 {
-		panic("matrix: Cauchy needs rows+cols <= 256 distinct elements")
-	}
-	m := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		xi := byte(cols + i)
-		for j := 0; j < cols; j++ {
-			yj := byte(j)
-			m.Set(i, j, gf256.Inv(xi^yj))
 		}
 	}
 	return m
@@ -329,28 +309,6 @@ func GRSParityCheck(n, k int) (*Matrix, error) {
 		}
 	}
 	return h, nil
-}
-
-// SystematicCauchy returns an n x k systematic MDS generator built from
-// an identity stacked over a Cauchy block.
-func SystematicCauchy(n, k int) (*Matrix, error) {
-	if k <= 0 || n < k {
-		return nil, fmt.Errorf("matrix: invalid MDS shape n=%d k=%d", n, k)
-	}
-	if n > 256 {
-		return nil, fmt.Errorf("matrix: Cauchy shape too large (n=%d)", n)
-	}
-	g := New(n, k)
-	for i := 0; i < k; i++ {
-		g.Set(i, i, 1)
-	}
-	if n > k {
-		c := Cauchy(n-k, k)
-		for i := 0; i < n-k; i++ {
-			copy(g.Row(k+i), c.Row(i))
-		}
-	}
-	return g, nil
 }
 
 func seq(n int) []int {

@@ -144,7 +144,7 @@ func TestVandermondeAnyKRowsInvertible(t *testing.T) {
 }
 
 func TestSystematicVandermondeIsMDS(t *testing.T) {
-	for _, shape := range []struct{ n, k int }{{5, 3}, {7, 4}, {10, 5}, {9, 8}} {
+	for _, shape := range []struct{ n, k int }{{5, 3}, {7, 4}, {10, 5}, {9, 8}, {100, 51}} {
 		g, err := SystematicVandermonde(shape.n, shape.k)
 		if err != nil {
 			t.Fatal(err)
@@ -160,16 +160,6 @@ func TestSystematicVandermondeIsMDS(t *testing.T) {
 					t.Fatalf("n=%d k=%d: top block not identity at (%d,%d)", shape.n, shape.k, i, j)
 				}
 			}
-		}
-		checkMDSRandomSubsets(t, g, shape.n, shape.k)
-	}
-}
-
-func TestSystematicCauchyIsMDS(t *testing.T) {
-	for _, shape := range []struct{ n, k int }{{5, 3}, {10, 5}, {100, 51}} {
-		g, err := SystematicCauchy(shape.n, shape.k)
-		if err != nil {
-			t.Fatal(err)
 		}
 		checkMDSRandomSubsets(t, g, shape.n, shape.k)
 	}
@@ -216,18 +206,6 @@ func TestEncodeDecodeViaMatrix(t *testing.T) {
 		for i := range data {
 			if got[i] != data[i] {
 				t.Fatalf("iter %d: reconstruction mismatch at %d", iter, i)
-			}
-		}
-	}
-}
-
-func TestCauchyEntries(t *testing.T) {
-	c := Cauchy(2, 3)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			want := gf256.Inv(byte(3+i) ^ byte(j))
-			if c.At(i, j) != want {
-				t.Fatalf("Cauchy(%d,%d) = %#x, want %#x", i, j, c.At(i, j), want)
 			}
 		}
 	}

@@ -65,13 +65,12 @@ func BenchmarkReconstruct(b *testing.B) {
 		for _, sz := range benchSizes {
 			for _, mode := range []string{"warm", "cold"} {
 				b.Run(fmt.Sprintf("n%dk%d/%s/%s", sh.n, sh.k, sz.name, mode), func(b *testing.B) {
-					opts := []Option{}
-					if mode == "cold" {
-						opts = append(opts, WithCacheSize(0))
-					}
-					e, err := New(sh.n, sh.k, opts...)
+					e, err := New(sh.n, sh.k)
 					if err != nil {
 						b.Fatal(err)
+					}
+					if mode == "cold" {
+						e.cache = nil
 					}
 					shards := benchShards(b, e, sz.size)
 					b.SetBytes(int64((sh.n - sh.k) * sz.size))
@@ -168,8 +167,8 @@ func BenchmarkReconstructInto(b *testing.B) {
 // BenchmarkEncodeParallel is the concurrent-encoder throughput
 // harness: many goroutines share one Encoder (as one storage node's
 // write path would), each encoding its own shard set at a realistic
-// shard size. Contention here is on the worker pool, pooled scratch,
-// and kernel tables, not the data.
+// shard size. Contention here is on the pooled scratch and kernel
+// tables, not the data.
 func BenchmarkEncodeParallel(b *testing.B) {
 	for _, sz := range []struct {
 		name string
@@ -224,7 +223,7 @@ func BenchmarkDecodeErrors(b *testing.B) {
 				continue // the oracle at 1 MiB is pointlessly slow
 			}
 			b.Run(fmt.Sprintf("%s/n14k10e2/%s", mode, sz.name), func(b *testing.B) {
-				e, err := New(14, 10, WithGenerator(GeneratorRSView))
+				e, err := New(14, 10)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -272,7 +271,7 @@ func BenchmarkDecodeErrorsInto(b *testing.B) {
 		{"1MiB", 1 << 20},
 	} {
 		b.Run(fmt.Sprintf("n14k10e2/%s", sz.name), func(b *testing.B) {
-			e, err := New(14, 10, WithGenerator(GeneratorRSView))
+			e, err := New(14, 10)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -21,14 +21,14 @@ import (
 //
 // The pipeline, in order of bytes touched:
 //
-//  1. Syndromes. The RS-view code's parity-check rows are weighted
-//     power sums (matrix.GRSParityCheck), so the d = n-k syndrome
-//     shards S_t = sum_i H[t][i]*shard_i are computed in one fused,
-//     L2-tiled, worker-pool-striped pass over all present shards —
-//     the same codeStriped machinery Encode uses. This is the only
-//     full-width pass over the input: everything after it reads the
-//     much smaller syndrome shards. All-zero syndromes (the healthy
-//     case) cost exactly this one pass plus a scan.
+//  1. Syndromes. The code's parity-check rows are weighted power sums
+//     (matrix.GRSParityCheck), so the d = n-k syndrome shards
+//     S_t = sum_i H[t][i]*shard_i are computed in one fused, L2-tiled
+//     pass over all present shards — the same codeRange Encode uses.
+//     This is the only full-width pass over the input: everything
+//     after it reads the much smaller syndrome shards. All-zero
+//     syndromes (the healthy case) cost exactly this one pass plus a
+//     scan.
 //
 //  2. Support discovery. A corrupt byte column makes the syndrome
 //     column a power-sum sequence of its errata locators, so
@@ -67,8 +67,6 @@ import (
 // allocated and filled, corrupt shards are corrected in place, and the
 // ascending indices of the shards that were actually corrupt are
 // returned. Shards beyond the decoding radius return ErrTooManyErrors.
-// The Encoder must have been built with WithGenerator(GeneratorRSView);
-// other generators return ErrNoSyndromes.
 func (e *Encoder) DecodeErrors(shards [][]byte) ([]int, error) {
 	return e.decodeErrors(shards, nil, false)
 }
@@ -84,12 +82,8 @@ func (e *Encoder) DecodeErrorsInto(shards [][]byte, corrupt []int) ([]int, error
 }
 
 // MaxErrors returns the number of silently corrupt shards DecodeErrors
-// can locate alongside the given number of erasures: floor((n-k-f)/2),
-// or 0 when the generator has no syndrome structure.
+// can locate alongside the given number of erasures: floor((n-k-f)/2).
 func (e *Encoder) MaxErrors(erasures int) int {
-	if e.syn == nil {
-		return 0
-	}
 	m := (e.n - e.k - erasures) / 2
 	if m < 0 {
 		m = 0
@@ -179,9 +173,6 @@ func (e *Encoder) decodeErrors(shards [][]byte, corrupt []int, into bool) ([]int
 		}
 		return corrupt, nil
 	}
-	if e.syn == nil {
-		return nil, fmt.Errorf("%w (generator %s; use WithGenerator(GeneratorRSView))", ErrNoSyndromes, e.genKind)
-	}
 	s := e.getDecodeScratch()
 	defer e.putDecodeScratch(s)
 
@@ -235,7 +226,7 @@ func (e *Encoder) decodeErrors(shards [][]byte, corrupt []int, into bool) ([]int
 	for j, idx := range s.present {
 		ins[j] = shards[idx]
 	}
-	e.codeStriped(s.hrows[:d], ins, s.synd[:d], size)
+	codeRange(s.hrows[:d], ins, s.synd[:d], nil, 0, size)
 
 	// Steps 2+3: alternate bulk magnitude solves with single-column
 	// support discovery until the leftover syndrome rows are consistent.
@@ -255,7 +246,7 @@ func (e *Encoder) decodeErrors(shards [][]byte, corrupt []int, into bool) ([]int
 				s.coeffs[j] = setup.Row(j)
 				s.mags[j] = buf[(d+j)*size : (d+j+1)*size]
 			}
-			e.codeStriped(s.coeffs[:m], s.synd[:m], s.mags[:m], size)
+			codeRange(s.coeffs[:m], s.synd[:m], s.mags[:m], nil, 0, size)
 		}
 		col := e.inconsistentColumn(s, setup, m, d, size)
 		if col < 0 {

@@ -54,7 +54,7 @@ func damage(rng *rand.Rand, orig [][]byte, perm []int, e, f int, intoBufs bool) 
 func TestDecodeErrorsSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for _, sh := range []struct{ n, k int }{{3, 1}, {5, 3}, {9, 5}, {14, 10}, {8, 3}} {
-		e, err := New(sh.n, sh.k, WithGenerator(GeneratorRSView))
+		e, err := New(sh.n, sh.k)
 		if err != nil {
 			t.Fatalf("New(%d,%d): %v", sh.n, sh.k, err)
 		}
@@ -88,7 +88,7 @@ func TestDecodeErrorsSweep(t *testing.T) {
 func TestDecodeErrorsMatchesBruteOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, sh := range []struct{ n, k int }{{5, 3}, {9, 5}, {10, 4}} {
-		e, err := New(sh.n, sh.k, WithGenerator(GeneratorRSView))
+		e, err := New(sh.n, sh.k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestDecodeErrorsMatchesBruteOracle(t *testing.T) {
 func TestDecodeErrorsKernelLadder(t *testing.T) {
 	defer gf256.SetKernel("auto")
 	rng := rand.New(rand.NewSource(52))
-	e, err := New(14, 10, WithGenerator(GeneratorRSView))
+	e, err := New(14, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,39 +149,12 @@ func TestDecodeErrorsKernelLadder(t *testing.T) {
 	}
 }
 
-// TestDecodeErrorsStriped pushes the shard size over the stripe
-// threshold so syndromes and magnitude solves run on the worker pool,
-// and checks byte-identical recovery.
-func TestDecodeErrorsStriped(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	e, err := New(9, 5, WithGenerator(GeneratorRSView), WithConcurrency(4), WithStripeThreshold(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	orig := makeShards(t, rng, e, 100_003)
-	perm := rng.Perm(9)
-	shards, wantCorrupt, _ := damage(rng, orig, perm, 1, 2, false)
-	got, err := e.DecodeErrors(shards)
-	if err != nil {
-		t.Fatalf("DecodeErrors: %v", err)
-	}
-	if !slices.Equal(got, wantCorrupt) {
-		t.Fatalf("corrupt = %v, want %v", got, wantCorrupt)
-	}
-	for i := range orig {
-		if !bytes.Equal(shards[i], orig[i]) {
-			t.Fatalf("shard %d not restored", i)
-		}
-	}
-}
-
 // TestDecodeErrorsScatteredCorruption corrupts different shards in
 // different byte ranges: the support union must be discovered across
 // columns (shard 10 is only corrupt late, shard 3 only early).
 func TestDecodeErrorsScatteredCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
-	e, err := New(14, 10, WithGenerator(GeneratorRSView))
+	e, err := New(14, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +179,7 @@ func TestDecodeErrorsScatteredCorruption(t *testing.T) {
 
 func TestDecodeErrorsCleanShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	e, err := New(9, 5, WithGenerator(GeneratorRSView))
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,25 +196,8 @@ func TestDecodeErrorsCleanShards(t *testing.T) {
 	}
 }
 
-func TestDecodeErrorsRequiresRSView(t *testing.T) {
-	e, err := New(9, 5) // default Cauchy generator
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([][]byte, 9)
-	for i := range shards {
-		shards[i] = make([]byte, 16)
-	}
-	if _, err := e.DecodeErrors(shards); !errors.Is(err, ErrNoSyndromes) {
-		t.Fatalf("DecodeErrors on Cauchy generator = %v, want ErrNoSyndromes", err)
-	}
-	if e.MaxErrors(0) != 0 {
-		t.Fatal("MaxErrors must be 0 without syndrome structure")
-	}
-}
-
 func TestMaxErrors(t *testing.T) {
-	e, err := New(14, 10, WithGenerator(GeneratorRSView))
+	e, err := New(14, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +215,7 @@ func TestMaxErrors(t *testing.T) {
 // codeword.
 func TestDecodeErrorsBeyondRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
-	e, err := New(14, 10, WithGenerator(GeneratorRSView))
+	e, err := New(14, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +239,7 @@ func TestDecodeErrorsBeyondRadius(t *testing.T) {
 }
 
 func TestDecodeErrorsTooFewShards(t *testing.T) {
-	e, err := New(9, 5, WithGenerator(GeneratorRSView))
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +256,7 @@ func TestDecodeErrorsTooFewShards(t *testing.T) {
 }
 
 func TestDecodeErrorsNoParity(t *testing.T) {
-	e, err := New(4, 4, WithGenerator(GeneratorRSView))
+	e, err := New(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +279,7 @@ func TestDecodeErrorsNoParity(t *testing.T) {
 // slice, and undersized buffers error before mutation.
 func TestDecodeErrorsInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
-	e, err := New(14, 10, WithGenerator(GeneratorRSView))
+	e, err := New(14, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +332,7 @@ func TestDecodeErrorsIntoZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	rng := rand.New(rand.NewSource(58))
-	e, err := New(14, 10, WithGenerator(GeneratorRSView), WithConcurrency(1))
+	e, err := New(14, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,10 +361,10 @@ func TestDecodeErrorsIntoZeroAlloc(t *testing.T) {
 }
 
 // TestDecodeErrorsErrataCache checks that a stable errata pattern pays
-// the solve-setup algebra once and that WithCacheSize(0) disables it.
+// the solve-setup algebra once and that decoding works without it.
 func TestDecodeErrorsErrataCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	e, err := New(9, 5, WithGenerator(GeneratorRSView))
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,13 +381,11 @@ func TestDecodeErrorsErrataCache(t *testing.T) {
 		t.Fatalf("errata cache after 3 identical patterns: hits=%d misses=%d entries=%d, want 2/1/1", hits, misses, entries)
 	}
 
-	noCache, err := New(9, 5, WithGenerator(GeneratorRSView), WithCacheSize(0))
+	noCache, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if noCache.errataCache != nil {
-		t.Fatal("WithCacheSize(0) must disable the errata cache")
-	}
+	noCache.errataCache = nil
 	shards := cloneShards(orig)
 	corruptShard(rng, shards, 6)
 	if got, err := noCache.DecodeErrors(shards); err != nil || !slices.Equal(got, []int{6}) {
@@ -439,50 +393,10 @@ func TestDecodeErrorsErrataCache(t *testing.T) {
 	}
 }
 
-func TestRSViewRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	for _, sh := range shapes {
-		if sh.n > 255 {
-			continue
-		}
-		e, err := New(sh.n, sh.k, WithGenerator(GeneratorRSView))
-		if err != nil {
-			t.Fatalf("New(%d,%d, RSView): %v", sh.n, sh.k, err)
-		}
-		orig := makeShards(t, rng, e, 193)
-		// Systematic prefix, verify, and erasure round trip all hold for
-		// the RS-view generator too.
-		if ok, err := e.Verify(orig); !ok || err != nil {
-			t.Fatalf("[%d,%d] Verify = (%v, %v)", sh.n, sh.k, ok, err)
-		}
-		got := cloneShards(orig)
-		for i := 0; i < sh.n-sh.k; i++ {
-			got[i] = nil
-		}
-		if err := e.Reconstruct(got); err != nil {
-			t.Fatalf("[%d,%d] Reconstruct: %v", sh.n, sh.k, err)
-		}
-		for i := range orig {
-			if !bytes.Equal(got[i], orig[i]) {
-				t.Fatalf("[%d,%d] shard %d mismatch", sh.n, sh.k, i)
-			}
-		}
-	}
-	if _, err := New(256, 10, WithGenerator(GeneratorRSView)); !errors.Is(err, ErrInvalidShape) {
-		t.Fatalf("RSView with n=256 = %v, want ErrInvalidShape", err)
-	}
-	if _, err := New(5, 3, WithGenerator(Generator(99))); !errors.Is(err, ErrInvalidOption) {
-		t.Fatalf("unknown generator = %v, want ErrInvalidOption", err)
-	}
-	if GeneratorRSView.String() != "rs-view" || GeneratorCauchy.String() != "cauchy" {
-		t.Fatal("Generator.String names changed")
-	}
-}
-
 // TestDecodeErrorsBruteDetectsOverflow pins the oracle's failure mode.
 func TestDecodeErrorsBruteDetectsOverflow(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	e, err := New(9, 5, WithGenerator(GeneratorRSView))
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,14 +419,13 @@ func TestDecodeErrorsBruteDetectsOverflow(t *testing.T) {
 
 // TestConcurrentDecodeErrors hammers one Encoder's decode path from
 // many goroutines with a mix of stable and alternating corruption
-// patterns: the decode scratch pool, the errata cache, and the worker
-// pool all run concurrently under the race detector.
+// patterns: the decode scratch pool and the errata cache run
+// concurrently under the race detector.
 func TestConcurrentDecodeErrors(t *testing.T) {
-	e, err := New(9, 5, WithGenerator(GeneratorRSView), WithConcurrency(4), WithStripeThreshold(1024))
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	rng := rand.New(rand.NewSource(62))
 	orig := makeShards(t, rng, e, 4096)
 	var wg sync.WaitGroup

@@ -25,7 +25,7 @@ func FuzzDecodeErrors(f *testing.F) {
 	encoders := make([]*Encoder, len(shapes))
 	for i, sh := range shapes {
 		var err error
-		if encoders[i], err = New(sh.n, sh.k, WithGenerator(GeneratorRSView)); err != nil {
+		if encoders[i], err = New(sh.n, sh.k); err != nil {
 			f.Fatal(err)
 		}
 	}

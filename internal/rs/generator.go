@@ -1,98 +1,26 @@
 package rs
 
-import (
-	"fmt"
+import "repro/internal/matrix"
 
-	"repro/internal/matrix"
-)
-
-// Generator selects how an Encoder's systematic [n, k] generator matrix
-// is built. Both strategies produce MDS codes with an identity top
-// block (shards 0..k-1 are the data), and both erase-decode the same
-// way; they differ in the extra algebraic structure available on top.
-type Generator int
-
-const (
-	// GeneratorCauchy stacks an identity over a Cauchy block. It is the
-	// default: valid for any n <= 256 and marginally cheaper to build.
-	// Its parity checks have no BCH structure, so corruption can be
-	// detected (Verify) but not located — DecodeErrors is unavailable.
-	GeneratorCauchy Generator = iota
-	// GeneratorRSView is the evaluation-point (classical Reed-Solomon)
-	// view: codeword position i carries q(alpha_i) for the degree<k
-	// polynomial interpolating the data, with alpha_i = matrix.EvalPoints.
-	// Its dual is a generalized RS code, so syndromes are weighted power
-	// sums and Berlekamp-Massey error location applies: this is the
-	// generator DecodeErrors requires. Needs n <= 255.
-	GeneratorRSView
-)
-
-// String names the generator strategy.
-func (g Generator) String() string {
-	switch g {
-	case GeneratorCauchy:
-		return "cauchy"
-	case GeneratorRSView:
-		return "rs-view"
-	default:
-		return fmt.Sprintf("generator(%d)", int(g))
-	}
-}
-
-// WithGenerator selects the generator strategy. The default is
-// GeneratorCauchy; build with GeneratorRSView to enable DecodeErrors.
-func WithGenerator(g Generator) Option {
-	return func(e *Encoder) error {
-		if g != GeneratorCauchy && g != GeneratorRSView {
-			return fmt.Errorf("%w: unknown generator %d", ErrInvalidOption, int(g))
-		}
-		e.genKind = g
-		return nil
-	}
-}
-
-// Generator reports the strategy the Encoder was built with.
-func (e *Encoder) Generator() Generator { return e.genKind }
-
-// syndromeStructure is the per-strategy algebra the error decoder
-// needs: the parity-check matrix whose rows are the syndrome
-// coefficients, plus the locator point and column multiplier of every
-// shard position. It is nil for strategies without BCH-style syndromes.
+// syndromeStructure is the algebra the error decoder needs: the
+// parity-check matrix whose rows are the syndrome coefficients, plus
+// the locator point of every shard position.
 type syndromeStructure struct {
 	check  *matrix.Matrix // (n-k) x n, check * codeword = 0
 	points []byte         // points[i]: locator of shard i (nonzero, distinct)
-	mults  []byte         // mults[i]: column multiplier, check[t][i] = mults[i]*points[i]^t
 }
 
-// buildGenerator constructs the generator matrix and, when the strategy
-// supports it, the syndrome structure for an [n, k] code.
-func buildGenerator(g Generator, n, k int) (*matrix.Matrix, *syndromeStructure, error) {
-	switch g {
-	case GeneratorCauchy:
-		gen, err := matrix.SystematicCauchy(n, k)
+// buildGenerator constructs the systematic evaluation-point generator
+// of the [n, k] code and, when it has parity rows to locate errors
+// with, its syndrome structure.
+func buildGenerator(n, k int) (*matrix.Matrix, *syndromeStructure, error) {
+	gen, err := matrix.SystematicVandermonde(n, k)
+	if err != nil || n == k {
 		return gen, nil, err
-	case GeneratorRSView:
-		if n > 255 {
-			return nil, nil, fmt.Errorf("%w: n=%d > 255 (the rs-view generator needs distinct nonzero evaluation points)", ErrInvalidShape, n)
-		}
-		gen, err := matrix.SystematicVandermonde(n, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		if n == k {
-			return gen, nil, nil // no parity rows: nothing to locate errors with
-		}
-		check, err := matrix.GRSParityCheck(n, k)
-		if err != nil {
-			return nil, nil, err
-		}
-		points := matrix.EvalPoints(n)
-		return gen, &syndromeStructure{
-			check:  check,
-			points: points,
-			mults:  matrix.GRSDualMultipliers(points),
-		}, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: unknown generator %d", ErrInvalidOption, int(g))
 	}
+	check, err := matrix.GRSParityCheck(n, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return gen, &syndromeStructure{check: check, points: matrix.EvalPoints(n)}, nil
 }

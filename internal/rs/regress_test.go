@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ import (
 func TestEncodeKeepsParityCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const size = 2048
-	e, err := New(9, 5, WithConcurrency(1))
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestEncodeKeepsParityCapacity(t *testing.T) {
 func TestEncodeCapacityReadyAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	const size = 4096
-	e, err := New(9, 5, WithConcurrency(1))
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestEncodeCapacityReadyAllocs(t *testing.T) {
 // is flagged.
 func TestVerifySkipsFlaggedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	e, err := New(9, 5, WithConcurrency(1))
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,54 +151,38 @@ func TestVerifySkipsFlaggedParity(t *testing.T) {
 	}
 }
 
-// TestPoolEnsureAfterClose checks that a striped call on a closed
-// Encoder neither spawns workers nor corrupts results: ensure is a
-// no-op once the pool is closed, trySubmit refuses the tasks, and the
-// caller codes every stripe inline. Runs under -race in the race lane.
-func TestPoolEnsureAfterClose(t *testing.T) {
+// TestCodingStartsNoGoroutines checks that the Encoder codes on its
+// caller whatever the shard size and however many CPUs are idle: the
+// three coding entry points leave the goroutine count where it was.
+func TestCodingStartsNoGoroutines(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	rng := rand.New(rand.NewSource(74))
-	size := 256 << 10 // well above the stripe threshold
-	e, err := New(9, 5, WithConcurrency(4), WithStripeThreshold(1))
+	const size = 1 << 20
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.pool == nil {
-		t.Fatal("expected a worker pool with WithConcurrency(4)")
-	}
-	ref, err := New(9, 5, WithConcurrency(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := makeShards(t, rng, ref, size)
+	before := runtime.NumGoroutine()
+	want := makeShards(t, rng, e, size) // Encode
 
-	e.Close() // close before any striped work ever ran
 	shards := cloneShards(want)
-	for i := e.K(); i < e.N(); i++ {
-		shards[i] = nil
+	shards[0], shards[7] = shards[0][:0], shards[7][:0]
+	if err := e.ReconstructInto(shards); err != nil {
+		t.Fatalf("ReconstructInto: %v", err)
 	}
-	if err := e.Encode(shards); err != nil {
-		t.Fatalf("Encode after Close: %v", err)
-	}
-	if e.pool.workersStarted() {
-		t.Fatal("Encode after Close started pool workers")
-	}
-	for i := range want {
-		if !bytes.Equal(shards[i], want[i]) {
-			t.Fatalf("shard %d differs after closed-pool encode", i)
-		}
-	}
-
-	// Reconstruct above the threshold takes the same striped path.
-	shards[0], shards[1] = nil, nil
-	if err := e.Reconstruct(shards); err != nil {
-		t.Fatalf("Reconstruct after Close: %v", err)
-	}
-	if e.pool.workersStarted() {
-		t.Fatal("Reconstruct after Close started pool workers")
+	shards[2][size/2] ^= 0x5a
+	shards[8] = nil
+	if corrupt, err := e.DecodeErrors(shards); err != nil || len(corrupt) != 1 || corrupt[0] != 2 {
+		t.Fatalf("DecodeErrors = (%v, %v), want ([2], nil)", corrupt, err)
 	}
 	for i := range want {
 		if !bytes.Equal(shards[i], want[i]) {
-			t.Fatalf("shard %d differs after closed-pool reconstruct", i)
+			t.Fatalf("shard %d differs", i)
 		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("coding 1 MiB shards took the goroutine count from %d to %d", before, after)
 	}
 }

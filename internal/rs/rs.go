@@ -1,13 +1,20 @@
-// Package rs implements a systematic Reed-Solomon erasure codec over
-// GF(2^8) for arbitrary [n, k] shapes with n <= 256.
+// Package rs implements a systematic Reed-Solomon codec over GF(2^8)
+// for arbitrary [n, k] shapes with n <= 255: erasure decoding, and
+// error-and-erasure decoding (decode.go) on the same stored bytes.
 //
 // In SODA (Konwar et al., IPDPS 2016) every server stores exactly one
 // coded element of each version, so the cluster of n servers is one
 // [n, k] MDS codeword: a write encodes the value into n shards, and a
 // read that has heard from any k servers reconstructs. This package is
-// that inner loop. The generator is matrix.SystematicCauchy, so shards
-// 0..k-1 are the data itself (copy-free reads when no server has
-// failed) and shards k..n-1 are parity.
+// that inner loop. There is one code: shard i carries q(alpha_i) for
+// the polynomial of degree < k through the data (alpha_i =
+// matrix.EvalPoints), in systematic form (matrix.SystematicVandermonde),
+// so shards 0..k-1 are the data itself (copy-free reads when no server
+// has failed) and shards k..n-1 are parity. Its dual is a generalized
+// Reed-Solomon code (matrix.GRSParityCheck), which is what lets a
+// SODA_err reader locate corrupt elements in what a SODA writer stored.
+// Elements are persisted with no generator id, so the generator is part
+// of the stored format: golden_test.go pins its bytes.
 //
 // Performance structure, innermost to outermost:
 //
@@ -16,17 +23,16 @@
 //     best of the GFNI -> AVX2 -> table dispatch ladder (see
 //     gf256/kernel.go).
 //   - tiling: byte ranges are cut so the k input blocks stay in L2
-//     while every output is computed for that range (see pool.go).
+//     while every output is computed for that range (codeRange).
 //   - decode-matrix cache: reconstruction after a given failure pattern
 //     needs the inverse of the k x k sub-generator chosen by the
 //     surviving shards; the inverse is cached in a bounded
 //     approximate-LRU keyed by the survivor bitmask, so a stable
 //     failure pattern pays the O(k^3) inversion once, and concurrent
 //     readers share it under an RLock.
-//   - striping: above a size threshold, stripes are spread over the
-//     Encoder's reusable worker pool (up to WithConcurrency goroutines,
-//     default runtime.GOMAXPROCS). EncodeParity never stripes: it
-//     codes on the caller, and can stream an output past the cache.
+//
+// Every call codes on the calling goroutine: an Encoder owns no
+// goroutines, so callers that want cores in parallel code in parallel.
 //
 // The steady-state entry points — EncodeInto, EncodeParity,
 // ReconstructInto, Verify, and Encode/Reconstruct with pre-allocated
@@ -38,7 +44,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -49,8 +54,6 @@ import (
 var (
 	// ErrInvalidShape is returned by New for unusable [n, k] shapes.
 	ErrInvalidShape = errors.New("rs: invalid code shape")
-	// ErrInvalidOption is returned by New for out-of-range option values.
-	ErrInvalidOption = errors.New("rs: invalid option")
 	// ErrShardCount is returned when a shard slice does not have
 	// exactly n entries.
 	ErrShardCount = errors.New("rs: wrong number of shards")
@@ -68,10 +71,6 @@ var (
 	// not within the decoding radius: more than e corrupt shards with
 	// 2e + erasures <= n-k.
 	ErrTooManyErrors = errors.New("rs: too many corrupt shards to locate")
-	// ErrNoSyndromes is returned by DecodeErrors on an Encoder whose
-	// generator has no syndrome structure (build with
-	// WithGenerator(GeneratorRSView) to enable error decoding).
-	ErrNoSyndromes = errors.New("rs: generator has no syndrome structure")
 )
 
 // ParityMismatchError reports every parity shard whose stored bytes
@@ -99,112 +98,49 @@ func (e *ParityMismatchError) Unwrap() error { return ErrParityMismatch }
 // Encoder is a reusable [n, k] systematic Reed-Solomon codec. It is
 // safe for concurrent use.
 type Encoder struct {
-	n, k    int
-	genKind Generator
-	gen     *matrix.Matrix     // n x k systematic generator (top k rows = I)
-	syn     *syndromeStructure // non-nil only for GeneratorRSView with parity
+	n, k int
+	gen  *matrix.Matrix     // n x k systematic generator (top k rows = I)
+	syn  *syndromeStructure // the error decoder's algebra; nil when n == k
 
 	// parityCoeffs[i] is generator row k+i: the coefficients of parity
 	// shard k+i. Precomputed so Encode/Verify never allocate them.
 	parityCoeffs [][]byte
 
-	conc        int // max goroutines per striped operation
-	stripeMin   int // minimum shard size before striping kicks in
-	cache       *matrixCache
+	cache       *matrixCache // decode matrices keyed by survivor bitmask
 	errataCache *matrixCache // errata-solve setups keyed by errata bitmask
-	pool        *workerPool  // nil when conc == 1
 
 	scratch    sync.Pool // *codecScratch
 	verscratch sync.Pool // *verifyScratch
 	decscratch sync.Pool // *decodeScratch
 }
 
-// Option configures an Encoder.
-type Option func(*Encoder) error
-
-// WithConcurrency bounds the number of goroutines used to stripe a
-// single Encode/Reconstruct call. c must be at least 1; 1 disables
-// striping. The default is runtime.GOMAXPROCS(0).
-func WithConcurrency(c int) Option {
-	return func(e *Encoder) error {
-		if c < 1 {
-			return fmt.Errorf("%w: concurrency %d < 1", ErrInvalidOption, c)
-		}
-		e.conc = c
-		return nil
-	}
-}
-
-// WithStripeThreshold sets the minimum shard size, in bytes, at which
-// coding work is split across goroutines. Below it everything runs on
-// the calling goroutine. The default is 64 KiB.
-func WithStripeThreshold(bytes int) Option {
-	return func(e *Encoder) error {
-		if bytes < 0 {
-			return fmt.Errorf("%w: stripe threshold %d < 0", ErrInvalidOption, bytes)
-		}
-		e.stripeMin = bytes
-		return nil
-	}
-}
-
-// WithCacheSize bounds the decode-matrix LRU to the given number of
-// entries. 0 disables caching (every reconstruction inverts). The
-// default is 64 entries, about 64 * k^2 bytes. The same bound applies
-// to the errata-solve cache used by DecodeErrors (keyed by the
-// erasure-plus-error pattern), which is likewise disabled by 0.
-func WithCacheSize(entries int) Option {
-	return func(e *Encoder) error {
-		if entries < 0 {
-			return fmt.Errorf("%w: cache size %d < 0", ErrInvalidOption, entries)
-		}
-		if entries == 0 {
-			e.cache = nil
-			e.errataCache = nil
-		} else {
-			e.cache = newMatrixCache(entries)
-			e.errataCache = newMatrixCache(entries)
-		}
-		return nil
-	}
-}
-
-const (
-	defaultStripeMin = 64 << 10
-	defaultCacheSize = 64
-)
+// cacheSize bounds each of an Encoder's two matrix caches, in entries:
+// about 64 * k^2 bytes of decode matrices.
+const cacheSize = 64
 
 // New returns an [n, k] Encoder: n total shards of which k carry data,
-// tolerating any n-k erasures. Requires 0 < k <= n <= 256 (n <= 255
-// with GeneratorRSView).
-func New(n, k int, opts ...Option) (*Encoder, error) {
-	if k <= 0 || n < k || n > 256 {
-		return nil, fmt.Errorf("%w: n=%d k=%d (need 0 < k <= n <= 256)", ErrInvalidShape, n, k)
+// tolerating any n-k erasures, or e corrupt shards beside f erasures
+// for any 2e + f <= n-k. Requires 0 < k <= n <= 255 (the evaluation
+// points are distinct and nonzero).
+func New(n, k int) (*Encoder, error) {
+	if k <= 0 || n < k || n > 255 {
+		return nil, fmt.Errorf("%w: n=%d k=%d (need 0 < k <= n <= 255)", ErrInvalidShape, n, k)
+	}
+	gen, syn, err := buildGenerator(n, k)
+	if err != nil {
+		return nil, fmt.Errorf("rs: building generator: %w", err)
 	}
 	e := &Encoder{
-		n:           n,
-		k:           k,
-		conc:        runtime.GOMAXPROCS(0),
-		stripeMin:   defaultStripeMin,
-		cache:       newMatrixCache(defaultCacheSize),
-		errataCache: newMatrixCache(defaultCacheSize),
+		n:            n,
+		k:            k,
+		gen:          gen,
+		syn:          syn,
+		parityCoeffs: make([][]byte, n-k),
+		cache:        newMatrixCache(cacheSize),
+		errataCache:  newMatrixCache(cacheSize),
 	}
-	for _, opt := range opts {
-		if err := opt(e); err != nil {
-			return nil, err
-		}
-	}
-	var err error
-	if e.gen, e.syn, err = buildGenerator(e.genKind, n, k); err != nil {
-		return nil, fmt.Errorf("rs: building %s generator: %w", e.genKind, err)
-	}
-	e.parityCoeffs = make([][]byte, n-k)
 	for i := range e.parityCoeffs {
-		e.parityCoeffs[i] = e.gen.Row(k + i)
-	}
-	if e.conc > 1 {
-		e.pool = newWorkerPool(e.conc - 1)
-		runtime.SetFinalizer(e, (*Encoder).Close)
+		e.parityCoeffs[i] = gen.Row(k + i)
 	}
 	return e, nil
 }
@@ -215,16 +151,10 @@ func (e *Encoder) N() int { return e.n }
 // K returns the number of data shards.
 func (e *Encoder) K() int { return e.k }
 
-// Close stops the Encoder's background coding workers, if any were
-// started. Calling it is optional — an unreachable Encoder's workers
-// are stopped by a finalizer — and idempotent, but it must not overlap
-// in-flight coding calls. The Encoder stays usable afterwards; striped
-// work just runs on the calling goroutine.
-func (e *Encoder) Close() {
-	if e.pool != nil {
-		e.pool.close()
-	}
-}
+// Close does nothing: an Encoder owns no goroutines and nothing to
+// release. It remains only because bench/probe.go calls it and bench/
+// is frozen between benchmark changes (ROADMAP 5 (a)).
+func (e *Encoder) Close() {}
 
 // Encode fills the parity shards shards[k..n-1] from the data shards
 // shards[0..k-1]. Data shards must all be present with equal size.
@@ -259,7 +189,7 @@ func (e *Encoder) Encode(shards [][]byte) error {
 			}
 		}
 	}
-	e.codeStriped(e.parityCoeffs, shards[:e.k], shards[e.k:], size)
+	codeRange(e.parityCoeffs, shards[:e.k], shards[e.k:], nil, 0, size)
 	return nil
 }
 
@@ -279,15 +209,14 @@ func (e *Encoder) EncodeInto(shards [][]byte) error {
 			return fmt.Errorf("%w: parity shard %d has size %d, want %d (EncodeInto needs preallocated parity)", ErrShardSize, i, len(shards[i]), size)
 		}
 	}
-	e.codeStriped(e.parityCoeffs, shards[:e.k], shards[e.k:], size)
+	codeRange(e.parityCoeffs, shards[:e.k], shards[e.k:], nil, 0, size)
 	return nil
 }
 
 // EncodeParity computes the n-k parity shards from k data slices that
 // need not be neighbours in one shards slice — a value's own sub-slices,
 // say — so the caller can encode before (or without) copying the data
-// anywhere. All slices must have one nonzero size. It codes tile by tile
-// on the calling goroutine, never on the worker pool, and allocates
+// anywhere. All slices must have one nonzero size. It allocates
 // nothing. parity[i] is written with non-temporal stores where
 // stream[i] is set (gf256.MulMultiStream: for a buffer known to be out
 // of cache and not read back soon); stream may be nil.
@@ -543,7 +472,7 @@ func (e *Encoder) reconstruct(shards [][]byte, dataOnly, into bool) error {
 			outputs = append(outputs, shards[idx])
 			coeffs = append(coeffs, dec.Row(idx))
 		}
-		e.codeStriped(coeffs, inputs, outputs, size)
+		codeRange(coeffs, inputs, outputs, nil, 0, size)
 	}
 
 	if len(s.missParity) > 0 {
@@ -596,7 +525,7 @@ func (e *Encoder) reconstruct(shards [][]byte, dataOnly, into bool) error {
 				coeffs = append(coeffs, row)
 			}
 		}
-		e.codeStriped(coeffs, inputs, outputs, size)
+		codeRange(coeffs, inputs, outputs, nil, 0, size)
 	}
 	return nil
 }
@@ -683,4 +612,70 @@ func (e *Encoder) dataSize(shards [][]byte) (int, error) {
 		}
 	}
 	return size, nil
+}
+
+// viewPool recycles the per-range input window headers used by
+// codeRange. Sized for the maximum code length so any Encoder can
+// share it.
+var viewPool = sync.Pool{New: func() any {
+	s := make([][]byte, 256)
+	return &s
+}}
+
+// tileTarget bounds a tile's working set — k input blocks plus the
+// output block — to roughly half a typical 1 MiB L2, leaving room for
+// the destination shard and the coefficient tables.
+const tileTarget = 512 << 10
+
+// tileSize returns the byte-range tile for k input shards, 4 KiB
+// granular.
+func tileSize(k int) int {
+	t := tileTarget / (k + 1)
+	t &^= 4095
+	if t < 4096 {
+		t = 4096
+	}
+	if t > 128<<10 {
+		t = 128 << 10
+	}
+	return t
+}
+
+// codeRange is the coding loop: outputs[o][lo:hi] = sum_j coeffs[o][j] *
+// inputs[j][lo:hi] for every output. The gf256 fused kernels make one
+// register-resident pass over each output block; the range is cut into
+// tiles small enough that the k input blocks (plus the output block)
+// stay resident in L2 while every output is computed for that tile, so
+// each input tile is fetched from memory once per range instead of once
+// per output. An output whose stream flag is set is written with
+// non-temporal stores; a nil stream means none is. It allocates nothing
+// in steady state.
+func codeRange(coeffs, inputs, outputs [][]byte, stream []bool, lo, hi int) {
+	if lo >= hi || len(outputs) == 0 {
+		return
+	}
+	vp := viewPool.Get().(*[][]byte)
+	views := (*vp)[:len(inputs)]
+	blk := tileSize(len(inputs))
+	for lo < hi {
+		bhi := lo + blk
+		if bhi > hi {
+			bhi = hi
+		}
+		for j, in := range inputs {
+			views[j] = in[lo:bhi]
+		}
+		for o, out := range outputs {
+			if stream != nil && stream[o] {
+				gf256.MulMultiStream(coeffs[o], views, out[lo:bhi])
+			} else {
+				gf256.MulMulti(coeffs[o], views, out[lo:bhi])
+			}
+		}
+		lo = bhi
+	}
+	for j := range views {
+		views[j] = nil // do not pin shard memory from the pool
+	}
+	viewPool.Put(vp)
 }

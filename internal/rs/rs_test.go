@@ -54,6 +54,9 @@ func TestRoundTripAllErasurePatterns(t *testing.T) {
 			t.Fatalf("New(%d,%d): %v", sh.n, sh.k, err)
 		}
 		orig := makeShards(t, rng, e, 257) // odd size to hit kernel tails
+		if ok, err := e.Verify(orig); !ok || err != nil {
+			t.Fatalf("[%d,%d] Verify = (%v, %v)", sh.n, sh.k, ok, err)
+		}
 		// Iterate over all erasure masks with <= n-k dropped shards.
 		for mask := 0; mask < 1<<sh.n; mask++ {
 			dropped := 0
@@ -262,7 +265,7 @@ func TestEncodeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([][]byte, 3) // not makeShards: its striped Encode starts the pool
+	data := make([][]byte, 3)
 	for i := range data {
 		data[i] = make([]byte, 100<<10)
 		rng.Read(data[i])
@@ -277,9 +280,6 @@ func TestEncodeParity(t *testing.T) {
 	run()
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Errorf("EncodeParity allocates %.1f times per op, want 0", allocs)
-	}
-	if e.pool.workersStarted() {
-		t.Error("EncodeParity started the worker pool; it codes on the caller")
 	}
 	for name, call := range map[string]func() error{
 		"two data":      func() error { return e.EncodeParity(data[:2], parity, nil) },
@@ -368,14 +368,12 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := New(5, 0); !errors.Is(err, ErrInvalidShape) {
 		t.Fatalf("New(5,0) = %v, want ErrInvalidShape", err)
 	}
-	if _, err := New(5, 3, WithConcurrency(0)); !errors.Is(err, ErrInvalidOption) {
-		t.Fatal("WithConcurrency(0) must be rejected")
+	// 255 distinct nonzero evaluation points, no more.
+	if _, err := New(256, 10); !errors.Is(err, ErrInvalidShape) {
+		t.Fatalf("New(256,10) = %v, want ErrInvalidShape", err)
 	}
-	if _, err := New(5, 3, WithCacheSize(-1)); !errors.Is(err, ErrInvalidOption) {
-		t.Fatal("WithCacheSize(-1) must be rejected")
-	}
-	if _, err := New(5, 3, WithStripeThreshold(-1)); !errors.Is(err, ErrInvalidOption) {
-		t.Fatal("WithStripeThreshold(-1) must be rejected")
+	if _, err := New(255, 10); err != nil {
+		t.Fatalf("New(255,10): %v", err)
 	}
 
 	e, err := New(5, 3)
@@ -423,7 +421,7 @@ func TestErrorPaths(t *testing.T) {
 // selects a singular sub-matrix, and checks the error surfaces as
 // matrix.ErrSingular rather than a panic or silent corruption.
 func TestSingularDecodeMatrix(t *testing.T) {
-	e, err := New(4, 2, WithCacheSize(0))
+	e, err := New(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,10 +470,11 @@ func TestDecodeMatrixCache(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	e, err := New(9, 5, WithCacheSize(1))
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.cache = newMatrixCache(1)
 	orig := makeShards(t, rng, e, 64)
 	for round := 0; round < 2; round++ {
 		for _, i := range []int{0, 1} {
@@ -501,10 +500,11 @@ func TestCacheEviction(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	e, err := New(5, 3, WithCacheSize(0))
+	e, err := New(5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.cache = nil
 	orig := makeShards(t, rng, e, 64)
 	s := cloneShards(orig)
 	s[0] = nil
@@ -516,65 +516,14 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestStripedMatchesSequential checks that parallel striping produces
-// byte-identical output to the single-goroutine path, on sizes that do
-// not divide evenly into stripes.
-func TestStripedMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	seq, err := New(9, 5, WithConcurrency(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := New(9, 5, WithConcurrency(7), WithStripeThreshold(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{100, 1023, 100_003} {
-		data := make([][]byte, 9)
-		for i := 0; i < 5; i++ {
-			data[i] = make([]byte, size)
-			rng.Read(data[i])
-		}
-		a := cloneShards(data)
-		b := cloneShards(data)
-		if err := seq.Encode(a); err != nil {
-			t.Fatal(err)
-		}
-		if err := par.Encode(b); err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if !bytes.Equal(a[i], b[i]) {
-				t.Fatalf("size %d: striped parity shard %d differs from sequential", size, i)
-			}
-		}
-		// Same check through reconstruction.
-		a[0], a[6] = nil, nil
-		b[0], b[6] = nil, nil
-		if err := seq.Reconstruct(a); err != nil {
-			t.Fatal(err)
-		}
-		if err := par.Reconstruct(b); err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if !bytes.Equal(a[i], b[i]) {
-				t.Fatalf("size %d: striped reconstruction shard %d differs", size, i)
-			}
-		}
-	}
-}
-
-// TestConcurrentOneEncoder hammers a single pooled Encoder from many
+// TestConcurrentOneEncoder hammers a single Encoder from many
 // goroutines — encode, verify, and reconstruct mixed — to exercise the
-// worker pool, the pooled scratch, and the decode-matrix cache under
-// the race detector.
+// pooled scratch and the decode-matrix cache under the race detector.
 func TestConcurrentOneEncoder(t *testing.T) {
-	e, err := New(9, 5, WithConcurrency(4), WithStripeThreshold(1024))
+	e, err := New(9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -623,32 +572,6 @@ func TestConcurrentOneEncoder(t *testing.T) {
 	wg.Wait()
 	if hits, misses, _ := e.CacheStats(); hits+misses == 0 {
 		t.Fatal("concurrent reconstructs should have touched the decode-matrix cache")
-	}
-}
-
-// TestCloseLeavesEncoderUsable checks that Close only drops the
-// background workers: striped calls still complete (inline) and
-// produce identical shards.
-func TestCloseLeavesEncoderUsable(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	e, err := New(9, 5, WithConcurrency(4), WithStripeThreshold(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := makeShards(t, rng, e, 8192)
-	e.Close()
-	e.Close() // idempotent
-	after := make([][]byte, 9)
-	for i := 0; i < 5; i++ {
-		after[i] = append([]byte(nil), before[i]...)
-	}
-	if err := e.Encode(after); err != nil {
-		t.Fatalf("Encode after Close: %v", err)
-	}
-	for i := range before {
-		if !bytes.Equal(before[i], after[i]) {
-			t.Fatalf("shard %d differs after Close", i)
-		}
 	}
 }
 

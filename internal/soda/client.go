@@ -239,10 +239,11 @@ func WithWriterFaults(f int) WriterOption {
 // accounting — charged to the fault budget f rather than dialed — and
 // automatically re-included once the Repairer readmits them. The
 // writer also feeds the view: a server that affirmatively fails an RPC
-// is marked Suspect for the repair loop to pick up.
+// is marked Suspect for the repair loop to pick up. A nil view is no
+// view: nobody is quarantined and nothing is fed.
 func WithWriterMembership(m *Membership) WriterOption {
 	return func(w *Writer) error {
-		if m.N() != len(w.conns) {
+		if m != nil && m.N() != len(w.conns) {
 			return fmt.Errorf("%w: membership for n=%d, cluster has n=%d", ErrConfig, m.N(), len(w.conns))
 		}
 		w.m = m
@@ -817,14 +818,14 @@ func WithReaderFaults(f int) ReaderOption {
 // WithReadErrors turns on the SODA_err read path: the reader waits
 // for k+2e coded elements of a matching tag, verifies them, and runs
 // the rs error decoder to locate up to e silently corrupt servers,
-// reported in ReadResult.Corrupt. Requires the rs-view generator.
+// reported in ReadResult.Corrupt. Needs 2e <= n-k.
 func WithReadErrors(e int) ReaderOption {
 	return func(r *Reader) error {
 		if e < 0 {
 			return fmt.Errorf("%w: read errors e=%d", ErrConfig, e)
 		}
 		if e > 0 && r.codec.MaxReadErrors() < e {
-			return fmt.Errorf("%w: e=%d corrupt servers exceeds the codec's radius %d (need rs.WithGenerator(rs.GeneratorRSView) and 2e <= n-k)",
+			return fmt.Errorf("%w: e=%d corrupt servers exceeds the codec's radius %d (need 2e <= n-k)",
 				ErrConfig, e, r.codec.MaxReadErrors())
 		}
 		r.e = e
@@ -853,10 +854,11 @@ func WithQuarantine(servers ...int) ReaderOption {
 // static list stays excluded regardless of the view). The reader also
 // feeds the view — corrupt servers a SODA_err decode locates and
 // servers whose delivery stream affirmatively dies are marked Suspect
-// — closing the loop that keeps the Repairer supplied with work.
+// — closing the loop that keeps the Repairer supplied with work. A nil
+// view is no view, as for WithWriterMembership.
 func WithReaderMembership(m *Membership) ReaderOption {
 	return func(r *Reader) error {
-		if m.N() != len(r.conns) {
+		if m != nil && m.N() != len(r.conns) {
 			return fmt.Errorf("%w: membership for n=%d, cluster has n=%d", ErrConfig, m.N(), len(r.conns))
 		}
 		r.m = m

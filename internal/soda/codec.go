@@ -27,12 +27,10 @@ type Codec struct {
 	enc *rs.Encoder
 }
 
-// NewCodec builds the [n, k] codec a cluster of n servers shares.
-// Options pass through to rs.New — in particular
-// rs.WithGenerator(rs.GeneratorRSView) is required for SODA_err
-// readers (WithReadErrors).
-func NewCodec(n, k int, opts ...rs.Option) (*Codec, error) {
-	enc, err := rs.New(n, k, opts...)
+// NewCodec builds the [n, k] codec a cluster of n servers shares:
+// SODA and SODA_err readers (WithReadErrors) decode the same elements.
+func NewCodec(n, k int) (*Codec, error) {
+	enc, err := rs.New(n, k)
 	if err != nil {
 		return nil, err
 	}
@@ -45,12 +43,9 @@ func (c *Codec) N() int { return c.enc.N() }
 // K returns the number of coded elements a read must gather.
 func (c *Codec) K() int { return c.enc.K() }
 
-// Generator reports the underlying generator strategy.
-func (c *Codec) Generator() rs.Generator { return c.enc.Generator() }
-
 // MaxReadErrors returns the largest e usable with WithReadErrors: the
 // number of corrupt elements the codec can locate with no erasures,
-// or 0 when the generator has no syndrome structure.
+// floor((n-k)/2).
 func (c *Codec) MaxReadErrors() int { return c.enc.MaxErrors(0) }
 
 // shardSize is the coded-element size for a value of vlen bytes: the

@@ -77,10 +77,7 @@ func (c *Config) writerOpts() []WriterOption {
 	if c.F >= 0 {
 		opts = append(opts, WithWriterFaults(c.F))
 	}
-	if c.Membership != nil {
-		opts = append(opts, WithWriterMembership(c.Membership))
-	}
-	return opts
+	return append(opts, WithWriterMembership(c.Membership))
 }
 
 // readerOpts assembles the Reader options a Config implies.
@@ -92,10 +89,7 @@ func (c *Config) readerOpts() []ReaderOption {
 	if c.E > 0 {
 		opts = append(opts, WithReadErrors(c.E))
 	}
-	if c.Membership != nil {
-		opts = append(opts, WithReaderMembership(c.Membership))
-	}
-	return opts
+	return append(opts, WithReaderMembership(c.Membership))
 }
 
 // ConfigView is the shared, monotonically-advancing view of the

@@ -48,8 +48,8 @@
 // initial quorum still meets one of them, keeping reads monotone. A reader built with WithReadErrors(e) runs the
 // SODA_err variant: it waits for k + 2e coded elements of a matching
 // tag (possible while n - f >= k + 2e), runs Verify-then-DecodeErrors
-// on the rs-view generator, and reports the located corrupt server
-// indices for quarantine, tolerating e servers that return silently
+// on the very elements a plain SODA writer stored — there is one code —
+// and reports the located corrupt server indices for quarantine, tolerating e servers that return silently
 // corrupted elements on top of the crash faults (decoding radius
 // 2e + erasures <= n - k).
 //

@@ -9,15 +9,13 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/rs"
 )
 
 // newDurableCluster is newCluster with persistent nodes: each server
 // logs to its own directory under a fresh TempDir, FsyncAlways.
-func newDurableCluster(t *testing.T, n, k int, opts ...rs.Option) (*Codec, *Loopback) {
+func newDurableCluster(t *testing.T, n, k int) (*Codec, *Loopback) {
 	t.Helper()
-	codec, err := NewCodec(n, k, opts...)
+	codec, err := NewCodec(n, k)
 	if err != nil {
 		t.Fatalf("NewCodec(%d,%d): %v", n, k, err)
 	}
@@ -494,7 +492,7 @@ func TestPowerCutRecoverNoDonorRepair(t *testing.T) {
 // for atomicity.
 func TestKillRecoverRejoinSoak(t *testing.T) {
 	ctx := testCtx(t)
-	codec, lb := newDurableCluster(t, 9, 3, rs.WithGenerator(rs.GeneratorRSView))
+	codec, lb := newDurableCluster(t, 9, 3)
 	m := NewMembership(9)
 
 	h := &history{}

@@ -14,8 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/rs"
 )
 
 // A Writer or Reader asks each loopback conn on the calling goroutine and
@@ -163,15 +161,13 @@ func classify(err error) string {
 func runDiffSchedule(t *testing.T, seed int64, e int, wrap func([]Conn) []Conn, durable bool, mode FsyncMode) (ops []diffOp, final []string) {
 	t.Helper()
 	const n, k, steps = 5, 3, 160
-	var copts []rs.Option
 	var ropts []ReaderOption
 	readerF := 1
 	if e > 0 {
-		copts = append(copts, rs.WithGenerator(rs.GeneratorRSView))
 		ropts = append(ropts, WithReaderFaults(0), WithReadErrors(e))
 		readerF = 0
 	}
-	codec, lb := newCluster(t, n, k, copts...)
+	codec, lb := newCluster(t, n, k)
 	if durable {
 		lb = pinnedLoopback(t, mode)
 	}

@@ -16,9 +16,9 @@ import (
 // test's own teardown.
 //
 // Allowlisted (long-lived by design, not leaks):
-//   - (*workerPool).work: the shared erasure-codec worker pool parks
-//     its goroutines process-wide and never retires them.
-//   - (*idleList).work: so do the fan-out pool's idle lists (pool.go).
+//   - soda.(*idleList).work: the fan-out pool's idle lists (pool.go)
+//     park their goroutines process-wide and never retire them. The
+//     erasure codec below has no goroutines of its own.
 //   - (*Repairer).Run: the anti-entropy background loop; tests that
 //     start one stop it via context, but the stop is asynchronous.
 //   - (*durability).background: the durable server's snapshot/
@@ -90,8 +90,7 @@ func goroutineID(stanza string) string {
 
 func allowlistedGoroutine(stanza string) bool {
 	for _, frame := range []string{
-		"(*workerPool).work",
-		"(*idleList).work",
+		"soda.(*idleList).work(",
 		"(*Repairer).Run",
 		"(*durability).background",
 		"testing.(*T).Run", // parent test goroutines parked in Wait

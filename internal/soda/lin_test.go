@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/rs"
 )
 
 // Atomicity (linearizability) checking for the MWMR register.
@@ -186,7 +184,7 @@ func TestLinearizabilityWithFault(t *testing.T) {
 // and a corrupt server: corruption must not be able to break
 // atomicity, only show up in the corrupt report.
 func TestLinearizabilityErrReader(t *testing.T) {
-	codec, lb := newCluster(t, 5, 3, rs.WithGenerator(rs.GeneratorRSView))
+	codec, lb := newCluster(t, 5, 3)
 	lb.Corrupt(1, FlipByte(0))
 	runLinearizability(t, codec, lb, 2, 2, 10, WithReaderFaults(0), WithReadErrors(1))
 }

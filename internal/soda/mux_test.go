@@ -16,8 +16,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/rs"
 )
 
 // TestMuxInterleavedUnary drives many concurrent exchanges over ONE
@@ -506,7 +504,7 @@ func TestMuxEndToEndCluster(t *testing.T) {
 func TestMultiKeyKillRepairRejoinSoak(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
-	codec, lb := newCluster(t, 9, 3, rs.WithGenerator(rs.GeneratorRSView))
+	codec, lb := newCluster(t, 9, 3)
 	m := NewMembership(9)
 	rp := mustRepairer(t, codec, lb.Conns(), m,
 		WithRepairInterval(20*time.Millisecond),

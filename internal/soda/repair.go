@@ -381,7 +381,7 @@ func (rp *Repairer) repairKey(ctx context.Context, target int, key string) (Repa
 		// reachability probe for this key.
 		outcome = RepairEmptyRegister
 	} else {
-		install, corrupt, err = rp.rebuild(target, ver, elems)
+		install, corrupt, err = rp.rebuild(target, elems)
 		if err != nil {
 			return 0, err
 		}
@@ -493,29 +493,20 @@ func chooseVersion(donations []donation, k int) (version, map[int][]byte) {
 }
 
 // rebuild regenerates the target's coded element from the donated
-// shards. With the rs-view generator and donors to spare, the syndrome
-// decoder cross-checks the donors while it rebuilds — a corrupt donor
-// inside the decoding radius is located (and reported) instead of
-// silently poisoning the repaired element. Other generators erasure-
-// decode from k shards and trust them.
-func (rp *Repairer) rebuild(target int, ver version, elems map[int][]byte) ([]byte, []int, error) {
-	n := rp.codec.N()
-	shards := make([][]byte, n)
+// shards. With donors to spare, the syndrome decoder cross-checks them
+// while it rebuilds — a corrupt donor inside the decoding radius is
+// located (and reported) instead of silently poisoning the repaired
+// element; with exactly k donors it is plain erasure decoding.
+func (rp *Repairer) rebuild(target int, elems map[int][]byte) ([]byte, []int, error) {
+	shards := make([][]byte, rp.codec.N())
 	for i, el := range elems {
 		shards[i] = slices.Clone(el)
 	}
-	if rp.codec.MaxReadErrors() > 0 {
-		corrupt, err := rp.codec.enc.DecodeErrors(shards)
-		if err != nil {
-			return nil, nil, fmt.Errorf("repair decode: %w", err)
-		}
-		return shards[target], corrupt, nil
+	corrupt, err := rp.codec.enc.DecodeErrors(shards)
+	if err != nil {
+		return nil, nil, fmt.Errorf("repair decode: %w", err)
 	}
-	shards[target] = make([]byte, 0, rp.codec.shardSize(ver.vlen))
-	if err := rp.codec.enc.ReconstructInto(shards); err != nil {
-		return nil, nil, fmt.Errorf("repair reconstruct: %w", err)
-	}
-	return shards[target], nil, nil
+	return shards[target], corrupt, nil
 }
 
 // connIndex finds the conn for a shard index (conns are validated to

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/rs"
 )
 
 func mustRepairer(t *testing.T, codec *Codec, conns []Conn, m *Membership, opts ...RepairerOption) *Repairer {
@@ -145,7 +143,7 @@ func TestRepairPutNeverRollsBack(t *testing.T) {
 func TestRepairRestoresCrashedServer(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3, rs.WithGenerator(rs.GeneratorRSView))
+	codec, lb := newCluster(t, 5, 3)
 	m := NewMembership(5)
 	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterMembership(m))
 	rp := mustRepairer(t, codec, lb.Conns(), m)
@@ -267,7 +265,7 @@ func TestRepairAlreadyCurrent(t *testing.T) {
 func TestRepairRacesTornWrite(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
-	codec, lb := newCluster(t, 9, 3, rs.WithGenerator(rs.GeneratorRSView))
+	codec, lb := newCluster(t, 9, 3)
 	conns := lb.Conns()
 	m := NewMembership(9)
 	rp := mustRepairer(t, codec, lb.Conns(), m)
@@ -349,7 +347,7 @@ func (c lyingVLenConn) GetElem(ctx context.Context, key string) (Tag, []byte, in
 func TestRepairSurvivesVLenLyingDonor(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3, rs.WithGenerator(rs.GeneratorRSView))
+	codec, lb := newCluster(t, 5, 3)
 	// f=0: the write must land on every server before the crash, or a
 	// lagging honest donor could leave the liar outnumbering k.
 	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterFaults(0))
@@ -381,14 +379,13 @@ func TestRepairSurvivesVLenLyingDonor(t *testing.T) {
 	}
 }
 
-// TestRepairDetectsCorruptDonor: with the rs-view codec and donors to
-// spare, the rebuild cross-checks its inputs — a donor serving rotten
-// bytes is located, excluded from the regenerated element, and queued
-// for its own repair.
+// TestRepairDetectsCorruptDonor: with donors to spare, the rebuild
+// cross-checks its inputs — a donor serving rotten bytes is located,
+// excluded from the regenerated element, and queued for its own repair.
 func TestRepairDetectsCorruptDonor(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
-	codec, lb := newCluster(t, 9, 3, rs.WithGenerator(rs.GeneratorRSView))
+	codec, lb := newCluster(t, 9, 3)
 	// f=0: the write returns only once every server holds the element,
 	// so no straggler leg is still landing when the faults below start.
 	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterFaults(0))
@@ -444,7 +441,7 @@ func TestRepairDetectsCorruptDonor(t *testing.T) {
 func TestRejoinMidReadCompletedByRepairRelay(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3, rs.WithGenerator(rs.GeneratorRSView))
+	codec, lb := newCluster(t, 5, 3)
 	conns := lb.Conns()
 	w := mustWriter(t, "w1", codec, conns)
 	tag1, err := w.Write(ctx, testKey, []byte("v1"))
@@ -588,7 +585,7 @@ func TestWriterExcludesQuarantinedServers(t *testing.T) {
 func TestKillRepairRejoinSoak(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
-	codec, lb := newCluster(t, 9, 3, rs.WithGenerator(rs.GeneratorRSView))
+	codec, lb := newCluster(t, 9, 3)
 	m := NewMembership(9)
 	rp := mustRepairer(t, codec, lb.Conns(), m,
 		WithRepairInterval(20*time.Millisecond),

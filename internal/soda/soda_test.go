@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/rs"
 )
 
 // testKey is the register every single-key protocol test works on;
@@ -26,9 +24,9 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-func newCluster(t *testing.T, n, k int, opts ...rs.Option) (*Codec, *Loopback) {
+func newCluster(t *testing.T, n, k int) (*Codec, *Loopback) {
 	t.Helper()
-	codec, err := NewCodec(n, k, opts...)
+	codec, err := NewCodec(n, k)
 	if err != nil {
 		t.Fatalf("NewCodec(%d,%d): %v", n, k, err)
 	}
@@ -536,15 +534,15 @@ func TestReadNeverGoesBackwards(t *testing.T) {
 }
 
 // TestSodaErrReadNamesCorruptServers exercises the SODA_err read
-// path: with the rs-view generator and k+2e matching responses, the
-// reader locates silently corrupt servers, returns the written value
-// anyway, and reports the corrupt indices for quarantine.
+// path on plain NewCodec(n, k) codecs: with k+2e matching responses,
+// the reader locates silently corrupt servers, returns the written
+// value anyway, and reports the corrupt indices for quarantine.
 func TestSodaErrReadNamesCorruptServers(t *testing.T) {
 	ctx := testCtx(t)
 	v1 := []byte("the adversary flips bits, the dual code sees them")
 
 	t.Run("one corrupt server at n=5 k=3", func(t *testing.T) {
-		codec, lb := newCluster(t, 5, 3, rs.WithGenerator(rs.GeneratorRSView))
+		codec, lb := newCluster(t, 5, 3)
 		w := mustWriter(t, "w1", codec, lb.Conns())
 		tag1, err := w.Write(ctx, testKey, v1)
 		if err != nil {
@@ -575,7 +573,7 @@ func TestSodaErrReadNamesCorruptServers(t *testing.T) {
 	})
 
 	t.Run("no corruption passes Verify", func(t *testing.T) {
-		codec, lb := newCluster(t, 5, 3, rs.WithGenerator(rs.GeneratorRSView))
+		codec, lb := newCluster(t, 5, 3)
 		w := mustWriter(t, "w1", codec, lb.Conns())
 		if _, err := w.Write(ctx, testKey, v1); err != nil {
 			t.Fatalf("Write: %v", err)
@@ -591,7 +589,7 @@ func TestSodaErrReadNamesCorruptServers(t *testing.T) {
 	})
 
 	t.Run("two corrupt plus two crashed at n=9 k=3", func(t *testing.T) {
-		codec, lb := newCluster(t, 9, 3, rs.WithGenerator(rs.GeneratorRSView))
+		codec, lb := newCluster(t, 9, 3)
 		w := mustWriter(t, "w1", codec, lb.Conns())
 		tag1, err := w.Write(ctx, testKey, v1)
 		if err != nil {
@@ -615,13 +613,89 @@ func TestSodaErrReadNamesCorruptServers(t *testing.T) {
 			t.Fatalf("Corrupt = %v, want [1 5]", res.Corrupt)
 		}
 	})
+}
 
-	t.Run("error reader requires the rs-view generator", func(t *testing.T) {
-		codec, lb := newCluster(t, 5, 3) // default Cauchy: no syndromes
-		if _, err := NewReader("r1", codec, lb.Conns(), WithReadErrors(1)); err == nil {
-			t.Fatal("NewReader(WithReadErrors) accepted a Cauchy codec")
+// TestSodaErrBoundary walks the paper's SODA_err condition, k + 2e <=
+// n - f (with this reader's f < k), over whole tables of (e, f): inside
+// it a read that meets e corrupting and f crashed servers returns the
+// written value and names exactly the e; outside it NewReader refuses;
+// and a reader that meets one corrupt server more than it was built for
+// fails or answers correctly, but never answers wrongly. The servers a
+// read hears first are the corrupt ones (the lowest indices: a loopback
+// read asks in conn order and stops at k + 2e elements), the crashed
+// ones the last.
+func TestSodaErrBoundary(t *testing.T) {
+	ctx := testCtx(t)
+	value := []byte("n >= k + 2e + f: what the dual code can still see through")
+	for _, sh := range []struct{ n, k int }{{5, 3}, {7, 3}, {9, 5}} {
+		n, k := sh.n, sh.k
+		for e := 0; e <= (n-k)/2+1; e++ {
+			for f := 0; f <= k; f++ {
+				name := fmt.Sprintf("n%dk%d/e%df%d", n, k, e, f)
+				// damaged builds a written cluster with its first bad servers
+				// corrupting and its last f crashed, and the (e, f) reader.
+				damaged := func(t *testing.T, bad int) (*Reader, error) {
+					codec, lb := newCluster(t, n, k)
+					w := mustWriter(t, "w1", codec, lb.Conns())
+					if _, err := w.Write(ctx, testKey, value); err != nil {
+						t.Fatalf("Write: %v", err)
+					}
+					for i := 0; i < bad; i++ {
+						lb.Corrupt(i, FlipByte(3))
+					}
+					for i := n - f; i < n; i++ {
+						lb.Crash(i)
+					}
+					return NewReader("r1", codec, lb.Conns(), WithReaderFaults(f), WithReadErrors(e))
+				}
+				if k+2*e > n-f || f >= k {
+					t.Run(name+"/refused", func(t *testing.T) {
+						if _, err := damaged(t, 0); !errors.Is(err, ErrConfig) {
+							t.Fatalf("NewReader = %v, want ErrConfig", err)
+						}
+					})
+					continue
+				}
+				t.Run(name, func(t *testing.T) {
+					r, err := damaged(t, e)
+					if err != nil {
+						t.Fatalf("NewReader: %v", err)
+					}
+					res, err := r.Read(ctx, testKey)
+					if err != nil {
+						t.Fatalf("Read: %v", err)
+					}
+					want := make([]int, e)
+					for i := range want {
+						want[i] = i
+					}
+					if !bytes.Equal(res.Value, value) || !slices.Equal(res.Corrupt, want) {
+						t.Fatalf("Read = %q corrupt %v, want the value and %v", res.Value, res.Corrupt, want)
+					}
+				})
+				if e == 0 {
+					continue // plain SODA takes its k elements on trust
+				}
+				t.Run(name+"/one-more", func(t *testing.T) {
+					r, err := damaged(t, e+1)
+					if err != nil {
+						t.Fatalf("NewReader: %v", err)
+					}
+					// Nothing the read can decode may ever arrive, and then
+					// only its context ends it.
+					short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+					defer cancel()
+					res, err := r.Read(short, testKey)
+					switch {
+					case err == nil && !bytes.Equal(res.Value, value):
+						t.Fatalf("Read returned a wrong value %q (corrupt %v)", res.Value, res.Corrupt)
+					case err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrUnavailable):
+						t.Fatalf("Read = %v, want the value, a deadline or ErrUnavailable", err)
+					}
+				})
+			}
 		}
-	})
+	}
 }
 
 // TestSharedWriterConcurrentWrites: Write serializes itself, so one
@@ -738,6 +812,42 @@ func TestConfigValidation(t *testing.T) {
 	dup := []Conn{conns[0], conns[0], conns[2], conns[3], conns[4]}
 	if _, err := NewWriter("w", codec, dup); err == nil {
 		t.Fatal("duplicate server indices accepted")
+	}
+}
+
+// TestNilMembershipIsNoView: a nil *Membership handed to either option
+// means what a nil Config.Membership means — no view, nobody
+// quarantined — not a nil dereference; a view of the wrong size is
+// still refused.
+func TestNilMembershipIsNoView(t *testing.T) {
+	ctx := testCtx(t)
+	codec, lb := newCluster(t, 5, 3)
+	for _, tc := range []struct {
+		name string
+		m    *Membership
+		ok   bool
+	}{
+		{"nil", nil, true},
+		{"n=5", NewMembership(5), true},
+		{"n=4", NewMembership(4), false},
+	} {
+		w, werr := NewWriter("w", codec, lb.Conns(), WithWriterMembership(tc.m))
+		r, rerr := NewReader("r", codec, lb.Conns(), WithReaderMembership(tc.m))
+		if !tc.ok {
+			if !errors.Is(werr, ErrConfig) || !errors.Is(rerr, ErrConfig) {
+				t.Fatalf("%s: NewWriter = %v, NewReader = %v, want ErrConfig from both", tc.name, werr, rerr)
+			}
+			continue
+		}
+		if werr != nil || rerr != nil {
+			t.Fatalf("%s: NewWriter = %v, NewReader = %v", tc.name, werr, rerr)
+		}
+		if _, err := w.Write(ctx, testKey, []byte(tc.name)); err != nil {
+			t.Fatalf("%s: Write: %v", tc.name, err)
+		}
+		if res, err := r.Read(ctx, testKey); err != nil || string(res.Value) != tc.name {
+			t.Fatalf("%s: Read = %q, %v", tc.name, res.Value, err)
+		}
 	}
 }
 
