@@ -3,7 +3,7 @@ GO ?= go
 # The benchmark selection shared by `make bench` and `make bench-json`.
 BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors|Stream
 
-.PHONY: all build build-cross test test-durability test-reconfig test-transport vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz loc
+.PHONY: all build build-cross test test-durability test-reconfig test-transport test-legs vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz loc
 
 all: vet lint build test test-transport bench-check race
 
@@ -41,6 +41,14 @@ test-reconfig:
 # next frame — three times over under the race detector.
 test-transport:
 	$(GO) test -race -count=3 -run 'Mux|TCP|Stall|ConnWriter' ./internal/soda/
+
+# test-legs is the client-pass lane: the raw / wrapped / mixed conn-set
+# differentials, a conn that answers every exchange later, test hooks,
+# seals and pending reads — every way an exchange of a Write or Read is
+# answered on the caller, taken or owed a leg — three times over under
+# the race detector.
+test-legs:
+	$(GO) test -race -count=3 -run 'Inline|Legs|Hook|Sealed|Pending|StartsNothing' ./internal/soda/
 
 race:
 	$(GO) test -race ./...

@@ -34,17 +34,10 @@ var (
 //
 // Every method may park, so a Writer or Reader calls one only from a
 // goroutine of its own, one per server (a leg): n-f answers complete a
-// phase however slow the rest are. Before it sends a leg it asks the conn
-// itself, on the calling goroutine, for a form of the exchange that cannot
-// park, and there are three cases. A loopback conn answers now: the reply
-// is a function return (loopConnsOf). A MuxConn is sent now and answers on
-// its pump: the frame is written there and then, if the session is up,
-// nobody else is writing to it and what the server has not yet answered
-// stays within callerSendMax, and the reply reaches the operation's tally
-// from the conn's read loop (muxConnsOf, MuxConn.send). Everything else is
-// owed a leg: a Conn that wraps another, a conn still dialing, contended
-// or stalled, an element too large for the bound. None of this is part of
-// Conn.
+// phase however slow the rest are. Before that it steps each exchange on
+// the calling goroutine through a conn that can (stepper, not part of
+// Conn); one that cannot, a Conn that wraps another say, is owed a leg for
+// everything.
 type Conn interface {
 	// Index returns the server's shard index in [0, n).
 	Index() int
@@ -115,29 +108,66 @@ func liveConns(conns []Conn, m *Membership) ([]Conn, int) {
 	return live, len(conns) - len(live)
 }
 
-// loopConnsOf resolves once, when a client is built, which of its conns
-// are the loopback's own — the one conn that can answer an exchange
-// without parking (loopConn.getTagNow, putDataNow, subscribeNow) — by
-// server index; for a socket or a wrapper it holds nil, and a nil
-// *loopConn answers errNotNow to everything.
-func loopConnsOf(conns []Conn) []*loopConn {
-	loops := make([]*loopConn, len(conns))
-	for _, c := range conns {
-		loops[c.Index()], _ = c.(*loopConn)
-	}
-	return loops
+// stepper is the capability a Writer or Reader uses on its own goroutine,
+// before it sends any leg: start this exchange for this operation, without
+// parking. A step has four outcomes. Answered now: the result is the reply,
+// or the error the blocking method would return (loopConn). Taken
+// (errTaken): to be answered once, later, through the waiter op.take gave
+// (MuxConn, from its pump). Not taken (errNotNow): nothing was done or
+// consumed, and a leg is owed. Silent (errSilent): a hung server, counted as
+// nothing. putDataStep keeps PutData's rule on elem, save that errNotNow
+// leaves it with the caller. A get-data answered now or taken opens a
+// registration, ended by endData, which reports whether a taken one was
+// still held and so will never be answered.
+type stepper interface {
+	Conn
+	getTagStep(key string, op stepOp) (Tag, error)
+	putDataStep(key string, t Tag, elem []byte, vlen int, op stepOp) error
+	getDataStep(key, readerID string, op stepOp, deliver func(Delivery)) (sub, error)
+	endData(s sub, key, readerID string) bool
 }
 
-// muxConnsOf is the same resolution for the conns that are the socket
-// transport's own, which can send an exchange from the calling goroutine
-// and have it answered on the conn's pump (MuxConn.getTagStart,
-// putDataStart, getDataStart); a nil *MuxConn never sends.
-func muxConnsOf(conns []Conn) []*MuxConn {
-	muxes := make([]*MuxConn, len(conns))
+var (
+	errTaken  = errors.New("soda: exchange taken, to be answered later")
+	errNotNow = errors.New("soda: exchange needs a leg")
+	errSilent = errors.New("soda: hung server answers nothing")
+)
+
+// stepOp is an operation as the conns it steps see it: a conn that takes an
+// exchange calls take, once, just before sending it, for the waiter to
+// answer it through, which holds the operation until then. So only an
+// operation that has an exchange taken makes what a later answer needs.
+// take may be called under the conn's locks, and must not park.
+type stepOp interface {
+	take(typ byte) waiter
+}
+
+// waiter completes a taken exchange, exactly once, on the goroutine that
+// answers it, which it must not park: with the server's answer (resp is
+// lent for the call), or the error that stands for it. A get-data's answer
+// is the end of its stream.
+type waiter interface {
+	answer(server int, resp *response, err error)
+}
+
+// sub is a registration a read opened, as its conn hands it back for the
+// read to keep and pass to endData: a taken one is known to its conn by id;
+// one answered now carries the conn's own record, whose death nothing
+// reports, so a read left waiting watches it on a leg (loopReg.await).
+type sub struct {
+	c   stepper
+	id  uint64
+	reg loopReg
+}
+
+// stepsOf resolves once, when a client is built, which of its conns are
+// steppers, by server index; nil stands for one owed a leg for everything.
+func stepsOf(conns []Conn) []stepper {
+	steps := make([]stepper, len(conns))
 	for _, c := range conns {
-		muxes[c.Index()], _ = c.(*MuxConn)
+		steps[c.Index()], _ = c.(stepper)
 	}
-	return muxes
+	return steps
 }
 
 // reportSuspect feeds an affirmative per-server failure into a shared
@@ -175,7 +205,7 @@ type encodeScratch struct {
 	inputs [][]byte
 	outs   [][]byte
 	cold   []bool
-	owed   []Conn // Writer.writeNow's list of conns that need a leg, kept for its capacity
+	conns  []Conn // the write's live conns in the order its passes visit them, kept for the capacity
 	refs   atomic.Int32
 }
 
@@ -209,13 +239,15 @@ type Writer struct {
 	id      string
 	codec   *Codec
 	conns   []Conn
-	loops   []*loopConn // see loopConnsOf
-	muxes   []*MuxConn  // see muxConnsOf
+	steps   []stepper // see stepsOf
 	f       int
 	m       *Membership
-	locks   [writeStripes]sync.Mutex // serialize Write's get-tag -> put-data pair per key
-	scratch sync.Pool                // *encodeScratch
-	calls   sync.Pool                // *writeCall
+	stripes [writeStripes]struct {
+		sync.Mutex         // serializes Write's get-tag -> put-data pair per key
+		op         writeOp // the write that holds it
+	}
+	scratch sync.Pool // *encodeScratch
+	calls   sync.Pool // *writeCall
 }
 
 // WriterOption configures a Writer.
@@ -267,7 +299,7 @@ func NewWriter(id string, codec *Codec, conns []Conn, opts ...WriterOption) (*Wr
 	if err := validateConns(conns, codec.N()); err != nil {
 		return nil, err
 	}
-	w := &Writer{id: id, codec: codec, conns: conns, f: (codec.N() - codec.K()) / 2, loops: loopConnsOf(conns), muxes: muxConnsOf(conns)}
+	w := &Writer{id: id, codec: codec, conns: conns, f: (codec.N() - codec.K()) / 2, steps: stepsOf(conns)}
 	for _, opt := range opts {
 		if err := opt(w); err != nil {
 			return nil, err
@@ -280,11 +312,11 @@ func NewWriter(id string, codec *Codec, conns []Conn, opts ...WriterOption) (*Wr
 }
 
 // writeTally is the quorum accounting of one write: what the servers
-// have answered in each phase, and the two rules that read it. The
-// inline pass keeps one on its stack; a writeCall holds one under its
-// mutex for its legs. Each phase's thresholds (need successes, allowed+1
-// failures) sum past the server count, so at most one of them is ever
-// crossed per phase.
+// have answered in each phase, and the two rules that read it. A write has
+// one: its writeOp's while every answer comes on its own goroutine, its
+// writeCall's, under the call's mutex, from the first exchange that leaves
+// it. Each phase's thresholds (need successes, allowed+1 failures) sum past
+// the server count, so at most one of them is ever crossed per phase.
 type writeTally struct {
 	tagMax   Tag   // running max of phase-0 tags
 	oks      int   // phase-0 successes
@@ -331,7 +363,7 @@ func (q *writeTally) gotAck(err error) bool {
 // mintTag is the rule that ends phase 0: need tags fix the write's tag as
 // the successor of their maximum, allowed+1 failures fail the write. A
 // zero tag with a nil error means neither has happened yet.
-func (q *writeTally) mintTag(id string) (Tag, error) {
+func (q writeTally) mintTag(id string) (Tag, error) {
 	switch {
 	case q.oks >= q.need:
 		return q.tagMax.Next(id), nil
@@ -344,7 +376,7 @@ func (q *writeTally) mintTag(id string) (Tag, error) {
 
 // acked is the rule that ends phase 1, in the same shape: done with a
 // nil error on need acks, done with ErrUnavailable on allowed+1 failures.
-func (q *writeTally) acked(minted Tag) (bool, error) {
+func (q writeTally) acked(minted Tag) (bool, error) {
 	switch {
 	case q.acks >= q.need:
 		return true, nil
@@ -358,12 +390,12 @@ func (q *writeTally) acked(minted Tag) (bool, error) {
 // writeCall is the pooled state of a Write some of whose exchanges are
 // answered off its goroutine: on a leg — a single goroutine per server runs
 // both phases back to back, so a write costs n spawns, not 2n, and the
-// channels and spawn thunk are reused across writes — or on a MuxConn's
-// pump, for a frame the writer sent itself. Either reports into the tally
+// channels and spawn thunk are reused across writes — or by a conn that
+// took the exchange, such as a MuxConn's pump. Either reports into the tally
 // under wc.mu and nudges the cap-1 wake channel only when its answer
 // resolves a phase, so the caller parks about once per phase instead of
-// consuming 2n messages. The refcount covers the legs, the exchanges out on
-// a pump and the caller; the last one off drains the channels and pools the
+// consuming 2n messages. The refcount covers the legs, the taken exchanges
+// and the caller; the last one off drains the channels and pools the
 // struct, so straggler sends can never pollute a later write.
 type writeCall struct {
 	wake chan struct{} // condition nudge; cap 1, coalescing
@@ -377,33 +409,14 @@ type writeCall struct {
 	writeTally
 
 	// Per-call fields, set before the spawns and zeroed at pool time.
-	w     *Writer
-	ctx   context.Context
-	key   string
-	conns []Conn // the legs' conns, one claimed by each through next; len n
-	full  int    // conns[:full] get a whole leg, get-tag first; the rest only the put-data
-	sc    *encodeScratch
-	vlen  int
-}
-
-// getCall checks out the state for what is left of a write whose tally
-// so far is q.
-func (w *Writer) getCall(ctx context.Context, key string, sc *encodeScratch, vlen int, q writeTally) *writeCall {
-	wc, _ := w.calls.Get().(*writeCall)
-	if wc == nil || cap(wc.mint) < len(w.conns) {
-		wc = &writeCall{
-			wake:  make(chan struct{}, 1),
-			mint:  make(chan Tag, len(w.conns)),
-			idle:  spawnPool.list(),
-			conns: make([]Conn, len(w.conns)),
-		}
-		wc.body = wc.run
-	}
-	wc.next.Store(0)
-	wc.writeTally = q
-	wc.w, wc.ctx, wc.key, wc.full, wc.sc, wc.vlen = w, ctx, key, 0, sc, vlen
-	wc.refs.Store(1) // the caller
-	return wc
+	w      *Writer
+	ctx    context.Context // the write's, cancelled when it returns
+	cancel context.CancelFunc
+	key    string
+	conns  []Conn // the legs' conns, one claimed by each through next; len n
+	full   int    // conns[:full] get a whole leg, get-tag first; the rest only the put-data
+	sc     *encodeScratch
+	vlen   int
 }
 
 // release drops one hold on the call; the last holder drains and pools
@@ -421,7 +434,7 @@ func (wc *writeCall) release() {
 		case <-wc.mint:
 		default:
 			w := wc.w
-			wc.w, wc.ctx, wc.key, wc.sc = nil, nil, "", nil
+			wc.w, wc.ctx, wc.cancel, wc.key, wc.sc = nil, nil, nil, "", nil
 			clear(wc.conns)
 			wc.writeTally = writeTally{} // drops the error values
 			w.calls.Put(wc)
@@ -440,17 +453,8 @@ func (wc *writeCall) signal() {
 	}
 }
 
-// spawn starts n more legs, each holding the element buffers until its
-// put-data is over; the call they hold already.
-func (wc *writeCall) spawn(n int) {
-	wc.sc.refs.Add(int32(n))
-	for range n {
-		wc.idle.spawn(wc.body)
-	}
-}
-
 // gotTagFrom and gotAckFrom count one server's answer, brought by its
-// leg or by its conn's pump.
+// leg or by the conn that took the exchange.
 func (wc *writeCall) gotTagFrom(server int, t Tag, err error) {
 	reportSuspect(wc.w.m, wc.ctx, server, err)
 	wc.mu.Lock()
@@ -471,24 +475,157 @@ func (wc *writeCall) gotAckFrom(server int, err error) {
 	}
 }
 
-// tagReply and ackReply are a writeCall as the waiter of a get-tag and of
-// a put-data the writer sent itself; each exchange holds the call until it
-// is answered.
+// tagReply and ackReply are a writeCall as the waiter of a taken get-tag
+// and of a taken put-data; each exchange holds the call until it is
+// answered.
 type (
 	tagReply writeCall
 	ackReply writeCall
 )
 
-func (r *tagReply) answer(c *MuxConn, resp *response, err error) {
+func (r *tagReply) answer(server int, resp *response, err error) {
 	wc := (*writeCall)(r)
 	defer wc.release()
-	wc.gotTagFrom(c.idx, resp.tag, err)
+	wc.gotTagFrom(server, resp.tag, err)
 }
 
-func (r *ackReply) answer(c *MuxConn, _ *response, err error) {
+func (r *ackReply) answer(server int, _ *response, err error) {
 	wc := (*writeCall)(r)
 	defer wc.release()
-	wc.gotAckFrom(c.idx, err)
+	wc.gotAckFrom(server, err)
+}
+
+// writeOp is a write as its own goroutine runs it: the tally its passes
+// count into, until an exchange leaves the goroutine and the call it checks
+// out takes the tally over. It lives in its key's stripe, which only the
+// write holding the stripe's lock touches, so passing it to the conns it
+// steps (stepOp) costs no allocation.
+type writeOp struct {
+	w     *Writer
+	ctx   context.Context
+	key   string
+	sc    *encodeScratch
+	vlen  int
+	call  *writeCall // nil until an exchange leaves the goroutine
+	tally writeTally // the write's until call is checked out
+}
+
+func (op *writeOp) take(typ byte) waiter {
+	wc := op.called()
+	wc.refs.Add(1)
+	if typ == msgGetTag {
+		return (*tagReply)(wc)
+	}
+	return (*ackReply)(wc)
+}
+
+// called returns the write's call, checking it out the first time: its
+// legs get a context of their own, cancelled when the write returns.
+func (op *writeOp) called() *writeCall {
+	if op.call != nil {
+		return op.call
+	}
+	w := op.w
+	wc, _ := w.calls.Get().(*writeCall)
+	if wc == nil || cap(wc.mint) < len(w.conns) {
+		wc = &writeCall{
+			wake:  make(chan struct{}, 1),
+			mint:  make(chan Tag, len(w.conns)),
+			idle:  spawnPool.list(),
+			conns: make([]Conn, len(w.conns)),
+		}
+		wc.body = wc.run
+	}
+	wc.next.Store(0)
+	wc.ctx, wc.cancel = context.WithCancel(op.ctx)
+	wc.w, wc.key, wc.full, wc.sc, wc.vlen, wc.writeTally = w, op.key, 0, op.sc, op.vlen, op.tally
+	wc.refs.Store(1)    // the caller
+	op.sc.refs.Store(1) // the writer's own, beside its legs'
+	op.call = wc
+	return wc
+}
+
+// gotTag, gotAck and counted are how the write's goroutine counts into its
+// one tally and reads it: the op's own, or from the call's checkout on, the
+// call's, under the call's lock.
+func (op *writeOp) gotTag(server int, t Tag, err error) {
+	if op.call != nil {
+		op.call.gotTagFrom(server, t, err)
+		return
+	}
+	reportSuspect(op.w.m, op.ctx, server, err)
+	op.tally.gotTag(t, err)
+}
+
+func (op *writeOp) gotAck(server int, err error) {
+	if op.call != nil {
+		op.call.gotAckFrom(server, err)
+		return
+	}
+	reportSuspect(op.w.m, op.ctx, server, err)
+	op.tally.gotAck(err)
+}
+
+func (op *writeOp) counted() writeTally {
+	if wc := op.call; wc != nil {
+		wc.mu.Lock()
+		defer wc.mu.Unlock()
+		return wc.writeTally
+	}
+	return op.tally
+}
+
+// park waits for a nudge from an answer off the goroutine, or returns
+// ctx's error when it ends; with none off it, only ctx can end the wait.
+func (op *writeOp) park() error {
+	var wake chan struct{}
+	if op.call != nil {
+		wake = op.call.wake
+	}
+	select {
+	case <-wake:
+		return nil
+	case <-op.ctx.Done():
+		return op.ctx.Err()
+	}
+}
+
+// legs sends each of conns a leg: before the tag is minted a whole one,
+// which asks the get-tag and then puts; after, one that only puts, and then
+// every leg is told the tag, which the put-only ones find when they start.
+func (op *writeOp) legs(conns []Conn, minted Tag) {
+	if op.call == nil && len(conns) == 0 {
+		return
+	}
+	wc := op.called()
+	n := copy(wc.conns[wc.full:], conns)
+	if minted.IsZero() {
+		wc.full = n
+	} else {
+		for range wc.full + n { // a slot for each
+			wc.mint <- minted
+		}
+	}
+	wc.refs.Add(int32(n))
+	wc.sc.refs.Add(int32(n)) // each holds the element buffers until its put-data is over
+	for range n {
+		wc.idle.spawn(wc.body)
+	}
+}
+
+// end frees the stripe for the next write, letting go of the call and the
+// encode scratch, and reports whether every answer came on the goroutine.
+func (op *writeOp) end() (inline bool) {
+	w, sc, wc := op.w, op.sc, op.call
+	*op = writeOp{}
+	if wc == nil {
+		w.scratch.Put(sc)
+		return true
+	}
+	wc.cancel()
+	wc.release()
+	sc.release(&w.scratch)
+	return false
 }
 
 // run is one server's leg of a write: report the server's tag, wait for
@@ -526,11 +663,10 @@ func (wc *writeCall) run() {
 }
 
 // Write performs one atomic write of key: get-tag, then put-data,
-// returning the tag the value was written under. It asks on its own
-// goroutine whichever conns answer there (writeNow), writes the frames of
-// those that answer on their pump, and sends a leg for each exchange still
-// owed: one goroutine per conn runs get-tag and then, once n-f tags have
-// fixed the minted tag, put-data. Per-server phases
+// returning the tag the value was written under. It steps each exchange on
+// its own goroutine, one pass per phase (stepper), and sends a leg for each
+// one still owed: a goroutine per conn that runs get-tag and then, once n-f
+// tags have fixed the minted tag, put-data. Per-server phases
 // may overlap (one server can be receiving its element while a
 // straggler is still answering get-tag); the protocol never needed
 // the phases globally barriered, only the mint to follow n-f tags.
@@ -565,16 +701,17 @@ func (w *Writer) Write(ctx context.Context, key string, value []byte) (Tag, erro
 // throughput, so it is tied to the bytes moved.
 func yieldAfterLargeInlineOp() { runtime.Gosched() }
 
-// write is Write under the key's stripe lock. inline reports that no
-// part of the write left the calling goroutine.
+// write is Write under the key's stripe lock, held while it parks: two
+// overlapping writes of one key from one writer would mint the same tag.
+// inline reports that every answer came on the calling goroutine.
 func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Tag, inline bool, err error) {
-	l := &w.locks[stripeOf(key)]
-	l.Lock()
-	defer l.Unlock()
+	stripe := &w.stripes[stripeOf(key)]
+	stripe.Lock()
+	defer stripe.Unlock()
 
-	live, excluded, err := w.quorumConns()
-	if err != nil {
-		return Tag{}, false, fmt.Errorf("soda: get-tag: %w", err)
+	live, excluded := liveConns(w.conns, w.m)
+	if excluded > w.f {
+		return Tag{}, false, fmt.Errorf("soda: get-tag: %w: %d servers quarantined, fault budget f=%d", ErrUnavailable, excluded, w.f)
 	}
 	sc, _ := w.scratch.Get().(*encodeScratch)
 	if sc == nil {
@@ -587,182 +724,89 @@ func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Ta
 	if excluded > 0 {
 		sc.unsent(live)
 	}
-	q := writeTally{need: len(w.conns) - w.f}
-	q.allowed = len(live) - q.need
-	owed := live              // the conns with an exchange of this write still to come
+	need := len(w.conns) - w.f
+	op := &stripe.op
+	*op = writeOp{w: w, ctx: ctx, key: key, sc: sc, vlen: len(value), tally: writeTally{need: need, allowed: len(live) - need}}
+	defer func() { inline = op.end() }()
 	alive := ctx.Err() == nil // the legs know what a dead context does to a write
-	if alive {
-		var done bool
-		if minted, owed, done, err = w.writeNow(ctx, key, live, sc, len(value), &q); done {
-			w.scratch.Put(sc)
-			return minted, true, err
-		}
-	}
 
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sc.refs.Store(1) // the writer's own hold: the frames it sends itself copy from sc
-	defer sc.release(&w.scratch)
-	wc := w.getCall(wctx, key, sc, len(value), q)
-	defer wc.release()
-	legs := 0 // conns listed in wc.conns, for a leg each
-
-	// Phase 0: a get-tag to every owed conn — written here and answered on
-	// the conn's pump where that takes no waiting, else a leg's — then park
-	// until the tag quorum resolves. Every wake re-reads the tally, so
-	// coalesced or stale nudges only cost a loop turn.
-	puts := owed // the conns with no leg yet to send their put-data
-	if minted.IsZero() {
-		puts = sc.owed[:0]
-		wc.refs.Add(int32(len(owed))) // an exchange each, on a pump or on a leg
-		for _, c := range owed {
-			if alive && w.muxes[c.Index()].getTagStart(key, (*tagReply)(wc)) {
-				puts = append(puts, c)
-			} else {
-				wc.conns[legs] = c
-				legs++
-			}
-		}
-		sc.owed, wc.full = puts, legs
-		wc.spawn(legs)
-		for minted.IsZero() && err == nil {
-			//lint:ignore lockhold the stripe lock serializes whole write ops by design (PR 5: concurrent same-writer tags must stay unique); parking under it is the point
-			select {
-			case <-wc.wake:
-				wc.mu.Lock()
-				minted, err = wc.mintTag(w.id)
-				wc.mu.Unlock()
-			case <-ctx.Done():
-				err = ctx.Err()
-			}
-		}
-		if err != nil {
-			for _, c := range puts {
-				putElem(sc.shards[c.Index()]) // never sent: still the writer's
-			}
-			return Tag{}, false, err
-		}
-	}
-	// The put-datas, the same way, and every leg is told the tag.
-	wc.refs.Add(int32(len(puts)))
-	for _, c := range puts {
-		if i := c.Index(); !alive || !w.muxes[i].putDataStart(key, minted, sc.shards[i], len(value), (*ackReply)(wc)) {
-			wc.conns[legs] = c
-			legs++
-		}
-	}
-	for range legs { // before the new legs start: the tag is there when they look
-		//lint:ignore lockhold mint sends ride the held stripe lock by design: one buffered slot per leg exists before the send, so this never blocks
-		wc.mint <- minted
-	}
-	wc.spawn(legs - wc.full)
-
-	// Phase 1: park until the ack quorum resolves. The tally is read
-	// before the first park: acks counted before the legs started may
-	// have resolved it already, and then no leg's answer is the one that
-	// nudges.
-	for {
-		wc.mu.Lock()
-		done, err := wc.acked(minted)
-		wc.mu.Unlock()
-		if done {
-			return minted, false, err
-		}
-		//lint:ignore lockhold the stripe lock serializes whole write ops by design (PR 5); the ack-quorum park mirrors the phase-0 park above
-		select {
-		case <-wc.wake:
-		case <-ctx.Done():
-			return minted, false, ctx.Err()
-		}
-	}
-}
-
-// writeNow runs on the calling goroutine as much of a write as its conns
-// answer there: each phase is a pass over live in index order (phase 1
-// makes a second over the servers its first found busy), a server's
-// answer going through the same tally and rules as a leg's. A hung server
-// is a leg that never answers; if a phase cannot resolve without the hung
-// ones the write waits out ctx, as its legs would have. It returns done
-// when the write is over, minted tag and error being Write's. Otherwise
-// legs are owed: with a zero tag the answers to be had there did not
-// settle phase 0, nothing has happened and owed is live; with a minted
-// one q holds the acks so far and owed are the conns whose put-data is
-// still to be sent. Elements of conns not in owed are sent or freed.
-func (w *Writer) writeNow(ctx context.Context, key string, live []Conn, sc *encodeScratch, vlen int, q *writeTally) (minted Tag, owed []Conn, done bool, err error) {
-	missed := false
-	for _, c := range live {
+	// Phase 0: every live conn is asked for its tag from here, save those
+	// that cannot be, which go to the back: conns[:asked] were asked.
+	conns := append(sc.conns[:0], live...)
+	sc.conns = conns
+	asked := 0
+	for j, c := range conns {
 		i := c.Index()
-		t, err := w.loops[i].getTagNow(key)
+		t, err := Tag{}, errNotNow
+		if s := w.steps[i]; alive && s != nil {
+			t, err = s.getTagStep(key, op)
+		}
 		switch err {
 		case errNotNow:
-			missed = true
 			continue
-		case errSilent:
-			continue
+		case errTaken, errSilent:
+		default:
+			op.gotTag(i, t, err)
 		}
-		reportSuspect(w.m, ctx, i, err)
-		q.gotTag(t, err)
+		conns[asked], conns[j] = c, conns[asked]
+		asked++
 	}
-	minted, err = q.mintTag(w.id)
-	if minted.IsZero() {
-		if err == nil {
-			if missed {
-				*q = writeTally{need: q.need, allowed: q.allowed}
-				return Tag{}, live, false, nil
-			}
-			<-ctx.Done()
-			err = ctx.Err()
+	// The rest each get a whole leg unless the pass minted with nothing
+	// taken: a choice that must not hang on when a pump's answers come in.
+	// Every wake re-reads the tally: a coalesced or stale nudge costs a turn.
+	puts := conns // the conns whose put-data is sent from here
+	minted, err = op.counted().mintTag(w.id)
+	if err == nil && (minted.IsZero() || op.call != nil) {
+		op.legs(conns[asked:], Tag{})
+		puts = conns[:asked]
+	}
+	for minted.IsZero() && err == nil {
+		if err = op.park(); err == nil {
+			minted, err = op.counted().mintTag(w.id)
 		}
-		for _, c := range live {
+	}
+	if err != nil {
+		for _, c := range puts {
 			putElem(sc.shards[c.Index()]) // never sent: still the writer's
 		}
-		return Tag{}, nil, true, err
+		return Tag{}, false, err
 	}
-	// Phase 1 visits every server, then once more those that were busy
-	// the first time — a put needs n-f acks in any order, so a log another
-	// writer is in is one to come back to, not to queue on. One more visit
-	// is what there is to gain: two writers that walk the servers in step
-	// collide on each (23 % of wal-small's writes needed a leg without it
-	// and write p99 was 39 us; 3.6 % and 29 us with it; the same with a
-	// third), and the second round finds the other writer gone. What is
-	// busy twice gets a leg.
-	owed = live
-	for pass := 0; pass < 2 && len(owed) > 0; pass++ {
-		busy := sc.owed[:0] // pass 1 filters sc.owed in place
-		for _, c := range owed {
+
+	// Phase 1: every other conn's put-data is sent from here, then once more
+	// to those that did not take it. A put needs n-f acks in any order, so a
+	// log another writer is in is one to come back to, not to queue on; two
+	// writers that walk the servers in step collide on each, and the second
+	// round finds the other gone (23 % of wal-small's writes needed a leg
+	// without it, 3.6 % with it, as many with a third). What is not taken
+	// twice gets a leg.
+	for visit := 0; visit < 2 && len(puts) > 0; visit++ {
+		busy := puts[:0] // filters puts in place
+		for _, c := range puts {
 			i := c.Index()
-			err := w.loops[i].putDataNow(key, minted, sc.shards[i], vlen)
+			err := errNotNow
+			if s := w.steps[i]; alive && s != nil {
+				err = s.putDataStep(key, minted, sc.shards[i], len(value), op)
+			}
 			switch err {
 			case errNotNow:
 				busy = append(busy, c)
-				continue
-			case errSilent:
-				continue
+			case errTaken, errSilent:
+			default:
+				op.gotAck(i, err)
 			}
-			reportSuspect(w.m, ctx, i, err)
-			q.gotAck(err)
 		}
-		owed, sc.owed = busy, busy
+		puts = busy
 	}
-	if len(owed) > 0 {
-		return minted, owed, false, nil
+	op.legs(puts, minted)
+	for {
+		done, err := op.counted().acked(minted)
+		if done {
+			return minted, false, err
+		}
+		if err := op.park(); err != nil {
+			return minted, false, err
+		}
 	}
-	if done, err = q.acked(minted); !done {
-		<-ctx.Done()
-		err = ctx.Err()
-	}
-	return minted, nil, true, err
-}
-
-// quorumConns samples the membership view for one phase: the conns to
-// contact, the number quarantined, and an ErrUnavailable when so many
-// are quarantined that the n-f quorum cannot be met without them.
-func (w *Writer) quorumConns() ([]Conn, int, error) {
-	live, excluded := liveConns(w.conns, w.m)
-	if excluded > w.f {
-		return nil, excluded, fmt.Errorf("%w: %d servers quarantined, fault budget f=%d", ErrUnavailable, excluded, w.f)
-	}
-	return live, excluded, nil
 }
 
 // ReadResult is a completed read: the value, the tag it was written
@@ -782,8 +826,7 @@ type Reader struct {
 	ridPrefix  string // id + process token, precomputed off the Read path
 	codec      *Codec
 	conns      []Conn
-	loops      []*loopConn // see loopConnsOf
-	muxes      []*MuxConn  // see muxConnsOf
+	steps      []stepper // see stepsOf
 	f          int
 	e          int
 	quarantine []int
@@ -878,7 +921,7 @@ func NewReader(id string, codec *Codec, conns []Conn, opts ...ReaderOption) (*Re
 	if f > codec.K()-1 {
 		f = codec.K() - 1 // see WithReaderFaults: atomicity needs f < k
 	}
-	r := &Reader{id: id, ridPrefix: id + "-" + procToken + "#", codec: codec, conns: conns, f: f, loops: loopConnsOf(conns), muxes: muxConnsOf(conns)}
+	r := &Reader{id: id, ridPrefix: id + "-" + procToken + "#", codec: codec, conns: conns, f: f, steps: stepsOf(conns)}
 	for _, opt := range opts {
 		if err := opt(r); err != nil {
 			return nil, err
@@ -912,15 +955,12 @@ var (
 
 // Read performs one atomic read of key. It blocks until enough servers
 // have responded (or relayed a concurrent write) to pin down a value,
-// or until ctx is cancelled, under one registration id throughout. A pass
-// on the calling goroutine registers with every conn that answers there,
-// the initial delivery arriving through the same sink as on a leg, and
-// stops at the server whose answer completes the read — which then closes
-// what it opened and has started nothing; a MuxConn's get-data is written
-// from there too and delivers from the conn's pump. A read the pass leaves
-// waiting keeps its registrations and sends a leg to watch each loopback
-// one, and one to each conn still owed its get-data. A hung server never
-// delivers.
+// or until ctx is cancelled, under one registration id throughout. One
+// pass on the calling goroutine steps a get-data to every conn, and stops
+// at the server whose answer completes the read, which then ends what it
+// opened. A read the pass leaves waiting keeps its registrations, watches
+// each one answered now on a leg, and sends a leg to each conn still owed
+// its get-data. A hung server never delivers.
 func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	if err := validateKey(key); err != nil {
 		return ReadResult{}, fmt.Errorf("%w: %v", ErrConfig, err)
@@ -939,7 +979,6 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	}
 	st := r.begin(key, quarantine)
 	defer st.release()
-	defer st.endStreams()
 	live := ctx.Err() == nil // the legs know what a dead context does to a read
 	var done bool
 	for i := 0; ; i++ { // finished is sampled once per conn and once after the last
@@ -951,17 +990,19 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 		if slices.Contains(quarantine, idx) {
 			continue
 		}
-		sub, err := loopSub{}, errNotNow
-		if live {
-			sub, err = r.loops[idx].subscribeNow(key, st.rid, st.sink)
+		s, err := sub{}, errNotNow
+		if step := r.steps[idx]; live && step != nil {
+			s, err = step.getDataStep(key, st.rid, st, st.sink)
 		}
 		switch err {
-		case nil:
-			st.subs = append(st.subs, sub)
-		case errNotNow:
-			if !live || !st.stream(r.muxes[idx]) {
-				st.owed = append(st.owed, c)
+		case nil, errTaken:
+			st.subs = append(st.subs, s)
+			if err == nil { // answered now: to the front, subs[:watched], for a leg to watch
+				st.subs[st.watched], st.subs[len(st.subs)-1] = s, st.subs[st.watched]
+				st.watched++
 			}
+		case errNotNow:
+			st.owed = append(st.owed, c)
 		case errSilent:
 		default:
 			reportSuspect(r.m, ctx, idx, err)
@@ -969,10 +1010,7 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 		}
 	}
 	if done {
-		// Unforced: the read is finished with every element it was handed.
-		for _, sub := range st.subs {
-			sub.close(false)
-		}
+		st.end(st.subs)
 		res, err := st.outcome()
 		if err == nil && handoff(r.codec.shardSize(len(res.Value))) {
 			yieldAfterLargeInlineOp()
@@ -980,9 +1018,10 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 		return res, err
 	}
 
-	if legs := len(st.subs) + len(st.owed); legs > 0 {
-		// Their registrations end only through this deferred cancel, once
-		// the read has stopped touching delivered elements: unregistering is
+	defer st.end(st.subs[st.watched:]) // the legs end the rest
+	if legs := st.watched + len(st.owed); legs > 0 {
+		// Their registrations end through this deferred cancel, once the
+		// read has stopped touching delivered elements: unregistering is
 		// what lets a loopback server overwrite the buffers it handed out.
 		rctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 		defer cancel()
@@ -1036,51 +1075,31 @@ func (r *Reader) begin(key string, quarantine []int) *readState {
 	return st
 }
 
-// muxSub is one get-data a read sent on its own goroutine: the stream's
-// conn and request id, by which the read ends it.
-type muxSub struct {
-	c  *MuxConn
-	id uint64
-}
-
-// stream sends c's get-data from the calling goroutine, if c can without
-// waiting (a nil c cannot). The stream delivers to the read's sink from
-// the conn's pump and holds the state until one side ends it: the read,
-// through endStreams, or the server or the session's death, through
-// answer.
-func (st *readState) stream(c *MuxConn) bool {
+// take is the read as the waiter of a get-data a conn took: the stream
+// holds the state until the read ends it (end) or it dies (answer).
+func (st *readState) take(byte) waiter {
 	st.refs.Add(1)
-	id, sent := c.getDataStart(st.key, st.rid, st, st.sink)
-	if !sent {
-		st.refs.Add(-1)
-		return false
-	}
-	st.streams = append(st.streams, muxSub{c, id})
-	return true
+	return st
 }
 
-// answer ends a stream under its read: NACKed in an epoch flip, refused,
-// or gone with its session. Whatever it delivered stays usable.
-func (st *readState) answer(c *MuxConn, _ *response, err error) {
+// answer ends a taken stream under its read: NACKed in an epoch flip,
+// refused, or gone with its session. Whatever it delivered stays usable.
+func (st *readState) answer(server int, _ *response, err error) {
 	defer st.release()
 	if !st.isFinished() {
-		reportSuspect(st.r.m, context.Background(), c.idx, err)
-		st.lose(c.idx, err)
+		reportSuspect(st.r.m, context.Background(), server, err)
+		st.lose(server, err)
 	}
 }
 
-// endStreams is the read done with the streams it opened. Each one still
-// registered is dropped, its reader-done left to ride the conn's next frame,
-// and gives up its hold, which is never the last: the caller's is still out.
-func (st *readState) endStreams() {
-	var ended int32
-	for _, s := range st.streams {
-		if s.c.drop(s.id, true) {
-			ended++
+// end is the read done with registrations it opened and with what they
+// delivered. A taken one its conn still held gives up take's hold, never
+// the last: the caller's is still out.
+func (st *readState) end(subs []sub) {
+	for _, s := range subs {
+		if s.c.endData(s, st.key, st.rid) {
+			st.refs.Add(-1)
 		}
-	}
-	if ended > 0 {
-		st.refs.Add(-ended)
 	}
 }
 
@@ -1099,15 +1118,16 @@ func (st *readState) outcome() (ReadResult, error) {
 }
 
 // runConn is one server's leg of a read the pass left waiting: the first
-// len(subs) watch a registration it made, the rest make their own.
+// st.watched watch a registration it made, the rest make their own.
 func (st *readState) runConn() {
 	defer st.release()
 	var idx int
 	var err error
-	if j := int(st.next.Add(1)) - 1; j < len(st.subs) {
-		idx, err = st.subs[j].c.idx, st.subs[j].await(st.rctx)
+	if j := int(st.next.Add(1)) - 1; j < st.watched {
+		s := st.subs[j]
+		idx, err = s.c.Index(), s.reg.await(st.rctx, st.key, st.rid)
 	} else {
-		c := st.owed[j-len(st.subs)]
+		c := st.owed[j-st.watched]
 		idx, err = c.Index(), c.GetData(st.rctx, st.key, st.rid, st.sink)
 	}
 	if st.rctx.Err() == nil {
@@ -1172,8 +1192,7 @@ func (st *readState) release() {
 	// Not the caller's to clear: a leg may start after Read has returned.
 	clear(st.subs)
 	clear(st.owed)
-	clear(st.streams)
-	st.subs, st.owed, st.streams = st.subs[:0], st.owed[:0], st.streams[:0]
+	st.subs, st.watched, st.owed = st.subs[:0], 0, st.owed[:0]
 	select {
 	case <-st.done: // unconsumed completion signal (caller left via ctx)
 	default:
@@ -1221,7 +1240,7 @@ type readState struct {
 	mu sync.Mutex
 
 	gen  uint64       // checkout generation; advanced on pool return
-	refs atomic.Int32 // caller + one per subscription goroutine
+	refs atomic.Int32 // caller + one per leg + one per taken stream
 	next atomic.Int32 // conn claim counter for the spawn thunk
 	body func()       // reusable spawn thunk: go st.body() allocates nothing
 	idle *idleList    // where this read's legs leave from and park (see workerPool)
@@ -1231,9 +1250,9 @@ type readState struct {
 	key     string
 	rid     string
 	sink    func(Delivery)
-	subs    []loopSub // the registrations the pass made
-	streams []muxSub  // the get-datas it sent, answered on their conns' pumps
-	owed    []Conn    // the conns it could not ask: each needs a leg to run its get-data
+	subs    []sub  // the registrations the pass opened,
+	watched int    // subs[:watched] answered now, which legs watch
+	owed    []Conn // the conns it could not ask: each needs a leg to run its get-data
 
 	initials []Tag // server-indexed tag of the Initial delivery
 	hasInit  []bool

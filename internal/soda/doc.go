@@ -98,36 +98,25 @@
 // table: it has no frames to decode, and an indirect call would move
 // its arguments to the heap on the in-process hot path.
 //
-// Where the quorum phases run: on the calling goroutine, then on legs
-// for what is owed. A Writer or Reader asks each conn for the form of an
-// exchange that cannot park, and reports what comes back through the same
-// tally and completion rules the legs report into (writeTally;
-// readState.addLocked, check, lose). Three cases. (1) Answers now: the
-// loopback's own conn, where a reply is a function return —
-// Writer.writeNow, the pass in Reader.Read. (2) Sent now, answers on the
-// pump: a MuxConn writes the get-tag, put-data or get-data frame from the
-// caller's goroutine, and its read loop hands the reply to the operation
-// (writeCall's tally and wake, readState's sink) — so an operation over
-// sockets starts no goroutine either, and parks about once a phase. The
-// caller may never wait for a socket, so a frame is sent this way only if
-// the session is up, the conn's write lock is free (TryLock), and the
-// bytes written to the session that no answer yet vouches for stay within
-// callerSendMax = 8 KiB: TCP delivers in order, so an answer proves the
-// server has read everything written before its request, and what it has
-// not is all that can still sit in a socket buffer — 16 KiB at the least
-// (Linux's default tcp_wmem before autotuning) plus the peer's receive
-// buffer; half of that leaves the kernel its bookkeeping. A read's
-// reader-dones are not written at all: they wait on the conn for its next
-// frame and go out in the same write, or after a millisecond on their own.
-// (3) Owed a leg, one goroutine per server, completing on the first n-f
-// answers: every exchange of a Conn that wraps another; of a MuxConn that
-// is dialing, being written to by someone else, past the bound (a stalled
-// peer, a 1 MiB value's elements); anything while a Loopback test hook is
-// installed; a put-data to a durable server whose log or register was busy
-// on two visits, or whose fsyncs wait for a device (those only overlap
-// from n goroutines; the log times one fsync in 64 to tell); and the wait
-// of a read the loopback pass left pending — on a concurrent write's
-// relay, a hung server, the deadline — whose legs watch the registrations
+// Where the quorum phases run: on the calling goroutine, then on legs for
+// what is owed. A Writer or Reader steps each exchange through its conn —
+// one pass per phase, the put-data pass coming back once to what was not
+// taken (stepper) — and every answer goes through the same tally and
+// completion rules the legs report into (writeTally; readState.addLocked,
+// check, lose). A loopback conn answers now: a reply is a function return.
+// A MuxConn takes the exchange: it writes the frame from the caller's
+// goroutine if the session is up, its write lock free (TryLock) and the
+// bytes that no answer yet vouches for within callerSendMax = 8 KiB (what
+// can still sit in a socket buffer, as TCP delivers in order), and its read
+// loop answers the operation's waiter (writeCall's tally and wake,
+// readState's sink). A read's reader-dones ride the conn's next frame, or
+// leave after a millisecond on their own. Owed a leg, one goroutine per
+// server, completing on the first n-f answers: every exchange of a conn that
+// is no stepper (one that wraps another); what a MuxConn does not take
+// (dialing, contended, past the bound); anything while a Loopback test hook
+// is installed; a put-data to a durable server whose log or register was
+// busy on both visits, or whose fsyncs wait for a device; and the wait of a
+// read the pass left pending, whose legs watch the loopback registrations
 // it made. A hung server is a leg that never answers. An operation that
 // moved a handoff-sized value on the pass alone yields the processor once:
 // a client that never parks starves the garbage collector's mark worker.

@@ -616,7 +616,7 @@ func TestPutPastTheGateIsNotAckedAfterWALCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := lb.Server(0)
-	pinSyncs(srv, 0) // whatever the temp dir is on, putDataNow is to try this log
+	pinSyncs(srv, 0) // whatever the temp dir is on, putDataStep is to try this log
 	srv.dur.powerCut()
 
 	for ts, size := range map[uint64]int{2: 1, 3: elemHandoffMin} {
@@ -625,8 +625,8 @@ func TestPutPastTheGateIsNotAckedAfterWALCut(t *testing.T) {
 		}
 		// The form a writer runs on its own goroutine finds the log free,
 		// and closed: the same refusal, not a put to come back to.
-		if err := c.(*loopConn).putDataNow(testKey, Tag{TS: ts + 2, Writer: "w"}, make([]byte, size), size); !errors.Is(err, ErrServerDown) {
-			t.Errorf("putDataNow of %d bytes after the WAL was cut = %v, want ErrServerDown", size, err)
+		if err := c.(*loopConn).putDataStep(testKey, Tag{TS: ts + 2, Writer: "w"}, make([]byte, size), size, nil); !errors.Is(err, ErrServerDown) {
+			t.Errorf("putDataStep of %d bytes after the WAL was cut = %v, want ErrServerDown", size, err)
 		}
 	}
 	if ok, err := c.RepairPut(ctx, testKey, Tag{TS: 6, Writer: "w"}, []byte{6}, 1); ok || !errors.Is(err, ErrServerDown) {

@@ -11,7 +11,7 @@ import (
 )
 
 // A put-data to a durable server, tried on its writer's own goroutine
-// (loopConn.putDataNow), has three answers: applied, having logged and
+// (loopConn.putDataStep), has three answers: applied, having logged and
 // synced there; not now, because the key's register or the log is busy —
 // the writer comes back once, then sends a leg; and not here, because
 // the log's syncs wait for a device — a leg at once. The tests below pin

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1267,7 +1268,11 @@ func TestLegsOnlyForWrappedConns(t *testing.T) {
 		mc, core := conns[held].(*MuxConn), servers[held].core
 		w := mustWriter(t, "w", codec, conns)
 		r := mustReader(t, "r", codec, conns)
-		if _, err := w.Write(ctx, testKey, []byte("written to dial the conns")); err != nil {
+		// Primed by a writer that waits for every ack: w's returns on four
+		// and cancels the fifth leg, which gives up if its conn is still
+		// dialing, and then that server never has the first write.
+		prime := mustWriter(t, "prime", codec, conns, WithWriterFaults(0))
+		if _, err := prime.Write(ctx, testKey, []byte("written to dial the conns")); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "the first write on every server", func() bool {
@@ -1308,4 +1313,280 @@ func TestLegsOnlyForWrappedConns(t *testing.T) {
 			t.Fatalf("legs made %d get-tags, %d put-datas and %d get-datas, want the held conn's: one, one, and one or none", g, p, d)
 		}
 	})
+}
+
+// TestLegsNeverAskATagTwice: a write asks each server for its tag at most
+// once, and keeps every answer it counted, whoever brought it — its own
+// goroutine or a leg. Over raw conns every server answers one get-tag per
+// write. With one server wrapped the other four settle the tag and the
+// wrapped one is not asked. With server 0 crashed as well, three answers
+// and a failure do not settle it: the wrapped server is asked on a leg, and
+// the three that answered are not asked again.
+func TestLegsNeverAskATagTwice(t *testing.T) {
+	const writes = 20
+	for _, tc := range []struct {
+		name    string
+		wrap    func([]Conn) []Conn
+		crashed []int
+		want    [5]uint64 // get-tags each server answers per write
+	}{
+		{"raw", rawConns, nil, [5]uint64{1, 1, 1, 1, 1}},
+		{"one server wrapped", mixedConns, nil, [5]uint64{1, 1, 1, 0, 1}},
+		{"one server wrapped, server 0 crashed", mixedConns, []int{0}, [5]uint64{0, 1, 1, 1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkNoLeaks(t)
+			ctx := testCtx(t)
+			codec, lb := newCluster(t, 5, 3)
+			w := mustWriter(t, "w", codec, tc.wrap(lb.Conns()))
+			for _, i := range tc.crashed {
+				lb.Crash(i)
+			}
+			getTags := func() (n [5]uint64) {
+				for i := range n {
+					n[i] = lb.Server(i).MetricsSnapshot().GetTags
+				}
+				return n
+			}
+			before := getTags()
+			for i := 0; i < writes; i++ {
+				if _, err := w.Write(ctx, testKey, []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, "the write's legs", legsHome)
+			}
+			after := getTags()
+			for i := range after {
+				if got := after[i] - before[i]; got != writes*tc.want[i] {
+					t.Errorf("server %d answered %d get-tags in %d writes, want %d each", i, got, writes, tc.want[i])
+				}
+			}
+		})
+	}
+}
+
+// laterConns is a third way to step an exchange, beside a loopConn's
+// answering now and a MuxConn's answering on its pump: a laterConn takes
+// every exchange, and nothing is answered until the test says so, from its
+// own goroutine, as the loopback server under the conn would have.
+type laterConns struct {
+	conns   []Conn // a *laterConn each
+	mu      sync.Mutex
+	asked   []*laterAsk    // taken and not yet answered, oldest first
+	streams map[uint64]sub // the get-datas answered: their loopback registrations
+	ids     uint64
+}
+
+type laterConn struct {
+	Conn // the server's loopConn: what a leg would run
+	set  *laterConns
+}
+
+// laterAsk is one exchange a laterConn took.
+type laterAsk struct {
+	c       *laterConn
+	typ     byte
+	id      uint64
+	key     string
+	tag     Tag
+	elem    []byte
+	vlen    int
+	reader  string
+	deliver func(Delivery)
+	w       waiter
+}
+
+func newLaterConns(lb *Loopback) *laterConns {
+	set := &laterConns{streams: make(map[uint64]sub)}
+	for _, c := range lb.Conns() {
+		set.conns = append(set.conns, &laterConn{c, set})
+	}
+	return set
+}
+
+func (c *laterConn) take(a *laterAsk, op stepOp) uint64 {
+	a.c, a.w = c, op.take(a.typ)
+	c.set.mu.Lock()
+	defer c.set.mu.Unlock()
+	c.set.ids++
+	a.id = c.set.ids
+	c.set.asked = append(c.set.asked, a)
+	return a.id
+}
+
+func (c *laterConn) getTagStep(key string, op stepOp) (Tag, error) {
+	c.take(&laterAsk{typ: msgGetTag, key: key}, op)
+	return Tag{}, errTaken
+}
+
+func (c *laterConn) putDataStep(key string, t Tag, elem []byte, vlen int, op stepOp) error {
+	if !handoff(len(elem)) {
+		elem = slices.Clone(elem) // borrowed for the call only
+	}
+	c.take(&laterAsk{typ: msgPutData, key: key, tag: t, elem: elem, vlen: vlen}, op)
+	return errTaken
+}
+
+func (c *laterConn) getDataStep(key, readerID string, op stepOp, deliver func(Delivery)) (sub, error) {
+	id := c.take(&laterAsk{typ: msgGetData, key: key, reader: readerID, deliver: deliver}, op)
+	return sub{c: c, id: id}, errTaken
+}
+
+// endData takes the get-data back, answered or not: its waiter is never
+// answered.
+func (c *laterConn) endData(s sub, key, readerID string) bool {
+	set := c.set
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	if reg, ok := set.streams[s.id]; ok {
+		delete(set.streams, s.id)
+		reg.c.endData(reg, key, readerID)
+		return true
+	}
+	i := slices.IndexFunc(set.asked, func(a *laterAsk) bool { return a.id == s.id })
+	if i >= 0 {
+		set.asked = slices.Delete(set.asked, i, i+1)
+	}
+	return i >= 0
+}
+
+// pending waits until n exchanges of type typ are taken and unanswered,
+// and returns them, oldest first.
+func (set *laterConns) pending(t *testing.T, typ byte, n int) (asks []*laterAsk) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d exchanges of type %d taken", n, typ), func() bool {
+		set.mu.Lock()
+		defer set.mu.Unlock()
+		asks = asks[:0]
+		for _, a := range set.asked {
+			if a.typ == typ {
+				asks = append(asks, a)
+			}
+		}
+		return len(asks) >= n
+	})
+	return asks
+}
+
+// answer has a's server answer a. A get-data is answered by registering
+// with the server, which delivers its initial state at once; the stream
+// stays open until the read ends it.
+func (set *laterConns) answer(t *testing.T, a *laterAsk) {
+	t.Helper()
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	i := slices.Index(set.asked, a)
+	if i < 0 {
+		t.Fatalf("exchange %d was answered or taken back already", a.id)
+	}
+	set.asked = slices.Delete(set.asked, i, i+1)
+	ctx, server := testCtx(t), a.c.Index()
+	switch a.typ {
+	case msgGetTag:
+		tag, err := a.c.Conn.GetTag(ctx, a.key)
+		a.w.answer(server, &response{tag: tag}, err)
+	case msgPutData:
+		a.w.answer(server, &response{}, a.c.Conn.PutData(ctx, a.key, a.tag, a.elem, a.vlen))
+	case msgGetData:
+		reg, err := a.c.Conn.(*loopConn).getDataStep(a.key, a.reader, nil, a.deliver)
+		if err != nil {
+			a.w.answer(server, &response{}, err)
+			return
+		}
+		set.streams[a.id] = reg
+	}
+}
+
+// TestAnswerLaterStartsNothing: over conns that take every exchange and
+// answer it later, from the test's goroutine, a write and a read complete
+// with no leg started and no goroutine left behind. The fifth server is
+// hung as far as the operations can tell: each completes on the other
+// four. Its write exchanges answered after the write returned still count,
+// once each — the last of them lets go of the write's call — and its
+// get-data, never answered, is taken back when the read ends.
+func TestAnswerLaterStartsNothing(t *testing.T) {
+	checkNoLeaks(t)
+	const late = 4
+	ctx := testCtx(t)
+	codec, lb := newCluster(t, 5, 3)
+	set := newLaterConns(lb)
+	w := mustWriter(t, "w", codec, set.conns)
+	r := mustReader(t, "r", codec, set.conns)
+	seen := legsSeen(set.conns)
+	goroutines, parked := startedGoroutines(), parkedWorkers()
+
+	value := []byte("answered later, from the test's goroutine")
+	type written struct {
+		tag Tag
+		err error
+	}
+	wrote := make(chan written, 1)
+	go func() {
+		tag, err := w.Write(ctx, testKey, value)
+		wrote <- written{tag, err}
+	}()
+	var lateOnes []*laterAsk
+	for _, typ := range []byte{msgGetTag, msgPutData} {
+		asks := set.pending(t, typ, 5)
+		for _, a := range asks[:late] {
+			set.answer(t, a)
+		}
+		lateOnes = append(lateOnes, asks[late])
+	}
+	wr := <-wrote
+	if wr.err != nil {
+		t.Fatalf("write with four servers answering: %v", wr.err)
+	}
+	wc := (*writeCall)(lateOnes[0].w.(*tagReply))
+	if n := wc.refs.Load(); n != 2 {
+		t.Fatalf("the returned write's call has %d holders, want its two unanswered exchanges", n)
+	}
+	for i, a := range lateOnes {
+		set.answer(t, a)
+		if n := wc.refs.Load(); n != int32(len(lateOnes)-1-i) {
+			t.Fatalf("after %d late answers the write's call has %d holders", i+1, n)
+		}
+	}
+	for i := 0; i < lb.Size(); i++ {
+		m := lb.Server(i).MetricsSnapshot()
+		if tag, _, _ := lb.Server(i).Snapshot(testKey); tag != wr.tag || m.GetTags != 1 || m.PutDatas != 1 {
+			t.Fatalf("server %d holds %v after %d get-tags and %d put-datas; want %v after one of each", i, tag, m.GetTags, m.PutDatas, wr.tag)
+		}
+	}
+
+	type outcome struct {
+		res ReadResult
+		err error
+	}
+	read := make(chan outcome, 1)
+	go func() {
+		res, err := r.Read(ctx, testKey)
+		read <- outcome{res, err}
+	}()
+	asks := set.pending(t, msgGetData, 5)
+	for _, a := range asks[:late] {
+		set.answer(t, a)
+	}
+	if o := <-read; o.err != nil || o.res.Tag != wr.tag || !bytes.Equal(o.res.Value, value) {
+		t.Fatalf("read = %v %q, %v; want %v %q", o.res.Tag, o.res.Value, o.err, wr.tag, value)
+	}
+	set.mu.Lock()
+	asked, streams := len(set.asked), len(set.streams)
+	set.mu.Unlock()
+	if asked != 0 || streams != 0 {
+		t.Fatalf("the read left %d get-datas unanswered and %d streams open", asked, streams)
+	}
+	for i := 0; i < lb.Size(); i++ {
+		if n := lb.Server(i).Readers(testKey); n != 0 {
+			t.Fatalf("server %d still has %d readers", i, n)
+		}
+	}
+
+	if n := seen.total(); n != 0 {
+		t.Fatalf("legs made %d exchanges", n)
+	}
+	if got := parkedWorkers(); got != parked {
+		t.Fatalf("%d workers parked before, %d after: a leg was started", parked, got)
+	}
+	waitFor(t, "the test's own goroutines to exit", func() bool { return startedGoroutines() <= goroutines })
 }

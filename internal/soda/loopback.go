@@ -18,9 +18,9 @@ var ErrServerDown = errors.New("soda: server is down")
 // synchronous, deterministic message delivery — every client call
 // runs the server state machine on the calling goroutine, and every
 // relay runs on the goroutine of the put that triggered it. A Writer or
-// Reader takes that literally: it asks each of these conns on the
-// goroutine that called Write or Read, and sends a leg only for what that
-// pass leaves owed (see errNotNow). The caller then waits for each
+// Reader takes that literally: these conns answer every step now, on the
+// goroutine that called Write or Read, and a leg is sent only for what
+// they do not take (see now). The caller then waits for each
 // server's get-tag and registration in turn, register lock included,
 // where a leg per server would have let n-f of them outrun a slow one:
 // Hang, not a stalled apply, is this transport's silent server. A
@@ -322,40 +322,25 @@ func (c *loopConn) gate(ctx context.Context) error {
 	return nil
 }
 
-// The three client exchanges also come in a form that never parks —
-// getTagNow, putDataNow and subscribeNow — which a Writer or Reader asks
-// on the calling goroutine (Writer.writeNow, Reader.Read): here a reply
-// is a function return, and a leg buys nothing. Each answers, fails with
-// the error its parking twin would return, or reports one of two things
-// the twin would have slept through.
-var (
-	// errSilent: the server is hung. Its leg would never answer — gate
-	// blocks until the context ends — so the pass counts nothing for it.
-	errSilent = errors.New("soda: hung server answers nothing")
-	// errNotNow: this exchange cannot be made here and now; nothing was
-	// done, counted or consumed, and it is owed a leg. The conn is not the
-	// loopback's own (a nil *loopConn). Or a test hook is installed: hooks
-	// are handed the protocol's goroutines to crash, seal and park on, and
-	// the caller's is not one of them. Or it is a put-data to a durable
-	// server that would have to wait — for the key's register or the log,
-	// which someone else is in (the writer comes back once before sending
-	// the leg: queueing instead, two writers walking the servers in step
-	// convoyed on every log), or for a device (wal.syncsWait: five such
-	// fsyncs overlap from five legs and add up from one goroutine).
-	errNotNow = errors.New("soda: exchange needs a leg")
-)
+// The three client exchanges as a Writer or Reader steps them (stepper):
+// here a reply is a function return and a leg buys nothing, so a step is
+// answered now, silent for a hung server, or not taken while a test hook is
+// installed — hooks are handed the protocol's goroutines to crash, seal and
+// park on, and the caller's is not one of them — and for a put-data to a
+// durable server that would wait: for the key's register or the log, which
+// someone else is in (two writers queueing there in step convoyed on every
+// log), or for a device (wal.syncsWait: five such fsyncs overlap from five
+// legs and add up from one goroutine).
 
-// now is gate for the non-parking forms. A client holds a nil *loopConn
-// for each conn that is not the loopback's own (loopConnsOf).
+// now is gate for the steps.
 func (c *loopConn) now() error {
-	if c == nil || c.lb.onDeliver.Load() != nil || c.lb.admitted != nil {
-		return errNotNow
-	}
 	crashed, hung := c.lb.state(c.idx)
-	if crashed {
+	switch {
+	case c.lb.onDeliver.Load() != nil || c.lb.admitted != nil:
+		return errNotNow
+	case crashed:
 		return ErrServerDown
-	}
-	if hung {
+	case hung:
 		return errSilent
 	}
 	return nil
@@ -368,7 +353,7 @@ func (c *loopConn) GetTag(ctx context.Context, key string) (Tag, error) {
 	return c.getTag(key)
 }
 
-func (c *loopConn) getTagNow(key string) (Tag, error) {
+func (c *loopConn) getTagStep(key string, _ stepOp) (Tag, error) {
 	if err := c.now(); err != nil {
 		return Tag{}, err
 	}
@@ -391,14 +376,14 @@ func (c *loopConn) PutData(ctx context.Context, key string, t Tag, elem []byte, 
 	return c.put(c.lb.servers[c.idx].Load(), key, t, elem, vlen, true)
 }
 
-// putDataNow keeps PutData's ownership rule — a handed-off elem is the
+// putDataStep keeps PutData's ownership rule — a handed-off elem is the
 // conn's whatever comes back — except under errNotNow, which leaves elem
 // with the caller for the later visit, or the leg, that will send it. On a
 // durable server it logs, syncs and applies on the calling goroutine when
 // it finds the key's register and the log free and the log's syncs return
 // from the page cache; else errNotNow, with nothing logged, applied or
 // counted.
-func (c *loopConn) putDataNow(key string, t Tag, elem []byte, vlen int) error {
+func (c *loopConn) putDataStep(key string, t Tag, elem []byte, vlen int, _ stepOp) error {
 	if err := c.now(); err != nil {
 		if err != errNotNow {
 			putElem(elem)
@@ -434,19 +419,20 @@ func (c *loopConn) put(srv *Server, key string, t Tag, elem []byte, vlen int, wa
 	return err
 }
 
-// loopSub is one reader's live registration on one loopback server.
-type loopSub struct {
-	c             *loopConn
+// loopReg is a loopConn's record of a registration: the server it was made
+// with, the epoch presented there, and the server's crash and epoch channels
+// as they were then.
+type loopReg struct {
 	srv           *Server
-	key, readerID string
+	epoch         uint64
 	down, flipped <-chan struct{}
 }
 
 // subscribe is the half of GetData that cannot park: admission, the
 // registration, and the initial delivery, made before it returns. Every
 // later relay reaches deliver from the goroutine of the put that caused
-// it, until close.
-func (c *loopConn) subscribe(key, readerID string, deliver func(Delivery)) (loopSub, error) {
+// it, until endData.
+func (c *loopConn) subscribe(key, readerID string, deliver func(Delivery)) (sub, error) {
 	srv := c.lb.servers[c.idx].Load()
 	// The stream dies when the server's epoch moves: the registration
 	// was dropped by the transition, and the stale error is what makes
@@ -455,7 +441,7 @@ func (c *loopConn) subscribe(key, readerID string, deliver func(Delivery)) (loop
 	// check — before or after Register — closes the one this stream holds.
 	flipped := srv.EpochChanged()
 	if nack := srv.Admit(opClient, c.epoch); nack != nil {
-		return loopSub{}, nack
+		return sub{}, nack
 	}
 	if c.lb.admitted != nil {
 		c.lb.admitted(c.idx)
@@ -469,41 +455,44 @@ func (c *loopConn) subscribe(key, readerID string, deliver func(Delivery)) (loop
 	}
 	down := c.lb.downCh(c.idx)
 	wrap(srv.Register(key, readerID, wrap))
-	return loopSub{c: c, srv: srv, key: key, readerID: readerID, down: down, flipped: flipped}, nil
+	return sub{c: c, reg: loopReg{srv, c.epoch, down, flipped}}, nil
 }
 
-// subscribeNow is subscribe behind the fault flags, as getTagNow is
-// getTag: GetData's own gate parks.
-func (c *loopConn) subscribeNow(key, readerID string, deliver func(Delivery)) (loopSub, error) {
+// getDataStep is subscribe behind the fault flags: GetData's own gate
+// parks.
+func (c *loopConn) getDataStep(key, readerID string, _ stepOp, deliver func(Delivery)) (sub, error) {
 	if err := c.now(); err != nil {
-		return loopSub{}, err
+		return sub{}, err
 	}
 	return c.subscribe(key, readerID, deliver)
 }
 
-// close ends the registration. Unforced, it is the reader saying it is
-// done with every element it was handed; a stream that dies under its
-// reader is forced, and leaves it holding them.
-func (s loopSub) close(forced bool) { s.srv.unregister(s.key, s.readerID, forced) }
+// endData is the reader done with every element the registration handed
+// it.
+func (c *loopConn) endData(s sub, key, readerID string) bool {
+	s.reg.srv.unregister(key, readerID, false)
+	return false
+}
 
-// await is the half of GetData that parks: it holds the registration open
-// until ctx ends or the stream dies under it. The channels were sampled at
+// await is the half of GetData that parks: it holds a registration open
+// until ctx ends, then ends it, or until it dies under its reader, whom it
+// leaves holding the elements it was handed. The channels were sampled at
 // registration, so a crash or a flip since is seen however late the call.
-func (s loopSub) await(ctx context.Context) error {
+func (r loopReg) await(ctx context.Context, key, readerID string) error {
 	select {
 	case <-ctx.Done():
-		s.close(false)
+		r.srv.unregister(key, readerID, false)
 		return nil
-	case <-s.down:
-		s.close(true)
+	case <-r.down:
+		r.srv.unregister(key, readerID, true)
 		return ErrServerDown
-	case <-s.flipped:
-		s.close(true)
-		if nack := s.srv.Admit(opClient, s.c.epoch); nack != nil {
+	case <-r.flipped:
+		r.srv.unregister(key, readerID, true)
+		if nack := r.srv.Admit(opClient, r.epoch); nack != nil {
 			return nack
 		}
-		st := s.srv.EpochStatus()
-		return &StaleEpochError{Server: s.c.idx, ServerEpoch: st.Epoch, Want: st.Epoch, Sealed: st.Sealed}
+		st := r.srv.EpochStatus()
+		return &StaleEpochError{Server: r.srv.idx, ServerEpoch: st.Epoch, Want: st.Epoch, Sealed: st.Sealed}
 	}
 }
 
@@ -511,11 +500,11 @@ func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver fu
 	if err := c.gate(ctx); err != nil {
 		return err
 	}
-	sub, err := c.subscribe(key, readerID, deliver)
+	s, err := c.subscribe(key, readerID, deliver)
 	if err != nil {
 		return err
 	}
-	return sub.await(ctx)
+	return s.reg.await(ctx, key, readerID)
 }
 
 // GetElem serves the repair collection phase. The corruption transform

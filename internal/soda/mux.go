@@ -63,20 +63,14 @@ type dialAttempt struct {
 	err  error
 }
 
-// muxWaiter is what an exchange is completed through, exactly once, by
-// whoever takes it out of the conn's table: the pump, with the server's
-// answer decoded into resp (lent for the call) or the typed error an error
-// or epoch-nack frame stands for; teardown, with what the session died of
-// and an empty resp. It runs on that goroutine and must not park.
-type muxWaiter interface {
-	answer(c *MuxConn, resp *response, err error)
-}
-
-// muxExchange is one request awaiting its answer. A get-data stays
+// muxExchange is one request awaiting its answer, completed exactly once
+// through w by whoever takes it out of the conn's table: the pump, with the
+// server's answer or the typed error an error or epoch-nack frame stands
+// for; teardown, with what the session died of. A get-data stays
 // registered through its deliveries, which go to deliver, until a frame
 // of any other type ends it.
 type muxExchange struct {
-	w       muxWaiter
+	w       waiter
 	deliver func(Delivery) // a get-data's relay sink, else nil
 	want    byte           // the response type that answers it
 	mark    int64          // the session's sent once the request was written
@@ -88,11 +82,13 @@ type muxAnswer struct {
 	err  error
 }
 
-// chanWaiter is that goroutine's waiter; cap 1, so the one answer never
-// blocks whoever brings it.
+// chanWaiter is that goroutine's waiter, and its own stepOp; cap 1, so the
+// one answer never blocks whoever brings it.
 type chanWaiter chan muxAnswer
 
-func (w chanWaiter) answer(_ *MuxConn, resp *response, err error) { w <- muxAnswer{*resp, err} }
+func (w chanWaiter) answer(_ int, resp *response, err error) { w <- muxAnswer{*resp, err} }
+
+func (w chanWaiter) take(byte) waiter { return w }
 
 // MuxConn implements Conn over one persistent multiplexed connection.
 type MuxConn struct {
@@ -233,7 +229,7 @@ func (c *MuxConn) teardown(s *muxSession, err error) {
 	c.mu.Unlock()
 	s.conn.Close()
 	for _, e := range lost {
-		e.w.answer(c, &response{}, err)
+		e.w.answer(c.idx, &response{}, err)
 	}
 }
 
@@ -252,17 +248,17 @@ func appendFrame(b []byte, req *request) []byte {
 // say. A var only so the stalled-peer test can shorten it.
 var writeStall = 10 * time.Second
 
-// send registers w for req's answer and writes req, and with it the
-// reader-dones that were waiting for a frame to ride, in one conn.Write.
-// Given the session a leg has dialed, it takes its turn at the connection
-// like any writer. Given none it runs on the goroutine that called Write or
-// Read, which may not wait for a socket: it sends only if a session is up,
-// nobody else is writing, and callerSendMax holds — else errNotNow. An
-// oversize frame is refused and fails only its own exchange. After an
-// error nothing is registered and not a byte written; after nil, w is
+// send registers op.take's waiter for req's answer and writes req, and with
+// it the reader-dones that were waiting for a frame to ride, in one
+// conn.Write. Given the session a leg has dialed, it takes its turn at the
+// connection like any writer. Given none it runs on the goroutine that
+// called Write or Read, which may not wait for a socket: it sends only if a
+// session is up, nobody else is writing, and callerSendMax holds — else
+// errNotNow. An oversize frame is refused and fails only its own exchange.
+// After an error nothing is taken or written; after nil, the waiter is
 // completed exactly once, a failed write included — a stalled one too —
 // which tears the (now desynced) session down under everything on it.
-func (c *MuxConn) send(s *muxSession, req *request, w muxWaiter, deliver func(Delivery)) error {
+func (c *MuxConn) send(s *muxSession, req *request, op stepOp, deliver func(Delivery)) error {
 	req.id = c.reqSeq.Add(1)
 	bp := getFrame()
 	*bp = appendFrame(*bp, req)
@@ -294,7 +290,7 @@ func (c *MuxConn) send(s *muxSession, req *request, w muxWaiter, deliver func(De
 		return err
 	}
 	c.carry(s, bp)
-	c.waiting[req.id] = muxExchange{w: w, deliver: deliver, want: rpcs[req.typ].resp, mark: s.sent}
+	c.waiting[req.id] = muxExchange{w: op.take(req.typ), deliver: deliver, want: rpcs[req.typ].resp, mark: s.sent}
 	c.mu.Unlock()
 	c.write(s, bp)
 	return nil
@@ -426,7 +422,7 @@ func (c *MuxConn) readLoop(s *muxSession) {
 			// An error or epoch-nack frame has decoded to the typed error it
 			// stands for; on a stream it is the NACK of an epoch flip that
 			// has already swept the registration.
-			e.w.answer(c, &resp, err)
+			e.w.answer(c.idx, &resp, err)
 		case err != nil:
 			c.teardown(s, err)
 			return
@@ -458,32 +454,38 @@ func (c *MuxConn) call(ctx context.Context, req *request, resp *response) error 
 	}
 }
 
-// The three client exchanges also come in the form a Writer or Reader
-// calls on its own goroutine: sent now, if that takes no waiting (send),
-// and answered on the pump, through w. A nil *MuxConn — a client's entry
-// for a conn that is not one (muxConnsOf) — never sends; false means
-// nothing happened and the exchange is owed a leg.
-
-func (c *MuxConn) getTagStart(key string, w muxWaiter) bool {
-	return c != nil && c.send(nil, &request{typ: msgGetTag, epoch: c.opts.epoch, key: key}, w, nil) == nil
-}
-
-// putDataStart borrows elem for the call: the frame carries a copy. An
-// element that would change hands (see handoff) is far past callerSendMax.
-func (c *MuxConn) putDataStart(key string, t Tag, elem []byte, vlen int, w muxWaiter) bool {
-	return c != nil && len(elem) < callerSendMax &&
-		c.send(nil, &request{typ: msgPutData, epoch: c.opts.epoch, key: key, tag: t, elem: elem, vlen: vlen}, w, nil) == nil
-}
-
-// getDataStart returns the stream's id, for drop: the reader ends it.
-func (c *MuxConn) getDataStart(key, readerID string, w muxWaiter, deliver func(Delivery)) (uint64, bool) {
-	if c == nil {
-		return 0, false
+// The three client exchanges as a Writer or Reader steps them (stepper):
+// sent now if that takes no waiting, to be answered on the pump, or not
+// taken, with nothing sent.
+func (c *MuxConn) step(req *request, op stepOp, deliver func(Delivery)) error {
+	if c.send(nil, req, op, deliver) != nil {
+		return errNotNow // the leg meets the refusal, if it was one, itself
 	}
-	req := request{typ: msgGetData, epoch: c.opts.epoch, key: key, reader: readerID}
-	sent := c.send(nil, &req, w, deliver) == nil
-	return req.id, sent
+	return errTaken
 }
+
+func (c *MuxConn) getTagStep(key string, op stepOp) (Tag, error) {
+	return Tag{}, c.step(&request{typ: msgGetTag, epoch: c.opts.epoch, key: key}, op, nil)
+}
+
+// putDataStep borrows elem for the call: the frame carries a copy. An
+// element that would change hands (see handoff) is far past callerSendMax.
+func (c *MuxConn) putDataStep(key string, t Tag, elem []byte, vlen int, op stepOp) error {
+	if len(elem) >= callerSendMax {
+		return errNotNow
+	}
+	return c.step(&request{typ: msgPutData, epoch: c.opts.epoch, key: key, tag: t, elem: elem, vlen: vlen}, op, nil)
+}
+
+// getDataStep names the stream by its request id, for endData.
+func (c *MuxConn) getDataStep(key, readerID string, op stepOp, deliver func(Delivery)) (sub, error) {
+	req := request{typ: msgGetData, epoch: c.opts.epoch, key: key, reader: readerID}
+	err := c.step(&req, op, deliver)
+	return sub{c: c, id: req.id}, err
+}
+
+// endData drops the stream; its reader-done rides the conn's next frame.
+func (c *MuxConn) endData(s sub, _, _ string) bool { return c.drop(s.id, true) }
 
 func (c *MuxConn) GetTag(ctx context.Context, key string) (Tag, error) {
 	var resp response

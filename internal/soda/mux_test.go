@@ -990,9 +990,9 @@ func muxSchedule(t *testing.T, seed int64, codec *Codec, conns []Conn, cores []*
 // (every exchange on a leg) and over a loopback one of whose servers is
 // reached through a socket (a MuxConn among loopConns) gives every
 // operation the same tag and value and leaves every server with the same
-// counts and the same (tag, vlen, element) under every key. The get-tags
-// of the third run are not compared: a write whose loopback pass could not
-// settle phase 0 — here, with f = 0, any — asks them all again on legs.
+// counts and the same (tag, vlen, element) under every key — get-tags
+// included: however a write's tag quorum is made up, no server is asked
+// twice.
 func TestMuxCallerSentVsLegsSequential(t *testing.T) {
 	checkNoLeaks(t)
 	codec, err := NewCodec(5, 3)
@@ -1033,8 +1033,7 @@ func TestMuxCallerSentVsLegsSequential(t *testing.T) {
 		for _, other := range []struct {
 			name    string
 			cluster func(*testing.T) ([]Conn, []*Server)
-			getTags bool
-		}{{"wrapped", overSockets(opaque), true}, {"a MuxConn among loopConns", oneSocket, false}} {
+		}{{"wrapped", overSockets(opaque)}, {"a MuxConn among loopConns", oneSocket}} {
 			conns, cores := other.cluster(t)
 			legs, legsFinal := muxSchedule(t, seed, codec, conns, cores)
 			for i := range sent {
@@ -1043,7 +1042,7 @@ func TestMuxCallerSentVsLegsSequential(t *testing.T) {
 				}
 			}
 			for i := range sentFinal {
-				if sentFinal[i] != legsFinal[i] && (other.getTags || !strings.HasPrefix(sentFinal[i], "get-tags:")) {
+				if sentFinal[i] != legsFinal[i] {
 					t.Fatalf("seed %d: raw: %s; %s: %s", seed, sentFinal[i], other.name, legsFinal[i])
 				}
 			}
@@ -1156,7 +1155,9 @@ func TestMuxStalledPeerNeverParksCallers(t *testing.T) {
 // countWaiter counts how often it is completed.
 type countWaiter struct{ n atomic.Int32 }
 
-func (w *countWaiter) answer(*MuxConn, *response, error) { w.n.Add(1) }
+func (w *countWaiter) answer(int, *response, error) { w.n.Add(1) }
+
+func (w *countWaiter) take(byte) waiter { return w }
 
 // TestMuxServerKilledMidPhase: two hundred times over, a server is
 // closed under clients in the middle of their writes and reads and brought
@@ -1223,7 +1224,8 @@ func TestMuxServerKilledMidPhase(t *testing.T) {
 		victim := rng.Intn(len(servers))
 		mc := conns[victim].(*MuxConn)
 		for i := 0; i < 3; i++ {
-			if p := new(countWaiter); mc.getTagStart("kill/0", p) {
+			p := new(countWaiter)
+			if _, err := mc.getTagStep("kill/0", p); err == errTaken {
 				probes = append(probes, p)
 			}
 		}

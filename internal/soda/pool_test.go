@@ -153,7 +153,8 @@ func TestConcurrentCallsSpawnFromDifferentLists(t *testing.T) {
 	r := mustReader(t, "r", codec, lb.Conns())
 	lists := make(map[*idleList]bool)
 	for i := 0; i < 2; i++ {
-		lists[w.getCall(ctx, testKey, nil, 0, writeTally{}).idle] = true
+		op := &writeOp{w: w, ctx: ctx, key: testKey, sc: &encodeScratch{}}
+		lists[op.called().idle] = true
 		lists[r.getState().idle] = true
 	}
 	if len(lists) != 4 {

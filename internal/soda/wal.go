@@ -384,7 +384,7 @@ func (w *wal) tryAppend(rec walRecord) (int64, error) {
 const syncSampleEvery = 64
 
 // syncWaitsForDevice is the sampled fsync duration from which a durable
-// put-data stops running on its writer's goroutine (loopConn.putDataNow)
+// put-data stops running on its writer's goroutine (loopConn.putDataStep)
 // and goes out on a leg: below it an fsync returns from the page cache
 // (under 1 us on a tmpfs) and five in a row cost less than one goroutine
 // handoff; above it the fsync waits for a device (150 us on the ext4 this
