@@ -3,7 +3,7 @@ GO ?= go
 # The benchmark selection shared by `make bench` and `make bench-json`.
 BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors|Stream
 
-.PHONY: all build build-cross test test-durability test-reconfig test-transport test-legs vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz loc
+.PHONY: all build build-cross test test-durability test-reconfig test-transport test-legs test-rs-gates vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz loc
 
 all: vet lint build test test-transport bench-check race
 
@@ -36,9 +36,10 @@ test-reconfig:
 	$(GO) test -race -run 'Reconfig|Epoch' ./internal/soda/
 
 # test-transport is the socket lane: the multiplexed client and the
-# NetServer behind it — frames sent from the caller and on legs, the
-# write-stall deadline, a server killed mid-phase, reader-dones riding the
-# next frame — three times over under the race detector.
+# NetServer behind it — frames queued to one writer per socket by callers
+# and by legs, the write-stall deadline on both ends, a server killed
+# mid-phase, reader-dones riding the next frame — three times over under
+# the race detector.
 test-transport:
 	$(GO) test -race -count=3 -run 'Mux|TCP|Stall|ConnWriter' ./internal/soda/
 
@@ -49,6 +50,13 @@ test-transport:
 # the race detector.
 test-legs:
 	$(GO) test -race -count=3 -run 'Inline|Legs|Hook|Sealed|Pending|StartsNothing' ./internal/soda/
+
+# test-rs-gates repeats the codec's exact gates — no goroutine started by
+# a coding call, no allocation on the capacity-ready paths (skipped under
+# the race detector, which allocates) — twenty times over under the race
+# detector, where an earlier test's exiting goroutines used to trip them.
+test-rs-gates:
+	$(GO) test -race -count=20 -run 'CodingStartsNoGoroutines|EncodeParity|CapacityReady|ZeroAlloc' ./internal/rs/
 
 race:
 	$(GO) test -race ./...

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // Regression tests for the codec API bugfixes that rode along with the
@@ -57,6 +58,9 @@ func TestEncodeKeepsParityCapacity(t *testing.T) {
 // entry capacity-ready (len 0, cap >= size), Encode must behave like
 // EncodeInto and not touch the heap.
 func TestEncodeCapacityReadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	rng := rand.New(rand.NewSource(72))
 	const size = 4096
 	e, err := New(9, 5)
@@ -164,7 +168,7 @@ func TestCodingStartsNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	want := makeShards(t, rng, e, size) // Encode
 
 	shards := cloneShards(want)
@@ -185,4 +189,22 @@ func TestCodingStartsNoGoroutines(t *testing.T) {
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("coding 1 MiB shards took the goroutine count from %d to %d", before, after)
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// five readings a millisecond apart (or after a second): an earlier test's
+// goroutines may still be exiting. The count stays exact — a comparison
+// that only caught growth would pass a call that starts a goroutine while
+// another exits.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(time.Second); still < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }

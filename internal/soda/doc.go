@@ -104,16 +104,19 @@
 // taken (stepper) — and every answer goes through the same tally and
 // completion rules the legs report into (writeTally; readState.addLocked,
 // check, lose). A loopback conn answers now: a reply is a function return.
-// A MuxConn takes the exchange: it writes the frame from the caller's
-// goroutine if the session is up, its write lock free (TryLock) and the
-// bytes that no answer yet vouches for within callerSendMax = 8 KiB (what
-// can still sit in a socket buffer, as TCP delivers in order), and its read
-// loop answers the operation's waiter (writeCall's tally and wake,
-// readState's sink). A read's reader-dones ride the conn's next frame, or
-// leave after a millisecond on their own. Owed a leg, one goroutine per
-// server, completing on the first n-f answers: every exchange of a conn that
-// is no stepper (one that wraps another); what a MuxConn does not take
-// (dialing, contended, past the bound); anything while a Loopback test hook
+// A MuxConn takes the exchange: it queues the frame from the caller's
+// goroutine to the session's writer (the connWriter a NetServer connection
+// has too: one goroutine per socket, frames queued meanwhile share its next
+// write) if the session is up, the queue has room and the bytes that no
+// answer yet vouches for are within callerSendMax = 8 KiB (what a peer that
+// stopped reading may absorb from callers, as TCP delivers in order), and
+// its read loop answers the operation's waiter (writeCall's tally and
+// wake, readState's sink). A read's reader-dones ride the conn's next
+// frame, or are queued after a millisecond on their own. Owed a leg, one
+// goroutine per server, completing on the first n-f answers: every
+// exchange of a conn that is no stepper (one that wraps another); what a
+// MuxConn does not take (dialing, past the bound or the queue's room, for
+// which a leg waits); anything while a Loopback test hook
 // is installed; a put-data to a durable server whose log or register was
 // busy on both visits, or whose fsyncs wait for a device; and the wait of a
 // read the pass left pending, whose legs watch the loopback registrations

@@ -1251,12 +1251,13 @@ func TestLegsOnlyForWrappedConns(t *testing.T) {
 		})
 	}
 
-	// Over sockets what is owed is settled frame by frame: a MuxConn that
-	// somebody else is writing to takes nothing from the caller, who does
-	// not wait for it. Here the test holds server 2's write lock: a write
-	// and a read complete on the other four, that conn's exchanges wait on
-	// legs, and the write's reach the server once the lock is let go.
-	t.Run("a MuxConn whose write lock is held", func(t *testing.T) {
+	// Over sockets an exchange is taken once it is queued, whatever the
+	// session's writer is busy with, and the caller does not wait for it.
+	// Here the test holds server 2's writer in a socket write: a write and a
+	// read complete on the other four with no leg, and the write's get-tag
+	// and put-data, queued on the held conn, reach its server once the
+	// writer is let go.
+	t.Run("a MuxConn whose writer is stuck", func(t *testing.T) {
 		checkNoLeaks(t)
 		const held = 2
 		ctx := testCtx(t)
@@ -1286,9 +1287,10 @@ func TestLegsOnlyForWrappedConns(t *testing.T) {
 		waitFor(t, "the first write's legs", legsHome)
 		seen := legsSeen(conns)
 
-		letGo := holdMutex(&mc.wmu)
+		sock := plug(t, mc, &sockCounter{held: make(chan struct{})})
+		letGo := sync.OnceFunc(func() { close(sock.held) })
 		defer letGo()
-		value := []byte("written past a conn that is busy")
+		value := []byte("written past a conn whose writer is stuck")
 		tag, err := w.Write(ctx, testKey, value)
 		if err != nil {
 			t.Fatal(err)
@@ -1296,21 +1298,19 @@ func TestLegsOnlyForWrappedConns(t *testing.T) {
 		if res, err := r.Read(ctx, testKey); err != nil || !bytes.Equal(res.Value, value) {
 			t.Fatalf("read = %q, %v; want %q", res.Value, err, value)
 		}
-		waitFor(t, "the leg of the write's exchanges with the held conn", func() bool { return seen.getTags.Load() == 1 })
-		if m := core.MetricsSnapshot(); m.GetTags != 1 || m.PutDatas != 1 || m.GetDatas != 0 || seen.putDatas.Load() != 0 {
-			t.Fatalf("behind the held lock server %d has served %d get-tags, %d put-datas, %d get-datas, and legs sent %d put-datas; want what the first write left and none",
-				held, m.GetTags, m.PutDatas, m.GetDatas, seen.putDatas.Load())
+		if m := core.MetricsSnapshot(); m.GetTags != 1 || m.PutDatas != 1 || m.GetDatas != 0 || seen.total() != 0 {
+			t.Fatalf("behind the stuck writer server %d has served %d get-tags, %d put-datas, %d get-datas, and legs made %d exchanges; want what the first write left and none",
+				held, m.GetTags, m.PutDatas, m.GetDatas, seen.total())
 		}
 		letGo()
-		waitFor(t, "the write's leg to land", func() bool {
+		waitFor(t, "the write's queued put-data to land", func() bool {
 			got, _, _ := core.Snapshot(testKey)
 			return got == tag
 		})
 		waitFor(t, "the legs", legsHome)
-		// The read sent a leg too, unless the other four had answered by the
-		// time its pass was over.
-		if g, p, d := seen.getTags.Load(), seen.putDatas.Load(), seen.getDatas.Load(); g != 1 || p != 1 || d > 1 {
-			t.Fatalf("legs made %d get-tags, %d put-datas and %d get-datas, want the held conn's: one, one, and one or none", g, p, d)
+		if m := core.MetricsSnapshot(); m.GetTags != 2 || m.PutDatas != 2 || seen.total() != 0 {
+			t.Fatalf("after the stuck writer was let go server %d has served %d get-tags and %d put-datas, and legs made %d exchanges; want the write's one of each, queued, and no leg",
+				held, m.GetTags, m.PutDatas, seen.total())
 		}
 	})
 }

@@ -27,32 +27,33 @@ import (
 // per-server error the quorum layer already knows how to charge.
 var errConnClosed = errors.New("soda: mux conn closed")
 
-// muxSession is one live connection generation.
+// muxSession is one live connection generation: the connection, the
+// writer that owns its write side, and the pump (readLoop) reading it.
 type muxSession struct {
 	conn net.Conn
-	// rearm is when the connection's write deadline next needs pushing
-	// out (see write); guarded by the owning MuxConn's wmu.
-	rearm time.Time
+	w    *connWriter
 	// Guarded by the MuxConn's mu. err is what the session died of, set by
-	// teardown. sent counts the bytes written to conn, answered how many of
-	// them the server is known to have read: TCP delivers in order, so an
-	// answer to one request vouches for every byte written before it.
+	// teardown. sent counts the bytes queued to w, answered how many of
+	// them the server is known to have read: w writes in queue order and
+	// TCP delivers in order, so an answer to one request vouches for every
+	// byte queued before it.
 	err            error
 	sent, answered int64
 }
 
-// callerSendMax bounds sent-answered for a frame that is written by a
-// goroutine which may not wait for the socket (send with no session). What
-// is written and not yet vouched for is all that can still sit in the two
-// kernels' buffers, and a write parks only on a full send buffer. Linux
-// gives a TCP socket 16 KiB of one before any autotuning (the default of
-// net.ipv4.tcp_wmem; the BSDs' net.inet.tcp.sendspace is 32 KiB or more),
-// on top of the peer's receive buffer; half the smaller figure leaves the
-// kernel's own per-segment bookkeeping its share.
+// callerSendMax bounds sent-answered for a frame queued by the goroutine
+// that called Write or Read (send with no session): how much a peer that
+// stopped reading may absorb from callers before their exchanges with it
+// go on legs. Within it, what no answer vouches for fits the two kernels'
+// buffers. Linux gives a TCP socket 16 KiB of send buffer before any
+// autotuning (the default of net.ipv4.tcp_wmem; the BSDs'
+// net.inet.tcp.sendspace is 32 KiB or more), on top of the peer's receive
+// buffer; half the smaller figure leaves the kernel's own per-segment
+// bookkeeping its share.
 const callerSendMax = 8 << 10
 
 // doneFlush is how long a reader-done waits for a frame to ride with
-// before the conn writes it on its own.
+// before the conn queues it on its own.
 const doneFlush = time.Millisecond
 
 // dialAttempt is the singleflight cell concurrent session() calls
@@ -73,7 +74,7 @@ type muxExchange struct {
 	w       waiter
 	deliver func(Delivery) // a get-data's relay sink, else nil
 	want    byte           // the response type that answers it
-	mark    int64          // the session's sent once the request was written
+	mark    int64          // the session's sent once the request was queued
 }
 
 // muxAnswer is what the exchange of a goroutine that parks for it came to.
@@ -97,15 +98,14 @@ type MuxConn struct {
 	opts tcpOpts
 
 	reqSeq atomic.Uint64
-	wmu    sync.Mutex // serializes frame writes to the live connection
 
 	mu       sync.Mutex
 	sess     *muxSession
 	dialing  *dialAttempt
 	closed   bool
 	waiting  map[uint64]muxExchange // every exchange in flight on sess, by request id
-	dones    []uint64               // ended streams whose reader-done is still to be written
-	flusher  *time.Timer            // writes dones when no request comes by to carry them
+	dones    []uint64               // ended streams whose reader-done is still to be queued
+	flusher  *time.Timer            // queues dones when no request comes by to carry them
 	flushing bool                   // flusher is armed
 }
 
@@ -195,12 +195,10 @@ func (c *MuxConn) session(ctx context.Context) (*muxSession, error) {
 				close(att.done)
 				return nil, err
 			}
-			s := &muxSession{conn: conn}
-			c.sess = s
+			s := c.open(conn)
 			c.mu.Unlock()
 			att.sess = s
 			close(att.done)
-			go c.readLoop(s)
 			return s, nil
 		}
 		c.mu.Unlock()
@@ -216,8 +214,20 @@ func (c *MuxConn) session(ctx context.Context) (*muxSession, error) {
 	}
 }
 
+// open makes conn the live session and starts its writer and pump, either
+// of which tears it down on failure; mu is held, so not before it is live.
+func (c *MuxConn) open(conn net.Conn) *muxSession {
+	s := &muxSession{conn: conn}
+	s.w = newConnWriter(conn, outQueueDepth, func(err error) { c.teardown(s, err) })
+	c.sess = s
+	go s.w.run()
+	go c.readLoop(s)
+	return s
+}
+
 // teardown ends a session — once, however many find it broken — and
-// completes every exchange registered on it with err.
+// completes every exchange registered on it with err; its writer recycles
+// what it still holds.
 func (c *MuxConn) teardown(s *muxSession, err error) {
 	c.mu.Lock()
 	var lost map[uint64]muxExchange
@@ -228,6 +238,7 @@ func (c *MuxConn) teardown(s *muxSession, err error) {
 	}
 	c.mu.Unlock()
 	s.conn.Close()
+	s.w.shutdown()
 	for _, e := range lost {
 		e.w.answer(c.idx, &response{}, err)
 	}
@@ -241,87 +252,66 @@ func appendFrame(b []byte, req *request) []byte {
 	return b
 }
 
-// writeStall bounds how long one frame write may sit in a full socket
-// buffer. A peer that accepted the connection and then stopped reading
-// would otherwise block conn.Write — and, behind wmu, every later
-// exchange to that server — forever, whatever the callers' contexts
-// say. A var only so the stalled-peer test can shorten it.
-var writeStall = 10 * time.Second
-
-// send registers op.take's waiter for req's answer and writes req, and with
-// it the reader-dones that were waiting for a frame to ride, in one
-// conn.Write. Given the session a leg has dialed, it takes its turn at the
-// connection like any writer. Given none it runs on the goroutine that
-// called Write or Read, which may not wait for a socket: it sends only if a
-// session is up, nobody else is writing, and callerSendMax holds — else
-// errNotNow. An oversize frame is refused and fails only its own exchange.
-// After an error nothing is taken or written; after nil, the waiter is
-// completed exactly once, a failed write included — a stalled one too —
-// which tears the (now desynced) session down under everything on it.
+// send queues req, with the reader-dones waiting for a frame to ride, and
+// registers op.take's waiter for its answer in one critical section: the
+// pump never meets an answer to an exchange not yet registered, and sent
+// is counted in queue order. Given the session a leg has dialed, it waits
+// outside mu for room in a full queue, until the session dies. Given none
+// it runs on the goroutine that called Write or Read, which never parks: it
+// queues only if a session is up, callerSendMax holds and the queue has
+// room — else errNotNow. An oversize frame fails only its own exchange.
+// After an error nothing is taken or queued; after nil, the waiter is
+// completed exactly once, a failed or stalled write included, which tears
+// the session down under everything on it.
 func (c *MuxConn) send(s *muxSession, req *request, op stepOp, deliver func(Delivery)) error {
 	req.id = c.reqSeq.Add(1)
 	bp := getFrame()
 	*bp = appendFrame(*bp, req)
-	var err error
-	switch n := len(*bp) - 4; {
-	case n > maxFrame:
-		err = fmt.Errorf("%w: %d byte frame exceeds %d", ErrFrame, n, maxFrame)
-	case s != nil:
-		c.wmu.Lock()
-	case !c.wmu.TryLock():
-		err = errNotNow
-	}
-	if err != nil {
+	if n := len(*bp) - 4; n > maxFrame {
 		putFrame(bp)
-		return err
+		return fmt.Errorf("%w: %d byte frame exceeds %d", ErrFrame, n, maxFrame)
 	}
-	c.mu.Lock()
-	if s == nil {
-		if s = c.sess; s == nil || s.sent-s.answered+int64(len(*bp)) > callerSendMax {
+	leg := s != nil
+	for {
+		var err error
+		c.mu.Lock()
+		switch {
+		case leg && c.sess != s:
+			err = s.err
+		case !leg && (c.sess == nil || c.sess.sent-c.sess.answered+int64(len(*bp)) > callerSendMax):
 			err = errNotNow
+		case c.queue(c.sess, bp):
+			s = c.sess
+			c.waiting[req.id] = muxExchange{w: op.take(req.typ), deliver: deliver, want: rpcs[req.typ].resp, mark: s.sent}
+			c.mu.Unlock()
+			return nil
+		case !leg:
+			err = errNotNow // the queue is full
 		}
-	} else if c.sess != s {
-		err = s.err
-	}
-	if err != nil {
 		c.mu.Unlock()
-		c.wmu.Unlock()
-		putFrame(bp)
-		return err
+		if err != nil {
+			putFrame(bp)
+			return err
+		}
+		s.w.wait()
 	}
-	c.carry(s, bp)
-	c.waiting[req.id] = muxExchange{w: op.take(req.typ), deliver: deliver, want: rpcs[req.typ].resp, mark: s.sent}
-	c.mu.Unlock()
-	c.write(s, bp)
-	return nil
 }
 
-// carry appends the waiting reader-dones to bp and counts all of bp as
-// sent. Both locks are held.
-func (c *MuxConn) carry(s *muxSession, bp *[]byte) {
+// queue hands bp, with the waiting reader-dones appended, to s's writer and
+// counts it as sent; mu is held. A full queue leaves bp and the dones be.
+func (c *MuxConn) queue(s *muxSession, bp *[]byte) bool {
+	n := len(*bp)
 	for _, id := range c.dones {
 		*bp = appendFrame(*bp, &request{typ: msgReaderDone, id: id, epoch: c.opts.epoch})
 	}
+	size := int64(len(*bp))
+	if !s.w.trySend(bp) {
+		*bp = (*bp)[:n]
+		return false
+	}
 	c.dones = c.dones[:0]
-	s.sent += int64(len(*bp))
-}
-
-// write puts bp on the wire, recycles it and gives up wmu, which the
-// caller took.
-func (c *MuxConn) write(s *muxSession, bp *[]byte) {
-	// The deadline is pushed out lazily, once per half period instead of
-	// once per frame, so a write always starts with between writeStall/2
-	// and writeStall left on it.
-	if now := time.Now(); now.After(s.rearm) {
-		s.conn.SetWriteDeadline(now.Add(writeStall))
-		s.rearm = now.Add(writeStall / 2)
-	}
-	_, err := s.conn.Write(*bp)
-	c.wmu.Unlock()
-	putFrame(bp)
-	if err != nil {
-		c.teardown(s, err)
-	}
+	s.sent += size
+	return true
 }
 
 // drop takes an exchange back from the client's side: a cancelled call, a
@@ -351,29 +341,19 @@ func (c *MuxConn) drop(id uint64, stream bool) bool {
 	return true
 }
 
-// flushDones is the flusher: it writes the reader-dones no frame came by
-// to carry. Best effort — a failed write kills the session, and the
-// server's cleanup behind it ends every registration.
+// flushDones is the flusher: it queues the reader-dones no frame came by
+// to carry. Best effort — a full queue leaves them to the legs waiting for
+// room, and a dead session's server ends every registration itself.
 func (c *MuxConn) flushDones() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.flushing = false
-	carried := len(c.dones) == 0
-	c.mu.Unlock()
-	if carried {
-		return // the usual case, and no reason to take the lock a caller may be trying
+	if s := c.sess; s != nil && len(c.dones) > 0 {
+		bp := getFrame()
+		if !c.queue(s, bp) {
+			putFrame(bp)
+		}
 	}
-	c.wmu.Lock()
-	c.mu.Lock()
-	s := c.sess
-	if s == nil || len(c.dones) == 0 {
-		c.mu.Unlock()
-		c.wmu.Unlock()
-		return
-	}
-	bp := getFrame()
-	c.carry(s, bp)
-	c.mu.Unlock()
-	c.write(s, bp)
 }
 
 // readLoop is the demux pump: it decodes every inbound frame (the buffer
@@ -455,8 +435,8 @@ func (c *MuxConn) call(ctx context.Context, req *request, resp *response) error 
 }
 
 // The three client exchanges as a Writer or Reader steps them (stepper):
-// sent now if that takes no waiting, to be answered on the pump, or not
-// taken, with nothing sent.
+// queued now if that takes no waiting, to be answered on the pump, or not
+// taken, with nothing queued.
 func (c *MuxConn) step(req *request, op stepOp, deliver func(Delivery)) error {
 	if c.send(nil, req, op, deliver) != nil {
 		return errNotNow // the leg meets the refusal, if it was one, itself

@@ -182,10 +182,10 @@ func TestMuxIgnoresUnknownRequestIDs(t *testing.T) {
 }
 
 // TestMuxStalledPeerUnblocksWriters: a peer that accepts the connection
-// and never reads must not hold a write — and everyone queued behind it
-// on wmu — forever. The write-stall deadline fails the stuck write, the
-// session is torn down like after any failed write, and the next
-// operation redials.
+// and never reads must not hold the session's writer in a socket write —
+// and every exchange queued behind it — forever. The write-stall deadline
+// fails the stuck write, the session is torn down like after any failed
+// write, and the next operation redials.
 func TestMuxStalledPeerUnblocksWriters(t *testing.T) {
 	checkNoLeaks(t)
 	defer func(d time.Duration) { writeStall = d }(writeStall)
@@ -362,44 +362,79 @@ func TestRawConnSurvivesGarbageRequestID(t *testing.T) {
 	}
 }
 
-// TestConnWriterBatchesFlushes pins the write-side coalescing: frames
-// queued while the writer is busy go to the wire in a handful of
-// flushes, not one syscall per frame.
+// TestConnWriterBatchesFlushes pins the write-side coalescing on both ends
+// of a connection: frames queued while the writer is busy go to the wire in
+// a handful of socket writes, not one syscall per frame.
 func TestConnWriterBatchesFlushes(t *testing.T) {
-	checkNoLeaks(t)
-	client, srv := net.Pipe()
-	defer client.Close()
 	const frames = 48
-	w := newConnWriter(srv, frames)
-	// Preload the queue before the writer goroutine starts: every frame
-	// is waiting when the first drain begins, so all of them must
-	// coalesce into one buffered batch.
-	for i := 1; i <= frames; i++ {
-		if !w.send(frame(&response{typ: msgAck, id: uint64(i), epoch: SeedEpoch})) {
-			t.Fatalf("send %d refused", i)
+	t.Run("a NetServer connection's", func(t *testing.T) {
+		checkNoLeaks(t)
+		client, srv := net.Pipe()
+		defer client.Close()
+		sock := &sockCounter{Conn: srv}
+		w := newConnWriter(sock, frames, func(error) { srv.Close() })
+		// Preload the queue before the writer goroutine starts: every frame
+		// is waiting when the first drain begins, so all of them must
+		// coalesce into one buffered batch.
+		for i := 1; i <= frames; i++ {
+			if !w.send(frame(&response{typ: msgAck, id: uint64(i), epoch: SeedEpoch})) {
+				t.Fatalf("send %d refused", i)
+			}
 		}
-	}
-	done := make(chan struct{})
-	go func() {
-		w.run()
-		close(done)
-	}()
-	br := bufio.NewReader(client)
-	for i := 1; i <= frames; i++ {
-		payload, err := readFrame(br, nil)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		done := make(chan struct{})
+		go func() {
+			w.run()
+			close(done)
+		}()
+		br := bufio.NewReader(client)
+		for i := 1; i <= frames; i++ {
+			payload, err := readFrame(br, nil)
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			var resp response
+			if err := decodeResponse(payload, msgAck, &resp); err != nil || resp.id != uint64(i) {
+				t.Fatalf("frame %d = req %d, %v (reordered?)", i, resp.id, err)
+			}
 		}
-		var resp response
-		if err := decodeResponse(payload, msgAck, &resp); err != nil || resp.id != uint64(i) {
-			t.Fatalf("frame %d = req %d, %v (reordered?)", i, resp.id, err)
+		w.shutdown()
+		<-done
+		if n := countFrames(t, sock).writes; n < 1 || n > 3 {
+			t.Fatalf("%d frames took %d socket writes, want 1-3 (coalescing broken)", frames, n)
 		}
-	}
-	w.shutdown()
-	<-done
-	if w.flushes < 1 || w.flushes > 3 {
-		t.Fatalf("%d frames took %d flushes, want 1-3 (coalescing broken)", frames, w.flushes)
-	}
+	})
+	// A MuxConn's exchanges are queued by whoever makes them: the first
+	// frame takes the session's writer into a socket write the test holds,
+	// and the callers' frames queued meanwhile leave together after it.
+	t.Run("a MuxConn session's", func(t *testing.T) {
+		checkNoLeaks(t)
+		addrs, _ := startTCPServers(t, 1)
+		c := TCPMuxConn(0, addrs[0])
+		defer c.Close()
+		sock := plug(t, c, &sockCounter{held: make(chan struct{})})
+		waiters := make([]*countWaiter, frames+1)
+		for i := range waiters {
+			waiters[i] = new(countWaiter)
+			if _, err := c.getTagStep(testKey, waiters[i]); err != errTaken {
+				t.Fatalf("get-tag %d = %v, want it taken", i, err)
+			}
+			if i == 0 {
+				waitFor(t, "the writer's first socket write", func() bool { return countFrames(t, sock).writes == 1 })
+			}
+		}
+		close(sock.held)
+		waitFor(t, "every answer", func() bool {
+			for _, w := range waiters {
+				if w.n.Load() != 1 {
+					return false
+				}
+			}
+			return true
+		})
+		if n := countFrames(t, sock).writes - 1; n < 1 || n > 3 {
+			t.Fatalf("%d frames queued behind a busy writer took %d socket writes, want 1-3 (coalescing broken)", frames, n)
+		}
+	})
 }
 
 // TestMuxRedialsAfterServerRestart: losing the connection fails the
@@ -785,9 +820,11 @@ func legsSeen(conns []Conn) *exchanges {
 
 func (e *exchanges) total() int64 { return e.getTags.Load() + e.putDatas.Load() + e.getDatas.Load() }
 
-// sockCounter keeps what each Write call on a session's socket wrote.
+// sockCounter keeps what each Write call on a socket wrote. With held set,
+// each Write then waits for held to close.
 type sockCounter struct {
 	net.Conn
+	held   chan struct{}
 	mu     sync.Mutex
 	writes [][]byte
 }
@@ -796,56 +833,91 @@ func (c *sockCounter) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	c.writes = append(c.writes, bytes.Clone(p))
 	c.mu.Unlock()
+	if c.held != nil {
+		<-c.held
+	}
 	return c.Conn.Write(p)
 }
 
-// count reports the Write calls that carried a request, those that
-// carried reader-dones only, and those that carried both.
-func (c *sockCounter) count(t *testing.T) (requests, donesOnly, both int) {
+// sockCount is what a sockCounter saw: the frames that carried a request,
+// the reader-dones, those of them that shared a socket write with a
+// request, the socket writes that carried reader-dones alone, and the
+// socket writes.
+type sockCount struct{ requests, dones, riding, donesOnly, writes int }
+
+// countFrames reads the frames in each socket write of socks; a frame
+// must not straddle two (a write carries all of a batch of small frames).
+func countFrames(t *testing.T, socks ...*sockCounter) (n sockCount) {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, p := range c.writes {
-		dones, others := 0, 0
-		for len(p) > 0 {
-			n := int(binary.BigEndian.Uint32(p))
-			if p[4] == msgReaderDone {
-				dones++
-			} else {
-				others++
+	for _, c := range socks {
+		c.mu.Lock()
+		for _, p := range c.writes {
+			dones, others := 0, 0
+			for len(p) > 0 {
+				size := 4 + int(binary.BigEndian.Uint32(p))
+				if size > len(p) {
+					t.Fatalf("a %d byte frame straddles a socket write", size)
+				}
+				if p[4] == msgReaderDone {
+					dones++
+				} else {
+					others++
+				}
+				p = p[size:]
 			}
-			p = p[4+n:]
+			n.requests += others
+			n.dones += dones
+			if others == 0 {
+				n.donesOnly++
+			} else {
+				n.riding += dones
+			}
 		}
-		switch {
-		case others == 0:
-			donesOnly++
-		case dones > 0:
-			both++
-			fallthrough
-		default:
-			requests++
-		}
+		n.writes += len(c.writes)
+		c.mu.Unlock()
 	}
-	return requests, donesOnly, both
+	return n
 }
 
-// countWrites puts a sockCounter under the live session of each conn,
-// which has answered an exchange already: its pump has the socket it
-// reads from.
+// plug tears c's session down, if it has one, and opens a fresh one on a
+// connection seen through sock: every socket write of the session's writer
+// goes through sock. Nothing may be in flight on c.
+func plug(t *testing.T, c *MuxConn, sock *sockCounter) *sockCounter {
+	t.Helper()
+	conn, err := net.Dial("tcp", c.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One exchange before the session opens: once the server has answered
+	// it, every goroutine the server keeps for the connection is running.
+	if _, err := conn.Write(appendFrame(nil, &request{typ: msgKeys, id: 1, epoch: c.opts.epoch})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readFrame(conn, nil); err != nil {
+		t.Fatal(err)
+	}
+	sock.Conn = conn
+	c.mu.Lock()
+	old := c.sess
+	c.mu.Unlock()
+	if old != nil {
+		c.teardown(old, errConnClosed)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.sess != nil {
+		t.Fatal("the conn dialed a session of its own")
+	}
+	c.open(sock)
+	return sock
+}
+
+// countWrites plugs a sockCounter under each conn.
 func countWrites(t *testing.T, conns []Conn) []*sockCounter {
 	t.Helper()
 	out := make([]*sockCounter, len(conns))
 	for i, c := range conns {
-		mc := c.(*MuxConn)
-		mc.wmu.Lock()
-		mc.mu.Lock()
-		if mc.sess == nil {
-			t.Fatalf("conn %d has no session", i)
-		}
-		out[i] = &sockCounter{Conn: mc.sess.conn}
-		mc.sess.conn = out[i]
-		mc.mu.Unlock()
-		mc.wmu.Unlock()
+		out[i] = plug(t, c.(*MuxConn), &sockCounter{})
 	}
 	return out
 }
@@ -863,8 +935,9 @@ func unanswered(c *MuxConn) int64 {
 // TestMuxSteadyStateStartsNothing: once its conns are dialed, a Writer
 // and Reader over raw MuxConns take no goroutine to a 128 B write or read —
 // no leg makes an exchange, and no goroutine is left that was not there —
-// and the client's side of a write is ten socket writes, of a read five:
-// the reader-dones of one read go out in the writes of the next operation.
+// and the client's side of a write is ten frames, of a read five, in no
+// more socket writes than frames: the reader-dones of one read go out in
+// the socket writes of the next operation.
 func TestMuxSteadyStateStartsNothing(t *testing.T) {
 	checkNoLeaks(t)
 	const ops = 200
@@ -895,30 +968,27 @@ func TestMuxSteadyStateStartsNothing(t *testing.T) {
 			t.Fatalf("read %d = %v, %v", i, res.Value, err)
 		}
 	}
-	var requests, donesOnly, both int
-	for _, s := range socks {
-		r, d, b := s.count(t)
-		requests, donesOnly, both = requests+r, donesOnly+d, both+b
-	}
-	// The one thing a lone client can find a conn busy with is the flusher
-	// in its write, when a millisecond passed between a read and the next
-	// frame to that server (a loaded machine, the race detector): the frame
-	// that met it went on a leg, which makes two exchanges of a write.
-	if n := seen.total(); n > 2*int64(donesOnly) {
-		t.Errorf("legs made %d exchanges (%d get-tags, %d put-datas, %d get-datas) in %d steady-state writes and reads, and the flusher wrote %d times",
-			n, seen.getTags.Load(), seen.putDatas.Load(), seen.getDatas.Load(), ops, donesOnly)
+	n := countFrames(t, socks...)
+	// A conn takes every frame a lone client queues: its session is up, and
+	// what no answer vouches for stays far inside callerSendMax.
+	if legs := seen.total(); legs != 0 {
+		t.Errorf("legs made %d exchanges (%d get-tags, %d put-datas, %d get-datas) in %d steady-state writes and reads",
+			legs, seen.getTags.Load(), seen.putDatas.Load(), seen.getDatas.Load(), ops)
 	}
 	if got := startedGoroutines(); got > goroutines {
 		t.Errorf("%d goroutines before %d writes and reads, %d after", goroutines, ops, got)
 	}
 	// A read that completes on four answers may not send the fifth get-data.
-	if requests > 15*ops || requests < 14*ops {
-		t.Errorf("%d socket writes carried a request in %d writes and reads, want ten to a write and five (or four) to a read", requests, ops)
+	if n.requests > 15*ops || n.requests < 14*ops {
+		t.Errorf("%d frames carried a request in %d writes and reads, want ten to a write and five (or four) to a read", n.requests, ops)
 	}
 	// The flusher's turn comes when a millisecond passes between a read and
 	// the next write to the same server: rarely, on a loaded machine.
-	if donesOnly > ops/4 || both < 4*ops {
-		t.Errorf("%d socket writes carried reader-dones alone and %d with a request, in %d reads of five servers", donesOnly, both, ops)
+	if n.donesOnly > ops/4 || n.riding < 4*ops {
+		t.Errorf("%d socket writes carried reader-dones alone and %d reader-dones rode with a request, in %d reads of five servers", n.donesOnly, n.riding, ops)
+	}
+	if frames := n.requests + n.dones; n.writes > frames {
+		t.Errorf("%d frames took %d socket writes", frames, n.writes)
 	}
 	// An idle conn set: the last read's reader-dones leave on their own.
 	deadline := time.Now().Add(50 * time.Millisecond)

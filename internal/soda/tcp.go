@@ -3,6 +3,7 @@ package soda
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -22,7 +23,7 @@ import (
 // frame waiting, which is what makes relay fan-out cheap under load.
 //
 // MuxConn (mux.go) is the client: one persistent pipelined connection
-// per server.
+// per server, whose requests go through a connWriter of their own.
 
 // NetServer serves one SODA server over TCP with the wire.go framing.
 type NetServer struct {
@@ -101,12 +102,13 @@ func (ns *NetServer) acceptLoop() {
 	}
 }
 
-// outQueueDepth bounds how many undelivered outbound frames one
+// outQueueDepth bounds how many undelivered outbound frames one end of a
 // connection may queue. Unary responses block the connection's read
 // loop when it fills (backpressure on that client's own pipelining);
 // relay deliveries never block — overflow means the reader is not
 // draining, and the stream's whole connection is killed rather than
-// stalling the put-data path that triggered the relay.
+// stalling the put-data path that triggered the relay. A MuxConn refuses
+// the caller and keeps a leg waiting.
 const outQueueDepth = 4096
 
 // streamSub is one live get-data registration on a connection, keyed
@@ -131,10 +133,12 @@ type netConn struct {
 	resp response
 }
 
-// frame encodes resp into a pooled buffer for the connWriter.
+// frame encodes resp as one length-prefixed frame in a pooled buffer for
+// the connWriter.
 func frame(resp *response) *[]byte {
 	bp := getFrame()
-	*bp = appendResponse(*bp, resp)
+	*bp = appendResponse(append(*bp, 0, 0, 0, 0), resp)
+	binary.BigEndian.PutUint32(*bp, uint32(len(*bp)-4))
 	return bp
 }
 
@@ -174,7 +178,9 @@ func (sc *netConn) watchEpochs(stop <-chan struct{}) {
 			for id, sub := range sc.subs {
 				// Forced: the handler may still be copying the initial element.
 				sc.core.unregister(sub.key, sub.rid, true)
-				sc.w.trySend(frame(&response{typ: msgEpochNack, id: id, epoch: st.Epoch, want: want, sealed: st.Sealed}))
+				if bp := frame(&response{typ: msgEpochNack, id: id, epoch: st.Epoch, want: want, sealed: st.Sealed}); !sc.w.trySend(bp) {
+					putFrame(bp)
+				}
 				delete(sc.subs, id)
 			}
 			sc.mu.Unlock()
@@ -191,7 +197,8 @@ func (sc *netConn) watchEpochs(stop <-chan struct{}) {
 
 func (ns *NetServer) handle(conn net.Conn) {
 	defer ns.wg.Done()
-	sc := &netConn{core: ns.core, w: newConnWriter(conn, outQueueDepth), subs: make(map[uint64]streamSub)}
+	// A failed write fails the read loop too, whose teardown stops the writer.
+	sc := &netConn{core: ns.core, w: newConnWriter(conn, outQueueDepth, func(error) { conn.Close() }), subs: make(map[uint64]streamSub)}
 	ns.wg.Add(1)
 	go func() {
 		defer ns.wg.Done()
@@ -302,6 +309,7 @@ func (sc *netConn) openStream(req *request) bool {
 	sink := func(d Delivery) {
 		bp := frame(&response{typ: msgData, id: id, epoch: d.Epoch, tag: d.Tag, vlen: d.VLen, initial: d.Initial, elem: d.Elem})
 		if !sc.w.trySend(bp) {
+			putFrame(bp)
 			sc.core.Metrics().relayDrops.Add(1)
 			sc.w.kill()
 		}
@@ -333,21 +341,31 @@ func (sc *netConn) closeStream(id uint64) {
 	sc.mu.Unlock()
 }
 
-// connWriter owns a connection's write side: every outbound frame —
-// unary responses, relay deliveries, error frames — is queued here and
-// written by one goroutine through a bufio.Writer that is flushed only
-// when the queue goes momentarily empty. Back-to-back relays and
-// pipelined responses therefore coalesce into one syscall.
+// writeStall bounds how long one socket write may sit in a full socket
+// buffer. A peer that stopped reading would otherwise pin a connWriter in
+// conn.Write — and, once its queue is full, whoever queues behind it —
+// forever, whatever the callers' contexts say. A var only so the
+// stalled-peer tests can shorten it.
+var writeStall = 10 * time.Second
+
+// connWriter owns one end's writes to a connection, a NetServer's or a
+// MuxConn session's: every outbound frame, length-prefixed, is queued here
+// and written by one goroutine through a bufio.Writer that is flushed only
+// when the queue goes momentarily empty. Frames queued while a write is on
+// the wire — relays, pipelined responses, requests from concurrent callers
+// and legs — therefore leave together in one syscall. The first write that
+// fails or stalls calls fail; every frame after it is dropped.
 type connWriter struct {
 	conn    net.Conn
 	ch      chan *[]byte
 	done    chan struct{} // closed by shutdown: stop accepting, drain, exit
 	stopped sync.Once
-	flushes int // run-loop only; exposed for the batching test
+	fail    func(error)
+	rearm   time.Time // when the write deadline next needs pushing out; run loop only
 }
 
-func newConnWriter(conn net.Conn, depth int) *connWriter {
-	return &connWriter{conn: conn, ch: make(chan *[]byte, depth), done: make(chan struct{})}
+func newConnWriter(conn net.Conn, depth int, fail func(error)) *connWriter {
+	return &connWriter{conn: conn, ch: make(chan *[]byte, depth), done: make(chan struct{}), fail: fail}
 }
 
 // send queues a frame, blocking while the queue is full. It reports
@@ -363,11 +381,10 @@ func (w *connWriter) send(bp *[]byte) bool {
 }
 
 // trySend queues a frame without blocking; false means the queue is
-// full or the writer is gone.
+// full or the writer is gone, and the frame is still the caller's.
 func (w *connWriter) trySend(bp *[]byte) bool {
 	select {
 	case <-w.done:
-		putFrame(bp)
 		return false
 	default:
 	}
@@ -375,8 +392,17 @@ func (w *connWriter) trySend(bp *[]byte) bool {
 	case w.ch <- bp:
 		return true
 	default:
-		putFrame(bp)
 		return false
+	}
+}
+
+// wait returns once the queue has had room, or the writer has shut down,
+// for a goroutine that may only trySend: it queues a nil frame, which the
+// writer skips.
+func (w *connWriter) wait() {
+	select {
+	case w.ch <- nil:
+	case <-w.done:
 	}
 }
 
@@ -393,24 +419,39 @@ func (w *connWriter) kill() {
 	w.conn.Close()
 }
 
+// Write is the bufio.Writer's sink. The deadline is pushed out lazily, once
+// per half period, so a write starts with writeStall/2 to writeStall left.
+func (w *connWriter) Write(p []byte) (int, error) {
+	if now := time.Now(); now.After(w.rearm) {
+		w.conn.SetWriteDeadline(now.Add(writeStall))
+		w.rearm = now.Add(writeStall / 2)
+	}
+	return w.conn.Write(p)
+}
+
 // run is the writer goroutine: drain, write, and flush exactly when
-// the queue goes empty — the per-connection batching.
+// the queue goes empty — the per-connection batching. A failed write's
+// error sticks in bw.
 func (w *connWriter) run() {
-	bw := bufio.NewWriter(w.conn)
+	bw := bufio.NewWriter(w)
 	failed := false
-	emit := func(bp *[]byte) {
-		if !failed && writeFrame(bw, *bp) != nil {
+	check := func(err error) {
+		if err != nil && !failed {
 			failed = true
-			w.conn.Close() // fail the read loop too
+			w.fail(err)
 		}
-		putFrame(bp)
+	}
+	emit := func(bp *[]byte) {
+		if bp != nil { // nil holds a place for wait
+			_, err := bw.Write(*bp)
+			check(err)
+			putFrame(bp)
+		}
 	}
 	flush := func() {
-		if !failed && bw.Flush() != nil {
-			failed = true
-			w.conn.Close()
+		if bw.Buffered() > 0 {
+			check(bw.Flush())
 		}
-		w.flushes++
 	}
 	for {
 		select {
@@ -419,9 +460,7 @@ func (w *connWriter) run() {
 		default:
 			// Queue momentarily empty: the batch is as big as it is
 			// going to get, push it to the wire.
-			if bw.Buffered() > 0 {
-				flush()
-			}
+			flush()
 			select {
 			case bp := <-w.ch:
 				emit(bp)
@@ -432,9 +471,7 @@ func (w *connWriter) run() {
 					case bp := <-w.ch:
 						emit(bp)
 					default:
-						if bw.Buffered() > 0 {
-							flush()
-						}
+						flush()
 						w.conn.Close()
 						return
 					}

@@ -266,6 +266,33 @@ func TestTCPUnknownTypeByte(t *testing.T) {
 	}
 }
 
+// TestTCPServerCutsOffAClientThatNeverReads: a client that pipelines
+// requests and never reads the answers holds its connection's writer in a
+// socket write for no longer than writeStall. The write fails, the
+// connection closes, and the read loop and every registration on the
+// connection go with it.
+func TestTCPServerCutsOffAClientThatNeverReads(t *testing.T) {
+	checkNoLeaks(t)
+	defer func(d time.Duration) { writeStall = d }(writeStall)
+	writeStall = 200 * time.Millisecond
+	addrs, servers := startTCPServers(t, 1)
+	servers[0].core.PutData(testKey, Tag{TS: 1, Writer: "w"}, make([]byte, 1<<20), 1<<20)
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// 16 MiB of answers: far more than the two sockets' buffers hold.
+	var reqs []byte
+	for id := uint64(1); id <= 16; id++ {
+		reqs = appendFrame(reqs, &request{typ: msgGetElem, id: id, epoch: SeedEpoch, key: testKey})
+	}
+	if _, err := conn.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the server to close the connection of a client that never reads", func() bool { return servers[0].NumConns() == 0 })
+}
+
 // TestTCPDialRetryTimeout pins the client dial policy: refused dials
 // are retried on the backoff schedule and then surface the dial error,
 // and the operation context cuts both the dial and the backoff sleep
