@@ -45,11 +45,12 @@ test-transport:
 
 # test-legs is the client-pass lane: the raw / wrapped / mixed conn-set
 # differentials, a conn that answers every exchange later, test hooks,
-# seals and pending reads — every way an exchange of a Write or Read is
-# answered on the caller, taken or owed a leg — three times over under
+# seals, pending reads and registrations racing epoch flips — every way
+# an exchange of a Write or Read is answered on the caller, taken or
+# owed a leg, and every way a registration ends — three times over under
 # the race detector.
 test-legs:
-	$(GO) test -race -count=3 -run 'Inline|Legs|Hook|Sealed|Pending|StartsNothing' ./internal/soda/
+	$(GO) test -race -count=3 -run 'Inline|Legs|Hook|Sealed|Pending|StartsNothing|Flip|Registration' ./internal/soda/
 
 # test-rs-gates repeats the codec's exact gates — no goroutine started by
 # a coding call, no allocation on the capacity-ready paths (skipped under

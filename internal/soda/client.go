@@ -117,8 +117,9 @@ func liveConns(conns []Conn, m *Membership) ([]Conn, int) {
 // consumed, and a leg is owed. Silent (errSilent): a hung server, counted as
 // nothing. putDataStep keeps PutData's rule on elem, save that errNotNow
 // leaves it with the caller. A get-data answered now or taken opens a
-// registration, ended by endData, which reports whether a taken one was
-// still held and so will never be answered.
+// registration, which takes a waiter either way: its server ends it through
+// that waiter, once, unless the read ends it first with endData, which
+// reports whether it did and so whether the waiter will never be answered.
 type stepper interface {
 	Conn
 	getTagStep(key string, op stepOp) (Tag, error)
@@ -151,13 +152,10 @@ type waiter interface {
 }
 
 // sub is a registration a read opened, as its conn hands it back for the
-// read to keep and pass to endData: a taken one is known to its conn by id;
-// one answered now carries the conn's own record, whose death nothing
-// reports, so a read left waiting watches it on a leg (loopReg.await).
+// read to keep and pass to endData; a MuxConn knows its streams by id.
 type sub struct {
-	c   stepper
-	id  uint64
-	reg loopReg
+	c  stepper
+	id uint64
 }
 
 // stepsOf resolves once, when a client is built, which of its conns are
@@ -958,9 +956,9 @@ var (
 // or until ctx is cancelled, under one registration id throughout. One
 // pass on the calling goroutine steps a get-data to every conn, and stops
 // at the server whose answer completes the read, which then ends what it
-// opened. A read the pass leaves waiting keeps its registrations, watches
-// each one answered now on a leg, and sends a leg to each conn still owed
-// its get-data. A hung server never delivers.
+// opened. A read the pass leaves waiting keeps its registrations, whose
+// servers report their end through the read's waiter, and sends a leg to
+// each conn still owed its get-data. A hung server never delivers.
 func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	if err := validateKey(key); err != nil {
 		return ReadResult{}, fmt.Errorf("%w: %v", ErrConfig, err)
@@ -997,10 +995,6 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 		switch err {
 		case nil, errTaken:
 			st.subs = append(st.subs, s)
-			if err == nil { // answered now: to the front, subs[:watched], for a leg to watch
-				st.subs[st.watched], st.subs[len(st.subs)-1] = s, st.subs[st.watched]
-				st.watched++
-			}
 		case errNotNow:
 			st.owed = append(st.owed, c)
 		case errSilent:
@@ -1018,8 +1012,8 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 		return res, err
 	}
 
-	defer st.end(st.subs[st.watched:]) // the legs end the rest
-	if legs := st.watched + len(st.owed); legs > 0 {
+	defer st.end(st.subs)
+	if legs := len(st.owed); legs > 0 {
 		// Their registrations end through this deferred cancel, once the
 		// read has stopped touching delivered elements: unregistering is
 		// what lets a loopback server overwrite the buffers it handed out.
@@ -1075,26 +1069,29 @@ func (r *Reader) begin(key string, quarantine []int) *readState {
 	return st
 }
 
-// take is the read as the waiter of a get-data a conn took: the stream
-// holds the state until the read ends it (end) or it dies (answer).
+// take is the read as the waiter of a get-data a conn answered now or took:
+// the registration holds the state until the read ends it (end) or its
+// server does (answer).
 func (st *readState) take(byte) waiter {
 	st.refs.Add(1)
 	return st
 }
 
-// answer ends a taken stream under its read: NACKed in an epoch flip,
-// refused, or gone with its session. Whatever it delivered stays usable.
+// answer is a registration ended under its read: NACKed in an epoch flip,
+// refused, crashed or gone with its session — or, with a nil err, dropped
+// by a server that went silent, which the read does not count as lost.
+// Whatever it delivered stays usable.
 func (st *readState) answer(server int, _ *response, err error) {
 	defer st.release()
-	if !st.isFinished() {
+	if err != nil && !st.isFinished() {
 		reportSuspect(st.r.m, context.Background(), server, err)
 		st.lose(server, err)
 	}
 }
 
 // end is the read done with registrations it opened and with what they
-// delivered. A taken one its conn still held gives up take's hold, never
-// the last: the caller's is still out.
+// delivered. One its conn still held gives up take's hold, never the last:
+// the caller's is still out.
 func (st *readState) end(subs []sub) {
 	for _, s := range subs {
 		if s.c.endData(s, st.key, st.rid) {
@@ -1117,19 +1114,12 @@ func (st *readState) outcome() (ReadResult, error) {
 	return res, nil
 }
 
-// runConn is one server's leg of a read the pass left waiting: the first
-// st.watched watch a registration it made, the rest make their own.
+// runConn is one server's leg of a read the pass left waiting: the get-data
+// of a conn the pass could not ask.
 func (st *readState) runConn() {
 	defer st.release()
-	var idx int
-	var err error
-	if j := int(st.next.Add(1)) - 1; j < st.watched {
-		s := st.subs[j]
-		idx, err = s.c.Index(), s.reg.await(st.rctx, st.key, st.rid)
-	} else {
-		c := st.owed[j-st.watched]
-		idx, err = c.Index(), c.GetData(st.rctx, st.key, st.rid, st.sink)
-	}
+	c := st.owed[int(st.next.Add(1))-1]
+	idx, err := c.Index(), c.GetData(st.rctx, st.key, st.rid, st.sink)
 	if st.rctx.Err() == nil {
 		// The subscription died while the read still wanted it: a
 		// crashed or closing server. Anything it already delivered
@@ -1192,7 +1182,7 @@ func (st *readState) release() {
 	// Not the caller's to clear: a leg may start after Read has returned.
 	clear(st.subs)
 	clear(st.owed)
-	st.subs, st.watched, st.owed = st.subs[:0], 0, st.owed[:0]
+	st.subs, st.owed = st.subs[:0], st.owed[:0]
 	select {
 	case <-st.done: // unconsumed completion signal (caller left via ctx)
 	default:
@@ -1240,19 +1230,18 @@ type readState struct {
 	mu sync.Mutex
 
 	gen  uint64       // checkout generation; advanced on pool return
-	refs atomic.Int32 // caller + one per leg + one per taken stream
+	refs atomic.Int32 // caller + one per leg + one per registration the pass opened
 	next atomic.Int32 // conn claim counter for the spawn thunk
 	body func()       // reusable spawn thunk: go st.body() allocates nothing
 	idle *idleList    // where this read's legs leave from and park (see workerPool)
 
 	// Per-read wiring, set before the spawns, cleared at pool time.
-	rctx    context.Context // what the legs run under; a read without legs has none
-	key     string
-	rid     string
-	sink    func(Delivery)
-	subs    []sub  // the registrations the pass opened,
-	watched int    // subs[:watched] answered now, which legs watch
-	owed    []Conn // the conns it could not ask: each needs a leg to run its get-data
+	rctx context.Context // what the legs run under; a read without legs has none
+	key  string
+	rid  string
+	sink func(Delivery)
+	subs []sub  // the registrations the pass opened
+	owed []Conn // the conns it could not ask: each needs a leg to run its get-data
 
 	initials []Tag // server-indexed tag of the Initial delivery
 	hasInit  []bool

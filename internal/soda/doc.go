@@ -118,9 +118,12 @@
 // MuxConn does not take (dialing, past the bound or the queue's room, for
 // which a leg waits); anything while a Loopback test hook
 // is installed; a put-data to a durable server whose log or register was
-// busy on both visits, or whose fsyncs wait for a device; and the wait of a
-// read the pass left pending, whose legs watch the loopback registrations
-// it made. A hung server is a leg that never answers. An operation that
+// busy on both visits, or whose fsyncs wait for a device. A read the pass
+// left pending keeps the registrations it made, over either transport, and
+// each one's end comes through the read's waiter, reported once by whoever
+// removed it from its register: the server (an epoch flip's NACK, a crash,
+// or silently a hang) or the read. A hung server is a leg that never
+// answers. An operation that
 // moved a handoff-sized value on the pass alone yields the processor once:
 // a client that never parks starves the garbage collector's mark worker.
 package soda

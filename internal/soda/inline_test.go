@@ -813,8 +813,18 @@ func TestPendingReadKeepsItsRegistrations(t *testing.T) {
 // newer write's tag, value and elements, and where the read will report.
 func pendingRead(t *testing.T, codec *Codec, lb *Loopback, read func(context.Context, string) (ReadResult, error)) (t2 Tag, v2 []byte, shards [][]byte, done <-chan error) {
 	t.Helper()
+	cores := make([]*Server, lb.Size())
+	for i := range cores {
+		cores[i] = lb.Server(i)
+	}
+	return pendingReadOn(t, codec, lb.Conns(), cores, read)
+}
+
+// pendingReadOn is pendingRead over any conns to the servers cores.
+func pendingReadOn(t *testing.T, codec *Codec, conns []Conn, cores []*Server, read func(context.Context, string) (ReadResult, error)) (t2 Tag, v2 []byte, shards [][]byte, done <-chan error) {
+	t.Helper()
 	ctx := testCtx(t)
-	w := mustWriter(t, "w", codec, lb.Conns())
+	w := mustWriter(t, "w", codec, conns)
 	if _, err := w.Write(ctx, testKey, []byte("written in full")); err != nil {
 		t.Fatal(err)
 	}
@@ -823,7 +833,7 @@ func pendingRead(t *testing.T, codec *Codec, lb *Loopback, read func(context.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range lb.Conns()[:2] {
+	for i, c := range conns[:2] {
 		if err := c.PutData(ctx, testKey, t2, shards[i], len(v2)); err != nil {
 			t.Fatal(err)
 		}
@@ -837,8 +847,8 @@ func pendingRead(t *testing.T, codec *Codec, lb *Loopback, read func(context.Con
 		ended <- err
 	}()
 	waitFor(t, "the read's registration on every server", func() bool {
-		for i := 0; i < lb.Size(); i++ {
-			if lb.Server(i).Readers(testKey) != 1 {
+		for _, s := range cores {
+			if s.Readers(testKey) != 1 {
 				return false
 			}
 		}
@@ -1433,15 +1443,14 @@ func (c *laterConn) getDataStep(key, readerID string, op stepOp, deliver func(De
 }
 
 // endData takes the get-data back, answered or not: its waiter is never
-// answered.
+// answered, unless its server ended the registration first.
 func (c *laterConn) endData(s sub, key, readerID string) bool {
 	set := c.set
 	set.mu.Lock()
 	defer set.mu.Unlock()
 	if reg, ok := set.streams[s.id]; ok {
 		delete(set.streams, s.id)
-		reg.c.endData(reg, key, readerID)
-		return true
+		return reg.c.endData(reg, key, readerID)
 	}
 	i := slices.IndexFunc(set.asked, func(a *laterAsk) bool { return a.id == s.id })
 	if i >= 0 {
@@ -1468,9 +1477,16 @@ func (set *laterConns) pending(t *testing.T, typ byte, n int) (asks []*laterAsk)
 	return asks
 }
 
+// answered is the waiter a laterConn already took, as the stepOp of the
+// loopback step that answers the exchange: the registration's end goes to
+// it, and it is not taken twice.
+type answered struct{ waiter }
+
+func (a answered) take(byte) waiter { return a.waiter }
+
 // answer has a's server answer a. A get-data is answered by registering
 // with the server, which delivers its initial state at once; the stream
-// stays open until the read ends it.
+// stays open until the read or the server ends it.
 func (set *laterConns) answer(t *testing.T, a *laterAsk) {
 	t.Helper()
 	set.mu.Lock()
@@ -1488,7 +1504,7 @@ func (set *laterConns) answer(t *testing.T, a *laterAsk) {
 	case msgPutData:
 		a.w.answer(server, &response{}, a.c.Conn.PutData(ctx, a.key, a.tag, a.elem, a.vlen))
 	case msgGetData:
-		reg, err := a.c.Conn.(*loopConn).getDataStep(a.key, a.reader, nil, a.deliver)
+		reg, err := a.c.Conn.(*loopConn).getDataStep(a.key, a.reader, answered{a.w}, a.deliver)
 		if err != nil {
 			a.w.answer(server, &response{}, err)
 			return

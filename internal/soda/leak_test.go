@@ -2,6 +2,7 @@ package soda
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,9 +17,10 @@ import (
 // test's own teardown.
 //
 // Allowlisted (long-lived by design, not leaks):
-//   - soda.(*idleList).work: the fan-out pool's idle lists (pool.go)
-//     park their goroutines process-wide and never retire them. The
-//     erasure codec below has no goroutines of its own.
+//   - a worker parked in soda.(*idleList).work: the fan-out pool's idle
+//     lists (pool.go) park their goroutines process-wide and never retire
+//     them; one running a leg is not exempt (parkedWorker). The erasure
+//     codec below has no goroutines of its own.
 //   - (*Repairer).Run: the anti-entropy background loop; tests that
 //     start one stop it via context, but the stop is asynchronous.
 //   - (*durability).background: the durable server's snapshot/
@@ -89,8 +91,10 @@ func goroutineID(stanza string) string {
 }
 
 func allowlistedGoroutine(stanza string) bool {
+	if parkedWorker(stanza) {
+		return true
+	}
 	for _, frame := range []string{
-		"soda.(*idleList).work(",
 		"(*Repairer).Run",
 		"(*durability).background",
 		"testing.(*T).Run", // parent test goroutines parked in Wait
@@ -105,6 +109,16 @@ func allowlistedGoroutine(stanza string) bool {
 		}
 	}
 	return false
+}
+
+// parkedWorker reports whether a stanza is a pool worker waiting on its idle
+// list for its next leg: its innermost frame is (*idleList).work. A worker
+// running a leg has the leg's frames above that one, and a leg that outlives
+// its test is a leak like any other goroutine.
+func parkedWorker(stanza string) bool {
+	_, frames, _ := strings.Cut(stanza, "\n")
+	top, _, _ := strings.Cut(frames, "\n")
+	return strings.Contains(top, "soda.(*idleList).work(")
 }
 
 // TestCheckNoLeaksHelper pins the helper itself: a goroutine parked
@@ -147,4 +161,42 @@ func TestCheckNoLeaksHelper(t *testing.T) {
 	if !found {
 		t.Fatalf("scan missed a parked goroutine; stanzas=%d", len(goroutineStanzas()))
 	}
+
+	// A pool worker is allowlisted while it waits for a leg, not while it
+	// runs one that hangs.
+	var l idleList
+	hung, running := make(chan struct{}), make(chan struct{})
+	l.spawn(func() {
+		close(running)
+		<-hung
+	})
+	<-running
+	legs := func() (seen, allowed int) {
+		for _, g := range goroutineStanzas() {
+			if strings.Contains(g, "TestCheckNoLeaksHelper.func") && strings.Contains(g, "(*idleList).work(") {
+				seen++
+				if allowlistedGoroutine(g) {
+					allowed++
+				}
+			}
+		}
+		return seen, allowed
+	}
+	seen, allowed := legs()
+	close(hung)
+	if seen != 1 || allowed != 0 {
+		t.Fatalf("a leg hung on a pool worker: %d seen, %d of them allowlisted; want it seen and not allowlisted", seen, allowed)
+	}
+	waitFor(t, "the worker, parked, to be allowlisted", func() bool {
+		l.mu.Lock()
+		idle := len(l.idle)
+		l.mu.Unlock()
+		return idle == 1 && slices.ContainsFunc(goroutineStanzas(), func(g string) bool {
+			return parkedWorker(g) && allowlistedGoroutine(g)
+		})
+	})
+	l.mu.Lock()
+	close(l.idle[0]) // this list is not the process pool's: retire its worker
+	l.idle = nil
+	l.mu.Unlock()
 }

@@ -29,7 +29,7 @@ var ErrServerDown = errors.New("soda: server is down")
 // Fault injection:
 //
 //   - Crash: fail-stop; the server's conns error immediately and its
-//     registered readers stop hearing relays.
+//     registrations end with ErrServerDown.
 //   - Hang: silent crash; the server never answers, callers block
 //     until their context ends. This is the pure crash model the
 //     protocol's quorums are sized for.
@@ -54,7 +54,6 @@ type Loopback struct {
 	// against each other.
 	crashed   []atomic.Bool
 	hung      []atomic.Bool
-	down      []atomic.Value // chan struct{}; closed by Crash, replaced by Restart
 	corrupt   []atomic.Pointer[func([]byte) []byte]
 	onDeliver atomic.Pointer[func(server int, key, readerID string, d Delivery)]
 	admitted  func(server int) // test hook: a get-data passed admission and has yet to register
@@ -91,17 +90,12 @@ func NewDurableLoopback(n int, dir string, opts ...DurableOption) (*Loopback, er
 }
 
 func newLoopbackShell(n int) *Loopback {
-	lb := &Loopback{
+	return &Loopback{
 		servers: make([]atomic.Pointer[Server], n),
 		crashed: make([]atomic.Bool, n),
 		hung:    make([]atomic.Bool, n),
-		down:    make([]atomic.Value, n),
 		corrupt: make([]atomic.Pointer[func([]byte) []byte], n),
 	}
-	for i := range lb.down {
-		lb.down[i].Store(make(chan struct{}))
-	}
-	return lb
 }
 
 func (l *Loopback) nodeDir(i int) string {
@@ -134,27 +128,25 @@ func (l *Loopback) ConnsAt(epoch uint64, n int) []Conn {
 	return conns
 }
 
-// Crash fail-stops server i: future operations against it error,
-// in-flight get-data subscriptions end with ErrServerDown (the TCP
-// analogue: the connection dies), and its registered readers are
-// dropped so it relays to nobody.
+// Crash fail-stops server i: future operations against it error, and
+// its registered readers are dropped so it relays to nobody, each
+// registration ending with ErrServerDown (the TCP analogue: the
+// connection dies).
 func (l *Loopback) Crash(i int) {
 	l.mu.Lock()
-	if !l.crashed[i].Load() {
-		l.crashed[i].Store(true)
-		close(l.down[i].Load().(chan struct{}))
-	}
+	l.crashed[i].Store(true)
 	l.mu.Unlock()
-	l.servers[i].Load().UnregisterAll()
+	l.servers[i].Load().dropAll(ErrServerDown)
 }
 
 // Hang silently crashes server i: it stops answering but connections
-// do not fail. Its registered readers are likewise dropped.
+// do not fail. Its registered readers are likewise dropped, and told
+// nothing.
 func (l *Loopback) Hang(i int) {
 	l.mu.Lock()
 	l.hung[i].Store(true)
 	l.mu.Unlock()
-	l.servers[i].Load().UnregisterAll()
+	l.servers[i].Load().dropAll(nil)
 }
 
 // PowerCut crashes durable server i the unclean way: fail-stop like
@@ -184,10 +176,7 @@ func (l *Loopback) Recover(i int) (*Server, error) {
 	}
 	l.mu.Lock()
 	l.servers[i].Store(s)
-	if l.crashed[i].Load() {
-		l.down[i].Store(make(chan struct{}))
-		l.crashed[i].Store(false)
-	}
+	l.crashed[i].Store(false)
 	l.hung[i].Store(false)
 	l.mu.Unlock()
 	return s, nil
@@ -226,10 +215,7 @@ func (l *Loopback) CloseServers() error {
 // for a restart that lost the disk entirely.
 func (l *Loopback) Restart(i int) {
 	l.mu.Lock()
-	if l.crashed[i].Load() {
-		l.down[i].Store(make(chan struct{}))
-		l.crashed[i].Store(false)
-	}
+	l.crashed[i].Store(false)
 	l.hung[i].Store(false)
 	l.mu.Unlock()
 }
@@ -271,11 +257,6 @@ func (l *Loopback) OnDeliver(fn func(server int, key, readerID string, d Deliver
 // state samples the fault flags for server i.
 func (l *Loopback) state(i int) (crashed, hung bool) {
 	return l.crashed[i].Load(), l.hung[i].Load()
-}
-
-// downCh samples server i's crash channel (Restart replaces it).
-func (l *Loopback) downCh(i int) chan struct{} {
-	return l.down[i].Load().(chan struct{})
 }
 
 // transform applies server i's corruption, if any, to a copy of the
@@ -419,92 +400,96 @@ func (c *loopConn) put(srv *Server, key string, t Tag, elem []byte, vlen int, wa
 	return err
 }
 
-// loopReg is a loopConn's record of a registration: the server it was made
-// with, the epoch presented there, and the server's crash and epoch channels
-// as they were then.
-type loopReg struct {
-	srv           *Server
-	epoch         uint64
-	down, flipped <-chan struct{}
+// loopSink is the registrant of a registration a loopConn made: the
+// reader's sink behind the server's corruption and the delivery hook, and
+// the waiter the registration's end is reported through.
+type loopSink struct {
+	c        *loopConn
+	key, rid string
+	sink     func(Delivery)
+	w        waiter
 }
 
+func (s *loopSink) deliver(d Delivery) {
+	d = s.c.lb.transform(s.c.idx, d)
+	s.sink(d)
+	if fn := s.c.lb.hook(); fn != nil {
+		fn(s.c.idx, s.key, s.rid, d)
+	}
+}
+
+func (s *loopSink) end(cause error) { s.w.answer(s.c.idx, &response{}, cause) }
+
 // subscribe is the half of GetData that cannot park: admission, the
-// registration, and the initial delivery, made before it returns. Every
-// later relay reaches deliver from the goroutine of the put that caused
-// it, until endData.
-func (c *loopConn) subscribe(key, readerID string, deliver func(Delivery)) (sub, error) {
+// registration and the initial delivery, made before it returns. Every
+// later relay reaches deliver from the goroutine of the put that caused it,
+// until endData, or until the server ends the registration, which it
+// reports through the waiter op.take gave — the one way a registration
+// answered now ends under its reader, as a taken one does.
+func (c *loopConn) subscribe(key, readerID string, op stepOp, deliver func(Delivery)) (sub, error) {
 	srv := c.lb.servers[c.idx].Load()
-	// The stream dies when the server's epoch moves: the registration
-	// was dropped by the transition, and the stale error is what makes
-	// the reader re-register under the new configuration. The channel is
-	// sampled before the admission check, so a flip that lands after the
-	// check — before or after Register — closes the one this stream holds.
-	flipped := srv.EpochChanged()
 	if nack := srv.Admit(opClient, c.epoch); nack != nil {
 		return sub{}, nack
 	}
 	if c.lb.admitted != nil {
 		c.lb.admitted(c.idx)
 	}
-	wrap := func(d Delivery) {
-		d = c.lb.transform(c.idx, d)
-		deliver(d)
-		if fn := c.lb.hook(); fn != nil {
-			fn(c.idx, key, readerID, d)
-		}
+	to := &loopSink{c: c, key: key, rid: readerID, sink: deliver, w: op.take(msgGetData)}
+	initial := srv.register(key, readerID, to)
+	// A flip or a crash is published — the epoch state swapped, the flag
+	// set — before its sweep, so one whose sweep this registration may have
+	// missed shows here. Whoever removes the registration ends it: forced,
+	// as a relay may have handed the reader an element already.
+	var cause error = ErrServerDown
+	if nack := srv.Admit(opClient, c.epoch); nack != nil {
+		cause = nack
+	} else if !c.lb.crashed[c.idx].Load() {
+		to.deliver(initial)
+		return sub{c: c}, nil
 	}
-	down := c.lb.downCh(c.idx)
-	wrap(srv.Register(key, readerID, wrap))
-	return sub{c: c, reg: loopReg{srv, c.epoch, down, flipped}}, nil
+	if srv.unregister(key, readerID, true) {
+		to.end(cause)
+	}
+	return sub{c: c}, nil
 }
 
 // getDataStep is subscribe behind the fault flags: GetData's own gate
 // parks.
-func (c *loopConn) getDataStep(key, readerID string, _ stepOp, deliver func(Delivery)) (sub, error) {
+func (c *loopConn) getDataStep(key, readerID string, op stepOp, deliver func(Delivery)) (sub, error) {
 	if err := c.now(); err != nil {
 		return sub{}, err
 	}
-	return c.subscribe(key, readerID, deliver)
+	return c.subscribe(key, readerID, op, deliver)
 }
 
 // endData is the reader done with every element the registration handed
 // it.
-func (c *loopConn) endData(s sub, key, readerID string) bool {
-	s.reg.srv.unregister(key, readerID, false)
-	return false
+func (c *loopConn) endData(_ sub, key, readerID string) bool {
+	return c.lb.servers[c.idx].Load().unregister(key, readerID, false)
 }
 
-// await is the half of GetData that parks: it holds a registration open
-// until ctx ends, then ends it, or until it dies under its reader, whom it
-// leaves holding the elements it was handed. The channels were sampled at
-// registration, so a crash or a flip since is seen however late the call.
-func (r loopReg) await(ctx context.Context, key, readerID string) error {
-	select {
-	case <-ctx.Done():
-		r.srv.unregister(key, readerID, false)
-		return nil
-	case <-r.down:
-		r.srv.unregister(key, readerID, true)
-		return ErrServerDown
-	case <-r.flipped:
-		r.srv.unregister(key, readerID, true)
-		if nack := r.srv.Admit(opClient, r.epoch); nack != nil {
-			return nack
-		}
-		st := r.srv.EpochStatus()
-		return &StaleEpochError{Server: r.srv.idx, ServerEpoch: st.Epoch, Want: st.Epoch, Sealed: st.Sealed}
-	}
-}
-
+// GetData holds a registration open until ctx ends, then ends it, or until
+// the server ends it: with the cause, or — dropped by a hang or a wiped disk
+// — silently, as the server now is.
 func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
 	if err := c.gate(ctx); err != nil {
 		return err
 	}
-	s, err := c.subscribe(key, readerID, deliver)
+	ended := make(chanWaiter, 1)
+	s, err := c.subscribe(key, readerID, ended, deliver)
 	if err != nil {
 		return err
 	}
-	return s.reg.await(ctx, key, readerID)
+	select {
+	case a := <-ended:
+		if a.err != nil {
+			return a.err
+		}
+		<-ctx.Done()
+	case <-ctx.Done():
+		c.endData(s, key, readerID)
+	}
+	return nil
 }
 
 // GetElem serves the repair collection phase. The corruption transform

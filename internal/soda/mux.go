@@ -57,11 +57,13 @@ const callerSendMax = 8 << 10
 const doneFlush = time.Millisecond
 
 // dialAttempt is the singleflight cell concurrent session() calls
-// share: the winner dials and publishes, the rest wait on done.
+// share: the winner dials, under its own context, and publishes, the rest
+// wait on done.
 type dialAttempt struct {
-	done chan struct{}
-	sess *muxSession
-	err  error
+	done      chan struct{}
+	sess      *muxSession
+	err       error
+	abandoned bool // the winner's context ended: the dial says nothing of the server
 }
 
 // muxExchange is one request awaiting its answer, completed exactly once
@@ -191,7 +193,7 @@ func (c *MuxConn) session(ctx context.Context) (*muxSession, error) {
 			}
 			if err != nil {
 				c.mu.Unlock()
-				att.err = err
+				att.err, att.abandoned = err, ctx.Err() != nil
 				close(att.done)
 				return nil, err
 			}
@@ -206,6 +208,11 @@ func (c *MuxConn) session(ctx context.Context) (*muxSession, error) {
 		case <-att.done:
 			if att.sess != nil {
 				return att.sess, nil
+			}
+			if att.abandoned && ctx.Err() == nil {
+				// A finished operation's leg won the dial and has since
+				// let go of it; this caller has not: dial again.
+				continue
 			}
 			return nil, att.err
 		case <-ctx.Done():

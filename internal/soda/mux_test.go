@@ -770,6 +770,103 @@ func TestMuxStreamCleanupOnServerLoss(t *testing.T) {
 	}
 }
 
+// TestMuxPendingReadEndsOnTheFlip is TestPendingReadEndsOnTheFlip's Reader
+// over sockets: every server's core is sealed under a read left waiting on
+// its streams, each of which its server ends with the epoch NACK on the
+// stream's id. The read ends with the sealed stale-epoch NACK and nobody
+// is left registered.
+func TestMuxPendingReadEndsOnTheFlip(t *testing.T) {
+	checkNoLeaks(t)
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns, servers := startTCPCluster(t, 5)
+	cores := make([]*Server, len(servers))
+	for i, ns := range servers {
+		cores[i] = ns.Core()
+	}
+	_, _, _, ended := pendingReadOn(t, codec, conns, cores, mustReader(t, "r", codec, conns).Read)
+	for i, s := range cores {
+		if _, err := s.Reconfig(ReconfigSeal, 1, 5, 3); err != nil {
+			t.Fatalf("server %d: %v", i, err)
+		}
+	}
+	select {
+	case err := <-ended:
+		var stale *StaleEpochError
+		if !errors.Is(err, ErrUnavailable) || !errors.As(err, &stale) || !stale.Sealed || stale.Want != 1 {
+			t.Fatalf("read sealed under its streams ended %v, want ErrUnavailable over a sealed stale-epoch NACK wanting epoch 1", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a read whose streams were opened before the seal outlived it")
+	}
+	for i, s := range cores {
+		if n := s.Readers(testKey); n != 0 {
+			t.Fatalf("%d readers left registered on sealed server %d", n, i)
+		}
+	}
+}
+
+// TestMuxSharedDialOutlivesItsWinner: exchanges with a server not yet
+// dialed share one dial, made under the context of whoever started it.
+// When that caller gives up — a leg of an operation that has returned —
+// one still waiting dials again instead of failing with the dial its
+// winner abandoned.
+func TestMuxSharedDialOutlivesItsWinner(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // refused until the server below is up
+	c := TCPMuxConn(0, addr, WithDialRetry(2, Backoff{Base: time.Minute, Max: time.Minute}))
+	defer c.Close()
+	winnerCtx, giveUp := context.WithCancel(ctx)
+	winner, waiter := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := c.session(winnerCtx)
+		winner <- err
+	}()
+	waitFor(t, "the first dial", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.dialing != nil
+	})
+	go func() {
+		_, err := c.session(ctx)
+		waiter <- err
+	}()
+	waitFor(t, "a second caller to join the dial", func() bool {
+		n := 0
+		for _, g := range goroutineStanzas() {
+			if strings.Contains(g, "(*MuxConn).session(") {
+				n++
+			}
+		}
+		return n == 2
+	})
+	ns, err := ListenAndServe(NewServer(0), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	giveUp()
+	if err := <-winner; err == nil {
+		t.Fatal("the winner's dial, refused and then abandoned, succeeded")
+	}
+	select {
+	case err := <-waiter:
+		if err != nil {
+			t.Fatalf("a caller still waiting failed with the dial its winner abandoned: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a caller still waiting never got its session")
+	}
+}
+
 // TestMuxGetDataDeadContextNeverRegisters: a context that is already
 // cancelled when GetData is called must not open a server-side
 // registration at all — there is no one to tear it down.
@@ -893,7 +990,7 @@ func plug(t *testing.T, c *MuxConn, sock *sockCounter) *sockCounter {
 	if _, err := conn.Write(appendFrame(nil, &request{typ: msgKeys, id: 1, epoch: c.opts.epoch})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(conn, nil); err != nil {
+	if _, err := readFrame(bufio.NewReader(conn), nil); err != nil {
 		t.Fatal(err)
 	}
 	sock.Conn = conn

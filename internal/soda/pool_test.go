@@ -9,7 +9,8 @@ import (
 	"testing"
 )
 
-// parkedWorkers counts the goroutines sitting in (*idleList).work.
+// parkedWorkers counts the pool's workers, parked or running a leg: every
+// goroutine with (*idleList).work on its stack.
 func parkedWorkers() int {
 	n := 0
 	for _, g := range goroutineStanzas() {

@@ -1,11 +1,15 @@
 package soda
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -640,96 +644,225 @@ func TestEpochWriterReaderFollowFlip(t *testing.T) {
 	}
 }
 
-// TestEpochChangedSeesEveryFlip races seals and activations against a
-// re-arm loop of the watchEpochs shape (sample the channel, then the
-// status; sweep when the status moved, else park on the channel) and
-// against admission checks. The flipper moves on the moment the watcher
-// reports a transition, so every next flip lands inside the watcher's
-// re-arm window: none may be missed. And a channel sampled after Admit
-// accepted an epoch is never one an earlier transition closes — it is
-// closed only once the server has left the state Admit saw.
-func TestEpochChangedSeesEveryFlip(t *testing.T) {
-	const epochs = 200
-	s := NewServer(0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer close(stop)
+// endCount is the stepOp and waiter of one loopback get-data in
+// TestRegistrationsRaceTheFlip: how many waiters the conn took, how many
+// times the registration's end was reported and with what.
+type endCount struct {
+	takes, answers atomic.Int32
+	mu             sync.Mutex
+	err            error
+}
 
-	seen := make(chan EpochStatus)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var last EpochStatus
-		for {
-			ch := s.EpochChanged()
-			if st := s.EpochStatus(); st != last {
-				last = st
-				select {
-				case seen <- st:
-				case <-stop:
-					return
+func (c *endCount) take(byte) waiter {
+	c.takes.Add(1)
+	return c
+}
+
+func (c *endCount) answer(_ int, _ *response, err error) {
+	c.answers.Add(1)
+	c.mu.Lock()
+	c.err = err
+	c.mu.Unlock()
+}
+
+// TestRegistrationsRaceTheFlip races seals and activations against
+// get-datas stamped with the epoch their sender last saw, on both
+// transports, half of them ended by their reader as soon as they open.
+// Every get-data is refused with a stale-epoch NACK or ended exactly once:
+// by its reader, or by its server with that NACK. After the last flip no
+// registration is left.
+func TestRegistrationsRaceTheFlip(t *testing.T) {
+	const epochs = 100
+	// flip moves s through every epoch, letting the senders make two more
+	// get-datas before each transition.
+	flip := func(t *testing.T, s *Server, tries func() int64) {
+		t.Helper()
+		for e := uint64(1); e <= epochs; e++ {
+			for _, op := range []ReconfigOp{ReconfigSeal, ReconfigActivate} {
+				for n := tries(); tries() < n+2; {
+					runtime.Gosched()
 				}
-				continue
-			}
-			select {
-			case <-ch:
-			case <-stop:
-				return
+				if _, err := s.Reconfig(op, e, 5, 3); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}()
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				e := s.EpochStatus().Epoch
-				if s.Admit(opClient, e) != nil {
-					continue
-				}
-				select {
-				case <-s.EpochChanged():
-					if st := s.EpochStatus(); st.Epoch == e && !st.Sealed {
-						t.Errorf("Admit accepted epoch %d and EpochChanged then returned a channel already closed, with the server still at %+v", e, st)
+		if _, err := s.Reconfig(ReconfigSeal, epochs+1, 5, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := func(err error) bool {
+		var se *StaleEpochError
+		return errors.As(err, &se)
+	}
+
+	t.Run("loopback", func(t *testing.T) {
+		checkNoLeaks(t)
+		lb := NewLoopback(1)
+		srv := lb.Server(0)
+		type opened struct {
+			ends     *endCount
+			byReader bool // endData removed it
+		}
+		var (
+			mu    sync.Mutex
+			all   []opened
+			tries atomic.Int64
+			wg    sync.WaitGroup
+		)
+		stop := make(chan struct{})
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
 						return
+					default:
 					}
-				default:
+					tries.Add(1)
+					c := lb.ConnsAt(srv.EpochStatus().Epoch, 1)[0].(*loopConn)
+					rid := fmt.Sprintf("r%d#%d", g, i)
+					ends := &endCount{}
+					s, err := c.getDataStep(testKey, rid, ends, func(Delivery) {})
+					if err != nil {
+						if !stale(err) || ends.takes.Load() != 0 {
+							t.Errorf("get-data refused with %v after %d takes; want a stale-epoch NACK and none", err, ends.takes.Load())
+						}
+						continue
+					}
+					o := opened{ends: ends}
+					if i%2 == 0 {
+						o.byReader = c.endData(s, testKey, rid)
+					}
+					mu.Lock()
+					all = append(all, o)
+					mu.Unlock()
+				}
+			}()
+		}
+		flip(t, srv, tries.Load)
+		close(stop)
+		wg.Wait()
+		// A loopback registration's end is a call made before the sweep or
+		// the step that makes it returns: every one has been reported.
+		byServer := 0
+		for _, o := range all {
+			o.ends.mu.Lock()
+			err := o.ends.err
+			o.ends.mu.Unlock()
+			switch n := o.ends.answers.Load(); {
+			case o.ends.takes.Load() != 1:
+				t.Fatalf("a registration took %d waiters, want 1", o.ends.takes.Load())
+			case o.byReader && n != 0:
+				t.Fatalf("a registration its reader ended was ended by its server too (%v)", err)
+			case !o.byReader && (n != 1 || !stale(err)):
+				t.Fatalf("a registration its reader did not end was ended %d times, last with %v; want once, with a stale-epoch NACK", n, err)
+			case !o.byReader:
+				byServer++
+			}
+		}
+		if n := srv.Readers(testKey); n != 0 {
+			t.Fatalf("%d registrations outlived the last flip", n)
+		}
+		t.Logf("%d registrations, %d ended by a flip", len(all), byServer)
+	})
+
+	t.Run("sockets", func(t *testing.T) {
+		checkNoLeaks(t)
+		ns, err := ListenAndServe(NewServer(0), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ns.Close() })
+		srv := ns.Core()
+		conn, err := net.Dial("tcp", ns.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		var (
+			mu    sync.Mutex
+			nacks = map[uint64]int{} // by get-data id
+			tries atomic.Int64
+		)
+		status := make(chan struct{}) // the reconfig-status answer, which follows every NACK
+		go func() {
+			br := bufio.NewReader(conn)
+			for {
+				p, err := readFrame(br, nil)
+				if err != nil {
+					return
+				}
+				switch typ, id, _, _, _ := header(p, "response"); typ {
+				case msgEpochNack:
+					mu.Lock()
+					nacks[id]++
+					mu.Unlock()
+				case msgReconfigResp:
+					close(status)
 				}
 			}
 		}()
-	}
-
-	for e := uint64(1); e <= epochs; e++ {
-		for _, op := range []ReconfigOp{ReconfigSeal, ReconfigActivate} {
-			want, err := s.Reconfig(op, e, 5, 3)
-			if err != nil {
-				t.Fatalf("reconfig op %d to epoch %d: %v", op, e, err)
-			}
-			select {
-			case got := <-seen:
-				if got != want {
-					t.Fatalf("watcher saw %+v after the transition to %+v", got, want)
+		// One sender: frames on a socket must not interleave. Every third
+		// stream it ends at once with a reader-done, which races the
+		// flip's sweep for the registration: that one gets a NACK only if
+		// the sweep won.
+		var last uint64
+		ended := map[uint64]bool{}
+		stop, sent := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(sent)
+			for id := uint64(1); ; id++ {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("watcher missed the transition to %+v", want)
+				b := appendFrame(nil, &request{typ: msgGetData, id: id, epoch: srv.EpochStatus().Epoch, key: testKey, reader: fmt.Sprintf("r#%d", id)})
+				if id%3 == 0 {
+					b = appendFrame(b, &request{typ: msgReaderDone, id: id})
+					ended[id] = true
+				}
+				if _, err := conn.Write(b); err != nil {
+					t.Error(err)
+					return
+				}
+				last = id
+				tries.Add(1)
+			}
+		}()
+		flip(t, srv, tries.Load)
+		close(stop)
+		<-sent
+		if _, err := conn.Write(appendFrame(nil, &request{typ: msgReconfig, id: last + 1, epoch: epochNone, op: ReconfigStatus})); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-status:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no answer to the status request")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for id := uint64(1); id <= last; id++ {
+			if n := nacks[id]; n > 1 || (n == 0 && !ended[id]) {
+				t.Fatalf("get-data %d (reader-done sent: %v) had %d NACKs; want one, or none for a stream its reader ended", id, ended[id], n)
 			}
 		}
-	}
+		if n := srv.Readers(testKey); n != 0 {
+			t.Fatalf("%d registrations outlived the last flip", n)
+		}
+		t.Logf("%d get-datas, %d NACKed", last, len(nacks))
+	})
 }
 
 // TestGetDataFlipBetweenAdmitAndRegister: a loopback get-data that
 // passes admission, and only then sees its server's epoch move, must
-// still die with the flip. It used to sample the change channel after
-// the admission check, so a flip in between left it registered under
-// the new configuration, holding a channel that only the next flip
-// closes — with a reader of the old geometry behind it dropping every
-// delivery as mis-sized, for ever.
+// still die with the flip. Left registered under the new configuration,
+// its reader of the old geometry would drop every delivery as mis-sized,
+// for ever; the admission re-check after registering refuses it.
 func TestGetDataFlipBetweenAdmitAndRegister(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)

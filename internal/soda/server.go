@@ -24,7 +24,7 @@ type Delivery struct {
 	Epoch   uint64
 }
 
-// registration is one registered reader: the relay sink plus the tag
+// registration is one registered reader: who it delivers to plus the tag
 // the server held when the reader arrived. Only puts with tag >= treq
 // are relayed — older writes cannot be what this reader is waiting
 // for, because its target tag is the maximum over a quorum of such
@@ -32,8 +32,26 @@ type Delivery struct {
 type registration struct {
 	reader string
 	treq   Tag
-	sink   func(Delivery)
+	to     registrant
 }
+
+// registrant is the transport's side of a registration: deliver takes the
+// initial state and every relay, and end is told, once, that the server
+// dropped the registration itself — an epoch transition, a crash, a hang, a
+// wiped disk — with the cause, nil for an end the reader is not to count as
+// a lost server. Whoever removes a registration from its register owns its
+// end: a reader that unregisters is told nothing.
+type registrant interface {
+	deliver(Delivery)
+	end(cause error)
+}
+
+// sinkFunc is the registrant of the exported Register: a relay sink, told
+// nothing of its end.
+type sinkFunc func(Delivery)
+
+func (f sinkFunc) deliver(d Delivery) { f(d) }
+func (sinkFunc) end(error)            {}
 
 // register is one named SODA register on a server: the coded element
 // belonging to the highest tag seen for this key, plus the key's
@@ -89,6 +107,17 @@ func (r *register) adopt(t Tag, elem []byte, vlen int) (displaced []byte) {
 	return displaced
 }
 
+// dropReaders empties the reader set onto ends, for the caller to end once
+// it holds no lock. Caller holds r.mu.
+func (r *register) dropReaders(ends []registrant) []registrant {
+	for i := range r.readers {
+		ends = append(ends, r.readers[i].to)
+	}
+	clear(r.readers) // zero the entries so registrant references drop
+	r.readers = r.readers[:0]
+	return ends
+}
+
 // serverShardCount stripes the namespace map; must be a power of two.
 const serverShardCount = 16
 
@@ -105,7 +134,7 @@ type serverShard struct {
 // namespace is a sharded key→register map with striped locks and lazy
 // register creation; registers that hold nothing and serve nobody are
 // garbage-collected back out of it. All methods are safe for
-// concurrent use; relay sinks are invoked outside all locks.
+// concurrent use; registrants are invoked outside all register locks.
 type Server struct {
 	idx     int
 	metrics Metrics
@@ -114,14 +143,10 @@ type Server struct {
 
 	// Configuration-epoch state. epochSt is read lock-free on every
 	// admission check and every get-data; transitions serialize on
-	// epochMu and broadcast by closing the replaced state's changed
-	// channel (the Membership.Changed pattern), so transports can tear
-	// down relay streams the moment the geometry moves. moving is set
-	// while a transition is between publishing its state and having
-	// dropped the old state's readers.
+	// epochMu, and each ends every registration it finds (see
+	// transitionLocked).
 	epochSt atomic.Pointer[epochState]
 	epochMu sync.Mutex
-	moving  atomic.Bool
 }
 
 // epochState is the server's view of the cluster configuration: the
@@ -133,11 +158,6 @@ type epochState struct {
 	sealed  bool
 	pending uint64
 	pn, pk  int // pending geometry, meaningful only while sealed
-
-	// changed is closed when this state is replaced. It is published by
-	// the same store as the state, so a channel sampled before an
-	// admission check outlives the state that check saw. Not persisted.
-	changed chan struct{}
 }
 
 // opClass buckets wire operations for epoch admission.
@@ -154,7 +174,7 @@ const (
 // shard idx.
 func NewServer(idx int) *Server {
 	s := &Server{idx: idx}
-	s.epochSt.Store(&epochState{changed: make(chan struct{})})
+	s.epochSt.Store(&epochState{})
 	for i := range s.shards {
 		s.shards[i].regs = make(map[string]*register)
 	}
@@ -192,20 +212,6 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 func (s *Server) EpochStatus() EpochStatus {
 	st := s.epochSt.Load()
 	return EpochStatus{Epoch: st.epoch, Pending: st.pending, Sealed: st.sealed, N: st.n, K: st.k}
-}
-
-// EpochChanged returns a channel closed at the server's next epoch
-// transition (seal or activate). Callers re-arm by calling again. It
-// takes no lock unless a transition is under way, which it waits out: a
-// get-data admitted under the state this channel belongs to must not
-// register while that state's transition is still dropping readers.
-func (s *Server) EpochChanged() <-chan struct{} {
-	st := s.epochSt.Load()
-	if s.moving.Load() {
-		s.epochMu.Lock() // held by the transition until it is done
-		s.epochMu.Unlock()
-	}
-	return st.changed
 }
 
 // Admit checks a frame's configuration epoch against the server's
@@ -298,25 +304,26 @@ func (s *Server) statusLocked() EpochStatus {
 	return EpochStatus{Epoch: st.epoch, Pending: st.pending, Sealed: st.sealed, N: st.n, K: st.k}
 }
 
-// transitionLocked logs, applies, and broadcasts one epoch transition.
-// Caller holds epochMu. It reports false, with nothing applied, when
-// the WAL is closed under the server (power cut, Close): memory must not
-// move to an epoch the disk will not remember.
+// transitionLocked logs and applies one epoch transition, then ends every
+// registration. Caller holds epochMu. It reports false, with nothing
+// applied, when the WAL is closed under the server (power cut, Close):
+// memory must not move to an epoch the disk will not remember.
 func (s *Server) transitionLocked(next *epochState) bool {
 	if s.dur != nil && !s.dur.logEpoch(next) {
 		return false
 	}
-	s.moving.Store(true)
-	defer s.moving.Store(false)
-	next.changed = make(chan struct{})
-	prev := s.epochSt.Swap(next)
+	s.epochSt.Store(next)
 	s.metrics.epochFlips.Add(1)
 	// Registered readers belong to the configuration they registered
-	// under; the flip hands them off by dropping them here so their
-	// streams end and they re-register (min(treq, tag) semantics) under
-	// the new epoch.
-	s.UnregisterAll()
-	close(prev.changed)
+	// under; the flip ends each with the NACK a get-data would get now, so
+	// that its reader re-registers under the new epoch. The state is
+	// published first: a get-data that registers after the sweep fails the
+	// admission re-check its transport makes after registering.
+	want := next.epoch
+	if next.sealed {
+		want = next.pending
+	}
+	s.dropAll(&StaleEpochError{Server: s.idx, ServerEpoch: next.epoch, Want: want, Sealed: next.sealed})
 	return true
 }
 
@@ -325,7 +332,6 @@ func (s *Server) transitionLocked(next *epochState) bool {
 func (s *Server) installEpochState(next *epochState) {
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	next.changed = s.epochSt.Load().changed // nobody is told: nothing is served yet
 	s.epochSt.Store(next)
 }
 
@@ -455,10 +461,10 @@ func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int, wait boo
 		}
 		r.store(t, elem, vlen)
 	}
-	var sinks []func(Delivery)
+	var sinks []registrant
 	for i := range r.readers {
 		if !t.Less(r.readers[i].treq) {
-			sinks = append(sinks, r.readers[i].sink)
+			sinks = append(sinks, r.readers[i].to)
 		}
 	}
 	if len(sinks) == 0 {
@@ -502,10 +508,10 @@ func (s *Server) putOwned(key string, t Tag, elem []byte, vlen int, wait bool) e
 		}
 		displaced = r.adopt(t, elem, vlen)
 	}
-	var sinks []func(Delivery)
+	var sinks []registrant
 	for i := range r.readers {
 		if !t.Less(r.readers[i].treq) {
-			sinks = append(sinks, r.readers[i].sink)
+			sinks = append(sinks, r.readers[i].to)
 		}
 	}
 	if len(sinks) == 0 {
@@ -530,11 +536,11 @@ func (s *Server) putOwned(key string, t Tag, elem []byte, vlen int, wait bool) e
 }
 
 // relay hands (t, elem, vlen) to sinks, outside every lock.
-func (s *Server) relay(sinks []func(Delivery), t Tag, elem []byte, vlen int) {
+func (s *Server) relay(sinks []registrant, t Tag, elem []byte, vlen int) {
 	s.metrics.relays.Add(uint64(len(sinks)))
 	d := Delivery{Server: s.idx, Tag: t, Elem: elem, VLen: vlen, Epoch: s.epochSt.Load().epoch}
-	for _, sink := range sinks {
-		sink(d)
+	for _, to := range sinks {
+		to.deliver(d)
 	}
 }
 
@@ -609,11 +615,11 @@ func (s *Server) Wipe(key string) {
 // WipeAll clears the whole disk: every register goes, including the
 // zero-tag ones Keys() never reports, and every registration with
 // them — a wholesale-replaced server holds nothing and relays to
-// nobody. (Iterating Keys() here would sweep only written keys,
-// leaving unwritten registers pinned by stale registrations; the
-// sweep walks the shards directly instead.)
+// nobody, and tells nobody either. (Iterating Keys() here would sweep
+// only written keys, leaving unwritten registers pinned by stale
+// registrations; the sweep walks the shards directly instead.)
 func (s *Server) WipeAll() {
-	var dropped uint64
+	var ends []registrant
 	var removed uint64
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -624,17 +630,18 @@ func (s *Server) WipeAll() {
 				s.dur.logMutation(walOpWipe, key, Tag{}, nil, 0, true)
 			}
 			r.tag, r.elem, r.vlen, r.gone = Tag{}, nil, 0, true
-			dropped += uint64(len(r.readers))
-			clear(r.readers) // zero the entries so sink references drop
-			r.readers = r.readers[:0]
+			ends = r.dropReaders(ends)
 			r.mu.Unlock()
 			delete(sh.regs, key)
 			removed++
 		}
 		sh.mu.Unlock()
 	}
-	s.metrics.hot[0].regGCs.Add(dropped) // any stripe: Snapshot sums them
+	s.metrics.hot[0].regGCs.Add(uint64(len(ends))) // any stripe: Snapshot sums them
 	s.metrics.registerGCs.Add(removed)
+	for _, to := range ends {
+		to.end(nil)
+	}
 }
 
 // Keys returns the ascending keys that currently hold a written
@@ -664,9 +671,15 @@ func (s *Server) Keys() []string {
 // the initial delivery. The caller (transport) delivers the returned
 // snapshot and every subsequent sink invocation until Unregister.
 func (s *Server) Register(key, readerID string, sink func(Delivery)) Delivery {
+	return s.register(key, readerID, sinkFunc(sink))
+}
+
+// register is Register for the transports, whose registrant is told of the
+// registration's end.
+func (s *Server) register(key, readerID string, to registrant) Delivery {
 	s.metrics.of(key).getDatas.Add(1)
 	r := s.hold(key, true)
-	defer r.mu.Unlock()
+	d := Delivery{Server: s.idx, Tag: r.tag, Elem: r.elem, VLen: r.vlen, Initial: true, Epoch: s.epochSt.Load().epoch}
 	for i := range r.readers {
 		if r.readers[i].reader == readerID {
 			// Re-registration (a read retrying after a transient failure)
@@ -675,17 +688,21 @@ func (s *Server) Register(key, readerID string, sink func(Delivery)) Delivery {
 			// above the target would filter out exactly the relay the
 			// read is waiting for. Keep min(existing treq, current tag) —
 			// the tag only drops below an old treq after a wipe, where
-			// the current tag is the honest floor.
-			treq := r.readers[i].treq
+			// the current tag is the honest floor. The registration it
+			// replaces ends, silently.
+			treq, old := r.readers[i].treq, r.readers[i].to
 			if r.tag.Less(treq) {
 				treq = r.tag
 			}
-			r.readers[i] = registration{reader: readerID, treq: treq, sink: sink}
-			return Delivery{Server: s.idx, Tag: r.tag, Elem: r.elem, VLen: r.vlen, Initial: true, Epoch: s.epochSt.Load().epoch}
+			r.readers[i] = registration{reader: readerID, treq: treq, to: to}
+			r.mu.Unlock()
+			old.end(nil)
+			return d
 		}
 	}
-	r.readers = append(r.readers, registration{reader: readerID, treq: r.tag, sink: sink})
-	return Delivery{Server: s.idx, Tag: r.tag, Elem: r.elem, VLen: r.vlen, Initial: true, Epoch: s.epochSt.Load().epoch}
+	r.readers = append(r.readers, registration{reader: readerID, treq: r.tag, to: to})
+	r.mu.Unlock()
+	return d
 }
 
 // Unregister drops a reader's registration on key (reader-done, or its
@@ -697,11 +714,12 @@ func (s *Server) Register(key, readerID string, sink func(Delivery)) Delivery {
 func (s *Server) Unregister(key, readerID string) { s.unregister(key, readerID, false) }
 
 // unregister with forced set drops a reader that made no such promise
-// (its stream died under it): the buffer it may hold is marked lent.
-func (s *Server) unregister(key, readerID string, forced bool) {
+// (its stream died under it): the buffer it may hold is marked lent. It
+// reports whether it removed the registration, and so owns its end.
+func (s *Server) unregister(key, readerID string, forced bool) bool {
 	r := s.lookup(key, false)
 	if r == nil {
-		return
+		return false
 	}
 	had, dead := false, false
 	r.mu.Lock()
@@ -724,23 +742,23 @@ func (s *Server) unregister(key, readerID string, forced bool) {
 			s.collect(key)
 		}
 	}
+	return had
 }
 
-// UnregisterAll drops every registration on every key; a crashing
-// server relays to nobody. Dropped readers may still be reading what
-// they were handed: their buffers are marked lent.
-func (s *Server) UnregisterAll() {
+// dropAll drops every registration on every key and then, outside every
+// lock, ends each with cause — nil for a server that goes silent, as a
+// hung one does. Dropped readers may still be reading what they were
+// handed: their buffers are marked lent.
+func (s *Server) dropAll(cause error) {
 	var emptied []string
-	var dropped uint64
+	var ends []registrant
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for key, r := range sh.regs {
 			r.mu.Lock()
-			dropped += uint64(len(r.readers))
 			r.lent = r.lent || len(r.readers) > 0
-			clear(r.readers) // zero the entries so sink references drop
-			r.readers = r.readers[:0]
+			ends = r.dropReaders(ends)
 			if r.tag == (Tag{}) {
 				emptied = append(emptied, key)
 			}
@@ -748,9 +766,12 @@ func (s *Server) UnregisterAll() {
 		}
 		sh.mu.RUnlock()
 	}
-	s.metrics.hot[0].regGCs.Add(dropped) // any stripe: Snapshot sums them
+	s.metrics.hot[0].regGCs.Add(uint64(len(ends))) // any stripe: Snapshot sums them
 	for _, key := range emptied {
 		s.collect(key)
+	}
+	for _, to := range ends {
+		to.end(cause)
 	}
 }
 

@@ -111,11 +111,45 @@ func (ns *NetServer) acceptLoop() {
 // the caller and keeps a leg waiting.
 const outQueueDepth = 4096
 
-// streamSub is one live get-data registration on a connection, keyed
-// by the request id that opened it.
-type streamSub struct {
-	key string
-	rid string
+// netStream is one live get-data registration on a connection, keyed by
+// the request id that opened it: the core's registrant for it.
+type netStream struct {
+	sc       *netConn
+	id       uint64
+	key, rid string
+}
+
+// deliver relays on the stream's id. It runs on whichever goroutine
+// performs a put-data and must never block on this connection, so it
+// try-sends and kills the connection on overflow — a reader that stopped
+// draining is indistinguishable from dead. Each frame carries the
+// delivery's own epoch: a relayed element belongs to the configuration the
+// server held it under.
+func (st *netStream) deliver(d Delivery) {
+	st.trySend(frame(&response{typ: msgData, id: st.id, epoch: d.Epoch, tag: d.Tag, vlen: d.VLen, initial: d.Initial, elem: d.Elem}))
+}
+
+// end closes a stream the core dropped. An epoch flip's is NACKed on its id,
+// which fails the client's read with the typed error that makes it
+// re-register under the new configuration; any other end is silent.
+func (st *netStream) end(cause error) {
+	sc := st.sc
+	sc.mu.Lock()
+	if sc.subs[st.id] == st {
+		delete(sc.subs, st.id)
+	}
+	sc.mu.Unlock()
+	if se, ok := cause.(*StaleEpochError); ok {
+		st.trySend(nackFrame(st.id, se))
+	}
+}
+
+func (st *netStream) trySend(bp *[]byte) {
+	if !st.sc.w.trySend(bp) {
+		putFrame(bp)
+		st.sc.core.Metrics().relayDrops.Add(1)
+		st.sc.w.kill()
+	}
 }
 
 // netConn is the server side of one client connection: the outbound
@@ -127,7 +161,7 @@ type netConn struct {
 	w    *connWriter
 
 	mu   sync.Mutex // guards subs
-	subs map[uint64]streamSub
+	subs map[uint64]*netStream
 
 	req  request
 	resp response
@@ -154,67 +188,26 @@ func (sc *netConn) reject(id uint64, msg string) bool {
 // refused; the connection survives — the client refetches its config
 // and retries.
 func (sc *netConn) nack(id uint64, se *StaleEpochError) bool {
-	return sc.w.send(frame(&response{typ: msgEpochNack, id: id, epoch: se.ServerEpoch, want: se.Want, sealed: se.Sealed}))
+	return sc.w.send(nackFrame(id, se))
 }
 
-// watchEpochs is a per-connection goroutine that kills relay streams
-// when the server's configuration epoch moves: every open get-data
-// stream gets an epoch NACK on its own request id (so the client's
-// read fails with a typed StaleEpochError and re-registers under the
-// new epoch) and its registration is dropped. The status-compare loop
-// re-checks after each sweep, so back-to-back transitions cannot slip
-// between a wakeup and re-arming the change channel.
-func (sc *netConn) watchEpochs(stop <-chan struct{}) {
-	var last EpochStatus
-	for {
-		ch := sc.core.EpochChanged()
-		st := sc.core.EpochStatus()
-		if st != last {
-			want := st.Epoch
-			if st.Sealed {
-				want = st.Pending
-			}
-			sc.mu.Lock()
-			for id, sub := range sc.subs {
-				// Forced: the handler may still be copying the initial element.
-				sc.core.unregister(sub.key, sub.rid, true)
-				if bp := frame(&response{typ: msgEpochNack, id: id, epoch: st.Epoch, want: want, sealed: st.Sealed}); !sc.w.trySend(bp) {
-					putFrame(bp)
-				}
-				delete(sc.subs, id)
-			}
-			sc.mu.Unlock()
-			last = st
-			continue
-		}
-		select {
-		case <-ch:
-		case <-stop:
-			return
-		}
-	}
+func nackFrame(id uint64, se *StaleEpochError) *[]byte {
+	return frame(&response{typ: msgEpochNack, id: id, epoch: se.ServerEpoch, want: se.Want, sealed: se.Sealed})
 }
 
 func (ns *NetServer) handle(conn net.Conn) {
 	defer ns.wg.Done()
 	// A failed write fails the read loop too, whose teardown stops the writer.
-	sc := &netConn{core: ns.core, w: newConnWriter(conn, outQueueDepth, func(error) { conn.Close() }), subs: make(map[uint64]streamSub)}
+	sc := &netConn{core: ns.core, w: newConnWriter(conn, outQueueDepth, func(error) { conn.Close() }), subs: make(map[uint64]*netStream)}
 	ns.wg.Add(1)
 	go func() {
 		defer ns.wg.Done()
 		sc.w.run()
 	}()
-	stopWatch := make(chan struct{})
-	ns.wg.Add(1)
-	go func() {
-		defer ns.wg.Done()
-		sc.watchEpochs(stopWatch)
-	}()
 	defer func() {
-		close(stopWatch)
 		sc.mu.Lock()
-		for _, sub := range sc.subs {
-			ns.core.Unregister(sub.key, sub.rid)
+		for _, st := range sc.subs {
+			ns.core.Unregister(st.key, st.rid)
 		}
 		sc.mu.Unlock()
 		sc.w.shutdown() // drains queued frames, then closes conn
@@ -290,42 +283,30 @@ func (sc *netConn) serve(payload []byte) bool {
 // to it on the request's id until reader-done, an epoch flip, or the
 // end of the connection.
 func (sc *netConn) openStream(req *request) bool {
-	id, key, rid := req.id, req.key, req.reader
+	st := &netStream{sc: sc, id: req.id, key: req.key, rid: req.reader}
 	sc.mu.Lock()
-	_, dup := sc.subs[id]
+	_, dup := sc.subs[st.id]
 	if !dup {
-		sc.subs[id] = streamSub{key: key, rid: rid}
+		sc.subs[st.id] = st
 	}
 	sc.mu.Unlock()
 	if dup {
-		return sc.reject(id, "get-data request id already streaming")
+		return sc.reject(st.id, "get-data request id already streaming")
 	}
-	// The relay sink runs on whichever goroutine performs a put-data; it
-	// must never block on this connection, so it try-sends and kills the
-	// connection on overflow — a reader that stopped draining is
-	// indistinguishable from dead. Each frame carries the delivery's own
-	// epoch: a relayed element belongs to the configuration the server
-	// held it under.
-	sink := func(d Delivery) {
-		bp := frame(&response{typ: msgData, id: id, epoch: d.Epoch, tag: d.Tag, vlen: d.VLen, initial: d.Initial, elem: d.Elem})
-		if !sc.w.trySend(bp) {
-			putFrame(bp)
-			sc.core.Metrics().relayDrops.Add(1)
-			sc.w.kill()
-		}
-	}
-	initial := sc.core.Register(key, rid, sink)
-	// A flip that lands between the admission check and the registration
-	// would leave a stream the epoch watcher already swept; re-checking
-	// after Register closes the race.
+	initial := sc.core.register(st.key, st.rid, st)
+	// A flip publishes its epoch state before its sweep, so one that landed
+	// between the admission check and the registration shows here, and
+	// whichever of the two removes the registration NACKs it, once.
 	if se := sc.core.Admit(opClient, req.epoch); se != nil {
-		sc.core.Unregister(key, rid)
+		if !sc.core.unregister(st.key, st.rid, false) {
+			return true
+		}
 		sc.mu.Lock()
-		delete(sc.subs, id)
+		delete(sc.subs, st.id)
 		sc.mu.Unlock()
-		return sc.nack(id, se)
+		return sc.nack(st.id, se)
 	}
-	sink(initial)
+	st.deliver(initial)
 	return true
 }
 
@@ -334,8 +315,8 @@ func (sc *netConn) openStream(req *request) bool {
 // tear-down is idempotent.
 func (sc *netConn) closeStream(id uint64) {
 	sc.mu.Lock()
-	if sub, ok := sc.subs[id]; ok {
-		sc.core.Unregister(sub.key, sub.rid)
+	if st, ok := sc.subs[id]; ok {
+		sc.core.Unregister(st.key, st.rid)
 		delete(sc.subs, id)
 	}
 	sc.mu.Unlock()
@@ -558,6 +539,9 @@ func WithConnEpoch(epoch uint64) TCPOption {
 // stampStale fills the server index into a StaleEpochError decoded
 // from the wire (the frame only knows the connection, not the shard).
 func stampStale(err error, idx int) error {
+	if err == nil {
+		return nil // before se, which escapes: every answered frame comes here
+	}
 	var se *StaleEpochError
 	if errors.As(err, &se) && se.Server == -1 {
 		se.Server = idx

@@ -1,6 +1,7 @@
 package soda
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -207,13 +208,20 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, reusing buf when it has the capacity.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame, reusing buf when it has the capacity. The
+// length prefix is read in place in r's buffer (a local array handed to an
+// io.Reader would escape: an allocation per frame); a stream that ends
+// inside it is io.ErrUnexpectedEOF, as one that ends inside the payload.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	r.Discard(4) // buffered by Peek: cannot fail
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("%w: frame length %d", ErrFrame, n)
 	}

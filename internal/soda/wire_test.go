@@ -1,6 +1,7 @@
 package soda
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
@@ -187,7 +188,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if err := writeFrame(&buf, payload); err != nil {
 			t.Fatalf("writeFrame: %v", err)
 		}
-		got, err := readFrame(&buf, nil)
+		got, err := readFrame(bufio.NewReader(&buf), nil)
 		if err != nil {
 			t.Fatalf("readFrame: %v", err)
 		}
@@ -361,19 +362,27 @@ func TestWireMalformed(t *testing.T) {
 	// Oversized and zero-length frames are refused at the framing layer.
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf, nil); !errors.Is(err, ErrFrame) {
+	if _, err := readFrame(bufio.NewReader(&buf), nil); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized frame error = %v", err)
 	}
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 0})
-	if _, err := readFrame(&buf, nil); !errors.Is(err, ErrFrame) {
+	if _, err := readFrame(bufio.NewReader(&buf), nil); !errors.Is(err, ErrFrame) {
 		t.Fatalf("zero frame error = %v", err)
 	}
 	// A truncated stream surfaces as an IO error.
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 9, 1, 2})
-	if _, err := readFrame(&buf, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := readFrame(bufio.NewReader(&buf), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated frame error = %v", err)
+	}
+	// So does one cut inside the length prefix; a stream that ends between
+	// frames is a clean io.EOF.
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0})), nil); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated length prefix error = %v", err)
+	}
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(nil)), nil); err != io.EOF {
+		t.Fatalf("empty stream error = %v", err)
 	}
 }
 
