@@ -121,11 +121,12 @@ bench-pairs:
 # ladder, so only it rides along on both; the client quorum-path layer
 # benchmark (inline and on legs: 128 B, 1 MiB, and 128 B over servers
 # that log to b.TempDir() without syncing) runs once, at the -cpu list it
-# is quoted at.
+# is quoted at, and so do the socket round and its transport floor.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=10x ./internal/gf256/ ./internal/rs/
 	$(GO) test -run '^$$' -bench Stream -benchtime=10x ./internal/soda/
 	$(GO) test -run '^$$' -bench SmallOpsParallel -benchtime=10x -cpu 1,2,4 ./internal/soda/
+	$(GO) test -run '^$$' -bench 'MuxRound|MuxFloor' -benchtime=10x ./internal/soda/
 	$(GO) test -tags purego -run '^$$' -bench . -benchtime=10x ./internal/gf256/ ./internal/rs/
 	$(GO) test -tags purego -run '^$$' -bench Stream -benchtime=10x ./internal/soda/
 

@@ -84,8 +84,7 @@ func run(ctx context.Context) error {
 			fmt.Println("  fault: server 2 crashes mid-read, just after answering get-data")
 		}
 	})
-	r, err := soda.NewReader("r1", codec, lb.Conns(),
-		soda.WithReaderFaults(0), soda.WithReadErrors(1))
+	r, err := reader("r1", &soda.Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 1})
 	if err != nil {
 		return err
 	}
@@ -115,8 +114,7 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("write around the crash: %w", err)
 	}
 	fmt.Printf("  w1: wrote tag %v with a 4/5 ack quorum\n", tag2)
-	rq, err := soda.NewReader("r2", codec, lb.Conns(),
-		soda.WithReaderFaults(2), soda.WithQuarantine(res.Corrupt...))
+	rq, err := reader("r2", &soda.Config{Codec: codec, Conns: lb.Conns(), F: 2, Quarantine: res.Corrupt})
 	if err != nil {
 		return err
 	}
@@ -203,8 +201,7 @@ func run(ctx context.Context) error {
 		}
 		fmt.Printf("  repair: server %d rebuilt from k=%d live elements -> %v, now %v\n", s, k, out, m.Health(s))
 	}
-	rz, err := soda.NewReader("r3", codec, lb.Conns(),
-		soda.WithReaderFaults(0), soda.WithReadErrors(1), soda.WithReaderMembership(m))
+	rz, err := reader("r3", &soda.Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 1, Membership: m})
 	if err != nil {
 		return err
 	}
@@ -233,7 +230,7 @@ func run(ctx context.Context) error {
 	lb.Crash(0)
 	m.MarkSuspect(0, fmt.Errorf("killed for scenario 4"))
 	fmt.Println("  fault: server 0 killed; repair loop running in the background")
-	wm, err := soda.NewWriter("w2", codec, lb.Conns(), soda.WithWriterMembership(m))
+	wm, err := writer("w2", &soda.Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 	if err != nil {
 		return err
 	}
@@ -278,7 +275,7 @@ func run(ctx context.Context) error {
 	}
 	defer dlb.CloseServers()
 	dm := soda.NewMembership(n)
-	dw, err := soda.NewWriter("w1", codec, dlb.Conns(), soda.WithWriterMembership(dm))
+	dw, err := writer("w1", &soda.Config{Codec: codec, Conns: dlb.Conns(), F: -1, Membership: dm})
 	if err != nil {
 		return err
 	}
@@ -312,7 +309,7 @@ func run(ctx context.Context) error {
 	}
 	fmt.Printf("  recover: server 3 replayed snapshot+WAL to tag %v, readmitted (no donor repair) -> %v\n", rtag, dm.Health(3))
 
-	dr, err := soda.NewReader("r1", codec, dlb.Conns(), soda.WithReaderMembership(dm))
+	dr, err := reader("r1", &soda.Config{Codec: codec, Conns: dlb.Conns(), F: -1, Membership: dm})
 	if err != nil {
 		return err
 	}
@@ -346,11 +343,11 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	ew, err := soda.NewEpochWriter("w1", view)
+	ew, err := view.Writer("w1")
 	if err != nil {
 		return err
 	}
-	er, err := soda.NewEpochReader("r1", view)
+	er, err := view.Reader("r1")
 	if err != nil {
 		return err
 	}
@@ -419,7 +416,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("epoch-1 write: %w", err)
 	}
-	fmt.Printf("  w1: same EpochWriter wrote tag %v across all 7 servers\n", tag9)
+	fmt.Printf("  w1: same Writer wrote tag %v across all 7 servers\n", tag9)
 
 	cfg2 := &soda.Config{Epoch: 2, Codec: codec, Conns: glb.ConnsAt(2, 5), F: -1}
 	if err := rc.Apply(ctx, cfg2); err != nil {
@@ -440,4 +437,22 @@ func run(ctx context.Context) error {
 	}
 	fmt.Printf("  r1: back on [5,3] at epoch 2, read %q at tag %v ✓; retired servers 5-6 stay sealed\n", res9.Value, res9.Tag)
 	return nil
+}
+
+// writer and reader build a client at cfg's F, E, Membership or
+// Quarantine, on a view of cfg nothing else installs to.
+func writer(id string, cfg *soda.Config) (*soda.Writer, error) {
+	view, err := soda.NewConfigView(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return view.Writer(id)
+}
+
+func reader(id string, cfg *soda.Config) (*soda.Reader, error) {
+	view, err := soda.NewConfigView(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return view.Reader(id)
 }

@@ -359,19 +359,18 @@ func runLoad(cfg runConfig) (runResult, error) {
 	if err != nil {
 		return runResult{}, err
 	}
-	var wopts []soda.WriterOption
-	var ropts []soda.ReaderOption
-	if cl.m != nil {
-		// Kill mode: membership-aware clients treat the quarantined
-		// server as already failed instead of waiting out its timeout.
-		wopts = append(wopts, soda.WithWriterMembership(cl.m))
-		ropts = append(ropts, soda.WithReaderMembership(cl.m))
-	}
-	w, err := soda.NewWriter("load-w", codec, cl.conns, wopts...)
+	// In kill mode cl.m is set: membership-aware clients treat the
+	// quarantined server as already failed instead of waiting out its
+	// timeout.
+	view, err := soda.NewConfigView(&soda.Config{Codec: codec, Conns: cl.conns, F: -1, Membership: cl.m})
 	if err != nil {
 		return runResult{}, err
 	}
-	r, err := soda.NewReader("load-r", codec, cl.conns, ropts...)
+	w, err := view.Writer("load-w")
+	if err != nil {
+		return runResult{}, err
+	}
+	r, err := view.Reader("load-r")
 	if err != nil {
 		return runResult{}, err
 	}

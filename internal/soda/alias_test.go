@@ -658,7 +658,7 @@ func TestUnsentLegsFreeTheirElements(t *testing.T) {
 
 	m := NewMembership(5)
 	m.MarkSuspect(4, errors.New("test"))
-	w = mustWriter(t, "w2", codec, lb.Conns(), WithWriterMembership(m))
+	w = mustWriterOn(t, "w2", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 	if _, err := w.Write(testCtx(t), testKey, value); err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +683,7 @@ func TestHandoffForkStoresSameState(t *testing.T) {
 	const n, k = 5, 3
 	for _, elemSize := range []int{elemHandoffMin - 1, elemHandoffMin} {
 		codec, lb := newCluster(t, n, k)
-		w := mustWriter(t, "w", codec, lb.Conns(), WithWriterFaults(0))
+		w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
 		before := freed.total()
 		for round := 0; round < 3; round++ {
 			value := elemFor(uint64(round), k*elemSize-1) // last data shard zero-padded by one byte
@@ -978,7 +978,7 @@ func TestWholeOpAllocCeilings(t *testing.T) {
 			t.Fatal(err)
 		}
 		conns := tc.conns(t)
-		w := mustWriter(t, "w", codec, conns, WithWriterFaults(0))
+		w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: conns, F: 0})
 		r := mustReader(t, "r", codec, conns)
 		value := make([]byte, tc.size)
 		if _, err := w.Write(ctx, testKey, value); err != nil { // a socket's conns are dialed by now

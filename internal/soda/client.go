@@ -233,52 +233,42 @@ func (sc *encodeScratch) unsent(sent []Conn) {
 // keys: two overlapping Writes of one key from one id would otherwise
 // observe the same quorum maximum, mint the same tag for different
 // values, and split the servers between two codewords of one version.
+//
+// A Writer runs each Write under its view's current Config and follows
+// the view across epoch flips: a StaleEpochError (a server NACKing the
+// epoch) waits for the view to advance and retries the whole two-phase
+// write under the new geometry. Retrying whole operations is safe for
+// the same reason writer crashes are: an interrupted write is a
+// half-applied put the protocol already tolerates, and the retry mints
+// a fresh, higher tag. On a view that never flips the error is returned.
 type Writer struct {
 	id      string
+	view    *ConfigView
+	at      atomic.Pointer[writerAt] // what the writer derived from the Config it last met
+	meet    sync.Mutex               // serializes deriving the next one
+	stripes [writeStripes]struct {
+		sync.Mutex         // serializes Write's get-tag -> put-data pair per key
+		op         writeOp // the write that holds it
+	}
+	// abandoned, when set, hears each minted tag a retried Write gives
+	// up: the failed attempt may have installed elements under it on
+	// fewer than a quorum of servers, migration can surface such a
+	// half-applied put to readers, so history checkers record it.
+	abandoned func(Tag, error)
+}
+
+// writerAt is what a Writer derives from one Config, once, when an
+// operation first meets it: the conns and which of them step, the fault
+// budget f, and the pools of state sized by n.
+type writerAt struct {
+	cfg     *Config
 	codec   *Codec
 	conns   []Conn
 	steps   []stepper // see stepsOf
 	f       int
 	m       *Membership
-	stripes [writeStripes]struct {
-		sync.Mutex         // serializes Write's get-tag -> put-data pair per key
-		op         writeOp // the write that holds it
-	}
 	scratch sync.Pool // *encodeScratch
 	calls   sync.Pool // *writeCall
-}
-
-// WriterOption configures a Writer.
-type WriterOption func(*Writer) error
-
-// WithWriterFaults sets the number of server crashes f the writer
-// rides through: both phases wait on n-f servers. Default (n-k)/2,
-// the paper's bound n >= k + 2f.
-func WithWriterFaults(f int) WriterOption {
-	return func(w *Writer) error {
-		if f < 0 || f >= len(w.conns) {
-			return fmt.Errorf("%w: writer faults f=%d with n=%d", ErrConfig, f, len(w.conns))
-		}
-		w.f = f
-		return nil
-	}
-}
-
-// WithWriterMembership shares a cluster Membership view with the
-// writer: quarantined servers are excluded from both phases' quorum
-// accounting — charged to the fault budget f rather than dialed — and
-// automatically re-included once the Repairer readmits them. The
-// writer also feeds the view: a server that affirmatively fails an RPC
-// is marked Suspect for the repair loop to pick up. A nil view is no
-// view: nobody is quarantined and nothing is fed.
-func WithWriterMembership(m *Membership) WriterOption {
-	return func(w *Writer) error {
-		if m != nil && m.N() != len(w.conns) {
-			return fmt.Errorf("%w: membership for n=%d, cluster has n=%d", ErrConfig, m.N(), len(w.conns))
-		}
-		w.m = m
-		return nil
-	}
 }
 
 // maxWriterID bounds writer ids: they travel inside every tag on the
@@ -286,27 +276,52 @@ func WithWriterMembership(m *Membership) WriterOption {
 // they are required to be short.
 const maxWriterID = 255
 
-// NewWriter builds a writer with the given unique id.
-func NewWriter(id string, codec *Codec, conns []Conn, opts ...WriterOption) (*Writer, error) {
+// NewWriter builds a writer with the given unique id on one cluster that
+// never reconfigures, at the default f and with no membership view.
+// (*ConfigView).Writer builds any other.
+func NewWriter(id string, codec *Codec, conns []Conn) (*Writer, error) {
+	v, err := fixedView(&Config{Codec: codec, Conns: conns, F: -1})
+	if err != nil {
+		return nil, err
+	}
+	return v.Writer(id)
+}
+
+// Writer builds a writer with the given unique id that follows the view.
+func (v *ConfigView) Writer(id string) (*Writer, error) {
 	if id == "" {
 		return nil, fmt.Errorf("%w: empty writer id", ErrConfig)
 	}
 	if len(id) > maxWriterID {
 		return nil, fmt.Errorf("%w: writer id of %d bytes exceeds %d", ErrConfig, len(id), maxWriterID)
 	}
-	if err := validateConns(conns, codec.N()); err != nil {
+	w := &Writer{id: id, view: v}
+	if _, err := w.current(); err != nil {
 		return nil, err
 	}
-	w := &Writer{id: id, codec: codec, conns: conns, f: (codec.N() - codec.K()) / 2, steps: stepsOf(conns)}
-	for _, opt := range opts {
-		if err := opt(w); err != nil {
-			return nil, err
-		}
-	}
-	if codec.N()-w.f < codec.K() {
-		return nil, fmt.Errorf("%w: quorum n-f=%d < k=%d", ErrConfig, codec.N()-w.f, codec.K())
-	}
 	return w, nil
+}
+
+// current returns what the writer derived from the view's Config,
+// deriving and checking it on first meeting: while the view stands
+// still, an atomic load and a pointer compare.
+func (w *Writer) current() (*writerAt, error) {
+	if at := w.at.Load(); at != nil && at.cfg == w.view.Current() {
+		return at, nil
+	}
+	w.meet.Lock()
+	defer w.meet.Unlock()
+	cfg := w.view.Current() // read under meet: the stored one only moves forward
+	if at := w.at.Load(); at != nil && at.cfg == cfg {
+		return at, nil
+	}
+	f, err := cfg.writerFaults()
+	if err != nil {
+		return nil, err
+	}
+	at := &writerAt{cfg: cfg, codec: cfg.Codec, conns: cfg.Conns, steps: stepsOf(cfg.Conns), f: f, m: cfg.Membership}
+	w.at.Store(at)
+	return at, nil
 }
 
 // writeTally is the quorum accounting of one write: what the servers
@@ -407,7 +422,7 @@ type writeCall struct {
 	writeTally
 
 	// Per-call fields, set before the spawns and zeroed at pool time.
-	w      *Writer
+	at     *writerAt
 	ctx    context.Context // the write's, cancelled when it returns
 	cancel context.CancelFunc
 	key    string
@@ -431,11 +446,11 @@ func (wc *writeCall) release() {
 		case <-wc.wake:
 		case <-wc.mint:
 		default:
-			w := wc.w
-			wc.w, wc.ctx, wc.cancel, wc.key, wc.sc = nil, nil, nil, "", nil
+			at := wc.at
+			wc.at, wc.ctx, wc.cancel, wc.key, wc.sc = nil, nil, nil, "", nil
 			clear(wc.conns)
 			wc.writeTally = writeTally{} // drops the error values
-			w.calls.Put(wc)
+			at.calls.Put(wc)
 			return
 		}
 	}
@@ -454,7 +469,7 @@ func (wc *writeCall) signal() {
 // gotTagFrom and gotAckFrom count one server's answer, brought by its
 // leg or by the conn that took the exchange.
 func (wc *writeCall) gotTagFrom(server int, t Tag, err error) {
-	reportSuspect(wc.w.m, wc.ctx, server, err)
+	reportSuspect(wc.at.m, wc.ctx, server, err)
 	wc.mu.Lock()
 	nudge := wc.gotTag(t, err)
 	wc.mu.Unlock()
@@ -464,7 +479,7 @@ func (wc *writeCall) gotTagFrom(server int, t Tag, err error) {
 }
 
 func (wc *writeCall) gotAckFrom(server int, err error) {
-	reportSuspect(wc.w.m, wc.ctx, server, err)
+	reportSuspect(wc.at.m, wc.ctx, server, err)
 	wc.mu.Lock()
 	nudge := wc.gotAck(err)
 	wc.mu.Unlock()
@@ -499,7 +514,7 @@ func (r *ackReply) answer(server int, _ *response, err error) {
 // write holding the stripe's lock touches, so passing it to the conns it
 // steps (stepOp) costs no allocation.
 type writeOp struct {
-	w     *Writer
+	at    *writerAt
 	ctx   context.Context
 	key   string
 	sc    *encodeScratch
@@ -523,20 +538,20 @@ func (op *writeOp) called() *writeCall {
 	if op.call != nil {
 		return op.call
 	}
-	w := op.w
-	wc, _ := w.calls.Get().(*writeCall)
-	if wc == nil || cap(wc.mint) < len(w.conns) {
+	at := op.at
+	wc, _ := at.calls.Get().(*writeCall)
+	if wc == nil {
 		wc = &writeCall{
 			wake:  make(chan struct{}, 1),
-			mint:  make(chan Tag, len(w.conns)),
+			mint:  make(chan Tag, len(at.conns)),
 			idle:  spawnPool.list(),
-			conns: make([]Conn, len(w.conns)),
+			conns: make([]Conn, len(at.conns)),
 		}
 		wc.body = wc.run
 	}
 	wc.next.Store(0)
 	wc.ctx, wc.cancel = context.WithCancel(op.ctx)
-	wc.w, wc.key, wc.full, wc.sc, wc.vlen, wc.writeTally = w, op.key, 0, op.sc, op.vlen, op.tally
+	wc.at, wc.key, wc.full, wc.sc, wc.vlen, wc.writeTally = at, op.key, 0, op.sc, op.vlen, op.tally
 	wc.refs.Store(1)    // the caller
 	op.sc.refs.Store(1) // the writer's own, beside its legs'
 	op.call = wc
@@ -551,7 +566,7 @@ func (op *writeOp) gotTag(server int, t Tag, err error) {
 		op.call.gotTagFrom(server, t, err)
 		return
 	}
-	reportSuspect(op.w.m, op.ctx, server, err)
+	reportSuspect(op.at.m, op.ctx, server, err)
 	op.tally.gotTag(t, err)
 }
 
@@ -560,7 +575,7 @@ func (op *writeOp) gotAck(server int, err error) {
 		op.call.gotAckFrom(server, err)
 		return
 	}
-	reportSuspect(op.w.m, op.ctx, server, err)
+	reportSuspect(op.at.m, op.ctx, server, err)
 	op.tally.gotAck(err)
 }
 
@@ -614,15 +629,15 @@ func (op *writeOp) legs(conns []Conn, minted Tag) {
 // end frees the stripe for the next write, letting go of the call and the
 // encode scratch, and reports whether every answer came on the goroutine.
 func (op *writeOp) end() (inline bool) {
-	w, sc, wc := op.w, op.sc, op.call
+	at, sc, wc := op.at, op.sc, op.call
 	*op = writeOp{}
 	if wc == nil {
-		w.scratch.Put(sc)
+		at.scratch.Put(sc)
 		return true
 	}
 	wc.cancel()
 	wc.release()
-	sc.release(&w.scratch)
+	sc.release(&at.scratch)
 	return false
 }
 
@@ -651,12 +666,12 @@ func (wc *writeCall) run() {
 		case minted = <-wc.mint:
 		default:
 			putElem(wc.sc.shards[c.Index()]) // never sent: still this leg's
-			wc.sc.release(&wc.w.scratch)
+			wc.sc.release(&wc.at.scratch)
 			return
 		}
 	}
 	err := c.PutData(wc.ctx, wc.key, minted, wc.sc.shards[c.Index()], wc.vlen)
-	wc.sc.release(&wc.w.scratch)
+	wc.sc.release(&wc.at.scratch)
 	wc.gotAckFrom(c.Index(), err)
 }
 
@@ -679,11 +694,25 @@ func (w *Writer) Write(ctx context.Context, key string, value []byte) (Tag, erro
 	if err := validateKey(key); err != nil {
 		return Tag{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	minted, inline, err := w.write(ctx, key, value)
-	if inline && handoff(w.codec.shardSize(len(value))) {
-		yieldAfterLargeInlineOp()
+	for {
+		at, err := w.current()
+		if err != nil {
+			return Tag{}, err
+		}
+		minted, inline, err := w.write(ctx, at, key, value)
+		if inline && handoff(at.codec.shardSize(len(value))) {
+			yieldAfterLargeInlineOp()
+		}
+		if err == nil {
+			return minted, nil
+		}
+		if rerr := retryStale(ctx, w.view, at.cfg, err); rerr != nil {
+			return minted, rerr
+		}
+		if !minted.IsZero() && w.abandoned != nil {
+			w.abandoned(minted, err)
+		}
 	}
-	return minted, err
 }
 
 // yieldAfterLargeInlineOp is called by an operation that moved a
@@ -702,29 +731,29 @@ func yieldAfterLargeInlineOp() { runtime.Gosched() }
 // write is Write under the key's stripe lock, held while it parks: two
 // overlapping writes of one key from one writer would mint the same tag.
 // inline reports that every answer came on the calling goroutine.
-func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Tag, inline bool, err error) {
+func (w *Writer) write(ctx context.Context, at *writerAt, key string, value []byte) (minted Tag, inline bool, err error) {
 	stripe := &w.stripes[stripeOf(key)]
 	stripe.Lock()
 	defer stripe.Unlock()
 
-	live, excluded := liveConns(w.conns, w.m)
-	if excluded > w.f {
-		return Tag{}, false, fmt.Errorf("soda: get-tag: %w: %d servers quarantined, fault budget f=%d", ErrUnavailable, excluded, w.f)
+	live, excluded := liveConns(at.conns, at.m)
+	if excluded > at.f {
+		return Tag{}, false, fmt.Errorf("soda: get-tag: %w: %d servers quarantined, fault budget f=%d", ErrUnavailable, excluded, at.f)
 	}
-	sc, _ := w.scratch.Get().(*encodeScratch)
+	sc, _ := at.scratch.Get().(*encodeScratch)
 	if sc == nil {
 		sc = &encodeScratch{}
 	}
-	if err := w.codec.encodeValueInto(value, sc); err != nil {
-		w.scratch.Put(sc)
+	if err := at.codec.encodeValueInto(value, sc); err != nil {
+		at.scratch.Put(sc)
 		return Tag{}, false, err
 	}
 	if excluded > 0 {
 		sc.unsent(live)
 	}
-	need := len(w.conns) - w.f
+	need := len(at.conns) - at.f
 	op := &stripe.op
-	*op = writeOp{w: w, ctx: ctx, key: key, sc: sc, vlen: len(value), tally: writeTally{need: need, allowed: len(live) - need}}
+	*op = writeOp{at: at, ctx: ctx, key: key, sc: sc, vlen: len(value), tally: writeTally{need: need, allowed: len(live) - need}}
 	defer func() { inline = op.end() }()
 	alive := ctx.Err() == nil // the legs know what a dead context does to a write
 
@@ -736,7 +765,7 @@ func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Ta
 	for j, c := range conns {
 		i := c.Index()
 		t, err := Tag{}, errNotNow
-		if s := w.steps[i]; alive && s != nil {
+		if s := at.steps[i]; alive && s != nil {
 			t, err = s.getTagStep(key, op)
 		}
 		switch err {
@@ -782,7 +811,7 @@ func (w *Writer) write(ctx context.Context, key string, value []byte) (minted Ta
 		for _, c := range puts {
 			i := c.Index()
 			err := errNotNow
-			if s := w.steps[i]; alive && s != nil {
+			if s := at.steps[i]; alive && s != nil {
 				err = s.putDataStep(key, minted, sc.shards[i], len(value), op)
 			}
 			switch err {
@@ -819,9 +848,24 @@ type ReadResult struct {
 
 // Reader performs SODA's relayed reads. Safe for concurrent use; each
 // Read registers under a fresh reader id.
+//
+// A Reader runs each Read under its view's current Config and follows
+// the view across epoch flips, as a Writer does: a fresh Read under the
+// new epoch re-registers at every server (servers dropped the old
+// registrations at the flip) and fixes a new target tag; atomicity
+// carries over because migration preserved every completed write.
 type Reader struct {
-	id         string
-	ridPrefix  string // id + process token, precomputed off the Read path
+	ridPrefix string // id + process token, precomputed off the Read path
+	view      *ConfigView
+	at        atomic.Pointer[readerAt] // what the reader derived from the Config it last met
+	meet      sync.Mutex               // serializes deriving the next one
+}
+
+// readerAt is what a Reader derives from one Config, once, when a read
+// first meets it: the conns and which of them step, the budgets f and e,
+// the static quarantine, and the pool of read states sized by n.
+type readerAt struct {
+	cfg        *Config
 	codec      *Codec
 	conns      []Conn
 	steps      []stepper // see stepsOf
@@ -832,103 +876,48 @@ type Reader struct {
 	states     sync.Pool // *readState
 }
 
-// ReaderOption configures a Reader.
-type ReaderOption func(*Reader) error
-
-// WithReaderFaults sets the number of silent or crashed servers f a
-// read rides through: the target tag is fixed from the first n-f
-// initial responses. Atomicity requires f < k — a read may adopt a
-// tag held by only the k servers whose elements it decoded (a
-// writer's half-applied put), and a later read's n-f initial quorum
-// is guaranteed to intersect those k servers only when k > f; with
-// f >= k, reads could go backwards. Default min((n-k)/2, k-1).
-func WithReaderFaults(f int) ReaderOption {
-	return func(r *Reader) error {
-		if f < 0 || f >= len(r.conns) {
-			return fmt.Errorf("%w: reader faults f=%d with n=%d", ErrConfig, f, len(r.conns))
-		}
-		if f >= r.codec.K() {
-			return fmt.Errorf("%w: reader faults f=%d >= k=%d (a returned tag may live on only k servers; the next read's n-f quorum must still see one of them)",
-				ErrConfig, f, r.codec.K())
-		}
-		r.f = f
-		return nil
+// NewReader builds a reader with the given id prefix on one cluster that
+// never reconfigures, at the default f, e = 0 and with no membership
+// view. (*ConfigView).Reader builds any other.
+func NewReader(id string, codec *Codec, conns []Conn) (*Reader, error) {
+	v, err := fixedView(&Config{Codec: codec, Conns: conns, F: -1})
+	if err != nil {
+		return nil, err
 	}
+	return v.Reader(id)
 }
 
-// WithReadErrors turns on the SODA_err read path: the reader waits
-// for k+2e coded elements of a matching tag, verifies them, and runs
-// the rs error decoder to locate up to e silently corrupt servers,
-// reported in ReadResult.Corrupt. Needs 2e <= n-k.
-func WithReadErrors(e int) ReaderOption {
-	return func(r *Reader) error {
-		if e < 0 {
-			return fmt.Errorf("%w: read errors e=%d", ErrConfig, e)
-		}
-		if e > 0 && r.codec.MaxReadErrors() < e {
-			return fmt.Errorf("%w: e=%d corrupt servers exceeds the codec's radius %d (need 2e <= n-k)",
-				ErrConfig, e, r.codec.MaxReadErrors())
-		}
-		r.e = e
-		return nil
-	}
-}
-
-// WithQuarantine excludes servers a previous SODA_err read located as
-// corrupt: the read never contacts them, charging them to the fault
-// budget f instead.
-func WithQuarantine(servers ...int) ReaderOption {
-	return func(r *Reader) error {
-		for _, s := range servers {
-			if s < 0 || s >= len(r.conns) {
-				return fmt.Errorf("%w: quarantined server %d out of range", ErrConfig, s)
-			}
-		}
-		r.quarantine = slices.Clone(servers)
-		return nil
-	}
-}
-
-// WithReaderMembership shares a cluster Membership view with the
-// reader: each Read samples the view at invocation and excludes every
-// quarantined server exactly like WithQuarantine (the two compose; the
-// static list stays excluded regardless of the view). The reader also
-// feeds the view — corrupt servers a SODA_err decode locates and
-// servers whose delivery stream affirmatively dies are marked Suspect
-// — closing the loop that keeps the Repairer supplied with work. A nil
-// view is no view, as for WithWriterMembership.
-func WithReaderMembership(m *Membership) ReaderOption {
-	return func(r *Reader) error {
-		if m != nil && m.N() != len(r.conns) {
-			return fmt.Errorf("%w: membership for n=%d, cluster has n=%d", ErrConfig, m.N(), len(r.conns))
-		}
-		r.m = m
-		return nil
-	}
-}
-
-// NewReader builds a reader with the given id prefix.
-func NewReader(id string, codec *Codec, conns []Conn, opts ...ReaderOption) (*Reader, error) {
+// Reader builds a reader with the given id prefix that follows the view.
+func (v *ConfigView) Reader(id string) (*Reader, error) {
 	if id == "" {
 		return nil, fmt.Errorf("%w: empty reader id", ErrConfig)
 	}
-	if err := validateConns(conns, codec.N()); err != nil {
+	r := &Reader{ridPrefix: id + "-" + procToken + "#", view: v}
+	if _, err := r.current(); err != nil {
 		return nil, err
 	}
-	f := (codec.N() - codec.K()) / 2
-	if f > codec.K()-1 {
-		f = codec.K() - 1 // see WithReaderFaults: atomicity needs f < k
-	}
-	r := &Reader{id: id, ridPrefix: id + "-" + procToken + "#", codec: codec, conns: conns, f: f, steps: stepsOf(conns)}
-	for _, opt := range opts {
-		if err := opt(r); err != nil {
-			return nil, err
-		}
-	}
-	if need := codec.K() + 2*r.e; codec.N()-r.f < need {
-		return nil, fmt.Errorf("%w: read quorum n-f=%d < k+2e=%d", ErrConfig, codec.N()-r.f, need)
-	}
 	return r, nil
+}
+
+// current is Writer.current for a reader.
+func (r *Reader) current() (*readerAt, error) {
+	if at := r.at.Load(); at != nil && at.cfg == r.view.Current() {
+		return at, nil
+	}
+	r.meet.Lock()
+	defer r.meet.Unlock()
+	cfg := r.view.Current()
+	if at := r.at.Load(); at != nil && at.cfg == cfg {
+		return at, nil
+	}
+	f, err := cfg.readerFaults()
+	if err != nil {
+		return nil, err
+	}
+	at := &readerAt{cfg: cfg, codec: cfg.Codec, conns: cfg.Conns, steps: stepsOf(cfg.Conns),
+		f: f, e: cfg.E, quarantine: slices.Clone(cfg.Quarantine), m: cfg.Membership}
+	r.at.Store(at)
+	return at, nil
 }
 
 // procToken plus the package-wide readSeq make registration ids
@@ -953,7 +942,7 @@ var (
 
 // Read performs one atomic read of key. It blocks until enough servers
 // have responded (or relayed a concurrent write) to pin down a value,
-// or until ctx is cancelled, under one registration id throughout. One
+// or until ctx is cancelled, under one registration id per Config. One
 // pass on the calling goroutine steps a get-data to every conn, and stops
 // at the server whose answer completes the read, which then ends what it
 // opened. A read the pass leaves waiting keeps its registrations, whose
@@ -963,33 +952,50 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 	if err := validateKey(key); err != nil {
 		return ReadResult{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
+	for {
+		at, err := r.current()
+		if err != nil {
+			return ReadResult{}, err
+		}
+		res, err := r.read(ctx, at, key)
+		if err == nil {
+			return res, nil
+		}
+		if err := retryStale(ctx, r.view, at.cfg, err); err != nil {
+			return ReadResult{}, err
+		}
+	}
+}
+
+// read is one attempt of Read, under one Config.
+func (r *Reader) read(ctx context.Context, at *readerAt, key string) (ReadResult, error) {
 	// The effective quarantine is the static list plus the membership
 	// view's current suspects; a server the Repairer readmitted before
 	// this Read started is contacted again.
-	quarantine := r.quarantine
-	if r.m != nil {
+	quarantine := at.quarantine
+	if at.m != nil {
 		quarantine = slices.Clone(quarantine)
-		for _, s := range r.m.Suspects() {
+		for _, s := range at.m.Suspects() {
 			if !slices.Contains(quarantine, s) {
 				quarantine = append(quarantine, s)
 			}
 		}
 	}
-	st := r.begin(key, quarantine)
+	st := r.begin(at, key, quarantine)
 	defer st.release()
 	live := ctx.Err() == nil // the legs know what a dead context does to a read
 	var done bool
 	for i := 0; ; i++ { // finished is sampled once per conn and once after the last
-		if done = st.isFinished(); done || i == len(r.conns) {
+		if done = st.isFinished(); done || i == len(at.conns) {
 			break
 		}
-		c := r.conns[i]
+		c := at.conns[i]
 		idx := c.Index()
 		if slices.Contains(quarantine, idx) {
 			continue
 		}
 		s, err := sub{}, errNotNow
-		if step := r.steps[idx]; live && step != nil {
+		if step := at.steps[idx]; live && step != nil {
 			s, err = step.getDataStep(key, st.rid, st, st.sink)
 		}
 		switch err {
@@ -999,14 +1005,14 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 			st.owed = append(st.owed, c)
 		case errSilent:
 		default:
-			reportSuspect(r.m, ctx, idx, err)
+			reportSuspect(at.m, ctx, idx, err)
 			st.lose(idx, err)
 		}
 	}
 	if done {
 		st.end(st.subs)
 		res, err := st.outcome()
-		if err == nil && handoff(r.codec.shardSize(len(res.Value))) {
+		if err == nil && handoff(at.codec.shardSize(len(res.Value))) {
 			yieldAfterLargeInlineOp()
 		}
 		return res, err
@@ -1040,10 +1046,10 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 // begin checks out the state of one read, held by the caller: a fresh
 // registration id, the generation-pinned sink, and the quarantined servers
 // already counted as lost.
-func (r *Reader) begin(key string, quarantine []int) *readState {
+func (r *Reader) begin(at *readerAt, key string, quarantine []int) *readState {
 	b := make([]byte, 0, len(r.ridPrefix)+20)
 	rid := string(strconv.AppendUint(append(b, r.ridPrefix...), readSeq.Add(1), 10))
-	st := r.getState()
+	st := at.getState()
 	st.mu.Lock()
 	st.key, st.rid = key, rid
 	gen := st.gen
@@ -1084,7 +1090,7 @@ func (st *readState) take(byte) waiter {
 func (st *readState) answer(server int, _ *response, err error) {
 	defer st.release()
 	if err != nil && !st.isFinished() {
-		reportSuspect(st.r.m, context.Background(), server, err)
+		reportSuspect(st.at.m, context.Background(), server, err)
 		st.lose(server, err)
 	}
 }
@@ -1108,7 +1114,7 @@ func (st *readState) outcome() (ReadResult, error) {
 	if err != nil {
 		return ReadResult{}, err
 	}
-	if m := st.r.m; m != nil {
+	if m := st.at.m; m != nil {
 		m.ReportRead(res)
 	}
 	return res, nil
@@ -1127,21 +1133,21 @@ func (st *readState) runConn() {
 		if err == nil {
 			err = errStreamClosed
 		}
-		reportSuspect(st.r.m, st.rctx, idx, err)
+		reportSuspect(st.at.m, st.rctx, idx, err)
 		st.lose(idx, err)
 	}
 }
 
-// getState checks a readState out of the reader's pool. The state is
+// getState checks a readState out of the Config's pool. The state is
 // returned by the last of its holders (the caller plus one goroutine
 // per subscription) via release, which also advances the generation so
 // that straggler relay deliveries for the old read are dropped.
-func (r *Reader) getState() *readState {
-	st, _ := r.states.Get().(*readState)
+func (at *readerAt) getState() *readState {
+	st, _ := at.states.Get().(*readState)
 	if st == nil {
-		n := len(r.conns)
+		n := len(at.conns)
 		st = &readState{
-			r:        r,
+			at:       at,
 			initials: make([]Tag, n),
 			hasInit:  make([]bool, n),
 			lost:     make([]bool, n),
@@ -1164,7 +1170,7 @@ func (st *readState) release() {
 	}
 	st.mu.Lock()
 	st.gen++
-	r := st.r
+	at := st.at
 	for i := 0; i < st.nvers; i++ {
 		b := &st.vers[i]
 		clear(b.ts.elems)
@@ -1188,7 +1194,7 @@ func (st *readState) release() {
 	default:
 	}
 	st.mu.Unlock()
-	r.states.Put(st)
+	at.states.Put(st)
 }
 
 // version identifies one write as a read sees it: the tag plus the
@@ -1222,11 +1228,11 @@ type versionBucket struct {
 
 // readState is the mutable heart of one Read: deliveries from all
 // server subscriptions funnel into addLocked, which re-evaluates the
-// completion rule. States are pooled per Reader; gen stamps each
+// completion rule. States are pooled per Config a Reader met; gen stamps each
 // checkout so relay deliveries that outlive their read go inert
 // instead of polluting the next one.
 type readState struct {
-	r  *Reader
+	at *readerAt
 	mu sync.Mutex
 
 	gen  uint64       // checkout generation; advanced on pool return
@@ -1287,7 +1293,7 @@ func (st *readState) bucket(v version) *tagState {
 		}
 	}
 	if st.nvers == len(st.vers) {
-		st.vers = append(st.vers, versionBucket{ts: tagState{elems: make([][]byte, len(st.r.conns))}})
+		st.vers = append(st.vers, versionBucket{ts: tagState{elems: make([][]byte, len(st.at.conns))}})
 	}
 	b := &st.vers[st.nvers]
 	b.v = v
@@ -1322,7 +1328,7 @@ func (st *readState) lose(server int, cause error) {
 	}
 	st.lost[server] = true
 	st.nLost++
-	n := len(st.r.conns)
+	n := len(st.at.conns)
 	aliveNew := 0 // live servers that have not yet sent their initial
 	for i := 0; i < n; i++ {
 		if !st.hasInit[i] && !st.lost[i] {
@@ -1332,16 +1338,16 @@ func (st *readState) lose(server int, cause error) {
 	// The target tag needs initial responses from n-f distinct
 	// servers; initials already in hand count even if their server
 	// died since.
-	if !st.tTargetSet && st.nInit+aliveNew < n-st.r.f {
+	if !st.tTargetSet && st.nInit+aliveNew < n-st.at.f {
 		st.finish(ReadResult{}, fmt.Errorf("%w: server %d lost (%w); %d initial responses reachable, need %d",
-			ErrUnavailable, server, cause, st.nInit+aliveNew, n-st.r.f))
+			ErrUnavailable, server, cause, st.nInit+aliveNew, n-st.at.f))
 		return
 	}
 	// Completion needs k+2e elements of one version. A future write
 	// can still supply them through every live server; failing that,
 	// an already-seen version can be completed by live servers that
 	// have not contributed to it yet.
-	need := st.r.codec.K() + 2*st.r.e
+	need := st.at.codec.K() + 2*st.at.e
 	if n-st.nLost >= need {
 		return
 	}
@@ -1371,7 +1377,7 @@ func (st *readState) lose(server int, cause error) {
 // completion. Callers hold st.mu (the generation-checked sink, and
 // tests driving the state machine directly take it via add).
 func (st *readState) addLocked(d Delivery) {
-	if st.finished || d.Server < 0 || d.Server >= len(st.r.conns) {
+	if st.finished || d.Server < 0 || d.Server >= len(st.at.conns) {
 		return
 	}
 	if d.Initial && !st.hasInit[d.Server] {
@@ -1385,7 +1391,7 @@ func (st *readState) addLocked(d Delivery) {
 	// versions that can still complete the read: once t* is fixed,
 	// deliveries below it are garbage the completion rule will never
 	// touch, so they are dropped at the door instead of buffered.
-	if !d.Tag.IsZero() && d.VLen > 0 && len(d.Elem) == st.r.codec.shardSize(d.VLen) &&
+	if !d.Tag.IsZero() && d.VLen > 0 && len(d.Elem) == st.at.codec.shardSize(d.VLen) &&
 		!(st.tTargetSet && d.Tag.Less(st.tTarget)) {
 		ts := st.bucket(version{tag: d.Tag, vlen: d.VLen})
 		if ts.elems[d.Server] == nil {
@@ -1410,9 +1416,9 @@ func (st *readState) add(d Delivery) {
 // the read returns the initial empty value.
 func (st *readState) check() {
 	// mu held.
-	n := len(st.r.conns)
+	n := len(st.at.conns)
 	if !st.tTargetSet {
-		if st.nInit < n-st.r.f {
+		if st.nInit < n-st.at.f {
 			return
 		}
 		for i := 0; i < n; i++ {
@@ -1437,7 +1443,7 @@ func (st *readState) check() {
 	// freshest one is the one to return. Selection is a repeated max
 	// scan — the bucket list is one or two entries long, and a tried
 	// bucket is never reselected until it grows.
-	need := st.r.codec.K() + 2*st.r.e
+	need := st.at.codec.K() + 2*st.at.e
 	for {
 		best := -1
 		for i := 0; i < st.nvers; i++ {
@@ -1484,9 +1490,9 @@ func newerVersion(a, b version) bool {
 // the decoding radius. A failed decode (corruption beyond e) reports
 // !ok and the read keeps waiting for more relays.
 func (st *readState) decode(v version, ts *tagState) (ReadResult, bool) {
-	codec := st.r.codec
+	codec := st.at.codec
 	n, k := codec.N(), codec.K()
-	if ts.count < k+2*st.r.e {
+	if ts.count < k+2*st.at.e {
 		return ReadResult{}, false
 	}
 	// With e == 0 nothing writes the delivered elements — the value is the
@@ -1494,7 +1500,7 @@ func (st *readState) decode(v version, ts *tagState) (ReadResult, bool) {
 	// into the result — so there are no defensive clones.
 	shards, decodeValue := ts.elems, codec.DecodeValue
 	var corrupt []int
-	if st.r.e == 0 {
+	if st.at.e == 0 {
 		if slices.ContainsFunc(shards[:k], func(el []byte) bool { return el == nil }) {
 			decodeValue = codec.decodeDegraded
 		}

@@ -28,7 +28,7 @@ type Codec struct {
 }
 
 // NewCodec builds the [n, k] codec a cluster of n servers shares:
-// SODA and SODA_err readers (WithReadErrors) decode the same elements.
+// SODA and SODA_err readers (Config.E) decode the same elements.
 func NewCodec(n, k int) (*Codec, error) {
 	enc, err := rs.New(n, k)
 	if err != nil {
@@ -43,7 +43,7 @@ func (c *Codec) N() int { return c.enc.N() }
 // K returns the number of coded elements a read must gather.
 func (c *Codec) K() int { return c.enc.K() }
 
-// MaxReadErrors returns the largest e usable with WithReadErrors: the
+// MaxReadErrors returns the largest Config.E a reader accepts: the
 // number of corrupt elements the codec can locate with no erasures,
 // floor((n-k)/2).
 func (c *Codec) MaxReadErrors() int { return c.enc.MaxErrors(0) }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Online reconfiguration, client side. A Config is one immutable
@@ -19,10 +20,11 @@ import (
 //
 // A ConfigView is the mutable cell a cluster's clients share: the
 // reconfiguration coordinator installs each activated Config into it,
-// and EpochWriter/EpochReader wrap the epoch-less Writer/Reader API
-// around it — on a StaleEpochError they wait for the view to reach
-// the epoch the server demanded and retry the whole operation under
-// the new geometry.
+// and every Writer and Reader runs each operation under the Config its
+// view holds — on a StaleEpochError it waits for the view to reach the
+// epoch the server demanded and retries the whole operation under the
+// new geometry. NewWriter and NewReader build their clients on a view
+// that never flips.
 
 // SeedEpoch is the configuration epoch every cluster is born at: the
 // construction-time geometry, before any reconfiguration. Passing it
@@ -39,16 +41,39 @@ const SeedEpoch uint64 = 0
 // claimed.
 const epochNone uint64 = 0
 
-// Config is one immutable configuration of the cluster.
+// Config is one immutable configuration of the cluster, and the one way
+// a Writer or Reader is configured.
 type Config struct {
 	Epoch uint64
 	Codec *Codec
 	Conns []Conn // stamped with Epoch; one per shard index in [0, N)
-	F     int    // crash fault budget; negative means the codec default
-	E     int    // silent-corruption budget for SODA_err reads
+	// F is the number of crashed or silent servers an operation rides
+	// through: a write's two phases each wait on n-f servers, a read
+	// fixes its target tag from the first n-f initial responses.
+	// Negative means the role's default: (n-k)/2 for a writer, the
+	// paper's bound n >= k + 2f; min((n-k)/2, k-1) for a reader.
+	// Atomicity needs a reader's f < k: a read may adopt a tag held by
+	// only the k servers whose elements it decoded (a writer's
+	// half-applied put), and a later read's n-f initial quorum is
+	// guaranteed to meet one of them only when k > f.
+	F int
+	// E turns on the SODA_err read path when positive: a read waits for
+	// k+2e coded elements of a matching tag, verifies them, and runs the
+	// rs error decoder to locate up to e silently corrupt servers,
+	// reported in ReadResult.Corrupt. Needs 2e <= n-k.
+	E int
 	// Membership is the per-configuration health view writers, readers,
-	// and the Repairer share; nil runs without quarantine.
+	// and the Repairer share; nil runs without quarantine. Quarantined
+	// servers are charged to f rather than contacted: a write excludes
+	// them from both phases, a read samples the view when it starts. The
+	// clients feed the view too: a server that affirmatively fails an
+	// exchange, or whose element a SODA_err read locates as corrupt, is
+	// marked Suspect for the repair loop, which readmits it once healed.
 	Membership *Membership
+	// Quarantine lists servers a previous SODA_err read located as
+	// corrupt: a read never contacts them, charging them to f, whatever
+	// Membership says. Writers do not consult it.
+	Quarantine []int
 }
 
 // N returns the configuration's cluster size.
@@ -71,50 +96,82 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// writerOpts assembles the Writer options a Config implies.
-func (c *Config) writerOpts() []WriterOption {
-	var opts []WriterOption
-	if c.F >= 0 {
-		opts = append(opts, WithWriterFaults(c.F))
+// writerFaults checks the Config for a writer and returns the writer's f.
+func (c *Config) writerFaults() (int, error) {
+	n, k, f := c.N(), c.K(), c.F
+	if f < 0 {
+		f = (n - k) / 2
+	} else if f >= n {
+		return 0, fmt.Errorf("%w: writer faults f=%d with n=%d", ErrConfig, f, n)
 	}
-	return append(opts, WithWriterMembership(c.Membership))
+	if n-f < k {
+		return 0, fmt.Errorf("%w: quorum n-f=%d < k=%d", ErrConfig, n-f, k)
+	}
+	return f, nil
 }
 
-// readerOpts assembles the Reader options a Config implies.
-func (c *Config) readerOpts() []ReaderOption {
-	var opts []ReaderOption
-	if c.F >= 0 {
-		opts = append(opts, WithReaderFaults(c.F))
+// readerFaults checks the Config for a reader and returns the reader's f.
+func (c *Config) readerFaults() (int, error) {
+	n, k, f, e := c.N(), c.K(), c.F, c.E
+	switch {
+	case f < 0:
+		f = min((n-k)/2, k-1)
+	case f >= n:
+		return 0, fmt.Errorf("%w: reader faults f=%d with n=%d", ErrConfig, f, n)
+	case f >= k:
+		return 0, fmt.Errorf("%w: reader faults f=%d >= k=%d (a returned tag may live on only k servers; the next read's n-f quorum must still see one of them)",
+			ErrConfig, f, k)
 	}
-	if c.E > 0 {
-		opts = append(opts, WithReadErrors(c.E))
+	if e < 0 {
+		return 0, fmt.Errorf("%w: read errors e=%d", ErrConfig, e)
 	}
-	return append(opts, WithReaderMembership(c.Membership))
+	if e > 0 && c.Codec.MaxReadErrors() < e {
+		return 0, fmt.Errorf("%w: e=%d corrupt servers exceeds the codec's radius %d (need 2e <= n-k)",
+			ErrConfig, e, c.Codec.MaxReadErrors())
+	}
+	for _, s := range c.Quarantine {
+		if s < 0 || s >= n {
+			return 0, fmt.Errorf("%w: quarantined server %d out of range", ErrConfig, s)
+		}
+	}
+	if n-f < k+2*e {
+		return 0, fmt.Errorf("%w: read quorum n-f=%d < k+2e=%d", ErrConfig, n-f, k+2*e)
+	}
+	return f, nil
 }
 
 // ConfigView is the shared, monotonically-advancing view of the
 // cluster's current configuration.
 type ConfigView struct {
-	mu      sync.Mutex
-	cur     *Config
-	changed chan struct{} // closed and replaced on every install
+	cur     atomic.Pointer[Config] // read once by every operation
+	mu      sync.Mutex             // serializes Install; guards changed
+	changed chan struct{}          // closed and replaced on every install; nil on a view that never flips
 }
 
 // NewConfigView starts a view at the given initial configuration.
 func NewConfigView(initial *Config) (*ConfigView, error) {
-	if err := initial.validate(); err != nil {
+	v, err := fixedView(initial)
+	if err != nil {
 		return nil, err
 	}
-	return &ConfigView{cur: initial, changed: make(chan struct{})}, nil
+	v.changed = make(chan struct{})
+	return v, nil
+}
+
+// fixedView starts a view at cfg that never flips: the view of a client
+// NewWriter or NewReader builds.
+func fixedView(cfg *Config) (*ConfigView, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	v := &ConfigView{}
+	v.cur.Store(cfg)
+	return v, nil
 }
 
 // Current returns the view's configuration. The returned Config is
 // immutable; hold it for at most one operation and refetch.
-func (v *ConfigView) Current() *Config {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.cur
-}
+func (v *ConfigView) Current() *Config { return v.cur.Load() }
 
 // Changed returns a channel closed at the next install after the
 // call. Wait on it, then re-read Current.
@@ -133,10 +190,10 @@ func (v *ConfigView) Install(c *Config) error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if c.Epoch <= v.cur.Epoch {
-		return fmt.Errorf("%w: installing epoch %d over %d", ErrConfig, c.Epoch, v.cur.Epoch)
+	if cur := v.cur.Load(); c.Epoch <= cur.Epoch {
+		return fmt.Errorf("%w: installing epoch %d over %d", ErrConfig, c.Epoch, cur.Epoch)
 	}
-	v.cur = c
+	v.cur.Store(c)
 	close(v.changed)
 	v.changed = make(chan struct{})
 	return nil
@@ -144,13 +201,14 @@ func (v *ConfigView) Install(c *Config) error {
 
 // Await blocks until the view holds a configuration at or past epoch,
 // returning it. This is how a client that was told "want epoch E" by
-// a server waits out the coordinator's install.
+// a server waits out the coordinator's install. A view that never flips
+// cannot be waited for: Await returns its one configuration at once.
 func (v *ConfigView) Await(ctx context.Context, epoch uint64) (*Config, error) {
 	for {
 		v.mu.Lock()
-		cur, ch := v.cur, v.changed
+		cur, ch := v.cur.Load(), v.changed
 		v.mu.Unlock()
-		if cur.Epoch >= epoch {
+		if cur.Epoch >= epoch || ch == nil {
 			return cur, nil
 		}
 		select {
@@ -161,170 +219,27 @@ func (v *ConfigView) Await(ctx context.Context, epoch uint64) (*Config, error) {
 	}
 }
 
-// EpochWriter is a Writer that follows the ConfigView across epoch
-// flips: each Write runs under the view's current configuration, and
-// a StaleEpochError (a server NACKing the epoch) waits for the view
-// to advance and retries the whole two-phase write under the new
-// geometry. Retrying whole operations is safe for the same reason
-// writer crashes are: an interrupted write is a half-applied put the
-// protocol already tolerates, and the retry mints a fresh, higher tag.
-type EpochWriter struct {
-	id        string
-	view      *ConfigView
-	onAbandon func(Tag, error)
-
-	mu    sync.Mutex
-	epoch uint64
-	w     *Writer
-}
-
-// EpochWriterOption configures an EpochWriter.
-type EpochWriterOption func(*EpochWriter)
-
-// WithAbandonedTags installs a hook invoked whenever a retried Write
-// abandons a minted tag: the failed attempt may have installed
-// elements under that tag on fewer than a quorum of servers, and the
-// retry will mint a fresh one. Migration can surface such a tag to
-// readers (it is a half-applied put, legal to linearize), so history
-// checkers need the abandonment recorded.
-func WithAbandonedTags(fn func(Tag, error)) EpochWriterOption {
-	return func(ew *EpochWriter) { ew.onAbandon = fn }
-}
-
-// NewEpochWriter builds a view-following writer with the given unique
-// writer id.
-func NewEpochWriter(id string, view *ConfigView, opts ...EpochWriterOption) (*EpochWriter, error) {
-	ew := &EpochWriter{id: id, view: view}
-	for _, opt := range opts {
-		opt(ew)
-	}
-	if _, err := ew.writerFor(view.Current()); err != nil {
-		return nil, err
-	}
-	return ew, nil
-}
-
-// writerFor returns the cached inner Writer for cfg, rebuilding it
-// when the epoch moved.
-func (ew *EpochWriter) writerFor(cfg *Config) (*Writer, error) {
-	ew.mu.Lock()
-	defer ew.mu.Unlock()
-	if ew.w != nil && ew.epoch == cfg.Epoch {
-		return ew.w, nil
-	}
-	w, err := NewWriter(ew.id, cfg.Codec, cfg.Conns, cfg.writerOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	ew.w, ew.epoch = w, cfg.Epoch
-	return w, nil
-}
-
-// retryStale reacts to one failed attempt under cfg: wait out the flip
-// a StaleEpochError names, or — for a bare unavailability that may be
-// a flip observed only as connection noise — retry immediately if the
-// view has already advanced. It returns false when the error is not
-// reconfiguration-shaped and the caller should surface it.
-func retryStale(ctx context.Context, view *ConfigView, cfg *Config, err error) (bool, error) {
+// retryStale reacts to an attempt under cfg that failed with err: it
+// waits out the flip a StaleEpochError names, or — for a bare
+// unavailability that may be a flip observed only as connection noise —
+// lets the caller retry at once if the view has already advanced. It
+// returns nil for a retry, else the error to return: err itself when err
+// is not reconfiguration-shaped or the view cannot reach the epoch the
+// server wants.
+func retryStale(ctx context.Context, view *ConfigView, cfg *Config, err error) error {
 	var se *StaleEpochError
 	if errors.As(err, &se) {
-		if _, werr := view.Await(ctx, se.Want); werr != nil {
-			return false, fmt.Errorf("awaiting epoch %d: %w (after %w)", se.Want, werr, err)
+		cur, werr := view.Await(ctx, se.Want)
+		if werr != nil {
+			return fmt.Errorf("awaiting epoch %d: %w (after %w)", se.Want, werr, err)
 		}
-		return true, nil
+		if cur.Epoch >= se.Want {
+			return nil
+		}
+		return err
 	}
 	if errors.Is(err, ErrUnavailable) && view.Current().Epoch > cfg.Epoch {
-		return true, nil
+		return nil
 	}
-	return false, nil
-}
-
-// Write performs one atomic write under the current configuration,
-// following the view across any epoch flips it collides with.
-func (ew *EpochWriter) Write(ctx context.Context, key string, value []byte) (Tag, error) {
-	for {
-		cfg := ew.view.Current()
-		w, err := ew.writerFor(cfg)
-		if err != nil {
-			return Tag{}, err
-		}
-		t, err := w.Write(ctx, key, value)
-		if err == nil {
-			return t, nil
-		}
-		retry, rerr := retryStale(ctx, ew.view, cfg, err)
-		if rerr != nil {
-			return Tag{}, rerr
-		}
-		if !retry {
-			return Tag{}, err
-		}
-		if !t.IsZero() && ew.onAbandon != nil {
-			// The retry will mint a fresh tag; t is now a half-applied
-			// put some servers may hold (and migration may surface).
-			ew.onAbandon(t, err)
-		}
-	}
-}
-
-// EpochReader is the Reader counterpart of EpochWriter: each Read runs
-// under the view's current configuration and epoch NACKs trigger a
-// refetch-and-retry. A fresh Read under the new epoch re-registers at
-// every server (the registration handoff — servers dropped the old
-// registrations at the flip) and fixes a new target tag; atomicity
-// carries over because migration preserved every completed write.
-type EpochReader struct {
-	id   string
-	view *ConfigView
-
-	mu    sync.Mutex
-	epoch uint64
-	r     *Reader
-}
-
-// NewEpochReader builds a view-following reader with the given id
-// prefix.
-func NewEpochReader(id string, view *ConfigView) (*EpochReader, error) {
-	er := &EpochReader{id: id, view: view}
-	if _, err := er.readerFor(view.Current()); err != nil {
-		return nil, err
-	}
-	return er, nil
-}
-
-func (er *EpochReader) readerFor(cfg *Config) (*Reader, error) {
-	er.mu.Lock()
-	defer er.mu.Unlock()
-	if er.r != nil && er.epoch == cfg.Epoch {
-		return er.r, nil
-	}
-	r, err := NewReader(er.id, cfg.Codec, cfg.Conns, cfg.readerOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	er.r, er.epoch = r, cfg.Epoch
-	return r, nil
-}
-
-// Read performs one atomic read under the current configuration,
-// following the view across any epoch flips it collides with.
-func (er *EpochReader) Read(ctx context.Context, key string) (ReadResult, error) {
-	for {
-		cfg := er.view.Current()
-		r, err := er.readerFor(cfg)
-		if err != nil {
-			return ReadResult{}, err
-		}
-		res, err := r.Read(ctx, key)
-		if err == nil {
-			return res, nil
-		}
-		retry, rerr := retryStale(ctx, er.view, cfg, err)
-		if rerr != nil {
-			return ReadResult{}, rerr
-		}
-		if !retry {
-			return ReadResult{}, err
-		}
-	}
+	return err
 }

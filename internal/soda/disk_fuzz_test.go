@@ -35,10 +35,7 @@ func diskSeeds(f testing.TB) (records [][]byte, snapshot []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	w, err := NewWriter("w", codec, lb.Conns(), WithWriterFaults(0))
-	if err != nil {
-		f.Fatal(err)
-	}
+	w := mustWriterOn(f, "w", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
 	var last Tag
 	for key, size := range map[string]int{"seed/a": 1, "seed/b": 40, "seed/c": 300} {
 		if last, err = w.Write(ctx, key, bytes.Repeat([]byte{byte(size)}, size)); err != nil {

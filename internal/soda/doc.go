@@ -45,7 +45,7 @@
 // needs n >= k + 2f. Readers additionally require f < k: a read may
 // adopt a half-applied write whose tag lives on only the k servers it
 // decoded from, and k > f is what guarantees the next read's n-f
-// initial quorum still meets one of them, keeping reads monotone. A reader built with WithReadErrors(e) runs the
+// initial quorum still meets one of them, keeping reads monotone. A reader whose Config has E = e > 0 runs the
 // SODA_err variant: it waits for k + 2e coded elements of a matching
 // tag (possible while n - f >= k + 2e), runs Verify-then-DecodeErrors
 // on the very elements a plain SODA writer stored — there is one code —

@@ -410,7 +410,7 @@ func TestPowerCutRecoverNoDonorRepair(t *testing.T) {
 	ctx := testCtx(t)
 	codec, lb := newDurableCluster(t, 5, 3)
 	m := NewMembership(5)
-	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterMembership(m))
+	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 
 	v1 := []byte("written before the cut")
 	if _, err := w.Write(ctx, testKey, v1); err != nil {
@@ -459,7 +459,7 @@ func TestPowerCutRecoverNoDonorRepair(t *testing.T) {
 
 	// The readmitted server participates: reads see the outage-era
 	// write, and the next write lands on all five servers.
-	r := mustReader(t, "r1", codec, lb.Conns(), WithReaderMembership(m))
+	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 	res, err := r.Read(ctx, testKey)
 	if err != nil {
 		t.Fatalf("Read after readmit: %v", err)
@@ -500,7 +500,7 @@ func TestKillRecoverRejoinSoak(t *testing.T) {
 	const writers, readers, minOps = 2, 2, 10
 	var wg sync.WaitGroup
 	for wi := 0; wi < writers; wi++ {
-		w := mustWriter(t, fmt.Sprintf("w%d", wi), codec, lb.Conns(), WithWriterMembership(m))
+		w := mustWriterOn(t, fmt.Sprintf("w%d", wi), &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 		wg.Add(1)
 		go func(wi int, w *Writer) {
 			defer wg.Done()
@@ -524,8 +524,7 @@ func TestKillRecoverRejoinSoak(t *testing.T) {
 		}(wi, w)
 	}
 	for ri := 0; ri < readers; ri++ {
-		r := mustReader(t, fmt.Sprintf("r%d", ri), codec, lb.Conns(),
-			WithReaderFaults(2), WithReadErrors(2), WithReaderMembership(m))
+		r := mustReaderOn(t, fmt.Sprintf("r%d", ri), &Config{Codec: codec, Conns: lb.Conns(), F: 2, E: 2, Membership: m})
 		wg.Add(1)
 		go func(ri int, r *Reader) {
 			defer wg.Done()
@@ -582,7 +581,7 @@ func TestKillRecoverRejoinSoak(t *testing.T) {
 			t.Fatalf("server %d does not serve after the soak: %v", i, err)
 		}
 	}
-	r := mustReader(t, "rz", codec, lb.Conns(), WithReaderFaults(0), WithReadErrors(2))
+	r := mustReaderOn(t, "rz", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 2})
 	res, err := r.Read(ctx, testKey)
 	if err != nil {
 		t.Fatalf("final read: %v", err)

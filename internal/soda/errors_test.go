@@ -35,7 +35,7 @@ func TestErrConfigIsTarget(t *testing.T) {
 		t.Fatalf("NewWriter(3 conns, n=5): err = %v, want errors.Is ErrConfig", err)
 	}
 	// Fault budget that destroys the quorum: n-f < k.
-	if _, err := NewWriter("w1", codec, lb.Conns(), WithWriterFaults(3)); !errors.Is(err, ErrConfig) {
+	if _, err := mustView(t, &Config{Codec: codec, Conns: lb.Conns(), F: 3}).Writer("w1"); !errors.Is(err, ErrConfig) {
 		t.Fatalf("NewWriter(f=3, n=5, k=3): err = %v, want errors.Is ErrConfig", err)
 	}
 }
@@ -44,7 +44,7 @@ func TestErrRepairQuorumIsTarget(t *testing.T) {
 	ctx := testCtx(t)
 	codec, lb := newCluster(t, 5, 3)
 	m := NewMembership(5)
-	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterFaults(0)) // all n hold it on return
+	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: 0}) // all n hold it on return
 	if _, err := w.Write(ctx, testKey, []byte("needs k=3 donors to repair")); err != nil {
 		t.Fatalf("Write: %v", err)
 	}

@@ -186,7 +186,7 @@ func TestDurablePutDoesNotWaitForAStuckLog(t *testing.T) {
 // watchPuts registers a watcher on every server and returns a
 // function that performs one write of key and reports how many of its
 // five put-datas ran on the goroutine that called it. The writer must
-// wait for all five (WithWriterFaults(0)).
+// wait for all five (Config.F = 0).
 func watchPuts(t *testing.T, lb *Loopback, w *Writer, key string) (write func(value []byte) (onCaller int)) {
 	t.Helper()
 	var mu sync.Mutex
@@ -230,7 +230,7 @@ func watchPuts(t *testing.T, lb *Loopback, w *Writer, key string) (write func(va
 func TestDurableSlowSyncSendsPutsOnLegs(t *testing.T) {
 	checkNoLeaks(t)
 	codec, lb := pinnedCluster(t, FsyncAlways)
-	w := mustWriter(t, "w", codec, lb.Conns(), WithWriterFaults(0))
+	w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
 	if _, err := w.Write(testCtx(t), testKey, []byte("so that there is something to relay after")); err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestDurablePowerCutBetweenThePasses(t *testing.T) {
 			ctx := testCtx(t)
 			codec, lb := pinnedCluster(t, FsyncAlways)
 			m := NewMembership(5)
-			w := mustWriter(t, "w", codec, lb.Conns(), WithWriterMembership(m))
+			w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 			tag1, err := w.Write(ctx, testKey, []byte("before the cut"))
 			if err != nil {
 				t.Fatal(err)

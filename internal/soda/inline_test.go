@@ -162,10 +162,8 @@ func classify(err error) string {
 func runDiffSchedule(t *testing.T, seed int64, e int, wrap func([]Conn) []Conn, durable bool, mode FsyncMode) (ops []diffOp, final []string) {
 	t.Helper()
 	const n, k, steps = 5, 3, 160
-	var ropts []ReaderOption
 	readerF := 1
 	if e > 0 {
-		ropts = append(ropts, WithReaderFaults(0), WithReadErrors(e))
 		readerF = 0
 	}
 	codec, lb := newCluster(t, n, k)
@@ -196,7 +194,7 @@ func runDiffSchedule(t *testing.T, seed int64, e int, wrap func([]Conn) []Conn, 
 	build := func() {
 		conns := wrap(lb.ConnsAt(epoch, n))
 		w = mustWriter(t, "w", codec, conns)
-		r = mustReader(t, "r", codec, conns, ropts...)
+		r = mustReaderOn(t, "r", &Config{Codec: codec, Conns: conns, F: readerF, E: e})
 	}
 	build()
 	answers := func(i int) bool { return !crashed[i] && !hung[i] && !sealed[i] }
@@ -733,7 +731,7 @@ func TestPendingReadKeepsItsRegistrations(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	codec, lb := newCluster(t, 5, 3)
-	w := mustWriter(t, "w", codec, lb.Conns(), WithWriterFaults(0))
+	w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
 	r := mustReader(t, "r", codec, lb.Conns())
 	if _, err := w.Write(ctx, testKey, []byte("version one")); err != nil {
 		t.Fatal(err)
@@ -871,7 +869,7 @@ func TestPendingReadLosesACrashedServer(t *testing.T) {
 	checkNoLeaks(t)
 	codec, lb := newCluster(t, 5, 3)
 	m := NewMembership(5)
-	r := mustReader(t, "r", codec, lb.Conns(), WithReaderMembership(m))
+	r := mustReaderOn(t, "r", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 	_, _, _, ended := pendingRead(t, codec, lb, r.Read)
 	lb.Crash(4)
 	waitFor(t, "the read to report the crashed server", func() bool { return m.Health(4) == Suspect })
@@ -896,10 +894,11 @@ func TestPendingReadLosesACrashedServer(t *testing.T) {
 }
 
 // TestPendingReadEndsOnTheFlip: every server is sealed under a waiting
-// read's registrations. A Reader ends with the sealed stale-epoch NACK,
-// leaving nobody registered; an EpochReader, the flip completed and the
-// new configuration installed, reads again under it and returns the newer
-// write, which a third put has made readable meanwhile.
+// read's registrations. A Reader on a view that never flips ends with the
+// sealed stale-epoch NACK, leaving nobody registered; one on a view, the
+// flip completed and the new configuration installed, reads again under it
+// and returns the newer write, which a third put has made readable
+// meanwhile.
 func TestPendingReadEndsOnTheFlip(t *testing.T) {
 	reconfig := func(t *testing.T, lb *Loopback, op ReconfigOp) {
 		t.Helper()
@@ -929,7 +928,7 @@ func TestPendingReadEndsOnTheFlip(t *testing.T) {
 			}
 		}
 	})
-	t.Run("EpochReader", func(t *testing.T) {
+	t.Run("ViewReader", func(t *testing.T) {
 		checkNoLeaks(t)
 		ctx := testCtx(t)
 		codec, lb := newCluster(t, 5, 3)
@@ -937,7 +936,7 @@ func TestPendingReadEndsOnTheFlip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		er, err := NewEpochReader("r", view)
+		er, err := view.Reader("r")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -957,7 +956,7 @@ func TestPendingReadEndsOnTheFlip(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("an EpochReader flipped under its registrations did not read again under the new view")
+			t.Fatal("a Reader flipped under its registrations did not read again under its view's new Config")
 		}
 	})
 }
@@ -1004,11 +1003,16 @@ func TestReadSealedBetweenAdmitAndRegister(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a read admitted before the seal and registered after it outlived the seal")
 	}
-	for i := 0; i < 5; i++ {
-		if n := lb.Server(i).Readers(testKey); n != 0 {
-			t.Fatalf("%d readers left registered on sealed server %d", n, i)
+	// A leg the read no longer waits for may still be between its admission
+	// and the re-check after it registers, which ends its registration.
+	waitFor(t, "no reader registered on a sealed server", func() bool {
+		for i := 0; i < 5; i++ {
+			if lb.Server(i).Readers(testKey) != 0 {
+				return false
+			}
 		}
-	}
+		return true
+	})
 }
 
 // TestInlineOpsStartNothing: thousands of writes and reads over raw
@@ -1054,7 +1058,7 @@ func TestInlineOpsStartNothing(t *testing.T) {
 			if got := parkedWorkers(); got != parked {
 				t.Errorf("%d workers parked before %d inline writes and reads, %d after", parked, tc.ops, got)
 			}
-			if w.calls.Get() != nil {
+			if w.at.Load().calls.Get() != nil {
 				t.Error("an inline write checked out fan-out state")
 			}
 			for i := 0; i < lb.Size(); i++ {
@@ -1282,7 +1286,7 @@ func TestLegsOnlyForWrappedConns(t *testing.T) {
 		// Primed by a writer that waits for every ack: w's returns on four
 		// and cancels the fifth leg, which gives up if its conn is still
 		// dialing, and then that server never has the first write.
-		prime := mustWriter(t, "prime", codec, conns, WithWriterFaults(0))
+		prime := mustWriterOn(t, "prime", &Config{Codec: codec, Conns: conns, F: 0})
 		if _, err := prime.Write(ctx, testKey, []byte("written to dial the conns")); err != nil {
 			t.Fatal(err)
 		}

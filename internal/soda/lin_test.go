@@ -115,7 +115,8 @@ func (h *history) check(t *testing.T) {
 
 // runLinearizability drives concurrent writers and readers against a
 // cluster and checks the recorded history.
-func runLinearizability(t *testing.T, codec *Codec, lb *Loopback, writers, readers, opsEach int, ropts ...ReaderOption) {
+// Readers read at rcfg's F and E.
+func runLinearizability(t *testing.T, codec *Codec, lb *Loopback, writers, readers, opsEach int, rcfg Config) {
 	t.Helper()
 	ctx := testCtx(t)
 	h := &history{}
@@ -138,7 +139,7 @@ func runLinearizability(t *testing.T, codec *Codec, lb *Loopback, writers, reade
 		}(wi, w)
 	}
 	for ri := 0; ri < readers; ri++ {
-		r := mustReader(t, fmt.Sprintf("r%d", ri), codec, lb.Conns(), ropts...)
+		r := mustReaderOn(t, fmt.Sprintf("r%d", ri), &Config{Codec: codec, Conns: lb.Conns(), F: rcfg.F, E: rcfg.E})
 		wg.Add(1)
 		go func(ri int, r *Reader) {
 			defer wg.Done()
@@ -169,7 +170,7 @@ func runLinearizability(t *testing.T, codec *Codec, lb *Loopback, writers, reade
 // recorded history.
 func TestLinearizability(t *testing.T) {
 	codec, lb := newCluster(t, 5, 3)
-	runLinearizability(t, codec, lb, 3, 3, 15)
+	runLinearizability(t, codec, lb, 3, 3, 15, Config{F: -1})
 }
 
 // TestLinearizabilityWithFault repeats the check with one server
@@ -177,7 +178,7 @@ func TestLinearizability(t *testing.T) {
 func TestLinearizabilityWithFault(t *testing.T) {
 	codec, lb := newCluster(t, 5, 3)
 	lb.Hang(3)
-	runLinearizability(t, codec, lb, 2, 2, 10)
+	runLinearizability(t, codec, lb, 2, 2, 10, Config{F: -1})
 }
 
 // TestLinearizabilityErrReader runs the checker with SODA_err readers
@@ -186,5 +187,5 @@ func TestLinearizabilityWithFault(t *testing.T) {
 func TestLinearizabilityErrReader(t *testing.T) {
 	codec, lb := newCluster(t, 5, 3)
 	lb.Corrupt(1, FlipByte(0))
-	runLinearizability(t, codec, lb, 2, 2, 10, WithReaderFaults(0), WithReadErrors(1))
+	runLinearizability(t, codec, lb, 2, 2, 10, Config{F: 0, E: 1})
 }

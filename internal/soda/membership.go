@@ -15,9 +15,9 @@ import (
 //	  └──────────────────MarkLive────────────────────────┘  or new evidence)
 //
 // Live servers participate in read/write quorums. Suspect and
-// Repairing servers are quarantined: membership-aware writers and
-// readers never contact them and charge them to the fault budget f
-// instead, exactly like WithQuarantine. Only a completed repair
+// Repairing servers are quarantined: writers and readers whose Config
+// holds the view never contact them and charge them to the fault budget
+// f instead, exactly like Config.Quarantine. Only a completed repair
 // (Repairer) moves a server back to Live.
 type Health int
 
@@ -238,7 +238,7 @@ func (m *Membership) AwaitLive(ctx context.Context, i int) error {
 
 // ReportRead feeds a completed SODA_err read's corruption report into
 // the view: every server the decoder located as corrupt becomes
-// Suspect. Readers built WithReaderMembership call this themselves.
+// Suspect. Readers whose Config holds the view call this themselves.
 func (m *Membership) ReportRead(res ReadResult) {
 	for _, i := range res.Corrupt {
 		m.MarkSuspect(i, errCorruptElement)

@@ -498,7 +498,7 @@ func TestMuxEndToEndCluster(t *testing.T) {
 	addrs, servers := startTCPServers(t, 5)
 	conns := TCPMuxConns(addrs)
 	defer CloseConns(conns)
-	w := mustWriter(t, "w1", codec, conns, WithWriterFaults(0)) // every server must list every key below
+	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: conns, F: 0}) // every server must list every key below
 	r := mustReader(t, "r1", codec, conns)
 
 	keys := []string{"alpha", "beta", "gamma"}
@@ -567,7 +567,7 @@ func TestMultiKeyKillRepairRejoinSoak(t *testing.T) {
 	const writers, readers, minOps = 2, 2, 18
 	var wg sync.WaitGroup
 	for wi := 0; wi < writers; wi++ {
-		w := mustWriter(t, fmt.Sprintf("w%d", wi), codec, lb.Conns(), WithWriterMembership(m))
+		w := mustWriterOn(t, fmt.Sprintf("w%d", wi), &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 		wg.Add(1)
 		go func(wi int, w *Writer) {
 			defer wg.Done()
@@ -593,8 +593,7 @@ func TestMultiKeyKillRepairRejoinSoak(t *testing.T) {
 		}(wi, w)
 	}
 	for ri := 0; ri < readers; ri++ {
-		r := mustReader(t, fmt.Sprintf("r%d", ri), codec, lb.Conns(),
-			WithReaderFaults(2), WithReadErrors(2), WithReaderMembership(m))
+		r := mustReaderOn(t, fmt.Sprintf("r%d", ri), &Config{Codec: codec, Conns: lb.Conns(), F: 2, E: 2, Membership: m})
 		wg.Add(1)
 		go func(ri int, r *Reader) {
 			defer wg.Done()
@@ -650,7 +649,7 @@ func TestMultiKeyKillRepairRejoinSoak(t *testing.T) {
 	// After the dust settles every server holds every written key at a
 	// tag no older than the completed writes require; spot-check that
 	// the namespace healed by reading each key at full strength.
-	r := mustReader(t, "rz", codec, lb.Conns(), WithReaderFaults(0), WithReadErrors(2))
+	r := mustReaderOn(t, "rz", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 2})
 	for _, key := range keys {
 		res, err := r.Read(ctx, key)
 		if err != nil {
@@ -1045,7 +1044,7 @@ func TestMuxSteadyStateStartsNothing(t *testing.T) {
 	}
 	conns, servers := startTCPCluster(t, 5)
 	raw := slices.Clone(conns)
-	w := mustWriter(t, "w", codec, conns, WithWriterFaults(0))
+	w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: conns, F: 0})
 	r := mustReader(t, "r", codec, conns)
 	value := make([]byte, 128)
 	if _, err := w.Write(ctx, testKey, value); err != nil { // dials, on legs
@@ -1107,8 +1106,8 @@ func TestMuxSteadyStateStartsNothing(t *testing.T) {
 func muxSchedule(t *testing.T, seed int64, codec *Codec, conns []Conn, cores []*Server) (ops []diffOp, final []string) {
 	t.Helper()
 	ctx := testCtx(t)
-	w := mustWriter(t, "w", codec, conns, WithWriterFaults(0))
-	r := mustReader(t, "r", codec, conns, WithReaderFaults(0))
+	w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: conns, F: 0})
+	r := mustReaderOn(t, "r", &Config{Codec: codec, Conns: conns, F: 0})
 	rng := rand.New(rand.NewSource(seed))
 	keys := []string{"diff/a", "diff/b", "diff/c"}
 	for step := 0; step < 200; step++ {

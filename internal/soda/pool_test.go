@@ -99,7 +99,7 @@ func TestHungLegsPastIdleCapDoNotStallQuorums(t *testing.T) {
 	conns := lb.Conns()
 	hung := &stuckConn{Conn: conns[4], release: make(chan struct{})}
 	conns[4] = hung
-	w := mustWriter(t, "w", codec, conns, WithWriterFaults(1))
+	w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: conns, F: 1})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -154,9 +154,9 @@ func TestConcurrentCallsSpawnFromDifferentLists(t *testing.T) {
 	r := mustReader(t, "r", codec, lb.Conns())
 	lists := make(map[*idleList]bool)
 	for i := 0; i < 2; i++ {
-		op := &writeOp{w: w, ctx: ctx, key: testKey, sc: &encodeScratch{}}
+		op := &writeOp{at: w.at.Load(), ctx: ctx, key: testKey, sc: &encodeScratch{}}
 		lists[op.called().idle] = true
-		lists[r.getState().idle] = true
+		lists[r.at.Load().getState().idle] = true
 	}
 	if len(lists) != 4 {
 		t.Fatalf("4 call states checked out together share %d idle lists", len(lists))

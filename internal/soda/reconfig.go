@@ -210,7 +210,7 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 		return err
 	}
 
-	// Phase 4: publish. Waiting clients (EpochWriter/EpochReader in
+	// Phase 4: publish. Waiting clients (a view's Writers and Readers in
 	// Await) wake here and retry under the new geometry.
 	if err := rc.view.Install(next); err != nil {
 		// A concurrent coordinator may have installed past us; epoch

@@ -214,7 +214,7 @@ func TestReconfigGrowMigratesState(t *testing.T) {
 
 	// Every key reads back under the new geometry at full strength, tag
 	// intact — migration preserved every completed write.
-	r := mustReader(t, "r", codec7, cfg1.Conns, WithReaderFaults(0))
+	r := mustReaderOn(t, "r", &Config{Codec: codec7, Conns: cfg1.Conns, F: 0})
 	for key, v := range values {
 		res, err := r.Read(ctx, key)
 		if err != nil {
@@ -416,7 +416,7 @@ func TestReconfigGrowShrinkSoak(t *testing.T) {
 	h := &history{}
 
 	// Seed so migration always has a key to drain.
-	seed, err := NewEpochWriter("w-seed", view)
+	seed, err := view.Writer("w-seed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,13 +433,13 @@ func TestReconfigGrowShrinkSoak(t *testing.T) {
 	for wi := 0; wi < writers; wi++ {
 		value := func(j int) string { return fmt.Sprintf("w%d-%d", wi, j) }
 		var pending string
-		ew, err := NewEpochWriter(fmt.Sprintf("w%d", wi), view,
-			WithAbandonedTags(func(at Tag, _ error) { h.abandoned(at, pending) }))
+		ew, err := view.Writer(fmt.Sprintf("w%d", wi))
 		if err != nil {
 			t.Fatal(err)
 		}
+		ew.abandoned = func(at Tag, _ error) { h.abandoned(at, pending) }
 		wg.Add(1)
-		go func(wi int, ew *EpochWriter) {
+		go func(wi int, ew *Writer) {
 			defer wg.Done()
 			for j := 0; ; j++ {
 				select {
@@ -461,12 +461,12 @@ func TestReconfigGrowShrinkSoak(t *testing.T) {
 		}(wi, ew)
 	}
 	for ri := 0; ri < readers; ri++ {
-		er, err := NewEpochReader(fmt.Sprintf("r%d", ri), view)
+		er, err := view.Reader(fmt.Sprintf("r%d", ri))
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(ri int, er *EpochReader) {
+		go func(ri int, er *Reader) {
 			defer wg.Done()
 			for j := 0; ; j++ {
 				select {
@@ -548,7 +548,7 @@ func TestReconfigGrowShrinkSoak(t *testing.T) {
 
 	// A full-strength read under the final configuration returns the
 	// last completed state.
-	r := mustReader(t, "r-final", codec5, cfg2.Conns, WithReaderFaults(0))
+	r := mustReaderOn(t, "r-final", &Config{Codec: codec5, Conns: cfg2.Conns, F: 0})
 	res, err := r.Read(ctx, key)
 	if err != nil {
 		t.Fatalf("final read: %v", err)
@@ -558,11 +558,11 @@ func TestReconfigGrowShrinkSoak(t *testing.T) {
 	}
 }
 
-// TestEpochWriterReaderFollowFlip pins the client-side retry loop in
+// TestClientsFollowTheEpochFlip pins the client-side retry loop in
 // isolation: a Write and a Read launched while the cluster is sealed
 // park in ConfigView.Await and complete under the new epoch as soon as
 // the coordinator installs it.
-func TestEpochWriterReaderFollowFlip(t *testing.T) {
+func TestClientsFollowTheEpochFlip(t *testing.T) {
 	ctx := testCtx(t)
 	lb := NewLoopback(7)
 	codec5, err := NewCodec(5, 3)
@@ -578,11 +578,11 @@ func TestEpochWriterReaderFollowFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ew, err := NewEpochWriter("w", view)
+	ew, err := view.Writer("w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	er, err := NewEpochReader("r", view)
+	er, err := view.Reader("r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestEpochWriterReaderFollowFlip(t *testing.T) {
 	}
 
 	// Seal by hand: every client op now bounces with want=1, and the
-	// epoch clients park awaiting the install.
+	// view's clients park awaiting the install.
 	for i := 0; i < 5; i++ {
 		if _, err := lb.Server(i).Reconfig(ReconfigSeal, 1, 7, 4); err != nil {
 			t.Fatalf("seal %d: %v", i, err)
@@ -637,7 +637,7 @@ func TestEpochWriterReaderFollowFlip(t *testing.T) {
 		t.Fatalf("Read across the flip: %v", err)
 	}
 	// The written value is readable at full strength under epoch 1.
-	r := mustReader(t, "r2", codec7, cfg1.Conns, WithReaderFaults(0))
+	r := mustReaderOn(t, "r2", &Config{Codec: codec7, Conns: cfg1.Conns, F: 0})
 	got, err := r.Read(ctx, testKey)
 	if err != nil || string(got.Value) != "across the flip" {
 		t.Fatalf("final read = %q, %v", got.Value, err)

@@ -145,7 +145,7 @@ func TestRepairRestoresCrashedServer(t *testing.T) {
 	ctx := testCtx(t)
 	codec, lb := newCluster(t, 5, 3)
 	m := NewMembership(5)
-	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterMembership(m))
+	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 	rp := mustRepairer(t, codec, lb.Conns(), m)
 
 	if _, err := w.Write(ctx, testKey, []byte("version one")); err != nil {
@@ -188,7 +188,7 @@ func TestRepairRestoresCrashedServer(t *testing.T) {
 
 	// The healed server serves full-strength SODA_err reads: all 5
 	// respond and nothing is corrupt.
-	r := mustReader(t, "r1", codec, lb.Conns(), WithReaderFaults(0), WithReadErrors(1), WithReaderMembership(m))
+	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 1, Membership: m})
 	res, err := r.Read(ctx, testKey)
 	if err != nil {
 		t.Fatalf("Read after repair: %v", err)
@@ -311,7 +311,7 @@ func TestRepairRacesTornWrite(t *testing.T) {
 			t.Fatalf("PutData(%d): %v", i, err)
 		}
 	}
-	r := mustReader(t, "r1", codec, lb.Conns(), WithReaderMembership(m))
+	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 	res, err := r.Read(ctx, testKey)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
@@ -350,7 +350,7 @@ func TestRepairSurvivesVLenLyingDonor(t *testing.T) {
 	codec, lb := newCluster(t, 5, 3)
 	// f=0: the write must land on every server before the crash, or a
 	// lagging honest donor could leave the liar outnumbering k.
-	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterFaults(0))
+	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
 	v1 := []byte("value the liar misdescribes")
 	tag1, err := w.Write(ctx, testKey, v1)
 	if err != nil {
@@ -388,7 +388,7 @@ func TestRepairDetectsCorruptDonor(t *testing.T) {
 	codec, lb := newCluster(t, 9, 3)
 	// f=0: the write returns only once every server holds the element,
 	// so no straggler leg is still landing when the faults below start.
-	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterFaults(0))
+	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
 	v1 := []byte("regenerated despite a rotten donor")
 	tag1, err := w.Write(ctx, testKey, v1)
 	if err != nil {
@@ -464,7 +464,7 @@ func TestRejoinMidReadCompletedByRepairRelay(t *testing.T) {
 
 	// e=1, f=0: the read needs k+2e = 5 elements of tag2, but only 4
 	// exist until repair catches server 4 up.
-	r := mustReader(t, "r1", codec, lb.Conns(), WithReaderFaults(0), WithReadErrors(1))
+	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 1})
 	type outcome struct {
 		res ReadResult
 		err error
@@ -541,7 +541,7 @@ func TestWriterExcludesQuarantinedServers(t *testing.T) {
 	for i := range raw {
 		conns[i] = countingConn{Conn: raw[i], gets: &gets[i], puts: &puts[i]}
 	}
-	w := mustWriter(t, "w1", codec, conns, WithWriterMembership(m))
+	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: conns, F: -1, Membership: m})
 
 	m.MarkSuspect(4, errCorruptElement)
 	if _, err := w.Write(ctx, testKey, []byte("around the quarantine")); err != nil {
@@ -607,7 +607,7 @@ func TestKillRepairRejoinSoak(t *testing.T) {
 	const writers, readers, minOps = 2, 2, 15
 	var wg sync.WaitGroup
 	for wi := 0; wi < writers; wi++ {
-		w := mustWriter(t, fmt.Sprintf("w%d", wi), codec, lb.Conns(), WithWriterMembership(m))
+		w := mustWriterOn(t, fmt.Sprintf("w%d", wi), &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 		wg.Add(1)
 		go func(wi int, w *Writer) {
 			defer wg.Done()
@@ -631,8 +631,7 @@ func TestKillRepairRejoinSoak(t *testing.T) {
 		}(wi, w)
 	}
 	for ri := 0; ri < readers; ri++ {
-		r := mustReader(t, fmt.Sprintf("r%d", ri), codec, lb.Conns(),
-			WithReaderFaults(2), WithReadErrors(2), WithReaderMembership(m))
+		r := mustReaderOn(t, fmt.Sprintf("r%d", ri), &Config{Codec: codec, Conns: lb.Conns(), F: 2, E: 2, Membership: m})
 		wg.Add(1)
 		go func(ri int, r *Reader) {
 			defer wg.Done()
@@ -689,7 +688,7 @@ func TestKillRepairRejoinSoak(t *testing.T) {
 			t.Fatalf("server %d does not serve after the soak: %v", i, err)
 		}
 	}
-	r := mustReader(t, "rz", codec, lb.Conns(), WithReaderFaults(0), WithReadErrors(2))
+	r := mustReaderOn(t, "rz", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 2})
 	res, err := r.Read(ctx, testKey)
 	if err != nil {
 		t.Fatalf("final read: %v", err)

@@ -33,20 +33,51 @@ func newCluster(t *testing.T, n, k int) (*Codec, *Loopback) {
 	return codec, NewLoopback(n)
 }
 
-func mustWriter(t *testing.T, id string, codec *Codec, conns []Conn, opts ...WriterOption) *Writer {
+func mustWriter(t *testing.T, id string, codec *Codec, conns []Conn) *Writer {
 	t.Helper()
-	w, err := NewWriter(id, codec, conns, opts...)
+	w, err := NewWriter(id, codec, conns)
 	if err != nil {
 		t.Fatalf("NewWriter(%s): %v", id, err)
 	}
 	return w
 }
 
-func mustReader(t *testing.T, id string, codec *Codec, conns []Conn, opts ...ReaderOption) *Reader {
+func mustReader(t *testing.T, id string, codec *Codec, conns []Conn) *Reader {
 	t.Helper()
-	r, err := NewReader(id, codec, conns, opts...)
+	r, err := NewReader(id, codec, conns)
 	if err != nil {
 		t.Fatalf("NewReader(%s): %v", id, err)
+	}
+	return r
+}
+
+// mustView starts a view at cfg that never flips, so that the clients a
+// test builds on it at a Config's F, E, Membership or Quarantine return a
+// stale-epoch NACK as NewWriter's and NewReader's do, not wait for an
+// install that never comes.
+func mustView(t testing.TB, cfg *Config) *ConfigView {
+	t.Helper()
+	v, err := fixedView(cfg)
+	if err != nil {
+		t.Fatalf("fixedView: %v", err)
+	}
+	return v
+}
+
+func mustWriterOn(t testing.TB, id string, cfg *Config) *Writer {
+	t.Helper()
+	w, err := mustView(t, cfg).Writer(id)
+	if err != nil {
+		t.Fatalf("Writer(%s): %v", id, err)
+	}
+	return w
+}
+
+func mustReaderOn(t testing.TB, id string, cfg *Config) *Reader {
+	t.Helper()
+	r, err := mustView(t, cfg).Reader(id)
+	if err != nil {
+		t.Fatalf("Reader(%s): %v", id, err)
 	}
 	return r
 }
@@ -207,13 +238,13 @@ func TestWriterCrashBetweenPhases(t *testing.T) {
 				}
 				return conns
 			}
-			w0 := mustWriter(t, "w0", codec, lb.Conns(), WithWriterFaults(0))
-			w2 := mustWriter(t, "w2", codec, lb.Conns(), WithWriterFaults(0))
+			w0 := mustWriterOn(t, "w0", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
+			w2 := mustWriterOn(t, "w2", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
 			r := mustReader(t, "r1", codec, lb.Conns())
 			var w1 *Writer
 			if tc.onCaller {
 				w1 = mustWriter(t, "w1", codec, lb.Conns())
-				w1.conns = dying(w1.conns)
+				dying(w1.at.Load().conns)
 			} else {
 				w1 = mustWriter(t, "w1", codec, dying(lb.Conns()))
 			}
@@ -484,7 +515,7 @@ func TestReadNeverGoesBackwards(t *testing.T) {
 	}
 	// R1 adopts the half-applied write (its initials include servers
 	// 0-2, so t* = t2 and the three elements decode).
-	r1 := mustReader(t, "r1", codec, lb.Conns(), WithReaderFaults(2))
+	r1 := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: 2})
 	res1, err := r1.Read(ctx, testKey)
 	if err != nil {
 		t.Fatalf("R1: %v", err)
@@ -497,7 +528,7 @@ func TestReadNeverGoesBackwards(t *testing.T) {
 	// rather than return the old tag...
 	lb.Hang(0)
 	lb.Hang(1)
-	r2 := mustReader(t, "r2", codec, lb.Conns(), WithReaderFaults(2))
+	r2 := mustReaderOn(t, "r2", &Config{Codec: codec, Conns: lb.Conns(), F: 2})
 	type outcome struct {
 		res ReadResult
 		err error
@@ -549,7 +580,7 @@ func TestSodaErrReadNamesCorruptServers(t *testing.T) {
 			t.Fatalf("Write: %v", err)
 		}
 		lb.Corrupt(4, FlipByte(1))
-		r := mustReader(t, "r1", codec, lb.Conns(), WithReaderFaults(0), WithReadErrors(1))
+		r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 1})
 		res, err := r.Read(ctx, testKey)
 		if err != nil {
 			t.Fatalf("Read: %v", err)
@@ -562,7 +593,7 @@ func TestSodaErrReadNamesCorruptServers(t *testing.T) {
 		}
 
 		// Quarantining the named server lets a plain reader avoid it.
-		q := mustReader(t, "r2", codec, lb.Conns(), WithQuarantine(res.Corrupt...))
+		q := mustReaderOn(t, "r2", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Quarantine: res.Corrupt})
 		qres, err := q.Read(ctx, testKey)
 		if err != nil {
 			t.Fatalf("quarantined Read: %v", err)
@@ -578,7 +609,7 @@ func TestSodaErrReadNamesCorruptServers(t *testing.T) {
 		if _, err := w.Write(ctx, testKey, v1); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		r := mustReader(t, "r1", codec, lb.Conns(), WithReaderFaults(0), WithReadErrors(1))
+		r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 1})
 		res, err := r.Read(ctx, testKey)
 		if err != nil {
 			t.Fatalf("Read: %v", err)
@@ -601,7 +632,7 @@ func TestSodaErrReadNamesCorruptServers(t *testing.T) {
 		lb.Corrupt(5, FlipByte(2))
 		// n-f = 7 = k+2e responses: erasures 2, errors 2, radius
 		// 2*2+2 = 6 = n-k. Exactly at the decoding bound.
-		r := mustReader(t, "r1", codec, lb.Conns(), WithReaderFaults(2), WithReadErrors(2))
+		r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: 2, E: 2})
 		res, err := r.Read(ctx, testKey)
 		if err != nil {
 			t.Fatalf("Read: %v", err)
@@ -646,7 +677,7 @@ func TestSodaErrBoundary(t *testing.T) {
 					for i := n - f; i < n; i++ {
 						lb.Crash(i)
 					}
-					return NewReader("r1", codec, lb.Conns(), WithReaderFaults(f), WithReadErrors(e))
+					return mustView(t, &Config{Codec: codec, Conns: lb.Conns(), F: f, E: e}).Reader("r1")
 				}
 				if k+2*e > n-f || f >= k {
 					t.Run(name+"/refused", func(t *testing.T) {
@@ -694,6 +725,55 @@ func TestSodaErrBoundary(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestWriterFaultBoundary is the writer's half of the boundary tables: for
+// every fault budget F a Config admits for a writer (0 <= F <= n-k), a
+// write with its last F servers crashed returns a tag and one with F+1
+// crashed returns ErrUnavailable. The F servers then come back without
+// the write and one server holding it crashes: a read returns the value,
+// ErrUnavailable or its deadline, never another value, and inside the
+// paper's bound n >= k + 2F it returns the value. Outside the bound a
+// geometry is admitted but not live: the write reached n-F servers, one
+// fewer than k may hold it.
+func TestWriterFaultBoundary(t *testing.T) {
+	ctx := testCtx(t)
+	value := []byte("n - F acks, then one holder lost")
+	for _, sh := range []struct{ n, k int }{{5, 3}, {7, 3}, {9, 5}} {
+		n, k := sh.n, sh.k
+		for f := 0; f <= n-k; f++ {
+			t.Run(fmt.Sprintf("n%dk%d/f%d", n, k, f), func(t *testing.T) {
+				codec, lb := newCluster(t, n, k)
+				w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: f})
+				for i := n - f - 1; i < n; i++ {
+					lb.Crash(i)
+				}
+				if _, err := w.Write(ctx, testKey, []byte("one crash too many")); !errors.Is(err, ErrUnavailable) {
+					t.Fatalf("Write with %d crashed = %v, want ErrUnavailable", f+1, err)
+				}
+				lb.Restart(n - f - 1)
+				tag, err := w.Write(ctx, testKey, value)
+				if err != nil {
+					t.Fatalf("Write with %d crashed: %v", f, err)
+				}
+				for i := n - f; i < n; i++ {
+					lb.Restart(i) // without the write
+				}
+				lb.Crash(0)
+				short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+				defer cancel()
+				res, err := mustReader(t, "r1", codec, lb.Conns()).Read(short, testKey)
+				switch {
+				case err == nil && (res.Tag != tag || !bytes.Equal(res.Value, value)):
+					t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag, value)
+				case err != nil && n >= k+2*f:
+					t.Fatalf("Read inside n >= k + 2F = %v, want the value", err)
+				case err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrUnavailable):
+					t.Fatalf("Read = %v, want the value, a deadline or ErrUnavailable", err)
+				}
+			})
 		}
 	}
 }
@@ -755,7 +835,7 @@ func TestReadSurvivesVLenLie(t *testing.T) {
 	}
 	t1 := Tag{TS: 1, Writer: "w1"}
 
-	st := r.getState()
+	st := r.at.Load().getState()
 	// The liar answers first: right tag, absurd vlen, element sized to
 	// match the lie so it cannot be dismissed as malformed.
 	lieVLen := 999
@@ -790,24 +870,24 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewWriter("w", codec, conns[:4]); err == nil {
 		t.Fatal("short conn set accepted")
 	}
-	if _, err := NewWriter("w", codec, conns, WithWriterFaults(5)); err == nil {
-		t.Fatal("f=n accepted")
+	if _, err := mustView(t, &Config{Codec: codec, Conns: conns, F: 5}).Writer("w"); !errors.Is(err, ErrConfig) {
+		t.Fatalf("f=n accepted: %v", err)
 	}
-	if _, err := NewReader("r", codec, conns, WithReaderFaults(3)); err == nil {
-		t.Fatal("n-f < k accepted")
+	if _, err := mustView(t, &Config{Codec: codec, Conns: conns, F: 3}).Reader("r"); !errors.Is(err, ErrConfig) {
+		t.Fatalf("n-f < k accepted: %v", err)
 	}
 	// f >= k lets reads go backwards (see TestReadNeverGoesBackwards).
 	big, blb := newCluster(t, 9, 3)
-	if _, err := NewReader("r", big, blb.Conns(), WithReaderFaults(3)); err == nil {
-		t.Fatal("reader f >= k accepted")
+	if _, err := mustView(t, &Config{Codec: big, Conns: blb.Conns(), F: 3}).Reader("r"); !errors.Is(err, ErrConfig) {
+		t.Fatalf("reader f >= k accepted: %v", err)
 	}
 	if r, err := NewReader("r", big, blb.Conns()); err != nil {
 		t.Fatalf("default reader at n=9 k=3: %v", err)
-	} else if r.f != 2 {
-		t.Fatalf("default reader faults = %d, want the f < k clamp 2", r.f)
+	} else if f := r.at.Load().f; f != 2 {
+		t.Fatalf("default reader faults = %d, want the f < k clamp 2", f)
 	}
-	if _, err := NewReader("r", codec, conns, WithQuarantine(9)); err == nil {
-		t.Fatal("out-of-range quarantine accepted")
+	if _, err := mustView(t, &Config{Codec: codec, Conns: conns, F: -1, Quarantine: []int{9}}).Reader("r"); !errors.Is(err, ErrConfig) {
+		t.Fatalf("out-of-range quarantine accepted: %v", err)
 	}
 	dup := []Conn{conns[0], conns[0], conns[2], conns[3], conns[4]}
 	if _, err := NewWriter("w", codec, dup); err == nil {
@@ -815,10 +895,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestNilMembershipIsNoView: a nil *Membership handed to either option
-// means what a nil Config.Membership means — no view, nobody
-// quarantined — not a nil dereference; a view of the wrong size is
-// still refused.
+// TestNilMembershipIsNoView: a nil Config.Membership means no view —
+// nobody quarantined — to a writer and a reader alike, not a nil
+// dereference; a view of the wrong size is refused.
 func TestNilMembershipIsNoView(t *testing.T) {
 	ctx := testCtx(t)
 	codec, lb := newCluster(t, 5, 3)
@@ -831,14 +910,18 @@ func TestNilMembershipIsNoView(t *testing.T) {
 		{"n=5", NewMembership(5), true},
 		{"n=4", NewMembership(4), false},
 	} {
-		w, werr := NewWriter("w", codec, lb.Conns(), WithWriterMembership(tc.m))
-		r, rerr := NewReader("r", codec, lb.Conns(), WithReaderMembership(tc.m))
+		view, err := NewConfigView(&Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: tc.m})
 		if !tc.ok {
-			if !errors.Is(werr, ErrConfig) || !errors.Is(rerr, ErrConfig) {
-				t.Fatalf("%s: NewWriter = %v, NewReader = %v, want ErrConfig from both", tc.name, werr, rerr)
+			if !errors.Is(err, ErrConfig) {
+				t.Fatalf("%s: NewConfigView = %v, want ErrConfig", tc.name, err)
 			}
 			continue
 		}
+		if err != nil {
+			t.Fatalf("%s: NewConfigView: %v", tc.name, err)
+		}
+		w, werr := view.Writer("w")
+		r, rerr := view.Reader("r")
 		if werr != nil || rerr != nil {
 			t.Fatalf("%s: NewWriter = %v, NewReader = %v", tc.name, werr, rerr)
 		}
@@ -914,7 +997,7 @@ func TestReadCompletesThroughReregistration(t *testing.T) {
 	rconns[2] = cap2
 	// f=0: all five initials required, so the read's target is t2 and
 	// it blocks on the third element.
-	r := mustReader(t, "r1", codec, rconns, WithReaderFaults(0))
+	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: rconns, F: 0})
 	type outcome struct {
 		res ReadResult
 		err error

@@ -1,0 +1,159 @@
+package soda
+
+import (
+	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+var updateSurface = flag.Bool("update", false, "rewrite testdata/exported.txt from the package's exported names")
+
+// TestExportedSurface pins the package's exported API: every exported
+// top-level name, method and struct field of its non-test files, one per
+// line and sorted, must match testdata/exported.txt. A new option or
+// exported name is then a one-line diff of that file; `go test -run
+// ExportedSurface -update` rewrites it.
+func TestExportedSurface(t *testing.T) {
+	got := strings.Join(exportedSurface(t, "."), "\n") + "\n"
+	golden := filepath.Join("testdata", "exported.txt")
+	if *updateSurface {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for _, l := range gl {
+			if !slices.Contains(wl, l) {
+				t.Errorf("exported but not in %s: %s", golden, l)
+			}
+		}
+		for _, l := range wl {
+			if !slices.Contains(gl, l) {
+				t.Errorf("in %s but no longer exported: %s", golden, l)
+			}
+		}
+		t.Fatalf("exported surface differs from %s; if the change is meant, rerun with -update", golden)
+	}
+}
+
+// exportedSurface lists the exported names of the non-test Go files in
+// dir: top-level names as they are, methods as (*T).M or T.M, struct
+// fields and interface methods as T.F — those of exported types only.
+func exportedSurface(t *testing.T, dir string) []string {
+	fset := token.NewFileSet()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					names = append(names, d.Name.Name)
+					continue
+				}
+				recv, ptr := d.Recv.List[0].Type, false
+				if s, ok := recv.(*ast.StarExpr); ok {
+					recv, ptr = s.X, true
+				}
+				if ix, ok := recv.(*ast.IndexExpr); ok {
+					recv = ix.X
+				}
+				id, ok := recv.(*ast.Ident)
+				if !ok || !id.IsExported() {
+					continue
+				}
+				if ptr {
+					names = append(names, "(*"+id.Name+")."+d.Name.Name)
+				} else {
+					names = append(names, id.Name+"."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								names = append(names, n.Name)
+							}
+						}
+					case *ast.TypeSpec:
+						if !s.Name.IsExported() {
+							continue
+						}
+						names = append(names, s.Name.Name)
+						var fields *ast.FieldList
+						switch ty := s.Type.(type) {
+						case *ast.StructType:
+							fields = ty.Fields
+						case *ast.InterfaceType:
+							fields = ty.Methods
+						}
+						if fields == nil {
+							continue
+						}
+						for _, fl := range fields.List {
+							for _, n := range fieldNames(fl) {
+								if ast.IsExported(n) {
+									names = append(names, s.Name.Name+"."+n)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(names)
+	return slices.Compact(names)
+}
+
+// fieldNames returns a field's names, or for an embedded one the name of
+// the type it embeds.
+func fieldNames(fl *ast.Field) []string {
+	if len(fl.Names) > 0 {
+		names := make([]string, len(fl.Names))
+		for i, n := range fl.Names {
+			names[i] = n.Name
+		}
+		return names
+	}
+	ty := fl.Type
+	if s, ok := ty.(*ast.StarExpr); ok {
+		ty = s.X
+	}
+	switch e := ty.(type) {
+	case *ast.Ident:
+		return []string{e.Name}
+	case *ast.SelectorExpr:
+		return []string{e.Sel.Name}
+	}
+	return nil
+}

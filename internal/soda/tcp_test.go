@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func startTCPCluster(t *testing.T, n int) ([]Conn, []*NetServer) {
 	return conns, servers
 }
 
-func startTCPServers(t *testing.T, n int) ([]string, []*NetServer) {
+func startTCPServers(t testing.TB, n int) ([]string, []*NetServer) {
 	t.Helper()
 	addrs := make([]string, n)
 	servers := make([]*NetServer, n)
@@ -35,6 +36,109 @@ func startTCPServers(t *testing.T, n int) ([]string, []*NetServer) {
 		addrs[i] = ns.Addr()
 	}
 	return addrs, servers
+}
+
+// TestTCPClientsFollowTheEpoch runs MuxConns past the seed epoch: every
+// server of a TCP cluster flips to epoch 1 (same [5,3]) under a written
+// key. A writer on a view that never flips is NACKed with the stale epoch,
+// naming the server that refused it; a write and a read on the shared view,
+// parked on the NACK, complete once a Config over conns stamped with epoch 1
+// is installed, and the pre-flip value reads back through the new conns.
+func TestTCPClientsFollowTheEpoch(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, servers := startTCPServers(t, 5)
+	conns0 := TCPMuxConns(addrs)
+	defer CloseConns(conns0)
+	view, err := NewConfigView(&Config{Epoch: SeedEpoch, Codec: codec, Conns: conns0, F: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := view.Writer("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := view.Reader("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0 := []byte("written at epoch 0 over sockets")
+	tag0, err := w.Write(ctx, testKey, v0)
+	if err != nil {
+		t.Fatalf("Write at epoch 0: %v", err)
+	}
+
+	nacks := func() (n uint64) {
+		for _, ns := range servers {
+			n += ns.Core().MetricsSnapshot().EpochNacks
+		}
+		return n
+	}
+	for i, ns := range servers {
+		for _, op := range []ReconfigOp{ReconfigSeal, ReconfigActivate} {
+			if _, err := ns.Core().Reconfig(op, 1, 5, 3); err != nil {
+				t.Fatalf("server %d: %v", i, err)
+			}
+		}
+	}
+	_, err = mustWriter(t, "w-old", codec, conns0).Write(ctx, testKey, []byte("from the past"))
+	var se *StaleEpochError
+	if !errors.Is(err, ErrStaleEpoch) || !errors.As(err, &se) || se.Want != 1 || se.ServerEpoch != 1 {
+		t.Fatalf("epoch-0 writer on a view that never flips = %v, want the stale-epoch NACK wanting epoch 1", err)
+	}
+	if se.Server < 0 || se.Server >= len(servers) {
+		t.Fatalf("stale-epoch NACK names server %d, want the index of the one that sent it", se.Server)
+	}
+
+	// The view's clients, still on the epoch-0 conns, park on the NACK: the
+	// write's get-tag pass asks all five servers, the read fails on its
+	// second refusal.
+	before := nacks()
+	wErr, rErr := make(chan error, 1), make(chan error, 1)
+	v1 := []byte("parked on the NACK")
+	go func() {
+		_, err := w.Write(ctx, testKey+"/parked", v1)
+		wErr <- err
+	}()
+	waitFor(t, "the write NACKed by every server", func() bool { return nacks() >= before+5 })
+	go func() {
+		res, err := r.Read(ctx, testKey)
+		if err == nil && (res.Tag != tag0 || !bytes.Equal(res.Value, v0)) {
+			err = fmt.Errorf("read %v %q, want %v %q", res.Tag, res.Value, tag0, v0)
+		}
+		rErr <- err
+	}()
+	waitFor(t, "the read NACKed", func() bool { return nacks() >= before+7 })
+	select {
+	case err := <-wErr:
+		t.Fatalf("Write NACKed with the view at epoch 0 returned %v", err)
+	case err := <-rErr:
+		t.Fatalf("Read NACKed with the view at epoch 0 returned %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	conns1 := TCPMuxConns(addrs, WithConnEpoch(1))
+	defer CloseConns(conns1)
+	if err := view.Install(&Config{Epoch: 1, Codec: codec, Conns: conns1, F: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-wErr; err != nil {
+		t.Fatalf("parked Write after the install: %v", err)
+	}
+	if err := <-rErr; err != nil {
+		t.Fatalf("parked Read after the install: %v", err)
+	}
+	res, err := r.Read(ctx, testKey+"/parked")
+	if err != nil || !bytes.Equal(res.Value, v1) {
+		t.Fatalf("Read of the parked write at epoch 1 = %q, %v", res.Value, err)
+	}
+	if got := view.Current().Epoch; got != 1 {
+		t.Fatalf("view at epoch %d", got)
+	}
 }
 
 // TestTCPEndToEnd runs the protocol over real localhost TCP: a write,
@@ -95,7 +199,7 @@ func TestTCPRelayStream(t *testing.T) {
 	// f=0: Write returns on n-f acks, so only a full ack quorum
 	// guarantees that server 2 — the one subscribed to below — holds
 	// every write by the time it does.
-	w := mustWriter(t, "w1", codec, conns, WithWriterFaults(0))
+	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: conns, F: 0})
 	v1 := []byte("subscription smoke value")
 	tag1, err := w.Write(ctx, testKey, v1)
 	if err != nil {

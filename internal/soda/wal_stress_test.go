@@ -144,7 +144,7 @@ func TestWALDiskFullDegradedRejoin(t *testing.T) {
 	}
 	t.Cleanup(func() { lb.CloseServers() })
 	m := NewMembership(5)
-	w := mustWriter(t, "w1", codec, lb.Conns(), WithWriterMembership(m))
+	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 
 	// Fill every node's WAL past the injected limit. Elements are
 	// value/k sized, so 1 KiB values push each 4 KiB segment over
@@ -175,7 +175,7 @@ func TestWALDiskFullDegradedRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded Write: %v", err)
 	}
-	r := mustReader(t, "r1", codec, lb.Conns(), WithReaderFaults(0), WithReaderMembership(m))
+	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: 0, Membership: m})
 	if res, err := r.Read(ctx, "full/last"); err != nil || res.Tag != lastTag {
 		t.Fatalf("degraded full-strength Read = %v, %v; want tag %v", res, err, lastTag)
 	}
