@@ -3,7 +3,7 @@ GO ?= go
 # The benchmark selection shared by `make bench` and `make bench-json`.
 BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors|Stream
 
-.PHONY: all build build-cross test test-durability test-reconfig test-transport test-legs test-rs-gates vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz loc
+.PHONY: all build build-cross test test-durability test-reconfig test-repair test-transport test-legs test-rs-gates vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz loc
 
 all: vet lint build test test-transport bench-check race
 
@@ -34,6 +34,14 @@ test-durability:
 # concurrent epoch-following writers/readers — under the race detector.
 test-reconfig:
 	$(GO) test -race -run 'Reconfig|Epoch' ./internal/soda/
+
+# test-repair is the anti-entropy lane: the membership lifecycle, repair
+# racing torn writes, donors that lie about value lengths or serve
+# rotten bytes (to a repair and to a flip's drain), a rejoin completed
+# mid-read by the repair relay, and the kill-repair-rejoin soak — under
+# the race detector.
+test-repair:
+	$(GO) test -race -run 'Repair|Rejoin|Membership|Drain' ./internal/soda/
 
 # test-transport is the socket lane: the multiplexed client and the
 # NetServer behind it — frames queued to one writer per socket by callers

@@ -114,7 +114,11 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("write around the crash: %w", err)
 	}
 	fmt.Printf("  w1: wrote tag %v with a 4/5 ack quorum\n", tag2)
-	rq, err := reader("r2", &soda.Config{Codec: codec, Conns: lb.Conns(), F: 2, Quarantine: res.Corrupt})
+	quarantined := soda.NewMembership(n)
+	for _, s := range res.Corrupt {
+		quarantined.MarkSuspect(s, errors.New("scenario 1 read located its element corrupt"))
+	}
+	rq, err := reader("r2", &soda.Config{Codec: codec, Conns: lb.Conns(), F: 2, Membership: quarantined})
 	if err != nil {
 		return err
 	}
@@ -439,8 +443,8 @@ func run(ctx context.Context) error {
 	return nil
 }
 
-// writer and reader build a client at cfg's F, E, Membership or
-// Quarantine, on a view of cfg nothing else installs to.
+// writer and reader build a client at cfg's F, E or Membership, on a
+// view of cfg nothing else installs to.
 func writer(id string, cfg *soda.Config) (*soda.Writer, error) {
 	view, err := soda.NewConfigView(cfg)
 	if err != nil {

@@ -863,17 +863,16 @@ type Reader struct {
 
 // readerAt is what a Reader derives from one Config, once, when a read
 // first meets it: the conns and which of them step, the budgets f and e,
-// the static quarantine, and the pool of read states sized by n.
+// the membership view, and the pool of read states sized by n.
 type readerAt struct {
-	cfg        *Config
-	codec      *Codec
-	conns      []Conn
-	steps      []stepper // see stepsOf
-	f          int
-	e          int
-	quarantine []int
-	m          *Membership
-	states     sync.Pool // *readState
+	cfg    *Config
+	codec  *Codec
+	conns  []Conn
+	steps  []stepper // see stepsOf
+	f      int
+	e      int
+	m      *Membership
+	states sync.Pool // *readState
 }
 
 // NewReader builds a reader with the given id prefix on one cluster that
@@ -915,7 +914,7 @@ func (r *Reader) current() (*readerAt, error) {
 		return nil, err
 	}
 	at := &readerAt{cfg: cfg, codec: cfg.Codec, conns: cfg.Conns, steps: stepsOf(cfg.Conns),
-		f: f, e: cfg.E, quarantine: slices.Clone(cfg.Quarantine), m: cfg.Membership}
+		f: f, e: cfg.E, m: cfg.Membership}
 	r.at.Store(at)
 	return at, nil
 }
@@ -969,17 +968,11 @@ func (r *Reader) Read(ctx context.Context, key string) (ReadResult, error) {
 
 // read is one attempt of Read, under one Config.
 func (r *Reader) read(ctx context.Context, at *readerAt, key string) (ReadResult, error) {
-	// The effective quarantine is the static list plus the membership
-	// view's current suspects; a server the Repairer readmitted before
-	// this Read started is contacted again.
-	quarantine := at.quarantine
+	// The quarantine is the membership view's current suspects; a server
+	// the Repairer readmitted before this Read started is contacted again.
+	var quarantine []int
 	if at.m != nil {
-		quarantine = slices.Clone(quarantine)
-		for _, s := range at.m.Suspects() {
-			if !slices.Contains(quarantine, s) {
-				quarantine = append(quarantine, s)
-			}
-		}
+		quarantine = at.m.Suspects()
 	}
 	st := r.begin(at, key, quarantine)
 	defer st.release()

@@ -70,10 +70,6 @@ type Config struct {
 	// exchange, or whose element a SODA_err read locates as corrupt, is
 	// marked Suspect for the repair loop, which readmits it once healed.
 	Membership *Membership
-	// Quarantine lists servers a previous SODA_err read located as
-	// corrupt: a read never contacts them, charging them to f, whatever
-	// Membership says. Writers do not consult it.
-	Quarantine []int
 }
 
 // N returns the configuration's cluster size.
@@ -128,11 +124,6 @@ func (c *Config) readerFaults() (int, error) {
 	if e > 0 && c.Codec.MaxReadErrors() < e {
 		return 0, fmt.Errorf("%w: e=%d corrupt servers exceeds the codec's radius %d (need 2e <= n-k)",
 			ErrConfig, e, c.Codec.MaxReadErrors())
-	}
-	for _, s := range c.Quarantine {
-		if s < 0 || s >= n {
-			return 0, fmt.Errorf("%w: quarantined server %d out of range", ErrConfig, s)
-		}
 	}
 	if n-f < k+2*e {
 		return 0, fmt.Errorf("%w: read quorum n-f=%d < k+2e=%d", ErrConfig, n-f, k+2*e)

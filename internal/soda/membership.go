@@ -17,8 +17,9 @@ import (
 // Live servers participate in read/write quorums. Suspect and
 // Repairing servers are quarantined: writers and readers whose Config
 // holds the view never contact them and charge them to the fault budget
-// f instead, exactly like Config.Quarantine. Only a completed repair
-// (Repairer) moves a server back to Live.
+// f instead — a write in both phases, a read in the quorum it samples
+// when it starts. The view is the only quarantine there is. Only a
+// completed repair (Repairer) moves a server back to Live.
 type Health int
 
 const (

@@ -16,20 +16,27 @@ import (
 // servers NACK client operations but keep serving donor reads of the
 // frozen state, so writers and readers pause (their epoch-stamped
 // frames bounce with "want = pending") while nothing moves underneath
-// the migration. Migrate drains every key out of the old geometry —
-// collect k agreeing elements from the old members, decode under the
-// old [n,k] code, re-encode under the new one — and lays the new
-// elements down on every new member with RepairPut at the pending
-// epoch (the one frame class sealed servers accept, and tag-monotone,
-// so re-running a crashed migration is idempotent). Activate flips
-// every new member to the new epoch, and Install publishes the new
-// Config to the shared view, releasing the waiting clients.
+// the migration. Migrate drains every key out of the old geometry
+// through the drain it shares with the Repairer (repair.go) — gather
+// the old members' elements, regenerate the version k of them vouch
+// for, decode it under the old [n,k] code, re-encode it under the new
+// one — and lays the new elements down on every new member with
+// RepairPut at the pending epoch (the one frame class sealed servers
+// accept, and tag-monotone, so re-running a crashed migration is
+// idempotent). Activate flips every new member to the new epoch, and
+// Install publishes the new Config to the shared view, releasing the
+// waiting clients.
 //
 // Safety: a completed write has elements on n−f ≥ k old members, and
-// the seal means no tag moves during the drain, so chooseVersion's
+// the seal means no tag moves during the drain, so regenerate's
 // k-agreement requirement finds every completed write's latest
-// version; re-encoding preserves the value and the tag, so a read
-// under the new epoch returns exactly what the old epoch would have.
+// version. With more than k donors of it the decode cross-checks them:
+// a donor serving rotten bytes is located and decoded around or, past
+// what the code can locate, waited out — never re-encoded into the new
+// geometry, where every element would carry the rot and no reader
+// could find it. Re-encoding preserves the value and the tag, so a
+// read under the new epoch returns exactly what the old epoch would
+// have.
 // In-flight operations that straddle the flip either completed their
 // quorum entirely before the seal (they count) or are NACKed and
 // retried entirely under the new epoch (they re-assemble from
@@ -107,18 +114,6 @@ func members(old, next *Config) []Conn {
 	return out
 }
 
-// sleep waits one backoff step or until ctx ends.
-func (rc *Reconfigurator) sleep(ctx context.Context, b *Backoff) error {
-	t := time.NewTimer(b.Next())
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // eachUntil applies fn to every conn, retrying the failures with
 // backoff until all succeed or ctx ends.
 func (rc *Reconfigurator) eachUntil(ctx context.Context, phase string, conns []Conn, fn func(Conn) error) error {
@@ -139,7 +134,7 @@ func (rc *Reconfigurator) eachUntil(ctx context.Context, phase string, conns []C
 			return nil
 		}
 		rc.logf("reconfig: %s: %d member(s) pending (%v), retrying", phase, len(failed), firstErr)
-		if err := rc.sleep(ctx, &b); err != nil {
+		if err := b.Sleep(ctx); err != nil {
 			return fmt.Errorf("reconfig %s: %w (last member error: %w)", phase, err, firstErr)
 		}
 		pending = failed
@@ -226,12 +221,8 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 }
 
 // migrate drains every key from the old configuration into the new
-// one: enumerate the frozen namespace from the old members, and for
-// each key collect k agreeing elements, decode under the old code,
-// re-encode under the new, and install on every new member at the
-// pending epoch. Keys that cannot reach k agreement yet (a donor
-// mid-recovery) retry with backoff; the drain does not finish without
-// them.
+// one: enumerate the frozen namespace from the old members, then
+// migrate each key.
 func (rc *Reconfigurator) migrate(ctx context.Context, old, next *Config) error {
 	oldF := old.F
 	if oldF < 0 {
@@ -243,36 +234,12 @@ func (rc *Reconfigurator) migrate(ctx context.Context, old, next *Config) error 
 	// quorums intersect, so the union over n−f enumerations cannot miss
 	// a completed write.
 	var keys []string
-	b := rc.backoff
-	for {
-		union := make(map[string]struct{})
-		answers := 0
-		var firstErr error
-		for _, c := range old.Conns {
-			ks, err := c.Keys(ctx)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			answers++
-			for _, k := range ks {
-				union[k] = struct{}{}
-			}
-		}
-		if answers >= old.N()-oldF {
-			keys = make([]string, 0, len(union))
-			for k := range union {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
-			break
-		}
-		rc.logf("reconfig: migrate: only %d of %d donors enumerated (%v), retrying", answers, old.N(), firstErr)
-		if err := rc.sleep(ctx, &b); err != nil {
-			return fmt.Errorf("reconfig migrate: enumerating keys: %w (last donor error: %w)", err, firstErr)
-		}
+	err := rc.awaitDonors(ctx, "enumerating keys", func() (err error) {
+		keys, err = keyUnion(ctx, old.Conns, old.N()-oldF, nil)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 
 	rc.logf("reconfig: migrating %d key(s) from [n=%d,k=%d] to [n=%d,k=%d]", len(keys), old.N(), old.K(), next.N(), next.K())
@@ -284,71 +251,59 @@ func (rc *Reconfigurator) migrate(ctx context.Context, old, next *Config) error 
 	return nil
 }
 
-// migrateKey drains one key, retrying collection until k old members
-// agree on a version.
-func (rc *Reconfigurator) migrateKey(ctx context.Context, old, next *Config, key string) error {
+// awaitDonors runs one donor read of the drain until it succeeds,
+// backing off while it reports ErrRepairQuorum: too few old members
+// answered, none of their versions reaches k, or they disagree past
+// what the decoder can locate — a member down, still recovering or
+// rotting. A flip does not give up on a member; it waits it out.
+func (rc *Reconfigurator) awaitDonors(ctx context.Context, what string, read func() error) error {
 	b := rc.backoff
+	var err error
 	for {
-		ver, elems, err := rc.collectOld(ctx, old, key)
-		if err == nil {
-			return rc.installNew(ctx, old, next, key, ver, elems)
-		}
-		if !errors.Is(err, ErrRepairQuorum) {
+		last := err
+		if err = read(); !errors.Is(err, ErrRepairQuorum) {
+			if last != nil && ctx.Err() != nil {
+				// The context ended inside a read: name what the drain
+				// was waiting for, as when it ends inside the sleep.
+				return fmt.Errorf("reconfig migrate %s: %w (last donor error: %w)", what, err, last)
+			}
 			return err
 		}
-		rc.logf("reconfig: migrate %q: %v, retrying", key, err)
-		if serr := rc.sleep(ctx, &b); serr != nil {
-			return fmt.Errorf("reconfig migrate %q: %w (last collection error: %w)", key, serr, err)
+		rc.logf("reconfig: migrate %s: %v, retrying", what, err)
+		if serr := b.Sleep(ctx); serr != nil {
+			return fmt.Errorf("reconfig migrate %s: %w (last donor error: %w)", what, serr, err)
 		}
 	}
 }
 
-// collectOld gathers the key's elements from the old members and picks
-// the highest version at least k of them vouch for. The cluster is
-// sealed, so "no k-agreement" can only mean donors are down or still
-// recovering — a retryable state, reported as ErrRepairQuorum.
-func (rc *Reconfigurator) collectOld(ctx context.Context, old *Config, key string) (version, map[int][]byte, error) {
-	var donations []donation
-	for _, c := range old.Conns {
-		t, elem, vlen, err := c.GetElem(ctx, key)
-		if err != nil {
-			if ctx.Err() != nil {
-				return version{}, nil, ctx.Err()
-			}
-			continue
-		}
-		if !t.IsZero() && (vlen <= 0 || len(elem) != old.Codec.shardSize(vlen)) {
-			continue // malformed donor element; contributes nothing
-		}
-		donations = append(donations, donation{server: c.Index(), ver: version{tag: t, vlen: vlen}, elem: elem})
-	}
-	ver, elems := chooseVersion(donations, old.K())
-	if elems == nil {
-		return version{}, nil, fmt.Errorf("%w: key %q, %d donors", ErrRepairQuorum, key, len(donations))
-	}
-	return ver, elems, nil
-}
-
-// installNew re-encodes one version under the new geometry and lays it
-// down on every new member at the pending epoch.
-func (rc *Reconfigurator) installNew(ctx context.Context, old, next *Config, key string, ver version, elems map[int][]byte) error {
+// migrateKey drains one key: regenerate the version the old members
+// vouch for, decode its value under the old code, re-encode it under
+// the new one, and lay it down on every new member at the pending
+// epoch.
+func (rc *Reconfigurator) migrateKey(ctx context.Context, old, next *Config, key string) error {
+	var ver version
 	var shards [][]byte
+	err := rc.awaitDonors(ctx, fmt.Sprintf("%q", key), func() error {
+		donations, err := gather(ctx, old.Conns, old.Codec, key, nil)
+		if err != nil {
+			return err
+		}
+		var corrupt []int
+		ver, shards, corrupt, err = regenerate(old.Codec, donations)
+		if len(corrupt) > 0 {
+			rc.logf("reconfig: migrate %q: located corrupt donor(s) %v, decoded around them", key, corrupt)
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
 	if !ver.tag.IsZero() {
-		// Decode the value under the old code...
-		oldShards := make([][]byte, old.N())
-		for i, el := range elems {
-			oldShards[i] = slices.Clone(el)
-		}
-		if err := old.Codec.enc.ReconstructData(oldShards); err != nil {
-			return fmt.Errorf("reconfig migrate %q: decoding under old geometry: %w", key, err)
-		}
-		value, err := old.Codec.DecodeValue(oldShards, ver.vlen)
+		value, err := old.Codec.DecodeValue(shards, ver.vlen)
 		if err != nil {
 			return fmt.Errorf("reconfig migrate %q: decoding under old geometry: %w", key, err)
 		}
-		// ...and re-encode it under the new one.
-		shards, err = next.Codec.EncodeValue(value)
-		if err != nil {
+		if shards, err = next.Codec.EncodeValue(value); err != nil {
 			return fmt.Errorf("reconfig migrate %q: re-encoding under new geometry: %w", key, err)
 		}
 	}

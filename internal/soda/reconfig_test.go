@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -244,6 +245,98 @@ func TestReconfigGrowMigratesState(t *testing.T) {
 	if snap := lb.Server(0).MetricsSnapshot(); snap.EpochNacks == 0 {
 		t.Fatal("no epoch NACK was ever counted despite retired-epoch traffic")
 	}
+}
+
+// TestReconfigDrainLocatesCorruptDonor: a member whose storage rots
+// before a flip must not have its bad bytes re-encoded into the next
+// geometry, where every element would carry them consistently and no
+// reader could find them. With all five old members answering, the
+// drain's cross-checking decode locates the rotten donor and decodes
+// around it, so a full-strength read under the new Config returns what
+// was written. regenerate itself: one corrupt donor among five is
+// located; among four it can only be detected, which is ErrRepairQuorum
+// (the drain waits) and never shards.
+func TestReconfigDrainLocatesCorruptDonor(t *testing.T) {
+	value := bytes.Repeat([]byte("val/e-value-"), 25) // 300 bytes
+	codec5, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		n, k int
+	}{
+		{"grow [5,3] to [7,4]", 7, 4},
+		{"same geometry [5,3] at epoch 1", 5, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := testCtx(t)
+			lb := NewLoopback(tc.n)
+			next, err := NewCodec(tc.n, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg0 := &Config{Codec: codec5, Conns: lb.ConnsAt(SeedEpoch, 5), F: -1}
+			view, err := NewConfigView(cfg0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := mustWriterOn(t, "w", &Config{Codec: codec5, Conns: cfg0.Conns, F: 0})
+			tag, err := w.Write(ctx, testKey, value)
+			if err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+
+			lb.Corrupt(0, FlipByte(3))
+			cfg1 := &Config{Epoch: 1, Codec: next, Conns: lb.ConnsAt(1, tc.n), F: -1}
+			if err := NewReconfigurator(view, fastReconfig).Apply(ctx, cfg1); err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+			lb.Corrupt(0, nil)
+
+			r := mustReaderOn(t, "r", &Config{Epoch: 1, Codec: next, Conns: cfg1.Conns, F: 0})
+			res, err := r.Read(ctx, testKey)
+			if err != nil {
+				t.Fatalf("Read under epoch 1: %v", err)
+			}
+			if res.Tag != tag || !bytes.Equal(res.Value, value) {
+				t.Fatalf("Read under epoch 1 = %v %.24q…, want %v %.24q…", res.Tag, res.Value, tag, value)
+			}
+		})
+	}
+
+	t.Run("regenerate", func(t *testing.T) {
+		shards, err := codec5.EncodeValue(value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ver := version{tag: Tag{TS: 7, Writer: "w"}, vlen: len(value)}
+		donate := func(servers ...int) []donation {
+			var ds []donation
+			for _, i := range servers {
+				elem := slices.Clone(shards[i])
+				if i == 0 {
+					elem = FlipByte(3)(elem)
+				}
+				ds = append(ds, donation{server: i, ver: ver, elem: elem})
+			}
+			return ds
+		}
+
+		got, out, corrupt, err := regenerate(codec5, donate(0, 1, 2, 3, 4))
+		if err != nil || got != ver || !slices.Equal(corrupt, []int{0}) {
+			t.Fatalf("five donors, one corrupt: %v, corrupt %v, %v; want %v, [0], nil", got, corrupt, err, ver)
+		}
+		for i := range shards {
+			if !bytes.Equal(out[i], shards[i]) {
+				t.Fatalf("five donors, one corrupt: shard %d differs from the value's", i)
+			}
+		}
+
+		if _, out, _, err := regenerate(codec5, donate(0, 1, 2, 3)); !errors.Is(err, ErrRepairQuorum) || out != nil {
+			t.Fatalf("four donors, one corrupt: %d shards, %v; want none and ErrRepairQuorum", len(out), err)
+		}
+	})
 }
 
 // TestReconfigRepairerAborts is the satellite-6 regression: a Repairer

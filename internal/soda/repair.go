@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/rs"
 )
 
 // RADON-style repair (Konwar et al., arXiv:1605.05717): SODA tolerates
@@ -30,6 +32,17 @@ import (
 // holding, which is exactly the RepairPut invariant; a rejoined server
 // that is merely stale is indistinguishable from one that missed a few
 // put-datas, a state the protocol already handles.
+//
+// The drain. Repair and reconfiguration (reconfig.go) ask a set of
+// donors the same question — which version do k of them vouch for, and
+// what are its bytes? — and answer it with the same three functions:
+// keyUnion enumerates the namespace, gather reads one key's elements,
+// and regenerate picks the version and decodes it, cross-checking the
+// donors whenever more than k of them hold it. The Repairer installs
+// the target's shard of the result; the Reconfigurator decodes the
+// value and re-encodes it under the next geometry. A donor serving
+// rotten bytes is located and corrected or, past what the code can
+// locate, waited out — neither caller ever spreads it.
 
 var (
 	// ErrRepairQuorum: fewer than k live servers agree on any single
@@ -260,7 +273,7 @@ func (rp *Repairer) RepairOnce(ctx context.Context, target int) (RepairOutcome, 
 }
 
 func (rp *Repairer) repair(ctx context.Context, target int) (RepairOutcome, error) {
-	keys, err := rp.keyUnion(ctx, target)
+	keys, err := keyUnion(ctx, rp.donors(target), 1, rp.m)
 	if err != nil {
 		return 0, err
 	}
@@ -290,90 +303,44 @@ func (rp *Repairer) repair(ctx context.Context, target int) (RepairOutcome, erro
 	return outcome, nil
 }
 
-// keyUnion enumerates the keys held across the live donors — the
-// namespace the target must be healed over. Donors that fail the
-// enumeration are marked suspect and skipped; at least one must
-// answer.
-func (rp *Repairer) keyUnion(ctx context.Context, target int) ([]string, error) {
-	var (
-		mu       sync.Mutex
-		union    = make(map[string]struct{})
-		answers  int
-		staleErr error
-	)
-	var wg sync.WaitGroup
+// donors is every live server but the target, sampled afresh for each
+// donor read, so one caught failing sits out the rest of the repair.
+func (rp *Repairer) donors(target int) []Conn {
+	var out []Conn
 	for _, c := range rp.conns {
-		if c.Index() == target || !rp.m.IsLive(c.Index()) {
-			continue
+		if c.Index() != target && rp.m.IsLive(c.Index()) {
+			out = append(out, c)
 		}
-		wg.Add(1)
-		go func(c Conn) {
-			defer wg.Done()
-			keys, err := c.Keys(ctx)
-			if err != nil {
-				if errors.Is(err, ErrStaleEpoch) {
-					mu.Lock()
-					if staleErr == nil {
-						staleErr = err
-					}
-					mu.Unlock()
-				}
-				reportSuspect(rp.m, ctx, c.Index(), err)
-				return
-			}
-			mu.Lock()
-			answers++
-			for _, k := range keys {
-				union[k] = struct{}{}
-			}
-			mu.Unlock()
-		}(c)
 	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	if answers == 0 {
-		if staleErr != nil {
-			// Every donor bounced the enumeration for carrying a retired
-			// epoch: the quorum shortfall IS a reconfiguration, and the
-			// caller must see it as one.
-			return nil, fmt.Errorf("%w: no live donor answered the key enumeration: %w", ErrRepairQuorum, staleErr)
-		}
-		return nil, fmt.Errorf("%w: no live donor answered the key enumeration", ErrRepairQuorum)
-	}
-	keys := make([]string, 0, len(union))
-	for k := range union {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys, nil
+	return out
 }
 
 func (rp *Repairer) repairKey(ctx context.Context, target int, key string) (RepairOutcome, error) {
-	donations, err := rp.collect(ctx, target, key)
+	donations, err := gather(ctx, rp.donors(target), rp.codec, key, rp.m)
 	if err != nil {
 		return 0, err
 	}
-	ver, elems := chooseVersion(donations, rp.codec.K())
-	if elems == nil {
-		return 0, fmt.Errorf("%w: key %q, %d donors", ErrRepairQuorum, key, len(donations))
+	ver, shards, corrupt, err := regenerate(rp.codec, donations)
+	if err != nil {
+		return 0, fmt.Errorf("key %q: %w", key, err)
+	}
+	// Donors the decode caught lying join the repair queue.
+	for _, c := range corrupt {
+		rp.m.MarkSuspect(c, errCorruptElement)
 	}
 
-	// Probe the target before paying for a rebuild: a node that
+	// Probe the target before shipping it anything: a node that
 	// recovered its own state from disk often holds a tag strictly
-	// newer than anything k donors agree on, and shipping it a stale
-	// element just to have RepairPut bounce it wastes the decode and
-	// the transfer. Equal tags still go through RepairPut — reinstall
-	// overwrites a rotted element without raising the tag.
+	// newer than anything k donors agree on, and a stale element would
+	// only bounce off RepairPut. Equal tags still go through RepairPut —
+	// reinstall overwrites a rotted element without raising the tag.
 	tc := rp.conns[connIndex(rp.conns, target)]
 	if tTag, _, _, tErr := tc.GetElem(ctx, key); tErr == nil && ver.tag.Less(tTag) {
-		rp.event(RepairEvent{Server: target, Key: key, Outcome: RepairAlreadyCurrent, Tag: ver.tag})
+		rp.event(RepairEvent{Server: target, Key: key, Outcome: RepairAlreadyCurrent, Tag: ver.tag, Corrupt: corrupt})
 		return RepairAlreadyCurrent, nil
 	}
 
 	var install []byte
-	var corrupt []int
 	outcome := RepairInstalled
 	if ver.tag.IsZero() {
 		// The key is unwritten as far as the live servers agree:
@@ -381,16 +348,7 @@ func (rp *Repairer) repairKey(ctx context.Context, target int, key string) (Repa
 		// reachability probe for this key.
 		outcome = RepairEmptyRegister
 	} else {
-		install, corrupt, err = rp.rebuild(target, elems)
-		if err != nil {
-			return 0, err
-		}
-		// Donors the rebuild caught lying join the repair queue.
-		for _, c := range corrupt {
-			if c != target {
-				rp.m.MarkSuspect(c, errCorruptElement)
-			}
-		}
+		install = shards[target]
 	}
 
 	accepted, err := tc.RepairPut(ctx, key, ver.tag, install, ver.vlen)
@@ -407,59 +365,116 @@ func (rp *Repairer) repairKey(ctx context.Context, target int, key string) (Repa
 	return outcome, nil
 }
 
-// collect fans msgGetElem for key out to every live server except the
-// target and gathers the well-formed answers. Transport failures mark
-// the donor suspect (it will get its own repair) but do not fail the
-// collection unless fewer than k donors remain.
-func (rp *Repairer) collect(ctx context.Context, target int, key string) ([]donation, error) {
+// ask runs one donor read on every donor concurrently and returns the
+// answers of those that gave one. A donor whose read fails is reported
+// to m (nil: to nobody) and skipped; stale is the first stale-epoch
+// refusal among the failures.
+func ask[T any](ctx context.Context, donors []Conn, m *Membership, read func(Conn) (T, error)) (answers []T, stale error) {
 	var (
-		mu        sync.Mutex
-		donations []donation
-		staleErr  error
+		mu sync.Mutex
+		wg sync.WaitGroup
 	)
-	var wg sync.WaitGroup
-	for _, c := range rp.conns {
-		if c.Index() == target || !rp.m.IsLive(c.Index()) {
-			continue
-		}
+	for _, c := range donors {
 		wg.Add(1)
 		go func(c Conn) {
 			defer wg.Done()
-			t, elem, vlen, err := c.GetElem(ctx, key)
+			a, err := read(c)
 			if err != nil {
-				if errors.Is(err, ErrStaleEpoch) {
-					mu.Lock()
-					if staleErr == nil {
-						staleErr = err
-					}
-					mu.Unlock()
-				}
-				reportSuspect(rp.m, ctx, c.Index(), err)
-				return
-			}
-			// Well-formedness mirrors the read path: an element whose
-			// size contradicts its claimed vlen contributes nothing.
-			if !t.IsZero() && (vlen <= 0 || len(elem) != rp.codec.shardSize(vlen)) {
-				return
+				reportSuspect(m, ctx, c.Index(), err)
 			}
 			mu.Lock()
-			donations = append(donations, donation{server: c.Index(), ver: version{tag: t, vlen: vlen}, elem: elem})
-			mu.Unlock()
+			defer mu.Unlock()
+			switch {
+			case err == nil:
+				answers = append(answers, a)
+			case stale == nil && errors.Is(err, ErrStaleEpoch):
+				stale = err
+			}
 		}(c)
 	}
 	wg.Wait()
+	return answers, stale
+}
+
+// shortfall is the ErrRepairQuorum of a donor read that too few donors
+// answered. It carries the stale-epoch refusal among them, if any: a
+// shortfall a reconfiguration caused must read as one, and Run aborts
+// on it.
+func shortfall(what string, stale error) error {
+	if stale != nil {
+		return fmt.Errorf("%w: %s: %w", ErrRepairQuorum, what, stale)
+	}
+	return fmt.Errorf("%w: %s", ErrRepairQuorum, what)
+}
+
+// keyUnion enumerates the keys held across the donors — the namespace a
+// drain must cover. At least need donors must answer.
+func keyUnion(ctx context.Context, donors []Conn, need int, m *Membership) ([]string, error) {
+	lists, stale := ask(ctx, donors, m, func(c Conn) ([]string, error) { return c.Keys(ctx) })
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	if len(donations) < rp.codec.K() {
-		if staleErr != nil {
-			return nil, fmt.Errorf("%w: only %d of %d live servers answered, need k=%d: %w",
-				ErrRepairQuorum, len(donations), len(rp.conns), rp.codec.K(), staleErr)
-		}
-		return nil, fmt.Errorf("%w: only %d of %d live servers answered, need k=%d",
-			ErrRepairQuorum, len(donations), len(rp.conns), rp.codec.K())
+	if len(lists) < need {
+		return nil, shortfall(fmt.Sprintf("%d of %d donors answered the key enumeration, need %d", len(lists), len(donors), need), stale)
+	}
+	var keys []string
+	for _, ks := range lists {
+		keys = append(keys, ks...)
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys), nil
+}
+
+// gather reads key's element from every donor concurrently and keeps
+// the well-formed answers; fewer than k of them is ErrRepairQuorum.
+func gather(ctx context.Context, donors []Conn, codec *Codec, key string, m *Membership) ([]donation, error) {
+	got, stale := ask(ctx, donors, m, func(c Conn) (donation, error) {
+		t, elem, vlen, err := c.GetElem(ctx, key)
+		return donation{server: c.Index(), ver: version{tag: t, vlen: vlen}, elem: elem}, err
+	})
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	// Well-formedness mirrors the read path: an element whose size
+	// contradicts its claimed vlen contributes nothing.
+	donations := slices.DeleteFunc(got, func(d donation) bool {
+		return !d.ver.tag.IsZero() && (d.ver.vlen <= 0 || len(d.elem) != codec.shardSize(d.ver.vlen))
+	})
+	if len(donations) < codec.K() {
+		return nil, shortfall(fmt.Sprintf("only %d of %d donors answered, need k=%d", len(donations), len(donors), codec.K()), stale)
 	}
 	return donations, nil
+}
+
+// regenerate picks the highest version k donations vouch for and
+// decodes it into all n shards, returning the donors it located as
+// corrupt (their shards come back corrected). With exactly k donations
+// of the version this is erasure decoding; with more, the decoder
+// cross-checks them. Disagreement it detects but cannot locate is
+// ErrRepairQuorum, like a missing donor: the caller waits for more
+// donors rather than trust either side. An unwritten version has no
+// shards.
+func regenerate(codec *Codec, donations []donation) (version, [][]byte, []int, error) {
+	ver, elems := chooseVersion(donations, codec.K())
+	if elems == nil {
+		return version{}, nil, nil, fmt.Errorf("%w: %d donors", ErrRepairQuorum, len(donations))
+	}
+	if ver.tag.IsZero() {
+		return ver, nil, nil, nil
+	}
+	shards := make([][]byte, codec.N())
+	for i, el := range elems {
+		shards[i] = slices.Clone(el)
+	}
+	corrupt, err := codec.enc.DecodeErrors(shards)
+	if errors.Is(err, rs.ErrTooManyErrors) {
+		return version{}, nil, nil, fmt.Errorf("%w: the %d donors of tag %v disagree past what the code can locate: %w",
+			ErrRepairQuorum, len(elems), ver.tag, err)
+	}
+	if err != nil {
+		return version{}, nil, nil, fmt.Errorf("decoding tag %v: %w", ver.tag, err)
+	}
+	return ver, shards, corrupt, nil
 }
 
 // chooseVersion picks the highest (tag, vlen) version at least k
@@ -490,23 +505,6 @@ func chooseVersion(donations []donation, k int) (version, map[int][]byte) {
 		}
 	}
 	return best, bestElems
-}
-
-// rebuild regenerates the target's coded element from the donated
-// shards. With donors to spare, the syndrome decoder cross-checks them
-// while it rebuilds — a corrupt donor inside the decoding radius is
-// located (and reported) instead of silently poisoning the repaired
-// element; with exactly k donors it is plain erasure decoding.
-func (rp *Repairer) rebuild(target int, elems map[int][]byte) ([]byte, []int, error) {
-	shards := make([][]byte, rp.codec.N())
-	for i, el := range elems {
-		shards[i] = slices.Clone(el)
-	}
-	corrupt, err := rp.codec.enc.DecodeErrors(shards)
-	if err != nil {
-		return nil, nil, fmt.Errorf("repair decode: %w", err)
-	}
-	return shards[target], corrupt, nil
 }
 
 // connIndex finds the conn for a shard index (conns are validated to

@@ -52,7 +52,7 @@ func mustReader(t *testing.T, id string, codec *Codec, conns []Conn) *Reader {
 }
 
 // mustView starts a view at cfg that never flips, so that the clients a
-// test builds on it at a Config's F, E, Membership or Quarantine return a
+// test builds on it at a Config's F, E or Membership return a
 // stale-epoch NACK as NewWriter's and NewReader's do, not wait for an
 // install that never comes.
 func mustView(t testing.TB, cfg *Config) *ConfigView {
@@ -593,7 +593,11 @@ func TestSodaErrReadNamesCorruptServers(t *testing.T) {
 		}
 
 		// Quarantining the named server lets a plain reader avoid it.
-		q := mustReaderOn(t, "r2", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Quarantine: res.Corrupt})
+		m := NewMembership(5)
+		for _, s := range res.Corrupt {
+			m.MarkSuspect(s, errCorruptElement)
+		}
+		q := mustReaderOn(t, "r2", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 		qres, err := q.Read(ctx, testKey)
 		if err != nil {
 			t.Fatalf("quarantined Read: %v", err)
@@ -885,9 +889,6 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("default reader at n=9 k=3: %v", err)
 	} else if f := r.at.Load().f; f != 2 {
 		t.Fatalf("default reader faults = %d, want the f < k clamp 2", f)
-	}
-	if _, err := mustView(t, &Config{Codec: codec, Conns: conns, F: -1, Quarantine: []int{9}}).Reader("r"); !errors.Is(err, ErrConfig) {
-		t.Fatalf("out-of-range quarantine accepted: %v", err)
 	}
 	dup := []Conn{conns[0], conns[0], conns[2], conns[3], conns[4]}
 	if _, err := NewWriter("w", codec, dup); err == nil {

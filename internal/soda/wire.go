@@ -169,7 +169,7 @@ func validateKey(key string) error {
 }
 
 // framePool recycles payload buffers for the hot encode paths. Buffers
-// are handed to writeFrame and returned to the pool by the sender;
+// are handed to a connWriter and returned to the pool by the sender;
 // oversized ones (a huge value passed through once) are dropped rather
 // than pinned.
 var framePool = sync.Pool{
@@ -192,20 +192,6 @@ func putFrame(bp *[]byte) {
 		return
 	}
 	framePool.Put(bp)
-}
-
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("%w: %d byte frame exceeds %d", ErrFrame, len(payload), maxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
 }
 
 // readFrame reads one frame, reusing buf when it has the capacity. The

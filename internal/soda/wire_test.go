@@ -3,8 +3,10 @@ package soda
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -169,6 +171,21 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("no golden frame for %s", msgNames[typ])
 		}
 	}
+}
+
+// writeFrame writes one length-prefixed frame: a raw peer's side of the
+// socket in the tests (NetServer and MuxConn queue theirs to a connWriter).
+func writeFrame(w io.Writer, payload []byte) error {
+	if len(payload) > maxFrame {
+		return fmt.Errorf("%w: %d byte frame exceeds %d", ErrFrame, len(payload), maxFrame)
+	}
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
 }
 
 // TestWireRoundTrip frames and parses message types through
