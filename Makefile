@@ -129,12 +129,15 @@ bench-pairs:
 # ladder, so only it rides along on both; the client quorum-path layer
 # benchmark (inline and on legs: 128 B, 1 MiB, and 128 B over servers
 # that log to b.TempDir() without syncing) runs once, at the -cpu list it
-# is quoted at, and so do the socket round and its transport floor.
+# is quoted at, and so do the socket round and its transport floor —
+# those two long enough (20000 rounds, twice) for a socket reader to fall
+# behind its callers, with a timeout that turns a cleanup hang into a
+# failure.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=10x ./internal/gf256/ ./internal/rs/
 	$(GO) test -run '^$$' -bench Stream -benchtime=10x ./internal/soda/
 	$(GO) test -run '^$$' -bench SmallOpsParallel -benchtime=10x -cpu 1,2,4 ./internal/soda/
-	$(GO) test -run '^$$' -bench 'MuxRound|MuxFloor' -benchtime=10x ./internal/soda/
+	$(GO) test -run '^$$' -bench 'MuxRound|MuxFloor' -benchtime=20000x -count=2 -timeout=2m ./internal/soda/
 	$(GO) test -tags purego -run '^$$' -bench . -benchtime=10x ./internal/gf256/ ./internal/rs/
 	$(GO) test -tags purego -run '^$$' -bench Stream -benchtime=10x ./internal/soda/
 

@@ -342,7 +342,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	cfg0 := &soda.Config{Epoch: 0, Codec: codec, Conns: glb.ConnsAt(soda.SeedEpoch, 5), F: -1}
+	cfg0 := &soda.Config{Codec: codec, Conns: glb.ConnsAt(soda.SeedEpoch, 5), F: -1}
 	view, err := soda.NewConfigView(cfg0)
 	if err != nil {
 		return err
@@ -388,7 +388,7 @@ func run(ctx context.Context) error {
 		fmt.Println("  r1: read in flight is parked on the sealed epoch (no cross-epoch quorum)")
 	}
 
-	cfg1 := &soda.Config{Epoch: 1, Codec: codec7, Conns: glb.ConnsAt(1, 7), F: -1}
+	cfg1 := &soda.Config{Codec: codec7, Conns: glb.ConnsAt(1, 7), F: -1}
 	rc := soda.NewReconfigurator(view, soda.WithReconfigLogf(func(format string, args ...any) {
 		fmt.Printf("  "+format+"\n", args...)
 	}))
@@ -422,7 +422,7 @@ func run(ctx context.Context) error {
 	}
 	fmt.Printf("  w1: same Writer wrote tag %v across all 7 servers\n", tag9)
 
-	cfg2 := &soda.Config{Epoch: 2, Codec: codec, Conns: glb.ConnsAt(2, 5), F: -1}
+	cfg2 := &soda.Config{Codec: codec, Conns: glb.ConnsAt(2, 5), F: -1}
 	if err := rc.Apply(ctx, cfg2); err != nil {
 		return fmt.Errorf("shrink to epoch 2: %w", err)
 	}

@@ -613,7 +613,7 @@ func TestOwnedPutRefusedFreesOnce(t *testing.T) {
 	if _, stored, _ := servers[0].Core().Snapshot(testKey); !bytes.Equal(stored, elemFor(2, size)) {
 		t.Fatal("mux: the server does not hold the bytes that were sent")
 	}
-	dead := TCPMuxConn(0, "127.0.0.1:1", WithDialRetry(1, Backoff{}))
+	dead := TCPMuxConn(0, "127.0.0.1:1", withDialRetry(1, Backoff{}))
 	defer dead.Close()
 	elem = elemFor(3, size)
 	id = &elem[0]

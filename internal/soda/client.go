@@ -41,6 +41,9 @@ var (
 type Conn interface {
 	// Index returns the server's shard index in [0, n).
 	Index() int
+	// Epoch returns the configuration epoch the conn stamps on every
+	// exchange.
+	Epoch() uint64
 	// GetTag asks for the server's highest stored tag under key.
 	GetTag(ctx context.Context, key string) (Tag, error)
 	// PutData stores one coded element under (key, tag); see the put

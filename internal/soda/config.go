@@ -9,12 +9,12 @@ import (
 )
 
 // Online reconfiguration, client side. A Config is one immutable
-// cluster geometry: an epoch number, the [n,k] code, the fault
-// budgets, and the conn set — stamped with the epoch at construction
-// (WithConnEpoch / Loopback.ConnsAt), so every frame an operation
-// sends under this Config carries its epoch and a quorum assembled
-// through it can only ever contain responses from servers serving
-// that epoch. Mixing two geometries in one quorum is therefore
+// cluster geometry: the [n,k] code, the fault budgets, and the conn
+// set. Its epoch is the one its conns stamp (WithConnEpoch /
+// Loopback.ConnsAt), all of them the same one, so every frame an
+// operation sends under this Config carries that epoch and a quorum
+// assembled through it can only ever contain responses from servers
+// serving that epoch. Mixing two geometries in one quorum is therefore
 // impossible by construction; the servers enforce it with epoch NACKs
 // and the clients react by refetching the current Config.
 //
@@ -23,8 +23,11 @@ import (
 // and every Writer and Reader runs each operation under the Config its
 // view holds — on a StaleEpochError it waits for the view to reach the
 // epoch the server demanded and retries the whole operation under the
-// new geometry. NewWriter and NewReader build their clients on a view
-// that never flips.
+// new geometry. A NACK from a server behind the Config (it wants the
+// epoch the attempt already had) is returned, not retried: only the
+// server catching up can help, and the caller decides when to try
+// again. NewWriter and NewReader build their clients on a view that
+// never flips.
 
 // SeedEpoch is the configuration epoch every cluster is born at: the
 // construction-time geometry, before any reconfiguration. Passing it
@@ -44,9 +47,8 @@ const epochNone uint64 = 0
 // Config is one immutable configuration of the cluster, and the one way
 // a Writer or Reader is configured.
 type Config struct {
-	Epoch uint64
 	Codec *Codec
-	Conns []Conn // stamped with Epoch; one per shard index in [0, N)
+	Conns []Conn // all stamped with one epoch; one per shard index in [0, N)
 	// F is the number of crashed or silent servers an operation rides
 	// through: a write's two phases each wait on n-f servers, a read
 	// fixes its target tag from the first n-f initial responses.
@@ -78,6 +80,9 @@ func (c *Config) N() int { return c.Codec.N() }
 // K returns the configuration's data-shard count.
 func (c *Config) K() int { return c.Codec.K() }
 
+// Epoch returns the configuration epoch the Config's conns stamp.
+func (c *Config) Epoch() uint64 { return c.Conns[0].Epoch() }
+
 // validate checks a Config's internal consistency.
 func (c *Config) validate() error {
 	if c == nil || c.Codec == nil {
@@ -85,6 +90,11 @@ func (c *Config) validate() error {
 	}
 	if err := validateConns(c.Conns, c.Codec.N()); err != nil {
 		return err
+	}
+	for _, cn := range c.Conns {
+		if cn.Epoch() != c.Epoch() {
+			return fmt.Errorf("%w: conns stamp epochs %d and %d", ErrConfig, c.Epoch(), cn.Epoch())
+		}
 	}
 	if c.Membership != nil && c.Membership.N() != c.Codec.N() {
 		return fmt.Errorf("%w: membership for n=%d, config has n=%d", ErrConfig, c.Membership.N(), c.Codec.N())
@@ -181,8 +191,8 @@ func (v *ConfigView) Install(c *Config) error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if cur := v.cur.Load(); c.Epoch <= cur.Epoch {
-		return fmt.Errorf("%w: installing epoch %d over %d", ErrConfig, c.Epoch, cur.Epoch)
+	if cur := v.cur.Load(); c.Epoch() <= cur.Epoch() {
+		return fmt.Errorf("%w: installing epoch %d over %d", ErrConfig, c.Epoch(), cur.Epoch())
 	}
 	v.cur.Store(c)
 	close(v.changed)
@@ -199,7 +209,7 @@ func (v *ConfigView) Await(ctx context.Context, epoch uint64) (*Config, error) {
 		v.mu.Lock()
 		cur, ch := v.cur.Load(), v.changed
 		v.mu.Unlock()
-		if cur.Epoch >= epoch || ch == nil {
+		if cur.Epoch() >= epoch || ch == nil {
 			return cur, nil
 		}
 		select {
@@ -215,8 +225,9 @@ func (v *ConfigView) Await(ctx context.Context, epoch uint64) (*Config, error) {
 // unavailability that may be a flip observed only as connection noise —
 // lets the caller retry at once if the view has already advanced. It
 // returns nil for a retry, else the error to return: err itself when err
-// is not reconfiguration-shaped or the view cannot reach the epoch the
-// server wants.
+// is not reconfiguration-shaped, the view cannot reach the epoch the
+// server wants, or the view reaches it with cfg itself — the server is
+// behind the Config, and retrying at once would only draw the NACK again.
 func retryStale(ctx context.Context, view *ConfigView, cfg *Config, err error) error {
 	var se *StaleEpochError
 	if errors.As(err, &se) {
@@ -224,12 +235,12 @@ func retryStale(ctx context.Context, view *ConfigView, cfg *Config, err error) e
 		if werr != nil {
 			return fmt.Errorf("awaiting epoch %d: %w (after %w)", se.Want, werr, err)
 		}
-		if cur.Epoch >= se.Want {
+		if cur != cfg && cur.Epoch() >= se.Want {
 			return nil
 		}
 		return err
 	}
-	if errors.Is(err, ErrUnavailable) && view.Current().Epoch > cfg.Epoch {
+	if errors.Is(err, ErrUnavailable) && view.Current().Epoch() > cfg.Epoch() {
 		return nil
 	}
 	return err

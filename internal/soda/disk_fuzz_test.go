@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -222,4 +225,83 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatalf("wrote back\n %x, read from\n %x", got, data)
 		}
 	})
+}
+
+// TestDiskGolden pins the bytes a node leaves on disk: one log record per
+// operation and one snapshot file, as the encoders wrote them when the
+// test was added, each parsed back to the state it was built from.
+// The fuzzers above only check that an encoder and its parser agree; a
+// change that moved both would pass them and orphan every existing log.
+func TestDiskGolden(t *testing.T) {
+	tag := Tag{TS: 5, Writer: "w1"}
+	elem := []byte{0xAA, 0xBB, 0xCC}
+	sealed := epochState{epoch: 2, n: 5, k: 3, sealed: true, pending: 3, pn: 7, pk: 4}
+	for _, g := range []struct {
+		hex string
+		rec walRecord
+	}{
+		{"0000002535df08b8" + "0000000000000007" + "01" + "0003612f31" + "000000000000000500027731" + "00000007" + "00000003aabbcc",
+			walRecord{lsn: 7, op: walOpPut, key: "a/1", tag: tag, elem: elem, vlen: 7}},
+		{"000000251d83d4ed" + "0000000000000008" + "02" + "0003612f31" + "000000000000000500027731" + "00000007" + "00000003aabbcc",
+			walRecord{lsn: 8, op: walOpRepair, key: "a/1", tag: tag, elem: elem, vlen: 7}},
+		{"0000000edad57814" + "0000000000000009" + "03" + "0003612f31",
+			walRecord{lsn: 9, op: walOpWipe, key: "a/1"}},
+		{"000000229a5d59d4" + "000000000000000a" + "04" + "0000000000000002" + "0000000000000003" + "01" + "0005000300070004",
+			walRecord{lsn: 10, op: walOpEpoch, est: sealed}},
+	} {
+		if got := hex.EncodeToString(appendWALRecord(nil, g.rec)); got != g.hex {
+			t.Errorf("log record op %d encodes to\n %s, golden\n %s", g.rec.op, got, g.hex)
+		}
+		rec, n, err := parseWALRecord(mustHex(t, g.hex))
+		if err != nil || n != len(g.hex)/2 || !reflect.DeepEqual(rec, g.rec) {
+			t.Errorf("golden log record op %d parses to %+v (%d bytes, %v), want %+v", g.rec.op, rec, n, err, g.rec)
+		}
+	}
+
+	const snapHex = "534f4441534e5032" + // magic
+		"0000000000000030" + "0000000000000002" + "0000000000000003" + "01" + "0005000300070004" + // covered, epoch state
+		"00000002" + // entries
+		"0003612f31" + "000000000000000500027731" + "00000007" + "00000003aabbcc" +
+		"0003622f32" + "000000000000000600027732" + "00000000" + "00000000" +
+		"5bc2d4fe" // CRC
+	entries := []snapEntry{
+		{key: "a/1", tag: tag, elem: elem, vlen: 7},
+		{key: "b/2", tag: Tag{TS: 6, Writer: "w2"}, elem: []byte{}, vlen: 0},
+	}
+	dir := t.TempDir()
+	if err := writeSnapshot(dir, 48, sealed, entries); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(file); got != snapHex {
+		t.Errorf("snapshot encodes to\n %s, golden\n %s", got, snapHex)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), mustHex(t, snapHex), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	covered, est, got, err := readSnapshot(dir)
+	if err != nil || covered != 48 || est != sealed || !reflect.DeepEqual(got, entries) {
+		t.Errorf("golden snapshot reads as covered %d, %+v, %+v, %v", covered, est, got, err)
+	}
+}
+
+// TestDiskVLenOutOfRange: a value length past math.MaxInt32 under a
+// correct checksum is a corrupt log record and a corrupt snapshot, as it
+// is a malformed frame on the wire.
+func TestDiskVLenOutOfRange(t *testing.T) {
+	const huge = math.MaxUint32
+	rec := appendWALRecord(nil, walRecord{lsn: 1, op: walOpPut, key: "a/1", tag: Tag{TS: 1, Writer: "w"}, elem: []byte{1}, vlen: huge})
+	if _, n, err := parseWALRecord(rec); !errors.Is(err, errWALCorrupt) || n != 0 {
+		t.Errorf("log record with vlen %d parsed (%d bytes, %v), want errWALCorrupt", uint32(huge), n, err)
+	}
+	dir := t.TempDir()
+	if err := writeSnapshot(dir, 1, epochState{}, []snapEntry{{key: "a/1", tag: Tag{TS: 1, Writer: "w"}, elem: []byte{1}, vlen: huge}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, entries, err := readSnapshot(dir); !errors.Is(err, ErrFrame) {
+		t.Errorf("snapshot with vlen %d read as %+v (%v), want a frame error", uint32(huge), entries, err)
+	}
 }

@@ -402,6 +402,39 @@ func TestFsyncModeLossSemantics(t *testing.T) {
 	}
 }
 
+// TestFsyncIntervalSyncsOnTick: under FsyncInterval a put is on disk
+// once a tick has passed, so a power cut twenty ticks after a write keeps
+// it.
+func TestFsyncIntervalSyncsOnTick(t *testing.T) {
+	if got := FsyncInterval.String(); got != "interval" {
+		t.Fatalf("FsyncInterval.String() = %q", got)
+	}
+	ctx := testCtx(t)
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := NewDurableLoopback(5, t.TempDir(), WithFsyncEvery(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lb.CloseServers() })
+	w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
+	tag, err := w.Write(ctx, testKey, []byte("synced on a tick"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	lb.PowerCut(0)
+	s, err := lb.Recover(0)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if got, _, _ := s.Snapshot(testKey); got != tag {
+		t.Fatalf("server 0 recovered %v after twenty ticks, want the written %v", got, tag)
+	}
+}
+
 // TestPowerCutRecoverNoDonorRepair is the tentpole's acceptance path:
 // a server power-cut mid-traffic comes back from its own WAL — state
 // identical to the instant of the cut, with no Repairer running and

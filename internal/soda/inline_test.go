@@ -932,7 +932,7 @@ func TestPendingReadEndsOnTheFlip(t *testing.T) {
 		checkNoLeaks(t)
 		ctx := testCtx(t)
 		codec, lb := newCluster(t, 5, 3)
-		view, err := NewConfigView(&Config{Epoch: SeedEpoch, Codec: codec, Conns: lb.Conns(), F: -1})
+		view, err := NewConfigView(&Config{Codec: codec, Conns: lb.Conns(), F: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -947,7 +947,7 @@ func TestPendingReadEndsOnTheFlip(t *testing.T) {
 		if err := next[2].PutData(ctx, testKey, t2, shards[2], len(v2)); err != nil {
 			t.Fatal(err)
 		}
-		if err := view.Install(&Config{Epoch: 1, Codec: codec, Conns: next, F: -1}); err != nil {
+		if err := view.Install(&Config{Codec: codec, Conns: next, F: -1}); err != nil {
 			t.Fatal(err)
 		}
 		select {

@@ -285,6 +285,8 @@ type loopConn struct {
 
 func (c *loopConn) Index() int { return c.idx }
 
+func (c *loopConn) Epoch() uint64 { return c.epoch }
+
 // gate applies the fault flags: error when crashed, block forever
 // when hung. A cancelled context is deliberately NOT checked: a
 // quorum's straggler goroutines model messages already in flight, and

@@ -117,7 +117,7 @@ func TCPMuxConn(idx int, addr string, opts ...TCPOption) *MuxConn {
 	c := &MuxConn{
 		idx:     idx,
 		addr:    addr,
-		opts:    defaultTCPOpts(),
+		opts:    tcpOpts{policy: dialPolicy{timeout: 2 * time.Second, attempts: 3}},
 		waiting: make(map[uint64]muxExchange),
 	}
 	for _, opt := range opts {
@@ -147,6 +147,8 @@ func CloseConns(conns []Conn) {
 }
 
 func (c *MuxConn) Index() int { return c.idx }
+
+func (c *MuxConn) Epoch() uint64 { return c.opts.epoch }
 
 // Close tears down the connection and fails in-flight exchanges;
 // subsequent operations error instead of redialing.

@@ -73,10 +73,15 @@ func BenchmarkMuxFloor(b *testing.B) {
 	const n, quorum, callers = 5, 4, 2
 	var wg sync.WaitGroup
 	b.Cleanup(wg.Wait)
+	// done, closed before wg.Wait (cleanups run last first), releases a
+	// socket reader still waiting on a caller that has returned.
+	done := make(chan struct{})
+	b.Cleanup(func() { close(done) })
 	// answers[c] hears, from every client socket's reader, the round number
 	// of each echo addressed to caller c. A caller leaves at most one
 	// straggler per round unread, so room for a few rounds means a socket
-	// reader never waits on a caller.
+	// reader waits on a caller only when it falls that many rounds behind,
+	// or once the callers are gone.
 	var answers [callers]chan uint64
 	for c := range answers {
 		answers[c] = make(chan uint64, 4*n)
@@ -135,7 +140,11 @@ func BenchmarkMuxFloor(b *testing.B) {
 					return
 				}
 				buf = p[:0]
-				answers[p[0]] <- binary.BigEndian.Uint64(p[1:])
+				select {
+				case answers[p[0]] <- binary.BigEndian.Uint64(p[1:]):
+				case <-done:
+					return
+				}
 			}
 		}()
 	}

@@ -449,7 +449,7 @@ func TestMuxRedialsAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ns.Addr()
-	c := TCPMuxConn(0, addr, WithDialRetry(1, Backoff{Base: time.Millisecond}))
+	c := TCPMuxConn(0, addr, withDialRetry(1, Backoff{Base: time.Millisecond}))
 	defer c.Close()
 
 	tag := Tag{TS: 3, Writer: "w"}
@@ -821,7 +821,7 @@ func TestMuxSharedDialOutlivesItsWinner(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // refused until the server below is up
-	c := TCPMuxConn(0, addr, WithDialRetry(2, Backoff{Base: time.Minute, Max: time.Minute}))
+	c := TCPMuxConn(0, addr, withDialRetry(2, Backoff{Base: time.Minute, Max: time.Minute}))
 	defer c.Close()
 	winnerCtx, giveUp := context.WithCancel(ctx)
 	winner, waiter := make(chan error, 1), make(chan error, 1)
@@ -1341,7 +1341,7 @@ func TestMuxServerKilledMidPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, servers := startTCPServers(t, 5)
-	conns := TCPMuxConns(addrs, WithDialRetry(1, Backoff{}), WithDialTimeout(time.Second))
+	conns := TCPMuxConns(addrs, withDialRetry(1, Backoff{}), withDialTimeout(time.Second))
 	defer CloseConns(conns)
 	w := mustWriter(t, "w", codec, conns)
 	r := mustReader(t, "r", codec, conns)

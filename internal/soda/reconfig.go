@@ -52,22 +52,17 @@ import (
 // issued after a full drain), so a re-run skips straight to finishing
 // the activation.
 type Reconfigurator struct {
-	view    *ConfigView
+	view *ConfigView
+	// backoff is the retry schedule inside each phase while a member is
+	// unreachable (20ms..2s). A flip does not give up on a member: a node
+	// power-cut mid-flip blocks the phase until it recovers, which is what
+	// keeps activation from outrunning the drain.
 	backoff Backoff
 	logf    func(format string, args ...any)
 }
 
 // ReconfigOption configures a Reconfigurator.
 type ReconfigOption func(*Reconfigurator)
-
-// WithReconfigBackoff sets the retry schedule used inside each phase
-// when a member is unreachable (default 20ms..2s). A flip does not
-// give up on a member: a node power-cut mid-flip blocks the phase
-// until it recovers, which is what keeps activation from outrunning
-// the drain.
-func WithReconfigBackoff(b Backoff) ReconfigOption {
-	return func(rc *Reconfigurator) { rc.backoff = b }
-}
 
 // WithReconfigLogf installs a progress logger (phase transitions and
 // per-member retries).
@@ -150,8 +145,8 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 		return err
 	}
 	old := rc.view.Current()
-	if next.Epoch <= old.Epoch {
-		return fmt.Errorf("%w: reconfiguring to epoch %d from %d", ErrConfig, next.Epoch, old.Epoch)
+	if next.Epoch() <= old.Epoch() {
+		return fmt.Errorf("%w: reconfiguring to epoch %d from %d", ErrConfig, next.Epoch(), old.Epoch())
 	}
 
 	// Phase 0: status probe. Any new member already at (or past) the
@@ -163,20 +158,20 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 		if err != nil {
 			return err
 		}
-		if st, err := r.Reconfig(ctx, ReconfigStatus, 0, 0, 0); err == nil && st.Epoch >= next.Epoch {
+		if st, err := r.Reconfig(ctx, ReconfigStatus, 0, 0, 0); err == nil && st.Epoch >= next.Epoch() {
 			activated++
 		}
 	}
 
 	if activated == 0 {
 		// Phase 1: seal every member of both configurations.
-		rc.logf("reconfig: sealing epoch %d pending %d across %d member(s)", old.Epoch, next.Epoch, len(members(old, next)))
+		rc.logf("reconfig: sealing epoch %d pending %d across %d member(s)", old.Epoch(), next.Epoch(), len(members(old, next)))
 		err := rc.eachUntil(ctx, "seal", members(old, next), func(c Conn) error {
 			r, err := reconfigConn(c)
 			if err != nil {
 				return err
 			}
-			_, err = r.Reconfig(ctx, ReconfigSeal, next.Epoch, next.N(), next.K())
+			_, err = r.Reconfig(ctx, ReconfigSeal, next.Epoch(), next.N(), next.K())
 			return err
 		})
 		if err != nil {
@@ -188,7 +183,7 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 			return err
 		}
 	} else {
-		rc.logf("reconfig: %d member(s) already at epoch %d; resuming activation", activated, next.Epoch)
+		rc.logf("reconfig: %d member(s) already at epoch %d; resuming activation", activated, next.Epoch())
 	}
 
 	// Phase 3: activate every new member. Retired members stay sealed
@@ -198,7 +193,7 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 		if err != nil {
 			return err
 		}
-		_, err = r.Reconfig(ctx, ReconfigActivate, next.Epoch, next.N(), next.K())
+		_, err = r.Reconfig(ctx, ReconfigActivate, next.Epoch(), next.N(), next.K())
 		return err
 	})
 	if err != nil {
@@ -211,12 +206,12 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 		// A concurrent coordinator may have installed past us; epoch
 		// monotonicity already holds, so only a genuinely conflicting
 		// install is an error.
-		if rc.view.Current().Epoch >= next.Epoch {
+		if rc.view.Current().Epoch() >= next.Epoch() {
 			return nil
 		}
 		return err
 	}
-	rc.logf("reconfig: epoch %d active (n=%d k=%d)", next.Epoch, next.N(), next.K())
+	rc.logf("reconfig: epoch %d active (n=%d k=%d)", next.Epoch(), next.N(), next.K())
 	return nil
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // fastReconfig is the retry schedule tests drive flips with.
-var fastReconfig = WithReconfigBackoff(Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond})
+var fastReconfig = withReconfigBackoff(Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond})
 
 // TestEpochAdmitMatrix pins the admission rule per operation class
 // across the three server states (active, sealed, activated-next):
@@ -167,6 +167,83 @@ func TestNoCrossEpochQuorum(t *testing.T) {
 	}
 }
 
+// TestStaleEpochRetryDoesNotSpin: a client whose Config is ahead of its
+// servers draws one NACK per server and returns it. The NACK wants the
+// epoch the attempt already had, so only the servers catching up can
+// help; a client that retried at once would spin on NACKs until its
+// context ended. A Config whose conns stamp two epochs is refused before
+// any of that, by the view, by Install and by Apply, before any seal.
+func TestStaleEpochRetryDoesNotSpin(t *testing.T) {
+	for name, op := range map[string]func(context.Context, *ConfigView) error{
+		"write": func(ctx context.Context, v *ConfigView) error {
+			w, err := v.Writer("w")
+			if err != nil {
+				return err
+			}
+			_, err = w.Write(ctx, testKey, []byte("ahead"))
+			return err
+		},
+		"read": func(ctx context.Context, v *ConfigView) error {
+			r, err := v.Reader("r")
+			if err != nil {
+				return err
+			}
+			_, err = r.Read(ctx, testKey)
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			codec, lb := newCluster(t, 5, 3)
+			view, err := NewConfigView(&Config{Codec: codec, Conns: lb.ConnsAt(1, 5), F: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			defer cancel()
+			err = op(ctx, view)
+			if !errors.Is(err, ErrStaleEpoch) || ctx.Err() != nil {
+				t.Fatalf("%s ahead of its servers returned %v (context: %v), want the NACK well before the deadline", name, err, ctx.Err())
+			}
+			for i := range 5 {
+				if n := lb.Server(i).MetricsSnapshot().EpochNacks; n > 1 {
+					t.Errorf("server %d NACKed %d times, want at most 1", i, n)
+				}
+			}
+		})
+	}
+
+	t.Run("mixed-epoch conns", func(t *testing.T) {
+		ctx := testCtx(t)
+		codec, lb := newCluster(t, 5, 3)
+		mixed := func() *Config {
+			conns := lb.ConnsAt(1, 5)
+			conns[4] = lb.ConnsAt(2, 5)[4]
+			return &Config{Codec: codec, Conns: conns, F: -1}
+		}
+		if _, err := NewConfigView(mixed()); !errors.Is(err, ErrConfig) {
+			t.Fatalf("NewConfigView over conns at epochs 1 and 2 = %v, want ErrConfig", err)
+		}
+		view, err := NewConfigView(&Config{Codec: codec, Conns: lb.Conns(), F: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Install(mixed()); !errors.Is(err, ErrConfig) {
+			t.Fatalf("Install of conns at epochs 1 and 2 = %v, want ErrConfig", err)
+		}
+		if err := NewReconfigurator(view, fastReconfig).Apply(ctx, mixed()); !errors.Is(err, ErrConfig) {
+			t.Fatalf("Apply to conns at epochs 1 and 2 = %v, want ErrConfig", err)
+		}
+		for i := range 5 {
+			if st := lb.Server(i).EpochStatus(); st.Sealed || st.Epoch != SeedEpoch {
+				t.Fatalf("server %d left at %+v by a refused Apply", i, st)
+			}
+		}
+		if got := view.Current().Epoch(); got != SeedEpoch {
+			t.Fatalf("view at epoch %d after refusals, want %d", got, SeedEpoch)
+		}
+	})
+}
+
 // TestReconfigGrowMigratesState drives one coordinator flip n=5 -> n=7
 // (k 3 -> 4) on a quiet cluster and proves the drain: every key
 // written under the old geometry reads back under the new one with
@@ -183,7 +260,7 @@ func TestReconfigGrowMigratesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg0 := &Config{Epoch: 0, Codec: codec5, Conns: lb.ConnsAt(SeedEpoch, 5), F: -1}
+	cfg0 := &Config{Codec: codec5, Conns: lb.ConnsAt(SeedEpoch, 5), F: -1}
 	view, err := NewConfigView(cfg0)
 	if err != nil {
 		t.Fatal(err)
@@ -204,12 +281,12 @@ func TestReconfigGrowMigratesState(t *testing.T) {
 		tags[key] = tag
 	}
 
-	cfg1 := &Config{Epoch: 1, Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
+	cfg1 := &Config{Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
 	rc := NewReconfigurator(view, fastReconfig)
 	if err := rc.Apply(ctx, cfg1); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if got := view.Current().Epoch; got != 1 {
+	if got := view.Current().Epoch(); got != 1 {
 		t.Fatalf("view epoch after Apply = %d", got)
 	}
 
@@ -288,13 +365,13 @@ func TestReconfigDrainLocatesCorruptDonor(t *testing.T) {
 			}
 
 			lb.Corrupt(0, FlipByte(3))
-			cfg1 := &Config{Epoch: 1, Codec: next, Conns: lb.ConnsAt(1, tc.n), F: -1}
+			cfg1 := &Config{Codec: next, Conns: lb.ConnsAt(1, tc.n), F: -1}
 			if err := NewReconfigurator(view, fastReconfig).Apply(ctx, cfg1); err != nil {
 				t.Fatalf("Apply: %v", err)
 			}
 			lb.Corrupt(0, nil)
 
-			r := mustReaderOn(t, "r", &Config{Epoch: 1, Codec: next, Conns: cfg1.Conns, F: 0})
+			r := mustReaderOn(t, "r", &Config{Codec: next, Conns: cfg1.Conns, F: 0})
 			res, err := r.Read(ctx, testKey)
 			if err != nil {
 				t.Fatalf("Read under epoch 1: %v", err)
@@ -500,7 +577,7 @@ func TestReconfigGrowShrinkSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg0 := &Config{Epoch: 0, Codec: codec5, Conns: lb.ConnsAt(SeedEpoch, 5), F: -1}
+	cfg0 := &Config{Codec: codec5, Conns: lb.ConnsAt(SeedEpoch, 5), F: -1}
 	view, err := NewConfigView(cfg0)
 	if err != nil {
 		t.Fatal(err)
@@ -585,7 +662,7 @@ func TestReconfigGrowShrinkSoak(t *testing.T) {
 	// Grow to n=7, power-cutting node 6 mid-flip. The coordinator blocks
 	// on the dead node (a flip never abandons a member), the recovery
 	// rebuilds its epoch state from the WAL, and the flip then converges.
-	cfg1 := &Config{Epoch: 1, Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
+	cfg1 := &Config{Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
 	applyErr := make(chan error, 1)
 	go func() { applyErr <- rc.Apply(ctx, cfg1) }()
 	sealBy := time.Now().Add(30 * time.Second)
@@ -614,7 +691,7 @@ func TestReconfigGrowShrinkSoak(t *testing.T) {
 
 	// Let traffic run under the grown geometry, then shrink back.
 	time.Sleep(20 * time.Millisecond)
-	cfg2 := &Config{Epoch: 2, Codec: codec5, Conns: lb.ConnsAt(2, 5), F: -1}
+	cfg2 := &Config{Codec: codec5, Conns: lb.ConnsAt(2, 5), F: -1}
 	if err := rc.Apply(ctx, cfg2); err != nil {
 		t.Fatalf("shrink Apply: %v", err)
 	}
@@ -666,7 +743,7 @@ func TestClientsFollowTheEpochFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg0 := &Config{Epoch: 0, Codec: codec5, Conns: lb.ConnsAt(SeedEpoch, 5), F: -1}
+	cfg0 := &Config{Codec: codec5, Conns: lb.ConnsAt(SeedEpoch, 5), F: -1}
 	view, err := NewConfigView(cfg0)
 	if err != nil {
 		t.Fatal(err)
@@ -717,7 +794,7 @@ func TestClientsFollowTheEpochFlip(t *testing.T) {
 
 	// Finish the flip by hand (same data on 0-4; migrate is not needed
 	// for the parked clients to resume, only activation + install).
-	cfg1 := &Config{Epoch: 1, Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
+	cfg1 := &Config{Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
 	rc := NewReconfigurator(view, fastReconfig)
 	if err := rc.Apply(ctx, cfg1); err != nil {
 		t.Fatalf("Apply: %v", err)

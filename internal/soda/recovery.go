@@ -34,7 +34,7 @@ type durConfig struct {
 	mode          FsyncMode
 	interval      time.Duration
 	snapThreshold int64
-	failAfter     int64
+	failAfter     int64 // the tests' disk fault; see wal.failAfter
 }
 
 // DurableOption configures a durable server.
@@ -54,14 +54,6 @@ func WithFsyncEvery(d time.Duration) DurableOption {
 // background snapshot + log truncation (default 4 MiB).
 func WithSnapshotThreshold(bytes int64) DurableOption {
 	return func(c *durConfig) { c.snapThreshold = bytes }
-}
-
-// WithWALFailAfter injects a disk fault for the IO-error soak: the WAL
-// append that would push the active segment past the given size fails
-// and latches, degrading the server to memory-only durability (counted
-// by WALFailures). Zero disables the injection.
-func WithWALFailAfter(bytes int64) DurableOption {
-	return func(c *durConfig) { c.failAfter = bytes }
 }
 
 // durability is a Server's persistence engine: the WAL it appends to,

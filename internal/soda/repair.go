@@ -80,17 +80,16 @@ func (o RepairOutcome) String() string {
 	return "unknown"
 }
 
-// RepairEvent is the observability record of one per-key repair
-// attempt, delivered to the WithRepairEvents hook. Key is empty when
-// the whole namespace was empty and the attempt degenerated into a
-// reachability probe.
-type RepairEvent struct {
-	Server  int
-	Key     string
-	Outcome RepairOutcome
-	Tag     Tag   // tag installed or confirmed
-	Corrupt []int // donors the rebuild located as corrupt, if any
-	Err     error // non-nil: the attempt failed and will be retried
+// repairEvent is the record of one per-key repair attempt, delivered to
+// the Repairer's onEvent hook. key is empty when the whole namespace was
+// empty and the attempt degenerated into a reachability probe.
+type repairEvent struct {
+	server  int
+	key     string
+	outcome RepairOutcome
+	tag     Tag   // tag installed or confirmed
+	corrupt []int // donors the rebuild located as corrupt, if any
+	err     error // non-nil: the attempt failed and will be retried
 }
 
 // Repairer is one cluster's anti-entropy healer. Run it once per
@@ -101,7 +100,7 @@ type Repairer struct {
 	m        *Membership
 	interval time.Duration
 	backoff  Backoff
-	onEvent  func(RepairEvent)
+	onEvent  func(repairEvent) // the tests' window on every attempt
 }
 
 // RepairerOption configures a Repairer.
@@ -125,15 +124,6 @@ func WithRepairInterval(d time.Duration) RepairerOption {
 func WithRepairBackoff(b Backoff) RepairerOption {
 	return func(rp *Repairer) error {
 		rp.backoff = b
-		return nil
-	}
-}
-
-// WithRepairEvents installs a hook invoked synchronously after every
-// repair attempt — tests and the demo use it to watch the lifecycle.
-func WithRepairEvents(fn func(RepairEvent)) RepairerOption {
-	return func(rp *Repairer) error {
-		rp.onEvent = fn
 		return nil
 	}
 }
@@ -164,7 +154,7 @@ func NewRepairer(codec *Codec, conns []Conn, m *Membership, opts ...RepairerOpti
 	return rp, nil
 }
 
-func (rp *Repairer) event(ev RepairEvent) {
+func (rp *Repairer) event(ev repairEvent) {
 	if rp.onEvent != nil {
 		rp.onEvent(ev)
 	}
@@ -263,7 +253,7 @@ func (rp *Repairer) RepairOnce(ctx context.Context, target int) (RepairOutcome, 
 		// Back to Suspect so the loop retries; the cause is the
 		// failure, replacing the original evidence.
 		rp.m.MarkSuspect(target, fmt.Errorf("repair failed: %w", err))
-		rp.event(RepairEvent{Server: target, Err: err})
+		rp.event(repairEvent{server: target, err: err})
 		return 0, err
 	}
 	// Readmission can lose to suspicion that arrived mid-repair; the
@@ -285,7 +275,7 @@ func (rp *Repairer) repair(ctx context.Context, target int) (RepairOutcome, erro
 		if _, err := rp.conns[connIndex(rp.conns, target)].Keys(ctx); err != nil {
 			return 0, fmt.Errorf("reachability probe of server %d: %w", target, err)
 		}
-		rp.event(RepairEvent{Server: target, Outcome: RepairEmptyRegister})
+		rp.event(repairEvent{server: target, outcome: RepairEmptyRegister})
 		return RepairEmptyRegister, nil
 	}
 	// Heal every key; the aggregate outcome is the strongest observed
@@ -336,7 +326,7 @@ func (rp *Repairer) repairKey(ctx context.Context, target int, key string) (Repa
 	// reinstall overwrites a rotted element without raising the tag.
 	tc := rp.conns[connIndex(rp.conns, target)]
 	if tTag, _, _, tErr := tc.GetElem(ctx, key); tErr == nil && ver.tag.Less(tTag) {
-		rp.event(RepairEvent{Server: target, Key: key, Outcome: RepairAlreadyCurrent, Tag: ver.tag, Corrupt: corrupt})
+		rp.event(repairEvent{server: target, key: key, outcome: RepairAlreadyCurrent, tag: ver.tag, corrupt: corrupt})
 		return RepairAlreadyCurrent, nil
 	}
 
@@ -361,7 +351,7 @@ func (rp *Repairer) repairKey(ctx context.Context, target int, key string) (Repa
 		// tag-monotone: that is health.
 		outcome = RepairAlreadyCurrent
 	}
-	rp.event(RepairEvent{Server: target, Key: key, Outcome: outcome, Tag: ver.tag, Corrupt: corrupt})
+	rp.event(repairEvent{server: target, key: key, outcome: outcome, tag: ver.tag, corrupt: corrupt})
 	return outcome, nil
 }
 

@@ -401,9 +401,9 @@ func TestRepairDetectsCorruptDonor(t *testing.T) {
 	lb.Server(8).Wipe(testKey)
 	lb.Corrupt(3, FlipByte(0)) // donor 3 rots before it donates
 
-	var events []RepairEvent
+	var events []repairEvent
 	rp := mustRepairer(t, codec, lb.Conns(), m,
-		WithRepairEvents(func(ev RepairEvent) { events = append(events, ev) }))
+		withRepairEvents(func(ev repairEvent) { events = append(events, ev) }))
 	out, err := rp.RepairOnce(ctx, 8)
 	if err != nil {
 		t.Fatalf("RepairOnce: %v", err)
@@ -419,7 +419,7 @@ func TestRepairDetectsCorruptDonor(t *testing.T) {
 	if m.Health(3) == Live {
 		t.Fatal("located corrupt donor was not quarantined")
 	}
-	if len(events) != 1 || events[0].Key != testKey || !slices.Equal(events[0].Corrupt, []int{3}) {
+	if len(events) != 1 || events[0].key != testKey || !slices.Equal(events[0].corrupt, []int{3}) {
 		t.Fatalf("events = %+v, want one for %q with Corrupt [3]", events, testKey)
 	}
 

@@ -156,7 +156,7 @@ func readSnapshot(dir string) (uint64, epochState, []snapEntry, error) {
 		var e snapEntry
 		e.key = c.key()
 		e.tag = c.tag()
-		e.vlen = int(c.u32())
+		e.vlen = c.vlen()
 		e.elem = c.view() // borrows data; installRecovered copies it
 		entries = append(entries, e)
 	}

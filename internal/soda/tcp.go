@@ -473,15 +473,6 @@ type dialPolicy struct {
 	backoff  Backoff
 }
 
-const (
-	defaultDialTimeout  = 2 * time.Second
-	defaultDialAttempts = 3
-)
-
-func defaultDialPolicy() dialPolicy {
-	return dialPolicy{timeout: defaultDialTimeout, attempts: defaultDialAttempts}
-}
-
 // dial connects with the per-attempt deadline and bounded retry. The
 // context always wins: cancellation aborts both an in-flight dial
 // (DialContext honors it) and any backoff sleep, so a hung dial can
@@ -504,28 +495,8 @@ type tcpOpts struct {
 	epoch  uint64
 }
 
-func defaultTCPOpts() tcpOpts { return tcpOpts{policy: defaultDialPolicy()} }
-
 // TCPOption configures a client-side TCP conn.
 type TCPOption func(*tcpOpts)
-
-// WithDialTimeout caps each dial attempt; the effective deadline is
-// the earlier of this and the operation context's.
-func WithDialTimeout(d time.Duration) TCPOption {
-	return func(o *tcpOpts) { o.policy.timeout = d }
-}
-
-// WithDialRetry sets how many times an operation attempts the dial
-// (minimum 1) and the backoff schedule between attempts.
-func WithDialRetry(attempts int, b Backoff) TCPOption {
-	return func(o *tcpOpts) {
-		if attempts < 1 {
-			attempts = 1
-		}
-		o.policy.attempts = attempts
-		o.policy.backoff = b
-	}
-}
 
 // WithConnEpoch stamps the conn with a configuration epoch: every
 // frame it sends carries the epoch, and the servers NACK anything

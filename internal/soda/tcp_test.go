@@ -54,7 +54,7 @@ func TestTCPClientsFollowTheEpoch(t *testing.T) {
 	addrs, servers := startTCPServers(t, 5)
 	conns0 := TCPMuxConns(addrs)
 	defer CloseConns(conns0)
-	view, err := NewConfigView(&Config{Epoch: SeedEpoch, Codec: codec, Conns: conns0, F: -1})
+	view, err := NewConfigView(&Config{Codec: codec, Conns: conns0, F: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestTCPClientsFollowTheEpoch(t *testing.T) {
 
 	conns1 := TCPMuxConns(addrs, WithConnEpoch(1))
 	defer CloseConns(conns1)
-	if err := view.Install(&Config{Epoch: 1, Codec: codec, Conns: conns1, F: -1}); err != nil {
+	if err := view.Install(&Config{Codec: codec, Conns: conns1, F: -1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-wErr; err != nil {
@@ -136,7 +136,7 @@ func TestTCPClientsFollowTheEpoch(t *testing.T) {
 	if err != nil || !bytes.Equal(res.Value, v1) {
 		t.Fatalf("Read of the parked write at epoch 1 = %q, %v", res.Value, err)
 	}
-	if got := view.Current().Epoch; got != 1 {
+	if got := view.Current().Epoch(); got != 1 {
 		t.Fatalf("view at epoch %d", got)
 	}
 }
@@ -412,7 +412,7 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 	ln.Close()
 
 	ctx := testCtx(t)
-	c := TCPMuxConn(0, dead, WithDialRetry(3, Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}))
+	c := TCPMuxConn(0, dead, withDialRetry(3, Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}))
 	defer c.Close()
 	start := time.Now()
 	if _, err := c.GetTag(ctx, testKey); err == nil {
@@ -423,7 +423,7 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 	}
 
 	// Cancellation aborts the inter-attempt backoff immediately.
-	slow := TCPMuxConn(0, dead, WithDialRetry(100, Backoff{Base: time.Hour}))
+	slow := TCPMuxConn(0, dead, withDialRetry(100, Backoff{Base: time.Hour}))
 	defer slow.Close()
 	cctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -442,7 +442,7 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	conns, _ := startTCPCluster(t, 5)
-	conns[0] = TCPMuxConn(0, dead, WithDialRetry(1, Backoff{Base: time.Millisecond}))
+	conns[0] = TCPMuxConn(0, dead, withDialRetry(1, Backoff{Base: time.Millisecond}))
 	w := mustWriter(t, "w1", codec, conns)
 	if _, err := w.Write(testCtx(t), testKey, []byte("around the dead address")); err != nil {
 		t.Fatalf("Write with one dead address: %v", err)

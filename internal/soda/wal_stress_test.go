@@ -11,7 +11,7 @@ import (
 
 // WAL stress coverage: the group-commit benchmark pair (the
 // before/after for coalesced FsyncAlways appends) and the disk-full
-// degraded-mode soak for the WithWALFailAfter fault hook.
+// degraded-mode soak for the withWALFailAfter fault hook.
 
 // benchDurablePuts drives PutData at a single FsyncAlways durable
 // server. Serial, every append pays its own fsync and group commit
@@ -138,7 +138,7 @@ func TestWALDiskFullDegradedRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := NewDurableLoopback(5, t.TempDir(), WithWALFailAfter(4<<10))
+	lb, err := NewDurableLoopback(5, t.TempDir(), withWALFailAfter(4<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
