@@ -22,7 +22,8 @@ var (
 
 // Conn is a client's handle to one server, implemented by the
 // multiplexed TCP transport (mux.go) and the in-process loopback
-// (loopback.go). Every operation addresses one named register by key.
+// (loopback.go), which share every method but PutData (rpcConn, rpc.go).
+// Every operation but Keys and Reconfig addresses one named register by key.
 //
 // The put contract: PutData borrows an elem below elemHandoffMin
 // (64 KiB) for the call and never retains it; an elem of that size or
@@ -68,13 +69,9 @@ type Conn interface {
 	// Keys enumerates the keys the server holds written elements for —
 	// the namespace a Repairer must heal.
 	Keys(ctx context.Context) ([]string, error)
-}
-
-// Reconfigurer is the optional Conn capability a reconfiguration
-// coordinator needs: driving a server's epoch state machine (status,
-// seal, activate). Both built-in transports implement it; a Conn that
-// does not cannot be part of a live geometry flip.
-type Reconfigurer interface {
+	// Reconfig drives the server's epoch state machine (status, seal,
+	// activate) for a reconfiguration coordinator; it is not itself
+	// epoch-checked.
 	Reconfig(ctx context.Context, op ReconfigOp, target uint64, n, k int) (EpochStatus, error)
 }
 

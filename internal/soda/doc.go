@@ -58,17 +58,19 @@
 // its one client, the persistent multiplexed MuxConn (mux.go) — or over
 // the deterministic in-process Loopback (loopback.go), which adds
 // fail-stop, silent-crash, and corrupt-storage fault injection for
-// tests and the sodademo binary. A healthy small operation starts no
-// goroutine over either (see "Where the quorum phases run" below).
+// tests and the sodademo binary. Every Conn method but PutData is
+// written once for both (rpcConn, rpc.go). A healthy small operation
+// starts no goroutine over either (see "Where the quorum phases run"
+// below).
 //
 // The message set is the paper's plus RADON's two repair messages, key
 // enumeration and the reconfiguration op. wire.go has one request and
 // one response value with one append/decode pair each; rpc.go has the
-// table the server dispatches every frame through and the client reads
+// table NetServer and Loopback serve requests through and MuxConn reads
 // its expected response type from:
 //
 //	type  request      admission  request body            response
-//	   1  get-tag      client     key                      2 tag-resp {tag}
+//	   1  get-tag      mint       key                      2 tag-resp {tag}
 //	   3  put-data     client     key, tag, vlen, elem     4 ack {}
 //	   5  get-data     client     key, reader id           6 data {tag, vlen, initial, elem}, streamed
 //	   7  reader-done  exempt     -                        none
@@ -92,11 +94,12 @@
 //
 // Any request may instead draw 12 error {message} or 15 epoch-nack
 // {want, sealed}. The admission classes are Server.Admit's: client
-// needs the active epoch unsealed, donor the active epoch sealed or
-// not, repair the active epoch or the pending one while sealed.
-// Loopback calls the Server directly instead of going through the
-// table: it has no frames to decode, and an indirect call would move
-// its arguments to the heap on the in-process hot path.
+// needs the active epoch unsealed, mint (get-tag) that and no freeze
+// announced by a flip, donor the active epoch sealed or not, repair the
+// active epoch or the pending one while sealed. Loopback's step forms
+// call the Server directly instead of going through the table: it has
+// no frames to decode, and an indirect call would move their arguments
+// to the heap on the in-process hot path.
 //
 // Where the quorum phases run: on the calling goroutine, then on legs for
 // what is owed. A Writer or Reader steps each exchange through its conn —

@@ -681,6 +681,66 @@ func TestPutPastTheGateIsNotAckedAfterWALCut(t *testing.T) {
 	}
 }
 
+// TestPowerCutInsideAnFsync cuts the power after a record's fsync returned
+// but before its log moved the synced watermark past it. The cut keeps only
+// what is below the watermark, so the record is gone, and the mutation must
+// be refused with ErrServerDown and leave memory alone: a seal or a put
+// acknowledged here would be missing from the recovered node. A
+// reconfiguration soak lost a new member's activation this way.
+func TestPowerCutInsideAnFsync(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		do    func(lb *Loopback) error
+		moved func(s *Server) bool // memory holds the mutation
+	}{
+		{"seal", func(lb *Loopback) error {
+			_, err := lb.Server(0).Reconfig(ReconfigSeal, 1, 5, 3)
+			return err
+		}, func(s *Server) bool { return s.EpochStatus().Sealed }},
+		{"put-data", func(lb *Loopback) error {
+			return lb.Conns()[0].PutData(testCtx(t), testKey, Tag{TS: 1, Writer: "w"}, []byte{1}, 1)
+		}, func(s *Server) bool { return !s.GetTag(testKey).IsZero() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lb, err := NewDurableLoopback(1, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lb.CloseServers()
+			srv := lb.Server(0)
+			w := srv.dur.wal
+			w.syncMu.Lock()
+			w.syncs = 0 // the next leader fsync is timed: w.now runs on each side of it
+			calls := 0  // under syncMu, as w.now is called
+			w.now = func() time.Time {
+				if calls++; calls == 2 {
+					srv.dur.powerCut()
+				}
+				return time.Time{}
+			}
+			w.syncMu.Unlock()
+
+			if err := tc.do(lb); !errors.Is(err, ErrServerDown) {
+				t.Errorf("%s with the power cut inside its fsync = %v, want ErrServerDown", tc.name, err)
+			}
+			if calls != 2 {
+				t.Fatalf("the log's clock ran %d times, want 2: no timed fsync was cut", calls)
+			}
+			if tc.moved(srv) {
+				t.Errorf("memory holds the %s its log lost", tc.name)
+			}
+			lb.PowerCut(0)
+			rec, err := lb.Recover(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.moved(rec) {
+				t.Errorf("the recovered node holds the %s: the test cut nothing", tc.name)
+			}
+		})
+	}
+}
+
 // TestDurableTCPServerLifecycle runs a durable core under the TCP
 // transport: serve, mutate over the wire, close everything, recover,
 // serve again.

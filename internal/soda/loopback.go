@@ -123,7 +123,9 @@ func (l *Loopback) Conns() []Conn { return l.ConnsAt(SeedEpoch, len(l.servers)) 
 func (l *Loopback) ConnsAt(epoch uint64, n int) []Conn {
 	conns := make([]Conn, n)
 	for i := range conns {
-		conns[i] = &loopConn{lb: l, idx: i, epoch: epoch}
+		c := &loopConn{lb: l}
+		c.rpcConn = rpcConn{idx: i, epoch: epoch, t: c}
+		conns[i] = c
 	}
 	return conns
 }
@@ -259,13 +261,12 @@ func (l *Loopback) state(i int) (crashed, hung bool) {
 	return l.crashed[i].Load(), l.hung[i].Load()
 }
 
-// transform applies server i's corruption, if any, to a copy of the
-// delivery's element.
-func (l *Loopback) transform(i int, d Delivery) Delivery {
-	if fn := l.corrupt[i].Load(); fn != nil && len(d.Elem) > 0 {
-		d.Elem = (*fn)(slices.Clone(d.Elem))
+// transform applies server i's corruption, if any, to a copy of elem.
+func (l *Loopback) transform(i int, elem []byte) []byte {
+	if fn := l.corrupt[i].Load(); fn != nil && len(elem) > 0 {
+		return (*fn)(slices.Clone(elem))
 	}
-	return d
+	return elem
 }
 
 func (l *Loopback) hook() func(server int, key, readerID string, d Delivery) {
@@ -278,14 +279,9 @@ func (l *Loopback) hook() func(server int, key, readerID string, d Delivery) {
 // loopConn is the in-process Conn for one server, stamped with the
 // configuration epoch its operations present.
 type loopConn struct {
-	lb    *Loopback
-	idx   int
-	epoch uint64
+	rpcConn
+	lb *Loopback
 }
-
-func (c *loopConn) Index() int { return c.idx }
-
-func (c *loopConn) Epoch() uint64 { return c.epoch }
 
 // gate applies the fault flags: error when crashed, block forever
 // when hung. A cancelled context is deliberately NOT checked: a
@@ -303,6 +299,33 @@ func (c *loopConn) gate(ctx context.Context) error {
 		return ctx.Err()
 	}
 	return nil
+}
+
+// call serves a blocking exchange from the message table: gate, admission
+// under the row's class, the row's handler. A rotting server's element
+// passes through its corruption: it lies to the Repairer exactly as it lies
+// to readers, which is why repair cross-checks donors.
+func (c *loopConn) call(ctx context.Context, req *request, resp *response) error {
+	if err := c.gate(ctx); err != nil {
+		return err
+	}
+	srv, row := c.lb.servers[c.idx].Load(), rpcs[req.typ]
+	if nack := row.admit(srv, req.epoch); nack != nil {
+		return nack
+	}
+	if err := row.serve(srv, req, resp); err != nil {
+		return err
+	}
+	resp.elem = c.lb.transform(c.idx, resp.elem)
+	return nil
+}
+
+// stream is subscribe behind gate, which parks for a hung server.
+func (c *loopConn) stream(ctx context.Context, req *request, op stepOp, deliver func(Delivery)) (sub, error) {
+	if err := c.gate(ctx); err != nil {
+		return sub{}, err
+	}
+	return c.subscribe(req.key, req.reader, op, deliver)
 }
 
 // The three client exchanges as a Writer or Reader steps them (stepper):
@@ -329,23 +352,12 @@ func (c *loopConn) now() error {
 	return nil
 }
 
-func (c *loopConn) GetTag(ctx context.Context, key string) (Tag, error) {
-	if err := c.gate(ctx); err != nil {
-		return Tag{}, err
-	}
-	return c.getTag(key)
-}
-
 func (c *loopConn) getTagStep(key string, _ stepOp) (Tag, error) {
 	if err := c.now(); err != nil {
 		return Tag{}, err
 	}
-	return c.getTag(key)
-}
-
-func (c *loopConn) getTag(key string) (Tag, error) {
 	srv := c.lb.servers[c.idx].Load()
-	if nack := srv.Admit(opClient, c.epoch); nack != nil {
+	if nack := srv.Admit(opMint, c.epoch); nack != nil {
 		return Tag{}, nack
 	}
 	return srv.GetTag(key), nil
@@ -413,7 +425,7 @@ type loopSink struct {
 }
 
 func (s *loopSink) deliver(d Delivery) {
-	d = s.c.lb.transform(s.c.idx, d)
+	d.Elem = s.c.lb.transform(s.c.idx, d.Elem)
 	s.sink(d)
 	if fn := s.c.lb.hook(); fn != nil {
 		fn(s.c.idx, s.key, s.rid, d)
@@ -455,7 +467,7 @@ func (c *loopConn) subscribe(key, readerID string, op stepOp, deliver func(Deliv
 	return sub{c: c}, nil
 }
 
-// getDataStep is subscribe behind the fault flags: GetData's own gate
+// getDataStep is subscribe behind the fault flags: stream's gate
 // parks.
 func (c *loopConn) getDataStep(key, readerID string, op stepOp, deliver func(Delivery)) (sub, error) {
 	if err := c.now(); err != nil {
@@ -468,77 +480,4 @@ func (c *loopConn) getDataStep(key, readerID string, op stepOp, deliver func(Del
 // it.
 func (c *loopConn) endData(_ sub, key, readerID string) bool {
 	return c.lb.servers[c.idx].Load().unregister(key, readerID, false)
-}
-
-// GetData holds a registration open until ctx ends, then ends it, or until
-// the server ends it: with the cause, or — dropped by a hang or a wiped disk
-// — silently, as the server now is.
-func (c *loopConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
-	if err := c.gate(ctx); err != nil {
-		return err
-	}
-	ended := make(chanWaiter, 1)
-	s, err := c.subscribe(key, readerID, ended, deliver)
-	if err != nil {
-		return err
-	}
-	select {
-	case a := <-ended:
-		if a.err != nil {
-			return a.err
-		}
-		<-ctx.Done()
-	case <-ctx.Done():
-		c.endData(s, key, readerID)
-	}
-	return nil
-}
-
-// GetElem serves the repair collection phase. The corruption transform
-// applies here too: a rotting server lies to the Repairer exactly as
-// it lies to readers, which is why repair cross-checks donors when the
-// codec has error-location structure.
-func (c *loopConn) GetElem(ctx context.Context, key string) (Tag, []byte, int, error) {
-	if err := c.gate(ctx); err != nil {
-		return Tag{}, nil, 0, err
-	}
-	srv := c.lb.servers[c.idx].Load()
-	if nack := srv.Admit(opDonor, c.epoch); nack != nil {
-		return Tag{}, nil, 0, nack
-	}
-	t, elem, vlen := srv.getElem(key)
-	d := c.lb.transform(c.idx, Delivery{Server: c.idx, Tag: t, Elem: elem, VLen: vlen})
-	return d.Tag, d.Elem, d.VLen, nil
-}
-
-func (c *loopConn) RepairPut(ctx context.Context, key string, t Tag, elem []byte, vlen int) (bool, error) {
-	if err := c.gate(ctx); err != nil {
-		return false, err
-	}
-	srv := c.lb.servers[c.idx].Load()
-	if nack := srv.Admit(opRepair, c.epoch); nack != nil {
-		return false, nack
-	}
-	return srv.repairPut(key, t, elem, vlen)
-}
-
-// Keys enumerates the server's written keys — the repair namespace.
-func (c *loopConn) Keys(ctx context.Context) ([]string, error) {
-	if err := c.gate(ctx); err != nil {
-		return nil, err
-	}
-	srv := c.lb.servers[c.idx].Load()
-	if nack := srv.Admit(opDonor, c.epoch); nack != nil {
-		return nil, nack
-	}
-	return srv.Keys(), nil
-}
-
-// Reconfig forwards a coordinator seal/activate/status to the server.
-// Epoch admission does not apply: reconfiguration is how epochs move.
-func (c *loopConn) Reconfig(ctx context.Context, op ReconfigOp, target uint64, n, k int) (EpochStatus, error) {
-	if err := c.gate(ctx); err != nil {
-		return EpochStatus{}, err
-	}
-	return c.lb.servers[c.idx].Load().Reconfig(op, target, n, k)
 }

@@ -95,7 +95,7 @@ func (w chanWaiter) take(byte) waiter { return w }
 
 // MuxConn implements Conn over one persistent multiplexed connection.
 type MuxConn struct {
-	idx  int
+	rpcConn
 	addr string
 	opts tcpOpts
 
@@ -115,7 +115,6 @@ type MuxConn struct {
 // index idx on addr. Connections are dialed on first use.
 func TCPMuxConn(idx int, addr string, opts ...TCPOption) *MuxConn {
 	c := &MuxConn{
-		idx:     idx,
 		addr:    addr,
 		opts:    tcpOpts{policy: dialPolicy{timeout: 2 * time.Second, attempts: 3}},
 		waiting: make(map[uint64]muxExchange),
@@ -123,6 +122,7 @@ func TCPMuxConn(idx int, addr string, opts ...TCPOption) *MuxConn {
 	for _, opt := range opts {
 		opt(&c.opts)
 	}
+	c.rpcConn = rpcConn{idx: idx, epoch: c.opts.epoch, t: c}
 	return c
 }
 
@@ -145,10 +145,6 @@ func CloseConns(conns []Conn) {
 		}
 	}
 }
-
-func (c *MuxConn) Index() int { return c.idx }
-
-func (c *MuxConn) Epoch() uint64 { return c.opts.epoch }
 
 // Close tears down the connection and fails in-flight exchanges;
 // subsequent operations error instead of redialing.
@@ -311,7 +307,7 @@ func (c *MuxConn) send(s *muxSession, req *request, op stepOp, deliver func(Deli
 func (c *MuxConn) queue(s *muxSession, bp *[]byte) bool {
 	n := len(*bp)
 	for _, id := range c.dones {
-		*bp = appendFrame(*bp, &request{typ: msgReaderDone, id: id, epoch: c.opts.epoch})
+		*bp = appendFrame(*bp, &request{typ: msgReaderDone, id: id, epoch: c.epoch})
 	}
 	size := int64(len(*bp))
 	if !s.w.trySend(bp) {
@@ -421,16 +417,30 @@ func (c *MuxConn) readLoop(s *muxSession) {
 	}
 }
 
-// call is every unary Conn method: one exchange on a leg, which parks
-// until the pump brings the response the message table pairs with the
-// request's type.
-func (c *MuxConn) call(ctx context.Context, req *request, resp *response) error {
+// stream sends req on a leg, dialing if need be, and registers op's waiter
+// for its answer and deliver, if any, for its deliveries. A context that
+// died while dialing opens nothing: a registration we would at once have to
+// tear down. Its sub then names no exchange.
+func (c *MuxConn) stream(ctx context.Context, req *request, op stepOp, deliver func(Delivery)) (sub, error) {
 	s, err := c.session(ctx)
 	if err != nil {
-		return err
+		return sub{}, err
 	}
+	if ctx.Err() != nil {
+		return sub{c: c}, nil
+	}
+	if err := c.send(s, req, op, deliver); err != nil {
+		return sub{}, err
+	}
+	return sub{c: c, id: req.id}, nil
+}
+
+// call is every unary exchange: a stream with no sink, parked on until the
+// pump brings the response the message table pairs with the request's type.
+func (c *MuxConn) call(ctx context.Context, req *request, resp *response) error {
 	ch := make(chanWaiter, 1)
-	if err := c.send(s, req, ch, nil); err != nil {
+	s, err := c.stream(ctx, req, ch, nil)
+	if err != nil {
 		return err
 	}
 	select {
@@ -438,7 +448,7 @@ func (c *MuxConn) call(ctx context.Context, req *request, resp *response) error 
 		*resp = a.resp
 		return a.err
 	case <-ctx.Done():
-		c.drop(req.id, false)
+		c.drop(s.id, false)
 		return ctx.Err()
 	}
 }
@@ -454,7 +464,7 @@ func (c *MuxConn) step(req *request, op stepOp, deliver func(Delivery)) error {
 }
 
 func (c *MuxConn) getTagStep(key string, op stepOp) (Tag, error) {
-	return Tag{}, c.step(&request{typ: msgGetTag, epoch: c.opts.epoch, key: key}, op, nil)
+	return Tag{}, c.step(&request{typ: msgGetTag, epoch: c.epoch, key: key}, op, nil)
 }
 
 // putDataStep borrows elem for the call: the frame carries a copy. An
@@ -463,12 +473,12 @@ func (c *MuxConn) putDataStep(key string, t Tag, elem []byte, vlen int, op stepO
 	if len(elem) >= callerSendMax {
 		return errNotNow
 	}
-	return c.step(&request{typ: msgPutData, epoch: c.opts.epoch, key: key, tag: t, elem: elem, vlen: vlen}, op, nil)
+	return c.step(&request{typ: msgPutData, epoch: c.epoch, key: key, tag: t, elem: elem, vlen: vlen}, op, nil)
 }
 
 // getDataStep names the stream by its request id, for endData.
 func (c *MuxConn) getDataStep(key, readerID string, op stepOp, deliver func(Delivery)) (sub, error) {
-	req := request{typ: msgGetData, epoch: c.opts.epoch, key: key, reader: readerID}
+	req := request{typ: msgGetData, epoch: c.epoch, key: key, reader: readerID}
 	err := c.step(&req, op, deliver)
 	return sub{c: c, id: req.id}, err
 }
@@ -476,75 +486,13 @@ func (c *MuxConn) getDataStep(key, readerID string, op stepOp, deliver func(Deli
 // endData drops the stream; its reader-done rides the conn's next frame.
 func (c *MuxConn) endData(s sub, _, _ string) bool { return c.drop(s.id, true) }
 
-func (c *MuxConn) GetTag(ctx context.Context, key string) (Tag, error) {
-	var resp response
-	err := c.call(ctx, &request{typ: msgGetTag, epoch: c.opts.epoch, key: key}, &resp)
-	return resp.tag, err
-}
-
 func (c *MuxConn) PutData(ctx context.Context, key string, t Tag, elem []byte, vlen int) error {
 	var resp response
-	err := c.call(ctx, &request{typ: msgPutData, epoch: c.opts.epoch, key: key, tag: t, elem: elem, vlen: vlen}, &resp)
+	err := c.call(ctx, &request{typ: msgPutData, epoch: c.epoch, key: key, tag: t, elem: elem, vlen: vlen}, &resp)
 	if handoff(len(elem)) {
 		// The conn's since the call began, and the exchange is over: the
 		// frame carried a copy, if it was sent at all.
 		putElem(elem)
 	}
 	return err
-}
-
-func (c *MuxConn) GetElem(ctx context.Context, key string) (Tag, []byte, int, error) {
-	var resp response
-	err := c.call(ctx, &request{typ: msgGetElem, epoch: c.opts.epoch, key: key}, &resp)
-	return resp.tag, resp.elem, resp.vlen, err
-}
-
-func (c *MuxConn) RepairPut(ctx context.Context, key string, t Tag, elem []byte, vlen int) (bool, error) {
-	var resp response
-	err := c.call(ctx, &request{typ: msgRepairPut, epoch: c.opts.epoch, key: key, tag: t, elem: elem, vlen: vlen}, &resp)
-	return resp.accepted, err
-}
-
-func (c *MuxConn) Keys(ctx context.Context) ([]string, error) {
-	var resp response
-	err := c.call(ctx, &request{typ: msgKeys, epoch: c.opts.epoch}, &resp)
-	return resp.keys, err
-}
-
-// Reconfig drives the server's epoch state machine on behalf of a
-// reconfiguration coordinator. Reconfig frames are not themselves
-// epoch-checked: they are what moves the epoch.
-func (c *MuxConn) Reconfig(ctx context.Context, op ReconfigOp, target uint64, n, k int) (EpochStatus, error) {
-	var resp response
-	err := c.call(ctx, &request{typ: msgReconfig, epoch: epochNone, op: op, target: target, n: n, k: k}, &resp)
-	return resp.status, err
-}
-
-// GetData opens a key-scoped relay stream on a leg: register the sink
-// under a fresh request id and let the pump feed it until the caller
-// cancels (clean unsubscribe, nil), the server NACKs the stream's epoch
-// (the typed error, so the read retries under the new configuration) or
-// the connection dies (server lost).
-func (c *MuxConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
-	s, err := c.session(ctx)
-	if err != nil {
-		return err
-	}
-	// A context that died between session setup and here must not open a
-	// server-side registration we would immediately have to tear down.
-	if err := ctx.Err(); err != nil {
-		return nil
-	}
-	req := request{typ: msgGetData, epoch: c.opts.epoch, key: key, reader: readerID}
-	ch := make(chanWaiter, 1)
-	if err := c.send(s, &req, ch, deliver); err != nil {
-		return err
-	}
-	select {
-	case a := <-ch:
-		return a.err
-	case <-ctx.Done():
-		c.drop(req.id, true)
-		return nil
-	}
 }

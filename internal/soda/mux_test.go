@@ -986,7 +986,7 @@ func plug(t *testing.T, c *MuxConn, sock *sockCounter) *sockCounter {
 	}
 	// One exchange before the session opens: once the server has answered
 	// it, every goroutine the server keeps for the connection is running.
-	if _, err := conn.Write(appendFrame(nil, &request{typ: msgKeys, id: 1, epoch: c.opts.epoch})); err != nil {
+	if _, err := conn.Write(appendFrame(nil, &request{typ: msgKeys, id: 1, epoch: c.Epoch()})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readFrame(bufio.NewReader(conn), nil); err != nil {

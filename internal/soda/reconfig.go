@@ -10,9 +10,15 @@ import (
 
 // Reconfigurator drives the two-phase online geometry flip:
 //
-//	seal ──▶ migrate ──▶ activate ──▶ install
+//	freeze ──▶ seal ──▶ migrate ──▶ activate ──▶ install
 //
-// Seal freezes the old epoch on every member (old and new): sealed
+// Freeze (in memory only) stops the old members minting tags but not
+// taking put-data, so no write starts while the seal goes round and a
+// write in flight lands on every member the seal has not reached yet.
+// Without it, writes the seal cuts short often leave no version on k
+// members; one the seal overtakes still can.
+//
+// Seal closes the old epoch on every member (old and new): sealed
 // servers NACK client operations but keep serving donor reads of the
 // frozen state, so writers and readers pause (their epoch-stamped
 // frames bounce with "want = pending") while nothing moves underneath
@@ -84,14 +90,6 @@ func NewReconfigurator(view *ConfigView, opts ...ReconfigOption) *Reconfigurator
 	return rc
 }
 
-// reconfigConn asserts the Reconfigurer capability on a member conn.
-func reconfigConn(c Conn) (Reconfigurer, error) {
-	if r, ok := c.(Reconfigurer); ok {
-		return r, nil
-	}
-	return nil, fmt.Errorf("%w: conn for server %d does not support reconfiguration", ErrConfig, c.Index())
-}
-
 // members is the seal set of a flip: every server in the old or new
 // configuration, each exactly once. Old and new conns for one shard
 // index address the same server (membership is index-prefix: growing
@@ -154,24 +152,24 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 	// activating; skip straight to re-issuing the activation.
 	activated := 0
 	for _, c := range next.Conns {
-		r, err := reconfigConn(c)
-		if err != nil {
-			return err
-		}
-		if st, err := r.Reconfig(ctx, ReconfigStatus, 0, 0, 0); err == nil && st.Epoch >= next.Epoch() {
+		if st, err := c.Reconfig(ctx, ReconfigStatus, 0, 0, 0); err == nil && st.Epoch >= next.Epoch() {
 			activated++
 		}
 	}
 
 	if activated == 0 {
-		// Phase 1: seal every member of both configurations.
+		// Phase 1: freeze the old members, then seal every member of
+		// both configurations.
+		err := rc.eachUntil(ctx, "freeze", old.Conns, func(c Conn) error {
+			_, err := c.Reconfig(ctx, reconfigFreeze, next.Epoch(), next.N(), next.K())
+			return err
+		})
+		if err != nil {
+			return err
+		}
 		rc.logf("reconfig: sealing epoch %d pending %d across %d member(s)", old.Epoch(), next.Epoch(), len(members(old, next)))
-		err := rc.eachUntil(ctx, "seal", members(old, next), func(c Conn) error {
-			r, err := reconfigConn(c)
-			if err != nil {
-				return err
-			}
-			_, err = r.Reconfig(ctx, ReconfigSeal, next.Epoch(), next.N(), next.K())
+		err = rc.eachUntil(ctx, "seal", members(old, next), func(c Conn) error {
+			_, err := c.Reconfig(ctx, ReconfigSeal, next.Epoch(), next.N(), next.K())
 			return err
 		})
 		if err != nil {
@@ -189,11 +187,7 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 	// Phase 3: activate every new member. Retired members stay sealed
 	// forever — their epoch never answers another client quorum.
 	err := rc.eachUntil(ctx, "activate", next.Conns, func(c Conn) error {
-		r, err := reconfigConn(c)
-		if err != nil {
-			return err
-		}
-		_, err = r.Reconfig(ctx, ReconfigActivate, next.Epoch(), next.N(), next.K())
+		_, err := c.Reconfig(ctx, ReconfigActivate, next.Epoch(), next.N(), next.K())
 		return err
 	})
 	if err != nil {

@@ -496,6 +496,90 @@ func TestReconfigWALRecoversEpochState(t *testing.T) {
 	}
 }
 
+// TestReconfigFreezeStopsMintingNotPuts pins the step a flip takes before
+// its seal, on both transports. A frozen server refuses get-tag with the
+// NACK the seal will send, so no new write starts. It still takes
+// put-data and get-data, so a write that already holds its tag lands
+// whole. The seal then refuses the put, and activating the target ends
+// the freeze.
+func TestReconfigFreezeStopsMintingNotPuts(t *testing.T) {
+	checkNoLeaks(t)
+	for _, tc := range []struct {
+		name  string
+		conns func(t *testing.T) (at0, at1 Conn) // one server, stamping epochs 0 and 1
+	}{
+		{"loopback", func(t *testing.T) (Conn, Conn) {
+			lb := NewLoopback(1)
+			return lb.ConnsAt(SeedEpoch, 1)[0], lb.ConnsAt(1, 1)[0]
+		}},
+		{"mux", func(t *testing.T) (Conn, Conn) {
+			addrs, _ := startTCPServers(t, 1)
+			at0, at1 := TCPMuxConns(addrs), TCPMuxConns(addrs, WithConnEpoch(1))
+			t.Cleanup(func() { CloseConns(at0); CloseConns(at1) })
+			return at0[0], at1[0]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := testCtx(t)
+			at0, at1 := tc.conns(t)
+			stale := func(err error, want StaleEpochError) bool {
+				var se *StaleEpochError
+				return errors.As(err, &se) && *se == want
+			}
+			frozen := StaleEpochError{Server: 0, ServerEpoch: 0, Want: 1, Sealed: true}
+			if st, err := at0.Reconfig(ctx, reconfigFreeze, 1, 5, 3); err != nil || st != (EpochStatus{}) {
+				t.Fatalf("freeze = %+v, %v; want the untouched epoch-0 status", st, err)
+			}
+			if _, err := at0.GetTag(ctx, testKey); !stale(err, frozen) {
+				t.Fatalf("GetTag on a frozen server = %v, want %v", err, &frozen)
+			}
+			t1 := Tag{TS: 1, Writer: "w"}
+			if err := at0.PutData(ctx, testKey, t1, []byte{1}, 1); err != nil {
+				t.Fatalf("PutData on a frozen server = %v, want it taken", err)
+			}
+			got := make(chan Delivery, 1)
+			rctx, cancel := context.WithCancel(ctx)
+			done := make(chan error, 1)
+			go func() {
+				done <- at0.GetData(rctx, testKey, "r", func(d Delivery) {
+					select {
+					case got <- d:
+					default:
+					}
+				})
+			}()
+			if d := <-got; d.Tag != t1 {
+				t.Fatalf("get-data on a frozen server delivered %v, want %v", d.Tag, t1)
+			}
+			cancel()
+			if err := <-done; err != nil {
+				t.Fatalf("get-data on a frozen server ended with %v", err)
+			}
+
+			if _, err := at0.Reconfig(ctx, ReconfigSeal, 1, 5, 3); err != nil {
+				t.Fatal(err)
+			}
+			sealed := StaleEpochError{Server: 0, ServerEpoch: 0, Want: 1, Sealed: true}
+			if err := at0.PutData(ctx, testKey, Tag{TS: 2, Writer: "w"}, []byte{2}, 1); !stale(err, sealed) {
+				t.Fatalf("PutData on a sealed server = %v, want %v", err, &sealed)
+			}
+			if _, err := at1.Reconfig(ctx, ReconfigActivate, 1, 5, 3); err != nil {
+				t.Fatal(err)
+			}
+			if tag, err := at1.GetTag(ctx, testKey); err != nil || tag != t1 {
+				t.Fatalf("GetTag at the activated epoch = %v, %v; want %v", tag, err, t1)
+			}
+			// A freeze for an epoch the server has reached changes nothing.
+			if _, err := at1.Reconfig(ctx, reconfigFreeze, 1, 5, 3); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := at1.GetTag(ctx, testKey); err != nil {
+				t.Fatalf("GetTag after a stale freeze = %v", err)
+			}
+		})
+	}
+}
+
 // TestReconfigIsRefusedAfterWALCut pins what a power cut does to a seal
 // or activate that was already past the transport's crash gate: the WAL
 // is cut under the server directly, and the transition must then fail

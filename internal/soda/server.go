@@ -158,13 +158,18 @@ type epochState struct {
 	sealed  bool
 	pending uint64
 	pn, pk  int // pending geometry, meaningful only while sealed
+	// frozen is the epoch a coordinator is about to seal for
+	// (reconfigFreeze), 0 if none: get-tag is refused. In memory only
+	// (neither logged nor snapshotted); a rebooted node is unfrozen.
+	frozen uint64
 }
 
 // opClass buckets wire operations for epoch admission.
 type opClass int
 
 const (
-	opClient opClass = iota // get-tag, put-data, get-data: full service only
+	opClient opClass = iota // put-data, get-data: full service only
+	opMint                  // get-tag: full service, and no seal announced
 	opDonor                 // get-elem, keys: served while sealed (migration donors)
 	opRepair                // repair-put: active epoch, or pending epoch while sealed
 	opExempt                // reconfig, reader-done: never put to Admit (one moves the epoch, one outlives it)
@@ -229,6 +234,10 @@ func (s *Server) Admit(class opClass, epoch uint64) *StaleEpochError {
 		if epoch == st.epoch && !st.sealed {
 			return nil
 		}
+	case opMint:
+		if epoch == st.epoch && !st.sealed && st.frozen == 0 {
+			return nil
+		}
 	case opDonor:
 		if epoch == st.epoch {
 			return nil
@@ -239,16 +248,18 @@ func (s *Server) Admit(class opClass, epoch uint64) *StaleEpochError {
 		}
 	}
 	s.metrics.epochNacks.Add(1)
-	want := st.epoch
-	if st.sealed {
+	want, sealed := st.epoch, st.sealed
+	if sealed {
 		want = st.pending
+	} else if st.frozen != 0 && epoch == st.epoch {
+		want, sealed = st.frozen, true // as the seal on its way will answer
 	}
 	if epoch > want {
 		// The client is ahead of us (it saw an activation we have not):
 		// it should keep its epoch and retry once we catch up.
 		want = epoch
 	}
-	return &StaleEpochError{Server: s.idx, ServerEpoch: st.epoch, Want: want, Sealed: st.sealed}
+	return &StaleEpochError{Server: s.idx, ServerEpoch: st.epoch, Want: want, Sealed: sealed}
 }
 
 // Reconfig is the coordinator's entry point for the two-phase flip:
@@ -269,6 +280,12 @@ func (s *Server) Reconfig(op ReconfigOp, target uint64, n, k int) (EpochStatus, 
 	defer s.epochMu.Unlock()
 	st := s.epochSt.Load()
 	switch op {
+	case reconfigFreeze:
+		if st.epoch < target && !st.sealed && st.frozen < target {
+			next := *st
+			next.frozen = target
+			s.epochSt.Store(&next)
+		}
 	case ReconfigSeal:
 		if st.epoch >= target || (st.sealed && st.pending == target) {
 			// Already sealed for (or past) the target: a retry, not a

@@ -53,7 +53,9 @@ func TestExportedSurface(t *testing.T) {
 
 // exportedSurface lists the exported names of the non-test Go files in
 // dir: top-level names as they are, methods as (*T).M or T.M, struct
-// fields and interface methods as T.F — those of exported types only.
+// fields and interface methods as T.F — those of exported types only. An
+// exported method of an unexported type embedded in an exported struct is
+// listed as the struct's, (*T).M: promoted, it is T's API.
 func exportedSurface(t *testing.T, dir string) []string {
 	fset := token.NewFileSet()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -61,6 +63,8 @@ func exportedSurface(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	var names []string
+	hidden := map[string][]string{} // an unexported type's exported methods
+	var embeds [][2]string          // {exported struct, unexported type it embeds}
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -87,7 +91,11 @@ func exportedSurface(t *testing.T, dir string) []string {
 					recv = ix.X
 				}
 				id, ok := recv.(*ast.Ident)
-				if !ok || !id.IsExported() {
+				if !ok {
+					continue
+				}
+				if !id.IsExported() {
+					hidden[id.Name] = append(hidden[id.Name], d.Name.Name)
 					continue
 				}
 				if ptr {
@@ -123,12 +131,19 @@ func exportedSurface(t *testing.T, dir string) []string {
 							for _, n := range fieldNames(fl) {
 								if ast.IsExported(n) {
 									names = append(names, s.Name.Name+"."+n)
+								} else if len(fl.Names) == 0 {
+									embeds = append(embeds, [2]string{s.Name.Name, n})
 								}
 							}
 						}
 					}
 				}
 			}
+		}
+	}
+	for _, e := range embeds {
+		for _, m := range hidden[e[1]] {
+			names = append(names, "(*"+e[0]+")."+m)
 		}
 	}
 	slices.Sort(names)

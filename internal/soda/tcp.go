@@ -256,10 +256,8 @@ func (sc *netConn) serve(payload []byte) bool {
 	if err != nil {
 		return sc.reject(req.id, "malformed "+msgNames[req.typ]+": "+err.Error())
 	}
-	if h.class != opExempt {
-		if se := sc.core.Admit(h.class, req.epoch); se != nil {
-			return sc.nack(req.id, se)
-		}
+	if se := h.admit(sc.core, req.epoch); se != nil {
+		return sc.nack(req.id, se)
 	}
 	switch req.typ {
 	case msgGetData:

@@ -247,53 +247,126 @@ func TestTCPRelayStream(t *testing.T) {
 	}
 }
 
-// TestTCPRepairRPCs exercises the repair wire messages end to end over
-// real TCP: element collection returns what the server holds, key
-// enumeration lists written keys, and the repair install enforces the
-// tag floor remotely exactly as it does in-process.
+// TestTCPRepairRPCs runs one script of blocking exchanges through the
+// conns of both transports — the in-process loopback and a NetServer over
+// MuxConns — and requires the same result from each at every step: the
+// repair messages return what the server holds and enforce the tag floor,
+// and a seal then an activation move which exchanges each epoch admits,
+// StaleEpochError fields, Server included, alike. The loopback admits
+// its blocking exchanges by the message table the NetServer dispatches
+// through, so the table alone decides both.
 func TestTCPRepairRPCs(t *testing.T) {
 	checkNoLeaks(t)
-	ctx := testCtx(t)
-	conns, servers := startTCPCluster(t, 1)
-	c := conns[0]
+	var first []string
+	for _, tc := range []struct {
+		name  string
+		conns func(t *testing.T) (at0, at1 Conn) // one server, stamping epochs 0 and 1
+	}{
+		{"loopback", func(t *testing.T) (Conn, Conn) {
+			lb := NewLoopback(1)
+			return lb.ConnsAt(SeedEpoch, 1)[0], lb.ConnsAt(1, 1)[0]
+		}},
+		{"mux", func(t *testing.T) (Conn, Conn) {
+			addrs, _ := startTCPServers(t, 1)
+			at0, at1 := TCPMuxConns(addrs), TCPMuxConns(addrs, WithConnEpoch(1))
+			t.Cleanup(func() { CloseConns(at0); CloseConns(at1) })
+			return at0[0], at1[0]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			at0, at1 := tc.conns(t)
+			got := repairRPCScript(t, testCtx(t), at0, at1)
+			if first == nil {
+				first = got
+				return
+			}
+			for i := range got {
+				if got[i] != first[i] {
+					t.Errorf("step %d: %s, where loopback gave %s", i, got[i], first[i])
+				}
+			}
+		})
+	}
+}
+
+// repairRPCScript drives one server through conns stamping epochs 0 and 1,
+// checks every result and returns them, one line a step.
+func repairRPCScript(t *testing.T, ctx context.Context, at0, at1 Conn) []string {
+	t.Helper()
+	show := func(vals ...any) string {
+		for i, v := range vals {
+			if se, ok := v.(*StaleEpochError); ok {
+				vals[i] = fmt.Sprintf("%+v", *se)
+			}
+		}
+		return fmt.Sprint(vals...)
+	}
+	var lines []string
+	step := func(what, got, want string) {
+		t.Helper()
+		if want != "" && got != want {
+			t.Errorf("%s = %s, want %s", what, got, want)
+		}
+		lines = append(lines, what+": "+got)
+	}
+	getElem := func(c Conn) string {
+		tag, elem, vlen, err := c.GetElem(ctx, testKey)
+		return show(tag, elem, vlen, err)
+	}
+	keys := func(c Conn) string {
+		keys, err := c.Keys(ctx)
+		return show(keys, err)
+	}
+	getTag := func(c Conn) string {
+		tag, err := c.GetTag(ctx, testKey)
+		return show(tag, err)
+	}
+	repairPut := func(c Conn, tag Tag, elem []byte) string {
+		ok, err := c.RepairPut(ctx, testKey, tag, elem, len(elem))
+		return show(ok, err)
+	}
+	reconfig := func(op ReconfigOp) string {
+		st, err := at0.Reconfig(ctx, op, 1, 1, 1)
+		return show(st, err)
+	}
+	none := error(nil)
+	t5, t6, t7 := Tag{TS: 5, Writer: "w"}, Tag{TS: 6, Writer: "w"}, Tag{TS: 7, Writer: "w"}
+	sealed := &StaleEpochError{Server: 0, ServerEpoch: 0, Want: 1, Sealed: true}
 
 	// Empty register: zero tag, no element, no keys.
-	tag, elem, vlen, err := c.GetElem(ctx, testKey)
-	if err != nil || !tag.IsZero() || len(elem) != 0 || vlen != 0 {
-		t.Fatalf("GetElem on empty server = %v %v %d, %v", tag, elem, vlen, err)
-	}
-	if keys, err := c.Keys(ctx); err != nil || len(keys) != 0 {
-		t.Fatalf("Keys on empty server = %v, %v", keys, err)
-	}
+	step("GetElem on an empty server", getElem(at0), show(Tag{}, []byte(nil), 0, none))
+	step("Keys on an empty server", keys(at0), show([]string(nil), none))
 
-	t5 := Tag{TS: 5, Writer: "w"}
-	if err := c.PutData(ctx, testKey, t5, []byte{1, 2, 3}, 9); err != nil {
+	if err := at0.PutData(ctx, testKey, t5, []byte{1, 2, 3}, 9); err != nil {
 		t.Fatalf("PutData: %v", err)
 	}
-	tag, elem, vlen, err = c.GetElem(ctx, testKey)
-	if err != nil || tag != t5 || vlen != 9 || !bytes.Equal(elem, []byte{1, 2, 3}) {
-		t.Fatalf("GetElem = %v %v %d, %v", tag, elem, vlen, err)
-	}
-	if keys, err := c.Keys(ctx); err != nil || len(keys) != 1 || keys[0] != testKey {
-		t.Fatalf("Keys = %v, %v", keys, err)
-	}
+	step("GetTag", getTag(at0), show(t5, none))
+	step("GetElem", getElem(at0), show(t5, []byte{1, 2, 3}, 9, none))
+	step("Keys", keys(at0), show([]string{testKey}, none))
 
-	// Install below the current tag: rejected, state unchanged.
-	if ok, err := c.RepairPut(ctx, testKey, Tag{TS: 4, Writer: "w"}, []byte{7}, 1); err != nil || ok {
-		t.Fatalf("RepairPut below current = %v, %v", ok, err)
-	}
-	if got, _, _ := servers[0].core.Snapshot(testKey); got != t5 {
-		t.Fatalf("rejected remote repair mutated the server: %v", got)
-	}
-	// At or above: installed.
-	t6 := Tag{TS: 6, Writer: "w"}
-	if ok, err := c.RepairPut(ctx, testKey, t6, []byte{9, 9}, 2); err != nil || !ok {
-		t.Fatalf("RepairPut above current = %v, %v", ok, err)
-	}
-	tag, elem, _, err = c.GetElem(ctx, testKey)
-	if err != nil || tag != t6 || !bytes.Equal(elem, []byte{9, 9}) {
-		t.Fatalf("GetElem after repair = %v %v, %v", tag, elem, err)
-	}
+	// Install below the current tag: rejected, state unchanged; at or
+	// above: installed.
+	step("RepairPut below current", repairPut(at0, Tag{TS: 4, Writer: "w"}, []byte{7}), show(false, none))
+	step("GetElem after a refused repair", getElem(at0), show(t5, []byte{1, 2, 3}, 9, none))
+	step("RepairPut above current", repairPut(at0, t6, []byte{9, 9}), show(true, none))
+	step("GetElem after repair", getElem(at0), show(t6, []byte{9, 9}, 2, none))
+
+	// Sealed for epoch 1: client exchanges are NACKed at either epoch,
+	// donor reads are served at the sealed one, and repair installs only
+	// at the pending one.
+	step("Reconfig seal", reconfig(ReconfigSeal), "")
+	step("GetTag at 0, sealed", getTag(at0), show(Tag{}, sealed))
+	step("GetElem at 0, sealed", getElem(at0), show(t6, []byte{9, 9}, 2, none))
+	step("Keys at 0, sealed", keys(at0), show([]string{testKey}, none))
+	step("RepairPut at 0, sealed", repairPut(at0, t7, []byte{4}), show(false, sealed))
+	step("RepairPut at 1, sealed", repairPut(at1, t7, []byte{4}), show(true, none))
+	step("GetTag at 1, sealed", getTag(at1), show(Tag{}, sealed))
+
+	// Active at epoch 1: served at 1, NACKed at 0.
+	step("Reconfig activate", reconfig(ReconfigActivate), "")
+	step("GetTag at 1, active", getTag(at1), show(t7, none))
+	step("GetTag at 0, active", getTag(at0), show(Tag{}, &StaleEpochError{Server: 0, ServerEpoch: 1, Want: 1}))
+	return lines
 }
 
 // TestTCPUnknownTypeByte sends garbage at a server and pins the two

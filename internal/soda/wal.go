@@ -453,6 +453,10 @@ func (w *wal) syncTo(seq uint64, target int64) error {
 		return w.err
 	}
 	if w.seq == seq && size > w.synced {
+		if w.err != nil {
+			// A power cut between the fsync and this lock cut our bytes.
+			return w.err
+		}
 		w.synced = size
 		w.dirty = w.synced < w.size
 	}

@@ -128,6 +128,7 @@ const (
 	ReconfigStatus   ReconfigOp = 0 // report epoch state, change nothing
 	ReconfigSeal     ReconfigOp = 1 // seal the current epoch, pending the target
 	ReconfigActivate ReconfigOp = 2 // activate the target epoch (requires a matching seal)
+	reconfigFreeze   ReconfigOp = 3 // stop minting tags ahead of a seal for the target
 )
 
 // FrameError is the typed form of a decode failure: which message was
