@@ -167,11 +167,14 @@ bench-soda-smoke:
 	$(GO) run ./cmd/sodaload -compare-schema "$$d/a.json" "$$d/b.json" && \
 	$(GO) run ./cmd/sodaload -compare-schema "$$d/a.json" BENCH_soda.json
 
-# fuzz runs each fuzz target briefly; lengthen with FUZZTIME=5m etc.
+# fuzz runs every fuzz target of every package (its Fuzz* functions, as
+# go test -list finds them) for FUZZTIME each; lengthen with FUZZTIME=5m etc.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test ./internal/rs/ -fuzz FuzzDecodeErrors -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/soda/ -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/soda/ -run '^$$' -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/soda/ -run '^$$' -fuzz FuzzParseWALRecord -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/soda/ -run '^$$' -fuzz FuzzReadSnapshot -fuzztime $(FUZZTIME)
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for f in $$(echo "$$list" | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$f"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME); \
+		done; \
+	done

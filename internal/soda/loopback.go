@@ -409,7 +409,7 @@ func (c *loopConn) put(srv *Server, key string, t Tag, elem []byte, vlen int, wa
 		_, err = srv.put(walOpPut, key, t, elem, vlen, wait) // the server copies what it keeps
 	}
 	if err != errNotNow {
-		srv.metrics.of(key).putDatas.Add(1)
+		srv.metrics.of(key).PutDatas.Add(1)
 	}
 	return err
 }

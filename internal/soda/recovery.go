@@ -103,7 +103,7 @@ func NewDurableServer(idx int, dir string, opts ...DurableOption) (*Server, erro
 		return nil, fmt.Errorf("soda: recovering server %d from %s: %w", idx, dir, err)
 	}
 	s.dur = d
-	s.metrics.recoveries.Add(1)
+	s.metrics.unkeyed().Recoveries.Add(1)
 	d.wg.Add(1)
 	go d.background()
 	return s, nil
@@ -153,7 +153,7 @@ func (d *durability) recover() error {
 						return err
 					}
 				}
-				d.srv.metrics.walTornDrops.Add(1)
+				d.srv.metrics.unkeyed().WALTornDrops.Add(1)
 				tailSeq, torn = seg.seq, true
 				break
 			}
@@ -223,10 +223,10 @@ func (d *durability) logMutation(op byte, key string, t Tag, elem []byte, vlen i
 	case errors.Is(err, errWALClosed):
 		return ErrServerDown
 	default:
-		d.srv.metrics.walFailures.Add(1)
+		d.srv.metrics.of(key).WALFailures.Add(1)
 		return nil
 	}
-	d.srv.metrics.walAppends.Add(1)
+	d.srv.metrics.of(key).WALAppends.Add(1)
 	if size >= d.cfg.snapThreshold {
 		select {
 		case d.snapC <- struct{}{}:
@@ -248,10 +248,10 @@ func (d *durability) logEpoch(est *epochState) bool {
 		if errors.Is(err, errWALClosed) {
 			return false
 		}
-		d.srv.metrics.walFailures.Add(1)
+		d.srv.metrics.unkeyed().WALFailures.Add(1)
 		return true
 	}
-	d.srv.metrics.walAppends.Add(1)
+	d.srv.metrics.unkeyed().WALAppends.Add(1)
 	return true
 }
 
@@ -272,7 +272,7 @@ func (d *durability) snapshot() error {
 	if err := writeSnapshot(d.wal.dir, covered, *d.srv.epochSt.Load(), d.srv.snapEntries()); err != nil {
 		return err
 	}
-	d.srv.metrics.snapshots.Add(1)
+	d.srv.metrics.unkeyed().Snapshots.Add(1)
 	return d.wal.removeBefore(d.wal.activeSeq())
 }
 

@@ -189,8 +189,8 @@ func NewServer(idx int) *Server {
 // Index returns the server's shard index in the code geometry.
 func (s *Server) Index() int { return s.idx }
 
-// Metrics returns the server's live counters (for transports that
-// need to count, e.g. relay-queue drops).
+// Metrics returns the server's live counters, read without a lock;
+// MetricsSnapshot adds the namespace gauges, which take the shard locks.
 func (s *Server) Metrics() *Metrics { return &s.metrics }
 
 // MetricsSnapshot returns the counters plus current namespace gauges.
@@ -247,7 +247,7 @@ func (s *Server) Admit(class opClass, epoch uint64) *StaleEpochError {
 			return nil
 		}
 	}
-	s.metrics.epochNacks.Add(1)
+	s.metrics.unkeyed().EpochNacks.Add(1)
 	want, sealed := st.epoch, st.sealed
 	if sealed {
 		want = st.pending
@@ -330,7 +330,7 @@ func (s *Server) transitionLocked(next *epochState) bool {
 		return false
 	}
 	s.epochSt.Store(next)
-	s.metrics.epochFlips.Add(1)
+	s.metrics.unkeyed().EpochFlips.Add(1)
 	// Registered readers belong to the configuration they registered
 	// under; the flip ends each with the NACK a get-data would get now, so
 	// that its reader re-registers under the new epoch. The state is
@@ -358,7 +358,7 @@ func (s *Server) shardOf(key string) *serverShard {
 }
 
 // keyHash is FNV-1a, inlined to keep every striped lookup — namespace
-// shard, hot counters, writer lock — allocation-free.
+// shard, counter stripe, writer lock — allocation-free.
 func keyHash(key string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
@@ -424,7 +424,7 @@ func (s *Server) collect(key string) {
 	r.mu.Unlock()
 	if dead {
 		delete(sh.regs, key)
-		s.metrics.registerGCs.Add(1)
+		s.metrics.of(key).RegisterGCs.Add(1)
 	}
 }
 
@@ -432,7 +432,7 @@ func (s *Server) collect(key string) {
 // under key. A never-written key is the zero tag and does not cost a
 // register.
 func (s *Server) GetTag(key string) Tag {
-	s.metrics.of(key).getTags.Add(1)
+	s.metrics.of(key).GetTags.Add(1)
 	r := s.lookup(key, false)
 	if r == nil {
 		return Tag{}
@@ -554,7 +554,7 @@ func (s *Server) putOwned(key string, t Tag, elem []byte, vlen int, wait bool) e
 
 // relay hands (t, elem, vlen) to sinks, outside every lock.
 func (s *Server) relay(sinks []registrant, t Tag, elem []byte, vlen int) {
-	s.metrics.relays.Add(uint64(len(sinks)))
+	s.metrics.unkeyed().Relays.Add(uint64(len(sinks)))
 	d := Delivery{Server: s.idx, Tag: t, Elem: elem, VLen: vlen, Epoch: s.epochSt.Load().epoch}
 	for _, to := range sinks {
 		to.deliver(d)
@@ -573,7 +573,7 @@ func (s *Server) PutData(key string, t Tag, elem []byte, vlen int) {
 // putData is PutData for the transports, which must not ack a put the
 // server refused (ErrServerDown: its WAL is closed).
 func (s *Server) putData(key string, t Tag, elem []byte, vlen int) error {
-	s.metrics.of(key).putDatas.Add(1)
+	s.metrics.of(key).PutDatas.Add(1)
 	_, err := s.put(walOpPut, key, t, elem, vlen, true)
 	return err
 }
@@ -596,7 +596,7 @@ func (s *Server) RepairPut(key string, t Tag, elem []byte, vlen int) bool {
 
 // repairPut is RepairPut for the transports; the error is putData's.
 func (s *Server) repairPut(key string, t Tag, elem []byte, vlen int) (bool, error) {
-	s.metrics.repairPuts.Add(1)
+	s.metrics.of(key).RepairPuts.Add(1)
 	// A zero-tag repair of an absent key installs the state the key
 	// already has; succeed without materializing a register.
 	installed, err := t == (Tag{}) && s.lookup(key, false) == nil, error(nil)
@@ -604,7 +604,7 @@ func (s *Server) repairPut(key string, t Tag, elem []byte, vlen int) (bool, erro
 		installed, err = s.put(walOpRepair, key, t, elem, vlen, true)
 	}
 	if installed {
-		s.metrics.repairInstalls.Add(1)
+		s.metrics.of(key).RepairInstalls.Add(1)
 	}
 	return installed, err
 }
@@ -654,8 +654,8 @@ func (s *Server) WipeAll() {
 		}
 		sh.mu.Unlock()
 	}
-	s.metrics.hot[0].regGCs.Add(uint64(len(ends))) // any stripe: Snapshot sums them
-	s.metrics.registerGCs.Add(removed)
+	s.metrics.unkeyed().RegGCs.Add(uint64(len(ends)))
+	s.metrics.unkeyed().RegisterGCs.Add(removed)
 	for _, to := range ends {
 		to.end(nil)
 	}
@@ -665,7 +665,7 @@ func (s *Server) WipeAll() {
 // (nonzero-tag) element — the namespace a Repairer must heal.
 func (s *Server) Keys() []string {
 	var keys []string
-	s.metrics.keyLists.Add(1)
+	s.metrics.unkeyed().KeyLists.Add(1)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
@@ -694,7 +694,7 @@ func (s *Server) Register(key, readerID string, sink func(Delivery)) Delivery {
 // register is Register for the transports, whose registrant is told of the
 // registration's end.
 func (s *Server) register(key, readerID string, to registrant) Delivery {
-	s.metrics.of(key).getDatas.Add(1)
+	s.metrics.of(key).GetDatas.Add(1)
 	r := s.hold(key, true)
 	d := Delivery{Server: s.idx, Tag: r.tag, Elem: r.elem, VLen: r.vlen, Initial: true, Epoch: s.epochSt.Load().epoch}
 	for i := range r.readers {
@@ -713,6 +713,7 @@ func (s *Server) register(key, readerID string, to registrant) Delivery {
 			}
 			r.readers[i] = registration{reader: readerID, treq: treq, to: to}
 			r.mu.Unlock()
+			s.metrics.of(key).RegGCs.Add(1)
 			old.end(nil)
 			return d
 		}
@@ -754,7 +755,7 @@ func (s *Server) unregister(key, readerID string, forced bool) bool {
 	dead = r.tag == (Tag{}) && len(r.readers) == 0
 	r.mu.Unlock()
 	if had {
-		s.metrics.of(key).regGCs.Add(1)
+		s.metrics.of(key).RegGCs.Add(1)
 		if dead {
 			s.collect(key)
 		}
@@ -783,7 +784,7 @@ func (s *Server) dropAll(cause error) {
 		}
 		sh.mu.RUnlock()
 	}
-	s.metrics.hot[0].regGCs.Add(uint64(len(ends))) // any stripe: Snapshot sums them
+	s.metrics.unkeyed().RegGCs.Add(uint64(len(ends)))
 	for _, key := range emptied {
 		s.collect(key)
 	}
@@ -821,7 +822,7 @@ func (s *Server) Snapshot(key string) (Tag, []byte, int) {
 // getElem serves get-elem: key's state with the element copied out
 // under the register lock, so it always matches the tag beside it.
 func (s *Server) getElem(key string) (Tag, []byte, int) {
-	s.metrics.getElems.Add(1)
+	s.metrics.of(key).GetElems.Add(1)
 	r := s.lookup(key, false)
 	if r == nil {
 		return Tag{}, nil, 0

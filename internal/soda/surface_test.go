@@ -54,8 +54,8 @@ func TestExportedSurface(t *testing.T) {
 // exportedSurface lists the exported names of the non-test Go files in
 // dir: top-level names as they are, methods as (*T).M or T.M, struct
 // fields and interface methods as T.F — those of exported types only. An
-// exported method of an unexported type embedded in an exported struct is
-// listed as the struct's, (*T).M: promoted, it is T's API.
+// exported method or field of an unexported type embedded in an exported
+// struct is listed as the struct's, (*T).M or T.F: promoted, it is T's API.
 func exportedSurface(t *testing.T, dir string) []string {
 	fset := token.NewFileSet()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -63,8 +63,9 @@ func exportedSurface(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	var names []string
-	hidden := map[string][]string{} // an unexported type's exported methods
-	var embeds [][2]string          // {exported struct, unexported type it embeds}
+	hidden := map[string][]string{}       // an unexported type's exported methods
+	hiddenFields := map[string][]string{} // and its exported fields
+	var embeds [][2]string                // {exported struct, unexported type it embeds}
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
@@ -114,6 +115,15 @@ func exportedSurface(t *testing.T, dir string) []string {
 						}
 					case *ast.TypeSpec:
 						if !s.Name.IsExported() {
+							if st, ok := s.Type.(*ast.StructType); ok {
+								for _, fl := range st.Fields.List {
+									for _, n := range fl.Names {
+										if n.IsExported() {
+											hiddenFields[s.Name.Name] = append(hiddenFields[s.Name.Name], n.Name)
+										}
+									}
+								}
+							}
 							continue
 						}
 						names = append(names, s.Name.Name)
@@ -145,6 +155,9 @@ func exportedSurface(t *testing.T, dir string) []string {
 		for _, m := range hidden[e[1]] {
 			names = append(names, "(*"+e[0]+")."+m)
 		}
+		for _, f := range hiddenFields[e[1]] {
+			names = append(names, e[0]+"."+f)
+		}
 	}
 	slices.Sort(names)
 	return slices.Compact(names)
@@ -163,6 +176,9 @@ func fieldNames(fl *ast.Field) []string {
 	ty := fl.Type
 	if s, ok := ty.(*ast.StarExpr); ok {
 		ty = s.X
+	}
+	if ix, ok := ty.(*ast.IndexExpr); ok {
+		ty = ix.X
 	}
 	switch e := ty.(type) {
 	case *ast.Ident:

@@ -147,7 +147,7 @@ func (st *netStream) end(cause error) {
 func (st *netStream) trySend(bp *[]byte) {
 	if !st.sc.w.trySend(bp) {
 		putFrame(bp)
-		st.sc.core.Metrics().relayDrops.Add(1)
+		st.sc.core.metrics.unkeyed().RelayDrops.Add(1)
 		st.sc.w.kill()
 	}
 }

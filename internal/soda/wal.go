@@ -416,7 +416,7 @@ func (w *wal) syncTo(seq uint64, target int64) error {
 	if w.seq != seq || w.synced >= target {
 		w.mu.Unlock()
 		if w.metrics != nil {
-			w.metrics.walGroupSyncs.Add(1)
+			w.metrics.unkeyed().WALGroupSyncs.Add(1)
 		}
 		return nil
 	}
