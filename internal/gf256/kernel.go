@@ -1,6 +1,7 @@
 package gf256
 
-// Table-driven slice kernels and kernel dispatch.
+// The product table, kernel dispatch and the single-coefficient entry
+// points.
 //
 // The scalar field core (gf256.go) multiplies through log/exp lookups:
 // two table reads, an integer add, and a zero-operand branch per byte.
@@ -10,7 +11,8 @@ package gf256
 // coefficient turns every byte into a single branch-free indexed load.
 // The row fits in four cache lines and stays hot for the whole shard.
 //
-// Above the table sit the SIMD tiers, selected at runtime:
+// The fused kernels (kernel_multi.go) dispatch over three tiers,
+// selected at runtime:
 //
 //	gfni   VGF2P8AFFINEQB on 64-byte ZMM vectors: one instruction
 //	       applies the coefficient's 8x8 GF(2) bit matrix to 64 bytes
@@ -19,9 +21,9 @@ package gf256
 //	       per 32-byte vector
 //	table  the 256-byte product row, one indexed load per byte
 //
-// SetKernel (or the GF256_KERNEL environment variable) caps the ladder
-// for benchmarking and debugging; the `purego` build tag removes the
-// SIMD tiers entirely.
+// MulSlice and MulAddSlice are the fused kernels with one input.
+// SetKernel caps the ladder for benchmarking and debugging; the
+// `purego` build tag removes the SIMD tiers entirely.
 //
 // The tables (64 KiB product table, plus the SIMD-specific views) are
 // built lazily on first use so that programs that only ever do scalar
@@ -30,7 +32,6 @@ package gf256
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"sync"
 )
 
@@ -47,7 +48,7 @@ var (
 	gfniTable *[256]uint64
 )
 
-// Kernel tier names accepted by SetKernel and GF256_KERNEL.
+// Kernel tier names accepted by SetKernel.
 const (
 	KernelGFNI  = "gfni"
 	KernelAVX2  = "avx2"
@@ -58,22 +59,9 @@ const (
 // hardware's best tier and can only be lowered (never raised above
 // hasGFNI/hasAVX2) by SetKernel.
 var (
-	useGFNI bool
-	useAVX2 bool
+	useGFNI = hasGFNI
+	useAVX2 = hasAVX2
 )
-
-func init() {
-	useGFNI, useAVX2 = hasGFNI, hasAVX2
-	if env := os.Getenv("GF256_KERNEL"); env != "" {
-		// Warn rather than panic on an unusable value: a feature the
-		// machine lacks (or a typo) must not kill startup where the
-		// env leaked in, but silently running the wrong tier would
-		// corrupt benchmark attributions.
-		if err := SetKernel(env); err != nil {
-			fmt.Fprintf(os.Stderr, "gf256: ignoring GF256_KERNEL=%q: %v\n", env, err)
-		}
-	}
-}
 
 // KernelName reports the active top kernel tier: "gfni", "avx2", or
 // "table".
@@ -181,10 +169,6 @@ func gfniMatrix(c byte) uint64 {
 	return m
 }
 
-// simdMin is the slice length below which the SIMD kernels are not
-// worth their call overhead.
-const simdMin = 64
-
 // MulTableRow returns the 256-byte product row for the coefficient c:
 // row[a] == Mul(c, a) for every a. The returned array is shared and
 // must not be modified. The full table is built on first call. It is
@@ -196,43 +180,21 @@ func MulTableRow(c byte) *[256]byte {
 	return &mulTable[c]
 }
 
-// MulSlice computes dst[i] = c * src[i] for all i. dst and src must have
-// the same length; they may alias. The c == 0 and c == 1 fast paths avoid
-// table lookups entirely.
+// MulSlice computes dst[i] = c * src[i] for all i: MulMulti with one
+// input. dst and src must have the same length; they may alias exactly.
 func MulSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
 	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-	case 1:
-		copy(dst, src)
-	default:
-		mulTableOnce.Do(buildMulTable)
-		i := 0
-		if len(src) >= simdMin {
-			if useGFNI {
-				n := len(src) &^ 63
-				mulSliceGFNI(&gfniTable[c], dst[:n], src[:n])
-				i = n // residue < 64 bytes goes to the table tail
-			} else if useAVX2 {
-				n := len(src) &^ 31
-				mulSliceAVX2(&nibTable[c], dst[:n], src[:n])
-				i = n
-			}
-		}
-		mulSliceTail(c, dst, src, i)
-	}
+	MulMulti([]byte{c}, [][]byte{src}, dst)
 }
 
-// mulSliceTail is the table-row loop of MulSlice from offset i, for
-// tails and SIMD-free builds. The product table must already be built
-// and c must not be 0 or 1.
-func mulSliceTail(c byte, dst, src []byte, i int) {
+// mulSliceTail is the table-row loop dst[i] = c * src[i]: the table
+// tier of the fused kernels, under mulMultiGeneric. The product table
+// must already be built and c must not be 0 or 1.
+func mulSliceTail(c byte, dst, src []byte) {
 	row := &mulTable[c]
+	i := 0
 	for n := len(src) &^ 7; i < n; i += 8 {
 		s := src[i : i+8 : i+8]
 		d := dst[i : i+8 : i+8]
@@ -250,39 +212,21 @@ func mulSliceTail(c byte, dst, src []byte, i int) {
 	}
 }
 
-// MulAddSlice computes dst[i] ^= c * src[i] for all i: the fused
-// multiply-accumulate at the heart of matrix-vector erasure encoding.
+// MulAddSlice computes dst[i] ^= c * src[i] for all i: MulAddMulti
+// with one input.
 func MulAddSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulAddSlice length mismatch")
 	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		AddSlice(dst, src)
-	default:
-		mulTableOnce.Do(buildMulTable)
-		i := 0
-		if len(src) >= simdMin {
-			if useGFNI {
-				n := len(src) &^ 63
-				mulAddSliceGFNI(&gfniTable[c], dst[:n], src[:n])
-				i = n // residue < 64 bytes goes to the table tail
-			} else if useAVX2 {
-				n := len(src) &^ 31
-				mulAddSliceAVX2(&nibTable[c], dst[:n], src[:n])
-				i = n
-			}
-		}
-		mulAddSliceTail(c, dst, src, i)
-	}
+	MulAddMulti([]byte{c}, [][]byte{src}, dst)
 }
 
-// mulAddSliceTail is the table-row loop of MulAddSlice from offset i.
-// The product table must already be built and c must not be 0 or 1.
-func mulAddSliceTail(c byte, dst, src []byte, i int) {
+// mulAddSliceTail is the table-row loop dst[i] ^= c * src[i], under
+// mulAddBlock. The product table must already be built and c must not
+// be 0 or 1.
+func mulAddSliceTail(c byte, dst, src []byte) {
 	row := &mulTable[c]
+	i := 0
 	for n := len(src) &^ 7; i < n; i += 8 {
 		s := src[i : i+8 : i+8]
 		d := dst[i : i+8 : i+8]

@@ -2,8 +2,8 @@
 
 package gf256
 
-// SIMD kernel tiers. A GF(2^8) multiply by a fixed coefficient c is
-// GF(2)-linear, which both tiers exploit:
+// SIMD kernel tiers of the fused kernels. A GF(2^8) multiply by a
+// fixed coefficient c is GF(2)-linear, which both tiers exploit:
 //
 //   - AVX2: c*b == c*(b & 0x0f) ^ c*(b & 0xf0); each half has only 16
 //     possible inputs, which is exactly the domain of VPSHUFB — two
@@ -67,32 +67,6 @@ func x86cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv reads extended control register 0.
 func xgetbv() (eax, edx uint32)
-
-// mulAddSliceAVX2 computes dst[i] ^= c*src[i] over len(dst) bytes,
-// which must be a multiple of 32. tbl is the coefficient's nibble
-// table: 16 low-nibble products followed by 16 high-nibble products.
-//
-//go:noescape
-func mulAddSliceAVX2(tbl *[32]byte, dst, src []byte)
-
-// mulSliceAVX2 computes dst[i] = c*src[i] over len(dst) bytes, which
-// must be a multiple of 32.
-//
-//go:noescape
-func mulSliceAVX2(tbl *[32]byte, dst, src []byte)
-
-// mulAddSliceGFNI computes dst[i] ^= c*src[i] over len(dst) bytes,
-// which must be a multiple of 64. mat points at the coefficient's
-// entry in gfniTable.
-//
-//go:noescape
-func mulAddSliceGFNI(mat *uint64, dst, src []byte)
-
-// mulSliceGFNI computes dst[i] = c*src[i] over len(dst) bytes, which
-// must be a multiple of 64.
-//
-//go:noescape
-func mulSliceGFNI(mat *uint64, dst, src []byte)
 
 // The fused multi-shard kernels compute, over len(dst) bytes,
 //

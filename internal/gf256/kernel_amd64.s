@@ -27,121 +27,6 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func mulAddSliceAVX2(tbl *[32]byte, dst, src []byte)
-//
-// Y0 = low-nibble product table (both lanes)
-// Y1 = high-nibble product table (both lanes)
-// Y2 = 0x0f byte mask
-TEXT ·mulAddSliceAVX2(SB), NOSPLIT, $0-56
-	MOVQ tbl+0(FP), AX
-	MOVQ dst_base+8(FP), DI
-	MOVQ dst_len+16(FP), CX
-	MOVQ src_base+32(FP), SI
-	SHRQ $5, CX
-	JZ   done
-	VBROADCASTI128 (AX), Y0
-	VBROADCASTI128 16(AX), Y1
-	VMOVDQU nibbleMask<>(SB), Y2
-
-loop:
-	VMOVDQU (SI), Y3
-	VPSRLQ  $4, Y3, Y4
-	VPAND   Y2, Y3, Y3      // low nibbles
-	VPAND   Y2, Y4, Y4      // high nibbles
-	VPSHUFB Y3, Y0, Y3      // c * low
-	VPSHUFB Y4, Y1, Y4      // c * high
-	VPXOR   Y3, Y4, Y3      // c * src
-	VPXOR   (DI), Y3, Y3    // accumulate into dst
-	VMOVDQU Y3, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     loop
-	VZEROUPPER
-
-done:
-	RET
-
-// func mulSliceAVX2(tbl *[32]byte, dst, src []byte)
-TEXT ·mulSliceAVX2(SB), NOSPLIT, $0-56
-	MOVQ tbl+0(FP), AX
-	MOVQ dst_base+8(FP), DI
-	MOVQ dst_len+16(FP), CX
-	MOVQ src_base+32(FP), SI
-	SHRQ $5, CX
-	JZ   done2
-	VBROADCASTI128 (AX), Y0
-	VBROADCASTI128 16(AX), Y1
-	VMOVDQU nibbleMask<>(SB), Y2
-
-loop2:
-	VMOVDQU (SI), Y3
-	VPSRLQ  $4, Y3, Y4
-	VPAND   Y2, Y3, Y3
-	VPAND   Y2, Y4, Y4
-	VPSHUFB Y3, Y0, Y3
-	VPSHUFB Y4, Y1, Y4
-	VPXOR   Y3, Y4, Y3
-	VMOVDQU Y3, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     loop2
-	VZEROUPPER
-
-done2:
-	RET
-
-// func mulAddSliceGFNI(mat *uint64, dst, src []byte)
-//
-// 64-byte ZMM blocks: one VGF2P8AFFINEQB applies the coefficient's
-// 8x8 GF(2) bit matrix to the whole vector.
-TEXT ·mulAddSliceGFNI(SB), NOSPLIT, $0-56
-	MOVQ mat+0(FP), AX
-	MOVQ dst_base+8(FP), DI
-	MOVQ dst_len+16(FP), CX
-	MOVQ src_base+32(FP), SI
-	SHRQ $6, CX
-	JZ   gadone
-	VPBROADCASTQ (AX), Z0
-
-galoop:
-	VMOVDQU64 (SI), Z1
-	VGF2P8AFFINEQB $0, Z0, Z1, Z1
-	VPXORQ    (DI), Z1, Z1
-	VMOVDQU64 Z1, (DI)
-	ADDQ      $64, SI
-	ADDQ      $64, DI
-	DECQ      CX
-	JNZ       galoop
-	VZEROUPPER
-
-gadone:
-	RET
-
-// func mulSliceGFNI(mat *uint64, dst, src []byte)
-TEXT ·mulSliceGFNI(SB), NOSPLIT, $0-56
-	MOVQ mat+0(FP), AX
-	MOVQ dst_base+8(FP), DI
-	MOVQ dst_len+16(FP), CX
-	MOVQ src_base+32(FP), SI
-	SHRQ $6, CX
-	JZ   gmdone
-	VPBROADCASTQ (AX), Z0
-
-gmloop:
-	VMOVDQU64 (SI), Z1
-	VGF2P8AFFINEQB $0, Z0, Z1, Z1
-	VMOVDQU64 Z1, (DI)
-	ADDQ      $64, SI
-	ADDQ      $64, DI
-	DECQ      CX
-	JNZ       gmloop
-	VZEROUPPER
-
-gmdone:
-	RET
-
 // Fused multi-shard kernels. Shared register plan:
 //
 //	R8  table base (nibble tables or GFNI matrices)

@@ -105,7 +105,7 @@ func mulMultiGeneric(coeffs []byte, inputs [][]byte, dst []byte, lo int) {
 		case 1:
 			copy(d, inputs[0][lo:hi])
 		default:
-			mulSliceTail(c, d, inputs[0][lo:hi], 0)
+			mulSliceTail(c, d, inputs[0][lo:hi])
 		}
 		for j := 1; j < len(coeffs); j++ {
 			mulAddBlock(coeffs[j], d, inputs[j][lo:hi])
@@ -138,6 +138,6 @@ func mulAddBlock(c byte, dst, src []byte) {
 	case 1:
 		AddSlice(dst, src)
 	default:
-		mulAddSliceTail(c, dst, src, 0)
+		mulAddSliceTail(c, dst, src)
 	}
 }

@@ -15,9 +15,10 @@ func mulAddMultiSeed(coeffs []byte, inputs [][]byte, dst []byte) {
 	}
 }
 
-// multiTestLengths exercises every dispatch boundary: below simdMin,
-// around the AVX2 pair width (32), the AVX2 multi block (128), the
-// GFNI multi block (256), and odd tails on either side of each.
+// multiTestLengths exercises every dispatch boundary: the table's
+// 8-byte unroll, the AVX2 multi block (128), the GFNI multi block
+// (256), the table fallback's L1 tile (8 KiB), and odd tails on either
+// side of each.
 var multiTestLengths = []int{0, 1, 7, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 1000, 4096, 4097, 8191, 8192, 8193, 16411}
 
 // multiCoeffs returns k pseudo-random coefficients that always include
@@ -118,24 +119,56 @@ func TestMulMultiEquivalence(t *testing.T) {
 	})
 }
 
-// TestMulSliceMatchesScalarAllKernels re-runs the single-pair
-// equivalence checks under each forced tier, so the pair kernels'
-// dispatch (which SetKernel also caps) stays covered.
+// TestMulSliceMatchesScalarAllKernels runs the single-coefficient
+// entry points under each forced tier, at every dispatch boundary and
+// for all 256 coefficients: MulAddSlice, and MulSlice both out of
+// place and in place (dst aliasing src exactly), against the log/exp
+// references.
 func TestMulSliceMatchesScalarAllKernels(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
-		for _, n := range []int{0, 31, 64, 65, 257} {
+		for _, n := range multiTestLengths {
 			src := randSlice(rng, n)
 			base := randSlice(rng, n)
 			for c := 0; c < 256; c++ {
-				fast := append([]byte(nil), base...)
 				ref := append([]byte(nil), base...)
-				MulAddSlice(byte(c), fast, src)
 				mulAddSliceScalar(byte(c), ref, src)
+				fast := append([]byte(nil), base...)
+				MulAddSlice(byte(c), fast, src)
 				if !bytes.Equal(fast, ref) {
 					t.Fatalf("MulAddSlice(c=%#x, n=%d) diverges under forced kernel", c, n)
 				}
+
+				mulSliceScalar(byte(c), ref, src)
+				fast = append(fast[:0], base...) // stale contents must be overwritten
+				MulSlice(byte(c), fast, src)
+				if !bytes.Equal(fast, ref) {
+					t.Fatalf("MulSlice(c=%#x, n=%d) diverges under forced kernel", c, n)
+				}
+				fast = append(fast[:0], src...)
+				MulSlice(byte(c), fast, fast)
+				if !bytes.Equal(fast, ref) {
+					t.Fatalf("in-place MulSlice(c=%#x, n=%d) diverges under forced kernel", c, n)
+				}
 			}
+		}
+	})
+}
+
+// TestMulSliceZeroAlloc pins that the single-coefficient entry points
+// allocate nothing: their one-element coefficient and input lists stay
+// on the stack.
+func TestMulSliceZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	forEachKernel(t, func(t *testing.T) {
+		dst, src := benchSlices(1000)
+		if allocs := testing.AllocsPerRun(20, func() {
+			MulSlice(0x53, dst, src)
+			MulAddSlice(0x53, dst, src)
+		}); allocs != 0 {
+			t.Fatalf("MulSlice+MulAddSlice: %v allocs per run, want 0", allocs)
 		}
 	})
 }

@@ -10,22 +10,6 @@ const (
 	hasGFNI = false
 )
 
-func mulAddSliceAVX2(tbl *[32]byte, dst, src []byte) {
-	panic("gf256: SIMD kernel called on a build without it")
-}
-
-func mulSliceAVX2(tbl *[32]byte, dst, src []byte) {
-	panic("gf256: SIMD kernel called on a build without it")
-}
-
-func mulAddSliceGFNI(mat *uint64, dst, src []byte) {
-	panic("gf256: SIMD kernel called on a build without it")
-}
-
-func mulSliceGFNI(mat *uint64, dst, src []byte) {
-	panic("gf256: SIMD kernel called on a build without it")
-}
-
 func mulMultiAVX2(nib *[256][32]byte, coeffs []byte, srcs [][]byte, dst []byte, off int) {
 	panic("gf256: SIMD kernel called on a build without it")
 }

@@ -213,9 +213,9 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 // one: enumerate the frozen namespace from the old members, then
 // migrate each key.
 func (rc *Reconfigurator) migrate(ctx context.Context, old, next *Config) error {
-	oldF := old.F
-	if oldF < 0 {
-		oldF = (old.N() - old.K()) / 2
+	oldF, err := old.writerFaults()
+	if err != nil {
+		return err
 	}
 
 	// Enumerate from at least n−f old members: a completed write's key
@@ -223,7 +223,7 @@ func (rc *Reconfigurator) migrate(ctx context.Context, old, next *Config) error 
 	// quorums intersect, so the union over n−f enumerations cannot miss
 	// a completed write.
 	var keys []string
-	err := rc.awaitDonors(ctx, "enumerating keys", func() (err error) {
+	err = rc.awaitDonors(ctx, "enumerating keys", func() (err error) {
 		keys, err = keyUnion(ctx, old.Conns, old.N()-oldF, nil)
 		return err
 	})

@@ -290,35 +290,30 @@ func (s *Server) Reconfig(op ReconfigOp, target uint64, n, k int) (EpochStatus, 
 		if st.epoch >= target || (st.sealed && st.pending == target) {
 			// Already sealed for (or past) the target: a retry, not a
 			// conflict.
-			return s.statusLocked(), nil
+			return s.EpochStatus(), nil
 		}
 		if st.sealed {
-			return s.statusLocked(), fmt.Errorf("soda: server %d: seal for epoch %d conflicts with pending flip to %d", s.idx, target, st.pending)
+			return s.EpochStatus(), fmt.Errorf("soda: server %d: seal for epoch %d conflicts with pending flip to %d", s.idx, target, st.pending)
 		}
 		next := &epochState{epoch: st.epoch, n: st.n, k: st.k, sealed: true, pending: target, pn: n, pk: k}
 		if !s.transitionLocked(next) {
-			return s.statusLocked(), ErrServerDown
+			return s.EpochStatus(), ErrServerDown
 		}
 	case ReconfigActivate:
 		if st.epoch >= target {
-			return s.statusLocked(), nil
+			return s.EpochStatus(), nil
 		}
 		if !st.sealed || st.pending != target {
-			return s.statusLocked(), fmt.Errorf("soda: server %d: activate epoch %d without matching seal (sealed=%v pending=%d)", s.idx, target, st.sealed, st.pending)
+			return s.EpochStatus(), fmt.Errorf("soda: server %d: activate epoch %d without matching seal (sealed=%v pending=%d)", s.idx, target, st.sealed, st.pending)
 		}
 		next := &epochState{epoch: target, n: n, k: k}
 		if !s.transitionLocked(next) {
-			return s.statusLocked(), ErrServerDown
+			return s.EpochStatus(), ErrServerDown
 		}
 	default:
-		return s.statusLocked(), fmt.Errorf("soda: server %d: unknown reconfig op %d", s.idx, op)
+		return s.EpochStatus(), fmt.Errorf("soda: server %d: unknown reconfig op %d", s.idx, op)
 	}
-	return s.statusLocked(), nil
-}
-
-func (s *Server) statusLocked() EpochStatus {
-	st := s.epochSt.Load()
-	return EpochStatus{Epoch: st.epoch, Pending: st.pending, Sealed: st.sealed, N: st.n, K: st.k}
+	return s.EpochStatus(), nil
 }
 
 // transitionLocked logs and applies one epoch transition, then ends every

@@ -17,10 +17,10 @@ import (
 //
 //	8-byte magic "SODASNP2"
 //	uint64 covered-lsn
-//	epoch state: uint64 epoch | uint64 pending | byte sealed
-//	             | uint16 n | uint16 k | uint16 pn | uint16 pk
+//	epoch state (appendEpochState): uint64 epoch | uint64 pending
+//	             | byte sealed | uint16 n | uint16 k | uint16 pn | uint16 pk
 //	uint32 entry count
-//	count × { key | tag | uint32 vlen | elem }
+//	count × { key | tag | uint32 vlen | elem } (appendPut)
 //	uint32 CRC32-IEEE over everything after the magic
 //
 // The epoch state rides in the snapshot because truncation deletes the
@@ -72,27 +72,14 @@ func writeSnapshot(dir string, covered uint64, est epochState, entries []snapEnt
 	}
 	var hdr []byte
 	hdr = binary.BigEndian.AppendUint64(hdr, covered)
-	hdr = binary.BigEndian.AppendUint64(hdr, est.epoch)
-	hdr = binary.BigEndian.AppendUint64(hdr, est.pending)
-	var sealed byte
-	if est.sealed {
-		sealed = 1
-	}
-	hdr = append(hdr, sealed)
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(est.n))
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(est.k))
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(est.pn))
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(est.pk))
+	hdr = appendEpochState(hdr, est)
 	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(entries)))
 	if _, err = w.Write(hdr); err != nil {
 		return err
 	}
 	var scratch []byte
 	for _, e := range entries {
-		scratch = appendKey(scratch[:0], e.key)
-		scratch = appendTag(scratch, e.tag)
-		scratch = binary.BigEndian.AppendUint32(scratch, uint32(e.vlen))
-		scratch = appendBytes(scratch, e.elem)
+		scratch = appendPut(scratch[:0], e.key, e.tag, e.vlen, e.elem)
 		if _, err = w.Write(scratch); err != nil {
 			return err
 		}
@@ -143,21 +130,12 @@ func readSnapshot(dir string) (uint64, epochState, []snapEntry, error) {
 	}
 	c := &cursor{b: body}
 	covered := c.u64()
-	est.epoch = c.u64()
-	est.pending = c.u64()
-	est.sealed = c.flag()
-	est.n = int(c.u16())
-	est.k = int(c.u16())
-	est.pn = int(c.u16())
-	est.pk = int(c.u16())
+	est = c.epochState()
 	count := c.u32()
 	entries := make([]snapEntry, 0, min(int(count), 1024))
 	for i := uint32(0); i < count && !c.failed; i++ {
 		var e snapEntry
-		e.key = c.key()
-		e.tag = c.tag()
-		e.vlen = c.vlen()
-		e.elem = c.view() // borrows data; installRecovered copies it
+		e.key, e.tag, e.vlen, e.elem = c.put() // elem borrows data; installRecovered copies it
 		entries = append(entries, e)
 	}
 	if err := c.err("snapshot"); err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,7 +28,10 @@ import (
 // detection:
 //
 //	uint32 length | uint32 CRC32-IEEE(payload) | payload
-//	payload: uint64 lsn | byte op | key | [tag | uint32 vlen | elem]
+//	payload: uint64 lsn | byte op | body
+//	body: put, repair  key | tag | uint32 vlen | elem   (appendPut)
+//	      wipe         key
+//	      epoch        epoch state                      (appendEpochState)
 //
 // The lsn (log sequence number) is per-server monotone; snapshots
 // record the lsn they cover so replay can skip records already folded
@@ -115,24 +117,11 @@ func appendWALRecord(b []byte, rec walRecord) []byte {
 	b = append(b, rec.op)
 	switch rec.op {
 	case walOpEpoch:
-		b = binary.BigEndian.AppendUint64(b, rec.est.epoch)
-		b = binary.BigEndian.AppendUint64(b, rec.est.pending)
-		var sealed byte
-		if rec.est.sealed {
-			sealed = 1
-		}
-		b = append(b, sealed)
-		b = binary.BigEndian.AppendUint16(b, uint16(rec.est.n))
-		b = binary.BigEndian.AppendUint16(b, uint16(rec.est.k))
-		b = binary.BigEndian.AppendUint16(b, uint16(rec.est.pn))
-		b = binary.BigEndian.AppendUint16(b, uint16(rec.est.pk))
+		b = appendEpochState(b, rec.est)
 	case walOpWipe:
 		b = appendKey(b, rec.key)
 	default:
-		b = appendKey(b, rec.key)
-		b = appendTag(b, rec.tag)
-		b = binary.BigEndian.AppendUint32(b, uint32(rec.vlen))
-		b = appendBytes(b, rec.elem)
+		b = appendPut(b, rec.key, rec.tag, rec.vlen, rec.elem)
 	}
 	payload := b[start+walHeaderLen:]
 	binary.BigEndian.PutUint32(b[start:], uint32(len(payload)))
@@ -165,24 +154,11 @@ func parseWALRecord(data []byte) (walRecord, int, error) {
 	rec.op = c.u8()
 	switch rec.op {
 	case walOpPut, walOpRepair:
-		rec.key = c.key()
-		rec.tag = c.tag()
-		vlen := c.u32()
-		rec.elem = c.view() // borrows data; replay copies it into the register
-		if vlen > math.MaxInt32 {
-			c.failed = true
-		}
-		rec.vlen = int(vlen)
+		rec.key, rec.tag, rec.vlen, rec.elem = c.put() // elem borrows data; replay copies it into the register
 	case walOpWipe:
 		rec.key = c.key()
 	case walOpEpoch:
-		rec.est.epoch = c.u64()
-		rec.est.pending = c.u64()
-		rec.est.sealed = c.flag()
-		rec.est.n = int(c.u16())
-		rec.est.k = int(c.u16())
-		rec.est.pn = int(c.u16())
-		rec.est.pk = int(c.u16())
+		rec.est = c.epochState()
 	default:
 		c.failed = true
 	}

@@ -341,6 +341,28 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
+// appendPut appends a stored element, key | tag | uint32 vlen | elem:
+// the body of a put-data or repair-put frame, of a WAL put or repair
+// record, and of a snapshot entry.
+func appendPut(b []byte, key string, t Tag, vlen int, elem []byte) []byte {
+	b = appendTag(appendKey(b, key), t)
+	b = binary.BigEndian.AppendUint32(b, uint32(vlen))
+	return appendBytes(b, elem)
+}
+
+// appendEpochState appends a server's durable epoch state, uint64 epoch
+// | uint64 pending | byte sealed | uint16 n | uint16 k | uint16 pn |
+// uint16 pk: a WAL epoch record's body and a snapshot's header.
+func appendEpochState(b []byte, est epochState) []byte {
+	b = binary.BigEndian.AppendUint64(b, est.epoch)
+	b = binary.BigEndian.AppendUint64(b, est.pending)
+	b = appendBool(b, est.sealed)
+	b = binary.BigEndian.AppendUint16(b, uint16(est.n))
+	b = binary.BigEndian.AppendUint16(b, uint16(est.k))
+	b = binary.BigEndian.AppendUint16(b, uint16(est.pn))
+	return binary.BigEndian.AppendUint16(b, uint16(est.pk))
+}
+
 // maxErrorMsg caps the error-frame text a peer can make us relay or
 // store.
 const maxErrorMsg = 512
@@ -352,9 +374,7 @@ func appendRequest(b []byte, r *request) []byte {
 	case msgGetTag, msgGetElem:
 		b = appendKey(b, r.key)
 	case msgPutData, msgRepairPut:
-		b = appendTag(appendKey(b, r.key), r.tag)
-		b = binary.BigEndian.AppendUint32(b, uint32(r.vlen))
-		b = appendBytes(b, r.elem)
+		b = appendPut(b, r.key, r.tag, r.vlen, r.elem)
 	case msgGetData:
 		b = appendKey(b, r.key)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(r.reader)))
@@ -513,6 +533,28 @@ func (c *cursor) vlen() int {
 	return int(v)
 }
 
+// put parses appendPut's fields; elem borrows the payload.
+func (c *cursor) put() (key string, t Tag, vlen int, elem []byte) {
+	key = c.key()
+	t = c.tag()
+	vlen = c.vlen()
+	elem = c.view()
+	return key, t, vlen, elem
+}
+
+// epochState parses appendEpochState's fields.
+func (c *cursor) epochState() epochState {
+	var est epochState
+	est.epoch = c.u64()
+	est.pending = c.u64()
+	est.sealed = c.flag()
+	est.n = int(c.u16())
+	est.k = int(c.u16())
+	est.pn = int(c.u16())
+	est.pk = int(c.u16())
+	return est
+}
+
 // decodeRequest parses any client→server payload into r. The header
 // fields of r are set whenever the header itself parses, so a server can
 // answer a request with a malformed body on its own request id.
@@ -527,10 +569,7 @@ func decodeRequest(payload []byte, r *request) error {
 	case msgGetTag, msgGetElem:
 		r.key = c.key()
 	case msgPutData, msgRepairPut:
-		r.key = c.key()
-		r.tag = c.tag()
-		r.vlen = c.vlen()
-		r.elem = c.view()
+		r.key, r.tag, r.vlen, r.elem = c.put()
 	case msgGetData:
 		r.key = c.key()
 		r.reader = string(c.view())
