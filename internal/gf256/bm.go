@@ -1,7 +1,7 @@
 package gf256
 
-// Syndrome-based errata decoding: Berlekamp-Massey, Chien search and
-// Forney's formula over GF(2^8).
+// Syndrome-based error location: Berlekamp-Massey and Chien search over
+// GF(2^8).
 //
 // The algebra targets generalized Reed-Solomon (GRS) codes in
 // evaluation-point view. Codeword position i carries the locator X_i (a
@@ -22,26 +22,15 @@ package gf256
 // power-sum sequence of the remaining unknown errors (see
 // ErasureModifiedSyndromes), so plain BM on Xi[f:] finds up to
 // floor((d-f)/2) of them. Chien search turns Lambda's roots back into
-// positions, and Forney's formula evaluates the magnitudes from the
-// error evaluator Omega = S*Psi mod x^d and the formal derivative of
-// the combined locator Psi = Lambda*Gamma.
+// positions.
 //
 // Everything here works on one codeword column (one byte per position).
-// The rs package vectorizes the expensive parts across whole shards
-// with the fused slice kernels and uses these routines only to discover
-// the error support; DecodeErrata is the self-contained reference
-// decoder the vectorized path is tested against.
+// The rs package uses these routines only to discover the error support
+// and solves for the magnitudes of whole shards with the fused slice
+// kernels; its tests check the result against decodeErrorsBrute, a
+// combinatorial subset decoder.
 
-import (
-	"errors"
-	"fmt"
-	"slices"
-)
-
-// ErrErrataOverflow is returned when a syndrome sequence cannot be
-// explained by an errata pattern within the decoder's capacity
-// (2*errors + erasures <= number of syndromes).
-var ErrErrataOverflow = errors.New("gf256: errata exceed decoding capacity")
+import "fmt"
 
 // maxSyndromes bounds the syndrome sequences the scratch-backed decoder
 // accepts: codes over GF(2^8) have at most 255 evaluation points, so
@@ -125,13 +114,6 @@ func addShifted(dst, a []byte, c byte, b []byte, shift int) []byte {
 	return dst
 }
 
-// BerlekampMassey is the allocating convenience form of (*BM).Run: it
-// returns the minimal LFSR connection polynomial of s in a fresh slice.
-func BerlekampMassey(s []byte) []byte {
-	var bm BM
-	return append([]byte(nil), bm.Run(s)...)
-}
-
 // ErrataLocatorInto appends to dst[:0] the locator polynomial
 // prod_i (1 + xs[i]*x), whose roots are the inverses of the xs. An
 // empty xs yields the constant 1. The xs must be nonzero and distinct
@@ -146,11 +128,6 @@ func ErrataLocatorInto(dst []byte, xs []byte) []byte {
 		}
 	}
 	return dst
-}
-
-// ErrataLocator is the allocating form of ErrataLocatorInto.
-func ErrataLocator(xs []byte) []byte {
-	return ErrataLocatorInto(make([]byte, 0, len(xs)+1), xs)
 }
 
 // ErasureModifiedSyndromes appends to dst[:0] the tail of the
@@ -192,105 +169,4 @@ func ChienSearchInto(out []int, lambda, points []byte) []int {
 		}
 	}
 	return out
-}
-
-// ChienSearch is the allocating form of ChienSearchInto.
-func ChienSearch(lambda, points []byte) []int {
-	return ChienSearchInto(nil, lambda, points)
-}
-
-// ErrorEvaluator returns Omega = s*psi mod x^d: the error evaluator
-// polynomial of Forney's formula, for syndromes s (as a polynomial of
-// degree < d) and the combined errata locator psi.
-func ErrorEvaluator(s, psi []byte, d int) []byte {
-	out := make([]byte, d)
-	for i, pv := range psi {
-		if pv == 0 || i >= d {
-			continue
-		}
-		for j := 0; i+j < d && j < len(s); j++ {
-			out[i+j] ^= Mul(pv, s[j])
-		}
-	}
-	return PolyTrim(out)
-}
-
-// ForneyMagnitude evaluates one errata magnitude by Forney's formula:
-// for locator X and column multiplier u of the position,
-//
-//	eps = X * Omega(1/X) / (u * Psi'(1/X)),
-//
-// where Psi is the combined errata locator and Omega = S*Psi mod x^d.
-// It returns ErrErrataOverflow when the derivative vanishes at the
-// root, which means psi was not a valid locator for X.
-func ForneyMagnitude(omega, psi []byte, x, u byte) (byte, error) {
-	xin := Inv(x)
-	den := Mul(u, PolyEvalDeriv(psi, xin))
-	if den == 0 {
-		return 0, fmt.Errorf("%w: locator derivative vanishes at position locator %#02x", ErrErrataOverflow, x)
-	}
-	return Div(Mul(x, PolyEval(omega, xin)), den), nil
-}
-
-// DecodeErrata decodes the errata of one GRS codeword column. Given the
-// d syndromes synd (S_t = sum_i mults[i]*points[i]^t * r_i), the
-// per-position locators and column multipliers, and the positions of
-// known erasures, it locates up to floor((d-f)/2) unknown errors and
-// returns the combined errata: ascending positions and, aligned with
-// them, the magnitudes to XOR into the received symbols (for an erased
-// position received as 0 the magnitude is the codeword symbol itself).
-//
-// It is the self-contained single-column reference decoder; the rs
-// package's shard-level DecodeErrors is checked against it.
-func DecodeErrata(synd, points, mults []byte, erasures []int) (positions []int, magnitudes []byte, err error) {
-	d := len(synd)
-	f := len(erasures)
-	if f > d {
-		return nil, nil, fmt.Errorf("%w: %d erasures > %d syndromes", ErrErrataOverflow, f, d)
-	}
-	inErasure := make(map[int]bool, f)
-	exs := make([]byte, f)
-	for i, p := range erasures {
-		if p < 0 || p >= len(points) {
-			return nil, nil, fmt.Errorf("gf256: erasure position %d out of range [0, %d)", p, len(points))
-		}
-		if inErasure[p] {
-			return nil, nil, fmt.Errorf("gf256: duplicate erasure position %d", p)
-		}
-		inErasure[p] = true
-		exs[i] = points[p]
-	}
-	gamma := ErrataLocator(exs)
-	var bm BM
-	lambda := bm.Run(ErasureModifiedSyndromes(nil, synd, gamma))
-	nu := PolyDegree(lambda)
-	if 2*nu > d-f {
-		return nil, nil, fmt.Errorf("%w: locator degree %d with %d erasures, %d syndromes", ErrErrataOverflow, nu, f, d)
-	}
-	roots := ChienSearch(lambda, points)
-	if len(roots) != nu {
-		return nil, nil, fmt.Errorf("%w: locator degree %d has %d roots among the code positions", ErrErrataOverflow, nu, len(roots))
-	}
-	for _, p := range roots {
-		if inErasure[p] {
-			return nil, nil, fmt.Errorf("%w: error located at already-erased position %d", ErrErrataOverflow, p)
-		}
-	}
-	positions = append(positions, erasures...)
-	positions = append(positions, roots...)
-	slices.Sort(positions)
-
-	psi := PolyMul(lambda, gamma)
-	if psi == nil {
-		psi = []byte{1} // both factors constant 1: no errata
-	}
-	omega := ErrorEvaluator(synd, psi, d)
-	magnitudes = make([]byte, len(positions))
-	for i, p := range positions {
-		magnitudes[i], err = ForneyMagnitude(omega, psi, points[p], mults[p])
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return positions, magnitudes, nil
 }

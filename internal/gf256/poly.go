@@ -2,8 +2,8 @@ package gf256
 
 // Polynomial helpers over GF(2^8). A polynomial is a []byte of
 // coefficients in ascending degree order: p[i] is the coefficient of x^i.
-// These are the building blocks of the Reed-Solomon generator polynomial,
-// syndrome computation and the Berlekamp-Massey / Forney decoders.
+// These serve Berlekamp-Massey and Chien search (bm.go); PolyMul is the
+// reference the erasure-modified syndromes are tested against.
 
 // PolyDegree returns the degree of p, ignoring trailing zero
 // coefficients. The zero polynomial has degree -1.
@@ -19,20 +19,6 @@ func PolyDegree(p []byte) int {
 // PolyTrim returns p with trailing zero coefficients removed.
 func PolyTrim(p []byte) []byte {
 	return p[:PolyDegree(p)+1]
-}
-
-// PolyAdd returns a + b.
-func PolyAdd(a, b []byte) []byte {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]byte, n)
-	copy(out, a)
-	for i, c := range b {
-		out[i] ^= c
-	}
-	return out
 }
 
 // PolyMul returns a * b. The zero polynomial is represented by an empty
@@ -54,13 +40,6 @@ func PolyMul(a, b []byte) []byte {
 	return out
 }
 
-// PolyScale returns c * p.
-func PolyScale(c byte, p []byte) []byte {
-	out := make([]byte, len(p))
-	MulSlice(c, out, p)
-	return out
-}
-
 // PolyEval evaluates p at the point x using Horner's rule.
 func PolyEval(p []byte, x byte) byte {
 	var acc byte
@@ -68,62 +47,4 @@ func PolyEval(p []byte, x byte) byte {
 		acc = Mul(acc, x) ^ p[i]
 	}
 	return acc
-}
-
-// PolyEvalDeriv evaluates the formal derivative p' at x. In
-// characteristic 2 the derivative keeps only odd-degree terms:
-// p'(x) = sum over odd i of p[i] * x^(i-1).
-func PolyEvalDeriv(p []byte, x byte) byte {
-	var acc byte
-	x2 := Mul(x, x)
-	var xp byte = 1 // x^(i-1) for i = 1, stepping i by 2
-	for i := 1; i < len(p); i += 2 {
-		acc ^= Mul(p[i], xp)
-		xp = Mul(xp, x2)
-	}
-	return acc
-}
-
-// PolyDivMod returns the quotient and remainder of a / b.
-// It panics if b is the zero polynomial.
-func PolyDivMod(a, b []byte) (q, r []byte) {
-	db := PolyDegree(b)
-	if db < 0 {
-		panic("gf256: polynomial division by zero")
-	}
-	r = make([]byte, len(a))
-	copy(r, a)
-	da := PolyDegree(r)
-	if da < db {
-		return nil, PolyTrim(r)
-	}
-	q = make([]byte, da-db+1)
-	invLead := Inv(b[db])
-	for d := da; d >= db; d-- {
-		if r[d] == 0 {
-			continue
-		}
-		c := Mul(r[d], invLead)
-		q[d-db] = c
-		for j := 0; j <= db; j++ {
-			r[d-db+j] ^= Mul(c, b[j])
-		}
-	}
-	return q, PolyTrim(r)
-}
-
-// PolyMod returns a mod b.
-func PolyMod(a, b []byte) []byte {
-	_, r := PolyDivMod(a, b)
-	return r
-}
-
-// PolyShift returns p * x^n (coefficients shifted up by n).
-func PolyShift(p []byte, n int) []byte {
-	if PolyDegree(p) < 0 {
-		return nil
-	}
-	out := make([]byte, len(p)+n)
-	copy(out[n:], p)
-	return out
 }

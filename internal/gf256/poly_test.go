@@ -2,7 +2,6 @@ package gf256
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -35,15 +34,6 @@ func TestPolyTrim(t *testing.T) {
 	}
 }
 
-func TestPolyAddEval(t *testing.T) {
-	f := func(a, b []byte, x byte) bool {
-		return PolyEval(PolyAdd(a, b), x) == (PolyEval(a, x) ^ PolyEval(b, x))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPolyMulEval(t *testing.T) {
 	f := func(a, b []byte, x byte) bool {
 		return PolyEval(PolyMul(a, b), x) == Mul(PolyEval(a, x), PolyEval(b, x))
@@ -62,16 +52,6 @@ func TestPolyMulZero(t *testing.T) {
 	}
 }
 
-func TestPolyScale(t *testing.T) {
-	p := []byte{1, 2, 3}
-	got := PolyScale(2, p)
-	for i := range p {
-		if got[i] != Mul(2, p[i]) {
-			t.Fatalf("PolyScale[%d] = %#x", i, got[i])
-		}
-	}
-}
-
 func TestPolyEvalHorner(t *testing.T) {
 	// p(x) = 3 + 2x + x^2 at x=2: 3 ^ Mul(2,2) ^ Mul(1,4) = 3^4^4 = 3.
 	p := []byte{3, 2, 1}
@@ -84,69 +64,4 @@ func TestPolyEvalHorner(t *testing.T) {
 	if PolyEval([]byte{9}, 0) != 9 {
 		t.Fatal("constant poly at 0")
 	}
-}
-
-func TestPolyEvalDeriv(t *testing.T) {
-	// Derivative of p = c0 + c1 x + c2 x^2 + c3 x^3 in char 2 is c1 + c3 x^2
-	// (even-degree terms of p vanish; 3x^2 -> x^2 since 3 mod 2 = 1).
-	p := []byte{0x11, 0x22, 0x33, 0x44}
-	for _, x := range []byte{0, 1, 2, 0x80, 0xFF} {
-		want := p[1] ^ Mul(p[3], Mul(x, x))
-		if got := PolyEvalDeriv(p, x); got != want {
-			t.Fatalf("PolyEvalDeriv(x=%#x) = %#x, want %#x", x, got, want)
-		}
-	}
-}
-
-func TestPolyDivMod(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 200; iter++ {
-		a := randPoly(rng, rng.Intn(12))
-		b := randPoly(rng, 1+rng.Intn(6))
-		if PolyDegree(b) < 0 {
-			continue
-		}
-		q, r := PolyDivMod(a, b)
-		// a must equal q*b + r with deg(r) < deg(b).
-		recon := PolyAdd(PolyMul(q, b), r)
-		if !polyEqual(recon, a) {
-			t.Fatalf("iter %d: q*b+r != a\na=%v b=%v q=%v r=%v", iter, a, b, q, r)
-		}
-		if PolyDegree(r) >= PolyDegree(b) {
-			t.Fatalf("iter %d: deg(r)=%d >= deg(b)=%d", iter, PolyDegree(r), PolyDegree(b))
-		}
-	}
-}
-
-func TestPolyDivByZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PolyDivMod by zero must panic")
-		}
-	}()
-	PolyDivMod([]byte{1, 2}, []byte{0})
-}
-
-func TestPolyShift(t *testing.T) {
-	got := PolyShift([]byte{1, 2}, 3)
-	want := []byte{0, 0, 0, 1, 2}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("PolyShift = %v, want %v", got, want)
-	}
-	if PolyShift(nil, 5) != nil {
-		t.Fatal("shifting zero poly yields zero poly")
-	}
-}
-
-func polyEqual(a, b []byte) bool {
-	a, b = PolyTrim(a), PolyTrim(b)
-	return bytes.Equal(a, b)
-}
-
-func randPoly(rng *rand.Rand, deg int) []byte {
-	p := make([]byte, deg+1)
-	for i := range p {
-		p[i] = byte(rng.Intn(256))
-	}
-	return p
 }

@@ -25,68 +25,16 @@ func benchShards(b *testing.B, e *Encoder, size int) [][]byte {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	shards := make([][]byte, e.N())
-	for i := 0; i < e.K(); i++ {
+	for i := range shards {
 		shards[i] = make([]byte, size)
-		rng.Read(shards[i])
+		if i < e.K() {
+			rng.Read(shards[i])
+		}
 	}
-	if err := e.Encode(shards); err != nil {
+	if err := e.EncodeInto(shards); err != nil {
 		b.Fatal(err)
 	}
 	return shards
-}
-
-func BenchmarkEncode(b *testing.B) {
-	for _, sh := range benchShapes {
-		for _, sz := range benchSizes {
-			b.Run(fmt.Sprintf("n%dk%d/%s", sh.n, sh.k, sz.name), func(b *testing.B) {
-				e, err := New(sh.n, sh.k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				shards := benchShards(b, e, sz.size)
-				b.SetBytes(int64(sh.k * sz.size))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := e.Encode(shards); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkReconstruct measures repair of n-k erased shards. The warm
-// variant reuses the cached decode matrix across iterations (the
-// steady-state failure pattern case); cold disables the cache so every
-// iteration pays the O(k^3) inversion.
-func BenchmarkReconstruct(b *testing.B) {
-	for _, sh := range benchShapes {
-		for _, sz := range benchSizes {
-			for _, mode := range []string{"warm", "cold"} {
-				b.Run(fmt.Sprintf("n%dk%d/%s/%s", sh.n, sh.k, sz.name, mode), func(b *testing.B) {
-					e, err := New(sh.n, sh.k)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if mode == "cold" {
-						e.cache = nil
-					}
-					shards := benchShards(b, e, sz.size)
-					b.SetBytes(int64((sh.n - sh.k) * sz.size))
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for j := 0; j < sh.n-sh.k; j++ {
-							shards[j] = nil
-						}
-						if err := e.Reconstruct(shards); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
 }
 
 func BenchmarkVerify(b *testing.B) {
@@ -130,36 +78,44 @@ func BenchmarkEncodeInto(b *testing.B) {
 	}
 }
 
-// BenchmarkReconstructInto is the steady-state repair path: a stable
-// failure pattern (the first n-k shards, i.e. data shards for these
-// shapes, so it measures survivor decode with a warm decode-matrix
-// cache) repaired into caller-supplied buffers, so the op must report
-// 0 allocs.
+// BenchmarkReconstructInto measures repair of n-k erased shards (the
+// first n-k, i.e. data shards for these shapes, so it measures survivor
+// decode) into caller-supplied buffers. The warm rows keep a stable
+// failure pattern, so the decode matrix is cached across iterations and
+// the op must report 0 allocs; the cold rows give the Encoder a fresh
+// decode-matrix cache every iteration, so each pays the O(k^3)
+// inversion.
 func BenchmarkReconstructInto(b *testing.B) {
 	for _, sh := range benchShapes {
 		for _, sz := range benchSizes {
-			b.Run(fmt.Sprintf("n%dk%d/%s", sh.n, sh.k, sz.name), func(b *testing.B) {
-				e, err := New(sh.n, sh.k)
-				if err != nil {
-					b.Fatal(err)
+			for _, cold := range []bool{false, true} {
+				name := fmt.Sprintf("n%dk%d/%s", sh.n, sh.k, sz.name)
+				if cold {
+					name += "/cold"
 				}
-				shards := benchShards(b, e, sz.size)
-				nrepair := sh.n - sh.k
-				if nrepair == 0 {
-					b.Skip("nothing to erase: n == k")
-				}
-				b.SetBytes(int64(nrepair * sz.size))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for j := 0; j < nrepair; j++ {
-						shards[j] = shards[j][:0] // erase, keep capacity
-					}
-					if err := e.ReconstructInto(shards); err != nil {
+				b.Run(name, func(b *testing.B) {
+					e, err := New(sh.n, sh.k)
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
+					shards := benchShards(b, e, sz.size)
+					nrepair := sh.n - sh.k
+					b.SetBytes(int64(nrepair * sz.size))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if cold {
+							e.cache = newMatrixCache(cacheSize)
+						}
+						for j := 0; j < nrepair; j++ {
+							shards[j] = shards[j][:0] // erase, keep capacity
+						}
+						if err := e.ReconstructInto(shards); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -256,44 +212,5 @@ func BenchmarkDecodeErrors(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkDecodeErrorsInto is the steady-state decode path: stable
-// corruption pattern (warm errata cache), pooled scratch, caller
-// buffers — the op must report 0 allocs.
-func BenchmarkDecodeErrorsInto(b *testing.B) {
-	for _, sz := range []struct {
-		name string
-		size int
-	}{
-		{"64KiB", 64 << 10},
-		{"1MiB", 1 << 20},
-	} {
-		b.Run(fmt.Sprintf("n14k10e2/%s", sz.name), func(b *testing.B) {
-			e, err := New(14, 10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			orig := benchShards(b, e, sz.size)
-			shards := make([][]byte, 14)
-			for i := range shards {
-				shards[i] = append([]byte(nil), orig[i]...)
-			}
-			corrupt := make([]int, 0, 4)
-			b.SetBytes(int64(10 * sz.size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(shards[3], orig[3])
-				copy(shards[11], orig[11])
-				shards[3][100] ^= 0x5a
-				shards[11][sz.size-7] ^= 0xc3
-				var err error
-				if corrupt, err = e.DecodeErrorsInto(shards, corrupt[:0]); err != nil || len(corrupt) != 2 {
-					b.Fatalf("DecodeErrorsInto = (%v, %v)", corrupt, err)
-				}
-			}
-		})
 	}
 }

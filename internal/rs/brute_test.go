@@ -17,12 +17,13 @@ func (e *Encoder) decodeErrorsBrute(shards [][]byte) ([]int, error) {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), e.n)
 	}
 	var present []int
-	f := 0
+	f, size := 0, 0
 	for i, sh := range shards {
 		if len(sh) == 0 {
 			f++
 		} else {
 			present = append(present, i)
+			size = len(sh)
 		}
 	}
 	if len(present) < e.k {
@@ -34,13 +35,16 @@ func (e *Encoder) decodeErrorsBrute(shards [][]byte) ([]int, error) {
 		var result [][]byte
 		combinations(len(present), etry, func(pick []int) bool {
 			cand := make([][]byte, e.n)
+			for i := range cand {
+				cand[i] = make([]byte, 0, size)
+			}
 			for _, idx := range present {
 				cand[idx] = shards[idx]
 			}
 			for _, j := range pick {
-				cand[present[j]] = nil
+				cand[present[j]] = make([]byte, 0, size)
 			}
-			if err := e.Reconstruct(cand); err != nil {
+			if err := e.ReconstructInto(cand); err != nil {
 				return false
 			}
 			if ok, _ := e.Verify(cand); !ok {

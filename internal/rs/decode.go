@@ -24,7 +24,7 @@ import (
 //  1. Syndromes. The code's parity-check rows are weighted power sums
 //     (matrix.GRSParityCheck), so the d = n-k syndrome shards
 //     S_t = sum_i H[t][i]*shard_i are computed in one fused, L2-tiled
-//     pass over all present shards — the same codeRange Encode uses.
+//     pass over all present shards — the same codeRange EncodeInto uses.
 //     This is the only full-width pass over the input: everything
 //     after it reads the much smaller syndrome shards. All-zero
 //     syndromes (the healthy case) cost exactly this one pass plus a
@@ -61,26 +61,6 @@ import (
 // test oracle and benchmark baseline: C(n, e) trial erasure-decodes with a
 // full re-encode check each. BenchmarkDecodeErrors compares the two.
 
-// DecodeErrors locates and corrects corrupt shards. Up to f shards may
-// be missing (nil or empty: erasures) and up to e present shards may be
-// silently corrupt, for any e, f with 2e + f <= n-k. Erased shards are
-// allocated and filled, corrupt shards are corrected in place, and the
-// ascending indices of the shards that were actually corrupt are
-// returned. Shards beyond the decoding radius return ErrTooManyErrors.
-func (e *Encoder) DecodeErrors(shards [][]byte) ([]int, error) {
-	return e.decodeErrors(shards, nil, false)
-}
-
-// DecodeErrorsInto is the steady-state, allocation-free form of
-// DecodeErrors. Erasure handling follows ReconstructInto: a shard to
-// repair is a zero-length slice with capacity for the shard size, and a
-// nil entry is an erasure that is accounted for but not rebuilt.
-// Corrupt shard indices are appended to corrupt[:0] and returned; give
-// it capacity n-k to keep the call allocation-free.
-func (e *Encoder) DecodeErrorsInto(shards [][]byte, corrupt []int) ([]int, error) {
-	return e.decodeErrors(shards, corrupt[:0], true)
-}
-
 // MaxErrors returns the number of silently corrupt shards DecodeErrors
 // can locate alongside the given number of erasures: floor((n-k-f)/2).
 func (e *Encoder) MaxErrors(erasures int) int {
@@ -95,10 +75,11 @@ func (e *Encoder) MaxErrors(erasures int) int {
 // compare of recomputed vs actual syndrome rows).
 const decodeChunk = 32 << 10
 
-// decodeScratch recycles every buffer of the decode pipeline so
-// DecodeErrorsInto performs no steady-state heap allocation. The large
-// buf holds the d syndrome shards and up to d magnitude shards; the
-// rest are fixed-size views and small-field working arrays.
+// decodeScratch recycles every buffer of the decode pipeline, so in
+// steady state a call allocates only the erased shards it rebuilds and
+// the corrupt indices it returns. The large buf holds the d syndrome
+// shards and up to d magnitude shards; the rest are fixed-size views
+// and small-field working arrays.
 type decodeScratch struct {
 	buf  []byte   // synd (d*size) then mags (d*size), grown on demand
 	synd [][]byte // cap d views into buf
@@ -159,7 +140,13 @@ func (e *Encoder) putDecodeScratch(s *decodeScratch) {
 	e.decscratch.Put(s)
 }
 
-func (e *Encoder) decodeErrors(shards [][]byte, corrupt []int, into bool) ([]int, error) {
+// DecodeErrors locates and corrects corrupt shards. Up to f shards may
+// be missing (nil or empty: erasures) and up to e present shards may be
+// silently corrupt, for any e, f with 2e + f <= n-k. Erased shards are
+// allocated and filled, corrupt shards are corrected in place, and the
+// ascending indices of the shards that were actually corrupt are
+// returned. Shards beyond the decoding radius return ErrTooManyErrors.
+func (e *Encoder) DecodeErrors(shards [][]byte) ([]int, error) {
 	if len(shards) != e.n {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), e.n)
 	}
@@ -171,7 +158,7 @@ func (e *Encoder) decodeErrors(shards [][]byte, corrupt []int, into bool) ([]int
 				return nil, fmt.Errorf("%w: shard %d missing with no parity", ErrTooFewShards, i)
 			}
 		}
-		return corrupt, nil
+		return nil, nil
 	}
 	s := e.getDecodeScratch()
 	defer e.putDecodeScratch(s)
@@ -195,13 +182,6 @@ func (e *Encoder) decodeErrors(shards [][]byte, corrupt []int, into bool) ([]int
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(s.present), e.k)
 	}
 	f := len(s.erased)
-	if into {
-		for _, p := range s.erased {
-			if shards[p] != nil && cap(shards[p]) < size {
-				return nil, fmt.Errorf("%w: shard %d buffer capacity %d < shard size %d", ErrShardSize, p, cap(shards[p]), size)
-			}
-		}
-	}
 
 	// Step 1: fused syndrome shards over the present shards. Erased
 	// positions read as zero, which is exactly how their magnitudes are
@@ -261,18 +241,12 @@ func (e *Encoder) decodeErrors(shards [][]byte, corrupt []int, into bool) ([]int
 	}
 
 	// Step 4: write erasure magnitudes out, XOR error magnitudes in.
+	var corrupt []int
 	ei := 0
 	for j, p := range s.errata {
 		if ei < len(s.erased) && s.erased[ei] == p {
 			ei++
-			if into {
-				if shards[p] == nil {
-					continue // accounted for, but caller does not want it
-				}
-				shards[p] = shards[p][:size]
-			} else {
-				shards[p] = make([]byte, size)
-			}
+			shards[p] = make([]byte, size)
 			copy(shards[p], s.mags[j])
 			continue
 		}
@@ -375,10 +349,8 @@ func (e *Encoder) errataSetup(positions []int, m int) (*matrix.Matrix, error) {
 	for _, p := range positions {
 		key[p>>6] |= 1 << (p & 63)
 	}
-	if e.errataCache != nil {
-		if mtx, ok := e.errataCache.get(key); ok {
-			return mtx, nil
-		}
+	if mtx, ok := e.errataCache.get(key); ok {
+		return mtx, nil
 	}
 	top := matrix.New(m, m)
 	for t := 0; t < m; t++ {
@@ -402,9 +374,7 @@ func (e *Encoder) errataSetup(positions []int, m int) (*matrix.Matrix, error) {
 			row[j] = e.syn.check.At(t, p)
 		}
 	}
-	if e.errataCache != nil {
-		e.errataCache.put(key, setup)
-	}
+	e.errataCache.put(key, setup)
 	return setup, nil
 }
 

@@ -22,17 +22,12 @@ func corruptShard(rng *rand.Rand, shards [][]byte, idx int) {
 }
 
 // damage applies e corruptions and f erasures from perm to a clone of
-// orig, returning the damaged shards and the ascending lists of
-// positions actually corrupted and erased.
-func damage(rng *rand.Rand, orig [][]byte, perm []int, e, f int, intoBufs bool) (shards [][]byte, corrupted, erased []int) {
+// orig, returning the damaged shards and the ascending list of positions
+// actually corrupted.
+func damage(rng *rand.Rand, orig [][]byte, perm []int, e, f int) (shards [][]byte, corrupted []int) {
 	shards = cloneShards(orig)
 	for _, p := range perm[:f] {
-		if intoBufs {
-			shards[p] = make([]byte, 0, len(orig[p]))
-		} else {
-			shards[p] = nil
-		}
-		erased = append(erased, p)
+		shards[p] = nil
 	}
 	for _, p := range perm[f : f+e] {
 		before := append([]byte(nil), shards[p]...)
@@ -43,8 +38,7 @@ func damage(rng *rand.Rand, orig [][]byte, perm []int, e, f int, intoBufs bool) 
 		corrupted = append(corrupted, p)
 	}
 	slices.Sort(corrupted)
-	slices.Sort(erased)
-	return shards, corrupted, erased
+	return shards, corrupted
 }
 
 // TestDecodeErrorsSweep checks every (errors, erasures) split within
@@ -64,7 +58,7 @@ func TestDecodeErrorsSweep(t *testing.T) {
 			for ne := 0; 2*ne+f <= d; ne++ {
 				for trial := 0; trial < 8; trial++ {
 					perm := rng.Perm(sh.n)
-					shards, wantCorrupt, _ := damage(rng, orig, perm, ne, f, false)
+					shards, wantCorrupt := damage(rng, orig, perm, ne, f)
 					got, err := e.DecodeErrors(shards)
 					if err != nil {
 						t.Fatalf("[%d,%d] e=%d f=%d: DecodeErrors: %v", sh.n, sh.k, ne, f, err)
@@ -98,7 +92,7 @@ func TestDecodeErrorsMatchesBruteOracle(t *testing.T) {
 			f := rng.Intn(d + 1)
 			ne := rng.Intn((d-f)/2 + 1)
 			perm := rng.Perm(sh.n)
-			fast, _, _ := damage(rng, orig, perm, ne, f, false)
+			fast, _ := damage(rng, orig, perm, ne, f)
 			brute := cloneShards(fast)
 			gotFast, errFast := e.DecodeErrors(fast)
 			gotBrute, errBrute := e.decodeErrorsBrute(brute)
@@ -133,7 +127,7 @@ func TestDecodeErrorsKernelLadder(t *testing.T) {
 			t.Fatalf("SetKernel(%s): %v", kern, err)
 		}
 		perm := rng.Perm(14)
-		shards, wantCorrupt, _ := damage(rng, orig, perm, 2, 0, false)
+		shards, wantCorrupt := damage(rng, orig, perm, 2, 0)
 		got, err := e.DecodeErrors(shards)
 		if err != nil {
 			t.Fatalf("kernel %s: DecodeErrors: %v", kern, err)
@@ -223,7 +217,7 @@ func TestDecodeErrorsBeyondRadius(t *testing.T) {
 	detected := 0
 	for trial := 0; trial < 50; trial++ {
 		perm := rng.Perm(14)
-		shards, _, _ := damage(rng, orig, perm, 3, 0, false) // radius is 2
+		shards, _ := damage(rng, orig, perm, 3, 0) // radius is 2
 		if _, err := e.DecodeErrors(shards); err != nil {
 			if !errors.Is(err, ErrTooManyErrors) {
 				t.Fatalf("beyond-radius failure class: %v", err)
@@ -273,95 +267,8 @@ func TestDecodeErrorsNoParity(t *testing.T) {
 	}
 }
 
-// TestDecodeErrorsInto checks the caller-buffer semantics: zero-length
-// entries with capacity are rebuilt in place, nil erasures are
-// accounted for but left nil, the corrupt list lands in the caller's
-// slice, and undersized buffers error before mutation.
-func TestDecodeErrorsInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
-	e, err := New(14, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const size = 1031
-	orig := makeShards(t, rng, e, size)
-
-	shards := cloneShards(orig)
-	buf := make([]byte, size)
-	shards[4] = buf[:0] // erasure repaired into the caller's buffer
-	shards[12] = nil    // erasure accounted for, not repaired
-	corruptShard(rng, shards, 7)
-	corrupt := make([]int, 0, 4)
-	got, err := e.DecodeErrorsInto(shards, corrupt)
-	if err != nil {
-		t.Fatalf("DecodeErrorsInto: %v", err)
-	}
-	if !slices.Equal(got, []int{7}) {
-		t.Fatalf("corrupt = %v, want [7]", got)
-	}
-	if &got[0] != &corrupt[:1][0] {
-		t.Fatal("corrupt indices must land in the caller's slice")
-	}
-	if !bytes.Equal(shards[4], orig[4]) || &shards[4][0] != &buf[0] {
-		t.Fatal("erasure must be rebuilt into the caller's buffer")
-	}
-	if shards[12] != nil {
-		t.Fatal("nil erasure must stay nil")
-	}
-	for i := range orig {
-		if i == 12 {
-			continue
-		}
-		if !bytes.Equal(shards[i], orig[i]) {
-			t.Fatalf("shard %d not restored", i)
-		}
-	}
-
-	shards = cloneShards(orig)
-	shards[0] = make([]byte, 0, size-1)
-	if _, err := e.DecodeErrorsInto(shards, nil); !errors.Is(err, ErrShardSize) {
-		t.Fatalf("undersized buffer = %v, want ErrShardSize", err)
-	}
-}
-
-// TestDecodeErrorsIntoZeroAlloc pins the steady-state contract: with a
-// stable corruption pattern (warm errata cache) and caller-supplied
-// buffers, DecodeErrorsInto performs no heap allocation.
-func TestDecodeErrorsIntoZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	rng := rand.New(rand.NewSource(58))
-	e, err := New(14, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const size = 8192
-	orig := makeShards(t, rng, e, size)
-	shards := cloneShards(orig)
-	ebuf := make([]byte, size)
-	corrupt := make([]int, 0, 4)
-	run := func() {
-		copy(shards[5], orig[5])
-		shards[5][17] ^= 0x42 // same corrupt shard every iteration
-		copy(shards[9], orig[9])
-		shards[9] = ebuf[:0] // same erasure every iteration
-		var err error
-		if corrupt, err = e.DecodeErrorsInto(shards, corrupt[:0]); err != nil {
-			t.Fatal(err)
-		}
-		if len(corrupt) != 1 || corrupt[0] != 5 {
-			t.Fatalf("corrupt = %v, want [5]", corrupt)
-		}
-	}
-	run() // warm scratch pool, errata cache, kernel tables
-	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Fatalf("DecodeErrorsInto allocates %.1f times per op in steady state, want 0", allocs)
-	}
-}
-
 // TestDecodeErrorsErrataCache checks that a stable errata pattern pays
-// the solve-setup algebra once and that decoding works without it.
+// the solve-setup algebra once.
 func TestDecodeErrorsErrataCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	e, err := New(9, 5)
@@ -380,17 +287,6 @@ func TestDecodeErrorsErrataCache(t *testing.T) {
 	if misses != 1 || hits != 2 || entries != 1 {
 		t.Fatalf("errata cache after 3 identical patterns: hits=%d misses=%d entries=%d, want 2/1/1", hits, misses, entries)
 	}
-
-	noCache, err := New(9, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noCache.errataCache = nil
-	shards := cloneShards(orig)
-	corruptShard(rng, shards, 6)
-	if got, err := noCache.DecodeErrors(shards); err != nil || !slices.Equal(got, []int{6}) {
-		t.Fatalf("uncached decode = (%v, %v)", got, err)
-	}
 }
 
 // TestDecodeErrorsBruteDetectsOverflow pins the oracle's failure mode.
@@ -404,7 +300,7 @@ func TestDecodeErrorsBruteDetectsOverflow(t *testing.T) {
 	detected := 0
 	for trial := 0; trial < 20; trial++ {
 		perm := rng.Perm(9)
-		shards, _, _ := damage(rng, orig, perm, 3, 0, false) // radius is 2
+		shards, _ := damage(rng, orig, perm, 3, 0) // radius is 2
 		if _, err := e.decodeErrorsBrute(shards); err != nil {
 			if !errors.Is(err, ErrTooManyErrors) {
 				t.Fatalf("oracle failure class: %v", err)

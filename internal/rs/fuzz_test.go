@@ -40,8 +40,10 @@ func FuzzDecodeErrors(f *testing.F) {
 		// Build a valid codeword whose data shards mix the fuzz input
 		// with rng filler.
 		orig := make([][]byte, n)
-		for i := 0; i < k; i++ {
+		for i := range orig {
 			orig[i] = make([]byte, size)
+		}
+		for i := 0; i < k; i++ {
 			rng.Read(orig[i])
 			for j := range orig[i] {
 				if x := (i*size + j); x < len(data) {
@@ -49,14 +51,14 @@ func FuzzDecodeErrors(f *testing.F) {
 				}
 			}
 		}
-		if err := enc.Encode(orig); err != nil {
+		if err := enc.EncodeInto(orig); err != nil {
 			t.Fatal(err)
 		}
 
 		nf := int(fSel) % (d + 1)
 		ne := int(eSel) % ((d-nf)/2 + 1)
 		perm := rng.Perm(n)
-		damaged, wantCorrupt, _ := damage(rng, orig, perm, ne, nf, false)
+		damaged, wantCorrupt := damage(rng, orig, perm, ne, nf)
 
 		defer gf256.SetKernel("auto")
 		for _, kern := range gf256.AvailableKernels() {

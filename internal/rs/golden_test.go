@@ -46,10 +46,14 @@ func TestGoldenParity(t *testing.T) {
 		}
 		size := len(in) / g.k
 		shards := make([][]byte, g.n)
-		for i := 0; i < g.k; i++ {
-			shards[i] = in[i*size : (i+1)*size]
+		for i := range shards {
+			if i < g.k {
+				shards[i] = in[i*size : (i+1)*size]
+			} else {
+				shards[i] = make([]byte, size)
+			}
 		}
-		if err := e.Encode(shards); err != nil {
+		if err := e.EncodeInto(shards); err != nil {
 			t.Fatal(err)
 		}
 		for i, want := range g.parity {

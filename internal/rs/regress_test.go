@@ -3,6 +3,7 @@ package rs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -12,10 +13,11 @@ import (
 // Regression tests for the codec API bugfixes that rode along with the
 // SODA protocol PR. Each test fails on the pre-fix code.
 
-// TestEncodeKeepsParityCapacity checks that Encode honors the buf[:0]
-// convention ReconstructInto documents: a zero-length parity entry
-// whose capacity covers the data size is resliced in place, not
-// replaced by a fresh allocation that drops the caller's buffer.
+// TestEncodeKeepsParityCapacity checks that EncodeInto fills the
+// caller's parity buffers in place, and that a parity entry short of the
+// data size — the zero-length, capacity-ready form ReconstructInto takes
+// included — is an error that leaves the entry as it was rather than a
+// fresh allocation.
 func TestEncodeKeepsParityCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const size = 2048
@@ -29,56 +31,121 @@ func TestEncodeKeepsParityCapacity(t *testing.T) {
 	backing := make([][]byte, e.N())
 	for i := e.K(); i < e.N(); i++ {
 		backing[i] = make([]byte, size)
-		shards[i] = backing[i][:0] // capacity-ready, zero-length
+		shards[i] = backing[i]
 	}
-	if err := e.Encode(shards); err != nil {
-		t.Fatalf("Encode: %v", err)
+	if err := e.EncodeInto(shards); err != nil {
+		t.Fatalf("EncodeInto: %v", err)
 	}
 	for i := e.K(); i < e.N(); i++ {
 		if !bytes.Equal(shards[i], want[i]) {
 			t.Fatalf("parity shard %d differs from reference encode", i)
 		}
 		if &shards[i][0] != &backing[i][0] {
-			t.Fatalf("parity shard %d was reallocated; want the caller's buffer resliced in place", i)
+			t.Fatalf("parity shard %d was reallocated; want the caller's buffer filled in place", i)
 		}
 	}
 
-	// A parity entry with insufficient capacity is still allocated.
-	shards = cloneShards(want)
-	shards[e.K()] = make([]byte, 0, size-1)
-	if err := e.Encode(shards); err != nil {
-		t.Fatalf("Encode with short capacity: %v", err)
-	}
-	if !bytes.Equal(shards[e.K()], want[e.K()]) {
-		t.Fatalf("parity shard %d differs after fallback allocation", e.K())
+	for _, short := range [][]byte{make([]byte, 0, size), make([]byte, size-1)} {
+		shards = cloneShards(want)
+		shards[e.K()] = short
+		if err := e.EncodeInto(shards); !errors.Is(err, ErrShardSize) {
+			t.Fatalf("EncodeInto with parity len %d cap %d = %v, want ErrShardSize", len(short), cap(short), err)
+		}
+		if len(shards[e.K()]) != len(short) || cap(shards[e.K()]) != cap(short) {
+			t.Fatalf("EncodeInto replaced a short parity entry")
+		}
 	}
 }
 
-// TestEncodeCapacityReadyAllocs counts allocations: with every parity
-// entry capacity-ready (len 0, cap >= size), Encode must behave like
-// EncodeInto and not touch the heap.
+// gateShapes are the codes and shard sizes the zero-allocation gates run
+// at: SODA's running example and the widest benchmarked code, each at a
+// small value's shard and a large one's, plus a mid-sized [9,5].
+var gateShapes = []struct{ n, k, size int }{
+	{5, 3, 43}, {5, 3, 64 << 10},
+	{9, 5, 4 << 10},
+	{14, 10, 43}, {14, 10, 64 << 10},
+}
+
+// checkZeroAlloc runs run once to warm the scratch pools, the decode
+// cache and the kernel tables, then fails if it allocates in steady
+// state.
+func checkZeroAlloc(t *testing.T, what string, run func()) {
+	t.Helper()
+	run()
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Errorf("%s allocates %.1f times per op, want 0", what, allocs)
+	}
+}
+
+// TestEncodeCapacityReadyAllocs gates every small write's encode: with
+// every parity shard allocated at the data size, EncodeInto must not
+// touch the heap.
 func TestEncodeCapacityReadyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	rng := rand.New(rand.NewSource(72))
-	const size = 4096
-	e, err := New(9, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := makeShards(t, rng, e, size)
-	run := func() {
-		for i := e.K(); i < e.N(); i++ {
-			shards[i] = shards[i][:0]
-		}
-		if err := e.Encode(shards); err != nil {
+	for _, g := range gateShapes {
+		e, err := New(g.n, g.k)
+		if err != nil {
 			t.Fatal(err)
 		}
+		shards := makeShards(t, rng, e, g.size)
+		checkZeroAlloc(t, fmt.Sprintf("[%d,%d] %d B: EncodeInto", g.n, g.k, g.size), func() {
+			if err := e.EncodeInto(shards); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	run() // warm the kernel tables
-	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Fatalf("Encode with capacity-ready parity allocates %.1f times per op, want 0", allocs)
+}
+
+// TestReconstructIntoZeroAlloc gates a degraded read's decode: with a
+// stable failure pattern (one data and one parity shard) repaired into
+// the caller's buffers, ReconstructInto must not touch the heap.
+func TestReconstructIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rng := rand.New(rand.NewSource(75))
+	for _, g := range gateShapes {
+		e, err := New(g.n, g.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := makeShards(t, rng, e, g.size)
+		shards := cloneShards(want)
+		checkZeroAlloc(t, fmt.Sprintf("[%d,%d] %d B: ReconstructInto", g.n, g.k, g.size), func() {
+			shards[0], shards[g.n-1] = shards[0][:0], shards[g.n-1][:0]
+			if err := e.ReconstructInto(shards); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for i := range want {
+			if !bytes.Equal(shards[i], want[i]) {
+				t.Fatalf("[%d,%d] %d B: shard %d differs after ReconstructInto", g.n, g.k, g.size, i)
+			}
+		}
+	}
+}
+
+// TestVerifyZeroAlloc gates a SODA_err read's check: on matching shards
+// Verify must not touch the heap.
+func TestVerifyZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rng := rand.New(rand.NewSource(76))
+	for _, g := range gateShapes {
+		e, err := New(g.n, g.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := makeShards(t, rng, e, g.size)
+		checkZeroAlloc(t, fmt.Sprintf("[%d,%d] %d B: Verify", g.n, g.k, g.size), func() {
+			if ok, err := e.Verify(shards); !ok || err != nil {
+				t.Fatalf("Verify = (%v, %v), want (true, nil)", ok, err)
+			}
+		})
 	}
 }
 
@@ -169,7 +236,7 @@ func TestCodingStartsNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := settledGoroutines()
-	want := makeShards(t, rng, e, size) // Encode
+	want := makeShards(t, rng, e, size) // EncodeInto
 
 	shards := cloneShards(want)
 	shards[0], shards[7] = shards[0][:0], shards[7][:0]

@@ -34,10 +34,9 @@
 // Every call codes on the calling goroutine: an Encoder owns no
 // goroutines, so callers that want cores in parallel code in parallel.
 //
-// The steady-state entry points — EncodeInto, EncodeParity,
-// ReconstructInto, Verify, and Encode/Reconstruct with pre-allocated
-// targets — perform no heap allocations: coefficients are precomputed,
-// and call scratch is recycled through sync.Pools.
+// EncodeInto, EncodeParity, ReconstructInto and Verify's match path
+// perform no heap allocations: coefficients are precomputed, targets
+// are the caller's, and call scratch is recycled through sync.Pools.
 package rs
 
 import (
@@ -60,8 +59,8 @@ var (
 	// ErrShardSize is returned when present shards have mismatched
 	// sizes, or a required shard is missing/empty.
 	ErrShardSize = errors.New("rs: shards have invalid sizes")
-	// ErrTooFewShards is returned by Reconstruct when fewer than k
-	// shards are present.
+	// ErrTooFewShards is returned by ReconstructInto and DecodeErrors
+	// when fewer than k shards are present.
 	ErrTooFewShards = errors.New("rs: too few shards to reconstruct")
 	// ErrParityMismatch is the class of Verify's mismatch report; the
 	// concrete error is a *ParityMismatchError listing every parity
@@ -103,7 +102,7 @@ type Encoder struct {
 	syn  *syndromeStructure // the error decoder's algebra; nil when n == k
 
 	// parityCoeffs[i] is generator row k+i: the coefficients of parity
-	// shard k+i. Precomputed so Encode/Verify never allocate them.
+	// shard k+i. Precomputed so encoding and Verify never allocate them.
 	parityCoeffs [][]byte
 
 	cache       *matrixCache // decode matrices keyed by survivor bitmask
@@ -153,49 +152,13 @@ func (e *Encoder) K() int { return e.k }
 
 // Close does nothing: an Encoder owns no goroutines and nothing to
 // release. It remains only because bench/probe.go calls it and bench/
-// is frozen between benchmark changes (ROADMAP 5 (a)).
+// is frozen between benchmark changes (ROADMAP 3 (a)).
 func (e *Encoder) Close() {}
 
-// Encode fills the parity shards shards[k..n-1] from the data shards
-// shards[0..k-1]. Data shards must all be present with equal size.
-// Parity shards may be missing (nil or zero length, matching
-// Reconstruct's convention) or preallocated at the data size. A missing
-// parity entry whose capacity already covers the data size — the
-// buf[:0] convention ReconstructInto documents — is resliced in place;
-// only entries with insufficient capacity are allocated, so a caller
-// that provisions capacity keeps its buffers and the call stays
-// allocation-free.
-func (e *Encoder) Encode(shards [][]byte) error {
-	if len(shards) != e.n {
-		return fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), e.n)
-	}
-	size, err := e.dataSize(shards)
-	if err != nil {
-		return err
-	}
-	// Validate every parity size before allocating any, so a failed
-	// call never mutates the caller's slice.
-	for i := e.k; i < e.n; i++ {
-		if len(shards[i]) != 0 && len(shards[i]) != size {
-			return fmt.Errorf("%w: parity shard %d has size %d, want %d", ErrShardSize, i, len(shards[i]), size)
-		}
-	}
-	for i := e.k; i < e.n; i++ {
-		if len(shards[i]) == 0 {
-			if cap(shards[i]) >= size {
-				shards[i] = shards[i][:size]
-			} else {
-				shards[i] = make([]byte, size)
-			}
-		}
-	}
-	codeRange(e.parityCoeffs, shards[:e.k], shards[e.k:], nil, 0, size)
-	return nil
-}
-
-// EncodeInto is the steady-state form of Encode: every parity shard
-// must already be allocated at the data size, and the call performs no
-// heap allocation.
+// EncodeInto fills the parity shards shards[k..n-1] from the data shards
+// shards[0..k-1]. Data shards must all be present with equal size, and
+// every parity shard must already be allocated at that size: the call
+// writes into the caller's buffers and performs no heap allocation.
 func (e *Encoder) EncodeInto(shards [][]byte) error {
 	if len(shards) != e.n {
 		return fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), e.n)
@@ -324,32 +287,7 @@ var testHookVerifyChunk func(liveOutputs int)
 // verifyChunk bounds Verify's scratch buffer per parity shard.
 const verifyChunk = 64 << 10
 
-// Reconstruct recomputes every missing shard (nil or empty entries) in
-// place, data and parity alike, allocating buffers for them. At least
-// k shards must be present, and all present shards must have equal
-// size.
-func (e *Encoder) Reconstruct(shards [][]byte) error {
-	return e.reconstruct(shards, false, false)
-}
-
-// ReconstructData recomputes only the missing data shards
-// shards[0..k-1], leaving missing parity shards untouched. This is the
-// read-repair fast path: a SODA read needs the value, not the parity.
-func (e *Encoder) ReconstructData(shards [][]byte) error {
-	return e.reconstruct(shards, true, false)
-}
-
-// ReconstructInto is the steady-state, allocation-free form of
-// Reconstruct. A shard to repair is passed as a zero-length slice with
-// capacity of at least the shard size (for example buf[:0]); it is
-// resliced to the shard size in place and filled. nil entries are
-// treated as absent and left untouched, so the caller chooses exactly
-// which shards to repair and supplies the memory.
-func (e *Encoder) ReconstructInto(shards [][]byte) error {
-	return e.reconstruct(shards, false, true)
-}
-
-// codecScratch recycles the per-call bookkeeping of reconstruct.
+// codecScratch recycles the per-call bookkeeping of ReconstructInto.
 type codecScratch struct {
 	present    []int
 	missData   []int
@@ -390,7 +328,15 @@ func (e *Encoder) putScratch(s *codecScratch) {
 	e.scratch.Put(s)
 }
 
-func (e *Encoder) reconstruct(shards [][]byte, dataOnly, into bool) error {
+// ReconstructInto recomputes the shards the caller asks for, data and
+// parity alike, from any k present shards; all present shards must have
+// equal size. A shard to repair is passed as a zero-length slice with
+// capacity of at least the shard size (for example buf[:0]); it is
+// resliced to the shard size in place and filled. nil entries are
+// treated as absent and left untouched, so the caller chooses exactly
+// which shards to repair and supplies the memory, and the call performs
+// no heap allocation.
+func (e *Encoder) ReconstructInto(shards [][]byte) error {
 	if len(shards) != e.n {
 		return fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), e.n)
 	}
@@ -414,24 +360,17 @@ func (e *Encoder) reconstruct(shards [][]byte, dataOnly, into bool) error {
 		return fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(s.present), e.k)
 	}
 
-	// Collect repair targets. In into mode a target is a non-nil
-	// zero-length entry whose capacity the caller sized for us; nil
-	// means "absent, do not repair". Otherwise any empty entry is a
-	// target (parity only when !dataOnly).
-	repairable := func(i int) bool {
-		if into {
-			return shards[i] != nil && len(shards[i]) == 0
-		}
-		return len(shards[i]) == 0 && (i < e.k || !dataOnly)
-	}
+	// Collect repair targets: a non-nil zero-length entry whose
+	// capacity the caller sized for us; nil means "absent, do not
+	// repair".
 	s.missData = s.missData[:0]
 	s.missParity = s.missParity[:0]
-	for i := 0; i < e.n; i++ {
-		if !repairable(i) {
+	for i, sh := range shards {
+		if sh == nil || len(sh) != 0 {
 			continue
 		}
-		if into && cap(shards[i]) < size {
-			return fmt.Errorf("%w: shard %d buffer capacity %d < shard size %d", ErrShardSize, i, cap(shards[i]), size)
+		if cap(sh) < size {
+			return fmt.Errorf("%w: shard %d buffer capacity %d < shard size %d", ErrShardSize, i, cap(sh), size)
 		}
 		if i < e.k {
 			s.missData = append(s.missData, i)
@@ -441,13 +380,6 @@ func (e *Encoder) reconstruct(shards [][]byte, dataOnly, into bool) error {
 	}
 	if len(s.missData) == 0 && len(s.missParity) == 0 {
 		return nil
-	}
-	materialize := func(i int) {
-		if into {
-			shards[i] = shards[i][:size]
-		} else {
-			shards[i] = make([]byte, size)
-		}
 	}
 
 	// Both repair stages decode from the same first k survivors, so
@@ -468,7 +400,7 @@ func (e *Encoder) reconstruct(shards [][]byte, dataOnly, into bool) error {
 		outputs := s.outputs[:0]
 		coeffs := s.coeffs[:0]
 		for _, idx := range s.missData {
-			materialize(idx)
+			shards[idx] = shards[idx][:size]
 			outputs = append(outputs, shards[idx])
 			coeffs = append(coeffs, dec.Row(idx))
 		}
@@ -478,7 +410,7 @@ func (e *Encoder) reconstruct(shards [][]byte, dataOnly, into bool) error {
 	if len(s.missParity) > 0 {
 		// Re-encode missing parity. Usually every data shard is
 		// present (or was just repaired) and the precomputed generator
-		// rows apply directly. ReconstructInto may leave data shards
+		// rows apply directly. The caller may leave data shards
 		// absent, though; then each parity row is composed with the
 		// decode matrix — parity = genRow·data = (genRow·dec)·survivors
 		// — so the parity is rebuilt straight from the k survivors.
@@ -495,7 +427,7 @@ func (e *Encoder) reconstruct(shards [][]byte, dataOnly, into bool) error {
 		if dataComplete {
 			copy(inputs, shards[:e.k])
 			for _, idx := range s.missParity {
-				materialize(idx)
+				shards[idx] = shards[idx][:size]
 				outputs = append(outputs, shards[idx])
 				coeffs = append(coeffs, e.parityCoeffs[idx-e.k])
 			}
@@ -511,7 +443,7 @@ func (e *Encoder) reconstruct(shards [][]byte, dataOnly, into bool) error {
 			}
 			buf := s.coefbuf[:len(s.missParity)*e.k]
 			for i, idx := range s.missParity {
-				materialize(idx)
+				shards[idx] = shards[idx][:size]
 				outputs = append(outputs, shards[idx])
 				row := buf[i*e.k : (i+1)*e.k]
 				gRow := e.parityCoeffs[idx-e.k]
@@ -538,29 +470,16 @@ func (e *Encoder) decodeMatrix(chosen []int) (*matrix.Matrix, error) {
 	for _, idx := range chosen {
 		key[idx>>6] |= 1 << (idx & 63)
 	}
-	if e.cache != nil {
-		if m, ok := e.cache.get(key); ok {
-			return m, nil
-		}
+	if m, ok := e.cache.get(key); ok {
+		return m, nil
 	}
 	sub := e.gen.SubMatrix(chosen)
 	dec, err := sub.Invert()
 	if err != nil {
 		return nil, fmt.Errorf("rs: decode matrix for shards %v: %w", chosen, err)
 	}
-	if e.cache != nil {
-		e.cache.put(key, dec)
-	}
+	e.cache.put(key, dec)
 	return dec, nil
-}
-
-// CacheStats reports decode-matrix cache hits, misses, and the current
-// number of cached inverses. All zeros when caching is disabled.
-func (e *Encoder) CacheStats() (hits, misses uint64, entries int) {
-	if e.cache == nil {
-		return 0, 0, 0
-	}
-	return e.cache.stats()
 }
 
 // verifyScratch recycles Verify's recomputed-parity buffer and views.

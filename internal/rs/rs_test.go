@@ -23,12 +23,14 @@ var shapes = []struct{ n, k int }{
 func makeShards(t *testing.T, rng *rand.Rand, e *Encoder, size int) [][]byte {
 	t.Helper()
 	shards := make([][]byte, e.N())
-	for i := 0; i < e.K(); i++ {
+	for i := range shards {
 		shards[i] = make([]byte, size)
-		rng.Read(shards[i])
+		if i < e.K() {
+			rng.Read(shards[i])
+		}
 	}
-	if err := e.Encode(shards); err != nil {
-		t.Fatalf("Encode: %v", err)
+	if err := e.EncodeInto(shards); err != nil {
+		t.Fatalf("EncodeInto: %v", err)
 	}
 	return shards
 }
@@ -41,6 +43,15 @@ func cloneShards(shards [][]byte) [][]byte {
 		}
 	}
 	return out
+}
+
+// erase marks shards[i] for repair by ReconstructInto: a fresh zero-length
+// buffer with room for the shard, so a repair that writes nothing leaves
+// it empty rather than holding the old bytes.
+func erase(shards [][]byte, idx ...int) {
+	for _, i := range idx {
+		shards[i] = make([]byte, 0, len(shards[i]))
+	}
 }
 
 // TestRoundTripAllErasurePatterns encodes, drops every possible set of
@@ -69,11 +80,11 @@ func TestRoundTripAllErasurePatterns(t *testing.T) {
 			got := cloneShards(orig)
 			for i := 0; i < sh.n; i++ {
 				if mask&(1<<i) != 0 {
-					got[i] = nil
+					erase(got, i)
 				}
 			}
-			if err := e.Reconstruct(got); err != nil {
-				t.Fatalf("[%d,%d] mask %b: Reconstruct: %v", sh.n, sh.k, mask, err)
+			if err := e.ReconstructInto(got); err != nil {
+				t.Fatalf("[%d,%d] mask %b: ReconstructInto: %v", sh.n, sh.k, mask, err)
 			}
 			for i := range orig {
 				if !bytes.Equal(got[i], orig[i]) {
@@ -94,10 +105,9 @@ func TestParityOnlySurvivors(t *testing.T) {
 	}
 	orig := makeShards(t, rng, e, 1024)
 	got := cloneShards(orig)
-	got[0], got[1], got[2] = nil, nil, nil
-	got[3], got[4] = nil, nil // 5 erasures = n-k
-	if err := e.Reconstruct(got); err != nil {
-		t.Fatalf("Reconstruct from parity-only survivors: %v", err)
+	erase(got, 0, 1, 2, 3, 4) // 5 erasures = n-k
+	if err := e.ReconstructInto(got); err != nil {
+		t.Fatalf("ReconstructInto from parity-only survivors: %v", err)
 	}
 	for i := range orig {
 		if !bytes.Equal(got[i], orig[i]) {
@@ -114,16 +124,16 @@ func TestReconstructDataLeavesParityMissing(t *testing.T) {
 	}
 	orig := makeShards(t, rng, e, 512)
 	got := cloneShards(orig)
-	got[1] = nil // data
-	got[7] = nil // parity
-	if err := e.ReconstructData(got); err != nil {
-		t.Fatalf("ReconstructData: %v", err)
+	erase(got, 1) // data, to repair
+	got[7] = nil  // parity, absent and not to be repaired
+	if err := e.ReconstructInto(got); err != nil {
+		t.Fatalf("ReconstructInto: %v", err)
 	}
 	if !bytes.Equal(got[1], orig[1]) {
 		t.Fatal("data shard 1 not recovered")
 	}
 	if got[7] != nil {
-		t.Fatal("ReconstructData must not touch parity shards")
+		t.Fatal("ReconstructInto must not touch a nil parity shard")
 	}
 }
 
@@ -190,8 +200,8 @@ func TestVerifyReportsAllMismatches(t *testing.T) {
 }
 
 // TestEncodeInto checks the allocation-free encode path: preallocated
-// parity matches Encode, and missing parity is an error rather than an
-// allocation.
+// parity matches a separate encode of the same data, and missing parity
+// is an error rather than an allocation.
 func TestEncodeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	e, err := New(9, 5)
@@ -214,14 +224,14 @@ func TestEncodeInto(t *testing.T) {
 	}
 	for i := range want {
 		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("EncodeInto shard %d differs from Encode", i)
+			t.Fatalf("EncodeInto shard %d differs from the reference encode", i)
 		}
 	}
 }
 
 // TestEncodeParity checks the inline encode from scattered data slices:
 // for every shape and for sizes on both sides of a tile edge, parity
-// equals Encode's whatever mix of outputs is streamed, the data is only
+// equals EncodeInto's whatever mix of outputs is streamed, the data is only
 // read, nothing is allocated, and a wrong count or size is an error.
 func TestEncodeParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
@@ -249,7 +259,7 @@ func TestEncodeParity(t *testing.T) {
 				}
 				for i := range parity {
 					if !bytes.Equal(parity[i], want[sh.k+i]) {
-						t.Fatalf("[%d,%d] size %d mask %b: parity %d differs from Encode", sh.n, sh.k, size, mask, i)
+						t.Fatalf("[%d,%d] size %d mask %b: parity %d differs from EncodeInto", sh.n, sh.k, size, mask, i)
 					}
 				}
 				for i := range data {
@@ -349,7 +359,8 @@ func TestSystematicPrefixIsData(t *testing.T) {
 		rng.Read(data[i])
 		shards[i] = append([]byte(nil), data[i]...)
 	}
-	if err := e.Encode(shards); err != nil {
+	shards[3], shards[4] = make([]byte, 64), make([]byte, 64)
+	if err := e.EncodeInto(shards); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -381,40 +392,40 @@ func TestErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Encode(make([][]byte, 4)); !errors.Is(err, ErrShardCount) {
-		t.Fatalf("Encode with 4 shards = %v, want ErrShardCount", err)
+	if err := e.EncodeInto(make([][]byte, 4)); !errors.Is(err, ErrShardCount) {
+		t.Fatalf("EncodeInto with 4 shards = %v, want ErrShardCount", err)
 	}
-	if err := e.Reconstruct(make([][]byte, 6)); !errors.Is(err, ErrShardCount) {
-		t.Fatalf("Reconstruct with 6 shards = %v, want ErrShardCount", err)
+	if err := e.ReconstructInto(make([][]byte, 6)); !errors.Is(err, ErrShardCount) {
+		t.Fatalf("ReconstructInto with 6 shards = %v, want ErrShardCount", err)
 	}
 	if _, err := e.Verify(make([][]byte, 4)); !errors.Is(err, ErrShardCount) {
 		t.Fatalf("Verify with 4 shards = %v, want ErrShardCount", err)
 	}
 
 	shards := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 9), nil, nil}
-	if err := e.Encode(shards); !errors.Is(err, ErrShardSize) {
-		t.Fatalf("Encode with ragged data = %v, want ErrShardSize", err)
+	if err := e.EncodeInto(shards); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("EncodeInto with ragged data = %v, want ErrShardSize", err)
 	}
 	shards = [][]byte{nil, make([]byte, 8), make([]byte, 8), nil, nil}
-	if err := e.Encode(shards); !errors.Is(err, ErrShardSize) {
-		t.Fatalf("Encode with missing data = %v, want ErrShardSize", err)
+	if err := e.EncodeInto(shards); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("EncodeInto with missing data = %v, want ErrShardSize", err)
 	}
 	shards = [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 8), make([]byte, 7), nil}
-	if err := e.Encode(shards); !errors.Is(err, ErrShardSize) {
-		t.Fatalf("Encode with short parity = %v, want ErrShardSize", err)
+	if err := e.EncodeInto(shards); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("EncodeInto with short parity = %v, want ErrShardSize", err)
 	}
 
 	// Too few survivors.
 	shards = make([][]byte, 5)
 	shards[0] = make([]byte, 8)
 	shards[4] = make([]byte, 8)
-	if err := e.Reconstruct(shards); !errors.Is(err, ErrTooFewShards) {
-		t.Fatalf("Reconstruct with 2 of 3 = %v, want ErrTooFewShards", err)
+	if err := e.ReconstructInto(shards); !errors.Is(err, ErrTooFewShards) {
+		t.Fatalf("ReconstructInto with 2 of 3 = %v, want ErrTooFewShards", err)
 	}
 	// Ragged survivors.
 	shards[3] = make([]byte, 9)
-	if err := e.Reconstruct(shards); !errors.Is(err, ErrShardSize) {
-		t.Fatalf("Reconstruct with ragged survivors = %v, want ErrShardSize", err)
+	if err := e.ReconstructInto(shards); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("ReconstructInto with ragged survivors = %v, want ErrShardSize", err)
 	}
 }
 
@@ -429,9 +440,9 @@ func TestSingularDecodeMatrix(t *testing.T) {
 	// Make generator row 2 a duplicate of row 0: survivors {0, 2} now
 	// select a singular 2x2 sub-generator.
 	copy(e.gen.Row(2), e.gen.Row(0))
-	shards := [][]byte{make([]byte, 8), nil, make([]byte, 8), nil}
-	if err := e.Reconstruct(shards); !errors.Is(err, matrix.ErrSingular) {
-		t.Fatalf("Reconstruct with singular sub-generator = %v, want ErrSingular", err)
+	shards := [][]byte{make([]byte, 8), make([]byte, 0, 8), make([]byte, 8), nil}
+	if err := e.ReconstructInto(shards); !errors.Is(err, matrix.ErrSingular) {
+		t.Fatalf("ReconstructInto with singular sub-generator = %v, want ErrSingular", err)
 	}
 }
 
@@ -445,25 +456,23 @@ func TestDecodeMatrixCache(t *testing.T) {
 
 	drop := func(idx ...int) [][]byte {
 		s := cloneShards(orig)
-		for _, i := range idx {
-			s[i] = nil
-		}
+		erase(s, idx...)
 		return s
 	}
 
 	for i := 0; i < 3; i++ {
-		if err := e.Reconstruct(drop(0, 3)); err != nil {
+		if err := e.ReconstructInto(drop(0, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hits, misses, entries := e.CacheStats()
+	hits, misses, entries := e.cache.stats()
 	if misses != 1 || hits != 2 || entries != 1 {
 		t.Fatalf("after 3 identical failure patterns: hits=%d misses=%d entries=%d, want 2/1/1", hits, misses, entries)
 	}
-	if err := e.Reconstruct(drop(1, 4)); err != nil {
+	if err := e.ReconstructInto(drop(1, 4)); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, entries = e.CacheStats()
+	hits, misses, entries = e.cache.stats()
 	if misses != 2 || hits != 2 || entries != 2 {
 		t.Fatalf("after a second pattern: hits=%d misses=%d entries=%d, want 2/2/2", hits, misses, entries)
 	}
@@ -480,8 +489,8 @@ func TestCacheEviction(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, i := range []int{0, 1} {
 			s := cloneShards(orig)
-			s[i] = nil
-			if err := e.Reconstruct(s); err != nil {
+			erase(s, i)
+			if err := e.ReconstructInto(s); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(s[i], orig[i]) {
@@ -489,31 +498,13 @@ func TestCacheEviction(t *testing.T) {
 			}
 		}
 	}
-	hits, misses, entries := e.CacheStats()
+	hits, misses, entries := e.cache.stats()
 	if entries != 1 {
 		t.Fatalf("cache of size 1 holds %d entries", entries)
 	}
 	// Alternating patterns with capacity 1 can never hit.
 	if hits != 0 || misses != 4 {
 		t.Fatalf("hits=%d misses=%d, want 0/4", hits, misses)
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	e, err := New(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.cache = nil
-	orig := makeShards(t, rng, e, 64)
-	s := cloneShards(orig)
-	s[0] = nil
-	if err := e.Reconstruct(s); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses, entries := e.CacheStats(); hits != 0 || misses != 0 || entries != 0 {
-		t.Fatal("disabled cache must report zero stats")
 	}
 }
 
@@ -535,12 +526,14 @@ func TestConcurrentOneEncoder(t *testing.T) {
 			for iter := 0; iter < 20; iter++ {
 				size := 1000 + rng.Intn(9000)
 				shards := make([][]byte, 9)
-				for i := 0; i < 5; i++ {
+				for i := range shards {
 					shards[i] = make([]byte, size)
-					rng.Read(shards[i])
+					if i < 5 {
+						rng.Read(shards[i])
+					}
 				}
-				if err := e.Encode(shards); err != nil {
-					t.Errorf("Encode: %v", err)
+				if err := e.EncodeInto(shards); err != nil {
+					t.Errorf("EncodeInto: %v", err)
 					return
 				}
 				if ok, err := e.Verify(shards); err != nil || !ok {
@@ -554,11 +547,9 @@ func TestConcurrentOneEncoder(t *testing.T) {
 				if iter%2 == 1 {
 					drop = []int{2, 3}
 				}
-				for _, i := range drop {
-					shards[i] = nil
-				}
-				if err := e.Reconstruct(shards); err != nil {
-					t.Errorf("Reconstruct: %v", err)
+				erase(shards, drop...)
+				if err := e.ReconstructInto(shards); err != nil {
+					t.Errorf("ReconstructInto: %v", err)
 					return
 				}
 				for i := range shards {
@@ -571,7 +562,7 @@ func TestConcurrentOneEncoder(t *testing.T) {
 		}(int64(100 + g))
 	}
 	wg.Wait()
-	if hits, misses, _ := e.CacheStats(); hits+misses == 0 {
+	if hits, misses, _ := e.cache.stats(); hits+misses == 0 {
 		t.Fatal("concurrent reconstructs should have touched the decode-matrix cache")
 	}
 }
@@ -584,12 +575,12 @@ func TestReconstructNoOp(t *testing.T) {
 	}
 	shards := makeShards(t, rng, e, 64)
 	want := cloneShards(shards)
-	if err := e.Reconstruct(shards); err != nil {
+	if err := e.ReconstructInto(shards); err != nil {
 		t.Fatal(err)
 	}
 	for i := range shards {
 		if !bytes.Equal(shards[i], want[i]) {
-			t.Fatal("Reconstruct with nothing missing must not alter shards")
+			t.Fatal("ReconstructInto with nothing missing must not alter shards")
 		}
 	}
 }

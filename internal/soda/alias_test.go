@@ -206,7 +206,8 @@ func TestDecodeEquivalence(t *testing.T) {
 				for i, el := range elems {
 					before[i], ref[i] = bytes.Clone(el), bytes.Clone(el)
 				}
-				if err := codec.enc.ReconstructData(ref); err != nil {
+				ref[miss] = make([]byte, 0, len(shards[0]))
+				if err := codec.enc.ReconstructInto(ref); err != nil {
 					t.Fatal(err)
 				}
 				got, err := codec.decodeDegraded(elems, vlen)

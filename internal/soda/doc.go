@@ -36,8 +36,10 @@
 //     writes as they arrive. Once initial responses from n-f servers
 //     fix the target tag t_target (their maximum), the reader
 //     completes with the first tag t >= t_target for which it holds
-//     coded elements from k distinct servers, reconstructing the
-//     value with rs.ReconstructData; it then unregisters everywhere.
+//     coded elements from k distinct servers, joining the value from
+//     the data elements (Codec.DecodeValue), or rebuilding the missing
+//     ones with rs's ReconstructInto first; it then unregisters
+//     everywhere.
 //
 // Fault tolerance: with f crash-faulty servers, writes and reads both
 // wait on n-f quorums, and any two quorums intersect in n-2f >= k

@@ -184,16 +184,6 @@ func (l *Loopback) Recover(i int) (*Server, error) {
 	return s, nil
 }
 
-// TearWALTail shears n bytes off the end of server i's last WAL
-// segment, simulating a torn final write that a power cut left
-// mid-record. Call it between PowerCut and Recover.
-func (l *Loopback) TearWALTail(i int, n int64) error {
-	if l.durDir == "" {
-		return errors.New("soda: TearWALTail on a non-durable loopback")
-	}
-	return tearWALTail(l.nodeDir(i), n)
-}
-
 // CloseServers cleanly shuts down every durable server (final fsync,
 // files closed); memory-only clusters no-op.
 func (l *Loopback) CloseServers() error {

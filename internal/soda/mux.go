@@ -364,7 +364,9 @@ func (c *MuxConn) flushDones() {
 // readLoop is the demux pump: it decodes every inbound frame (the buffer
 // is reused; the decoder copies elements out) and hands it to the exchange
 // registered under its request id — a delivery to a stream's sink, any
-// other frame to the waiter, as the end of the exchange.
+// other frame to the waiter, as the end of the exchange. A frame on request
+// id 0 is about the whole session: an error tears it down, an epoch-nack
+// ends every stream on it.
 func (c *MuxConn) readLoop(s *muxSession) {
 	br := bufio.NewReader(s.conn)
 	var buf []byte
@@ -387,6 +389,11 @@ func (c *MuxConn) readLoop(s *muxSession) {
 			// be trusted to complete.
 			c.teardown(s, decodeResponse(payload, msgError, &response{}))
 			return
+		}
+		if typ == msgEpochNack && id == 0 {
+			// An epoch flip swept every registration this connection held.
+			c.endStreams(s, stampStale(decodeResponse(payload, msgEpochNack, &response{}), c.idx))
+			continue
 		}
 		c.mu.Lock()
 		e, ok := c.waiting[id]
@@ -414,6 +421,28 @@ func (c *MuxConn) readLoop(s *muxSession) {
 		default:
 			e.deliver(Delivery{Server: c.idx, Tag: resp.tag, Elem: resp.elem, VLen: resp.vlen, Initial: resp.initial, Epoch: resp.epoch})
 		}
+	}
+}
+
+// endStreams ends every stream on s with err, the error of an epoch-nack on
+// request id 0: each leaves the table and its waiter is answered. The server
+// had read every one it swept, and one it had yet to read it will refuse, as
+// its epoch is the flipped one's; a later NACK on its own id finds no
+// waiter. Unary exchanges are left to their own answers.
+func (c *MuxConn) endStreams(s *muxSession, err error) {
+	var ended []waiter
+	c.mu.Lock()
+	if c.sess == s {
+		for id, e := range c.waiting {
+			if e.deliver != nil {
+				delete(c.waiting, id)
+				ended = append(ended, e.w)
+			}
+		}
+	}
+	c.mu.Unlock()
+	for _, w := range ended {
+		w.answer(c.idx, &response{}, err)
 	}
 }
 

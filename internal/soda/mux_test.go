@@ -771,9 +771,9 @@ func TestMuxStreamCleanupOnServerLoss(t *testing.T) {
 
 // TestMuxPendingReadEndsOnTheFlip is TestPendingReadEndsOnTheFlip's Reader
 // over sockets: every server's core is sealed under a read left waiting on
-// its streams, each of which its server ends with the epoch NACK on the
-// stream's id. The read ends with the sealed stale-epoch NACK and nobody
-// is left registered.
+// its streams, which each server ends with one epoch NACK on request id 0.
+// The read ends with the sealed stale-epoch NACK and nobody is left
+// registered.
 func TestMuxPendingReadEndsOnTheFlip(t *testing.T) {
 	checkNoLeaks(t)
 	codec, err := NewCodec(5, 3)
@@ -804,6 +804,63 @@ func TestMuxPendingReadEndsOnTheFlip(t *testing.T) {
 		if n := s.Readers(testKey); n != 0 {
 			t.Fatalf("%d readers left registered on sealed server %d", n, i)
 		}
+	}
+}
+
+// TestMuxFlipEndsEveryStreamOnce: a seal sweeps the streams a MuxConn has
+// open on one server with a single epoch-nack on request id 0. The pump
+// answers each stream's waiter once, with the sealed stale-epoch NACK, and
+// takes it out of the table; the session lives on and answers the next
+// exchange.
+func TestMuxFlipEndsEveryStreamOnce(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	addrs, servers := startTCPServers(t, 1)
+	core := servers[0].Core()
+	c := TCPMuxConn(0, addrs[0])
+	defer c.Close()
+	if _, err := c.Keys(ctx); err != nil { // a step is sent only on a live session
+		t.Fatal(err)
+	}
+	ends := make([]*endCount, 8)
+	for i := range ends {
+		ends[i] = &endCount{}
+		if _, err := c.getDataStep(testKey, fmt.Sprintf("r%d", i), ends[i], func(Delivery) {}); err != errTaken {
+			t.Fatalf("get-data %d = %v, want it taken", i, err)
+		}
+	}
+	waitFor(t, "every registration", func() bool { return core.Readers(testKey) == len(ends) })
+	if _, err := core.Reconfig(ReconfigSeal, SeedEpoch+1, 5, 3); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every stream's end", func() bool {
+		for _, e := range ends {
+			if e.answers.Load() == 0 {
+				return false
+			}
+		}
+		return true
+	})
+	if _, err := c.Keys(ctx); err != nil {
+		t.Fatalf("keys after the seal: %v", err)
+	}
+	for i, e := range ends {
+		e.mu.Lock()
+		err := e.err
+		e.mu.Unlock()
+		var se *StaleEpochError
+		if n := e.answers.Load(); n != 1 || !errors.As(err, &se) || !se.Sealed || se.Want != SeedEpoch+1 || se.Server != 0 {
+			t.Fatalf("stream %d ended %d times, last with %v; want once, with server 0's sealed NACK wanting epoch %d", i, n, err, SeedEpoch+1)
+		}
+	}
+	c.mu.Lock()
+	left := len(c.waiting)
+	c.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d exchanges left in the table", left)
+	}
+	if n := servers[0].NumConns(); n != 1 {
+		t.Fatalf("%d connections, want the one session", n)
 	}
 }
 

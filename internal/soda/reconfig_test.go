@@ -898,6 +898,69 @@ func TestClientsFollowTheEpochFlip(t *testing.T) {
 	}
 }
 
+// TestFlipNacksAConnectionOnce opens more get-data streams on one NetServer
+// connection than its outbound queue holds, stops reading, and seals. The
+// sweep ends them all with one epoch-nack on request id 0, so no relay
+// frame is dropped, the connection lives, and it answers the next request.
+func TestFlipNacksAConnectionOnce(t *testing.T) {
+	checkNoLeaks(t)
+	srv := NewServer(0)
+	ns := &NetServer{core: srv, conns: make(map[net.Conn]struct{})}
+	client, conn := net.Pipe()
+	ns.conns[conn] = struct{}{}
+	ns.wg.Add(1)
+	go ns.handle(conn)
+	defer ns.wg.Wait()
+	defer client.Close()
+	br := bufio.NewReader(client)
+	// One NACK per stream would overflow the queue even after the writer
+	// has taken a buffer's worth of them off it before blocking on the pipe.
+	const streams = 2 * outQueueDepth
+	for id := uint64(1); id <= streams; id++ {
+		if err := writeFrame(client, appendRequest(nil, &request{typ: msgGetData, id: id, epoch: SeedEpoch, key: testKey, reader: fmt.Sprintf("r%d", id)})); err != nil {
+			t.Fatal(err)
+		}
+		p, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatalf("get-data %d: %v", id, err)
+		}
+		if typ, pid, _, _, _ := header(p, "response"); typ != msgData || pid != id {
+			t.Fatalf("get-data %d answered with type %#x on id %d, want its initial delivery", id, typ, pid)
+		}
+	}
+	if _, err := srv.Reconfig(ReconfigSeal, SeedEpoch+1, 5, 3); err != nil {
+		t.Fatal(err)
+	}
+	keysID := uint64(streams + 1)
+	if err := writeFrame(client, appendRequest(nil, &request{typ: msgKeys, id: keysID, epoch: SeedEpoch})); err != nil {
+		t.Fatalf("keys request after the seal (%d relay drops): %v", srv.MetricsSnapshot().RelayDrops, err)
+	}
+	nacks := 0
+	for {
+		p, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatalf("the connection died after the seal (%d relay drops): %v", srv.MetricsSnapshot().RelayDrops, err)
+		}
+		typ, id, _, _, _ := header(p, "response")
+		if typ == msgKeysResp && id == keysID {
+			break
+		}
+		if typ != msgEpochNack || id != 0 {
+			t.Fatalf("frame of type %#x on id %d after the seal; want epoch-nacks on id 0, then the keys answer", typ, id)
+		}
+		nacks++
+	}
+	if nacks != 1 {
+		t.Fatalf("the seal's sweep sent %d epoch-nacks on id 0, want 1", nacks)
+	}
+	if n := srv.MetricsSnapshot().RelayDrops; n != 0 {
+		t.Fatalf("%d relay drops, want 0", n)
+	}
+	if n := srv.Readers(testKey); n != 0 {
+		t.Fatalf("%d registrations outlived the seal", n)
+	}
+}
+
 // endCount is the stepOp and waiter of one loopback get-data in
 // TestRegistrationsRaceTheFlip: how many waiters the conn took, how many
 // times the registration's end was reported and with what.
@@ -1098,17 +1161,26 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("no answer to the status request")
 		}
+		// A get-data is NACKed on its own id when admission refuses it, and
+		// a flip's sweep NACKs every stream on the connection at once, on
+		// id 0: no id hears more than one NACK, and no flip more than one
+		// on id 0.
 		mu.Lock()
 		defer mu.Unlock()
+		swept := nacks[0]
+		delete(nacks, 0)
 		for id := uint64(1); id <= last; id++ {
-			if n := nacks[id]; n > 1 || (n == 0 && !ended[id]) {
-				t.Fatalf("get-data %d (reader-done sent: %v) had %d NACKs; want one, or none for a stream its reader ended", id, ended[id], n)
+			if n := nacks[id]; n > 1 {
+				t.Fatalf("get-data %d (reader-done sent: %v) had %d NACKs; want at most one", id, ended[id], n)
 			}
+		}
+		if flips := 2*epochs + 1; swept > flips {
+			t.Fatalf("%d NACKs on id 0 for %d flips; want at most one each", swept, flips)
 		}
 		if n := srv.Readers(testKey); n != 0 {
 			t.Fatalf("%d registrations outlived the last flip", n)
 		}
-		t.Logf("%d get-datas, %d NACKed", last, len(nacks))
+		t.Logf("%d get-datas, %d NACKed on their own id, %d sweeps NACKed on id 0", last, len(nacks), swept)
 	})
 }
 

@@ -129,18 +129,26 @@ func (st *netStream) deliver(d Delivery) {
 	st.trySend(frame(&response{typ: msgData, id: st.id, epoch: d.Epoch, tag: d.Tag, vlen: d.VLen, initial: d.Initial, elem: d.Elem}))
 }
 
-// end closes a stream the core dropped. An epoch flip's is NACKed on its id,
-// which fails the client's read with the typed error that makes it
-// re-register under the new configuration; any other end is silent.
+// end closes a stream the core dropped. An epoch flip ends every stream on
+// the connection with one cause, and the first of its ends NACKs them all
+// at once on request id 0, which fails every read streaming on the client's
+// session with the typed error that makes it re-register under the new
+// configuration: one frame per connection per flip, however many streams
+// it sweeps. Any other end is silent.
 func (st *netStream) end(cause error) {
 	sc := st.sc
+	se, stale := cause.(*StaleEpochError)
 	sc.mu.Lock()
 	if sc.subs[st.id] == st {
 		delete(sc.subs, st.id)
 	}
+	first := stale && sc.nacked != se
+	if first {
+		sc.nacked = se
+	}
 	sc.mu.Unlock()
-	if se, ok := cause.(*StaleEpochError); ok {
-		st.trySend(nackFrame(st.id, se))
+	if first {
+		st.trySend(nackFrame(0, se))
 	}
 }
 
@@ -160,8 +168,9 @@ type netConn struct {
 	core *Server
 	w    *connWriter
 
-	mu   sync.Mutex // guards subs
-	subs map[uint64]*netStream
+	mu     sync.Mutex // guards subs and nacked
+	subs   map[uint64]*netStream
+	nacked *StaleEpochError // the last flip whose sweep this connection NACKed
 
 	req  request
 	resp response
