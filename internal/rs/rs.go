@@ -295,7 +295,7 @@ type codecScratch struct {
 	inputs     [][]byte
 	outputs    [][]byte
 	coeffs     [][]byte
-	coefbuf    []byte // composed coefficient rows for survivor-direct parity
+	coefbuf    []byte // the parity targets' rows composed with the decode matrix
 }
 
 func (e *Encoder) getScratch() *codecScratch {
@@ -382,83 +382,43 @@ func (e *Encoder) ReconstructInto(shards [][]byte) error {
 		return nil
 	}
 
-	// Both repair stages decode from the same first k survivors, so
-	// the inverted sub-generator is computed at most once per call.
+	// Every target is its generator row times the inverse of the first k
+	// survivors' sub-generator: for a data index a row of the inverse, for
+	// a parity index the composed row genRow·dec — parity = genRow·data =
+	// (genRow·dec)·survivors. One kernel call rebuilds them all from the
+	// survivors.
 	chosen := s.present[:e.k]
-	var dec *matrix.Matrix
-
-	if len(s.missData) > 0 {
-		// Decode the missing data rows from the first k survivors.
-		var err error
-		if dec, err = e.decodeMatrix(chosen); err != nil {
-			return err
-		}
-		inputs := s.inputs[:e.k]
-		for i, idx := range chosen {
-			inputs[i] = shards[idx]
-		}
-		outputs := s.outputs[:0]
-		coeffs := s.coeffs[:0]
-		for _, idx := range s.missData {
-			shards[idx] = shards[idx][:size]
-			outputs = append(outputs, shards[idx])
-			coeffs = append(coeffs, dec.Row(idx))
-		}
-		codeRange(coeffs, inputs, outputs, nil, 0, size)
+	dec, err := e.decodeMatrix(chosen)
+	if err != nil {
+		return err
 	}
-
-	if len(s.missParity) > 0 {
-		// Re-encode missing parity. Usually every data shard is
-		// present (or was just repaired) and the precomputed generator
-		// rows apply directly. The caller may leave data shards
-		// absent, though; then each parity row is composed with the
-		// decode matrix — parity = genRow·data = (genRow·dec)·survivors
-		// — so the parity is rebuilt straight from the k survivors.
-		dataComplete := true
-		for i := 0; i < e.k; i++ {
-			if len(shards[i]) != size {
-				dataComplete = false
-				break
-			}
-		}
-		inputs := s.inputs[:e.k]
-		outputs := s.outputs[:0]
-		coeffs := s.coeffs[:0]
-		if dataComplete {
-			copy(inputs, shards[:e.k])
-			for _, idx := range s.missParity {
-				shards[idx] = shards[idx][:size]
-				outputs = append(outputs, shards[idx])
-				coeffs = append(coeffs, e.parityCoeffs[idx-e.k])
-			}
-		} else {
-			if dec == nil {
-				var err error
-				if dec, err = e.decodeMatrix(chosen); err != nil {
-					return err
-				}
-			}
-			for i, idx := range chosen {
-				inputs[i] = shards[idx]
-			}
-			buf := s.coefbuf[:len(s.missParity)*e.k]
-			for i, idx := range s.missParity {
-				shards[idx] = shards[idx][:size]
-				outputs = append(outputs, shards[idx])
-				row := buf[i*e.k : (i+1)*e.k]
-				gRow := e.parityCoeffs[idx-e.k]
-				for j := 0; j < e.k; j++ {
-					var acc byte
-					for m := 0; m < e.k; m++ {
-						acc ^= gf256.Mul(gRow[m], dec.Row(m)[j])
-					}
-					row[j] = acc
-				}
-				coeffs = append(coeffs, row)
-			}
-		}
-		codeRange(coeffs, inputs, outputs, nil, 0, size)
+	inputs := s.inputs[:e.k]
+	for i, idx := range chosen {
+		inputs[i] = shards[idx]
 	}
+	outputs := s.outputs[:0]
+	coeffs := s.coeffs[:0]
+	for _, idx := range s.missData {
+		shards[idx] = shards[idx][:size]
+		outputs = append(outputs, shards[idx])
+		coeffs = append(coeffs, dec.Row(idx))
+	}
+	buf := s.coefbuf[:len(s.missParity)*e.k]
+	for i, idx := range s.missParity {
+		shards[idx] = shards[idx][:size]
+		outputs = append(outputs, shards[idx])
+		row := buf[i*e.k : (i+1)*e.k]
+		gRow := e.parityCoeffs[idx-e.k]
+		for j := range row {
+			var acc byte
+			for m := 0; m < e.k; m++ {
+				acc ^= gf256.Mul(gRow[m], dec.Row(m)[j])
+			}
+			row[j] = acc
+		}
+		coeffs = append(coeffs, row)
+	}
+	codeRange(coeffs, inputs, outputs, nil, 0, size)
 	return nil
 }
 

@@ -401,18 +401,17 @@ func (q writeTally) acked(minted Tag) (bool, error) {
 }
 
 // writeCall is the pooled state of a Write some of whose exchanges are
-// answered off its goroutine: on a leg — a single goroutine per server runs
-// both phases back to back, so a write costs n spawns, not 2n, and the
-// channels and spawn thunk are reused across writes — or by a conn that
-// took the exchange, such as a MuxConn's pump. Either reports into the tally
-// under wc.mu and nudges the cap-1 wake channel only when its answer
-// resolves a phase, so the caller parks about once per phase instead of
-// consuming 2n messages. The refcount covers the legs, the taken exchanges
-// and the caller; the last one off drains the channels and pools the
-// struct, so straggler sends can never pollute a later write.
+// answered off its goroutine: on a leg — a goroutine that makes one
+// exchange, a get-tag or a put-data, with one server; the spawn thunk is
+// reused across writes — or by a conn that took the exchange, such as a
+// MuxConn's pump. Either reports into the tally under wc.mu and nudges the
+// cap-1 wake channel only when its answer resolves a phase, so the caller
+// parks about once per phase instead of consuming 2n messages. The refcount
+// covers the legs, the taken exchanges and the caller; the last one off
+// drains the wake channel and pools the struct, so a straggler's nudge can
+// never pollute a later write.
 type writeCall struct {
 	wake chan struct{} // condition nudge; cap 1, coalescing
-	mint chan Tag      // minted-tag handoff; cap n, one token per leg
 	body func()        // reusable spawn thunk: go wc.body() allocates nothing
 	idle *idleList     // where this call's legs leave from and park (see workerPool)
 	refs atomic.Int32
@@ -426,14 +425,15 @@ type writeCall struct {
 	ctx    context.Context // the write's, cancelled when it returns
 	cancel context.CancelFunc
 	key    string
-	conns  []Conn // the legs' conns, one claimed by each through next; len n
-	full   int    // conns[:full] get a whole leg, get-tag first; the rest only the put-data
+	conns  []Conn // the legs' conns, one claimed by each through next; len 2n
+	tags   int    // conns[:tags] are get-tag legs, the rest put legs
+	minted Tag    // the put legs' tag, set before they are sent
 	sc     *encodeScratch
 	vlen   int
 }
 
 // release drops one hold on the call; the last holder drains and pools
-// it.
+// it. Every nudge comes from a holder, so none can follow the drain.
 func (wc *writeCall) release() {
 	if n := wc.refs.Add(-1); n != 0 {
 		if n < 0 {
@@ -441,19 +441,15 @@ func (wc *writeCall) release() {
 		}
 		return
 	}
-	for {
-		select {
-		case <-wc.wake:
-		case <-wc.mint:
-		default:
-			at := wc.at
-			wc.at, wc.ctx, wc.cancel, wc.key, wc.sc = nil, nil, nil, "", nil
-			clear(wc.conns)
-			wc.writeTally = writeTally{} // drops the error values
-			at.calls.Put(wc)
-			return
-		}
+	select {
+	case <-wc.wake:
+	default:
 	}
+	at := wc.at
+	wc.at, wc.ctx, wc.cancel, wc.key, wc.sc = nil, nil, nil, "", nil
+	clear(wc.conns)
+	wc.writeTally = writeTally{} // drops the error values
+	at.calls.Put(wc)
 }
 
 // signal nudges the caller; the cap-1 buffer coalesces concurrent
@@ -543,15 +539,14 @@ func (op *writeOp) called() *writeCall {
 	if wc == nil {
 		wc = &writeCall{
 			wake:  make(chan struct{}, 1),
-			mint:  make(chan Tag, len(at.conns)),
 			idle:  spawnPool.list(),
-			conns: make([]Conn, len(at.conns)),
+			conns: make([]Conn, 2*len(at.conns)), // a get-tag leg and a put leg each
 		}
 		wc.body = wc.run
 	}
 	wc.next.Store(0)
 	wc.ctx, wc.cancel = context.WithCancel(op.ctx)
-	wc.at, wc.key, wc.full, wc.sc, wc.vlen, wc.writeTally = at, op.key, 0, op.sc, op.vlen, op.tally
+	wc.at, wc.key, wc.tags, wc.minted, wc.sc, wc.vlen, wc.writeTally = at, op.key, 0, Tag{}, op.sc, op.vlen, op.tally
 	wc.refs.Store(1)    // the caller
 	op.sc.refs.Store(1) // the writer's own, beside its legs'
 	op.call = wc
@@ -603,24 +598,22 @@ func (op *writeOp) park() error {
 	}
 }
 
-// legs sends each of conns a leg: before the tag is minted a whole one,
-// which asks the get-tag and then puts; after, one that only puts, and then
-// every leg is told the tag, which the put-only ones find when they start.
+// legs sends each of conns a leg: before the tag is minted one that asks
+// its get-tag, after one that gives it its put-data under minted. A write
+// sends at most one batch of each, get-tags first.
 func (op *writeOp) legs(conns []Conn, minted Tag) {
-	if op.call == nil && len(conns) == 0 {
+	if len(conns) == 0 {
 		return
 	}
 	wc := op.called()
-	n := copy(wc.conns[wc.full:], conns)
+	n := copy(wc.conns[wc.tags:], conns)
 	if minted.IsZero() {
-		wc.full = n
+		wc.tags = n
 	} else {
-		for range wc.full + n { // a slot for each
-			wc.mint <- minted
-		}
+		wc.minted = minted
+		wc.sc.refs.Add(int32(n)) // each holds the element buffers until its put-data is over
 	}
 	wc.refs.Add(int32(n))
-	wc.sc.refs.Add(int32(n)) // each holds the element buffers until its put-data is over
 	for range n {
 		wc.idle.spawn(wc.body)
 	}
@@ -641,36 +634,19 @@ func (op *writeOp) end() (inline bool) {
 	return false
 }
 
-// run is one server's leg of a write: report the server's tag, wait for
-// the writer to mint, then deliver the coded element — or, for a conn
-// whose get-tag has been asked already, only the last. A server whose
-// get-tag failed still attempts put-data — the TCP transport redials on
-// demand, so the second exchange can succeed where the first did not.
+// run is one leg of a write: one exchange with the server of the conn it
+// claims, its get-tag or its put-data under the minted tag. Legs of a write
+// are interchangeable: whichever starts first claims the next conn.
 func (wc *writeCall) run() {
 	defer wc.release()
 	j := int(wc.next.Add(1)) - 1
 	c := wc.conns[j]
-	if j < wc.full {
+	if j < wc.tags {
 		t, err := c.GetTag(wc.ctx, wc.key)
 		wc.gotTagFrom(c.Index(), t, err)
+		return
 	}
-	// A straggler can find both channels ready — the write minted,
-	// completed and cancelled while this leg was on its way here — and
-	// select picks among ready cases at random: the minted tag wins, so
-	// the put still lands.
-	var minted Tag
-	select {
-	case minted = <-wc.mint:
-	case <-wc.ctx.Done():
-		select {
-		case minted = <-wc.mint:
-		default:
-			putElem(wc.sc.shards[c.Index()]) // never sent: still this leg's
-			wc.sc.release(&wc.at.scratch)
-			return
-		}
-	}
-	err := c.PutData(wc.ctx, wc.key, minted, wc.sc.shards[c.Index()], wc.vlen)
+	err := c.PutData(wc.ctx, wc.key, wc.minted, wc.sc.shards[c.Index()], wc.vlen)
 	wc.sc.release(&wc.at.scratch)
 	wc.gotAckFrom(c.Index(), err)
 }
@@ -678,11 +654,14 @@ func (wc *writeCall) run() {
 // Write performs one atomic write of key: get-tag, then put-data,
 // returning the tag the value was written under. It steps each exchange on
 // its own goroutine, one pass per phase (stepper), and sends a leg for each
-// one still owed: a goroutine per conn that runs get-tag and then, once n-f
-// tags have fixed the minted tag, put-data. Per-server phases
-// may overlap (one server can be receiving its element while a
-// straggler is still answering get-tag); the protocol never needed
-// the phases globally barriered, only the mint to follow n-f tags.
+// one still owed, one exchange per leg. Once n-f tags have fixed the minted
+// tag every live server is given its element, whether or not it was asked
+// for a tag or has answered: per-server phases may overlap (one server can
+// be receiving its element while a straggler is still answering get-tag);
+// the protocol never needed the phases globally barriered, only the mint
+// to follow n-f tags. A server whose get-tag failed is still given its
+// put-data — the TCP transport redials on demand, so the second exchange
+// can succeed where the first did not.
 //
 // On a put-data-phase failure the minted tag is returned alongside the
 // error: the attempt may have installed elements under it on fewer
@@ -778,14 +757,12 @@ func (w *Writer) write(ctx context.Context, at *writerAt, key string, value []by
 		conns[asked], conns[j] = c, conns[asked]
 		asked++
 	}
-	// The rest each get a whole leg unless the pass minted with nothing
+	// The rest each get a get-tag leg unless the pass minted with nothing
 	// taken: a choice that must not hang on when a pump's answers come in.
 	// Every wake re-reads the tally: a coalesced or stale nudge costs a turn.
-	puts := conns // the conns whose put-data is sent from here
 	minted, err = op.counted().mintTag(w.id)
 	if err == nil && (minted.IsZero() || op.call != nil) {
 		op.legs(conns[asked:], Tag{})
-		puts = conns[:asked]
 	}
 	for minted.IsZero() && err == nil {
 		if err = op.park(); err == nil {
@@ -793,19 +770,20 @@ func (w *Writer) write(ctx context.Context, at *writerAt, key string, value []by
 		}
 	}
 	if err != nil {
-		for _, c := range puts {
+		for _, c := range conns {
 			putElem(sc.shards[c.Index()]) // never sent: still the writer's
 		}
 		return Tag{}, false, err
 	}
 
-	// Phase 1: every other conn's put-data is sent from here, then once more
+	// Phase 1: every live conn's put-data is sent from here, then once more
 	// to those that did not take it. A put needs n-f acks in any order, so a
 	// log another writer is in is one to come back to, not to queue on; two
 	// writers that walk the servers in step collide on each, and the second
 	// round finds the other gone (23 % of wal-small's writes needed a leg
 	// without it, 3.6 % with it, as many with a third). What is not taken
 	// twice gets a leg.
+	puts := conns
 	for visit := 0; visit < 2 && len(puts) > 0; visit++ {
 		busy := puts[:0] // filters puts in place
 		for _, c := range puts {

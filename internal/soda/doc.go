@@ -118,7 +118,7 @@
 // its read loop answers the operation's waiter (writeCall's tally and
 // wake, readState's sink). A read's reader-dones ride the conn's next
 // frame, or are queued after a millisecond on their own. Owed a leg, one
-// goroutine per server, completing on the first n-f answers: every
+// goroutine per exchange, completing on the first n-f answers: every
 // exchange of a conn that is no stepper (one that wraps another); what a
 // MuxConn does not take (dialing, past the bound or the queue's room, for
 // which a leg waits); anything while a Loopback test hook

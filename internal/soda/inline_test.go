@@ -1379,6 +1379,42 @@ func TestLegsNeverAskATagTwice(t *testing.T) {
 	}
 }
 
+// TestLegsPutPastASlowGetTag: a server's put-data does not wait for its
+// own get-tag, only for the mint. Servers 0-2 answer the write's get-tag on
+// its goroutine, server 3's answers on a leg and settles the tag; server
+// 4's get-tag leg is parked in a slowTagConn, which has no step forms. The
+// write returns on four acks, and server 4 is given its element under the
+// minted tag all the same, its get-tag still unanswered.
+func TestLegsPutPastASlowGetTag(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	codec, lb := newCluster(t, 5, 3)
+	conns := lb.Conns()
+	slow := &slowTagConn{Conn: conns[4], release: make(chan struct{})}
+	conns[3], conns[4] = opaqueConn{conns[3]}, slow
+	defer func() {
+		close(slow.release)
+		waitFor(t, "the write's legs", legsHome)
+	}()
+	w := mustWriter(t, "w", codec, conns)
+	tag, err := w.Write(ctx, testKey, []byte("given to a server whose get-tag is parked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Tag
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if got, _, _ = lb.Server(4).Snapshot(testKey); got == tag {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server 4 holds %v, want %v", got, tag)
+		}
+	}
+	if n := lb.Server(4).MetricsSnapshot().GetTags; n != 0 {
+		t.Fatalf("server 4 answered %d get-tags, want its one still parked", n)
+	}
+}
+
 // laterConns is a third way to step an exchange, beside a loopConn's
 // answering now and a MuxConn's answering on its pump: a laterConn takes
 // every exchange, and nothing is answered until the test says so, from its
