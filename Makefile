@@ -3,7 +3,7 @@ GO ?= go
 # The benchmark selection shared by `make bench` and `make bench-json`.
 BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors|Stream
 
-.PHONY: all build build-cross test test-durability test-reconfig test-repair test-transport test-legs test-rs-gates vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz loc
+.PHONY: all build build-cross test test-durability test-reconfig test-repair test-transport test-legs test-rs-gates test-elems vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz loc
 
 all: vet lint build test test-transport bench-check race
 
@@ -67,6 +67,14 @@ test-legs:
 test-rs-gates:
 	$(GO) test -race -count=20 -run 'CodingStartsNoGoroutines|EncodeParity|CapacityReady|ZeroAlloc' ./internal/rs/
 
+# test-elems is the element-ownership lane: every test in alias_test.go —
+# who may keep which slice on the borrowed and the handed-off put, the
+# free list and its cold bit, the same-key soak — ten times over under
+# the race detector. The test list is read from the file, so a new test
+# there joins the lane.
+test-elems:
+	$(GO) test -race -count=10 -run "^($$(sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' internal/soda/alias_test.go | paste -sd'|'))$$" ./internal/soda/
+
 race:
 	$(GO) test -race ./...
 
@@ -87,7 +95,7 @@ lint:
 
 # loc prints what the working tree adds to and removes from PARENT in
 # non-test source lines (Go, assembly, scripts): the acceptance line of
-# ROADMAP item 3 as one command. `make loc PARENT=HEAD~1`.
+# ROADMAP aim 2 as one command. `make loc PARENT=HEAD~1`.
 loc:
 	@test -n "$(PARENT)" || { echo "usage: make loc PARENT=<rev>"; exit 2; }
 	@git diff --numstat $(PARENT) -- '*.go' '*.s' '*.sh' ':!*_test.go' ':!**/testdata/**' | \

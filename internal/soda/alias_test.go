@@ -1045,7 +1045,7 @@ func BenchmarkPutDataCopyVsHandoff(b *testing.B) {
 		run("handoff", func(s *Server, key string, t Tag) {
 			elem, _ := getElem(size)
 			copy(elem, src)
-			s.putOwned(key, t, elem, size, true)
+			s.put(walOpPut, key, t, elem, size, true, true)
 		})
 	}
 }

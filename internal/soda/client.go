@@ -870,6 +870,9 @@ func (v *ConfigView) Reader(id string) (*Reader, error) {
 		return nil, fmt.Errorf("%w: empty reader id", ErrConfig)
 	}
 	r := &Reader{ridPrefix: id + "-" + procToken + "#", view: v}
+	if len(r.ridPrefix)+20 > maxReaderID { // + a read's sequence number: see begin
+		return nil, fmt.Errorf("%w: reader id of %d bytes makes registration ids longer than %d", ErrConfig, len(id), maxReaderID)
+	}
 	if _, err := r.current(); err != nil {
 		return nil, err
 	}

@@ -87,6 +87,11 @@ func TestDurableServerRoundTrip(t *testing.T) {
 	if got := s.MetricsSnapshot().WALAppends; got != 5 {
 		t.Fatalf("WALAppends = %d, want 5", got)
 	}
+	// An equal-tag reinstall of other bytes is logged as a repair record,
+	// which replay must apply through the same accept rule.
+	if ok, _ := s.RepairPut("k1", t2, []byte{21}, 6); !ok {
+		t.Fatal("equal-tag reinstall rejected")
+	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -99,7 +104,7 @@ func TestDurableServerRoundTrip(t *testing.T) {
 	if got := s2.MetricsSnapshot().Recoveries; got != 1 {
 		t.Fatalf("Recoveries = %d, want 1", got)
 	}
-	if tag, elem, vlen := s2.Snapshot("k1"); tag != t2 || !bytes.Equal(elem, []byte{20}) || vlen != 6 {
+	if tag, elem, vlen := s2.Snapshot("k1"); tag != t2 || !bytes.Equal(elem, []byte{21}) || vlen != 6 {
 		t.Fatalf("k1 recovered as %v %v %d", tag, elem, vlen)
 	}
 	if tag, _, _ := s2.Snapshot("k2"); !tag.IsZero() {
@@ -109,11 +114,11 @@ func TestDurableServerRoundTrip(t *testing.T) {
 		t.Fatalf("k3 recovered as %v %v %d", tag, elem, vlen)
 	}
 	// The re-established tag floor rejects a stale repair immediately.
-	if s2.RepairPut("k1", t1, []byte{99}, 5) {
+	if ok, _ := s2.RepairPut("k1", t1, []byte{99}, 5); ok {
 		t.Fatal("recovered server accepted a repair below its tag floor")
 	}
 	// ...and still allows the equal-tag reinstall repair relies on.
-	if !s2.RepairPut("k1", t2, []byte{20}, 6) {
+	if ok, _ := s2.RepairPut("k1", t2, []byte{20}, 6); !ok {
 		t.Fatal("recovered server rejected an equal-tag reinstall")
 	}
 }
@@ -632,8 +637,9 @@ func TestKillRecoverRejoinSoak(t *testing.T) {
 // under the server directly — the state such a put finds, with no
 // timing involved — and the put must then fail with ErrServerDown and
 // leave memory alone, small and handed-off elements alike, because
-// Recover rebuilds from a disk that never saw it — through PutData and
-// through the non-waiting form a loopback writer's own pass uses. A closed
+// Recover rebuilds from a disk that never saw it — through PutData,
+// through the non-waiting form a loopback writer's own pass uses, and
+// through the Server's exported PutData and RepairPut. A closed
 // WAL is not a failed one: WALFailures stays 0.
 func TestPutPastTheGateIsNotAckedAfterWALCut(t *testing.T) {
 	ctx := testCtx(t)
@@ -663,6 +669,13 @@ func TestPutPastTheGateIsNotAckedAfterWALCut(t *testing.T) {
 	}
 	if ok, err := c.RepairPut(ctx, testKey, Tag{TS: 6, Writer: "w"}, []byte{6}, 1); ok || !errors.Is(err, ErrServerDown) {
 		t.Errorf("RepairPut after the WAL was cut = %v, %v, want false, ErrServerDown", ok, err)
+	}
+	// The server's own exported forms report the same refusal.
+	if err := srv.PutData(testKey, Tag{TS: 7, Writer: "w"}, []byte{7}, 1); !errors.Is(err, ErrServerDown) {
+		t.Errorf("Server.PutData after the WAL was cut = %v, want ErrServerDown", err)
+	}
+	if ok, err := srv.RepairPut(testKey, Tag{TS: 8, Writer: "w"}, []byte{8}, 1); ok || !errors.Is(err, ErrServerDown) {
+		t.Errorf("Server.RepairPut after the WAL was cut = %v, %v, want false, ErrServerDown", ok, err)
 	}
 	if tag := srv.GetTag(testKey); tag != t1 {
 		t.Errorf("memory holds %v after the refused puts, want %v", tag, t1)

@@ -265,9 +265,9 @@ func TestDurableSlowSyncSendsPutsOnLegs(t *testing.T) {
 
 // TestDurablePutNotNowKeepsTheElement: a put-data that answers not now
 // has not taken its element. 1 MiB values, so that elements change hands
-// (putOwned): server 2's lands on the first pass, on the second (its log
-// is held while the pass goes by, and let go before the writer comes
-// back), or from a leg (let go after the write has returned; or every
+// (Server.put, owned set): server 2's lands on the first pass, on the
+// second (its log is held while the pass goes by, and let go before the
+// writer comes back), or from a leg (let go after the write has returned; or every
 // log on a slow device, and all five on legs), and each time every
 // element is stored once, none is freed — a freed one is
 // poisoned, and the read would show it — and no buffer is freed twice.

@@ -382,22 +382,17 @@ func (c *loopConn) putDataStep(key string, t Tag, elem []byte, vlen int, _ stepO
 	return c.put(srv, key, t, elem, vlen, false)
 }
 
-// put is the server side of a put-data that passed the fault flags, wait
-// being Server.put's. An elem that changes hands with the call (see
-// handoff) becomes the server's register as it is, or is freed on the way
-// out; putElem ignores the borrowed ones. A put the server could not take
-// now never happened: it keeps its elem and is not counted.
+// put is the server side of a put-data that passed the fault flags: one
+// Server.put, wait being its, and owned set for an elem that changes hands
+// with the call (see handoff), which becomes the server's register as it
+// is or is freed on the way out. A put the server could not take now never
+// happened: it keeps its elem and is not counted.
 func (c *loopConn) put(srv *Server, key string, t Tag, elem []byte, vlen int, wait bool) error {
 	if nack := srv.Admit(opClient, c.epoch); nack != nil {
 		putElem(elem)
 		return nack
 	}
-	var err error
-	if handoff(len(elem)) {
-		err = srv.putOwned(key, t, elem, vlen, wait)
-	} else {
-		_, err = srv.put(walOpPut, key, t, elem, vlen, wait) // the server copies what it keeps
-	}
+	_, err := srv.put(walOpPut, key, t, elem, vlen, wait, handoff(len(elem)))
 	if err != errNotNow {
 		srv.metrics.of(key).PutDatas.Add(1)
 	}

@@ -15,9 +15,9 @@ import (
 //	snapshot load → WAL replay → tag floor re-established
 //
 // readSnapshot installs the checkpointed namespace, then every WAL
-// record past the snapshot's covered lsn is re-applied under the same
-// acceptance rule as the live path (put: tag > current, repair-put:
-// tag >= current, wipe: clear), so the recovered state cannot hold a
+// record past the snapshot's covered lsn is re-applied under the live
+// path's accept rule (register.accepts; put: tag > current, repair-put:
+// tag >= current; wipe: clear), so the recovered state cannot hold a
 // tag below anything it durably acknowledged — the invariant RepairPut
 // enforces online holds across restarts too. A torn or corrupt record
 // ends the replayable prefix: it is truncated off the segment (later
@@ -122,7 +122,7 @@ func (d *durability) recover() error {
 		d.srv.installEpochState(&e)
 	}
 	for _, e := range entries {
-		d.srv.installRecovered(e.key, e.tag, e.elem, e.vlen)
+		d.srv.replayRecord(walRecord{op: walOpPut, key: e.key, tag: e.tag, elem: e.elem, vlen: e.vlen})
 	}
 	segs, err := walSegments(d.wal.dir)
 	if err != nil {
@@ -332,34 +332,15 @@ func (s *Server) Close() error {
 	return err
 }
 
-// installRecovered seeds a register from a snapshot entry. Recovery
-// only; runs before the server is reachable.
-func (s *Server) installRecovered(key string, t Tag, elem []byte, vlen int) {
-	if t == (Tag{}) {
-		return
-	}
-	r := s.lookup(key, true)
-	r.mu.Lock()
-	r.store(t, elem, vlen)
-	r.mu.Unlock()
-}
-
-// replayRecord applies one WAL record with the live path's acceptance
-// rules, re-establishing the tag floor record by record. No relays, no
-// metrics: replay precedes serving.
+// replayRecord applies one WAL record, or a snapshot entry as a put, with
+// the live path's accept rule (register.accepts), re-establishing the tag
+// floor record by record. No relays, no metrics: replay precedes serving.
 func (s *Server) replayRecord(rec walRecord) {
 	switch rec.op {
-	case walOpPut:
+	case walOpPut, walOpRepair:
 		r := s.lookup(rec.key, true)
 		r.mu.Lock()
-		if r.tag.Less(rec.tag) {
-			r.store(rec.tag, rec.elem, rec.vlen)
-		}
-		r.mu.Unlock()
-	case walOpRepair:
-		r := s.lookup(rec.key, true)
-		r.mu.Lock()
-		if !rec.tag.Less(r.tag) {
+		if r.accepts(rec.op, rec.tag) {
 			r.store(rec.tag, rec.elem, rec.vlen)
 		}
 		r.mu.Unlock()

@@ -102,20 +102,20 @@ func TestRepairPutNeverRollsBack(t *testing.T) {
 	t5 := Tag{TS: 5, Writer: "w"}
 	s.PutData(testKey, t5, []byte{1, 2, 3}, 9)
 
-	if s.RepairPut(testKey, Tag{TS: 3, Writer: "w"}, []byte{9}, 3) {
+	if ok, _ := s.RepairPut(testKey, Tag{TS: 3, Writer: "w"}, []byte{9}, 3); ok {
 		t.Fatal("RepairPut accepted a lower tag")
 	}
 	if tag, elem, vlen := s.Snapshot(testKey); tag != t5 || vlen != 9 || !bytes.Equal(elem, []byte{1, 2, 3}) {
 		t.Fatalf("rejected repair mutated state: %v %v %d", tag, elem, vlen)
 	}
-	if !s.RepairPut(testKey, t5, []byte{7, 7, 7}, 9) {
+	if ok, _ := s.RepairPut(testKey, t5, []byte{7, 7, 7}, 9); !ok {
 		t.Fatal("RepairPut rejected an equal tag")
 	}
 	if _, elem, _ := s.Snapshot(testKey); !bytes.Equal(elem, []byte{7, 7, 7}) {
 		t.Fatal("equal-tag repair did not replace the element")
 	}
 	t6 := Tag{TS: 6, Writer: "w"}
-	if !s.RepairPut(testKey, t6, []byte{8}, 1) {
+	if ok, _ := s.RepairPut(testKey, t6, []byte{8}, 1); !ok {
 		t.Fatal("RepairPut rejected a higher tag")
 	}
 	if tag, _, _ := s.Snapshot(testKey); tag != t6 {

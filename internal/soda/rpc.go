@@ -26,7 +26,7 @@ var rpcs = [...]*rpc{
 		return nil
 	}},
 	msgPutData: {opClient, msgAck, func(s *Server, req *request, resp *response) error {
-		return s.putData(req.key, req.tag, req.elem, req.vlen)
+		return s.PutData(req.key, req.tag, req.elem, req.vlen)
 	}},
 	msgGetData:    {opClient, msgData, nil},
 	msgReaderDone: {opExempt, 0, nil},
@@ -35,7 +35,7 @@ var rpcs = [...]*rpc{
 		return nil
 	}},
 	msgRepairPut: {opRepair, msgRepairResp, func(s *Server, req *request, resp *response) (err error) {
-		resp.accepted, err = s.repairPut(req.key, req.tag, req.elem, req.vlen)
+		resp.accepted, err = s.RepairPut(req.key, req.tag, req.elem, req.vlen)
 		return err
 	}},
 	msgKeys: {opDonor, msgKeysResp, func(s *Server, req *request, resp *response) error {

@@ -107,6 +107,12 @@ func (r *register) adopt(t Tag, elem []byte, vlen int) (displaced []byte) {
 	return displaced
 }
 
+// accepts is the accept rule of put and of WAL replay: t above the key's
+// tag, or for a repair also equal to it. Caller holds r.mu.
+func (r *register) accepts(op byte, t Tag) bool {
+	return r.tag.Less(t) || (op == walOpRepair && r.tag == t)
+}
+
 // dropReaders empties the reader set onto ends, for the caller to end once
 // it holds no lock. Caller holds r.mu.
 func (r *register) dropReaders(ends []registrant) []registrant {
@@ -437,30 +443,36 @@ func (s *Server) GetTag(key string) Tag {
 	return r.tag
 }
 
-// put is the body PutData and RepairPut share: accept (t, elem, vlen)
-// iff t is above the key's tag — or, for a repair, equal to it — and
-// relay it to every registered reader whose treq it satisfies (a
-// rejected put-data still relays; a rejected repair does nothing).
-// Sinks run after r.mu is released, on a server-owned copy: the stored
-// buffer, marked lent because a sink can outlive its registration by
-// one call, or a private clone. On a server whose WAL was closed under
-// it (power cut, Close) an accepted put fails with ErrServerDown before
-// it stores or relays anything: memory must not get ahead of a disk
-// that can no longer follow. wait is how the caller takes the two things
-// a put can queue on, the key's register lock and the log: parked behind
-// their holders, or — a writer running its own put-data pass, which has
-// other servers to visit meanwhile — not at all, and then a busy one
-// answers errNotNow with nothing logged, stored or relayed.
-func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int, wait bool) (bool, error) {
+// put is the one put body, under PutData, RepairPut and loopConn's
+// put-data: accept (t, elem, vlen) iff register.accepts, log it before
+// applying it, and relay it to every registered reader whose treq it
+// satisfies (a rejected put-data still relays; a rejected repair does
+// nothing). On a server whose WAL was closed under it (power cut, Close)
+// an accepted put fails with ErrServerDown before it stores or relays
+// anything: memory must not get ahead of a disk that can no longer follow.
+// wait is how the caller takes the register lock and the log: parked
+// behind their holders, or — a writer running its own put-data pass — not
+// at all, and then a busy one answers errNotNow with nothing logged,
+// stored or relayed, and elem still the caller's.
+//
+// owned is whether elem is the server's from the call on: handoff(len(elem))
+// on a loopConn, never on a NetServer, which borrows its frame. A borrowed
+// elem is copied in (register.store) and relayed as the stored buffer,
+// marked lent (a sink can outlive its registration by one call), or as a
+// private clone. An owned one is installed (register.adopt) and relayed as
+// it is; the buffer it displaced, or a rejected one no sink took, goes to
+// the element free list.
+func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int, wait, owned bool) (bool, error) {
 	r := s.hold(key, wait)
 	if r == nil {
 		return false, errNotNow
 	}
-	stored := r.tag.Less(t) || (op == walOpRepair && r.tag == t)
+	stored := r.accepts(op, t)
 	if !stored && op == walOpRepair {
 		r.mu.Unlock()
 		return false, nil
 	}
+	var displaced []byte
 	if stored {
 		// Log before apply, under the register lock: the WAL's per-key
 		// record order is the apply order, and with FsyncAlways the
@@ -468,10 +480,17 @@ func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int, wait boo
 		if s.dur != nil {
 			if err := s.dur.logMutation(op, key, t, elem, vlen, wait); err != nil {
 				r.mu.Unlock()
+				if owned && err != errNotNow {
+					putElem(elem)
+				}
 				return false, err
 			}
 		}
-		r.store(t, elem, vlen)
+		if owned {
+			displaced = r.adopt(t, elem, vlen)
+		} else {
+			r.store(t, elem, vlen)
+		}
 	}
 	var sinks []registrant
 	for i := range r.readers {
@@ -481,70 +500,26 @@ func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int, wait boo
 	}
 	if len(sinks) == 0 {
 		r.mu.Unlock()
+		// The buffer nobody holds once an owned put is done: the one the
+		// register gave up, last written a whole write ago, or the
+		// rejected elem, which its writer has only just filled.
+		if owned && stored {
+			putDisplaced(displaced)
+		} else if owned {
+			putElem(elem)
+		}
 		return stored, nil
 	}
-	own := r.elem
+	// A sink implies a registered reader, so adopt displaced nothing.
+	own := elem
 	if stored {
-		r.lent = true
-	} else {
+		own, r.lent = r.elem, true
+	} else if !owned {
 		own = slices.Clone(elem)
 	}
 	r.mu.Unlock()
 	s.relay(sinks, t, own, vlen)
 	return stored, nil
-}
-
-// putOwned is put for a put-data whose elem the caller gives away (see
-// handoff): storing is a pointer swap (register.adopt), and nothing is
-// copied on any path. The buffer the swap displaces goes to the element
-// free list if nobody can be reading it and is otherwise left to the
-// GC, like the buffer a borrowed put replaces. A rejected elem is
-// relayed as it is, or freed. wait is put's; errNotNow leaves elem the
-// caller's.
-func (s *Server) putOwned(key string, t Tag, elem []byte, vlen int, wait bool) error {
-	r := s.hold(key, wait)
-	if r == nil {
-		return errNotNow
-	}
-	stored := r.tag.Less(t)
-	var displaced []byte
-	if stored {
-		if s.dur != nil {
-			if err := s.dur.logMutation(walOpPut, key, t, elem, vlen, wait); err != nil {
-				r.mu.Unlock()
-				if err != errNotNow {
-					putElem(elem)
-				}
-				return err
-			}
-		}
-		displaced = r.adopt(t, elem, vlen)
-	}
-	var sinks []registrant
-	for i := range r.readers {
-		if !t.Less(r.readers[i].treq) {
-			sinks = append(sinks, r.readers[i].to)
-		}
-	}
-	if len(sinks) == 0 {
-		r.mu.Unlock()
-		// The buffer nobody holds once this put is done: the one the
-		// register gave up, last written a whole write ago, or the
-		// rejected elem, which its writer has only just filled.
-		if stored {
-			putDisplaced(displaced)
-		} else {
-			putElem(elem)
-		}
-		return nil
-	}
-	// elem goes out on the relay: lent if it is now the register's,
-	// the sinks' to drop if it was rejected. Nothing is freed — a sink
-	// implies a registered reader, so adopt displaced nothing.
-	r.lent = r.lent || stored
-	r.mu.Unlock()
-	s.relay(sinks, t, elem, vlen)
-	return nil
 }
 
 // relay hands (t, elem, vlen) to sinks, outside every lock.
@@ -556,47 +531,35 @@ func (s *Server) relay(sinks []registrant, t Tag, elem []byte, vlen int) {
 	}
 }
 
-// PutData answers the writer's second phase: store (t, elem) under key
-// if t is new, and relay it to every reader registered on the key
-// whose registration tag it satisfies — including readers that arrived
-// after a newer write. elem is borrowed for the call: the server copies
-// what it keeps.
-func (s *Server) PutData(key string, t Tag, elem []byte, vlen int) {
-	s.putData(key, t, elem, vlen)
-}
-
-// putData is PutData for the transports, which must not ack a put the
-// server refused (ErrServerDown: its WAL is closed).
-func (s *Server) putData(key string, t Tag, elem []byte, vlen int) error {
+// PutData answers the writer's second phase (the message table's put-data
+// handler): store (t, elem) under key if t is new, and relay it to every
+// reader registered on the key whose registration tag it satisfies —
+// including readers that arrived after a newer write. elem is borrowed:
+// put, with owned unset, copies what it keeps. A put the server refused
+// (ErrServerDown: its WAL is closed) must not be acked.
+func (s *Server) PutData(key string, t Tag, elem []byte, vlen int) error {
 	s.metrics.of(key).PutDatas.Add(1)
-	_, err := s.put(walOpPut, key, t, elem, vlen, true)
+	_, err := s.put(walOpPut, key, t, elem, vlen, true, false)
 	return err
 }
 
-// RepairPut answers the Repairer's install: accept (t, elem, vlen)
-// under key iff t >= the key's current tag, reporting whether it was
-// installed. The >= (vs PutData's strict >) is the point of the
-// message: repair may lay down a fresh copy of the element the server
-// already claims to hold, overwriting rotten storage, but it can never
-// roll the server's tag backwards — that invariant is what keeps a
-// previously returned tag's holder count from shrinking, which the
-// reader's f < k atomicity argument depends on. An accepted repair
-// relays to the key's registered readers exactly like a put-data, so a
-// reader that registered while the server was catching up still sees
-// the element it is waiting for. elem is borrowed, as in PutData.
-func (s *Server) RepairPut(key string, t Tag, elem []byte, vlen int) bool {
-	installed, _ := s.repairPut(key, t, elem, vlen)
-	return installed
-}
-
-// repairPut is RepairPut for the transports; the error is putData's.
-func (s *Server) repairPut(key string, t Tag, elem []byte, vlen int) (bool, error) {
+// RepairPut answers the Repairer's install (the message table's
+// repair-put handler): accept (t, elem, vlen) under key iff t >= the key's
+// current tag, reporting whether it was installed. The >= (vs PutData's
+// strict >) is the point of the message: repair may lay down a fresh copy
+// of the element the server already claims to hold, overwriting rotten
+// storage, but it can never roll the server's tag backwards — that
+// invariant is what keeps a previously returned tag's holder count from
+// shrinking, which the reader's f < k atomicity argument depends on. It is
+// PutData's put body, so an accepted repair relays to the key's readers
+// exactly like a put-data. elem is borrowed; the error is PutData's.
+func (s *Server) RepairPut(key string, t Tag, elem []byte, vlen int) (bool, error) {
 	s.metrics.of(key).RepairPuts.Add(1)
 	// A zero-tag repair of an absent key installs the state the key
 	// already has; succeed without materializing a register.
 	installed, err := t == (Tag{}) && s.lookup(key, false) == nil, error(nil)
 	if !installed {
-		installed, err = s.put(walOpRepair, key, t, elem, vlen, true)
+		installed, err = s.put(walOpRepair, key, t, elem, vlen, true, false)
 	}
 	if installed {
 		s.metrics.of(key).RepairInstalls.Add(1)

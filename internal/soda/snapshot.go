@@ -135,7 +135,7 @@ func readSnapshot(dir string) (uint64, epochState, []snapEntry, error) {
 	entries := make([]snapEntry, 0, min(int(count), 1024))
 	for i := uint32(0); i < count && !c.failed; i++ {
 		var e snapEntry
-		e.key, e.tag, e.vlen, e.elem = c.put() // elem borrows data; installRecovered copies it
+		e.key, e.tag, e.vlen, e.elem = c.put() // elem borrows data; replay copies it, as put does with owned unset
 		entries = append(entries, e)
 	}
 	if err := c.err("snapshot"); err != nil {

@@ -70,6 +70,11 @@ const maxFrame = 16 << 20
 // allows more, but a key is a name, not a payload.
 const maxKeyLen = 255
 
+// maxReaderID bounds a get-data's reader id, which the server keeps in the
+// key's registration while the read lasts. Its uint32 length field allows
+// a frame's worth; like a key, it is a name.
+const maxReaderID = 255
+
 // maxKeys bounds a keys-resp enumeration a peer can make us allocate.
 const maxKeys = 1 << 20
 
@@ -490,6 +495,16 @@ func (c *cursor) key() string {
 	return string(c.take(int(n)))
 }
 
+// readerID parses a reader id, refusing an empty or oversized one uncopied.
+func (c *cursor) readerID() string {
+	b := c.view()
+	if len(b) == 0 || len(b) > maxReaderID {
+		c.failed = true
+		return ""
+	}
+	return string(b)
+}
+
 // view returns a length-prefixed byte string as a borrow of the
 // payload: valid only while the caller keeps the buffer it is parsing.
 func (c *cursor) view() []byte {
@@ -572,7 +587,7 @@ func decodeRequest(payload []byte, r *request) error {
 		r.key, r.tag, r.vlen, r.elem = c.put()
 	case msgGetData:
 		r.key = c.key()
-		r.reader = string(c.view())
+		r.reader = c.readerID()
 	case msgReaderDone, msgKeys:
 	case msgReconfig:
 		r.op = ReconfigOp(c.u8())

@@ -249,7 +249,8 @@ func TestWireRoundTrip(t *testing.T) {
 
 // TestWireKeyBounds pins the key validation rules: empty keys and
 // oversized keys are refused by encoder-side validation and by the
-// cursor on decode.
+// cursor on decode. Reader ids are bounded the same way: on decode, and
+// by the Reader constructor for the registration ids it makes.
 func TestWireKeyBounds(t *testing.T) {
 	if err := validateKey(""); !errors.Is(err, ErrFrame) {
 		t.Fatalf("validateKey(\"\") = %v", err)
@@ -275,6 +276,40 @@ func TestWireKeyBounds(t *testing.T) {
 	b = append(b, bytes.Repeat([]byte{'x'}, 256)...)
 	if err := decodeRequest(b, &req); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized key decode = %v", err)
+	}
+
+	// A get-data's reader id keeps its uint32 length, but an empty or
+	// oversized one is a malformed body, answered on its request id.
+	for _, tc := range []struct {
+		reader string
+		ok     bool
+	}{
+		{"", false},
+		{strings.Repeat("r", maxReaderID), true},
+		{strings.Repeat("r", maxReaderID+1), false},
+		{strings.Repeat("r", 1<<16), false},
+	} {
+		var got request
+		err := decodeRequest(appendRequest(nil, &request{typ: msgGetData, id: 9, key: "k", reader: tc.reader}), &got)
+		if (err == nil) != tc.ok || (err != nil && !errors.Is(err, ErrFrame)) {
+			t.Fatalf("%d byte reader id decode = %v, want ok=%v", len(tc.reader), err, tc.ok)
+		}
+		if got.id != 9 || (tc.ok && got.reader != tc.reader) {
+			t.Fatalf("%d byte reader id decoded as id %d, reader %d bytes", len(tc.reader), got.id, len(got.reader))
+		}
+	}
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := NewLoopback(5).Conns()
+	// The longest id whose registration ids (id-<token>#<seq>) fit.
+	fits := maxReaderID - len("-"+procToken+"#") - 20
+	if _, err := NewReader(strings.Repeat("r", fits), codec, conns); err != nil {
+		t.Fatalf("NewReader(%d byte id) = %v", fits, err)
+	}
+	if _, err := NewReader(strings.Repeat("r", fits+1), codec, conns); !errors.Is(err, ErrConfig) {
+		t.Fatalf("NewReader(%d byte id) = %v, want ErrConfig", fits+1, err)
 	}
 }
 
@@ -420,6 +455,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if req.key != "" && validateKey(req.key) != nil {
 			t.Fatalf("decoded an invalid %d-byte key", len(req.key))
+		}
+		if req.typ == msgGetData && (req.reader == "" || len(req.reader) > maxReaderID) {
+			t.Fatalf("decoded a %d-byte reader id", len(req.reader))
 		}
 		if req.vlen < 0 || req.vlen > math.MaxInt32 {
 			t.Fatalf("decoded vlen %d", req.vlen)
