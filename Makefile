@@ -3,7 +3,7 @@ GO ?= go
 # The benchmark selection shared by `make bench` and `make bench-json`.
 BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|DecodeErrors|Stream
 
-.PHONY: all build build-cross test test-durability test-reconfig test-repair test-transport test-legs test-rs-gates test-elems vet lint bench bench-check bench-pairs bench-smoke bench-json bench-soda-json bench-soda-smoke race fuzz loc
+.PHONY: all build build-cross test test-durability test-reconfig test-repair test-transport test-legs test-rs-gates test-elems vet lint bench bench-check bench-pairs bench-smoke bench-json race fuzz loc
 
 all: vet lint build test test-transport bench-check race
 
@@ -156,24 +156,6 @@ bench-smoke:
 bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_rs.json -- \
 		$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 300ms -benchmem ./internal/gf256/ ./internal/rs/
-
-# bench-soda-json reruns the open-loop load suite and regenerates
-# BENCH_soda.json deterministically (sorted keys, fixed schema,
-# tool-computed derived ratios; the "notes" field of the existing file
-# is preserved). Numbers are machine-dependent; the schema is not.
-bench-soda-json:
-	$(GO) run ./cmd/sodaload -suite -out BENCH_soda.json
-
-# bench-soda-smoke runs the suite twice at a tiny rate/duration and
-# checks both regenerations produce the committed BENCH_soda.json
-# schema: a CI-friendly determinism check on the harness and its
-# output shape, with no performance gating.
-bench-soda-smoke:
-	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && set -ex && \
-	$(GO) run ./cmd/sodaload -suite -rate 2000 -duration 300ms -keys 256 -out "$$d/a.json" && \
-	$(GO) run ./cmd/sodaload -suite -rate 2000 -duration 300ms -keys 256 -seed 2 -out "$$d/b.json" && \
-	$(GO) run ./cmd/sodaload -compare-schema "$$d/a.json" "$$d/b.json" && \
-	$(GO) run ./cmd/sodaload -compare-schema "$$d/a.json" BENCH_soda.json
 
 # fuzz runs every fuzz target of every package (its Fuzz* functions, as
 # go test -list finds them) for FUZZTIME each; lengthen with FUZZTIME=5m etc.

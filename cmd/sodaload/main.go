@@ -8,35 +8,24 @@
 // bounded in-flight window full are counted as shed, never silently
 // dropped.
 //
-// Single-run mode drives one transport/key-count/rate/mix combination
-// and prints goodput, latency percentiles, and the cluster-wide server
-// metric counters:
+// It drives one transport/key-count/rate/mix combination and prints
+// goodput, latency percentiles, and the cluster-wide server metric
+// counters:
 //
 //	go run ./cmd/sodaload -transport loopback -keys 10000 -rate 100000 -duration 3s
 //	go run ./cmd/sodaload -transport tcp-mux -keys 64 -rate 400 -read-frac 0
-//
-// Suite mode (-suite) runs the repository's benchmark set — loopback
-// throughput across the full keyspace, write latency over the
-// multiplexed TCP transport, and the kill-repair survival run — and
-// regenerates BENCH_soda.json deterministically
-// (sorted keys, tool-computed derived ratios, narrative notes
-// preserved). -compare-schema A B checks two such files have the same
-// shape, which is how CI pins regeneration determinism without pinning
-// machine-dependent numbers.
+//	go run ./cmd/sodaload -transport loopback -kill -rate 2000 -keys 64 -inflight 128
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,54 +53,44 @@ type runConfig struct {
 	kill bool
 }
 
-// runResult is one load run's outcome; the field set is the JSON
-// schema the determinism check pins, so nothing here is omitempty.
+// runResult is one load run's outcome.
 type runResult struct {
-	Transport    string  `json:"transport"`
-	N            int     `json:"n"`
-	K            int     `json:"k"`
-	Keys         int     `json:"keys"`
-	OfferedOpsS  float64 `json:"offered_rate_ops_s"`
-	DurationS    float64 `json:"duration_s"`
-	ReadFrac     float64 `json:"read_frac"`
-	ValueBytes   int     `json:"value_bytes"`
-	Inflight     int     `json:"inflight"`
-	Arrivals     int64   `json:"arrivals"`
-	Completed    int64   `json:"completed_ops"`
-	Shed         int64   `json:"shed_arrivals"`
-	Errors       int64   `json:"errors"`
-	GoodputOpsS  float64 `json:"goodput_ops_s"`
-	ReadP50Us    float64 `json:"read_p50_us"`
-	ReadP99Us    float64 `json:"read_p99_us"`
-	WriteP50Us   float64 `json:"write_p50_us"`
-	WriteP99Us   float64 `json:"write_p99_us"`
-	ServerRelays uint64  `json:"server_relays"`
-	ServerRegGCs uint64  `json:"server_reg_gcs"`
+	Transport    string
+	N            int
+	K            int
+	Keys         int
+	OfferedOpsS  float64
+	DurationS    float64
+	ReadFrac     float64
+	ValueBytes   int
+	Inflight     int
+	Arrivals     int64
+	Completed    int64
+	Shed         int64
+	Errors       int64
+	GoodputOpsS  float64
+	ReadP50Us    float64
+	ReadP99Us    float64
+	WriteP50Us   float64
+	WriteP99Us   float64
+	ServerRelays uint64
+	ServerRegGCs uint64
 	// Namespace-hygiene gauges/counters: registrations still held at
 	// the end of the run (should be ~0 once readers tear down) and
 	// empty registers collected during it.
-	ServerRegistrations uint64 `json:"server_registrations"`
-	ServerRegisterGCs   uint64 `json:"server_register_gcs"`
-	// Fault-injection accounting, populated by -kill runs and present
-	// (zero) in every run so the schema never shifts: servers killed,
-	// healing lag from power cut to readmission, and the cluster-wide
-	// quarantine/repair counters behind it.
-	Kills                int64   `json:"kills"`
-	HealP50Ms            float64 `json:"heal_p50_ms"`
-	HealP99Ms            float64 `json:"heal_p99_ms"`
-	ServerQuarantines    uint64  `json:"server_quarantines"`
-	ServerRepairPuts     uint64  `json:"server_repair_puts"`
-	ServerRepairInstalls uint64  `json:"server_repair_installs"`
-	ServerRecoveries     uint64  `json:"server_recoveries"`
-}
-
-type suiteOutput struct {
-	Date       string               `json:"date"`
-	GoMaxProcs int                  `json:"gomaxprocs"`
-	Go         string               `json:"go"`
-	Notes      string               `json:"notes"`
-	Runs       map[string]runResult `json:"runs"`
-	Derived    map[string]float64   `json:"derived"`
+	ServerRegistrations uint64
+	ServerRegisterGCs   uint64
+	// Fault-injection accounting, populated by -kill runs (zero
+	// otherwise): servers killed, healing lag from power cut to
+	// readmission, and the cluster-wide quarantine/repair counters
+	// behind it.
+	Kills                int64
+	HealP50Ms            float64
+	HealP99Ms            float64
+	ServerQuarantines    uint64
+	ServerRepairPuts     uint64
+	ServerRepairInstalls uint64
+	ServerRecoveries     uint64
 }
 
 func main() {
@@ -127,9 +106,6 @@ func main() {
 		inflight  = flag.Int("inflight", 256, "bounded in-flight window; arrivals beyond it are shed")
 		kill      = flag.Bool("kill", false, "power-cut/recover/repair servers mid-run (loopback only; durable nodes)")
 		seed      = flag.Int64("seed", 1, "op-mix RNG seed")
-		suite     = flag.Bool("suite", false, "run the benchmark suite and write -out")
-		out       = flag.String("out", "BENCH_soda.json", "suite output file")
-		cmpSchema = flag.Bool("compare-schema", false, "compare the JSON schema of two files given as args")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the load run to this file")
 		memProf   = flag.String("memprofile", "", "write an allocation profile of the load run to this file")
 	)
@@ -158,107 +134,16 @@ func main() {
 		}()
 	}
 
-	if *cmpSchema {
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-compare-schema needs exactly two files, got %d", flag.NArg()))
-		}
-		if err := compareSchema(flag.Arg(0), flag.Arg(1)); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("sodaload: %s and %s have identical schemas\n", flag.Arg(0), flag.Arg(1))
-		return
-	}
-
 	cfg := runConfig{
 		transport: *transport, n: *n, k: *k, keys: *keys, rate: *rate,
 		duration: *duration, readFrac: *readFrac, vsize: *vsize,
 		inflight: *inflight, prewrite: *readFrac > 0, seed: *seed, kill: *kill,
-	}
-	if *suite {
-		if err := runSuite(cfg, *out); err != nil {
-			fatal(err)
-		}
-		return
 	}
 	res, err := runLoad(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	printResult(res)
-}
-
-// runSuite executes the repository benchmark set and regenerates the
-// output file: the loopback namespace throughput run at the full key
-// count, a write-only offered load over multiplexed TCP, and the
-// kill-repair survival run.
-func runSuite(base runConfig, outPath string) error {
-	tcpDur := min(base.duration, 2*time.Second)
-	tcpKeys := min(base.keys, 64)
-	tcpRate := math.Min(base.rate, 400)
-	runs := []struct {
-		name string
-		cfg  runConfig
-	}{
-		{"loopback/namespace", runConfig{
-			transport: "loopback", n: base.n, k: base.k, keys: base.keys,
-			rate: base.rate, duration: base.duration, readFrac: base.readFrac,
-			vsize: base.vsize, inflight: base.inflight, prewrite: true, seed: base.seed,
-		}},
-		{"tcp-mux/write-lat", runConfig{
-			transport: "tcp-mux", n: base.n, k: base.k, keys: tcpKeys,
-			rate: tcpRate, duration: tcpDur, readFrac: 0,
-			vsize: base.vsize, inflight: 64, seed: base.seed,
-		}},
-		// The survival run: durable loopback nodes at a modest rate with
-		// the kill loop power-cutting and donor-repairing servers
-		// mid-load. Goodput through the holes and healing lag are the
-		// numbers; the quarantine/repair counters prove the heal path
-		// actually ran.
-		{"loopback/kill-repair", runConfig{
-			transport: "loopback", n: base.n, k: base.k, keys: tcpKeys,
-			rate: math.Min(base.rate, 2000), duration: base.duration,
-			readFrac: base.readFrac, vsize: base.vsize, inflight: 128,
-			prewrite: base.readFrac > 0, seed: base.seed, kill: true,
-		}},
-	}
-
-	res := suiteOutput{
-		Date:       time.Now().Format("2006-01-02"),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Go:         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		Runs:       map[string]runResult{},
-		Derived:    map[string]float64{},
-	}
-	if old, err := os.ReadFile(outPath); err == nil {
-		var prev struct {
-			Notes string `json:"notes"`
-		}
-		if json.Unmarshal(old, &prev) == nil {
-			res.Notes = prev.Notes
-		}
-	}
-	for _, r := range runs {
-		fmt.Fprintf(os.Stderr, "== %s ==\n", r.name)
-		rr, err := runLoad(r.cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", r.name, err)
-		}
-		printResult(rr)
-		res.Runs[r.name] = rr
-	}
-
-	res.Derived["loopback_goodput_kops_s"] = round2(res.Runs["loopback/namespace"].GoodputOpsS / 1000)
-	res.Derived["kill_heal_p99_ms"] = res.Runs["loopback/kill-repair"].HealP99Ms
-
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sodaload: wrote %d runs to %s\n", len(res.Runs), outPath)
-	return nil
 }
 
 // cluster is a running server set behind a []Conn, whatever the
@@ -603,8 +488,7 @@ func printResult(r runResult) {
 }
 
 // pctileUs returns the p-th percentile of sorted ns latencies in µs
-// (0 when the class saw no ops — write-only runs keep the read fields
-// present but zero so the JSON schema never shifts).
+// (0 when the class saw no ops).
 func pctileUs(sorted []int64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
@@ -626,67 +510,6 @@ func pctileMs(sorted []int64, p float64) float64 {
 }
 
 func round2(v float64) float64 { return math.Round(v*100) / 100 }
-
-// compareSchema verifies two JSON files have the same key structure —
-// same nested field paths, value types ignored for numbers vs numbers.
-// This is the determinism contract for BENCH_soda.json: regeneration
-// on a different machine changes numbers, never shape.
-func compareSchema(aPath, bPath string) error {
-	a, err := schemaPaths(aPath)
-	if err != nil {
-		return err
-	}
-	b, err := schemaPaths(bPath)
-	if err != nil {
-		return err
-	}
-	var diffs []string
-	for p := range a {
-		if !b[p] {
-			diffs = append(diffs, fmt.Sprintf("  only in %s: %s", aPath, p))
-		}
-	}
-	for p := range b {
-		if !a[p] {
-			diffs = append(diffs, fmt.Sprintf("  only in %s: %s", bPath, p))
-		}
-	}
-	if len(diffs) > 0 {
-		sort.Strings(diffs)
-		return fmt.Errorf("schemas differ:\n%s", strings.Join(diffs, "\n"))
-	}
-	return nil
-}
-
-func schemaPaths(path string) (map[string]bool, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var v any
-	if err := json.Unmarshal(buf, &v); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := map[string]bool{}
-	walkSchema(v, "$", out)
-	return out, nil
-}
-
-func walkSchema(v any, path string, out map[string]bool) {
-	switch t := v.(type) {
-	case map[string]any:
-		for k, sub := range t {
-			walkSchema(sub, path+"."+k, out)
-		}
-	case []any:
-		out[path+"[]"] = true
-		if len(t) > 0 {
-			walkSchema(t[0], path+"[]", out)
-		}
-	default:
-		out[fmt.Sprintf("%s:%T", path, v)] = true
-	}
-}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sodaload:", err)

@@ -1375,6 +1375,30 @@ func TestMuxStalledPeerNeverParksCallers(t *testing.T) {
 	}
 }
 
+// logKillCase logs every server's tag for key and which case of
+// TestMuxServerKilledMidPhase's failures the cluster is in.
+func logKillCase(t *testing.T, cores []*Server, key string, k int) {
+	tags := make([]Tag, len(cores))
+	var newest Tag
+	for i, s := range cores {
+		tags[i], _, _ = s.Snapshot(key)
+		if newest.Less(tags[i]) {
+			newest = tags[i]
+		}
+	}
+	held := 0
+	for _, tag := range tags {
+		if tag == newest {
+			held++
+		}
+	}
+	label := "case 1"
+	if held < k {
+		label = "case 2"
+	}
+	t.Logf("%s: %s: tags %v; newest %v held by %d servers, k = %d", label, key, tags, newest, held, k)
+}
+
 // countWaiter counts how often it is completed.
 type countWaiter struct{ n atomic.Int32 }
 
@@ -1388,7 +1412,10 @@ func (w *countWaiter) take(byte) waiter { return w }
 // completed exactly once — by its answer or by the teardown, never both
 // (a second completion of a pooled call state panics in release) — every
 // operation that had f to spare succeeds, and every value read is one that
-// was written.
+// was written. A failed operation logs which of two known cases it is:
+// "case 1" when the newest tag on any server is held by at least k of them
+// (a restarted server holds what the read needs, but nothing asks it
+// again), "case 2" when fewer hold it (a write ended without n − f acks).
 func TestMuxServerKilledMidPhase(t *testing.T) {
 	checkNoLeaks(t)
 	const rounds = 200
@@ -1404,6 +1431,12 @@ func TestMuxServerKilledMidPhase(t *testing.T) {
 	r := mustReader(t, "r", codec, conns)
 	if _, err := w.Write(ctx, "kill/0", diffValue(rand.New(rand.NewSource(1)), 0, 0, 0)); err != nil {
 		t.Fatal(err)
+	}
+	// The kill loop reassigns servers[i], so clients read the cores,
+	// which every restart keeps.
+	cores := make([]*Server, len(servers))
+	for i, ns := range servers {
+		cores[i] = ns.core
 	}
 
 	var stop atomic.Bool
@@ -1434,6 +1467,7 @@ func TestMuxServerKilledMidPhase(t *testing.T) {
 				if errors.Is(err, ErrUnavailable) {
 					unavailable.Add(1)
 				} else if err != nil {
+					logKillCase(t, cores, key, codec.K())
 					t.Errorf("client %d op %d: %v", c, j, err)
 					return
 				}

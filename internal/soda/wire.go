@@ -316,8 +316,8 @@ func appendHeader(b []byte, typ byte, req, epoch uint64) []byte {
 }
 
 func appendTag(b []byte, t Tag) []byte {
-	// Writer ids are bounded at the constructors (maxWriterID) and by
-	// the uint16 length on ingest, so truncation here would indicate a
+	// Writer ids are bounded at the constructors and by the wire
+	// decoders (maxWriterID), so truncation here would indicate a
 	// forged tag: clamp it to the empty writer rather than emit a
 	// frame whose length field lies about the bytes that follow.
 	w := t.Writer
@@ -484,6 +484,17 @@ func (c *cursor) tag() Tag {
 	return Tag{TS: ts, Writer: string(c.take(int(c.u16())))}
 }
 
+// wireTag refuses a tag whose writer id exceeds maxWriterID. The two wire
+// decoders bound every tag they parse with it; the WAL and snapshot
+// parsers do not, so a log written before the bound replays as it did.
+func (c *cursor) wireTag(t Tag) Tag {
+	if len(t.Writer) > maxWriterID {
+		c.failed = true
+		return Tag{}
+	}
+	return t
+}
+
 // key parses a uint16 length-prefixed register key, enforcing the wire
 // bound so an adversarial length cannot smuggle a payload-sized name.
 func (c *cursor) key() string {
@@ -585,6 +596,7 @@ func decodeRequest(payload []byte, r *request) error {
 		r.key = c.key()
 	case msgPutData, msgRepairPut:
 		r.key, r.tag, r.vlen, r.elem = c.put()
+		r.tag = c.wireTag(r.tag)
 	case msgGetData:
 		r.key = c.key()
 		r.reader = c.readerID()
@@ -634,10 +646,10 @@ func decodeResponse(payload []byte, want byte, r *response) error {
 	}
 	switch typ {
 	case msgTagResp:
-		r.tag = c.tag()
+		r.tag = c.wireTag(c.tag())
 	case msgAck:
 	case msgData, msgElemResp:
-		r.tag = c.tag()
+		r.tag = c.wireTag(c.tag())
 		r.vlen = c.vlen()
 		if typ == msgData {
 			r.initial = c.flag()

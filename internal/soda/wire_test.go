@@ -250,7 +250,8 @@ func TestWireRoundTrip(t *testing.T) {
 // TestWireKeyBounds pins the key validation rules: empty keys and
 // oversized keys are refused by encoder-side validation and by the
 // cursor on decode. Reader ids are bounded the same way: on decode, and
-// by the Reader constructor for the registration ids it makes.
+// by the Reader constructor for the registration ids it makes. Writer ids
+// are bounded on decode in every message that carries a tag.
 func TestWireKeyBounds(t *testing.T) {
 	if err := validateKey(""); !errors.Is(err, ErrFrame) {
 		t.Fatalf("validateKey(\"\") = %v", err)
@@ -298,6 +299,34 @@ func TestWireKeyBounds(t *testing.T) {
 			t.Fatalf("%d byte reader id decoded as id %d, reader %d bytes", len(tc.reader), got.id, len(got.reader))
 		}
 	}
+
+	// A tag's writer id keeps its uint16 length, but one longer than
+	// maxWriterID is a malformed body, answered on its request id.
+	for _, n := range []int{maxWriterID, maxWriterID + 1, 0xFFFF} {
+		tag := Tag{TS: 7, Writer: strings.Repeat("w", n)}
+		ok := n <= maxWriterID
+		for _, typ := range []byte{msgPutData, msgRepairPut} {
+			var got request
+			err := decodeRequest(appendRequest(nil, &request{typ: typ, id: 9, key: "k", tag: tag, vlen: 1, elem: []byte{1}}), &got)
+			if (err == nil) != ok || (err != nil && !errors.Is(err, ErrFrame)) {
+				t.Fatalf("%s with a %d byte writer id: decode = %v, want ok=%v", msgNames[typ], n, err, ok)
+			}
+			if got.id != 9 || (ok && got.tag != tag) {
+				t.Fatalf("%s with a %d byte writer id decoded as id %d, writer %d bytes", msgNames[typ], n, got.id, len(got.tag.Writer))
+			}
+		}
+		for _, typ := range []byte{msgTagResp, msgData, msgElemResp} {
+			var got response
+			err := decodeResponse(appendResponse(nil, &response{typ: typ, id: 9, tag: tag, vlen: 1, elem: []byte{1}}), typ, &got)
+			if (err == nil) != ok || (err != nil && !errors.Is(err, ErrFrame)) {
+				t.Fatalf("%s with a %d byte writer id: decode = %v, want ok=%v", msgNames[typ], n, err, ok)
+			}
+			if got.id != 9 || (ok && got.tag != tag) {
+				t.Fatalf("%s with a %d byte writer id decoded as id %d, writer %d bytes", msgNames[typ], n, got.id, len(got.tag.Writer))
+			}
+		}
+	}
+
 	codec, err := NewCodec(5, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -459,6 +488,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		if req.typ == msgGetData && (req.reader == "" || len(req.reader) > maxReaderID) {
 			t.Fatalf("decoded a %d-byte reader id", len(req.reader))
 		}
+		if len(req.tag.Writer) > maxWriterID {
+			t.Fatalf("decoded a %d-byte writer id", len(req.tag.Writer))
+		}
 		if req.vlen < 0 || req.vlen > math.MaxInt32 {
 			t.Fatalf("decoded vlen %d", req.vlen)
 		}
@@ -501,6 +533,9 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 		if len(resp.keys) > maxKeys || resp.vlen < 0 || resp.vlen > math.MaxInt32 {
 			t.Fatalf("decoded %d keys, vlen %d", len(resp.keys), resp.vlen)
+		}
+		if len(resp.tag.Writer) > maxWriterID {
+			t.Fatalf("decoded a %d-byte writer id", len(resp.tag.Writer))
 		}
 		for _, k := range resp.keys {
 			if validateKey(k) != nil {
