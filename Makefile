@@ -22,9 +22,9 @@ test:
 	$(GO) test ./...
 
 # test-durability is the fault-injection lane: the WAL/snapshot/
-# recovery battery (power cuts at every byte offset, torn records,
-# fsync-mode loss semantics, the kill-recover-rejoin soak) under the
-# race detector.
+# recovery battery (power cuts at every byte offset, torn records, a
+# power cut losing no acked put, not even one in a segment created just
+# before it, the kill-recover-rejoin soak) under the race detector.
 test-durability:
 	$(GO) test -race -run 'WAL|Snapshot|Recover|PowerCut|Fsync|Torn|Durable' ./internal/soda/
 
@@ -136,7 +136,7 @@ bench-pairs:
 # internal/soda only the streaming-encode layer benchmark depends on the
 # ladder, so only it rides along on both; the client quorum-path layer
 # benchmark (inline and on legs: 128 B, 1 MiB, and 128 B over servers
-# that log to b.TempDir() without syncing) runs once, at the -cpu list it
+# that log and sync to b.TempDir()) runs once, at the -cpu list it
 # is quoted at, and so do the socket round and its transport floor —
 # those two long enough (20000 rounds, twice) for a socket reader to fall
 # behind its callers, with a timeout that turns a cleanup hang into a

@@ -178,14 +178,13 @@ func startCluster(cfg runConfig) (*cluster, error) {
 	switch cfg.transport {
 	case "loopback":
 		if cfg.kill {
-			// Durable nodes (interval fsync keeps the generator honest
-			// about protocol cost, not disk cost) so a power-cut node has
-			// a disk to come back from.
+			// Durable nodes, so a power-cut node has a disk to come back
+			// from.
 			dir, err := os.MkdirTemp("", "sodaload-kill-")
 			if err != nil {
 				return nil, err
 			}
-			lb, err := soda.NewDurableLoopback(cfg.n, dir, soda.WithFsyncEvery(5*time.Millisecond))
+			lb, err := soda.NewDurableLoopback(cfg.n, dir)
 			if err != nil {
 				os.RemoveAll(dir)
 				return nil, err
@@ -348,8 +347,7 @@ func runLoad(cfg runConfig) (runResult, error) {
 		kwg      sync.WaitGroup
 	)
 	if cfg.kill {
-		rp, err := soda.NewRepairer(codec, cl.conns, cl.m,
-			soda.WithRepairBackoff(soda.Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond}))
+		rp, err := soda.NewRepairer(codec, cl.conns, cl.m)
 		if err != nil {
 			return runResult{}, err
 		}

@@ -29,7 +29,7 @@ import (
 func diskSeeds(f testing.TB) (records [][]byte, snapshot []byte) {
 	f.Helper()
 	ctx := context.Background()
-	lb, err := NewDurableLoopback(5, f.TempDir(), WithFsync(FsyncNone))
+	lb, err := NewDurableLoopback(5, f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -50,9 +50,6 @@ func diskSeeds(f testing.TB) (records [][]byte, snapshot []byte) {
 	}
 	lb.Server(0).Wipe("seed/a")
 	if _, err := lb.Server(0).Reconfig(ReconfigSeal, 1, 5, 3); err != nil {
-		f.Fatal(err)
-	}
-	if err := lb.Server(0).Sync(); err != nil {
 		f.Fatal(err)
 	}
 	segs, err := walSegments(lb.nodeDir(0))

@@ -369,75 +369,58 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	}
 }
 
-// TestFsyncModeLossSemantics pins what each fsync discipline loses at
-// a power cut: FsyncAlways nothing, FsyncNone the unsynced tail, and
-// an explicit Sync closes the FsyncNone window.
+// TestFsyncModeLossSemantics pins what the fsync discipline loses at a
+// power cut: nothing acknowledged.
 func TestFsyncModeLossSemantics(t *testing.T) {
 	t1 := Tag{TS: 1, Writer: "w"}
-	recoverAfterCut := func(t *testing.T, opt DurableOption, sync bool) Tag {
-		t.Helper()
-		dir := t.TempDir()
-		s, err := NewDurableServer(0, dir, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.PutData(testKey, t1, []byte{1}, 1)
-		if sync {
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.dur.powerCut()
-		s2, err := NewDurableServer(0, dir, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s2.Close()
-		tag, _, _ := s2.Snapshot(testKey)
-		return tag
+	dir := t.TempDir()
+	s, err := NewDurableServer(0, dir, WithFsync(FsyncAlways))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tag := recoverAfterCut(t, WithFsync(FsyncAlways), false); tag != t1 {
+	s.PutData(testKey, t1, []byte{1}, 1)
+	s.dur.powerCut()
+	s2, err := NewDurableServer(0, dir, WithFsync(FsyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if tag, _, _ := s2.Snapshot(testKey); tag != t1 {
 		t.Fatalf("FsyncAlways lost an acked put: recovered %v", tag)
-	}
-	if tag := recoverAfterCut(t, WithFsync(FsyncNone), false); !tag.IsZero() {
-		t.Fatalf("FsyncNone kept an unsynced put through a power cut: %v (simulated disk should drop it)", tag)
-	}
-	if tag := recoverAfterCut(t, WithFsync(FsyncNone), true); tag != t1 {
-		t.Fatalf("explicit Sync did not persist under FsyncNone: recovered %v", tag)
 	}
 }
 
-// TestFsyncIntervalSyncsOnTick: under FsyncInterval a put is on disk
-// once a tick has passed, so a power cut twenty ticks after a write keeps
-// it.
-func TestFsyncIntervalSyncsOnTick(t *testing.T) {
-	if got := FsyncInterval.String(); got != "interval" {
-		t.Fatalf("FsyncInterval.String() = %q", got)
+// TestPowerCutKeepsAFreshSegment: a segment's file is created at first
+// boot and at every rotation, and its name is on the disk only once its
+// directory is synced. A put acked into a fresh segment survives a power
+// cut, whether the segment is the first the directory ever held or the
+// one a rotation just opened (rotate alone, without the snapshot whose
+// rename syncs the directory too).
+func TestPowerCutKeepsAFreshSegment(t *testing.T) {
+	dir := t.TempDir()
+	cutAndRecover := func(s *Server, put Tag) *Server {
+		t.Helper()
+		s.PutData(testKey, put, []byte{byte(put.TS)}, 1)
+		s.dur.powerCut()
+		s2, err := NewDurableServer(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag, _, _ := s2.Snapshot(testKey); tag != put {
+			t.Fatalf("acked %v into segment %d, recovered %v", put, s.dur.wal.seq, tag)
+		}
+		return s2
 	}
-	ctx := testCtx(t)
-	codec, err := NewCodec(5, 3)
+	s, err := NewDurableServer(0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := NewDurableLoopback(5, t.TempDir(), WithFsyncEvery(5*time.Millisecond))
-	if err != nil {
+	s = cutAndRecover(s, Tag{TS: 1, Writer: "w"})
+	if _, err := s.dur.wal.rotate(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { lb.CloseServers() })
-	w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
-	tag, err := w.Write(ctx, testKey, []byte("synced on a tick"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	lb.PowerCut(0)
-	s, err := lb.Recover(0)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if got, _, _ := s.Snapshot(testKey); got != tag {
-		t.Fatalf("server 0 recovered %v after twenty ticks, want the written %v", got, tag)
-	}
+	s = cutAndRecover(s, Tag{TS: 2, Writer: "w"})
+	s.Close()
 }
 
 // TestPowerCutRecoverNoDonorRepair is the tentpole's acceptance path:

@@ -43,9 +43,9 @@ func pinSyncs(s *Server, d time.Duration) {
 // pinnedLoopback is a five-server durable loopback whose logs' fsyncs
 // appear to take no time, so that a writer on its raw conns puts on its
 // own goroutine on CI's disk as on a tmpfs.
-func pinnedLoopback(t testing.TB, mode FsyncMode) *Loopback {
+func pinnedLoopback(t testing.TB) *Loopback {
 	t.Helper()
-	lb, err := NewDurableLoopback(5, t.TempDir(), WithFsync(mode))
+	lb, err := NewDurableLoopback(5, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +57,13 @@ func pinnedLoopback(t testing.TB, mode FsyncMode) *Loopback {
 }
 
 // pinnedCluster is pinnedLoopback with the n5k3 codec for it.
-func pinnedCluster(t testing.TB, mode FsyncMode) (*Codec, *Loopback) {
+func pinnedCluster(t testing.TB) (*Codec, *Loopback) {
 	t.Helper()
 	codec, err := NewCodec(5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return codec, pinnedLoopback(t, mode)
+	return codec, pinnedLoopback(t)
 }
 
 // onPut registers a reader by hand on server i and calls fn for every
@@ -130,7 +130,7 @@ func TestDurablePutDoesNotWaitForAStuckLog(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			checkNoLeaks(t)
 			ctx := testCtx(t)
-			codec, lb := pinnedCluster(t, FsyncAlways)
+			codec, lb := pinnedCluster(t)
 			w := mustWriter(t, "w", codec, lb.Conns())
 			r := mustReader(t, "r", codec, lb.Conns())
 			v1, v2 := []byte("durable one"), []byte("durable two")
@@ -229,7 +229,7 @@ func watchPuts(t *testing.T, lb *Loopback, w *Writer, key string) (write func(va
 // syncSampleEvery of them and the writer puts on its own goroutine again.
 func TestDurableSlowSyncSendsPutsOnLegs(t *testing.T) {
 	checkNoLeaks(t)
-	codec, lb := pinnedCluster(t, FsyncAlways)
+	codec, lb := pinnedCluster(t)
 	w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
 	if _, err := w.Write(testCtx(t), testKey, []byte("so that there is something to relay after")); err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func TestDurablePutNotNowKeepsTheElement(t *testing.T) {
 	checkNoLeaks(t)
 	freed := poisonFreedElems(t)
 	ctx := testCtx(t)
-	codec, lb := pinnedCluster(t, FsyncAlways)
+	codec, lb := pinnedCluster(t)
 	w := mustWriter(t, "w", codec, lb.Conns())
 	r := mustReader(t, "r", codec, lb.Conns())
 	value := elemFor(11, 1<<20)
@@ -400,7 +400,7 @@ func TestDurablePowerCutBetweenThePasses(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			checkNoLeaks(t)
 			ctx := testCtx(t)
-			codec, lb := pinnedCluster(t, FsyncAlways)
+			codec, lb := pinnedCluster(t)
 			m := NewMembership(5)
 			w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
 			tag1, err := w.Write(ctx, testKey, []byte("before the cut"))

@@ -150,16 +150,13 @@ func classify(err error) string {
 // its operation returned, and the next fault must find the same servers
 // written whichever conns were owed one.
 //
-// With durable set the servers log to a temp dir under the given fsync
-// mode (syncs pinned to take no time, see pinnedCluster), a crash is a
-// power cut and a crashed server comes back by Recover, from its disk. An
-// FsyncNone log is synced before its cut — acknowledged puts lost to one
-// are outside the crash model this schedule predicts, and have their own
-// tests — and a server that is down is brought back before its epoch is
-// moved, which a closed log refuses. At the end every node is closed,
+// With durable set the servers log to a temp dir (syncs pinned to take no
+// time, see pinnedCluster), a crash is a power cut and a crashed server
+// comes back by Recover, from its disk, and a server that is down is
+// brought back before its epoch is moved, which a closed log refuses. At the end every node is closed,
 // recovered from its directory once more and compared with what it held
 // live: whichever goroutine logged a put, the log replays to it.
-func runDiffSchedule(t *testing.T, seed int64, e int, wrap func([]Conn) []Conn, durable bool, mode FsyncMode) (ops []diffOp, final []string) {
+func runDiffSchedule(t *testing.T, seed int64, e int, wrap func([]Conn) []Conn, durable bool) (ops []diffOp, final []string) {
 	t.Helper()
 	const n, k, steps = 5, 3, 160
 	readerF := 1
@@ -168,7 +165,7 @@ func runDiffSchedule(t *testing.T, seed int64, e int, wrap func([]Conn) []Conn, 
 	}
 	codec, lb := newCluster(t, n, k)
 	if durable {
-		lb = pinnedLoopback(t, mode)
+		lb = pinnedLoopback(t)
 	}
 	recoverServer := func(i int) {
 		rec, err := lb.Recover(i)
@@ -206,9 +203,6 @@ func runDiffSchedule(t *testing.T, seed int64, e int, wrap func([]Conn) []Conn, 
 		case x < 8:
 			if !crashed[i] && !hung[i] && down < 2 {
 				if durable {
-					if err := lb.Server(i).Sync(); err != nil {
-						t.Fatalf("seed %d step %d: sync %d: %v", seed, step, i, err)
-					}
 					lb.PowerCut(i)
 				} else {
 					lb.Crash(i)
@@ -381,26 +375,23 @@ func runDiffSchedule(t *testing.T, seed int64, e int, wrap func([]Conn) []Conn, 
 // for SODA and for SODA_err with e=1.
 func TestInlineVsLegsSequential(t *testing.T) {
 	checkNoLeaks(t)
-	diffSequential(t, []int{0, 1}, false, 0)
+	diffSequential(t, []int{0, 1}, false)
 }
 
-// TestInlineVsLegsSequentialDurable is the same over servers that log:
-// never syncing, and syncing every record. The raw run logs on the test's
-// goroutine, the wrapped one from legs, the mixed one from both; besides
-// what the memory run compares, each must replay to what it held (see
-// runDiffSchedule).
+// TestInlineVsLegsSequentialDurable is the same over servers that log
+// and sync every record. The raw run logs on the test's goroutine, the
+// wrapped one from legs, the mixed one from both; besides what the memory
+// run compares, each must replay to what it held (see runDiffSchedule).
 func TestInlineVsLegsSequentialDurable(t *testing.T) {
 	checkNoLeaks(t)
-	for _, mode := range []FsyncMode{FsyncNone, FsyncAlways} {
-		diffSequential(t, []int{0}, true, mode)
-	}
+	diffSequential(t, []int{0}, true)
 }
 
-func diffSequential(t *testing.T, es []int, durable bool, mode FsyncMode) {
+func diffSequential(t *testing.T, es []int, durable bool) {
 	t.Helper()
 	for _, e := range es {
 		for _, seed := range []int64{24, 2400} {
-			inline, inlineFinal := runDiffSchedule(t, seed, e, rawConns, durable, mode)
+			inline, inlineFinal := runDiffSchedule(t, seed, e, rawConns, durable)
 			classes := map[string]int{}
 			for _, a := range inline {
 				classes[a.class]++
@@ -417,7 +408,7 @@ func diffSequential(t *testing.T, es []int, durable bool, mode FsyncMode) {
 				name string
 				wrap func([]Conn) []Conn
 			}{{"wrapped", opaque}, {"one server wrapped", mixedConns}} {
-				legs, legsFinal := runDiffSchedule(t, seed, e, other.wrap, durable, mode)
+				legs, legsFinal := runDiffSchedule(t, seed, e, other.wrap, durable)
 				for i := range inline {
 					a, b := inline[i], legs[i]
 					if a.desc != b.desc {
@@ -466,20 +457,14 @@ func TestInlineVsLegsConcurrent(t *testing.T) {
 
 // TestInlineVsLegsConcurrentDurable is the same over servers that log,
 // where the raw-conn clients log on their own goroutines next to the
-// others' legs: the two kinds of appender meet on every log's
-// locks. Under FsyncAlways a power cut loses nothing acknowledged, so
-// there one server at a time is also cut and recovered from its disk
-// while the clients run, and the histories must still linearize.
+// others' legs: the two kinds of appender meet on every log's locks. A
+// power cut loses nothing acknowledged, so one server at a time is also
+// cut and recovered from its disk while the clients run, and the
+// histories must still linearize.
 func TestInlineVsLegsConcurrentDurable(t *testing.T) {
 	checkNoLeaks(t)
-	for _, mode := range []FsyncMode{FsyncNone, FsyncAlways} {
-		codec, lb := pinnedCluster(t, mode)
-		cut := lb
-		if mode != FsyncAlways {
-			cut = nil
-		}
-		diffConcurrent(t, codec, loopSets(lb), cut)
-	}
+	codec, lb := pinnedCluster(t)
+	diffConcurrent(t, codec, loopSets(lb), lb)
 }
 
 // loopSets gives the four clients of diffConcurrent their conns to lb's
@@ -1019,11 +1004,10 @@ func TestReadSealedBetweenAdmitAndRegister(t *testing.T) {
 // loopback conns start no goroutine, wake no parked one — the count of
 // live goroutines and of workers parked on every idle list is what it was
 // — and check out no fan-out state. Over servers that keep their registers
-// in memory, over servers that log every put and never sync, and over
-// servers that sync every record to a device that answers at once (see
-// pinnedCluster; fewer operations there: the clock is pinned, the fsyncs
-// are real, and on a disk there are five in a row to a write). A server
-// that logs has logged exactly the put-datas it counted.
+// in memory, and over servers that sync every record to a device that
+// answers at once (see pinnedCluster; fewer operations there: the clock is
+// pinned, the fsyncs are real, and on a disk there are five in a row to a
+// write). A server that logs has logged exactly the put-datas it counted.
 func TestInlineOpsStartNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -1031,8 +1015,7 @@ func TestInlineOpsStartNothing(t *testing.T) {
 		cluster func(t *testing.T) (*Codec, *Loopback)
 	}{
 		{"memory", 5000, func(t *testing.T) (*Codec, *Loopback) { return newCluster(t, 5, 3) }},
-		{"wal, never synced", 5000, func(t *testing.T) (*Codec, *Loopback) { return pinnedCluster(t, FsyncNone) }},
-		{"wal, every record synced", 500, func(t *testing.T) (*Codec, *Loopback) { return pinnedCluster(t, FsyncAlways) }},
+		{"wal, every record synced", 500, func(t *testing.T) (*Codec, *Loopback) { return pinnedCluster(t) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkNoLeaks(t)
@@ -1078,24 +1061,26 @@ func TestInlineOpsStartNothing(t *testing.T) {
 // loopback conns, "legs" on the same conns wrapped, which is the path
 // any other transport takes. Quote it at -cpu 1,2,4: the -cpu 1 row is
 // per-op cost, the rows above it add contention between clients. The
-// wal-none rows are wal-small's path without a device in the number: 128 B
-// over servers that log every put with write() and never sync, where
-// "inline" logs on the client's goroutine unless it finds the log busy
-// (-cpu 2: the other client is in it) and "legs" from one leg per server.
+// wal rows are wal-small's path: 128 B over servers that sync every put,
+// their clocks pinned so the writes stay on the caller on a disk as on a
+// tmpfs (see pinnedLoopback), where "inline" logs on the client's
+// goroutine unless it finds the log busy (-cpu 2: the other client is in
+// it) and "legs" from one leg per server. On a disk the fsyncs are in the
+// number.
 func BenchmarkSmallOpsParallel(b *testing.B) {
-	memory := func(testing.TB, FsyncMode) *Loopback { return NewLoopback(5) }
+	memory := func(testing.TB) *Loopback { return NewLoopback(5) }
 	for _, bc := range []struct {
 		name        string
 		size, nkeys int
-		cluster     func(testing.TB, FsyncMode) *Loopback
+		cluster     func(testing.TB) *Loopback
 		wrap        func([]Conn) []Conn
 	}{
 		{"inline/128B", 128, 10000, memory, rawConns},
 		{"legs/128B", 128, 10000, memory, opaque},
 		{"inline/1MiB", 1 << 20, 64, memory, rawConns},
 		{"legs/1MiB", 1 << 20, 64, memory, opaque},
-		{"wal-none/inline", 128, 10000, pinnedLoopback, rawConns},
-		{"wal-none/legs", 128, 10000, pinnedLoopback, opaque},
+		{"wal/inline", 128, 10000, pinnedLoopback, rawConns},
+		{"wal/legs", 128, 10000, pinnedLoopback, opaque},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			ctx := context.Background()
@@ -1103,7 +1088,7 @@ func BenchmarkSmallOpsParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			conns := bc.wrap(bc.cluster(b, FsyncNone).Conns())
+			conns := bc.wrap(bc.cluster(b).Conns())
 			w, err := NewWriter("w", codec, conns)
 			if err != nil {
 				b.Fatal(err)
@@ -1116,9 +1101,28 @@ func BenchmarkSmallOpsParallel(b *testing.B) {
 			keys := make([]string, bc.nkeys)
 			for i := range keys {
 				keys[i] = fmt.Sprintf("k%05d", i)
-				if _, err := w.Write(ctx, keys[i], value); err != nil {
-					b.Fatal(err)
-				}
+			}
+			// Every key is written once, from a few goroutines: on a disk
+			// the wal rows' fsyncs then group-commit.
+			const fillers = 8
+			var fill sync.WaitGroup
+			fillErrs := make(chan error, fillers)
+			for f := 0; f < fillers; f++ {
+				fill.Add(1)
+				go func() {
+					defer fill.Done()
+					for i := f; i < len(keys); i += fillers {
+						if _, err := w.Write(ctx, keys[i], value); err != nil {
+							fillErrs <- err
+							return
+						}
+					}
+				}()
+			}
+			fill.Wait()
+			close(fillErrs)
+			if err := <-fillErrs; err != nil {
+				b.Fatal(err)
 			}
 			var clients atomic.Uint64
 			b.SetBytes(int64(bc.size))

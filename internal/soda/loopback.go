@@ -153,9 +153,9 @@ func (l *Loopback) Hang(i int) {
 
 // PowerCut crashes durable server i the unclean way: fail-stop like
 // Crash, plus the WAL loses everything past its last fsync — exactly
-// what the disk would hold after the cord is pulled. Under FsyncAlways
-// nothing acknowledged is lost; under FsyncNone the active segment's
-// tail is. Recover brings the node back from that disk state.
+// what the disk would hold after the cord is pulled. Every record is
+// synced before its mutation applies, so nothing acknowledged is lost.
+// Recover brings the node back from that disk state.
 func (l *Loopback) PowerCut(i int) {
 	l.Crash(i)
 	if d := l.servers[i].Load().dur; d != nil {

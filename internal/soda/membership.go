@@ -208,12 +208,12 @@ func (m *Membership) MarkLive(i int) bool {
 
 // Readmit moves server i Suspect → Repairing → Live in one step: the
 // operator path for a node that recovered its own state from disk
-// (snapshot + WAL replay) and needs no donor repair. Safe only when
-// the disk provably holds everything the node acknowledged — i.e. the
-// node ran FsyncAlways; under a weaker fsync discipline the lost
-// active-segment tail must be healed, so leave the server Suspect and
-// let the Repairer readmit it. Returns false if i was not Suspect
-// (already live, or a repair loop claimed it first).
+// (snapshot + WAL replay) and needs no donor repair. A durable server
+// syncs every record before it acknowledges, so after a power cut
+// Recover brings back everything it acknowledged and Readmit is safe.
+// A node whose disk was wiped or rots is another matter: leave it
+// Suspect and let the Repairer heal and readmit it. Returns false if i
+// was not Suspect (already live, or a repair loop claimed it first).
 func (m *Membership) Readmit(i int) bool {
 	if !m.MarkRepairing(i) {
 		return false

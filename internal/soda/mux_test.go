@@ -543,7 +543,7 @@ func TestMultiKeyKillRepairRejoinSoak(t *testing.T) {
 	m := NewMembership(9)
 	rp := mustRepairer(t, codec, lb.Conns(), m,
 		WithRepairInterval(20*time.Millisecond),
-		WithRepairBackoff(Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}))
+		withRepairBackoff(Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}))
 
 	rpCtx, rpCancel := context.WithCancel(ctx)
 	rpDone := make(chan struct{})

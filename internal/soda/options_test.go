@@ -26,6 +26,15 @@ func withReconfigBackoff(b Backoff) ReconfigOption {
 	return func(rc *Reconfigurator) { rc.backoff = b }
 }
 
+// withRepairBackoff sets the per-server retry schedule applied after a
+// failed repair attempt.
+func withRepairBackoff(b Backoff) RepairerOption {
+	return func(rp *Repairer) error {
+		rp.backoff = b
+		return nil
+	}
+}
+
 // withRepairEvents installs a hook invoked synchronously after every
 // repair attempt.
 func withRepairEvents(fn func(repairEvent)) RepairerOption {

@@ -430,7 +430,7 @@ func TestReconfigRepairerAborts(t *testing.T) {
 	m := NewMembership(5)
 	rp := mustRepairer(t, codec, lb.ConnsAt(SeedEpoch, 5), m,
 		WithRepairInterval(5*time.Millisecond),
-		WithRepairBackoff(Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}))
+		withRepairBackoff(Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}))
 
 	// The cluster reconfigures out from under the repairer (same
 	// geometry, new epoch), then a suspect appears.

@@ -31,8 +31,6 @@ import (
 
 // durConfig is the assembled durability configuration.
 type durConfig struct {
-	mode          FsyncMode
-	interval      time.Duration
 	snapThreshold int64
 	failAfter     int64 // the tests' disk fault; see wal.failAfter
 }
@@ -40,14 +38,11 @@ type durConfig struct {
 // DurableOption configures a durable server.
 type DurableOption func(*durConfig)
 
-// WithFsync selects the fsync discipline (default FsyncAlways).
-func WithFsync(m FsyncMode) DurableOption {
-	return func(c *durConfig) { c.mode = m }
-}
-
-// WithFsyncEvery selects FsyncInterval with the given period.
-func WithFsyncEvery(d time.Duration) DurableOption {
-	return func(c *durConfig) { c.mode, c.interval = FsyncInterval, d }
+// WithFsync does nothing: FsyncAlways is the only discipline. It stays
+// until the benchmark harness stops passing it; then it and FsyncMode go
+// (ROADMAP 3 (b)).
+func WithFsync(FsyncMode) DurableOption {
+	return func(*durConfig) {}
 }
 
 // WithSnapshotThreshold sets the active-segment size that triggers a
@@ -57,8 +52,8 @@ func WithSnapshotThreshold(bytes int64) DurableOption {
 }
 
 // durability is a Server's persistence engine: the WAL it appends to,
-// the snapshot policy, and the background goroutine running interval
-// fsync and threshold snapshots.
+// the snapshot policy, and the background goroutine running threshold
+// snapshots.
 type durability struct {
 	srv *Server
 	wal *wal
@@ -78,12 +73,9 @@ type durability struct {
 // incarnation persisted there. The returned server is fully recovered
 // — requests never observe a half-replayed namespace.
 func NewDurableServer(idx int, dir string, opts ...DurableOption) (*Server, error) {
-	cfg := durConfig{mode: FsyncAlways, interval: 50 * time.Millisecond, snapThreshold: 4 << 20}
+	cfg := durConfig{snapThreshold: 4 << 20}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.interval <= 0 {
-		cfg.interval = 50 * time.Millisecond
 	}
 	if cfg.snapThreshold <= 0 {
 		cfg.snapThreshold = 4 << 20
@@ -94,7 +86,7 @@ func NewDurableServer(idx int, dir string, opts ...DurableOption) (*Server, erro
 	s := NewServer(idx)
 	d := &durability{
 		srv:   s,
-		wal:   &wal{dir: dir, mode: cfg.mode, failAfter: cfg.failAfter, metrics: &s.metrics, now: time.Now},
+		wal:   &wal{dir: dir, failAfter: cfg.failAfter, metrics: &s.metrics, now: time.Now},
 		cfg:   cfg,
 		snapC: make(chan struct{}, 1),
 		stop:  make(chan struct{}),
@@ -176,22 +168,13 @@ func (d *durability) recover() error {
 	return nil
 }
 
-// background runs the interval fsync (when configured) and serves
-// snapshot nudges until close.
+// background serves snapshot nudges until close.
 func (d *durability) background() {
 	defer d.wg.Done()
-	var tickC <-chan time.Time
-	if d.cfg.mode == FsyncInterval {
-		tick := time.NewTicker(d.cfg.interval)
-		defer tick.Stop()
-		tickC = tick.C
-	}
 	for {
 		select {
 		case <-d.stop:
 			return
-		case <-tickC:
-			d.wal.sync()
 		case <-d.snapC:
 			d.snapshot()
 		}
@@ -212,7 +195,7 @@ func (d *durability) logMutation(op byte, key string, t Tag, elem []byte, vlen i
 	var size int64
 	var err error
 	if wait {
-		size, err = d.wal.append(rec, false)
+		size, err = d.wal.append(rec)
 	} else {
 		size, err = d.wal.tryAppend(rec)
 	}
@@ -236,14 +219,13 @@ func (d *durability) logMutation(op byte, key string, t Tag, elem []byte, vlen i
 	return nil
 }
 
-// logEpoch appends one configuration-epoch transition, synced
-// regardless of the fsync mode: a node must come back from a power cut
-// knowing which geometry it belongs to, whatever it risks for data
-// records. Called under the server's epochMu, before the state
-// applies. Failed and closed WALs differ as in logMutation: false means
-// the log is closed and the transition must not apply.
+// logEpoch appends and syncs one configuration-epoch transition: a node
+// must come back from a power cut knowing which geometry it belongs to.
+// Called under the server's epochMu, before the state applies. Failed
+// and closed WALs differ as in logMutation: false means the log is
+// closed and the transition must not apply.
 func (d *durability) logEpoch(est *epochState) bool {
-	_, err := d.wal.append(walRecord{op: walOpEpoch, est: *est}, true)
+	_, err := d.wal.append(walRecord{op: walOpEpoch, est: *est})
 	if err != nil {
 		if errors.Is(err, errWALClosed) {
 			return false
@@ -300,14 +282,6 @@ func (d *durability) powerCut() {
 
 // Durable reports whether the server persists its state.
 func (s *Server) Durable() bool { return s.dur != nil }
-
-// Sync flushes the WAL to disk; memory-only servers no-op.
-func (s *Server) Sync() error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.wal.sync()
-}
 
 // SnapshotNow forces a snapshot + log truncation; memory-only servers
 // no-op.

@@ -119,15 +119,6 @@ func WithRepairInterval(d time.Duration) RepairerOption {
 	}
 }
 
-// WithRepairBackoff sets the per-server retry schedule applied after a
-// failed repair attempt.
-func WithRepairBackoff(b Backoff) RepairerOption {
-	return func(rp *Repairer) error {
-		rp.backoff = b
-		return nil
-	}
-}
-
 // NewRepairer builds the repairer for a cluster. The conns are the
 // repairer's own (it may dial concurrently with writers and readers),
 // and the Membership view must be the one those writers and readers
@@ -144,7 +135,7 @@ func NewRepairer(codec *Codec, conns []Conn, m *Membership, opts ...RepairerOpti
 		conns:    conns,
 		m:        m,
 		interval: time.Second,
-		backoff:  Backoff{Base: 20 * time.Millisecond, Max: 2 * time.Second},
+		backoff:  Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 	}
 	for _, opt := range opts {
 		if err := opt(rp); err != nil {

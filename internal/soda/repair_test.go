@@ -589,7 +589,7 @@ func TestKillRepairRejoinSoak(t *testing.T) {
 	m := NewMembership(9)
 	rp := mustRepairer(t, codec, lb.Conns(), m,
 		WithRepairInterval(20*time.Millisecond),
-		WithRepairBackoff(Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}))
+		withRepairBackoff(Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}))
 
 	rpCtx, rpCancel := context.WithCancel(ctx)
 	rpDone := make(chan struct{})

@@ -475,8 +475,8 @@ func (s *Server) put(op byte, key string, t Tag, elem []byte, vlen int, wait, ow
 	var displaced []byte
 	if stored {
 		// Log before apply, under the register lock: the WAL's per-key
-		// record order is the apply order, and with FsyncAlways the
-		// mutation is on disk before anyone can observe it applied.
+		// record order is the apply order, and the mutation is on disk
+		// before anyone can observe it applied.
 		if s.dur != nil {
 			if err := s.dur.logMutation(op, key, t, elem, vlen, wait); err != nil {
 				r.mu.Unlock()

@@ -226,7 +226,7 @@ func TestWriterCrashBetweenPhases(t *testing.T) {
 			ctx := testCtx(t)
 			codec, lb := newCluster(t, 5, 3)
 			if tc.onCaller {
-				lb = pinnedLoopback(t, FsyncAlways)
+				lb = pinnedLoopback(t)
 				for i := 0; i < lb.Size(); i++ {
 					pinSyncs(lb.Server(i), 150*time.Microsecond)
 				}

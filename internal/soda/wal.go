@@ -18,9 +18,9 @@ import (
 // The write-ahead log. Every mutation a server accepts — a put-data
 // that advanced the tag, a repair-put that installed, a wipe — is
 // appended as one checksummed record before the in-memory register
-// changes, so the durable history is always at least as new as
-// anything the server has acknowledged (under FsyncAlways) and replays
-// to exactly the state the mutations built.
+// changes, and synced before that mutation applies, so the durable
+// history is always at least as new as anything the server has
+// acknowledged and replays to exactly the state the mutations built.
 //
 // A record reuses the wire framing discipline (length prefix, then a
 // payload built from the same append-encoders and parsed by the same
@@ -38,39 +38,20 @@ import (
 // in. The log is a directory of numbered segment files (wal-<seq>.log);
 // a snapshot rotates to a fresh segment and deletes the ones it covers,
 // which is the log-truncation story. Only the active segment can hold a
-// torn tail: finished segments are fsynced before rotation regardless
-// of the fsync mode.
+// torn tail: finished segments are fsynced before rotation. A segment's
+// directory entry is synced when the segment is created, before it
+// takes a record, so a power cut cannot take the file away with the
+// records acked in it.
 
-// FsyncMode is the WAL's durability/latency trade-off for records the
-// server has acknowledged.
+// FsyncMode names a WAL fsync discipline. There is one, FsyncAlways;
+// the type remains only for WithFsync's callers.
 type FsyncMode int
 
-const (
-	// FsyncAlways syncs every record before the mutation is applied:
-	// an acked write is on the disk, so a power cut never loses
-	// anything the cluster was told about. This is the mode under
-	// which a recovered server may rejoin without donor repair.
-	FsyncAlways FsyncMode = iota
-	// FsyncInterval syncs on a timer: a power cut loses at most the
-	// last interval of acked mutations, and the recovered server must
-	// be healed by the Repairer before rejoining.
-	FsyncInterval
-	// FsyncNone never syncs explicitly (the OS flushes when it
-	// pleases); cheapest, weakest.
-	FsyncNone
-)
-
-func (m FsyncMode) String() string {
-	switch m {
-	case FsyncAlways:
-		return "always"
-	case FsyncInterval:
-		return "interval"
-	case FsyncNone:
-		return "none"
-	}
-	return "unknown"
-}
+// FsyncAlways syncs every record before the mutation is applied: an
+// acked write is on the disk, so a power cut never loses anything the
+// cluster was told about, and a recovered server may rejoin without
+// donor repair.
+const FsyncAlways FsyncMode = 0
 
 // WAL record operations. Replay applies each with the same acceptance
 // rule as the live path, so a replayed server re-establishes the
@@ -207,17 +188,16 @@ func walSegments(dir string) ([]walSegment, error) {
 	return segs, nil
 }
 
-// wal is the append side of the log: one active segment file, an lsn
-// counter, and the fsync policy. A write failure latches into err and
-// degrades the wal (appends report the error, state keeps serving from
-// memory) rather than wedging the server.
+// wal is the append side of the log: one active segment file and an lsn
+// counter. A write failure latches into err and degrades the wal
+// (appends report the error, state keeps serving from memory) rather
+// than wedging the server.
 //
-// Under FsyncAlways, appends group-commit: the record is written under
-// mu, mu is released, and the fsync happens under syncMu — one leader
-// syncs while followers queue behind it, and a follower whose bytes
-// the leader's sync already covered (synced >= its target) skips its
-// own fsync entirely. N concurrent appends cost at most two fsyncs
-// instead of N.
+// Appends group-commit: the record is written under mu, mu is released,
+// and the fsync happens under syncMu — one leader syncs while followers
+// queue behind it, and a follower whose bytes the leader's sync already
+// covered (synced >= its target) skips its own fsync entirely. N
+// concurrent appends cost at most two fsyncs instead of N.
 //
 // An appender that must not wait (a loopback writer logging on its own
 // goroutine) uses tryAppend: the same write and the same sync, behind
@@ -225,18 +205,20 @@ func walSegments(dir string) ([]walSegment, error) {
 type wal struct {
 	mu     sync.Mutex
 	dir    string
-	mode   FsyncMode
 	f      *os.File
 	seq    uint64 // active segment sequence
 	lsn    uint64 // last assigned log sequence number
 	size   int64  // bytes written to the active segment
 	synced int64  // active-segment bytes known to be on the disk
 	dirty  bool
-	buf    []byte
-	err    error
+	// unnamed: the active segment was created and its directory not
+	// synced since, so a power cut loses the file (wal.powerCut).
+	unnamed bool
+	buf     []byte
+	err     error
 
-	// syncMu serializes FsyncAlways group commits; held while the
-	// leader's fsync runs so followers coalesce behind it.
+	// syncMu serializes group commits; held while the leader's fsync
+	// runs so followers coalesce behind it.
 	syncMu sync.Mutex
 	syncs  uint64 // leader fsyncs so far; under syncMu
 	// syncNanos is how long the last timed leader fsync took — what
@@ -258,7 +240,11 @@ var errDiskFull = errors.New("soda: wal: no space left on device (injected)")
 
 // openSegment makes segment seq the active file, appending to whatever
 // it already holds (recovery reopens the tail segment). Existing bytes
-// survived, so they count as synced.
+// survived, so they count as synced. An empty segment may be one this
+// call created, whose name the disk does not hold until its directory
+// is synced: a power cut before that would take the file, and every
+// record acked in it, away. So its directory is synced before the
+// segment takes a record.
 func (w *wal) openSegment(seq uint64) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, walSegmentName(seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -271,6 +257,10 @@ func (w *wal) openSegment(seq uint64) error {
 	}
 	w.f, w.seq = f, seq
 	w.size, w.synced, w.dirty = st.Size(), st.Size(), false
+	if w.unnamed = w.size == 0; w.unnamed {
+		syncDir(w.dir)
+		w.unnamed = false
+	}
 	return nil
 }
 
@@ -303,16 +293,14 @@ func (w *wal) write(rec walRecord) (seq uint64, size int64, err error) {
 	return w.seq, w.size, nil
 }
 
-// append assigns the next lsn and logs one mutation, honoring the
-// fsync mode. It returns the active segment's size so the caller can
-// decide whether a snapshot is due. forceSync syncs the record
-// regardless of mode (epoch transitions are too rare and too important
-// to lose to an fsync policy).
-func (w *wal) append(rec walRecord, forceSync bool) (int64, error) {
+// append assigns the next lsn, logs one record and syncs it. It returns
+// the active segment's size so the caller can decide whether a snapshot
+// is due.
+func (w *wal) append(rec walRecord) (int64, error) {
 	w.mu.Lock()
 	seq, size, err := w.write(rec)
 	w.mu.Unlock()
-	if err != nil || (w.mode != FsyncAlways && !forceSync) {
+	if err != nil {
 		return size, err
 	}
 	w.syncMu.Lock()
@@ -321,10 +309,9 @@ func (w *wal) append(rec walRecord, forceSync bool) (int64, error) {
 	return size, w.syncTo(seq, size)
 }
 
-// tryAppend is append for a caller that will not wait (forceSync never
-// applies: it logs mutations only). It takes by TryLock what append
-// takes by Lock, and answers errNotNow, with nothing written and no lsn
-// spent, when another appender, a group commit, an interval sync or a
+// tryAppend is append for a caller that will not wait. It takes by
+// TryLock what append takes by Lock, and answers errNotNow, with nothing
+// written and no lsn spent, when another appender, a group commit or a
 // rotation holds either lock. syncMu is tried before the write, where
 // append takes it after: a record once written has to be synced before
 // its mutation may apply, so the only moment this form can still give up
@@ -332,24 +319,18 @@ func (w *wal) append(rec walRecord, forceSync bool) (int64, error) {
 // appenders nothing they would not pay anyway — they write under mu
 // meanwhile, and this leader's fsync covers them.
 func (w *wal) tryAppend(rec walRecord) (int64, error) {
-	always := w.mode == FsyncAlways
-	if always && !w.syncMu.TryLock() {
+	if !w.syncMu.TryLock() {
 		return 0, errNotNow
 	}
+	defer w.syncMu.Unlock()
 	if !w.mu.TryLock() {
-		if always {
-			w.syncMu.Unlock()
-		}
 		return 0, errNotNow
 	}
 	seq, size, err := w.write(rec)
 	w.mu.Unlock()
-	if always {
-		if err == nil {
-			//lint:ignore lockhold the same leader lock, try-acquired: an appender that found it free is the leader, and a busy one made this form give up before it wrote
-			err = w.syncTo(seq, size)
-		}
-		w.syncMu.Unlock()
+	if err == nil {
+		//lint:ignore lockhold the same leader lock, try-acquired: an appender that found it free is the leader, and a busy one made this form give up before it wrote
+		err = w.syncTo(seq, size)
 	}
 	return size, err
 }
@@ -370,10 +351,10 @@ const syncSampleEvery = 64
 const syncWaitsForDevice = 20 * time.Microsecond
 
 // syncsWait reports whether a mutation logged here waits for a device:
-// the log syncs every record and its last timed fsync was slow. A fresh
-// log has no sample and says no; its first leader fsync is timed.
+// its last timed fsync was slow. A fresh log has no sample and says no;
+// its first leader fsync is timed.
 func (w *wal) syncsWait() bool {
-	return w.mode == FsyncAlways && w.syncNanos.Load() >= int64(syncWaitsForDevice)
+	return w.syncNanos.Load() >= int64(syncWaitsForDevice)
 }
 
 // syncTo ensures the first target bytes of segment seq are durable.
@@ -439,12 +420,6 @@ func (w *wal) syncTo(seq uint64, target int64) error {
 	return nil
 }
 
-func (w *wal) sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
 func (w *wal) syncLocked() error {
 	if w.err != nil {
 		return w.err
@@ -461,10 +436,10 @@ func (w *wal) syncLocked() error {
 	return nil
 }
 
-// rotate finishes the active segment (fsynced regardless of mode — a
-// finished segment is always durable) and opens the next one. It
-// returns the last lsn the finished segments hold, which is what a
-// snapshot taken after the rotation covers.
+// rotate finishes the active segment (fsynced — a finished segment is
+// always durable) and opens the next one, whose directory entry
+// openSegment syncs. It returns the last lsn the finished segments
+// hold, which is what a snapshot taken after the rotation covers.
 func (w *wal) rotate() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -538,9 +513,10 @@ func (w *wal) close() error {
 
 // powerCut simulates losing power mid-flight: bytes that never reached
 // the disk are gone. Anything past the synced watermark is truncated
-// away, which is exactly what the machine would find after a real cut
-// (finished segments and snapshots are always synced; only the active
-// tail is at risk).
+// away, and an active segment whose directory entry was never synced
+// goes with its name, which is exactly what the machine would find after
+// a real cut (finished segments and snapshots are always synced; only
+// the active segment is at risk).
 func (w *wal) powerCut() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -548,6 +524,9 @@ func (w *wal) powerCut() {
 		w.f.Truncate(w.synced)
 		w.f.Close()
 		w.f = nil
+		if w.unnamed {
+			os.Remove(filepath.Join(w.dir, walSegmentName(w.seq)))
+		}
 	}
 	if w.err == nil {
 		w.err = errWALClosed
