@@ -39,8 +39,8 @@ type held struct {
 // TestDeliveredBytesNeverChange hands a registered reader its initial
 // element and a relay by reference, then puts 1 000 more elements of
 // the same size to the key: what the reader holds must stay
-// byte-identical while it is registered, and after an epoch flip, a
-// crash-style dropAll or a WipeAll force-dropped the registration.
+// byte-identical while it is registered, and after an epoch flip or a
+// crash-style dropAll force-dropped the registration.
 func TestDeliveredBytesNeverChange(t *testing.T) {
 	const size = 4 << 10
 	drops := []struct {
@@ -50,7 +50,6 @@ func TestDeliveredBytesNeverChange(t *testing.T) {
 		{"registered", func(*Server) {}},
 		{"epoch-flip", func(s *Server) { s.Reconfig(ReconfigSeal, 1, 5, 3) }},
 		{"unregister-all", func(s *Server) { s.dropAll(ErrServerDown) }},
-		{"wipe-all", func(s *Server) { s.WipeAll() }},
 	}
 	for _, tc := range drops {
 		t.Run(tc.name, func(t *testing.T) {
@@ -548,9 +547,10 @@ func TestOwnedPutStaleTag(t *testing.T) {
 		t.Fatalf("stale put with no reader: %d frees of it, %d in all, %d cold, want 1, 1 and 0", freed.times(stale), freed.total(), freed.colds())
 	}
 
-	// A reader registered at treq 3 (wiped and rewritten key) still wants
-	// tag 5 after the server has moved to 9.
-	s.Wipe(testKey)
+	// A reader registered at treq 3 still wants tag 5 after the server has
+	// moved to 9.
+	lb = NewLoopback(1)
+	c, s = lb.Conns()[0], lb.Server(0)
 	s.PutData(testKey, Tag{TS: 3, Writer: "w"}, elemFor(3, size), size)
 	var relayed []Delivery
 	s.Register(testKey, "r", func(d Delivery) { relayed = append(relayed, d) })
@@ -614,7 +614,7 @@ func TestOwnedPutRefusedFreesOnce(t *testing.T) {
 	if _, stored, _ := servers[0].Core().Snapshot(testKey); !bytes.Equal(stored, elemFor(2, size)) {
 		t.Fatal("mux: the server does not hold the bytes that were sent")
 	}
-	dead := TCPMuxConn(0, "127.0.0.1:1", withDialRetry(1, Backoff{}))
+	dead := TCPMuxConn(0, "127.0.0.1:1", withDialRetry(1, backoff{}))
 	defer dead.Close()
 	elem = elemFor(3, size)
 	id = &elem[0]

@@ -22,7 +22,7 @@ import (
 // and without the flag the framing in front of it.
 
 // diskSeeds runs a durable five-server loopback through every kind of
-// log record — put-datas, a repair-put, a wipe, an epoch seal — and
+// log record — put-datas, a repair-put, an epoch seal — and
 // returns what server 0 left on disk: its log, record by record, and the
 // snapshot it then took. The values are small: a mutator is slow on a
 // large seed, and an element's bytes are nothing to either parser.
@@ -48,7 +48,6 @@ func diskSeeds(f testing.TB) (records [][]byte, snapshot []byte) {
 	if _, err := lb.Conns()[0].RepairPut(ctx, "seed/d", last, []byte("repaired"), 20); err != nil {
 		f.Fatal(err)
 	}
-	lb.Server(0).Wipe("seed/a")
 	if _, err := lb.Server(0).Reconfig(ReconfigSeal, 1, 5, 3); err != nil {
 		f.Fatal(err)
 	}
@@ -70,8 +69,8 @@ func diskSeeds(f testing.TB) (records [][]byte, snapshot []byte) {
 			records, data, ops[rec.op] = append(records, data[:n]), data[n:], true
 		}
 	}
-	if len(ops) != 4 {
-		f.Fatalf("the seed log holds record kinds %v, want all four", ops)
+	if len(ops) != 3 {
+		f.Fatalf("the seed log holds record kinds %v, want all three", ops)
 	}
 	if err := lb.Server(0).SnapshotNow(); err != nil {
 		f.Fatal(err)
@@ -161,6 +160,9 @@ func FuzzParseWALRecord(f *testing.F) {
 		f.Add(rec[walHeaderLen:], true)
 	}
 	f.Add(withSealed(epochRecord(f, records)[walHeaderLen:], walSealedAt-walHeaderLen, 2), true)
+	op3 := mustHex(f, walOp3Hex) // the fuzzer starts from a refused op too
+	f.Add(op3, false)
+	f.Add(op3[walHeaderLen:], true)
 	f.Fuzz(func(t *testing.T, data []byte, frame bool) {
 		if frame { // data is a payload: give it the header it would have
 			var hdr [walHeaderLen]byte
@@ -224,6 +226,10 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
+// walOp3Hex is a log record with op 3, which is unassigned: no record may
+// lower a tag, so one that once cleared key a/1 is refused, never replayed.
+const walOp3Hex = "0000000edad57814" + "0000000000000009" + "03" + "0003612f31"
+
 // TestDiskGolden pins the bytes a node leaves on disk: one log record per
 // operation and one snapshot file, as the encoders wrote them when the
 // test was added, each parsed back to the state it was built from.
@@ -241,8 +247,6 @@ func TestDiskGolden(t *testing.T) {
 			walRecord{lsn: 7, op: walOpPut, key: "a/1", tag: tag, elem: elem, vlen: 7}},
 		{"000000251d83d4ed" + "0000000000000008" + "02" + "0003612f31" + "000000000000000500027731" + "00000007" + "00000003aabbcc",
 			walRecord{lsn: 8, op: walOpRepair, key: "a/1", tag: tag, elem: elem, vlen: 7}},
-		{"0000000edad57814" + "0000000000000009" + "03" + "0003612f31",
-			walRecord{lsn: 9, op: walOpWipe, key: "a/1"}},
 		{"000000229a5d59d4" + "000000000000000a" + "04" + "0000000000000002" + "0000000000000003" + "01" + "0005000300070004",
 			walRecord{lsn: 10, op: walOpEpoch, est: sealed}},
 	} {
@@ -253,6 +257,9 @@ func TestDiskGolden(t *testing.T) {
 		if err != nil || n != len(g.hex)/2 || !reflect.DeepEqual(rec, g.rec) {
 			t.Errorf("golden log record op %d parses to %+v (%d bytes, %v), want %+v", g.rec.op, rec, n, err, g.rec)
 		}
+	}
+	if _, n, err := parseWALRecord(mustHex(t, walOp3Hex)); !errors.Is(err, errWALCorrupt) || n != 0 {
+		t.Errorf("log record op 3 parsed (%d bytes, %v), want errWALCorrupt", n, err)
 	}
 
 	const snapHex = "534f4441534e5032" + // magic

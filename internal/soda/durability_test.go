@@ -31,7 +31,6 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	recs := []walRecord{
 		{lsn: 1, op: walOpPut, key: "a", tag: Tag{TS: 1, Writer: "w1"}, elem: []byte{1, 2, 3}, vlen: 9},
 		{lsn: 2, op: walOpRepair, key: "some/longer key", tag: Tag{TS: 7, Writer: "repairer"}, elem: []byte{0xFF}, vlen: 1},
-		{lsn: 3, op: walOpWipe, key: "a"},
 		{lsn: 4, op: walOpPut, key: "empty-elem", tag: Tag{TS: 2, Writer: "w"}, elem: nil, vlen: 0},
 	}
 	var buf []byte
@@ -70,8 +69,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 }
 
 // TestDurableServerRoundTrip: mutate, close cleanly, reopen — the
-// recovered namespace is byte-identical, including the repair floor
-// and the wiped key.
+// recovered namespace is byte-identical, including the repair floor.
 func TestDurableServerRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewDurableServer(0, dir)
@@ -83,9 +81,8 @@ func TestDurableServerRoundTrip(t *testing.T) {
 	s.PutData("k1", t2, []byte{20}, 6)
 	s.PutData("k2", t1, []byte{30}, 7)
 	s.RepairPut("k3", t2, []byte{40}, 8)
-	s.Wipe("k2")
-	if got := s.MetricsSnapshot().WALAppends; got != 5 {
-		t.Fatalf("WALAppends = %d, want 5", got)
+	if got := s.MetricsSnapshot().WALAppends; got != 4 {
+		t.Fatalf("WALAppends = %d, want 4", got)
 	}
 	// An equal-tag reinstall of other bytes is logged as a repair record,
 	// which replay must apply through the same accept rule.
@@ -107,8 +104,8 @@ func TestDurableServerRoundTrip(t *testing.T) {
 	if tag, elem, vlen := s2.Snapshot("k1"); tag != t2 || !bytes.Equal(elem, []byte{21}) || vlen != 6 {
 		t.Fatalf("k1 recovered as %v %v %d", tag, elem, vlen)
 	}
-	if tag, _, _ := s2.Snapshot("k2"); !tag.IsZero() {
-		t.Fatalf("wiped k2 recovered as %v", tag)
+	if tag, elem, vlen := s2.Snapshot("k2"); tag != t1 || !bytes.Equal(elem, []byte{30}) || vlen != 7 {
+		t.Fatalf("k2 recovered as %v %v %d", tag, elem, vlen)
 	}
 	if tag, elem, vlen := s2.Snapshot("k3"); tag != t2 || !bytes.Equal(elem, []byte{40}) || vlen != 8 {
 		t.Fatalf("k3 recovered as %v %v %d", tag, elem, vlen)
@@ -157,7 +154,6 @@ func TestPowerCutAtEveryOffset(t *testing.T) {
 		{walOpPut, "k2", t1, []byte{2, 2}, 2},
 		{walOpPut, "k1", t3, []byte{3, 3}, 2},
 		{walOpRepair, "k2", t3, []byte{4, 4}, 2},
-		{walOpWipe, "k2", Tag{}, nil, 0},
 		{walOpPut, "k2", t4, []byte{5, 5}, 2},
 		{walOpPut, "k3", t5, []byte{6, 6}, 2},
 	}
@@ -176,12 +172,7 @@ func TestPowerCutAtEveryOffset(t *testing.T) {
 		for k, v := range states[i] {
 			next[k] = v
 		}
-		switch m.op {
-		case walOpPut, walOpRepair:
-			next[m.key] = regState{tag: m.tag, elem: m.elem, vlen: m.vlen}
-		case walOpWipe:
-			delete(next, m.key)
-		}
+		next[m.key] = regState{tag: m.tag, elem: m.elem, vlen: m.vlen}
 		states[i+1] = next
 	}
 
@@ -197,8 +188,6 @@ func TestPowerCutAtEveryOffset(t *testing.T) {
 			s.PutData(m.key, m.tag, append([]byte(nil), m.elem...), m.vlen)
 		case walOpRepair:
 			s.RepairPut(m.key, m.tag, append([]byte(nil), m.elem...), m.vlen)
-		case walOpWipe:
-			s.Wipe(m.key)
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -366,27 +355,6 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	}
 	if tag, elem, _ := s2.Snapshot("k2"); tag != t2 || !bytes.Equal(elem, []byte{2}) {
 		t.Fatalf("k2 = %v %v, want the snapshotted %v", tag, elem, t2)
-	}
-}
-
-// TestFsyncModeLossSemantics pins what the fsync discipline loses at a
-// power cut: nothing acknowledged.
-func TestFsyncModeLossSemantics(t *testing.T) {
-	t1 := Tag{TS: 1, Writer: "w"}
-	dir := t.TempDir()
-	s, err := NewDurableServer(0, dir, WithFsync(FsyncAlways))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.PutData(testKey, t1, []byte{1}, 1)
-	s.dur.powerCut()
-	s2, err := NewDurableServer(0, dir, WithFsync(FsyncAlways))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if tag, _, _ := s2.Snapshot(testKey); tag != t1 {
-		t.Fatalf("FsyncAlways lost an acked put: recovered %v", tag)
 	}
 }
 

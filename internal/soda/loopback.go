@@ -36,6 +36,8 @@ var ErrServerDown = errors.New("soda: server is down")
 //   - Corrupt: the server's storage rots; every element it serves or
 //     relays first passes through a caller-supplied transform, which
 //     is what the SODA_err read path exists to catch.
+//   - Recover: a crashed or hung server reboots with what its disk
+//     holds — nothing, on a memory loopback — for repair to heal.
 //
 // Loopback conns keep the Conn contract without a wire: the server
 // copies a borrowed put's element into its register (a client's pooled
@@ -163,18 +165,22 @@ func (l *Loopback) PowerCut(i int) {
 	}
 }
 
-// Recover replaces crashed server i with a fresh state machine
-// rebuilt from its node directory (snapshot load + WAL replay) — the
-// durable alternative to Restart's "storage as the crash left it" and
-// to Wipe + donor repair. The swapped-in server starts with no
-// registered readers, like any rebooted node.
+// Recover replaces crashed server i with a fresh state machine holding
+// what its disk holds: on a durable loopback the state rebuilt from its
+// node directory (snapshot load + WAL replay), call it after PowerCut;
+// on a memory one nothing, call it after Crash or Hang — the lost-disk
+// fault, which donor repair heals. Restart, by contrast, keeps storage
+// as the crash left it. The swapped-in server starts with no registered
+// readers, like any rebooted node.
 func (l *Loopback) Recover(i int) (*Server, error) {
+	var s *Server
 	if l.durDir == "" {
-		return nil, errors.New("soda: Recover on a non-durable loopback")
-	}
-	s, err := NewDurableServer(i, l.nodeDir(i), l.durOpts...)
-	if err != nil {
-		return nil, err
+		s = NewServer(i)
+	} else {
+		var err error
+		if s, err = NewDurableServer(i, l.nodeDir(i), l.durOpts...); err != nil {
+			return nil, err
+		}
 	}
 	l.mu.Lock()
 	l.servers[i].Store(s)
@@ -203,8 +209,8 @@ func (l *Loopback) CloseServers() error {
 // (possibly stale — repair's job) and no registered readers. A
 // corruption transform installed with Corrupt survives the restart,
 // modeling a bad disk that a reboot does not fix; clear it with
-// Corrupt(i, nil) to model a disk swap. Combine with Server(i).Wipe()
-// for a restart that lost the disk entirely.
+// Corrupt(i, nil) to model a disk swap. A restart that lost the disk
+// entirely is Recover.
 func (l *Loopback) Restart(i int) {
 	l.mu.Lock()
 	l.crashed[i].Store(false)

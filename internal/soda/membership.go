@@ -211,9 +211,10 @@ func (m *Membership) MarkLive(i int) bool {
 // (snapshot + WAL replay) and needs no donor repair. A durable server
 // syncs every record before it acknowledges, so after a power cut
 // Recover brings back everything it acknowledged and Readmit is safe.
-// A node whose disk was wiped or rots is another matter: leave it
-// Suspect and let the Repairer heal and readmit it. Returns false if i
-// was not Suspect (already live, or a repair loop claimed it first).
+// A node that lost its disk (a memory loopback's Recover) or whose disk
+// rots is another matter: leave it Suspect and let the Repairer heal and
+// readmit it. Returns false if i was not Suspect (already live, or a
+// repair loop claimed it first).
 func (m *Membership) Readmit(i int) bool {
 	if !m.MarkRepairing(i) {
 		return false

@@ -449,7 +449,7 @@ func TestMuxRedialsAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ns.Addr()
-	c := TCPMuxConn(0, addr, withDialRetry(1, Backoff{Base: time.Millisecond}))
+	c := TCPMuxConn(0, addr, withDialRetry(1, backoff{base: time.Millisecond}))
 	defer c.Close()
 
 	tag := Tag{TS: 3, Writer: "w"}
@@ -543,7 +543,7 @@ func TestMultiKeyKillRepairRejoinSoak(t *testing.T) {
 	m := NewMembership(9)
 	rp := mustRepairer(t, codec, lb.Conns(), m,
 		WithRepairInterval(20*time.Millisecond),
-		withRepairBackoff(Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}))
+		withRepairBackoff(backoff{base: 2 * time.Millisecond, max: 50 * time.Millisecond}))
 
 	rpCtx, rpCancel := context.WithCancel(ctx)
 	rpDone := make(chan struct{})
@@ -878,7 +878,7 @@ func TestMuxSharedDialOutlivesItsWinner(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // refused until the server below is up
-	c := TCPMuxConn(0, addr, withDialRetry(2, Backoff{Base: time.Minute, Max: time.Minute}))
+	c := TCPMuxConn(0, addr, withDialRetry(2, backoff{base: time.Minute, max: time.Minute}))
 	defer c.Close()
 	winnerCtx, giveUp := context.WithCancel(ctx)
 	winner, waiter := make(chan error, 1), make(chan error, 1)
@@ -1425,7 +1425,7 @@ func TestMuxServerKilledMidPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, servers := startTCPServers(t, 5)
-	conns := TCPMuxConns(addrs, withDialRetry(1, Backoff{}), withDialTimeout(time.Second))
+	conns := TCPMuxConns(addrs, withDialRetry(1, backoff{}), withDialTimeout(time.Second))
 	defer CloseConns(conns)
 	w := mustWriter(t, "w", codec, conns)
 	r := mustReader(t, "r", codec, conns)

@@ -13,7 +13,7 @@ func withDialTimeout(d time.Duration) TCPOption {
 
 // withDialRetry sets how many times an operation attempts the dial
 // (minimum 1) and the backoff schedule between attempts.
-func withDialRetry(attempts int, b Backoff) TCPOption {
+func withDialRetry(attempts int, b backoff) TCPOption {
 	return func(o *tcpOpts) {
 		o.policy.attempts = max(attempts, 1)
 		o.policy.backoff = b
@@ -22,13 +22,13 @@ func withDialRetry(attempts int, b Backoff) TCPOption {
 
 // withReconfigBackoff sets the retry schedule used inside each phase of
 // a flip while a member is unreachable.
-func withReconfigBackoff(b Backoff) ReconfigOption {
+func withReconfigBackoff(b backoff) ReconfigOption {
 	return func(rc *Reconfigurator) { rc.backoff = b }
 }
 
 // withRepairBackoff sets the per-server retry schedule applied after a
 // failed repair attempt.
-func withRepairBackoff(b Backoff) RepairerOption {
+func withRepairBackoff(b backoff) RepairerOption {
 	return func(rp *Repairer) error {
 		rp.backoff = b
 		return nil

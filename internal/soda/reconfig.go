@@ -63,7 +63,7 @@ type Reconfigurator struct {
 	// unreachable (20ms..2s). A flip does not give up on a member: a node
 	// power-cut mid-flip blocks the phase until it recovers, which is what
 	// keeps activation from outrunning the drain.
-	backoff Backoff
+	backoff backoff
 	logf    func(format string, args ...any)
 }
 
@@ -81,7 +81,7 @@ func WithReconfigLogf(logf func(format string, args ...any)) ReconfigOption {
 func NewReconfigurator(view *ConfigView, opts ...ReconfigOption) *Reconfigurator {
 	rc := &Reconfigurator{
 		view:    view,
-		backoff: Backoff{Base: 20 * time.Millisecond, Max: 2 * time.Second},
+		backoff: backoff{base: 20 * time.Millisecond, max: 2 * time.Second},
 		logf:    func(string, ...any) {},
 	}
 	for _, opt := range opts {
@@ -127,7 +127,7 @@ func (rc *Reconfigurator) eachUntil(ctx context.Context, phase string, conns []C
 			return nil
 		}
 		rc.logf("reconfig: %s: %d member(s) pending (%v), retrying", phase, len(failed), firstErr)
-		if err := b.Sleep(ctx); err != nil {
+		if err := b.sleep(ctx); err != nil {
 			return fmt.Errorf("reconfig %s: %w (last member error: %w)", phase, err, firstErr)
 		}
 		pending = failed
@@ -259,7 +259,7 @@ func (rc *Reconfigurator) awaitDonors(ctx context.Context, what string, read fun
 			return err
 		}
 		rc.logf("reconfig: migrate %s: %v, retrying", what, err)
-		if serr := b.Sleep(ctx); serr != nil {
+		if serr := b.sleep(ctx); serr != nil {
 			return fmt.Errorf("reconfig migrate %s: %w (last donor error: %w)", what, serr, err)
 		}
 	}

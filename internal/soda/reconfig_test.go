@@ -16,7 +16,7 @@ import (
 )
 
 // fastReconfig is the retry schedule tests drive flips with.
-var fastReconfig = withReconfigBackoff(Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond})
+var fastReconfig = withReconfigBackoff(backoff{base: time.Millisecond, max: 10 * time.Millisecond})
 
 // TestEpochAdmitMatrix pins the admission rule per operation class
 // across the three server states (active, sealed, activated-next):
@@ -430,7 +430,7 @@ func TestReconfigRepairerAborts(t *testing.T) {
 	m := NewMembership(5)
 	rp := mustRepairer(t, codec, lb.ConnsAt(SeedEpoch, 5), m,
 		WithRepairInterval(5*time.Millisecond),
-		withRepairBackoff(Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}))
+		withRepairBackoff(backoff{base: time.Millisecond, max: 5 * time.Millisecond}))
 
 	// The cluster reconfigures out from under the repairer (same
 	// geometry, new epoch), then a suspect appears.

@@ -17,8 +17,8 @@ import (
 // readSnapshot installs the checkpointed namespace, then every WAL
 // record past the snapshot's covered lsn is re-applied under the live
 // path's accept rule (register.accepts; put: tag > current, repair-put:
-// tag >= current; wipe: clear), so the recovered state cannot hold a
-// tag below anything it durably acknowledged — the invariant RepairPut
+// tag >= current), so the recovered state cannot hold a tag below
+// anything it durably acknowledged — the invariant RepairPut
 // enforces online holds across restarts too. A torn or corrupt record
 // ends the replayable prefix: it is truncated off the segment (later
 // segments, which cannot legitimately exist past a tear, are removed)
@@ -318,13 +318,6 @@ func (s *Server) replayRecord(rec walRecord) {
 			r.store(rec.tag, rec.elem, rec.vlen)
 		}
 		r.mu.Unlock()
-	case walOpWipe:
-		if r := s.lookup(rec.key, false); r != nil {
-			r.mu.Lock()
-			r.tag, r.elem, r.vlen = Tag{}, nil, 0
-			r.mu.Unlock()
-			s.collect(rec.key)
-		}
 	case walOpEpoch:
 		est := rec.est
 		s.installEpochState(&est)

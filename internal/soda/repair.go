@@ -99,7 +99,7 @@ type Repairer struct {
 	conns    []Conn
 	m        *Membership
 	interval time.Duration
-	backoff  Backoff
+	backoff  backoff
 	onEvent  func(repairEvent) // the tests' window on every attempt
 }
 
@@ -135,7 +135,7 @@ func NewRepairer(codec *Codec, conns []Conn, m *Membership, opts ...RepairerOpti
 		conns:    conns,
 		m:        m,
 		interval: time.Second,
-		backoff:  Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
+		backoff:  backoff{base: 5 * time.Millisecond, max: 100 * time.Millisecond},
 	}
 	for _, opt := range opts {
 		if err := opt(rp); err != nil {
@@ -156,7 +156,7 @@ func (rp *Repairer) event(ev repairEvent) {
 // per-server on failure. It blocks until ctx ends.
 func (rp *Repairer) Run(ctx context.Context) error {
 	type pending struct {
-		b    Backoff
+		b    backoff
 		next time.Time
 	}
 	pend := make(map[int]*pending)
@@ -193,7 +193,7 @@ func (rp *Repairer) Run(ctx context.Context) error {
 					// repairer owns the healing now.
 					return fmt.Errorf("soda: repair: configuration epoch moved: %w", err)
 				}
-				p.next = time.Now().Add(p.b.Next())
+				p.next = time.Now().Add(p.b.next())
 				if wake.IsZero() || p.next.Before(wake) {
 					wake = p.next
 				}

@@ -359,8 +359,9 @@ func TestRepairSurvivesVLenLyingDonor(t *testing.T) {
 	lb.Crash(4)
 	m := NewMembership(5)
 	m.MarkSuspect(4, ErrServerDown)
-	lb.Restart(4)
-	lb.Server(4).Wipe(testKey) // the crash took the disk with it
+	if _, err := lb.Recover(4); err != nil { // the crash took the disk with it
+		t.Fatal(err)
+	}
 
 	conns := lb.Conns()
 	conns[3] = lyingVLenConn{Conn: conns[3], codec: codec}
@@ -397,8 +398,9 @@ func TestRepairDetectsCorruptDonor(t *testing.T) {
 	lb.Crash(8)
 	m := NewMembership(9)
 	m.MarkSuspect(8, ErrServerDown)
-	lb.Restart(8)
-	lb.Server(8).Wipe(testKey)
+	if _, err := lb.Recover(8); err != nil {
+		t.Fatal(err)
+	}
 	lb.Corrupt(3, FlipByte(0)) // donor 3 rots before it donates
 
 	var events []repairEvent
@@ -589,7 +591,7 @@ func TestKillRepairRejoinSoak(t *testing.T) {
 	m := NewMembership(9)
 	rp := mustRepairer(t, codec, lb.Conns(), m,
 		WithRepairInterval(20*time.Millisecond),
-		withRepairBackoff(Backoff{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond}))
+		withRepairBackoff(backoff{base: 2 * time.Millisecond, max: 50 * time.Millisecond}))
 
 	rpCtx, rpCancel := context.WithCancel(ctx)
 	rpDone := make(chan struct{})
@@ -705,41 +707,41 @@ func TestKillRepairRejoinSoak(t *testing.T) {
 // growth to the cap, reset, defaults, and context-bounded sleeping.
 func TestBackoffSchedule(t *testing.T) {
 	checkNoLeaks(t)
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond}
+	b := backoff{base: 10 * time.Millisecond, max: 80 * time.Millisecond}
 	want := []time.Duration{10, 20, 40, 80, 80, 80}
 	for i, w := range want {
-		if got := b.Next(); got != w*time.Millisecond {
-			t.Fatalf("Next #%d = %v, want %v", i, got, w*time.Millisecond)
+		if got := b.next(); got != w*time.Millisecond {
+			t.Fatalf("next #%d = %v, want %v", i, got, w*time.Millisecond)
 		}
 	}
-	b.Reset()
-	if got := b.Next(); got != 10*time.Millisecond {
-		t.Fatalf("after Reset, Next = %v", got)
+	b.reset()
+	if got := b.next(); got != 10*time.Millisecond {
+		t.Fatalf("after reset, next = %v", got)
 	}
 
-	var zero Backoff
-	if got := zero.Next(); got != defaultBackoffBase {
-		t.Fatalf("zero-value Next = %v, want %v", got, defaultBackoffBase)
+	var zero backoff
+	if got := zero.next(); got != defaultBackoffBase {
+		t.Fatalf("zero-value next = %v, want %v", got, defaultBackoffBase)
 	}
 
 	// A cancelled context cuts the sleep short with its error.
-	slow := Backoff{Base: time.Hour}
+	slow := backoff{base: time.Hour}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	if err := slow.Sleep(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Sleep under cancellation = %v", err)
+	if err := slow.sleep(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sleep under cancellation = %v", err)
 	}
 	if time.Since(start) > 10*time.Second {
-		t.Fatal("Sleep ignored cancellation")
+		t.Fatal("sleep ignored cancellation")
 	}
 
 	// retry: eventual success, exhaustion, and context abort.
 	calls := 0
-	err := retry(context.Background(), 5, Backoff{Base: time.Microsecond}, func() error {
+	err := retry(context.Background(), 5, backoff{base: time.Microsecond}, func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -751,7 +753,7 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 	calls = 0
 	sentinel := errors.New("always")
-	err = retry(context.Background(), 3, Backoff{Base: time.Microsecond}, func() error {
+	err = retry(context.Background(), 3, backoff{base: time.Microsecond}, func() error {
 		calls++
 		return sentinel
 	})
@@ -761,7 +763,7 @@ func TestBackoffSchedule(t *testing.T) {
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
 	calls = 0
-	err = retry(cctx, 10, Backoff{Base: time.Hour}, func() error {
+	err = retry(cctx, 10, backoff{base: time.Hour}, func() error {
 		calls++
 		return sentinel
 	})

@@ -5,14 +5,14 @@ import (
 	"time"
 )
 
-// Backoff is a small bounded exponential backoff shared by the
-// transports and the repair loop: delays double from Base up to Max.
+// backoff is a small bounded exponential backoff shared by the
+// transports and the repair loop: delays double from base up to max.
 // It is deliberately jitter-free so fault-injection tests stay
 // deterministic; the processes sharing a cluster are few enough that
 // synchronized retries are not a thundering herd.
-type Backoff struct {
-	Base time.Duration // first delay; default 10ms
-	Max  time.Duration // delay cap; default 2s
+type backoff struct {
+	base time.Duration // first delay; default 10ms
+	max  time.Duration // delay cap; default 2s
 
 	attempt int
 }
@@ -22,36 +22,31 @@ const (
 	defaultBackoffMax  = 2 * time.Second
 )
 
-// Next returns the next delay and advances the schedule.
-func (b *Backoff) Next() time.Duration {
-	base, max := b.Base, b.Max
-	if base <= 0 {
-		base = defaultBackoffBase
+// next returns the next delay and advances the schedule.
+func (b *backoff) next() time.Duration {
+	d, ceil := b.base, b.max
+	if d <= 0 {
+		d = defaultBackoffBase
 	}
-	if max <= 0 {
-		max = defaultBackoffMax
+	if ceil <= 0 {
+		ceil = defaultBackoffMax
 	}
-	d := base
-	for i := 0; i < b.attempt && d < max; i++ {
+	for i := 0; i < b.attempt && d < ceil; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
 	b.attempt++
-	return d
+	return min(d, ceil)
 }
 
-// Reset rewinds the schedule to Base, for callers that reuse one
-// Backoff across successes (the repair loop's per-server state).
-func (b *Backoff) Reset() { b.attempt = 0 }
+// reset rewinds the schedule to base.
+func (b *backoff) reset() { b.attempt = 0 }
 
-// Sleep blocks for the next delay or until ctx ends, returning
+// sleep blocks for the next delay or until ctx ends, returning
 // ctx.Err() in the latter case. A hung peer must never stall a caller
 // past its context: every retry loop in this package sleeps through
 // here.
-func (b *Backoff) Sleep(ctx context.Context) error {
-	t := time.NewTimer(b.Next())
+func (b *backoff) sleep(ctx context.Context) error {
+	t := time.NewTimer(b.next())
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -65,7 +60,7 @@ func (b *Backoff) Sleep(ctx context.Context) error {
 // and returns the first success or the last error. It stops early when
 // ctx ends. fn's error is returned unwrapped so callers keep errors.Is
 // visibility into the cause.
-func retry(ctx context.Context, attempts int, b Backoff, fn func() error) error {
+func retry(ctx context.Context, attempts int, b backoff, fn func() error) error {
 	var err error
 	for i := 0; i < attempts; i++ {
 		if err = fn(); err == nil {
@@ -74,7 +69,7 @@ func retry(ctx context.Context, attempts int, b Backoff, fn func() error) error 
 		if ctx.Err() != nil || i == attempts-1 {
 			return err
 		}
-		if serr := b.Sleep(ctx); serr != nil {
+		if serr := b.sleep(ctx); serr != nil {
 			return err
 		}
 	}

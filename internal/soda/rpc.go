@@ -127,8 +127,8 @@ func (c *rpcConn) Reconfig(ctx context.Context, op ReconfigOp, target uint64, n,
 }
 
 // GetData holds a registration open until ctx ends, then ends it, or until
-// the server ends it: with the cause, or — dropped by a hang or a wiped disk
-// — silently, as the server now is.
+// the server ends it: with the cause, or — dropped by a hang — silently, as
+// the server now is.
 func (c *rpcConn) GetData(ctx context.Context, key, readerID string, deliver func(Delivery)) error {
 	ended := make(chanWaiter, 1)
 	s, err := c.t.stream(ctx, &request{typ: msgGetData, epoch: c.epoch, key: key, reader: readerID}, ended, deliver)

@@ -37,10 +37,10 @@ type registration struct {
 
 // registrant is the transport's side of a registration: deliver takes the
 // initial state and every relay, and end is told, once, that the server
-// dropped the registration itself — an epoch transition, a crash, a hang, a
-// wiped disk — with the cause, nil for an end the reader is not to count as
-// a lost server. Whoever removes a registration from its register owns its
-// end: a reader that unregisters is told nothing.
+// dropped the registration itself — an epoch transition, a crash, a hang —
+// with the cause, nil for an end the reader is not to count as a lost
+// server. Whoever removes a registration from its register owns its end: a
+// reader that unregisters is told nothing.
 type registrant interface {
 	deliver(Delivery)
 	end(cause error)
@@ -567,58 +567,6 @@ func (s *Server) RepairPut(key string, t Tag, elem []byte, vlen int) (bool, erro
 	return installed, err
 }
 
-// Wipe clears key's stored element, modeling a server that restarts
-// after losing its disk: the key rejoins with the initial (zero-tag,
-// empty) state and relies on repair to regenerate its coded element.
-// Registrations are untouched — fail-stop transports already dropped
-// them at crash time — and a register left with neither state nor
-// readers is collected.
-func (s *Server) Wipe(key string) {
-	r := s.lookup(key, false)
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if s.dur != nil && r.tag != (Tag{}) {
-		s.dur.logMutation(walOpWipe, key, Tag{}, nil, 0, true)
-	}
-	r.tag, r.elem, r.vlen = Tag{}, nil, 0
-	r.mu.Unlock()
-	s.collect(key)
-}
-
-// WipeAll clears the whole disk: every register goes, including the
-// zero-tag ones Keys() never reports, and every registration with
-// them — a wholesale-replaced server holds nothing and relays to
-// nobody, and tells nobody either. (Iterating Keys() here would sweep
-// only written keys, leaving unwritten registers pinned by stale
-// registrations; the sweep walks the shards directly instead.)
-func (s *Server) WipeAll() {
-	var ends []registrant
-	var removed uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for key, r := range sh.regs {
-			r.mu.Lock()
-			if s.dur != nil && r.tag != (Tag{}) {
-				s.dur.logMutation(walOpWipe, key, Tag{}, nil, 0, true)
-			}
-			r.tag, r.elem, r.vlen, r.gone = Tag{}, nil, 0, true
-			ends = r.dropReaders(ends)
-			r.mu.Unlock()
-			delete(sh.regs, key)
-			removed++
-		}
-		sh.mu.Unlock()
-	}
-	s.metrics.unkeyed().RegGCs.Add(uint64(len(ends)))
-	s.metrics.unkeyed().RegisterGCs.Add(removed)
-	for _, to := range ends {
-		to.end(nil)
-	}
-}
-
 // Keys returns the ascending keys that currently hold a written
 // (nonzero-tag) element — the namespace a Repairer must heal.
 func (s *Server) Keys() []string {
@@ -661,15 +609,10 @@ func (s *Server) register(key, readerID string, to registrant) Delivery {
 			// must not raise treq: the server's tag may have moved past
 			// the read's target since the first registration, and a treq
 			// above the target would filter out exactly the relay the
-			// read is waiting for. Keep min(existing treq, current tag) —
-			// the tag only drops below an old treq after a wipe, where
-			// the current tag is the honest floor. The registration it
-			// replaces ends, silently.
-			treq, old := r.readers[i].treq, r.readers[i].to
-			if r.tag.Less(treq) {
-				treq = r.tag
-			}
-			r.readers[i] = registration{reader: readerID, treq: treq, to: to}
+			// read is waiting for. The registration it replaces ends,
+			// silently.
+			old := r.readers[i].to
+			r.readers[i] = registration{reader: readerID, treq: r.readers[i].treq, to: to}
 			r.mu.Unlock()
 			s.metrics.of(key).RegGCs.Add(1)
 			old.end(nil)

@@ -1073,63 +1073,18 @@ func (c *captureConn) captured() (string, func(Delivery)) {
 	return c.readerID, c.deliver
 }
 
-// TestWipeAllSweepsUnwrittenRegisters: WipeAll models wholesale node
-// replacement, so it must remove every register — including zero-tag
-// ones Keys() never reports, which only exist to hold registrations —
-// and drop those registrations with them.
-func TestWipeAllSweepsUnwrittenRegisters(t *testing.T) {
-	s := NewServer(0)
-	t1 := Tag{TS: 1, Writer: "w"}
-	s.PutData("written", t1, []byte{1}, 1)
-	relayed := make(chan Delivery, 4)
-	s.Register("unwritten", "r#1", func(d Delivery) { relayed <- d })
-	if s.Readers("unwritten") != 1 {
-		t.Fatalf("registrations on unwritten = %d, want 1", s.Readers("unwritten"))
-	}
-
-	s.WipeAll()
-
-	if keys := s.Keys(); len(keys) != 0 {
-		t.Fatalf("keys after WipeAll = %v", keys)
-	}
-	if n := s.Readers("unwritten"); n != 0 {
-		t.Fatalf("WipeAll left %d registrations on the unwritten register", n)
-	}
-	snap := s.MetricsSnapshot()
-	if snap.Registers != 0 {
-		t.Fatalf("Registers gauge = %d after WipeAll, want 0", snap.Registers)
-	}
-	if snap.RegisterGCs != 2 {
-		t.Fatalf("RegisterGCs = %d, want 2 (written + unwritten)", snap.RegisterGCs)
-	}
-	if snap.RegGCs != 1 {
-		t.Fatalf("RegGCs = %d, want 1 (the dropped registration)", snap.RegGCs)
-	}
-	// The replaced node relays to nobody: a new put must not reach the
-	// pre-wipe sink.
-	s.PutData("unwritten", t1, []byte{2}, 1)
-	select {
-	case d := <-relayed:
-		t.Fatalf("stale registration heard %v after WipeAll", d.Tag)
-	default:
-	}
-}
-
 // TestHoldLooksAgainAfterCollect: a put or a get-data finds key's register
 // and then locks it, and in between the last reader of the never-written
-// key may leave (collect) or the disk be replaced (WipeAll). What it then
-// locks must be the register the namespace holds now, not the one it
-// found: TestLinearizabilityErrReader hung one run in two hundred on
+// key may leave (collect). What it then locks must be the register the
+// namespace holds now, not the one it found: TestLinearizabilityErrReader hung one run in two hundred on
 // registrations made on such a register, which no put ever relays to.
 func TestHoldLooksAgainAfterCollect(t *testing.T) {
 	s := NewServer(0)
-	for name, remove := range map[string]func(){"collect": func() { s.collect("k") }, "WipeAll": s.WipeAll} {
-		found := s.lookup("k", true)
-		remove()
-		r := s.hold("k", true)
-		r.mu.Unlock()
-		if r == found || r != s.lookup("k", false) {
-			t.Errorf("after %s: hold locked the register found before it, not the namespace's", name)
-		}
+	found := s.lookup("k", true)
+	s.collect("k")
+	r := s.hold("k", true)
+	r.mu.Unlock()
+	if r == found || r != s.lookup("k", false) {
+		t.Error("after collect: hold locked the register found before it, not the namespace's")
 	}
 }

@@ -477,7 +477,7 @@ func (w *connWriter) run() {
 type dialPolicy struct {
 	timeout  time.Duration
 	attempts int
-	backoff  Backoff
+	backoff  backoff
 }
 
 // dial connects with the per-attempt deadline and bounded retry. The

@@ -485,7 +485,7 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 	ln.Close()
 
 	ctx := testCtx(t)
-	c := TCPMuxConn(0, dead, withDialRetry(3, Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond}))
+	c := TCPMuxConn(0, dead, withDialRetry(3, backoff{base: time.Millisecond, max: 4 * time.Millisecond}))
 	defer c.Close()
 	start := time.Now()
 	if _, err := c.GetTag(ctx, testKey); err == nil {
@@ -496,7 +496,7 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 	}
 
 	// Cancellation aborts the inter-attempt backoff immediately.
-	slow := TCPMuxConn(0, dead, withDialRetry(100, Backoff{Base: time.Hour}))
+	slow := TCPMuxConn(0, dead, withDialRetry(100, backoff{base: time.Hour}))
 	defer slow.Close()
 	cctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -515,7 +515,7 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	conns, _ := startTCPCluster(t, 5)
-	conns[0] = TCPMuxConn(0, dead, withDialRetry(1, Backoff{Base: time.Millisecond}))
+	conns[0] = TCPMuxConn(0, dead, withDialRetry(1, backoff{base: time.Millisecond}))
 	w := mustWriter(t, "w1", codec, conns)
 	if _, err := w.Write(testCtx(t), testKey, []byte("around the dead address")); err != nil {
 		t.Fatalf("Write with one dead address: %v", err)

@@ -16,10 +16,10 @@ import (
 )
 
 // The write-ahead log. Every mutation a server accepts — a put-data
-// that advanced the tag, a repair-put that installed, a wipe — is
-// appended as one checksummed record before the in-memory register
-// changes, and synced before that mutation applies, so the durable
-// history is always at least as new as anything the server has
+// that advanced the tag, a repair-put that installed, an epoch
+// transition — is appended as one checksummed record before the
+// in-memory state changes, and synced before that mutation applies, so
+// the durable history is always at least as new as anything the server has
 // acknowledged and replays to exactly the state the mutations built.
 //
 // A record reuses the wire framing discipline (length prefix, then a
@@ -30,7 +30,6 @@ import (
 //	uint32 length | uint32 CRC32-IEEE(payload) | payload
 //	payload: uint64 lsn | byte op | body
 //	body: put, repair  key | tag | uint32 vlen | elem   (appendPut)
-//	      wipe         key
 //	      epoch        epoch state                      (appendEpochState)
 //
 // The lsn (log sequence number) is per-server monotone; snapshots
@@ -55,11 +54,11 @@ const FsyncAlways FsyncMode = 0
 
 // WAL record operations. Replay applies each with the same acceptance
 // rule as the live path, so a replayed server re-establishes the
-// tag-floor invariant instead of trusting record order blindly.
+// tag-floor invariant instead of trusting record order blindly. No
+// record lowers a tag; op 3 is unassigned and parses as corrupt.
 const (
 	walOpPut    byte = 1 // put-data: apply iff tag > current
 	walOpRepair byte = 2 // repair-put: apply iff tag >= current
-	walOpWipe   byte = 3 // wipe: clear the key
 	walOpEpoch  byte = 4 // configuration-epoch transition (seal or activate); keyless
 )
 
@@ -99,8 +98,6 @@ func appendWALRecord(b []byte, rec walRecord) []byte {
 	switch rec.op {
 	case walOpEpoch:
 		b = appendEpochState(b, rec.est)
-	case walOpWipe:
-		b = appendKey(b, rec.key)
 	default:
 		b = appendPut(b, rec.key, rec.tag, rec.vlen, rec.elem)
 	}
@@ -136,8 +133,6 @@ func parseWALRecord(data []byte) (walRecord, int, error) {
 	switch rec.op {
 	case walOpPut, walOpRepair:
 		rec.key, rec.tag, rec.vlen, rec.elem = c.put() // elem borrows data; replay copies it into the register
-	case walOpWipe:
-		rec.key = c.key()
 	case walOpEpoch:
 		rec.est = c.epochState()
 	default:
