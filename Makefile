@@ -5,7 +5,10 @@ BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|Deco
 
 .PHONY: all build build-cross test test-durability test-reconfig test-repair test-transport test-legs test-rs-gates test-elems vet lint bench bench-check bench-pairs bench-smoke bench-json race fuzz loc
 
-all: vet lint build test test-transport bench-check race
+# all is the floor every change meets (ROADMAP): tier-1, the race
+# detector over every package, and each lane. The benchmark pairs and
+# the lint:ignore count are checked by hand.
+all: build test race vet lint build-cross test-transport test-legs test-reconfig test-repair test-durability test-rs-gates test-elems bench-check
 
 build:
 	$(GO) build ./...

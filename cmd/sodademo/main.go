@@ -192,7 +192,7 @@ func run(ctx context.Context) error {
 	lb.Restart(2)      // rejoins with stale storage: it missed tag2
 	lb.Corrupt(4, nil) // disk swap: server 4 stops serving rot
 	fmt.Printf("  server 2 restarts stale (missed tag %v); server 4 gets a clean disk\n", tag2)
-	rp, err := soda.NewRepairer(codec, lb.Conns(), m, soda.WithRepairInterval(50*time.Millisecond))
+	rp, err := soda.NewRepairer(codec, lb.Conns(), m)
 	if err != nil {
 		return err
 	}

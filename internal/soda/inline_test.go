@@ -625,8 +625,9 @@ func TestInlineRidesThroughHungServers(t *testing.T) {
 		{"read", func(ctx context.Context) error { _, err := r.Read(ctx, testKey); return err }, 0},
 	} {
 		const deadline = 60 * time.Millisecond
+		start := time.Now()
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		mark, before, start := freed.total(), warm(), time.Now()
+		mark, before := freed.total(), warm()
 		err := op.run(ctx)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) || time.Since(start) < deadline {

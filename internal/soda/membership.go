@@ -60,7 +60,6 @@ type Membership struct {
 	mu          sync.Mutex
 	state       []Health
 	cause       []error
-	epoch       uint64
 	quarantines uint64
 	// changed is closed and replaced on every transition, so waiters
 	// (the repair loop) wake without polling.
@@ -81,7 +80,6 @@ func (m *Membership) N() int { return len(m.state) }
 
 // broadcast wakes everyone blocked on Changed. Callers hold mu.
 func (m *Membership) broadcast() {
-	m.epoch++
 	close(m.changed)
 	m.changed = make(chan struct{})
 }
@@ -92,14 +90,6 @@ func (m *Membership) Changed() <-chan struct{} {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.changed
-}
-
-// Epoch returns a counter that increments on every transition; two
-// equal epochs bracket an unchanged view.
-func (m *Membership) Epoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
 }
 
 // Health returns server i's current standing.
@@ -132,19 +122,6 @@ func (m *Membership) Suspects() []int {
 		}
 	}
 	return out
-}
-
-// LiveCount returns the number of Live servers.
-func (m *Membership) LiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, h := range m.state {
-		if h == Live {
-			n++
-		}
-	}
-	return n
 }
 
 // MarkSuspect quarantines server i, recording why. Marking an

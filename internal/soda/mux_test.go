@@ -542,7 +542,6 @@ func TestMultiKeyKillRepairRejoinSoak(t *testing.T) {
 	codec, lb := newCluster(t, 9, 3)
 	m := NewMembership(9)
 	rp := mustRepairer(t, codec, lb.Conns(), m,
-		WithRepairInterval(20*time.Millisecond),
 		withRepairBackoff(backoff{base: 2 * time.Millisecond, max: 50 * time.Millisecond}))
 
 	rpCtx, rpCancel := context.WithCancel(ctx)

@@ -429,7 +429,6 @@ func TestReconfigRepairerAborts(t *testing.T) {
 
 	m := NewMembership(5)
 	rp := mustRepairer(t, codec, lb.ConnsAt(SeedEpoch, 5), m,
-		WithRepairInterval(5*time.Millisecond),
 		withRepairBackoff(backoff{base: time.Millisecond, max: 5 * time.Millisecond}))
 
 	// The cluster reconfigures out from under the repairer (same

@@ -95,29 +95,15 @@ type repairEvent struct {
 // Repairer is one cluster's anti-entropy healer. Run it once per
 // cluster next to the clients that share its Membership view.
 type Repairer struct {
-	codec    *Codec
-	conns    []Conn
-	m        *Membership
-	interval time.Duration
-	backoff  backoff
-	onEvent  func(repairEvent) // the tests' window on every attempt
+	codec   *Codec
+	conns   []Conn
+	m       *Membership
+	backoff backoff           // per-suspect retry schedule after a failed attempt
+	onEvent func(repairEvent) // the tests' window on every attempt
 }
 
 // RepairerOption configures a Repairer.
 type RepairerOption func(*Repairer) error
-
-// WithRepairInterval sets the poll floor of the repair loop: how often
-// it rechecks suspects absent a membership change. Changes via the
-// Membership view wake it immediately regardless.
-func WithRepairInterval(d time.Duration) RepairerOption {
-	return func(rp *Repairer) error {
-		if d <= 0 {
-			return fmt.Errorf("%w: repair interval %v", ErrConfig, d)
-		}
-		rp.interval = d
-		return nil
-	}
-}
 
 // NewRepairer builds the repairer for a cluster. The conns are the
 // repairer's own (it may dial concurrently with writers and readers),
@@ -131,11 +117,10 @@ func NewRepairer(codec *Codec, conns []Conn, m *Membership, opts ...RepairerOpti
 		return nil, fmt.Errorf("%w: repairer needs a membership view for n=%d", ErrConfig, codec.N())
 	}
 	rp := &Repairer{
-		codec:    codec,
-		conns:    conns,
-		m:        m,
-		interval: time.Second,
-		backoff:  backoff{base: 5 * time.Millisecond, max: 100 * time.Millisecond},
+		codec:   codec,
+		conns:   conns,
+		m:       m,
+		backoff: backoff{base: 5 * time.Millisecond, max: 100 * time.Millisecond},
 	}
 	for _, opt := range opts {
 		if err := opt(rp); err != nil {
@@ -151,9 +136,9 @@ func (rp *Repairer) event(ev repairEvent) {
 	}
 }
 
-// Run is the anti-entropy loop: wake on membership changes (or the
-// interval floor), attempt one repair per due suspect, back off
-// per-server on failure. It blocks until ctx ends.
+// Run is the anti-entropy loop: wake on a membership change or a
+// suspect's backoff deadline, attempt one repair per due suspect, back
+// off per-server on failure. It blocks until ctx ends.
 func (rp *Repairer) Run(ctx context.Context) error {
 	type pending struct {
 		b    backoff
@@ -201,20 +186,16 @@ func (rp *Repairer) Run(ctx context.Context) error {
 				delete(pend, s)
 			}
 		}
-		d := rp.interval
+		// A backoff ending is the one cause of work that does not close changed.
+		var due <-chan time.Time
 		if !wake.IsZero() {
-			if until := time.Until(wake); until < d {
-				d = max(until, time.Millisecond)
-			}
+			due = time.After(max(time.Until(wake), time.Millisecond))
 		}
-		timer := time.NewTimer(d)
 		select {
 		case <-ctx.Done():
-			timer.Stop()
 			return ctx.Err()
 		case <-changed:
-			timer.Stop()
-		case <-timer.C:
+		case <-due:
 		}
 	}
 }

@@ -49,8 +49,8 @@ func TestMembershipLifecycle(t *testing.T) {
 	if m.Health(0) != Suspect || m.Cause(0) != cause {
 		t.Fatalf("after suspect: %v cause %v", m.Health(0), m.Cause(0))
 	}
-	if !slices.Equal(m.Suspects(), []int{0}) || m.LiveCount() != 2 {
-		t.Fatalf("Suspects = %v, live = %d", m.Suspects(), m.LiveCount())
+	if !slices.Equal(m.Suspects(), []int{0}) {
+		t.Fatalf("Suspects = %v", m.Suspects())
 	}
 
 	// Readmission must pass through Repairing: MarkLive straight from
@@ -196,6 +196,78 @@ func TestRepairRestoresCrashedServer(t *testing.T) {
 	if res.Tag != tag2 || !bytes.Equal(res.Value, v2) || len(res.Corrupt) != 0 {
 		t.Fatalf("Read after repair = %v %q corrupt %v", res.Tag, res.Value, res.Corrupt)
 	}
+}
+
+// TestRepairLoopWakesForEachCause: Run holds no timer while idle, so
+// each repair it makes must be woken by a cause — a membership
+// transition closing Changed, or a failed suspect's backoff deadline,
+// the one cause the view never hears of. Both bounds sit far below any
+// poll a loop could lean on.
+func TestRepairLoopWakesForEachCause(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	codec, lb := newCluster(t, 5, 3)
+	m := NewMembership(5)
+	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: 0})
+	if _, err := w.Write(ctx, testKey, []byte("one version")); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	failed := make(chan int, 1)
+	rp := mustRepairer(t, codec, lb.Conns(), m,
+		withRepairEvents(func(ev repairEvent) {
+			if ev.err != nil {
+				select {
+				case failed <- ev.server:
+				default:
+				}
+			}
+		}))
+	rpCtx, rpCancel := context.WithCancel(ctx)
+	rpDone := make(chan error, 1)
+	go func() { rpDone <- rp.Run(rpCtx) }()
+	defer func() {
+		rpCancel()
+		if err := <-rpDone; !errors.Is(err, context.Canceled) {
+			t.Errorf("Run returned %v, want the context's cancellation", err)
+		}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the loop go idle
+
+	const within = 400 * time.Millisecond
+	readmitted := func(s int) {
+		t.Helper()
+		deadline := time.After(within)
+		for {
+			ch := m.Changed()
+			if m.IsLive(s) {
+				return
+			}
+			select {
+			case <-ch:
+			case <-deadline:
+				t.Fatalf("server %d not readmitted within %v: %v, cause %v", s, within, m.Health(s), m.Cause(s))
+			}
+		}
+	}
+
+	// Cause 1: a fresh suspect closes Changed.
+	m.MarkSuspect(4, errors.New("suspected by hand"))
+	readmitted(4)
+
+	// Cause 2: a failed attempt's backoff ends. The restart is invisible
+	// to the view, so only the retry timer brings the loop back.
+	lb.Crash(3)
+	m.MarkSuspect(3, ErrServerDown)
+	select {
+	case s := <-failed:
+		if s != 3 {
+			t.Fatalf("failed attempt on server %d, want 3", s)
+		}
+	case <-time.After(within):
+		t.Fatalf("no failed attempt on crashed server 3 within %v", within)
+	}
+	lb.Restart(3)
+	readmitted(3)
 }
 
 // TestRepairEmptyRegister: a suspect in an unwritten cluster has
@@ -430,8 +502,8 @@ func TestRepairDetectsCorruptDonor(t *testing.T) {
 	if _, err := rp.RepairOnce(ctx, 3); err != nil {
 		t.Fatalf("RepairOnce(3): %v", err)
 	}
-	if m.LiveCount() != 9 {
-		t.Fatalf("live = %d after healing everyone", m.LiveCount())
+	if s := m.Suspects(); len(s) != 0 {
+		t.Fatalf("suspects %v after healing everyone", s)
 	}
 }
 
@@ -590,7 +662,6 @@ func TestKillRepairRejoinSoak(t *testing.T) {
 	codec, lb := newCluster(t, 9, 3)
 	m := NewMembership(9)
 	rp := mustRepairer(t, codec, lb.Conns(), m,
-		WithRepairInterval(20*time.Millisecond),
 		withRepairBackoff(backoff{base: 2 * time.Millisecond, max: 50 * time.Millisecond}))
 
 	rpCtx, rpCancel := context.WithCancel(ctx)
@@ -704,7 +775,7 @@ func TestKillRepairRejoinSoak(t *testing.T) {
 }
 
 // TestBackoffSchedule pins the shared retry helper: exponential
-// growth to the cap, reset, defaults, and context-bounded sleeping.
+// growth to the cap, defaults, and context-bounded sleeping.
 func TestBackoffSchedule(t *testing.T) {
 	checkNoLeaks(t)
 	b := backoff{base: 10 * time.Millisecond, max: 80 * time.Millisecond}
@@ -713,10 +784,6 @@ func TestBackoffSchedule(t *testing.T) {
 		if got := b.next(); got != w*time.Millisecond {
 			t.Fatalf("next #%d = %v, want %v", i, got, w*time.Millisecond)
 		}
-	}
-	b.reset()
-	if got := b.next(); got != 10*time.Millisecond {
-		t.Fatalf("after reset, next = %v", got)
 	}
 
 	var zero backoff

@@ -38,9 +38,6 @@ func (b *backoff) next() time.Duration {
 	return min(d, ceil)
 }
 
-// reset rewinds the schedule to base.
-func (b *backoff) reset() { b.attempt = 0 }
-
 // sleep blocks for the next delay or until ctx ends, returning
 // ctx.Err() in the latter case. A hung peer must never stall a caller
 // past its context: every retry loop in this package sleeps through
