@@ -60,7 +60,7 @@
 // its one client, the persistent multiplexed MuxConn (mux.go) — or over
 // the deterministic in-process Loopback (loopback.go), which adds
 // fail-stop, silent-crash, and corrupt-storage fault injection for
-// tests and the sodademo binary. Every Conn method but PutData is
+// tests and the examples. Every Conn method but PutData is
 // written once for both (rpcConn, rpc.go). A healthy small operation
 // starts no goroutine over either (see "Where the quorum phases run"
 // below).

@@ -674,9 +674,9 @@ func TestPowerCutInsideAnFsync(t *testing.T) {
 			srv := lb.Server(0)
 			w := srv.dur.wal
 			w.syncMu.Lock()
-			w.syncs = 0 // the next leader fsync is timed: w.now runs on each side of it
-			calls := 0  // under syncMu, as w.now is called
-			w.now = func() time.Time {
+			w.syncs = 0 // the next leader fsync is timed: w.clk.now runs on each side of it
+			calls := 0  // under syncMu, as w.clk.now is called
+			w.clk.nowFn = func() time.Time {
 				if calls++; calls == 2 {
 					srv.dur.powerCut()
 				}

@@ -26,8 +26,8 @@ func setSyncClock(s *Server, d time.Duration) {
 	w := s.dur.wal
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
-	var ticks time.Duration // read and written by w.now: under syncMu
-	w.now = func() time.Time {
+	var ticks time.Duration // read and written by w.clk.now: under syncMu
+	w.clk.nowFn = func() time.Time {
 		ticks++
 		return time.Unix(0, 0).Add(ticks * d)
 	}

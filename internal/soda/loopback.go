@@ -45,7 +45,7 @@ var ErrServerDown = errors.New("soda: server is down")
 // register itself, and copies a get-elem out under the register lock.
 // Only a Delivery's element is the server's own buffer, pinned by the
 // registration (see register). Loopback is the substrate for
-// deterministic protocol tests and the sodademo binary.
+// deterministic protocol tests and the examples.
 type Loopback struct {
 	mu sync.Mutex // serializes the fault-injection mutators
 	// servers holds atomic pointers so Recover can swap in a freshly

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestMetricsSumEveryCounter walks the counter list, so a counter added
@@ -54,6 +55,28 @@ func TestMetricsSumEveryCounter(t *testing.T) {
 	}
 	if b2 != want {
 		t.Errorf("Add the other way round = %+v, want %+v", b2, want)
+	}
+}
+
+// TestWALSyncGauge: a durable server's WALSyncNanos is its log's last
+// timed fsync, as the log's clock measured it.
+func TestWALSyncGauge(t *testing.T) {
+	s, err := NewDurableServer(0, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const d = 7 * time.Microsecond
+	setSyncClock(s, d)
+	w := s.dur.wal
+	w.syncMu.Lock()
+	w.syncs = 0 // the next leader fsync is timed
+	w.syncMu.Unlock()
+	if err := s.PutData(testKey, Tag{TS: 1, Writer: "w"}, []byte{1}, 1); err != nil {
+		t.Fatalf("PutData: %v", err)
+	}
+	if got := s.MetricsSnapshot().WALSyncNanos; got != uint64(d) {
+		t.Fatalf("WALSyncNanos = %v, want the clock's %v", time.Duration(got), d)
 	}
 }
 

@@ -64,17 +64,10 @@ type Reconfigurator struct {
 	// power-cut mid-flip blocks the phase until it recovers, which is what
 	// keeps activation from outrunning the drain.
 	backoff backoff
-	logf    func(format string, args ...any)
 }
 
 // ReconfigOption configures a Reconfigurator.
 type ReconfigOption func(*Reconfigurator)
-
-// WithReconfigLogf installs a progress logger (phase transitions and
-// per-member retries).
-func WithReconfigLogf(logf func(format string, args ...any)) ReconfigOption {
-	return func(rc *Reconfigurator) { rc.logf = logf }
-}
 
 // NewReconfigurator builds the coordinator around the cluster's
 // shared ConfigView.
@@ -82,7 +75,6 @@ func NewReconfigurator(view *ConfigView, opts ...ReconfigOption) *Reconfigurator
 	rc := &Reconfigurator{
 		view:    view,
 		backoff: backoff{base: 20 * time.Millisecond, max: 2 * time.Second},
-		logf:    func(string, ...any) {},
 	}
 	for _, opt := range opts {
 		opt(rc)
@@ -126,7 +118,6 @@ func (rc *Reconfigurator) eachUntil(ctx context.Context, phase string, conns []C
 		if len(failed) == 0 {
 			return nil
 		}
-		rc.logf("reconfig: %s: %d member(s) pending (%v), retrying", phase, len(failed), firstErr)
 		if err := b.sleep(ctx); err != nil {
 			return fmt.Errorf("reconfig %s: %w (last member error: %w)", phase, err, firstErr)
 		}
@@ -167,7 +158,6 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 		if err != nil {
 			return err
 		}
-		rc.logf("reconfig: sealing epoch %d pending %d across %d member(s)", old.Epoch(), next.Epoch(), len(members(old, next)))
 		err = rc.eachUntil(ctx, "seal", members(old, next), func(c Conn) error {
 			_, err := c.Reconfig(ctx, ReconfigSeal, next.Epoch(), next.N(), next.K())
 			return err
@@ -180,8 +170,6 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 		if err := rc.migrate(ctx, old, next); err != nil {
 			return err
 		}
-	} else {
-		rc.logf("reconfig: %d member(s) already at epoch %d; resuming activation", activated, next.Epoch())
 	}
 
 	// Phase 3: activate every new member. Retired members stay sealed
@@ -205,7 +193,6 @@ func (rc *Reconfigurator) Apply(ctx context.Context, next *Config) error {
 		}
 		return err
 	}
-	rc.logf("reconfig: epoch %d active (n=%d k=%d)", next.Epoch(), next.N(), next.K())
 	return nil
 }
 
@@ -231,7 +218,6 @@ func (rc *Reconfigurator) migrate(ctx context.Context, old, next *Config) error 
 		return err
 	}
 
-	rc.logf("reconfig: migrating %d key(s) from [n=%d,k=%d] to [n=%d,k=%d]", len(keys), old.N(), old.K(), next.N(), next.K())
 	for _, key := range keys {
 		if err := rc.migrateKey(ctx, old, next, key); err != nil {
 			return err
@@ -258,7 +244,6 @@ func (rc *Reconfigurator) awaitDonors(ctx context.Context, what string, read fun
 			}
 			return err
 		}
-		rc.logf("reconfig: migrate %s: %v, retrying", what, err)
 		if serr := b.sleep(ctx); serr != nil {
 			return fmt.Errorf("reconfig migrate %s: %w (last donor error: %w)", what, serr, err)
 		}
@@ -277,11 +262,7 @@ func (rc *Reconfigurator) migrateKey(ctx context.Context, old, next *Config, key
 		if err != nil {
 			return err
 		}
-		var corrupt []int
-		ver, shards, corrupt, err = regenerate(old.Codec, donations)
-		if len(corrupt) > 0 {
-			rc.logf("reconfig: migrate %q: located corrupt donor(s) %v, decoded around them", key, corrupt)
-		}
+		ver, shards, _, err = regenerate(old.Codec, donations)
 		return err
 	})
 	if err != nil {

@@ -324,6 +324,73 @@ func TestReconfigGrowMigratesState(t *testing.T) {
 	}
 }
 
+// TestReconfigShrinkRetiresTheTail drives a grow n=5 -> n=7 and the
+// shrink back to n=5 on a quiet cluster: what was written under the
+// grown geometry reads back under the shrunk one with its tag, a writer
+// still on the grown conns is refused with ErrStaleEpoch, and the two
+// servers the shrink drops stay sealed, refusing client ops at the new
+// epoch too.
+func TestReconfigShrinkRetiresTheTail(t *testing.T) {
+	ctx := testCtx(t)
+	lb := NewLoopback(7)
+	codec5, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec7, err := NewCodec(7, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := NewConfigView(&Config{Codec: codec5, Conns: lb.ConnsAt(SeedEpoch, 5), F: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := NewReconfigurator(view, fastReconfig)
+	cfg1 := &Config{Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
+	if err := rc.Apply(ctx, cfg1); err != nil {
+		t.Fatalf("grow Apply: %v", err)
+	}
+	w := mustWriterOn(t, "w", &Config{Codec: codec7, Conns: cfg1.Conns, F: 0})
+	v := []byte("written under [7,4]")
+	tag, err := w.Write(ctx, testKey, v)
+	if err != nil {
+		t.Fatalf("Write under epoch 1: %v", err)
+	}
+
+	cfg2 := &Config{Codec: codec5, Conns: lb.ConnsAt(2, 5), F: -1}
+	if err := rc.Apply(ctx, cfg2); err != nil {
+		t.Fatalf("shrink Apply: %v", err)
+	}
+	if got := view.Current().Epoch(); got != 2 {
+		t.Fatalf("view epoch after the shrink = %d", got)
+	}
+	r := mustReaderOn(t, "r", &Config{Codec: codec5, Conns: cfg2.Conns, F: 0})
+	res, err := r.Read(ctx, testKey)
+	if err != nil {
+		t.Fatalf("Read under epoch 2: %v", err)
+	}
+	if res.Tag != tag || !bytes.Equal(res.Value, v) {
+		t.Fatalf("Read under epoch 2 = %v %q, want %v %q", res.Tag, res.Value, tag, v)
+	}
+	if _, err := w.Write(ctx, testKey, []byte("stale")); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("writer on the grown conns = %v, want ErrStaleEpoch", err)
+	}
+	for i := 0; i < 7; i++ {
+		st := lb.Server(i).EpochStatus()
+		if i < 5 && (st.Epoch != 2 || st.Sealed || st.N != 5 || st.K != 3) {
+			t.Fatalf("server %d status = %+v, want active epoch 2 n=5 k=3", i, st)
+		}
+		if i >= 5 && !st.Sealed {
+			t.Fatalf("retired server %d status = %+v, want sealed", i, st)
+		}
+	}
+	for _, c := range lb.ConnsAt(2, 7)[5:] {
+		if _, err := c.GetTag(ctx, testKey); !errors.Is(err, ErrStaleEpoch) {
+			t.Fatalf("retired server %d answered a get-tag at epoch 2: %v", c.Index(), err)
+		}
+	}
+}
+
 // TestReconfigDrainLocatesCorruptDonor: a member whose storage rots
 // before a flip must not have its bad bytes re-encoded into the next
 // geometry, where every element would carry them consistently and no

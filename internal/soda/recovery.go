@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"time"
 )
 
 // Crash recovery: a durable server comes back as
@@ -86,7 +85,7 @@ func NewDurableServer(idx int, dir string, opts ...DurableOption) (*Server, erro
 	s := NewServer(idx)
 	d := &durability{
 		srv:   s,
-		wal:   &wal{dir: dir, failAfter: cfg.failAfter, metrics: &s.metrics, now: time.Now},
+		wal:   &wal{dir: dir, failAfter: cfg.failAfter, metrics: &s.metrics},
 		cfg:   cfg,
 		snapC: make(chan struct{}, 1),
 		stop:  make(chan struct{}),

@@ -144,12 +144,13 @@ func (rp *Repairer) Run(ctx context.Context) error {
 		b    backoff
 		next time.Time
 	}
+	clk := rp.backoff.clk
 	pend := make(map[int]*pending)
 	for {
 		// Snapshot the change channel before reading the view, so a
 		// transition between "read suspects" and "wait" still wakes us.
 		changed := rp.m.Changed()
-		now := time.Now()
+		now := clk.now()
 		var wake time.Time
 		for _, s := range rp.m.Suspects() {
 			if rp.m.Health(s) != Suspect {
@@ -178,7 +179,7 @@ func (rp *Repairer) Run(ctx context.Context) error {
 					// repairer owns the healing now.
 					return fmt.Errorf("soda: repair: configuration epoch moved: %w", err)
 				}
-				p.next = time.Now().Add(p.b.next())
+				p.next = clk.now().Add(p.b.next())
 				if wake.IsZero() || p.next.Before(wake) {
 					wake = p.next
 				}
@@ -189,7 +190,7 @@ func (rp *Repairer) Run(ctx context.Context) error {
 		// A backoff ending is the one cause of work that does not close changed.
 		var due <-chan time.Time
 		if !wake.IsZero() {
-			due = time.After(max(time.Until(wake), time.Millisecond))
+			due = clk.after(max(wake.Sub(clk.now()), time.Millisecond))
 		}
 		select {
 		case <-ctx.Done():

@@ -198,11 +198,40 @@ func TestRepairRestoresCrashedServer(t *testing.T) {
 	}
 }
 
+// fakeClock is a clock the test moves by hand: now is a fixed instant
+// plus an offset the test advances, and every after reports the delay it
+// was asked for and returns fire, which the test closes.
+type fakeClock struct {
+	offset atomic.Int64 // nanoseconds past the Unix epoch
+	asked  chan time.Duration
+	fire   chan time.Time
+}
+
+func newFakeClock() *fakeClock {
+	return &fakeClock{asked: make(chan time.Duration, 1), fire: make(chan time.Time)}
+}
+
+// clock is f as the package's clock. A report that finds asked full is
+// dropped, so after never blocks: the tests read the first.
+func (f *fakeClock) clock() clock {
+	return clock{
+		nowFn: func() time.Time { return time.Unix(0, f.offset.Load()) },
+		afterFn: func(d time.Duration) <-chan time.Time {
+			select {
+			case f.asked <- d:
+			default:
+			}
+			return f.fire
+		},
+	}
+}
+
 // TestRepairLoopWakesForEachCause: Run holds no timer while idle, so
 // each repair it makes must be woken by a cause — a membership
 // transition closing Changed, or a failed suspect's backoff deadline,
-// the one cause the view never hears of. Both bounds sit far below any
-// poll a loop could lean on.
+// the one cause the view never hears of. The loop runs on a fake clock
+// whose one timer fires when the test says so: no wait here is bounded
+// by wall time but the test's context.
 func TestRepairLoopWakesForEachCause(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
@@ -212,8 +241,10 @@ func TestRepairLoopWakesForEachCause(t *testing.T) {
 	if _, err := w.Write(ctx, testKey, []byte("one version")); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
+	fc := newFakeClock()
 	failed := make(chan int, 1)
 	rp := mustRepairer(t, codec, lb.Conns(), m,
+		withRepairBackoff(backoff{base: time.Hour, max: time.Hour, clk: fc.clock()}),
 		withRepairEvents(func(ev repairEvent) {
 			if ev.err != nil {
 				select {
@@ -231,12 +262,9 @@ func TestRepairLoopWakesForEachCause(t *testing.T) {
 			t.Errorf("Run returned %v, want the context's cancellation", err)
 		}
 	}()
-	time.Sleep(20 * time.Millisecond) // let the loop go idle
 
-	const within = 400 * time.Millisecond
 	readmitted := func(s int) {
 		t.Helper()
-		deadline := time.After(within)
 		for {
 			ch := m.Changed()
 			if m.IsLive(s) {
@@ -244,8 +272,8 @@ func TestRepairLoopWakesForEachCause(t *testing.T) {
 			}
 			select {
 			case <-ch:
-			case <-deadline:
-				t.Fatalf("server %d not readmitted within %v: %v, cause %v", s, within, m.Health(s), m.Cause(s))
+			case <-ctx.Done():
+				t.Fatalf("server %d not readmitted: %v, cause %v", s, m.Health(s), m.Cause(s))
 			}
 		}
 	}
@@ -263,10 +291,27 @@ func TestRepairLoopWakesForEachCause(t *testing.T) {
 		if s != 3 {
 			t.Fatalf("failed attempt on server %d, want 3", s)
 		}
-	case <-time.After(within):
-		t.Fatalf("no failed attempt on crashed server 3 within %v", within)
+	case <-ctx.Done():
+		t.Fatal("no failed attempt on crashed server 3")
+	}
+	select {
+	case d := <-fc.asked:
+		if d != time.Hour {
+			t.Fatalf("retry armed for %v, want the backoff's %v", d, time.Hour)
+		}
+	case <-ctx.Done():
+		t.Fatal("no retry armed on the loop's clock after the failed attempt")
 	}
 	lb.Restart(3)
+	// The timer is unfired: a pass that Changed wakes (here, to heal a
+	// second suspect) leaves server 3 to its deadline.
+	m.MarkSuspect(4, errors.New("suspected again"))
+	readmitted(4)
+	if h := m.Health(3); h != Suspect {
+		t.Fatalf("server 3 is %v before its retry timer fired, want suspect", h)
+	}
+	fc.offset.Add(int64(time.Hour))
+	close(fc.fire)
 	readmitted(3)
 }
 
@@ -789,6 +834,17 @@ func TestBackoffSchedule(t *testing.T) {
 	var zero backoff
 	if got := zero.next(); got != defaultBackoffBase {
 		t.Fatalf("zero-value next = %v, want %v", got, defaultBackoffBase)
+	}
+
+	// A sleep waits on its clock for the delay next gives.
+	fc := newFakeClock()
+	onClock := backoff{base: 10 * time.Millisecond, max: 80 * time.Millisecond, clk: fc.clock()}
+	close(fc.fire)
+	if err := onClock.sleep(context.Background()); err != nil {
+		t.Fatalf("sleep on a fired clock = %v", err)
+	}
+	if d := <-fc.asked; d != 10*time.Millisecond {
+		t.Fatalf("sleep asked its clock for %v, want next's %v", d, 10*time.Millisecond)
 	}
 
 	// A cancelled context cuts the sleep short with its error.

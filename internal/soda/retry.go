@@ -13,6 +13,7 @@ import (
 type backoff struct {
 	base time.Duration // first delay; default 10ms
 	max  time.Duration // delay cap; default 2s
+	clk  clock         // what sleep waits on; the wall clock by default
 
 	attempt int
 }
@@ -41,12 +42,12 @@ func (b *backoff) next() time.Duration {
 // sleep blocks for the next delay or until ctx ends, returning
 // ctx.Err() in the latter case. A hung peer must never stall a caller
 // past its context: every retry loop in this package sleeps through
-// here.
+// here. The delay is b.clk's channel, which has no Stop: under go.mod's
+// go 1.22 timer rules a sleep cut short by ctx leaves its timer, at
+// most max (2s by default), to fire unobserved.
 func (b *backoff) sleep(ctx context.Context) error {
-	t := time.NewTimer(b.next())
-	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-b.clk.after(b.next()):
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

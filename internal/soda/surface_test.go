@@ -57,23 +57,12 @@ func TestExportedSurface(t *testing.T) {
 // exported method or field of an unexported type embedded in an exported
 // struct is listed as the struct's, (*T).M or T.F: promoted, it is T's API.
 func exportedSurface(t *testing.T, dir string) []string {
-	fset := token.NewFileSet()
-	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, files := nonTestFiles(t, dir)
 	var names []string
 	hidden := map[string][]string{}       // an unexported type's exported methods
 	hiddenFields := map[string][]string{} // and its exported fields
 	var embeds [][2]string                // {exported struct, unexported type it embeds}
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -161,6 +150,87 @@ func exportedSurface(t *testing.T, dir string) []string {
 	}
 	slices.Sort(names)
 	return slices.Compact(names)
+}
+
+// nonTestFiles parses the non-test Go files in dir.
+func nonTestFiles(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
+	fset := token.NewFileSet()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return fset, files
+}
+
+// wallClock lists every use of the time package's clock functions that a
+// non-test file may make, one line per use, each with its reason. The
+// rest of the package reads time through clock (clock.go), which a test
+// or a simulator stands in for.
+var wallClock = []struct{ use, why string }{
+	{"clock.go: time.Now", "the clock's default now"},
+	{"clock.go: time.After", "the clock's default after"},
+	{"mux.go: time.AfterFunc", "the reader-done flusher, on the socket path a simulated transport does not run"},
+	{"tcp.go: time.Now", "the write-deadline rearm: the kernel counts a socket deadline in wall time"},
+}
+
+// TestOneClock pins the one clock: a call to (or a reference to) time.Now,
+// Since, Until, After, AfterFunc, NewTimer, NewTicker, Tick or Sleep in a
+// non-test file must be one of wallClock's lines. Without it a
+// simulator's determinism rots one time.Now at a time.
+func TestOneClock(t *testing.T) {
+	reads := map[string]bool{"Now": true, "Since": true, "Until": true, "After": true, "AfterFunc": true,
+		"NewTimer": true, "NewTicker": true, "Tick": true, "Sleep": true}
+	want := map[string]int{}
+	for _, w := range wallClock {
+		want[w.use]++
+	}
+	got := map[string]int{}
+	fset, files := nonTestFiles(t, ".")
+	for _, f := range files {
+		pkg := "" // the name the file imports "time" under
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				pkg = "time"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		if pkg == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || !reads[sel.Sel.Name] {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); !ok || id.Name != pkg {
+				return true
+			}
+			pos := fset.Position(sel.Pos())
+			use := filepath.Base(pos.Filename) + ": time." + sel.Sel.Name
+			if got[use]++; got[use] > want[use] {
+				t.Errorf("%s: time.%s reads the wall clock; read the package's clock (clock.go) instead", pos, sel.Sel.Name)
+			}
+			return true
+		})
+	}
+	for _, w := range wallClock {
+		if got[w.use] < want[w.use] {
+			t.Errorf("wallClock allows %q (%s), which the package no longer makes: drop the line", w.use, w.why)
+		}
+	}
 }
 
 // fieldNames returns a field's names, or for an embedded one the name of

@@ -217,10 +217,10 @@ type wal struct {
 	syncMu sync.Mutex
 	syncs  uint64 // leader fsyncs so far; under syncMu
 	// syncNanos is how long the last timed leader fsync took — what
-	// syncsWait reads, and the WALSyncNanos gauge. now is the clock that
-	// times it (time.Now; tests stand in a device of their choosing).
+	// syncsWait reads, and the WALSyncNanos gauge. clk times it (the
+	// wall clock; tests stand in a device of their choosing).
 	syncNanos atomic.Int64
-	now       func() time.Time
+	clk       clock
 
 	// failAfter, when positive, injects a disk fault: the append that
 	// would push the segment past failAfter bytes fails (and latches)
@@ -384,11 +384,11 @@ func (w *wal) syncTo(seq uint64, target int64) error {
 	w.syncs++
 	var start time.Time
 	if timed {
-		start = w.now()
+		start = w.clk.now()
 	}
 	err := f.Sync()
 	if timed {
-		w.syncNanos.Store(int64(w.now().Sub(start)))
+		w.syncNanos.Store(int64(w.clk.now().Sub(start)))
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
