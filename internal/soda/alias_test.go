@@ -66,7 +66,7 @@ func TestDeliveredBytesNeverChange(t *testing.T) {
 				t.Fatalf("reader holds %d deliveries, want initial + relay", len(got))
 			}
 			tc.drop(s)
-			if tc.name != "registered" && s.Readers(testKey) != 0 {
+			if tc.name != "registered" && s.readerCount(testKey) != 0 {
 				t.Fatal("the registration survived the force-drop")
 			}
 			for ts := uint64(3); ts < 1003; ts++ {
@@ -154,7 +154,7 @@ func TestGetElemRacingPutsLoopback(t *testing.T) {
 func TestGetElemRacingPutsMux(t *testing.T) {
 	checkNoLeaks(t)
 	addrs, _ := startTCPServers(t, 1)
-	c := TCPMuxConn(0, addrs[0])
+	c := testMuxConn(0, addrs[0])
 	defer c.Close()
 	raceGetElem(t, c)
 }
@@ -275,7 +275,7 @@ func TestMuxOversizeFrameFailsOnlyItsExchange(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	addrs, servers := startTCPServers(t, 1)
-	c := TCPMuxConn(0, addrs[0])
+	c := testMuxConn(0, addrs[0])
 	defer c.Close()
 	if _, err := c.GetTag(ctx, testKey); err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestMuxOversizeFrameFailsOnlyItsExchange(t *testing.T) {
 	if !same {
 		t.Fatal("the oversize put tore the session down")
 	}
-	if n := servers[0].NumConns(); n != 1 {
+	if n := servers[0].numConns(); n != 1 {
 		t.Fatalf("server sees %d connections, want 1", n)
 	}
 }
@@ -601,7 +601,7 @@ func TestOwnedPutRefusedFreesOnce(t *testing.T) {
 	}
 
 	addrs, servers := startTCPServers(t, 1)
-	mc := TCPMuxConn(0, addrs[0])
+	mc := testMuxConn(0, addrs[0])
 	defer mc.Close()
 	elem := elemFor(2, size)
 	id := &elem[0]
@@ -611,10 +611,10 @@ func TestOwnedPutRefusedFreesOnce(t *testing.T) {
 	if n := freed.times(id); n != 1 {
 		t.Fatalf("mux: delivered elem freed %d times, want 1", n)
 	}
-	if _, stored, _ := servers[0].Core().Snapshot(testKey); !bytes.Equal(stored, elemFor(2, size)) {
+	if _, stored, _ := servers[0].core.Snapshot(testKey); !bytes.Equal(stored, elemFor(2, size)) {
 		t.Fatal("mux: the server does not hold the bytes that were sent")
 	}
-	dead := TCPMuxConn(0, "127.0.0.1:1", withDialRetry(1, backoff{}))
+	dead := testMuxConn(0, "127.0.0.1:1", withDialRetry(1, backoff{}))
 	defer dead.Close()
 	elem = elemFor(3, size)
 	id = &elem[0]

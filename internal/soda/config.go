@@ -10,7 +10,7 @@ import (
 
 // Online reconfiguration, client side. A Config is one immutable
 // cluster geometry: the [n,k] code, the fault budgets, and the conn
-// set. Its epoch is the one its conns stamp (WithConnEpoch /
+// set. Its epoch is the one its conns stamp (TCPMuxConnsAt /
 // Loopback.ConnsAt), all of them the same one, so every frame an
 // operation sends under this Config carries that epoch and a quorum
 // assembled through it can only ever contain responses from servers

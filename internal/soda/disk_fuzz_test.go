@@ -72,7 +72,7 @@ func diskSeeds(f testing.TB) (records [][]byte, snapshot []byte) {
 	if len(ops) != 3 {
 		f.Fatalf("the seed log holds record kinds %v, want all three", ops)
 	}
-	if err := lb.Server(0).SnapshotNow(); err != nil {
+	if err := lb.Server(0).dur.snapshot(); err != nil {
 		f.Fatal(err)
 	}
 	if snapshot, err = os.ReadFile(filepath.Join(lb.nodeDir(0), snapshotName)); err != nil {

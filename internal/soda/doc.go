@@ -95,7 +95,7 @@
 // a fresh buffer, or one a conn freed, takes plain stores.
 //
 // Any request may instead draw 12 error {message} or 15 epoch-nack
-// {want, sealed}. The admission classes are Server.Admit's: client
+// {want, sealed}. The admission classes are Server.admit's: client
 // needs the active epoch unsealed, mint (get-tag) that and no freeze
 // announced by a flip, donor the active epoch sealed or not, repair the
 // active epoch or the pending one while sealed. Loopback's step forms

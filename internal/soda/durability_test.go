@@ -126,8 +126,8 @@ func TestRecoverEmptyDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.Durable() {
-		t.Fatal("durable server reports Durable() == false")
+	if s.dur == nil {
+		t.Fatal("durable server has no durability layer")
 	}
 	if keys := s.Keys(); len(keys) != 0 {
 		t.Fatalf("fresh durable server holds keys %v", keys)
@@ -322,8 +322,8 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	t1, t2, t3 := Tag{TS: 1, Writer: "w"}, Tag{TS: 2, Writer: "w"}, Tag{TS: 3, Writer: "w"}
 	s.PutData("k1", t1, []byte{1}, 1)
 	s.PutData("k2", t2, []byte{2}, 1)
-	if err := s.SnapshotNow(); err != nil {
-		t.Fatalf("SnapshotNow: %v", err)
+	if err := s.dur.snapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
 	}
 	segs, err := walSegments(dir)
 	if err != nil {
@@ -719,14 +719,14 @@ func TestDurableTCPServerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := TCPMuxConn(0, ns.Addr())
+	c := testMuxConn(0, ns.Addr())
 	t1 := Tag{TS: 1, Writer: "w"}
 	if err := c.PutData(ctx, testKey, t1, []byte{7}, 1); err != nil {
 		t.Fatalf("PutData over TCP: %v", err)
 	}
 	c.Close()
 	ns.Close()
-	if err := ns.Core().Close(); err != nil {
+	if err := ns.core.Close(); err != nil {
 		t.Fatalf("Core().Close(): %v", err)
 	}
 
@@ -740,7 +740,7 @@ func TestDurableTCPServerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ns2.Close()
-	c2 := TCPMuxConn(0, ns2.Addr())
+	c2 := testMuxConn(0, ns2.Addr())
 	defer c2.Close()
 	tag, err := c2.GetTag(ctx, testKey)
 	if err != nil {

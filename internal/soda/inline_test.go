@@ -832,7 +832,7 @@ func pendingReadOn(t *testing.T, codec *Codec, conns []Conn, cores []*Server, re
 	}()
 	waitFor(t, "the read's registration on every server", func() bool {
 		for _, s := range cores {
-			if s.Readers(testKey) != 1 {
+			if s.readerCount(testKey) != 1 {
 				return false
 			}
 		}
@@ -909,7 +909,7 @@ func TestPendingReadEndsOnTheFlip(t *testing.T) {
 			t.Fatal("a read registered before the seal outlived it")
 		}
 		for i := 0; i < lb.Size(); i++ {
-			if n := lb.Server(i).Readers(testKey); n != 0 {
+			if n := lb.Server(i).readerCount(testKey); n != 0 {
 				t.Fatalf("%d readers left registered on sealed server %d", n, i)
 			}
 		}
@@ -993,7 +993,7 @@ func TestReadSealedBetweenAdmitAndRegister(t *testing.T) {
 	// and the re-check after it registers, which ends its registration.
 	waitFor(t, "no reader registered on a sealed server", func() bool {
 		for i := 0; i < 5; i++ {
-			if lb.Server(i).Readers(testKey) != 0 {
+			if lb.Server(i).readerCount(testKey) != 0 {
 				return false
 			}
 		}
@@ -1046,7 +1046,7 @@ func TestInlineOpsStartNothing(t *testing.T) {
 				t.Error("an inline write checked out fan-out state")
 			}
 			for i := 0; i < lb.Size(); i++ {
-				if a, p := walCounts(lb.Server(i)); p != uint64(tc.ops) || (lb.Server(i).Durable() && a != p) {
+				if a, p := walCounts(lb.Server(i)); p != uint64(tc.ops) || (lb.Server(i).dur != nil && a != p) {
 					t.Errorf("server %d counted %d put-datas and logged %d records, want %d", i, p, a, tc.ops)
 				}
 			}
@@ -1638,7 +1638,7 @@ func TestAnswerLaterStartsNothing(t *testing.T) {
 		t.Fatalf("the read left %d get-datas unanswered and %d streams open", asked, streams)
 	}
 	for i := 0; i < lb.Size(); i++ {
-		if n := lb.Server(i).Readers(testKey); n != 0 {
+		if n := lb.Server(i).readerCount(testKey); n != 0 {
 			t.Fatalf("server %d still has %d readers", i, n)
 		}
 	}

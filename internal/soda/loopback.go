@@ -353,7 +353,7 @@ func (c *loopConn) getTagStep(key string, _ stepOp) (Tag, error) {
 		return Tag{}, err
 	}
 	srv := c.lb.servers[c.idx].Load()
-	if nack := srv.Admit(opMint, c.epoch); nack != nil {
+	if nack := srv.admit(opMint, c.epoch); nack != nil {
 		return Tag{}, nack
 	}
 	return srv.GetTag(key), nil
@@ -394,7 +394,7 @@ func (c *loopConn) putDataStep(key string, t Tag, elem []byte, vlen int, _ stepO
 // is or is freed on the way out. A put the server could not take now never
 // happened: it keeps its elem and is not counted.
 func (c *loopConn) put(srv *Server, key string, t Tag, elem []byte, vlen int, wait bool) error {
-	if nack := srv.Admit(opClient, c.epoch); nack != nil {
+	if nack := srv.admit(opClient, c.epoch); nack != nil {
 		putElem(elem)
 		return nack
 	}
@@ -433,7 +433,7 @@ func (s *loopSink) end(cause error) { s.w.answer(s.c.idx, &response{}, cause) }
 // answered now ends under its reader, as a taken one does.
 func (c *loopConn) subscribe(key, readerID string, op stepOp, deliver func(Delivery)) (sub, error) {
 	srv := c.lb.servers[c.idx].Load()
-	if nack := srv.Admit(opClient, c.epoch); nack != nil {
+	if nack := srv.admit(opClient, c.epoch); nack != nil {
 		return sub{}, nack
 	}
 	if c.lb.admitted != nil {
@@ -446,7 +446,7 @@ func (c *loopConn) subscribe(key, readerID string, op stepOp, deliver func(Deliv
 	// missed shows here. Whoever removes the registration ends it: forced,
 	// as a relay may have handed the reader an element already.
 	var cause error = ErrServerDown
-	if nack := srv.Admit(opClient, c.epoch); nack != nil {
+	if nack := srv.admit(opClient, c.epoch); nack != nil {
 		cause = nack
 	} else if !c.lb.crashed[c.idx].Load() {
 		to.deliver(initial)

@@ -96,8 +96,8 @@ func (w chanWaiter) take(byte) waiter { return w }
 // MuxConn implements Conn over one persistent multiplexed connection.
 type MuxConn struct {
 	rpcConn
-	addr string
-	opts tcpOpts
+	addr   string
+	policy dialPolicy
 
 	reqSeq atomic.Uint64
 
@@ -111,27 +111,31 @@ type MuxConn struct {
 	flushing bool                   // flusher is armed
 }
 
-// TCPMuxConn returns the multiplexed Conn for the server at shard
-// index idx on addr. Connections are dialed on first use.
-func TCPMuxConn(idx int, addr string, opts ...TCPOption) *MuxConn {
+// newMuxConn returns the multiplexed Conn for the server at shard
+// index idx on addr, stamping epoch on every frame. Connections are
+// dialed on first use.
+func newMuxConn(idx int, addr string, epoch uint64) *MuxConn {
 	c := &MuxConn{
 		addr:    addr,
-		opts:    tcpOpts{policy: dialPolicy{timeout: 2 * time.Second, attempts: 3}},
+		policy:  dialPolicy{timeout: 2 * time.Second, attempts: 3},
 		waiting: make(map[uint64]muxExchange),
 	}
-	for _, opt := range opts {
-		opt(&c.opts)
-	}
-	c.rpcConn = rpcConn{idx: idx, epoch: c.opts.epoch, t: c}
+	c.rpcConn = rpcConn{idx: idx, epoch: epoch, t: c}
 	return c
 }
 
 // TCPMuxConns builds the multiplexed conn set for a cluster from its
-// address list, in shard-index order.
-func TCPMuxConns(addrs []string, opts ...TCPOption) []Conn {
+// address list, in shard-index order, stamped with SeedEpoch.
+func TCPMuxConns(addrs []string) []Conn { return TCPMuxConnsAt(SeedEpoch, addrs) }
+
+// TCPMuxConnsAt builds the conn set for one epoch's Config: every frame
+// it sends carries epoch, and the servers NACK anything that does not
+// match their own, so an operation's quorum can only ever carry its own
+// config's epoch — as Loopback.ConnsAt does for a loopback.
+func TCPMuxConnsAt(epoch uint64, addrs []string) []Conn {
 	conns := make([]Conn, len(addrs))
 	for i, a := range addrs {
-		conns[i] = TCPMuxConn(i, a, opts...)
+		conns[i] = newMuxConn(i, a, epoch)
 	}
 	return conns
 }
@@ -181,7 +185,7 @@ func (c *MuxConn) session(ctx context.Context) (*muxSession, error) {
 			att = &dialAttempt{done: make(chan struct{})}
 			c.dialing = att
 			c.mu.Unlock()
-			conn, err := c.opts.policy.dial(ctx, c.addr)
+			conn, err := c.policy.dial(ctx, c.addr)
 			c.mu.Lock()
 			c.dialing = nil
 			if err == nil && c.closed {

@@ -26,7 +26,7 @@ func TestMuxInterleavedUnary(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	addrs, servers := startTCPServers(t, 1)
-	c := TCPMuxConn(0, addrs[0])
+	c := testMuxConn(0, addrs[0])
 	defer c.Close()
 
 	const goroutines, each = 8, 25
@@ -61,7 +61,7 @@ func TestMuxInterleavedUnary(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if n := servers[0].NumConns(); n != 1 {
+	if n := servers[0].numConns(); n != 1 {
 		t.Fatalf("%d goroutines × %d pipelined exchanges used %d connections, want 1", goroutines, each, n)
 	}
 	snap := servers[0].core.MetricsSnapshot()
@@ -80,7 +80,7 @@ func TestMuxRelayStreamSharesConnection(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	addrs, servers := startTCPServers(t, 1)
-	c := TCPMuxConn(0, addrs[0])
+	c := testMuxConn(0, addrs[0])
 	defer c.Close()
 
 	subCtx, cancel := context.WithCancel(ctx)
@@ -120,7 +120,7 @@ func TestMuxRelayStreamSharesConnection(t *testing.T) {
 	if last.Tag.TS != puts || !bytes.Equal(last.Elem, []byte{byte(puts)}) {
 		t.Fatalf("last relay = %+v, want tag TS %d", last, puts)
 	}
-	if n := servers[0].NumConns(); n != 1 {
+	if n := servers[0].numConns(); n != 1 {
 		t.Fatalf("stream + %d puts used %d connections, want 1", puts, n)
 	}
 	cancel()
@@ -130,9 +130,9 @@ func TestMuxRelayStreamSharesConnection(t *testing.T) {
 	// The cancellation's reader-done reaches the server and drops the
 	// registration.
 	waitUntil := time.Now().Add(5 * time.Second)
-	for servers[0].core.Readers(testKey) != 0 {
+	for servers[0].core.readerCount(testKey) != 0 {
 		if time.Now().After(waitUntil) {
-			t.Fatalf("server still holds %d registrations after reader-done", servers[0].core.Readers(testKey))
+			t.Fatalf("server still holds %d registrations after reader-done", servers[0].core.readerCount(testKey))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -170,7 +170,7 @@ func TestMuxIgnoresUnknownRequestIDs(t *testing.T) {
 		writeFrame(conn, appendResponse(nil, &response{typ: msgTagResp, id: req.id, epoch: SeedEpoch, tag: want}))
 	}()
 
-	c := TCPMuxConn(0, ln.Addr().String())
+	c := testMuxConn(0, ln.Addr().String())
 	defer c.Close()
 	got, err := c.GetTag(ctx, testKey)
 	if err != nil {
@@ -214,7 +214,7 @@ func TestMuxStalledPeerUnblocksWriters(t *testing.T) {
 		}
 	}()
 
-	c := TCPMuxConn(0, ln.Addr().String())
+	c := testMuxConn(0, ln.Addr().String())
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(testCtx(t), 300*time.Millisecond)
 	defer cancel()
@@ -271,7 +271,7 @@ func TestMuxConnSurvivesBadRequests(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	addrs, servers := startTCPServers(t, 1)
-	c := TCPMuxConn(0, addrs[0])
+	c := testMuxConn(0, addrs[0])
 	defer c.Close()
 
 	// A healthy exchange first, so the connection exists.
@@ -316,7 +316,7 @@ func TestMuxConnSurvivesBadRequests(t *testing.T) {
 	if err != nil || got != tag {
 		t.Fatalf("GetTag after bad requests = %v, %v", got, err)
 	}
-	if n := servers[0].NumConns(); n != 1 {
+	if n := servers[0].numConns(); n != 1 {
 		t.Fatalf("bad requests forced a redial: %d connections", n)
 	}
 }
@@ -409,7 +409,7 @@ func TestConnWriterBatchesFlushes(t *testing.T) {
 	t.Run("a MuxConn session's", func(t *testing.T) {
 		checkNoLeaks(t)
 		addrs, _ := startTCPServers(t, 1)
-		c := TCPMuxConn(0, addrs[0])
+		c := testMuxConn(0, addrs[0])
 		defer c.Close()
 		sock := plug(t, c, &sockCounter{held: make(chan struct{})})
 		waiters := make([]*countWaiter, frames+1)
@@ -449,7 +449,7 @@ func TestMuxRedialsAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ns.Addr()
-	c := TCPMuxConn(0, addr, withDialRetry(1, backoff{base: time.Millisecond}))
+	c := testMuxConn(0, addr, withDialRetry(1, backoff{base: time.Millisecond}))
 	defer c.Close()
 
 	tag := Tag{TS: 3, Writer: "w"}
@@ -521,7 +521,7 @@ func TestMuxEndToEndCluster(t *testing.T) {
 		}
 	}
 	for i, s := range servers {
-		if n := s.NumConns(); n != 1 {
+		if n := s.numConns(); n != 1 {
 			t.Fatalf("server %d saw %d connections across the whole run, want 1", i, n)
 		}
 		if keys, err := conns[i].Keys(ctx); err != nil || len(keys) != 3 {
@@ -668,9 +668,9 @@ func TestMultiKeyKillRepairRejoinSoak(t *testing.T) {
 func waitNoReaders(t *testing.T, s *Server, key string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Readers(key) != 0 {
+	for s.readerCount(key) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server still holds %d registrations on %s", s.Readers(key), key)
+			t.Fatalf("server still holds %d registrations on %s", s.readerCount(key), key)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -683,7 +683,7 @@ func TestMuxStreamCleanupOnCancel(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	addrs, servers := startTCPServers(t, 1)
-	c := TCPMuxConn(0, addrs[0])
+	c := testMuxConn(0, addrs[0])
 	defer c.Close()
 
 	subCtx, cancel := context.WithCancel(ctx)
@@ -693,8 +693,8 @@ func TestMuxStreamCleanupOnCancel(t *testing.T) {
 		errCh <- c.GetData(subCtx, testKey, "r#cancel", func(d Delivery) { got <- d })
 	}()
 	<-got // initial delivery: the stream is live
-	if servers[0].core.Readers(testKey) != 1 {
-		t.Fatalf("registrations = %d, want 1", servers[0].core.Readers(testKey))
+	if servers[0].core.readerCount(testKey) != 1 {
+		t.Fatalf("registrations = %d, want 1", servers[0].core.readerCount(testKey))
 	}
 	cancel()
 	if err := <-errCh; err != nil {
@@ -716,7 +716,7 @@ func TestMuxStreamCleanupOnConnClose(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	addrs, servers := startTCPServers(t, 1)
-	c := TCPMuxConn(0, addrs[0])
+	c := testMuxConn(0, addrs[0])
 
 	got := make(chan Delivery, 16)
 	errCh := make(chan error, 1)
@@ -744,7 +744,7 @@ func TestMuxStreamCleanupOnServerLoss(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	addrs, servers := startTCPServers(t, 1)
-	c := TCPMuxConn(0, addrs[0])
+	c := testMuxConn(0, addrs[0])
 	defer c.Close()
 
 	got := make(chan Delivery, 16)
@@ -757,7 +757,7 @@ func TestMuxStreamCleanupOnServerLoss(t *testing.T) {
 	if err := <-errCh; err == nil {
 		t.Fatal("GetData returned nil after the server died under it")
 	}
-	if n := servers[0].core.Readers(testKey); n != 0 {
+	if n := servers[0].core.readerCount(testKey); n != 0 {
 		t.Fatalf("dead server's conn teardown left %d registrations", n)
 	}
 	c.mu.Lock()
@@ -782,7 +782,7 @@ func TestMuxPendingReadEndsOnTheFlip(t *testing.T) {
 	conns, servers := startTCPCluster(t, 5)
 	cores := make([]*Server, len(servers))
 	for i, ns := range servers {
-		cores[i] = ns.Core()
+		cores[i] = ns.core
 	}
 	_, _, _, ended := pendingReadOn(t, codec, conns, cores, mustReader(t, "r", codec, conns).Read)
 	for i, s := range cores {
@@ -800,7 +800,7 @@ func TestMuxPendingReadEndsOnTheFlip(t *testing.T) {
 		t.Fatal("a read whose streams were opened before the seal outlived it")
 	}
 	for i, s := range cores {
-		if n := s.Readers(testKey); n != 0 {
+		if n := s.readerCount(testKey); n != 0 {
 			t.Fatalf("%d readers left registered on sealed server %d", n, i)
 		}
 	}
@@ -815,8 +815,8 @@ func TestMuxFlipEndsEveryStreamOnce(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	addrs, servers := startTCPServers(t, 1)
-	core := servers[0].Core()
-	c := TCPMuxConn(0, addrs[0])
+	core := servers[0].core
+	c := testMuxConn(0, addrs[0])
 	defer c.Close()
 	if _, err := c.Keys(ctx); err != nil { // a step is sent only on a live session
 		t.Fatal(err)
@@ -828,7 +828,7 @@ func TestMuxFlipEndsEveryStreamOnce(t *testing.T) {
 			t.Fatalf("get-data %d = %v, want it taken", i, err)
 		}
 	}
-	waitFor(t, "every registration", func() bool { return core.Readers(testKey) == len(ends) })
+	waitFor(t, "every registration", func() bool { return core.readerCount(testKey) == len(ends) })
 	if _, err := core.Reconfig(ReconfigSeal, SeedEpoch+1, 5, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -858,7 +858,7 @@ func TestMuxFlipEndsEveryStreamOnce(t *testing.T) {
 	if left != 0 {
 		t.Fatalf("%d exchanges left in the table", left)
 	}
-	if n := servers[0].NumConns(); n != 1 {
+	if n := servers[0].numConns(); n != 1 {
 		t.Fatalf("%d connections, want the one session", n)
 	}
 }
@@ -877,7 +877,7 @@ func TestMuxSharedDialOutlivesItsWinner(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // refused until the server below is up
-	c := TCPMuxConn(0, addr, withDialRetry(2, backoff{base: time.Minute, max: time.Minute}))
+	c := testMuxConn(0, addr, withDialRetry(2, backoff{base: time.Minute, max: time.Minute}))
 	defer c.Close()
 	winnerCtx, giveUp := context.WithCancel(ctx)
 	winner, waiter := make(chan error, 1), make(chan error, 1)
@@ -929,7 +929,7 @@ func TestMuxGetDataDeadContextNeverRegisters(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
 	addrs, servers := startTCPServers(t, 1)
-	c := TCPMuxConn(0, addrs[0])
+	c := testMuxConn(0, addrs[0])
 	defer c.Close()
 	// Prime the session so the cancelled call cannot hide behind a
 	// dial failure.
@@ -941,7 +941,7 @@ func TestMuxGetDataDeadContextNeverRegisters(t *testing.T) {
 	if err := c.GetData(dead, testKey, "r#dead", func(Delivery) {}); err != nil {
 		t.Fatalf("GetData with a dead context = %v, want nil (the cancel exit)", err)
 	}
-	if n := servers[0].core.Readers(testKey); n != 0 {
+	if n := servers[0].core.readerCount(testKey); n != 0 {
 		t.Fatalf("dead-context GetData registered %d readers", n)
 	}
 	c.mu.Lock()
@@ -1237,7 +1237,7 @@ func TestMuxCallerSentVsLegsSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc := TCPMuxConn(mixedServer, ns.Addr())
+		mc := testMuxConn(mixedServer, ns.Addr())
 		t.Cleanup(func() {
 			mc.Close()
 			ns.Close()
@@ -1424,7 +1424,10 @@ func TestMuxServerKilledMidPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, servers := startTCPServers(t, 5)
-	conns := TCPMuxConns(addrs, withDialRetry(1, backoff{}), withDialTimeout(time.Second))
+	conns := make([]Conn, len(addrs))
+	for i, a := range addrs {
+		conns[i] = testMuxConn(i, a, withDialRetry(1, backoff{}), withDialTimeout(time.Second))
+	}
 	defer CloseConns(conns)
 	w := mustWriter(t, "w", codec, conns)
 	r := mustReader(t, "r", codec, conns)

@@ -5,43 +5,48 @@ import "time"
 // Settings only the tests make: each reaches past a constructor's
 // defaults into what the package keeps unexported.
 
+// testMuxConn is newMuxConn at SeedEpoch with opts applied.
+func testMuxConn(idx int, addr string, opts ...func(*MuxConn)) *MuxConn {
+	c := newMuxConn(idx, addr, SeedEpoch)
+	for _, opt := range opts {
+		opt(c)
+	}
+	return c
+}
+
 // withDialTimeout caps each dial attempt; the effective deadline is the
 // earlier of this and the operation context's.
-func withDialTimeout(d time.Duration) TCPOption {
-	return func(o *tcpOpts) { o.policy.timeout = d }
+func withDialTimeout(d time.Duration) func(*MuxConn) {
+	return func(c *MuxConn) { c.policy.timeout = d }
 }
 
 // withDialRetry sets how many times an operation attempts the dial
 // (minimum 1) and the backoff schedule between attempts.
-func withDialRetry(attempts int, b backoff) TCPOption {
-	return func(o *tcpOpts) {
-		o.policy.attempts = max(attempts, 1)
-		o.policy.backoff = b
+func withDialRetry(attempts int, b backoff) func(*MuxConn) {
+	return func(c *MuxConn) {
+		c.policy.attempts = max(attempts, 1)
+		c.policy.backoff = b
 	}
 }
 
-// withReconfigBackoff sets the retry schedule used inside each phase of
-// a flip while a member is unreachable.
-func withReconfigBackoff(b backoff) ReconfigOption {
-	return func(rc *Reconfigurator) { rc.backoff = b }
+// fastReconfigurator is NewReconfigurator with the retry schedule tests
+// drive flips with inside each phase while a member is unreachable.
+func fastReconfigurator(view *ConfigView) *Reconfigurator {
+	rc := NewReconfigurator(view)
+	rc.backoff = backoff{base: time.Millisecond, max: 10 * time.Millisecond}
+	return rc
 }
 
 // withRepairBackoff sets the per-server retry schedule applied after a
 // failed repair attempt.
-func withRepairBackoff(b backoff) RepairerOption {
-	return func(rp *Repairer) error {
-		rp.backoff = b
-		return nil
-	}
+func withRepairBackoff(b backoff) func(*Repairer) {
+	return func(rp *Repairer) { rp.backoff = b }
 }
 
 // withRepairEvents installs a hook invoked synchronously after every
 // repair attempt.
-func withRepairEvents(fn func(repairEvent)) RepairerOption {
-	return func(rp *Repairer) error {
-		rp.onEvent = fn
-		return nil
-	}
+func withRepairEvents(fn func(repairEvent)) func(*Repairer) {
+	return func(rp *Repairer) { rp.onEvent = fn }
 }
 
 // withWALFailAfter injects a disk fault: the WAL append that would push

@@ -66,20 +66,13 @@ type Reconfigurator struct {
 	backoff backoff
 }
 
-// ReconfigOption configures a Reconfigurator.
-type ReconfigOption func(*Reconfigurator)
-
 // NewReconfigurator builds the coordinator around the cluster's
 // shared ConfigView.
-func NewReconfigurator(view *ConfigView, opts ...ReconfigOption) *Reconfigurator {
-	rc := &Reconfigurator{
+func NewReconfigurator(view *ConfigView) *Reconfigurator {
+	return &Reconfigurator{
 		view:    view,
 		backoff: backoff{base: 20 * time.Millisecond, max: 2 * time.Second},
 	}
-	for _, opt := range opts {
-		opt(rc)
-	}
-	return rc
 }
 
 // members is the seal set of a flip: every server in the old or new

@@ -15,9 +15,6 @@ import (
 	"time"
 )
 
-// fastReconfig is the retry schedule tests drive flips with.
-var fastReconfig = withReconfigBackoff(backoff{base: time.Millisecond, max: 10 * time.Millisecond})
-
 // TestEpochAdmitMatrix pins the admission rule per operation class
 // across the three server states (active, sealed, activated-next):
 // client traffic needs the active epoch unsealed, donor reads serve
@@ -28,10 +25,10 @@ func TestEpochAdmitMatrix(t *testing.T) {
 
 	// Active epoch 0, unsealed.
 	for _, class := range []opClass{opClient, opDonor, opRepair} {
-		if nack := s.Admit(class, SeedEpoch); nack != nil {
+		if nack := s.admit(class, SeedEpoch); nack != nil {
 			t.Fatalf("class %d at active epoch 0: %v", class, nack)
 		}
-		if nack := s.Admit(class, 1); nack == nil {
+		if nack := s.admit(class, 1); nack == nil {
 			t.Fatalf("class %d at future epoch 1 admitted on an active server", class)
 		}
 	}
@@ -40,21 +37,21 @@ func TestEpochAdmitMatrix(t *testing.T) {
 	if _, err := s.Reconfig(ReconfigSeal, 1, 5, 3); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
-	if nack := s.Admit(opClient, SeedEpoch); nack == nil {
+	if nack := s.admit(opClient, SeedEpoch); nack == nil {
 		t.Fatal("client frame admitted on a sealed server")
 	} else if nack.Want != 1 || !nack.Sealed {
 		t.Fatalf("sealed client NACK = %+v, want Want=1 Sealed=true", nack)
 	}
-	if nack := s.Admit(opClient, 1); nack == nil {
+	if nack := s.admit(opClient, 1); nack == nil {
 		t.Fatal("client frame at the pending epoch admitted before activation")
 	}
-	if nack := s.Admit(opDonor, SeedEpoch); nack != nil {
+	if nack := s.admit(opDonor, SeedEpoch); nack != nil {
 		t.Fatalf("donor read of the frozen epoch refused: %v", nack)
 	}
-	if nack := s.Admit(opRepair, 1); nack != nil {
+	if nack := s.admit(opRepair, 1); nack != nil {
 		t.Fatalf("migration install at the pending epoch refused: %v", nack)
 	}
-	if nack := s.Admit(opRepair, SeedEpoch); nack == nil {
+	if nack := s.admit(opRepair, SeedEpoch); nack == nil {
 		t.Fatal("repair at the sealed epoch admitted (would mutate the frozen state)")
 	}
 
@@ -63,10 +60,10 @@ func TestEpochAdmitMatrix(t *testing.T) {
 		t.Fatalf("activate: %v", err)
 	}
 	for _, class := range []opClass{opClient, opDonor, opRepair} {
-		if nack := s.Admit(class, 1); nack != nil {
+		if nack := s.admit(class, 1); nack != nil {
 			t.Fatalf("class %d at active epoch 1: %v", class, nack)
 		}
-		nack := s.Admit(class, SeedEpoch)
+		nack := s.admit(class, SeedEpoch)
 		if nack == nil {
 			t.Fatalf("class %d at retired epoch 0 admitted", class)
 		}
@@ -212,34 +209,68 @@ func TestStaleEpochRetryDoesNotSpin(t *testing.T) {
 		})
 	}
 
+	// A conn set reports its epoch without dialing, so the socket row is
+	// refused as the loopback one is.
 	t.Run("mixed-epoch conns", func(t *testing.T) {
-		ctx := testCtx(t)
-		codec, lb := newCluster(t, 5, 3)
-		mixed := func() *Config {
-			conns := lb.ConnsAt(1, 5)
-			conns[4] = lb.ConnsAt(2, 5)[4]
-			return &Config{Codec: codec, Conns: conns, F: -1}
-		}
-		if _, err := NewConfigView(mixed()); !errors.Is(err, ErrConfig) {
-			t.Fatalf("NewConfigView over conns at epochs 1 and 2 = %v, want ErrConfig", err)
-		}
-		view, err := NewConfigView(&Config{Codec: codec, Conns: lb.Conns(), F: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := view.Install(mixed()); !errors.Is(err, ErrConfig) {
-			t.Fatalf("Install of conns at epochs 1 and 2 = %v, want ErrConfig", err)
-		}
-		if err := NewReconfigurator(view, fastReconfig).Apply(ctx, mixed()); !errors.Is(err, ErrConfig) {
-			t.Fatalf("Apply to conns at epochs 1 and 2 = %v, want ErrConfig", err)
-		}
-		for i := range 5 {
-			if st := lb.Server(i).EpochStatus(); st.Sealed || st.Epoch != SeedEpoch {
-				t.Fatalf("server %d left at %+v by a refused Apply", i, st)
-			}
-		}
-		if got := view.Current().Epoch(); got != SeedEpoch {
-			t.Fatalf("view at epoch %d after refusals, want %d", got, SeedEpoch)
+		for _, tr := range []struct {
+			name    string
+			cluster func(t *testing.T) (servers []*Server, connsAt func(epoch uint64) []Conn)
+		}{
+			{"loopback", func(t *testing.T) ([]*Server, func(uint64) []Conn) {
+				lb := NewLoopback(5)
+				servers := make([]*Server, 5)
+				for i := range servers {
+					servers[i] = lb.Server(i)
+				}
+				return servers, func(epoch uint64) []Conn { return lb.ConnsAt(epoch, 5) }
+			}},
+			{"sockets", func(t *testing.T) ([]*Server, func(uint64) []Conn) {
+				addrs, nss := startTCPServers(t, 5)
+				servers := make([]*Server, 5)
+				for i, ns := range nss {
+					servers[i] = ns.core
+				}
+				return servers, func(epoch uint64) []Conn {
+					conns := TCPMuxConnsAt(epoch, addrs)
+					t.Cleanup(func() { CloseConns(conns) })
+					return conns
+				}
+			}},
+		} {
+			t.Run(tr.name, func(t *testing.T) {
+				ctx := testCtx(t)
+				codec, err := NewCodec(5, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				servers, connsAt := tr.cluster(t)
+				mixed := func() *Config {
+					conns := connsAt(1)
+					conns[4] = connsAt(2)[4]
+					return &Config{Codec: codec, Conns: conns, F: -1}
+				}
+				if _, err := NewConfigView(mixed()); !errors.Is(err, ErrConfig) {
+					t.Fatalf("NewConfigView over conns at epochs 1 and 2 = %v, want ErrConfig", err)
+				}
+				view, err := NewConfigView(&Config{Codec: codec, Conns: connsAt(SeedEpoch), F: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := view.Install(mixed()); !errors.Is(err, ErrConfig) {
+					t.Fatalf("Install of conns at epochs 1 and 2 = %v, want ErrConfig", err)
+				}
+				if err := fastReconfigurator(view).Apply(ctx, mixed()); !errors.Is(err, ErrConfig) {
+					t.Fatalf("Apply to conns at epochs 1 and 2 = %v, want ErrConfig", err)
+				}
+				for i, s := range servers {
+					if st := s.EpochStatus(); st.Sealed || st.Epoch != SeedEpoch {
+						t.Fatalf("server %d left at %+v by a refused Apply", i, st)
+					}
+				}
+				if got := view.Current().Epoch(); got != SeedEpoch {
+					t.Fatalf("view at epoch %d after refusals, want %d", got, SeedEpoch)
+				}
+			})
 		}
 	})
 }
@@ -282,7 +313,7 @@ func TestReconfigGrowMigratesState(t *testing.T) {
 	}
 
 	cfg1 := &Config{Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
-	rc := NewReconfigurator(view, fastReconfig)
+	rc := fastReconfigurator(view)
 	if err := rc.Apply(ctx, cfg1); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -345,7 +376,7 @@ func TestReconfigShrinkRetiresTheTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := NewReconfigurator(view, fastReconfig)
+	rc := fastReconfigurator(view)
 	cfg1 := &Config{Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
 	if err := rc.Apply(ctx, cfg1); err != nil {
 		t.Fatalf("grow Apply: %v", err)
@@ -433,7 +464,7 @@ func TestReconfigDrainLocatesCorruptDonor(t *testing.T) {
 
 			lb.Corrupt(0, FlipByte(3))
 			cfg1 := &Config{Codec: next, Conns: lb.ConnsAt(1, tc.n), F: -1}
-			if err := NewReconfigurator(view, fastReconfig).Apply(ctx, cfg1); err != nil {
+			if err := fastReconfigurator(view).Apply(ctx, cfg1); err != nil {
 				t.Fatalf("Apply: %v", err)
 			}
 			lb.Corrupt(0, nil)
@@ -580,7 +611,7 @@ func TestReconfigFreezeStopsMintingNotPuts(t *testing.T) {
 		}},
 		{"mux", func(t *testing.T) (Conn, Conn) {
 			addrs, _ := startTCPServers(t, 1)
-			at0, at1 := TCPMuxConns(addrs), TCPMuxConns(addrs, WithConnEpoch(1))
+			at0, at1 := TCPMuxConns(addrs), TCPMuxConnsAt(1, addrs)
 			t.Cleanup(func() { CloseConns(at0); CloseConns(at1) })
 			return at0[0], at1[0]
 		}},
@@ -807,7 +838,7 @@ func TestReconfigGrowShrinkSoak(t *testing.T) {
 		}(ri, er)
 	}
 
-	rc := NewReconfigurator(view, fastReconfig)
+	rc := fastReconfigurator(view)
 
 	// Grow to n=7, power-cutting node 6 mid-flip. The coordinator blocks
 	// on the dead node (a flip never abandons a member), the recovery
@@ -945,7 +976,7 @@ func TestClientsFollowTheEpochFlip(t *testing.T) {
 	// Finish the flip by hand (same data on 0-4; migrate is not needed
 	// for the parked clients to resume, only activation + install).
 	cfg1 := &Config{Codec: codec7, Conns: lb.ConnsAt(1, 7), F: -1}
-	rc := NewReconfigurator(view, fastReconfig)
+	rc := fastReconfigurator(view)
 	if err := rc.Apply(ctx, cfg1); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -1022,7 +1053,7 @@ func TestFlipNacksAConnectionOnce(t *testing.T) {
 	if n := srv.MetricsSnapshot().RelayDrops; n != 0 {
 		t.Fatalf("%d relay drops, want 0", n)
 	}
-	if n := srv.Readers(testKey); n != 0 {
+	if n := srv.readerCount(testKey); n != 0 {
 		t.Fatalf("%d registrations outlived the seal", n)
 	}
 }
@@ -1057,15 +1088,23 @@ func (c *endCount) answer(_ int, _ *response, err error) {
 func TestRegistrationsRaceTheFlip(t *testing.T) {
 	const epochs = 100
 	// flip moves s through every epoch, letting the senders make two more
-	// get-datas before each transition.
-	flip := func(t *testing.T, s *Server, tries func() int64) {
+	// get-datas before each transition; senders that stall fail the test
+	// when ctx ends.
+	flip := func(ctx context.Context, t *testing.T, s *Server, tries func() int64) {
 		t.Helper()
+		phases := []struct {
+			op   ReconfigOp
+			name string
+		}{{ReconfigSeal, "seal"}, {ReconfigActivate, "activate"}}
 		for e := uint64(1); e <= epochs; e++ {
-			for _, op := range []ReconfigOp{ReconfigSeal, ReconfigActivate} {
+			for _, ph := range phases {
 				for n := tries(); tries() < n+2; {
+					if ctx.Err() != nil {
+						t.Fatalf("%s of epoch %d: %d of the 2 get-datas it waits for came before %v", ph.name, e, tries()-n, ctx.Err())
+					}
 					runtime.Gosched()
 				}
-				if _, err := s.Reconfig(op, e, 5, 3); err != nil {
+				if _, err := s.Reconfig(ph.op, e, 5, 3); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -1094,6 +1133,8 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 			wg    sync.WaitGroup
 		)
 		stop := make(chan struct{})
+		stopSenders := sync.OnceFunc(func() { close(stop) })
+		t.Cleanup(stopSenders)
 		for g := 0; g < 3; g++ {
 			wg.Add(1)
 			go func() {
@@ -1125,8 +1166,8 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 				}
 			}()
 		}
-		flip(t, srv, tries.Load)
-		close(stop)
+		flip(testCtx(t), t, srv, tries.Load)
+		stopSenders()
 		wg.Wait()
 		// A loopback registration's end is a call made before the sweep or
 		// the step that makes it returns: every one has been reported.
@@ -1146,7 +1187,7 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 				byServer++
 			}
 		}
-		if n := srv.Readers(testKey); n != 0 {
+		if n := srv.readerCount(testKey); n != 0 {
 			t.Fatalf("%d registrations outlived the last flip", n)
 		}
 		t.Logf("%d registrations, %d ended by a flip", len(all), byServer)
@@ -1159,7 +1200,7 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ns.Close() })
-		srv := ns.Core()
+		srv := ns.core
 		conn, err := net.Dial("tcp", ns.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -1195,6 +1236,8 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 		var last uint64
 		ended := map[uint64]bool{}
 		stop, sent := make(chan struct{}), make(chan struct{})
+		stopSender := sync.OnceFunc(func() { close(stop) })
+		t.Cleanup(stopSender)
 		go func() {
 			defer close(sent)
 			for id := uint64(1); ; id++ {
@@ -1216,8 +1259,8 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 				tries.Add(1)
 			}
 		}()
-		flip(t, srv, tries.Load)
-		close(stop)
+		flip(testCtx(t), t, srv, tries.Load)
+		stopSender()
 		<-sent
 		if _, err := conn.Write(appendFrame(nil, &request{typ: msgReconfig, id: last + 1, epoch: epochNone, op: ReconfigStatus})); err != nil {
 			t.Fatal(err)
@@ -1243,7 +1286,7 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 		if flips := 2*epochs + 1; swept > flips {
 			t.Fatalf("%d NACKs on id 0 for %d flips; want at most one each", swept, flips)
 		}
-		if n := srv.Readers(testKey); n != 0 {
+		if n := srv.readerCount(testKey); n != 0 {
 			t.Fatalf("%d registrations outlived the last flip", n)
 		}
 		t.Logf("%d get-datas, %d NACKed on their own id, %d sweeps NACKed on id 0", last, len(nacks), swept)
@@ -1278,7 +1321,7 @@ func TestGetDataFlipBetweenAdmitAndRegister(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a get-data admitted before the flip and registered after it outlived the flip")
 	}
-	if n := lb.Server(0).Readers(testKey); n != 0 {
+	if n := lb.Server(0).readerCount(testKey); n != 0 {
 		t.Fatalf("%d stale-epoch readers left registered on the sealed server", n)
 	}
 }

@@ -279,18 +279,6 @@ func (d *durability) powerCut() {
 	d.wal.powerCut()
 }
 
-// Durable reports whether the server persists its state.
-func (s *Server) Durable() bool { return s.dur != nil }
-
-// SnapshotNow forces a snapshot + log truncation; memory-only servers
-// no-op.
-func (s *Server) SnapshotNow() error {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur.snapshot()
-}
-
 // Close shuts the durability layer down cleanly (final fsync, files
 // closed); memory-only servers no-op. The state machine itself keeps
 // answering — Close is about the disk, not the process.

@@ -102,32 +102,23 @@ type Repairer struct {
 	onEvent func(repairEvent) // the tests' window on every attempt
 }
 
-// RepairerOption configures a Repairer.
-type RepairerOption func(*Repairer) error
-
 // NewRepairer builds the repairer for a cluster. The conns are the
 // repairer's own (it may dial concurrently with writers and readers),
 // and the Membership view must be the one those writers and readers
 // share, or nobody will see the healing.
-func NewRepairer(codec *Codec, conns []Conn, m *Membership, opts ...RepairerOption) (*Repairer, error) {
+func NewRepairer(codec *Codec, conns []Conn, m *Membership) (*Repairer, error) {
 	if err := validateConns(conns, codec.N()); err != nil {
 		return nil, err
 	}
 	if m == nil || m.N() != codec.N() {
 		return nil, fmt.Errorf("%w: repairer needs a membership view for n=%d", ErrConfig, codec.N())
 	}
-	rp := &Repairer{
+	return &Repairer{
 		codec:   codec,
 		conns:   conns,
 		m:       m,
 		backoff: backoff{base: 5 * time.Millisecond, max: 100 * time.Millisecond},
-	}
-	for _, opt := range opts {
-		if err := opt(rp); err != nil {
-			return nil, err
-		}
-	}
-	return rp, nil
+	}, nil
 }
 
 func (rp *Repairer) event(ev repairEvent) {

@@ -12,11 +12,14 @@ import (
 	"time"
 )
 
-func mustRepairer(t *testing.T, codec *Codec, conns []Conn, m *Membership, opts ...RepairerOption) *Repairer {
+func mustRepairer(t *testing.T, codec *Codec, conns []Conn, m *Membership, opts ...func(*Repairer)) *Repairer {
 	t.Helper()
-	rp, err := NewRepairer(codec, conns, m, opts...)
+	rp, err := NewRepairer(codec, conns, m)
 	if err != nil {
 		t.Fatalf("NewRepairer: %v", err)
+	}
+	for _, opt := range opts {
+		opt(rp)
 	}
 	return rp
 }
@@ -595,7 +598,7 @@ func TestRejoinMidReadCompletedByRepairRelay(t *testing.T) {
 	}()
 	registerBy := time.Now().Add(30 * time.Second)
 	for i := 0; i < 5; i++ {
-		for lb.Server(i).Readers(testKey) == 0 {
+		for lb.Server(i).readerCount(testKey) == 0 {
 			select {
 			case o := <-resCh:
 				t.Fatalf("read finished before registering everywhere: %v %v", o.res, o.err)

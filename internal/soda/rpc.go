@@ -49,12 +49,12 @@ var rpcs = [...]*rpc{
 }
 
 // admit is s's admission check for a request of this row stamped with
-// epoch; an exempt row is never put to Admit.
+// epoch; an exempt row is never put to admit.
 func (r *rpc) admit(s *Server, epoch uint64) *StaleEpochError {
 	if r.class == opExempt {
 		return nil
 	}
-	return s.Admit(r.class, epoch)
+	return s.admit(r.class, epoch)
 }
 
 // rpcFor returns typ's row, or nil when typ is not a request type.

@@ -178,7 +178,7 @@ const (
 	opMint                  // get-tag: full service, and no seal announced
 	opDonor                 // get-elem, keys: served while sealed (migration donors)
 	opRepair                // repair-put: active epoch, or pending epoch while sealed
-	opExempt                // reconfig, reader-done: never put to Admit (one moves the epoch, one outlives it)
+	opExempt                // reconfig, reader-done: never put to admit (one moves the epoch, one outlives it)
 )
 
 // NewServer returns the state machine for the server holding codeword
@@ -225,7 +225,7 @@ func (s *Server) EpochStatus() EpochStatus {
 	return EpochStatus{Epoch: st.epoch, Pending: st.pending, Sealed: st.sealed, N: st.n, K: st.k}
 }
 
-// Admit checks a frame's configuration epoch against the server's
+// admit checks a frame's configuration epoch against the server's
 // state for the given operation class, returning the typed NACK the
 // transport must send when they disagree. Client operations require
 // the active epoch unsealed; donor reads (get-elem, keys) are served
@@ -233,7 +233,7 @@ func (s *Server) EpochStatus() EpochStatus {
 // installs are accepted at the active epoch or, while sealed, at the
 // pending epoch — that is the migration path laying down re-encoded
 // elements before activation.
-func (s *Server) Admit(class opClass, epoch uint64) *StaleEpochError {
+func (s *Server) admit(class opClass, epoch uint64) *StaleEpochError {
 	st := s.epochSt.Load()
 	switch class {
 	case opClient:
@@ -694,9 +694,8 @@ func (s *Server) dropAll(cause error) {
 	}
 }
 
-// Readers returns the number of readers registered on key
-// (test/metrics visibility).
-func (s *Server) Readers(key string) int {
+// readerCount returns the number of readers registered on key.
+func (s *Server) readerCount(key string) int {
 	r := s.lookup(key, false)
 	if r == nil {
 		return 0

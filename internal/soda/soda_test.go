@@ -163,9 +163,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		// Unregistration is asynchronous with Read returning; give the
 		// teardown a moment.
 		deadline := time.Now().Add(2 * time.Second)
-		for lb.Server(i).Readers(testKey) != 0 {
+		for lb.Server(i).readerCount(testKey) != 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("server %d still has %d registered readers", i, lb.Server(i).Readers(testKey))
+				t.Fatalf("server %d still has %d registered readers", i, lb.Server(i).readerCount(testKey))
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -402,7 +402,7 @@ func TestRelayCompletesPendingRead(t *testing.T) {
 	// Wait until the read is registered everywhere, then prove it is
 	// genuinely pending.
 	for i := 0; i < 5; i++ {
-		for lb.Server(i).Readers(testKey) == 0 {
+		for lb.Server(i).readerCount(testKey) == 0 {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -463,7 +463,7 @@ func TestPendingReadFailsFastWhenHopeless(t *testing.T) {
 		errCh <- err
 	}()
 	for i := 0; i < 5; i++ {
-		for lb.Server(i).Readers(testKey) == 0 {
+		for lb.Server(i).readerCount(testKey) == 0 {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -1009,7 +1009,7 @@ func TestReadCompletesThroughReregistration(t *testing.T) {
 		resCh <- outcome{res, err}
 	}()
 	for i := 0; i < 5; i++ {
-		for lb.Server(i).Readers(testKey) == 0 {
+		for lb.Server(i).readerCount(testKey) == 0 {
 			time.Sleep(time.Millisecond)
 		}
 	}

@@ -52,15 +52,10 @@ func ListenAndServe(core *Server, addr string) (*NetServer, error) {
 // Addr returns the listener's address, for building client conns.
 func (ns *NetServer) Addr() string { return ns.ln.Addr().String() }
 
-// Core exposes the state machine being served — the handle a process
-// supervisor needs to Sync, SnapshotNow, or Close a durable server
-// around the transport's lifecycle.
-func (ns *NetServer) Core() *Server { return ns.core }
-
-// NumConns returns the number of client connections currently open —
+// numConns returns the number of client connections currently open —
 // how tests prove the mux transport really multiplexes instead of
 // dialing.
-func (ns *NetServer) NumConns() int {
+func (ns *NetServer) numConns() int {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	return len(ns.conns)
@@ -304,7 +299,7 @@ func (sc *netConn) openStream(req *request) bool {
 	// A flip publishes its epoch state before its sweep, so one that landed
 	// between the admission check and the registration shows here, and
 	// whichever of the two removes the registration NACKs it, once.
-	if se := sc.core.Admit(opClient, req.epoch); se != nil {
+	if se := sc.core.admit(opClient, req.epoch); se != nil {
 		if !sc.core.unregister(st.key, st.rid, false) {
 			return true
 		}
@@ -493,25 +488,6 @@ func (p dialPolicy) dial(ctx context.Context, addr string) (net.Conn, error) {
 		return err
 	})
 	return conn, err
-}
-
-// tcpOpts is the assembled client-conn configuration: the dial policy
-// plus the configuration epoch the conn stamps on every frame.
-type tcpOpts struct {
-	policy dialPolicy
-	epoch  uint64
-}
-
-// TCPOption configures a client-side TCP conn.
-type TCPOption func(*tcpOpts)
-
-// WithConnEpoch stamps the conn with a configuration epoch: every
-// frame it sends carries the epoch, and the servers NACK anything
-// that does not match their own. A conn set built for one Config is
-// therefore single-epoch by construction — the heart of the
-// no-cross-epoch-quorum guarantee.
-func WithConnEpoch(epoch uint64) TCPOption {
-	return func(o *tcpOpts) { o.epoch = epoch }
 }
 
 // stampStale fills the server index into a StaleEpochError decoded

@@ -74,13 +74,13 @@ func TestTCPClientsFollowTheEpoch(t *testing.T) {
 
 	nacks := func() (n uint64) {
 		for _, ns := range servers {
-			n += ns.Core().MetricsSnapshot().EpochNacks
+			n += ns.core.MetricsSnapshot().EpochNacks
 		}
 		return n
 	}
 	for i, ns := range servers {
 		for _, op := range []ReconfigOp{ReconfigSeal, ReconfigActivate} {
-			if _, err := ns.Core().Reconfig(op, 1, 5, 3); err != nil {
+			if _, err := ns.core.Reconfig(op, 1, 5, 3); err != nil {
 				t.Fatalf("server %d: %v", i, err)
 			}
 		}
@@ -121,7 +121,7 @@ func TestTCPClientsFollowTheEpoch(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 
-	conns1 := TCPMuxConns(addrs, WithConnEpoch(1))
+	conns1 := TCPMuxConnsAt(1, addrs)
 	defer CloseConns(conns1)
 	if err := view.Install(&Config{Codec: codec, Conns: conns1, F: -1}); err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestTCPRepairRPCs(t *testing.T) {
 		}},
 		{"mux", func(t *testing.T) (Conn, Conn) {
 			addrs, _ := startTCPServers(t, 1)
-			at0, at1 := TCPMuxConns(addrs), TCPMuxConns(addrs, WithConnEpoch(1))
+			at0, at1 := TCPMuxConnsAt(SeedEpoch, addrs), TCPMuxConnsAt(1, addrs)
 			t.Cleanup(func() { CloseConns(at0); CloseConns(at1) })
 			return at0[0], at1[0]
 		}},
@@ -421,7 +421,7 @@ func TestTCPUnknownTypeByte(t *testing.T) {
 
 	// Over the client, a connection-level error fails the exchange that
 	// provoked it with the server's words, and the next one redials.
-	c := TCPMuxConn(0, addrs[0])
+	c := testMuxConn(0, addrs[0])
 	defer c.Close()
 	ctx := testCtx(t)
 	s, err := c.session(ctx)
@@ -467,7 +467,7 @@ func TestTCPServerCutsOffAClientThatNeverReads(t *testing.T) {
 	if _, err := conn.Write(reqs); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the server to close the connection of a client that never reads", func() bool { return servers[0].NumConns() == 0 })
+	waitFor(t, "the server to close the connection of a client that never reads", func() bool { return servers[0].numConns() == 0 })
 }
 
 // TestTCPDialRetryTimeout pins the client dial policy: refused dials
@@ -485,7 +485,7 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 	ln.Close()
 
 	ctx := testCtx(t)
-	c := TCPMuxConn(0, dead, withDialRetry(3, backoff{base: time.Millisecond, max: 4 * time.Millisecond}))
+	c := testMuxConn(0, dead, withDialRetry(3, backoff{base: time.Millisecond, max: 4 * time.Millisecond}))
 	defer c.Close()
 	start := time.Now()
 	if _, err := c.GetTag(ctx, testKey); err == nil {
@@ -496,7 +496,7 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 	}
 
 	// Cancellation aborts the inter-attempt backoff immediately.
-	slow := TCPMuxConn(0, dead, withDialRetry(100, backoff{base: time.Hour}))
+	slow := testMuxConn(0, dead, withDialRetry(100, backoff{base: time.Hour}))
 	defer slow.Close()
 	cctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -515,7 +515,7 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	conns, _ := startTCPCluster(t, 5)
-	conns[0] = TCPMuxConn(0, dead, withDialRetry(1, backoff{base: time.Millisecond}))
+	conns[0] = testMuxConn(0, dead, withDialRetry(1, backoff{base: time.Millisecond}))
 	w := mustWriter(t, "w1", codec, conns)
 	if _, err := w.Write(testCtx(t), testKey, []byte("around the dead address")); err != nil {
 		t.Fatalf("Write with one dead address: %v", err)
