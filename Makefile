@@ -6,8 +6,9 @@ BENCH_PATTERN := MulAddSlice|MulSlice|MulAddMulti|Encode|Reconstruct|Verify|Deco
 .PHONY: all build build-cross test test-durability test-reconfig test-repair test-transport test-legs test-rs-gates test-elems vet lint bench bench-check bench-pairs bench-smoke bench-json race fuzz loc
 
 # all is the floor every change meets (ROADMAP): tier-1, the race
-# detector over every package, and each lane. The benchmark pairs and
-# the lint:ignore count are checked by hand.
+# detector over every package, and each lane. The benchmark pairs are
+# checked by hand; every lint:ignore directive is listed in
+# internal/lint/testdata/directives.txt, which `make lint` compares.
 all: build test race vet lint build-cross test-transport test-legs test-reconfig test-repair test-durability test-rs-gates test-elems bench-check
 
 build:
@@ -88,12 +89,20 @@ vet:
 	$(GO) vet -tags purego ./...
 
 # lint runs sodavet — the project's own stdlib-only analyzer suite
-# (atomicmix, lockhold, errwrap, epochframe, poolsafe) — over every
-# package, then the analyzers' golden-fixture tests. Suppress a
-# finding with `//lint:ignore <rule> <reason>`; the reason is
-# mandatory and reviewed like code.
+# (atomicmix, lockhold, errwrap, epochframe, poolsafe, testonly) — over
+# every package, twice: on the host's file set, then on arm64's, so
+# every analyzer also sees the portable kernel files (kernel_noasm.go)
+# and testonly counts what only that build calls. sodavet is built once
+# for the host; `go run` under GOARCH=arm64 would build a binary this
+# machine cannot run. Then the analyzers' golden-fixture tests, and the
+# golden list of lint:ignore directives. Suppress a finding with
+# `//lint:ignore <rule> <reason>`; the reason is mandatory and reviewed
+# like code.
 lint:
-	$(GO) run ./cmd/sodavet ./...
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+		$(GO) build -o "$$bin/sodavet" ./cmd/sodavet && \
+		"$$bin/sodavet" ./... && \
+		GOARCH=arm64 "$$bin/sodavet" ./...
 	$(GO) test ./internal/lint/
 
 # loc prints what the working tree adds to and removes from PARENT in

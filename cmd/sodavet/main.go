@@ -1,7 +1,10 @@
 // Command sodavet is the repo's project-invariant static analyzer: a
 // stdlib-only go-vet-style driver that loads and typechecks every
 // package in the module and runs the internal/lint analyzer suite
-// (atomicmix, lockhold, errwrap, epochframe, poolsafe) over it.
+// (atomicmix, lockhold, errwrap, epochframe, poolsafe, testonly) over
+// it. testonly counts every package's references, selected or not, so
+// linting one package still sees the uses in bench/, cmd/ and the
+// examples.
 //
 // Usage:
 //

@@ -15,7 +15,7 @@ func powerSumSyndromes(d int, points, mults []byte, pos []int, mags []byte) []by
 	s := make([]byte, d)
 	for t := 0; t < d; t++ {
 		for i, p := range pos {
-			s[t] ^= Mul(Mul(mults[p], Pow(points[p], t)), mags[i])
+			s[t] ^= Mul(Mul(mults[p], pow(points[p], t)), mags[i])
 		}
 	}
 	return s
@@ -98,7 +98,7 @@ func TestErasureModifiedSyndromesMatchesPolyMul(t *testing.T) {
 		}
 		gamma := ErrataLocatorInto(nil, xs)
 		got := ErasureModifiedSyndromes(nil, s, gamma)
-		full := PolyMul(gamma, s)
+		full := polyMul(gamma, s)
 		want := make([]byte, d)
 		copy(want, full)
 		if !bytes.Equal(got, want[f:]) {

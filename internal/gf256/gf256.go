@@ -11,24 +11,15 @@
 // package suitable as the innermost kernel of the erasure-coding stack.
 package gf256
 
-import "fmt"
-
 // Poly is the irreducible polynomial defining the field, in bit-vector
 // form: x^8 + x^4 + x^3 + x^2 + 1.
 const Poly = 0x11D
 
-// Generator is the primitive element whose powers enumerate all nonzero
-// field elements.
-const Generator = 2
-
-// Order is the number of elements in the field.
-const Order = 256
-
 var (
-	// expTable[i] = Generator^i for i in [0, 510); doubled so that
-	// Mul can index expTable[log(a)+log(b)] without a modular reduction.
+	// expTable[i] = 2^i for i in [0, 510); doubled so that Mul can
+	// index expTable[log(a)+log(b)] without a modular reduction.
 	expTable [510]byte
-	// logTable[a] = discrete log of a to base Generator, for a != 0.
+	// logTable[a] = discrete log of a to base 2, for a != 0.
 	logTable [256]uint16
 	// invTable[a] = multiplicative inverse of a, for a != 0.
 	invTable [256]byte
@@ -52,12 +43,6 @@ func init() {
 		invTable[a] = expTable[255-int(logTable[a])]
 	}
 }
-
-// Add returns a + b in GF(2^8). Addition and subtraction coincide.
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a - b in GF(2^8); identical to Add in characteristic 2.
-func Sub(a, b byte) byte { return a ^ b }
 
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {
@@ -90,7 +75,7 @@ func Inv(a byte) byte {
 	return invTable[a]
 }
 
-// Exp returns Generator^e for any integer exponent e (negative allowed).
+// Exp returns 2^e for any integer exponent e (negative allowed).
 func Exp(e int) byte {
 	e %= 255
 	if e < 0 {
@@ -99,28 +84,5 @@ func Exp(e int) byte {
 	return expTable[e]
 }
 
-// Log returns the discrete logarithm of a to base Generator.
-// It panics if a is zero, which has no logarithm.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[a])
-}
-
-// Pow returns a^e for e >= 0, with the convention 0^0 = 1.
-func Pow(a byte, e int) byte {
-	if e < 0 {
-		panic(fmt.Sprintf("gf256: negative exponent %d", e))
-	}
-	if e == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[(int(logTable[a])*e)%255]
-}
-
-// Slice kernels (MulSlice, MulAddSlice, AddSlice, Dot) live in
+// Slice kernels (MulSlice, MulAddSlice, AddSlice) live in
 // kernel.go, where the hot loops are table-driven and unrolled.

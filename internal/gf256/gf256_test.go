@@ -1,18 +1,10 @@
 package gf256
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
-
-func TestAddIsXor(t *testing.T) {
-	if Add(0x53, 0xCA) != 0x53^0xCA {
-		t.Fatalf("Add(0x53,0xCA) = %#x, want %#x", Add(0x53, 0xCA), 0x53^0xCA)
-	}
-	if Sub(0x53, 0xCA) != Add(0x53, 0xCA) {
-		t.Fatal("Sub must equal Add in characteristic 2")
-	}
-}
 
 func TestMulTableSmall(t *testing.T) {
 	// Hand-checked products in GF(2^8)/0x11D.
@@ -66,7 +58,7 @@ func TestFieldAxioms(t *testing.T) {
 	if err := quick.Check(comm, nil); err != nil {
 		t.Error("commutativity:", err)
 	}
-	distrib := func(a, b, c byte) bool { return Mul(a, Add(b, c)) == Add(Mul(a, b), Mul(a, c)) }
+	distrib := func(a, b, c byte) bool { return Mul(a, b^c) == Mul(a, b)^Mul(a, c) }
 	if err := quick.Check(distrib, nil); err != nil {
 		t.Error("distributivity:", err)
 	}
@@ -114,19 +106,20 @@ func TestInvZeroPanics(t *testing.T) {
 	Inv(0)
 }
 
-func TestLogZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Log(0) must panic")
+// TestZeroHasNoLog checks that no power of the generator 2 is zero, so
+// zero has no logarithm: Mul and Div never read logTable[0] as one.
+func TestZeroHasNoLog(t *testing.T) {
+	for e, x := range expTable {
+		if x == 0 {
+			t.Fatalf("2^%d = 0", e)
 		}
-	}()
-	Log(0)
+	}
 }
 
 func TestExpLogRoundTrip(t *testing.T) {
 	for a := 1; a < 256; a++ {
-		if Exp(Log(byte(a))) != byte(a) {
-			t.Fatalf("Exp(Log(%#x)) != %#x", a, a)
+		if Exp(int(logTable[a])) != byte(a) {
+			t.Fatalf("Exp(log(%#x)) != %#x", a, a)
 		}
 	}
 	for e := -600; e < 600; e++ {
@@ -144,7 +137,7 @@ func TestGeneratorIsPrimitive(t *testing.T) {
 			t.Fatalf("generator cycle shorter than 255 (repeat at %d)", i)
 		}
 		seen[x] = true
-		x = Mul(x, Generator)
+		x = Mul(x, 2)
 	}
 	if x != 1 {
 		t.Fatal("generator^255 != 1")
@@ -155,13 +148,13 @@ func TestPow(t *testing.T) {
 	for a := 0; a < 256; a++ {
 		acc := byte(1)
 		for e := 0; e < 10; e++ {
-			if got := Pow(byte(a), e); got != acc {
-				t.Fatalf("Pow(%#x,%d) = %#x, want %#x", a, e, got, acc)
+			if got := pow(byte(a), e); got != acc {
+				t.Fatalf("pow(%#x,%d) = %#x, want %#x", a, e, got, acc)
 			}
 			acc = Mul(acc, byte(a))
 		}
 	}
-	if Pow(0, 0) != 1 {
+	if pow(0, 0) != 1 {
 		t.Fatal("0^0 must be 1")
 	}
 }
@@ -228,4 +221,19 @@ func TestSliceLengthMismatchPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// pow returns a^e for e >= 0, with the convention 0^0 = 1: the
+// log-table reference the syndrome tests raise evaluation points with.
+func pow(a byte, e int) byte {
+	if e < 0 {
+		panic(fmt.Sprintf("gf256: negative exponent %d", e))
+	}
+	if e == 0 {
+		return 1
+	}
+	if a == 0 {
+		return 0
+	}
+	return expTable[(int(logTable[a])*e)%255]
 }

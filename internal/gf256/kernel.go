@@ -78,6 +78,8 @@ func KernelName() string {
 
 // AvailableKernels lists the kernel tiers usable on this machine and
 // build, best first. "table" is always present.
+//
+//lint:ignore testonly rs tests run every decode over each tier this lists; a _test.go file serves its own package only
 func AvailableKernels() []string {
 	ks := make([]string, 0, 3)
 	if hasGFNI {
@@ -94,6 +96,8 @@ func AvailableKernels() []string {
 // error if the tier is unknown or not supported by this machine/build.
 // It is intended for benchmarks and tests and must not be called
 // concurrently with slice-kernel operations.
+//
+//lint:ignore testonly rs tests pin each kernel tier with it; a _test.go file serves its own package only
 func SetKernel(name string) error {
 	switch name {
 	case "auto":
@@ -167,17 +171,6 @@ func gfniMatrix(c byte) uint64 {
 		m |= uint64(rows[i]) << (8 * (7 - i))
 	}
 	return m
-}
-
-// MulTableRow returns the 256-byte product row for the coefficient c:
-// row[a] == Mul(c, a) for every a. The returned array is shared and
-// must not be modified. The full table is built on first call. It is
-// the public accessor for per-coefficient rows (e.g. for syndrome
-// computation in error-correcting decoders); the slice kernels use the
-// table directly.
-func MulTableRow(c byte) *[256]byte {
-	mulTableOnce.Do(buildMulTable)
-	return &mulTable[c]
 }
 
 // MulSlice computes dst[i] = c * src[i] for all i: MulMulti with one
@@ -256,68 +249,5 @@ func AddSlice(dst, src []byte) {
 	}
 	for i := n; i < len(src); i++ {
 		dst[i] ^= src[i]
-	}
-}
-
-// Dot returns the inner product sum_i a[i]*b[i] in GF(2^8). The slices
-// must have equal length.
-func Dot(a, b []byte) byte {
-	if len(a) != len(b) {
-		panic("gf256: Dot length mismatch")
-	}
-	var acc byte
-	for i, x := range a {
-		if x != 0 && b[i] != 0 {
-			acc ^= expTable[int(logTable[x])+int(logTable[b[i]])]
-		}
-	}
-	return acc
-}
-
-// mulSliceScalar is the original log/exp reference kernel, kept for
-// equivalence tests and as the baseline the table kernel is benchmarked
-// against.
-func mulSliceScalar(c byte, dst, src []byte) {
-	if len(dst) != len(src) {
-		panic("gf256: MulSlice length mismatch")
-	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-	case 1:
-		copy(dst, src)
-	default:
-		lc := int(logTable[c])
-		for i, s := range src {
-			if s == 0 {
-				dst[i] = 0
-			} else {
-				dst[i] = expTable[lc+int(logTable[s])]
-			}
-		}
-	}
-}
-
-// mulAddSliceScalar is the original log/exp reference for MulAddSlice.
-func mulAddSliceScalar(c byte, dst, src []byte) {
-	if len(dst) != len(src) {
-		panic("gf256: MulAddSlice length mismatch")
-	}
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		for i, s := range src {
-			dst[i] ^= s
-		}
-		return
-	}
-	lc := int(logTable[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= expTable[lc+int(logTable[s])]
-		}
 	}
 }

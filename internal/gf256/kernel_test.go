@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// TestMulTableRowExhaustive checks every entry of the 256x256 product
+// TestMulTableRowExhaustive checks every row of the 256x256 product
 // table against the scalar field core.
 func TestMulTableRowExhaustive(t *testing.T) {
+	mulTableOnce.Do(buildMulTable)
 	for c := 0; c < 256; c++ {
-		row := MulTableRow(byte(c))
+		row := &mulTable[c]
 		for a := 0; a < 256; a++ {
 			if got, want := row[a], Mul(byte(c), byte(a)); got != want {
-				t.Fatalf("MulTableRow(%#x)[%#x] = %#x, want %#x", c, a, got, want)
+				t.Fatalf("mulTable[%#x][%#x] = %#x, want %#x", c, a, got, want)
 			}
 		}
 	}
@@ -91,21 +92,21 @@ func TestDot(t *testing.T) {
 	for i := range a {
 		want ^= Mul(a[i], b[i])
 	}
-	if got := Dot(a, b); got != want {
-		t.Fatalf("Dot = %#x, want %#x", got, want)
+	if got := dot(a, b); got != want {
+		t.Fatalf("dot = %#x, want %#x", got, want)
 	}
-	if Dot(nil, nil) != 0 {
-		t.Fatal("Dot of empty slices should be 0")
+	if dot(nil, nil) != 0 {
+		t.Fatal("dot of empty slices should be 0")
 	}
 }
 
 func TestDotLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Dot with mismatched lengths should panic")
+			t.Fatal("dot with mismatched lengths should panic")
 		}
 	}()
-	Dot(make([]byte, 2), make([]byte, 3))
+	dot(make([]byte, 2), make([]byte, 3))
 }
 
 func benchSlices(size int) (dst, src []byte) {
@@ -163,4 +164,67 @@ func BenchmarkMulSlice(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MulSlice(0x53, dst, src)
 	}
+}
+
+// mulSliceScalar is the original log/exp reference kernel, kept for
+// equivalence tests and as the baseline the table kernel is benchmarked
+// against.
+func mulSliceScalar(c byte, dst, src []byte) {
+	if len(dst) != len(src) {
+		panic("gf256: MulSlice length mismatch")
+	}
+	switch c {
+	case 0:
+		for i := range dst {
+			dst[i] = 0
+		}
+	case 1:
+		copy(dst, src)
+	default:
+		lc := int(logTable[c])
+		for i, s := range src {
+			if s == 0 {
+				dst[i] = 0
+			} else {
+				dst[i] = expTable[lc+int(logTable[s])]
+			}
+		}
+	}
+}
+
+// mulAddSliceScalar is the original log/exp reference for MulAddSlice.
+func mulAddSliceScalar(c byte, dst, src []byte) {
+	if len(dst) != len(src) {
+		panic("gf256: MulAddSlice length mismatch")
+	}
+	if c == 0 {
+		return
+	}
+	if c == 1 {
+		for i, s := range src {
+			dst[i] ^= s
+		}
+		return
+	}
+	lc := int(logTable[c])
+	for i, s := range src {
+		if s != 0 {
+			dst[i] ^= expTable[lc+int(logTable[s])]
+		}
+	}
+}
+
+// dot returns the inner product sum_i a[i]*b[i] in GF(2^8). The slices
+// must have equal length.
+func dot(a, b []byte) byte {
+	if len(a) != len(b) {
+		panic("gf256: dot length mismatch")
+	}
+	var acc byte
+	for i, x := range a {
+		if x != 0 && b[i] != 0 {
+			acc ^= expTable[int(logTable[x])+int(logTable[b[i]])]
+		}
+	}
+	return acc
 }

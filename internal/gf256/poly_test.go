@@ -36,7 +36,7 @@ func TestPolyTrim(t *testing.T) {
 
 func TestPolyMulEval(t *testing.T) {
 	f := func(a, b []byte, x byte) bool {
-		return PolyEval(PolyMul(a, b), x) == Mul(PolyEval(a, x), PolyEval(b, x))
+		return PolyEval(polyMul(a, b), x) == Mul(PolyEval(a, x), PolyEval(b, x))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -44,10 +44,10 @@ func TestPolyMulEval(t *testing.T) {
 }
 
 func TestPolyMulZero(t *testing.T) {
-	if PolyMul(nil, []byte{1, 2}) != nil {
+	if polyMul(nil, []byte{1, 2}) != nil {
 		t.Fatal("0 * p must be the zero polynomial")
 	}
-	if PolyMul([]byte{0, 0}, []byte{1}) != nil {
+	if polyMul([]byte{0, 0}, []byte{1}) != nil {
 		t.Fatal("0 * p must be the zero polynomial (explicit zeros)")
 	}
 }
@@ -64,4 +64,24 @@ func TestPolyEvalHorner(t *testing.T) {
 	if PolyEval([]byte{9}, 0) != 9 {
 		t.Fatal("constant poly at 0")
 	}
+}
+
+// polyMul returns a * b: the reference the erasure-modified syndromes
+// are tested against. The zero polynomial is represented by an empty
+// (or all-zero) slice.
+func polyMul(a, b []byte) []byte {
+	da, db := PolyDegree(a), PolyDegree(b)
+	if da < 0 || db < 0 {
+		return nil
+	}
+	out := make([]byte, da+db+1)
+	for i := 0; i <= da; i++ {
+		if a[i] == 0 {
+			continue
+		}
+		for j := 0; j <= db; j++ {
+			out[i+j] ^= Mul(a[i], b[j])
+		}
+	}
+	return out
 }

@@ -1,10 +1,71 @@
 package lint
 
 import (
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
+
+// loadFixture typechecks a single directory as a standalone package
+// (stdlib imports only), its _test.go files included.
+func loadFixture(dir string) (*Package, error) {
+	disableCgo()
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	testFile := make(map[*ast.File]bool)
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		if strings.HasSuffix(e.Name(), "_test.go") {
+			testFile[f] = true
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	info := newInfo()
+	src := importer.ForCompiler(fset, "source", nil)
+	tpkg, err := check("fixture/"+filepath.Base(dir), fset, files, src, info)
+	if err != nil {
+		return nil, err
+	}
+	r := newReach()
+	for _, f := range files {
+		r.addFile(info, f, testFile[f])
+	}
+	r.addImplementers(tpkg)
+	return &Package{
+		Path:     "fixture/" + filepath.Base(dir),
+		Dir:      dir,
+		Fset:     fset,
+		Files:    files,
+		TestFile: testFile,
+		Pkg:      tpkg,
+		Info:     info,
+		reach:    r,
+	}, nil
+}
 
 // The golden-fixture harness: each analyzer has a package under
 // testdata/src/<rule>/ whose comments carry expectations in the form
@@ -28,9 +89,9 @@ type wantComment struct {
 
 func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 	t.Helper()
-	pkg, err := LoadFixture(filepath.Join("testdata", "src", fixture))
+	pkg, err := loadFixture(filepath.Join("testdata", "src", fixture))
 	if err != nil {
-		t.Fatalf("LoadFixture(%s): %v", fixture, err)
+		t.Fatalf("loadFixture(%s): %v", fixture, err)
 	}
 
 	var wants []*wantComment
@@ -78,6 +139,7 @@ func TestLockHoldFixture(t *testing.T)   { runFixture(t, "lockhold", LockHold) }
 func TestErrWrapFixture(t *testing.T)    { runFixture(t, "errwrap", ErrWrap) }
 func TestEpochFrameFixture(t *testing.T) { runFixture(t, "epochframe", EpochFrame) }
 func TestPoolSafeFixture(t *testing.T)   { runFixture(t, "poolsafe", PoolSafe) }
+func TestTestOnlyFixture(t *testing.T)   { runFixture(t, "testonly", TestOnly) }
 
 // TestSuppressFixture runs the full suite over a fixture whose
 // directives suppress two of four identical findings: the two

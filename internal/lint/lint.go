@@ -8,8 +8,13 @@
 // check: atomic-vs-plain field access discipline (atomicmix), no
 // blocking operations under a held mutex (lockhold), %w-wrapping and
 // errors.Is testability of typed sentinels (errwrap), epoch threading
-// through wire-frame encoders (epochframe), and no use of a value
-// after it was returned to a pool (poolsafe).
+// through wire-frame encoders (epochframe), no use of a value after it
+// was returned to a pool (poolsafe), and no func, method, const or var
+// that only tests reference (testonly). testonly counts references
+// across the whole module, bench/ and cmd/ included, and keeps silent
+// on a method that satisfies an interface the module uses (promoted
+// through embedding or not), on Error, String, Unwrap, Is and As with
+// their standard signatures, and on a name an Example* function uses.
 //
 // Diagnostics can be suppressed per-site with
 //
@@ -58,6 +63,7 @@ var All = []*Analyzer{
 	ErrWrap,
 	EpochFrame,
 	PoolSafe,
+	TestOnly,
 }
 
 // Rules returns the registered rule names (the valid targets of a
@@ -80,6 +86,8 @@ type Package struct {
 	TestFile map[*ast.File]bool // which Files entries are _test.go files
 	Pkg      *types.Package
 	Info     *types.Info
+
+	reach *reach // what the whole load references, for testonly
 }
 
 // Position resolves a token.Pos against the package's FileSet.

@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -34,17 +35,22 @@ type pkgNode struct {
 	dir        string
 	goFiles    []string // non-test, build-constraint-filtered
 	testFiles  []string // in-package _test.go files
+	xtestFiles []string // external test package (package foo_test) files
 	imports    []string // non-test imports
 }
 
 // LoadModule loads every package of the module rooted at root (the
 // directory containing go.mod) and returns typechecked Packages for
 // the ones selected by patterns. Patterns are "./..." (everything,
-// also the default), "./dir/..." (subtree), or "./dir" (one package);
-// dependencies of selected packages are always loaded so typechecking
-// is complete, but only selected packages are returned for analysis.
-// External test packages (package foo_test) are not loaded; the repo
-// keeps its tests in-package.
+// also the default), "./dir/..." (subtree), or "./dir" (one package),
+// cleaned as go vet cleans them. A selected package comes with its
+// in-package _test.go files, and its external test package (package
+// foo_test) comes as a Package of its own, its path suffixed "_test".
+// Every
+// package is loaded, selected or not, so typechecking is complete and
+// testonly counts the references of the whole module. The walk does
+// not stop at a nested go.mod: bench/, a module of its own that
+// replaces this one, loads as repro/bench, and its uses count.
 func LoadModule(root string, patterns []string) ([]*Package, error) {
 	disableCgo()
 	root, err := filepath.Abs(root)
@@ -88,6 +94,7 @@ func LoadModule(root string, patterns []string) ([]*Package, error) {
 			dir:        path,
 			goFiles:    bp.GoFiles,
 			testFiles:  bp.TestGoFiles,
+			xtestFiles: bp.XTestGoFiles,
 			imports:    bp.Imports,
 		}
 		return nil
@@ -99,7 +106,7 @@ func LoadModule(root string, patterns []string) ([]*Package, error) {
 		return nil, fmt.Errorf("lint: no Go packages under %s", root)
 	}
 
-	selected, err := selectPackages(nodes, modPath, root, patterns)
+	selected, err := selectPackages(nodes, modPath, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -114,10 +121,10 @@ func LoadModule(root string, patterns []string) ([]*Package, error) {
 
 	// Parse every file once; both typecheck passes reuse the ASTs.
 	asts := make(map[string]*ast.File)
-	parseAll := func(n *pkgNode, names []string) ([]*ast.File, error) {
+	parseAll := func(dir string, names []string) ([]*ast.File, error) {
 		files := make([]*ast.File, 0, len(names))
 		for _, name := range names {
-			full := filepath.Join(n.dir, name)
+			full := filepath.Join(dir, name)
 			f, ok := asts[full]
 			if !ok {
 				var err error
@@ -133,31 +140,38 @@ func LoadModule(root string, patterns []string) ([]*Package, error) {
 	}
 
 	// Pass 1: typecheck non-test files in dependency order, building
-	// the registry module-internal imports resolve against.
+	// the registry module-internal imports resolve against, and
+	// recording what non-test code references.
 	reg := make(map[string]*types.Package)
 	imp := &moduleImporter{reg: reg, src: src}
+	r := newReach()
 	for _, ip := range order {
 		n := nodes[ip]
-		files, err := parseAll(n, n.goFiles)
+		files, err := parseAll(n.dir, n.goFiles)
 		if err != nil {
 			return nil, err
 		}
-		tpkg, err := check(ip, fset, files, imp, nil)
+		info := &types.Info{Types: make(map[ast.Expr]types.TypeAndValue), Uses: make(map[*ast.Ident]types.Object)}
+		tpkg, err := check(ip, fset, files, imp, info)
 		if err != nil {
 			return nil, err
+		}
+		for _, f := range files {
+			r.addFile(info, f, false)
 		}
 		reg[ip] = tpkg
 	}
-
-	// Pass 2: re-typecheck each selected package with its in-package
-	// test files included, capturing full type info for analysis.
-	var pkgs []*Package
 	for _, ip := range order {
-		if !selected[ip] {
-			continue
-		}
-		n := nodes[ip]
-		files, err := parseAll(n, append(append([]string{}, n.goFiles...), n.testFiles...))
+		r.addImplementers(reg[ip])
+	}
+
+	// Pass 2: re-typecheck each package with its in-package test files
+	// included, then its external test package against that, capturing
+	// full type info and recording what the test files reference. Every
+	// package's tests are checked, as an Example in any of them counts;
+	// only the selected packages are returned.
+	withTests := func(ip, dir string, goFiles, testFiles []string, imp types.Importer) (*Package, error) {
+		files, err := parseAll(dir, append(append([]string{}, goFiles...), testFiles...))
 		if err != nil {
 			return nil, err
 		}
@@ -166,71 +180,39 @@ func LoadModule(root string, patterns []string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		testFile := make(map[*ast.File]bool, len(n.testFiles))
-		for i, f := range files {
-			if i >= len(n.goFiles) {
-				testFile[f] = true
-			}
+		testFile := make(map[*ast.File]bool, len(testFiles))
+		for _, f := range files[len(goFiles):] {
+			testFile[f] = true
+			r.addFile(info, f, true)
 		}
-		pkgs = append(pkgs, &Package{
-			Path:     ip,
-			Dir:      n.dir,
-			Fset:     fset,
-			Files:    files,
-			TestFile: testFile,
-			Pkg:      tpkg,
-			Info:     info,
-		})
+		return &Package{Path: ip, Dir: dir, Fset: fset, Files: files, TestFile: testFile, Pkg: tpkg, Info: info, reach: r}, nil
 	}
-	return pkgs, nil
-}
-
-// LoadFixture typechecks a single directory as a standalone package
-// (stdlib imports only) — the loader the golden-fixture tests use.
-func LoadFixture(dir string) (*Package, error) {
-	disableCgo()
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	testFile := make(map[*ast.File]bool)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+	var pkgs []*Package
+	for _, ip := range order {
+		n := nodes[ip]
+		if !selected[ip] && len(n.testFiles) == 0 && len(n.xtestFiles) == 0 {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
+		pkg, err := withTests(ip, n.dir, n.goFiles, n.testFiles, imp)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
-		if strings.HasSuffix(e.Name(), "_test.go") {
-			testFile[f] = true
+		if selected[ip] {
+			pkgs = append(pkgs, pkg)
+		}
+		if len(n.xtestFiles) == 0 {
+			continue
+		}
+		ximp := &moduleImporter{reg: map[string]*types.Package{ip: pkg.Pkg}, src: imp}
+		xpkg, err := withTests(ip+"_test", n.dir, nil, n.xtestFiles, ximp)
+		if err != nil {
+			return nil, err
+		}
+		if selected[ip] {
+			pkgs = append(pkgs, xpkg)
 		}
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	info := newInfo()
-	src := importer.ForCompiler(fset, "source", nil)
-	tpkg, err := check("fixture/"+filepath.Base(dir), fset, files, src, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{
-		Path:     "fixture/" + filepath.Base(dir),
-		Dir:      dir,
-		Fset:     fset,
-		Files:    files,
-		TestFile: testFile,
-		Pkg:      tpkg,
-		Info:     info,
-	}, nil
+	return pkgs, nil
 }
 
 func newInfo() *types.Info {
@@ -299,28 +281,26 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s", gomod)
 }
 
-// selectPackages resolves CLI patterns to a set of import paths.
-func selectPackages(nodes map[string]*pkgNode, modPath, root string, patterns []string) (map[string]bool, error) {
+// selectPackages resolves CLI patterns to a set of import paths. A
+// pattern is cleaned first, as go vet cleans it: "./internal/soda/" and
+// "internal/soda" name the same package.
+func selectPackages(nodes map[string]*pkgNode, modPath string, patterns []string) (map[string]bool, error) {
 	sel := make(map[string]bool, len(nodes))
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	for _, pat := range patterns {
-		ellipsis := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			ellipsis = true
-			pat = rest
+	for _, orig := range patterns {
+		pat := path.Clean(filepath.ToSlash(orig))
+		ellipsis := pat == "..." || strings.HasSuffix(pat, "/...")
+		if ellipsis {
+			pat = path.Dir(pat)
 		}
-		if pat == "." || pat == "./" || pat == "" {
-			pat = "."
-		}
-		pat = strings.TrimPrefix(pat, "./")
 		ip := modPath
 		if pat != "." && pat != modPath {
 			if strings.HasPrefix(pat, modPath+"/") {
 				ip = pat
 			} else {
-				ip = modPath + "/" + filepath.ToSlash(pat)
+				ip = modPath + "/" + pat
 			}
 		}
 		matched := false
@@ -331,7 +311,7 @@ func selectPackages(nodes map[string]*pkgNode, modPath, root string, patterns []
 			}
 		}
 		if !matched && !ellipsis {
-			return nil, fmt.Errorf("lint: pattern %q matches no package", pat)
+			return nil, fmt.Errorf("lint: pattern %q matches no package", orig)
 		}
 	}
 	return sel, nil

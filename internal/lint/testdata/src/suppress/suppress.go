@@ -24,3 +24,7 @@ func wrongRuleDoesNotCover() error {
 	//lint:ignore epochframe suppressing a different rule must not hide errwrap findings
 	return fmt.Errorf("op: %v", errThing) // want `formatted with %v`
 }
+
+// Every analyzer runs over this fixture: a non-test user keeps
+// testonly silent.
+var _ = []func() error{suppressedTrailing, suppressedAbove, unsuppressed, wrongRuleDoesNotCover}

@@ -21,3 +21,7 @@ func bareDirective() error {
 	//lint:ignore
 	return fmt.Errorf("op: %v", errThing)
 }
+
+// Every analyzer runs over this fixture: a non-test user keeps
+// testonly silent.
+var _ = []func() error{missingReason, unknownRule, bareDirective}

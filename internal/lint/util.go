@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"path/filepath"
-	"strings"
 )
 
 // calleeFunc resolves the function or method a call expression
@@ -80,12 +79,6 @@ func typeIsFrom(t types.Type, path string, names ...string) bool {
 // fileBase returns the base filename a position lives in.
 func (p *Package) fileBase(n ast.Node) string {
 	return filepath.Base(p.Position(n.Pos()).Filename)
-}
-
-// isTestFile reports whether the node's file is an in-package test
-// file.
-func (p *Package) isTestFile(n ast.Node) bool {
-	return strings.HasSuffix(p.fileBase(n), "_test.go")
 }
 
 // errorType is the predeclared error interface.

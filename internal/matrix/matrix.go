@@ -32,31 +32,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must all have equal
-// length. The data is copied.
-func FromRows(rows [][]byte) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("matrix: FromRows needs at least one row and column")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic("matrix: ragged rows")
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Vandermonde returns the rows x cols matrix with entry (i, j) equal to
 // alpha_i^j where alpha_i is the i-th distinct nonzero field element
 // (generator powers). Any cols rows of it are linearly independent,
@@ -77,12 +52,6 @@ func Vandermonde(rows, cols int) *Matrix {
 	return m
 }
 
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns the entry at (r, c).
 func (m *Matrix) At(r, c int) byte { return m.data[r*m.cols+c] }
 
@@ -91,26 +60,6 @@ func (m *Matrix) Set(r, c int, v byte) { m.data[r*m.cols+c] = v }
 
 // Row returns row r as a slice aliasing the matrix storage.
 func (m *Matrix) Row(r int) []byte { return m.data[r*m.cols : (r+1)*m.cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
-// Equal reports whether two matrices have identical shape and entries.
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.rows != o.rows || m.cols != o.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if v != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Mul returns m * o. It panics on incompatible shapes.
 func (m *Matrix) Mul(o *Matrix) *Matrix {
@@ -127,18 +76,6 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 			}
 			gf256.MulAddSlice(mRow[kk], outRow, o.Row(kk))
 		}
-	}
-	return out
-}
-
-// MulVec returns m * v as a fresh slice. len(v) must equal m.Cols().
-func (m *Matrix) MulVec(v []byte) []byte {
-	if len(v) != m.cols {
-		panic("matrix: MulVec dimension mismatch")
-	}
-	out := make([]byte, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = gf256.Dot(m.Row(i), v)
 	}
 	return out
 }
@@ -244,7 +181,7 @@ func SystematicVandermonde(n, k int) (*Matrix, error) {
 	return v.Mul(topInv), nil
 }
 
-// EvalPoints returns the n evaluation points alpha_i = Generator^i used
+// EvalPoints returns the n evaluation points alpha_i = 2^i used
 // by Vandermonde and SystematicVandermonde: codeword position i of the
 // RS-view code carries the value q(alpha_i). n must be at most 255 so
 // the points are distinct and nonzero.

@@ -281,11 +281,13 @@ func TestGRSParityCheckStructure(t *testing.T) {
 		if w[i] == 0 {
 			t.Fatalf("dual multiplier %d is zero", i)
 		}
+		power := byte(1) // alpha_i^tt
 		for tt := 0; tt < n-k; tt++ {
-			want := gf256.Mul(w[i], gf256.Pow(points[i], tt))
+			want := gf256.Mul(w[i], power)
 			if h.At(tt, i) != want {
 				t.Fatalf("H[%d][%d] = %#02x, want w_i*alpha_i^t = %#02x", tt, i, h.At(tt, i), want)
 			}
+			power = gf256.Mul(power, points[i])
 		}
 	}
 	// Any (n-k) columns of H must be independent (the dual is MDS): spot
@@ -324,4 +326,71 @@ func TestEvalPointsDistinctNonzero(t *testing.T) {
 		}
 		seen[p] = true
 	}
+}
+
+// Test-only constructors and views of a Matrix.
+
+// FromRows builds a matrix from row slices, which must all have equal
+// length. The data is copied.
+func FromRows(rows [][]byte) *Matrix {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		panic("matrix: FromRows needs at least one row and column")
+	}
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.cols {
+			panic("matrix: ragged rows")
+		}
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+// Identity returns the n x n identity matrix.
+func Identity(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// Rows returns the number of rows.
+func (m *Matrix) Rows() int { return m.rows }
+
+// Cols returns the number of columns.
+func (m *Matrix) Cols() int { return m.cols }
+
+// Clone returns a deep copy.
+func (m *Matrix) Clone() *Matrix {
+	c := New(m.rows, m.cols)
+	copy(c.data, m.data)
+	return c
+}
+
+// Equal reports whether two matrices have identical shape and entries.
+func (m *Matrix) Equal(o *Matrix) bool {
+	if m.rows != o.rows || m.cols != o.cols {
+		return false
+	}
+	for i, v := range m.data {
+		if v != o.data[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// MulVec returns m * v as a fresh slice. len(v) must equal m.Cols().
+func (m *Matrix) MulVec(v []byte) []byte {
+	if len(v) != m.cols {
+		panic("matrix: MulVec dimension mismatch")
+	}
+	out := make([]byte, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j, x := range v {
+			out[i] ^= gf256.Mul(m.At(i, j), x)
+		}
+	}
+	return out
 }

@@ -86,10 +86,3 @@ func (c *matrixCache) put(key shardKey, m *matrix.Matrix) {
 	e.used.Store(tick)
 	c.entries[key] = e
 }
-
-func (c *matrixCache) stats() (hits, misses uint64, entries int) {
-	c.mu.RLock()
-	entries = len(c.entries)
-	c.mu.RUnlock()
-	return c.hits.Load(), c.misses.Load(), entries
-}

@@ -16,7 +16,7 @@ import (
 func TestMatrixCacheParallel(t *testing.T) {
 	c := newMatrixCache(4)
 	hot := shardKey{1}
-	c.put(hot, matrix.Identity(3))
+	c.put(hot, matrix.New(3, 3))
 
 	const goroutines = 8
 	const iters = 500
@@ -33,11 +33,11 @@ func TestMatrixCacheParallel(t *testing.T) {
 					return
 				}
 				if !ok {
-					c.put(hot, matrix.Identity(3)) // evicted by churn; reinstate
+					c.put(hot, matrix.New(3, 3)) // evicted by churn; reinstate
 				}
 				if i%10 == 0 {
 					if _, ok := c.get(churn); !ok {
-						c.put(churn, matrix.Identity(3))
+						c.put(churn, matrix.New(3, 3))
 					}
 				}
 			}
@@ -63,10 +63,10 @@ func TestMatrixCacheParallel(t *testing.T) {
 func TestMatrixCacheEvictsLeastRecent(t *testing.T) {
 	c := newMatrixCache(2)
 	a, b, d := shardKey{1}, shardKey{2}, shardKey{3}
-	c.put(a, matrix.Identity(2))
-	c.put(b, matrix.Identity(2))
+	c.put(a, matrix.New(2, 2))
+	c.put(b, matrix.New(2, 2))
 	c.get(a) // a is now more recent than b
-	c.put(d, matrix.Identity(2))
+	c.put(d, matrix.New(2, 2))
 	if _, ok := c.get(a); !ok {
 		t.Fatal("recently used entry was evicted")
 	}
@@ -76,4 +76,12 @@ func TestMatrixCacheEvictsLeastRecent(t *testing.T) {
 	if _, ok := c.get(d); !ok {
 		t.Fatal("newly inserted entry missing")
 	}
+}
+
+// stats reads the cache's counters and size.
+func (c *matrixCache) stats() (hits, misses uint64, entries int) {
+	c.mu.RLock()
+	entries = len(c.entries)
+	c.mu.RUnlock()
+	return c.hits.Load(), c.misses.Load(), entries
 }

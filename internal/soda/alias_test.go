@@ -582,7 +582,7 @@ func TestOwnedPutRefusedFreesOnce(t *testing.T) {
 	lb := NewLoopback(3)
 	conns := lb.Conns()
 	lb.Crash(0)
-	lb.Hang(1)
+	lb.hang(1)
 	lb.Server(2).Reconfig(ReconfigSeal, 1, 5, 3)
 	short, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
 	defer cancel()

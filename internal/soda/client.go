@@ -1376,13 +1376,6 @@ func (st *readState) addLocked(d Delivery) {
 	st.check()
 }
 
-// add is addLocked behind the lock.
-func (st *readState) add(d Delivery) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.addLocked(d)
-}
-
 // check applies the completion rule: once initial responses from n-f
 // servers fix tTarget (their maximum tag), the read completes with
 // any tag >= tTarget holding k+2e coded elements that decode. A zero

@@ -174,14 +174,6 @@ func fixedView(cfg *Config) (*ConfigView, error) {
 // immutable; hold it for at most one operation and refetch.
 func (v *ConfigView) Current() *Config { return v.cur.Load() }
 
-// Changed returns a channel closed at the next install after the
-// call. Wait on it, then re-read Current.
-func (v *ConfigView) Changed() <-chan struct{} {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.changed
-}
-
 // Install publishes a new configuration. The epoch must advance:
 // reconfiguration is monotone, and a lagging coordinator must never
 // roll the shared view backwards.

@@ -420,8 +420,8 @@ func TestDurablePowerCutBetweenThePasses(t *testing.T) {
 			if got := startedGoroutines(); got > goroutines {
 				t.Errorf("%d goroutines before the write, %d after: the cut server's put left on a leg", goroutines, got)
 			}
-			if m.Health(cut) != Suspect || !errors.Is(m.Cause(cut), ErrServerDown) {
-				t.Errorf("server %d is %v (%v) after refusing its put, want suspect of ErrServerDown", cut, m.Health(cut), m.Cause(cut))
+			if m.Health(cut) != Suspect || !errors.Is(m.causeOf(cut), ErrServerDown) {
+				t.Errorf("server %d is %v (%v) after refusing its put, want suspect of ErrServerDown", cut, m.Health(cut), m.causeOf(cut))
 			}
 			srv := lb.Server(cut)
 			if tag, _, _ := srv.Snapshot(testKey); tag != tag1 {

@@ -211,7 +211,7 @@ func runDiffSchedule(t *testing.T, seed int64, e int, wrap func([]Conn) []Conn, 
 			}
 		case x < 14:
 			if !crashed[i] && !hung[i] && down < 2 {
-				lb.Hang(i)
+				lb.hang(i)
 				hung[i] = true
 			}
 		case x < 34:
@@ -594,7 +594,7 @@ func TestInlineRidesThroughHungServers(t *testing.T) {
 		}
 	}
 	for pos := 0; pos < 5; pos++ {
-		lb.Hang(pos)
+		lb.hang(pos)
 		value[0] = byte(pos)
 		mark, before := freed.total(), warm()
 		if _, err := w.Write(testCtx(t), testKey, value); err != nil {
@@ -614,8 +614,8 @@ func TestInlineRidesThroughHungServers(t *testing.T) {
 		t.Fatalf("riding through one hung server took goroutines: %d before, %d after", goroutines, got)
 	}
 
-	lb.Hang(1)
-	lb.Hang(3)
+	lb.hang(1)
+	lb.hang(3)
 	for _, op := range []struct {
 		name string
 		run  func(context.Context) error
@@ -859,8 +859,8 @@ func TestPendingReadLosesACrashedServer(t *testing.T) {
 	_, _, _, ended := pendingRead(t, codec, lb, r.Read)
 	lb.Crash(4)
 	waitFor(t, "the read to report the crashed server", func() bool { return m.Health(4) == Suspect })
-	if !errors.Is(m.Cause(4), ErrServerDown) {
-		t.Fatalf("server 4 is suspect of %v, want ErrServerDown", m.Cause(4))
+	if !errors.Is(m.causeOf(4), ErrServerDown) {
+		t.Fatalf("server 4 is suspect of %v, want ErrServerDown", m.causeOf(4))
 	}
 	lb.Crash(3)
 	select {

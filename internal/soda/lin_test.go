@@ -177,7 +177,7 @@ func TestLinearizability(t *testing.T) {
 // silently crashed the whole time — the protocol's f=1 budget.
 func TestLinearizabilityWithFault(t *testing.T) {
 	codec, lb := newCluster(t, 5, 3)
-	lb.Hang(3)
+	lb.hang(3)
 	runLinearizability(t, codec, lb, 2, 2, 10, Config{F: -1})
 }
 

@@ -23,21 +23,23 @@ var ErrServerDown = errors.New("soda: server is down")
 // they do not take (see now). The caller then waits for each
 // server's get-tag and registration in turn, register lock included,
 // where a leg per server would have let n-f of them outrun a slow one:
-// Hang, not a stalled apply, is this transport's silent server. A
+// a hung server, not a stalled apply, is this transport's silent one. A
 // put-data only tries the locks it takes — a durable server logs and
 // syncs under the register lock — and leaves a busy server for later.
 // Fault injection:
 //
 //   - Crash: fail-stop; the server's conns error immediately and its
 //     registrations end with ErrServerDown.
-//   - Hang: silent crash; the server never answers, callers block
-//     until their context ends. This is the pure crash model the
-//     protocol's quorums are sized for.
 //   - Corrupt: the server's storage rots; every element it serves or
 //     relays first passes through a caller-supplied transform, which
 //     is what the SODA_err read path exists to catch.
 //   - Recover: a crashed or hung server reboots with what its disk
 //     holds — nothing, on a memory loopback — for repair to heal.
+//
+// Tests also hang a server (its hung flag): a silent crash, where the
+// server never answers and callers block until their context ends —
+// the pure crash model the protocol's quorums are sized for. No program
+// hangs one, so what sets the flag is a test helper.
 //
 // Loopback conns keep the Conn contract without a wire: the server
 // copies a borrowed put's element into its register (a client's pooled
@@ -143,16 +145,6 @@ func (l *Loopback) Crash(i int) {
 	l.servers[i].Load().dropAll(ErrServerDown)
 }
 
-// Hang silently crashes server i: it stops answering but connections
-// do not fail. Its registered readers are likewise dropped, and told
-// nothing.
-func (l *Loopback) Hang(i int) {
-	l.mu.Lock()
-	l.hung[i].Store(true)
-	l.mu.Unlock()
-	l.servers[i].Load().dropAll(nil)
-}
-
 // PowerCut crashes durable server i the unclean way: fail-stop like
 // Crash, plus the WAL loses everything past its last fsync — exactly
 // what the disk would hold after the cord is pulled. Every record is
@@ -168,7 +160,7 @@ func (l *Loopback) PowerCut(i int) {
 // Recover replaces crashed server i with a fresh state machine holding
 // what its disk holds: on a durable loopback the state rebuilt from its
 // node directory (snapshot load + WAL replay), call it after PowerCut;
-// on a memory one nothing, call it after Crash or Hang — the lost-disk
+// on a memory one nothing, call it after Crash or a hang — the lost-disk
 // fault, which donor repair heals. Restart, by contrast, keeps storage
 // as the crash left it. The swapped-in server starts with no registered
 // readers, like any rebooted node.

@@ -102,14 +102,6 @@ func (m *Membership) Health(i int) Health {
 // IsLive reports whether server i participates in quorums.
 func (m *Membership) IsLive(i int) bool { return m.Health(i) == Live }
 
-// Cause returns the evidence recorded when server i left Live, or nil
-// for a live server.
-func (m *Membership) Cause(i int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cause[i]
-}
-
 // Suspects returns the ascending indices of every quarantined server
 // (Suspect or Repairing).
 func (m *Membership) Suspects() []int {

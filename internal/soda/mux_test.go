@@ -630,7 +630,7 @@ func TestMultiKeyKillRepairRejoinSoak(t *testing.T) {
 		acancel()
 		if err != nil {
 			t.Fatalf("cycle %d: server %d never repaired: %v (health %v, cause %v)",
-				cyc, s, err, m.Health(s), m.Cause(s))
+				cyc, s, err, m.Health(s), m.causeOf(s))
 		}
 	}
 	close(stop)

@@ -49,8 +49,8 @@ func TestMembershipLifecycle(t *testing.T) {
 	default:
 		t.Fatal("MarkSuspect did not wake Changed waiters")
 	}
-	if m.Health(0) != Suspect || m.Cause(0) != cause {
-		t.Fatalf("after suspect: %v cause %v", m.Health(0), m.Cause(0))
+	if m.Health(0) != Suspect || m.causeOf(0) != cause {
+		t.Fatalf("after suspect: %v cause %v", m.Health(0), m.causeOf(0))
 	}
 	if !slices.Equal(m.Suspects(), []int{0}) {
 		t.Fatalf("Suspects = %v", m.Suspects())
@@ -76,8 +76,8 @@ func TestMembershipLifecycle(t *testing.T) {
 	if !m.MarkRepairing(0) || !m.MarkLive(0) {
 		t.Fatal("repair cycle after demotion failed")
 	}
-	if m.Health(0) != Live || m.Cause(0) != nil || !m.IsLive(0) {
-		t.Fatalf("after readmission: %v cause %v", m.Health(0), m.Cause(0))
+	if m.Health(0) != Live || m.causeOf(0) != nil || !m.IsLive(0) {
+		t.Fatalf("after readmission: %v cause %v", m.Health(0), m.causeOf(0))
 	}
 
 	// AwaitLive observes a transition made elsewhere.
@@ -276,7 +276,7 @@ func TestRepairLoopWakesForEachCause(t *testing.T) {
 			select {
 			case <-ch:
 			case <-ctx.Done():
-				t.Fatalf("server %d not readmitted: %v, cause %v", s, m.Health(s), m.Cause(s))
+				t.Fatalf("server %d not readmitted: %v, cause %v", s, m.Health(s), m.causeOf(s))
 			}
 		}
 	}
@@ -787,7 +787,7 @@ func TestKillRepairRejoinSoak(t *testing.T) {
 		acancel()
 		if err != nil {
 			t.Fatalf("cycle %d: server %d never repaired: %v (health %v, cause %v)",
-				cyc, s, err, m.Health(s), m.Cause(s))
+				cyc, s, err, m.Health(s), m.causeOf(s))
 		}
 		tagUp, _, _ := lb.Server(s).Snapshot(testKey)
 		if tagUp.Less(tagDown) {
@@ -896,4 +896,12 @@ func TestBackoffSchedule(t *testing.T) {
 	if !errors.Is(err, sentinel) || calls != 1 {
 		t.Fatalf("cancelled retry = %v after %d calls (must not sleep)", err, calls)
 	}
+}
+
+// causeOf returns the evidence recorded when server i left Live, or nil
+// for a live server.
+func (m *Membership) causeOf(i int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cause[i]
 }

@@ -192,9 +192,6 @@ func NewServer(idx int) *Server {
 	return s
 }
 
-// Index returns the server's shard index in the code geometry.
-func (s *Server) Index() int { return s.idx }
-
 // Metrics returns the server's live counters, read without a lock;
 // MetricsSnapshot adds the namespace gauges, which take the shard locks.
 func (s *Server) Metrics() *Metrics { return &s.metrics }
@@ -692,17 +689,6 @@ func (s *Server) dropAll(cause error) {
 	for _, to := range ends {
 		to.end(cause)
 	}
-}
-
-// readerCount returns the number of readers registered on key.
-func (s *Server) readerCount(key string) int {
-	r := s.lookup(key, false)
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.readers)
 }
 
 // Snapshot returns key's stored tag, coded element, and value length.

@@ -303,7 +303,7 @@ func TestReadRidesThroughServerFailures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		lb.Hang(2) // crashes: never answers again, connections stay up
+		lb.hang(2) // crashes: never answers again, connections stay up
 		r := mustReader(t, "r1", codec, lb.Conns())
 		res, err := r.Read(ctx, testKey)
 		if err != nil {
@@ -526,8 +526,8 @@ func TestReadNeverGoesBackwards(t *testing.T) {
 	// f of the k holders die. The one survivor (server 2) is in every
 	// n-f=7 initial quorum, so R2's target stays t2: it must block
 	// rather than return the old tag...
-	lb.Hang(0)
-	lb.Hang(1)
+	lb.hang(0)
+	lb.hang(1)
 	r2 := mustReaderOn(t, "r2", &Config{Codec: codec, Conns: lb.Conns(), F: 2})
 	type outcome struct {
 		res ReadResult
@@ -630,8 +630,8 @@ func TestSodaErrReadNamesCorruptServers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		lb.Hang(7)
-		lb.Hang(8)
+		lb.hang(7)
+		lb.hang(8)
 		lb.Corrupt(1, FlipByte(0))
 		lb.Corrupt(5, FlipByte(2))
 		// n-f = 7 = k+2e responses: erasures 2, errors 2, radius
@@ -1087,4 +1087,32 @@ func TestHoldLooksAgainAfterCollect(t *testing.T) {
 	if r == found || r != s.lookup("k", false) {
 		t.Error("after collect: hold locked the register found before it, not the namespace's")
 	}
+}
+
+// readerCount returns the number of readers registered on key.
+func (s *Server) readerCount(key string) int {
+	r := s.lookup(key, false)
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.readers)
+}
+
+// add is addLocked behind the lock.
+func (st *readState) add(d Delivery) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.addLocked(d)
+}
+
+// hang silently crashes server i: it stops answering but connections
+// do not fail. Its registered readers are likewise dropped, and told
+// nothing.
+func (l *Loopback) hang(i int) {
+	l.mu.Lock()
+	l.hung[i].Store(true)
+	l.mu.Unlock()
+	l.servers[i].Load().dropAll(nil)
 }

@@ -52,15 +52,6 @@ func ListenAndServe(core *Server, addr string) (*NetServer, error) {
 // Addr returns the listener's address, for building client conns.
 func (ns *NetServer) Addr() string { return ns.ln.Addr().String() }
 
-// numConns returns the number of client connections currently open —
-// how tests prove the mux transport really multiplexes instead of
-// dialing.
-func (ns *NetServer) numConns() int {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return len(ns.conns)
-}
-
 // Close stops the listener, disconnects every client (unregistering
 // their readers), and waits for the handlers to finish. The state
 // machine itself survives — a NetServer can model a server that

@@ -521,3 +521,12 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 		t.Fatalf("Write with one dead address: %v", err)
 	}
 }
+
+// numConns returns the number of client connections currently open —
+// how tests prove the mux transport really multiplexes instead of
+// dialing.
+func (ns *NetServer) numConns() int {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	return len(ns.conns)
+}

@@ -527,25 +527,3 @@ func (w *wal) powerCut() {
 		w.err = errWALClosed
 	}
 }
-
-// tearWALTail chops n bytes off the end of the last nonempty segment —
-// the torn-final-record injection: a record the server believed written
-// but the disk only half-kept. Recovery must detect it by checksum,
-// truncate it, and never replay it.
-func tearWALTail(dir string, n int64) error {
-	segs, err := walSegments(dir)
-	if err != nil {
-		return err
-	}
-	for i := len(segs) - 1; i >= 0; i-- {
-		st, err := os.Stat(segs[i].path)
-		if err != nil {
-			return err
-		}
-		if st.Size() == 0 {
-			continue
-		}
-		return os.Truncate(segs[i].path, max(st.Size()-n, 0))
-	}
-	return fmt.Errorf("soda: no wal bytes to tear in %s", dir)
-}
