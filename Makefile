@@ -28,9 +28,12 @@ test:
 # test-durability is the fault-injection lane: the WAL/snapshot/
 # recovery battery (power cuts at every byte offset, torn records, a
 # power cut losing no acked put, not even one in a segment created just
-# before it, the kill-recover-rejoin soak) under the race detector.
+# before it) under the race detector; then the kill-rejoin soak's
+# recover cases (power cut, WAL replay, readmit), whose name the first
+# pattern does not match.
 test-durability:
 	$(GO) test -race -run 'WAL|Snapshot|Recover|PowerCut|Fsync|Torn|Durable' ./internal/soda/
+	$(GO) test -race -run '^TestKillRepairRejoinSoak$$/^recover' ./internal/soda/
 
 # test-reconfig is the online-reconfiguration lane: epoch admission,
 # cross-epoch quorum rejection, live grow/shrink migration, the WAL'd
@@ -51,9 +54,14 @@ test-repair:
 # NetServer behind it — frames queued to one writer per socket by callers
 # and by legs, the write-stall deadline on both ends, a server killed
 # mid-phase, reader-dones riding the next frame — three times over under
-# the race detector.
+# the race detector. Then the sockets rows of the paper-claim tests the
+# socket-only copies folded into (cluster_test.go): go test -run matches
+# a pattern level by level, so rows one case further down take an
+# invocation of their own.
 test-transport:
 	$(GO) test -race -count=3 -run 'Mux|TCP|Stall|ConnWriter' ./internal/soda/
+	$(GO) test -race -count=3 -run '^(TestWriteReadRoundTrip|TestMultiKeyRoundTrip|TestRelayStream)$$/^sockets$$' ./internal/soda/
+	$(GO) test -race -count=3 -run '^(TestReadRidesThroughServerFailures|TestPendingReadEndsOnTheFlip)$$/./^sockets$$' ./internal/soda/
 
 # test-legs is the client-pass lane: the raw / wrapped / mixed conn-set
 # differentials, a conn that answers every exchange later, test hooks,
@@ -94,15 +102,23 @@ vet:
 # every analyzer also sees the portable kernel files (kernel_noasm.go)
 # and testonly counts what only that build calls. sodavet is built once
 # for the host; `go run` under GOARCH=arm64 would build a binary this
-# machine cannot run. Then the analyzers' golden-fixture tests, and the
-# golden list of lint:ignore directives. Suppress a finding with
-# `//lint:ignore <rule> <reason>`; the reason is mandatory and reviewed
-# like code.
+# machine cannot run. Each run also lists the lint:ignore directives it
+# loaded; their union must equal internal/lint/testdata/directives.txt,
+# so a new suppression shows up as a reviewed diff of that file
+# (`make lint UPDATE=1` rewrites it). Then the analyzers' golden-fixture
+# tests, which read nothing outside internal/lint and so stay cached.
+# Suppress a finding with `//lint:ignore <rule> <reason>`; the reason is
+# mandatory and reviewed like code.
 lint:
 	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
 		$(GO) build -o "$$bin/sodavet" ./cmd/sodavet && \
-		"$$bin/sodavet" ./... && \
-		GOARCH=arm64 "$$bin/sodavet" ./...
+		"$$bin/sodavet" -directives "$$bin/host" ./... && \
+		GOARCH=arm64 "$$bin/sodavet" -directives "$$bin/arm64" ./... && \
+		LC_ALL=C sort -u "$$bin/host" "$$bin/arm64" > "$$bin/directives" && \
+		if [ -n "$(UPDATE)" ]; then cp "$$bin/directives" internal/lint/testdata/directives.txt; fi && \
+		if ! diff -u internal/lint/testdata/directives.txt "$$bin/directives"; then \
+			echo "lint:ignore directives changed; review them, then rerun with UPDATE=1"; exit 1; \
+		fi
 	$(GO) test ./internal/lint/
 
 # loc prints what the working tree adds to and removes from PARENT in

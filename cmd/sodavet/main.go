@@ -8,11 +8,18 @@
 //
 // Usage:
 //
-//	sodavet [-json] [-rules atomicmix,errwrap] [-list] [packages...]
+//	sodavet [-json] [-rules atomicmix,errwrap] [-list] [-directives file] [packages...]
 //
-// Packages default to ./... relative to the module root (found by
-// walking up from the working directory). Exit status: 0 clean,
+// A package pattern is resolved as go vet resolves it: "./..." and "."
+// against the working directory, any other as a path under the module
+// root (found by walking up from the working directory). With no
+// pattern, every package of the module. Exit status: 0 clean,
 // 1 findings, 2 usage or load failure.
+//
+// -directives also writes every well-formed lint:ignore directive of
+// the selected packages to file, one "file: rule: reason" line each,
+// sorted: `make lint` compares that list with
+// internal/lint/testdata/directives.txt.
 //
 // Suppress a finding at one site with
 //
@@ -38,6 +45,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	list := flag.Bool("list", false, "list registered analyzers and exit")
+	directives := flag.String("directives", "", "also write the selected packages' lint:ignore directives to this `file`")
 	flag.Parse()
 
 	if *list {
@@ -74,6 +82,14 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sodavet:", err)
 		os.Exit(2)
+	}
+
+	if *directives != "" {
+		list := strings.Join(lint.Directives(pkgs, root), "\n") + "\n"
+		if err := os.WriteFile(*directives, []byte(list), 0o644); err != nil {
+			fmt.Fprintln(os.Stderr, "sodavet:", err)
+			os.Exit(2)
+		}
 	}
 
 	diags := lint.Run(pkgs, analyzers)

@@ -84,31 +84,6 @@ func TestMulSliceAliasing(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randSlice(rng, 33)
-	b := randSlice(rng, 33)
-	var want byte
-	for i := range a {
-		want ^= Mul(a[i], b[i])
-	}
-	if got := dot(a, b); got != want {
-		t.Fatalf("dot = %#x, want %#x", got, want)
-	}
-	if dot(nil, nil) != 0 {
-		t.Fatal("dot of empty slices should be 0")
-	}
-}
-
-func TestDotLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dot with mismatched lengths should panic")
-		}
-	}()
-	dot(make([]byte, 2), make([]byte, 3))
-}
-
 func benchSlices(size int) (dst, src []byte) {
 	rng := rand.New(rand.NewSource(5))
 	dst = make([]byte, size)
@@ -212,19 +187,4 @@ func mulAddSliceScalar(c byte, dst, src []byte) {
 			dst[i] ^= expTable[lc+int(logTable[s])]
 		}
 	}
-}
-
-// dot returns the inner product sum_i a[i]*b[i] in GF(2^8). The slices
-// must have equal length.
-func dot(a, b []byte) byte {
-	if len(a) != len(b) {
-		panic("gf256: dot length mismatch")
-	}
-	var acc byte
-	for i, x := range a {
-		if x != 0 && b[i] != 0 {
-			acc ^= expTable[int(logTable[x])+int(logTable[b[i]])]
-		}
-	}
-	return acc
 }

@@ -144,5 +144,10 @@ func TestTestOnlyFixture(t *testing.T)   { runFixture(t, "testonly", TestOnly) }
 // TestSuppressFixture runs the full suite over a fixture whose
 // directives suppress two of four identical findings: the two
 // suppressed lines must stay silent, the uncovered and
-// wrong-rule-covered lines must still fire.
-func TestSuppressFixture(t *testing.T) { runFixture(t, "suppress", All...) }
+// wrong-rule-covered lines must still fire. Run with errwrap alone
+// (sodavet -rules errwrap), the directive naming epochframe is still
+// well formed: a directive may name any registered rule.
+func TestSuppressFixture(t *testing.T) {
+	runFixture(t, "suppress", All...)
+	runFixture(t, "suppress", ErrWrap)
+}

@@ -107,14 +107,21 @@ func (p *Package) diag(pos token.Pos, rule, format string, args ...any) Diagnost
 	}
 }
 
+// registered is the set of rule names a lint:ignore directive may name:
+// every analyzer in All, whichever of them a run selects.
+func registered() map[string]bool {
+	known := make(map[string]bool, len(All))
+	for _, a := range All {
+		known[a.Name] = true
+	}
+	return known
+}
+
 // Run executes the analyzers over every package, applies lint:ignore
 // suppression, validates the directives themselves, and returns the
 // surviving findings sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
+	known := registered()
 	var out []Diagnostic
 	for _, p := range pkgs {
 		var pd []Diagnostic

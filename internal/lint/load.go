@@ -41,16 +41,17 @@ type pkgNode struct {
 
 // LoadModule loads every package of the module rooted at root (the
 // directory containing go.mod) and returns typechecked Packages for
-// the ones selected by patterns. Patterns are "./..." (everything,
-// also the default), "./dir/..." (subtree), or "./dir" (one package),
-// cleaned as go vet cleans them. A selected package comes with its
-// in-package _test.go files, and its external test package (package
-// foo_test) comes as a Package of its own, its path suffixed "_test".
-// Every
-// package is loaded, selected or not, so typechecking is complete and
-// testonly counts the references of the whole module. The walk does
-// not stop at a nested go.mod: bench/, a module of its own that
-// replaces this one, loads as repro/bench, and its uses count.
+// the ones selected by patterns: "./..." (the working directory's
+// subtree), "./dir/..." (a subtree under it), "./dir" (one package) or a
+// package's path, resolved and cleaned as go vet resolves and cleans them
+// (see selectPackages); with none, every package. A selected package
+// comes with its in-package _test.go files, and its external test
+// package (package foo_test) comes as a Package of its own, its path
+// suffixed "_test". Every package is loaded, selected or not, so
+// typechecking is complete and testonly counts the references of the
+// whole module. The walk does not stop at a nested go.mod: bench/, a
+// module of its own that replaces this one, loads as repro/bench, and
+// its uses count.
 func LoadModule(root string, patterns []string) ([]*Package, error) {
 	disableCgo()
 	root, err := filepath.Abs(root)
@@ -106,7 +107,15 @@ func LoadModule(root string, patterns []string) ([]*Package, error) {
 		return nil, fmt.Errorf("lint: no Go packages under %s", root)
 	}
 
-	selected, err := selectPackages(nodes, modPath, patterns)
+	wd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	dir, err := filepath.Rel(root, wd)
+	if err != nil {
+		return nil, err
+	}
+	selected, err := selectPackages(nodes, modPath, filepath.ToSlash(dir), patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -281,16 +290,26 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s", gomod)
 }
 
-// selectPackages resolves CLI patterns to a set of import paths. A
-// pattern is cleaned first, as go vet cleans it: "./internal/soda/" and
-// "internal/soda" name the same package.
-func selectPackages(nodes map[string]*pkgNode, modPath string, patterns []string) (map[string]bool, error) {
+// selectPackages resolves CLI patterns to a set of import paths, as go
+// vet resolves them: a pattern that starts with "." or ".." is relative
+// to dir, the working directory's path from the module root ("." at the
+// root), and any other names a package by its import path or by its
+// path under the module root. A pattern is cleaned first:
+// "./internal/soda/" and "internal/soda" name the same package. No
+// pattern selects every package.
+func selectPackages(nodes map[string]*pkgNode, modPath, dir string, patterns []string) (map[string]bool, error) {
 	sel := make(map[string]bool, len(nodes))
 	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+		patterns = []string{modPath + "/..."}
 	}
 	for _, orig := range patterns {
-		pat := path.Clean(filepath.ToSlash(orig))
+		pat := filepath.ToSlash(orig)
+		relative := pat == "." || pat == ".." || strings.HasPrefix(pat, "./") || strings.HasPrefix(pat, "../")
+		if pat = path.Clean(pat); relative {
+			if pat = path.Join(dir, pat); pat == ".." || strings.HasPrefix(pat, "../") {
+				return nil, fmt.Errorf("lint: pattern %q is outside the module", orig)
+			}
+		}
 		ellipsis := pat == "..." || strings.HasSuffix(pat, "/...")
 		if ellipsis {
 			pat = path.Dir(pat)
@@ -305,7 +324,7 @@ func selectPackages(nodes map[string]*pkgNode, modPath string, patterns []string
 		}
 		matched := false
 		for candidate := range nodes {
-			if candidate == ip || (ellipsis && (ip == modPath || strings.HasPrefix(candidate, ip+"/"))) {
+			if candidate == ip || (ellipsis && strings.HasPrefix(candidate, ip+"/")) {
 				sel[candidate] = true
 				matched = true
 			}

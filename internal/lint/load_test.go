@@ -8,32 +8,38 @@ import (
 
 // TestSelectPackages pins pattern matching against go vet's: a pattern
 // is cleaned before it is matched, so a trailing slash or a missing
-// "./" names the same package, and a pattern that names no package is
-// still an error.
+// "./" names the same package; a pattern that starts with "." is
+// resolved against the working directory; and a pattern that names no
+// package is still an error.
 func TestSelectPackages(t *testing.T) {
 	nodes := make(map[string]*pkgNode)
 	for _, ip := range []string{"repro", "repro/internal/soda", "repro/internal/sodax", "repro/internal/rs"} {
 		nodes[ip] = &pkgNode{importPath: ip}
 	}
 	for _, tc := range []struct {
-		pattern string
-		want    []string // nil: an error
+		dir, pattern string   // dir: the working directory under the module root
+		want         []string // nil: an error
 	}{
-		{"./internal/soda", []string{"repro/internal/soda"}},
-		{"./internal/soda/", []string{"repro/internal/soda"}},
-		{"internal/soda/", []string{"repro/internal/soda"}},
-		{"./internal/soda/...", []string{"repro/internal/soda"}},
-		{"./internal/nosuch", nil},
+		{".", "./internal/soda", []string{"repro/internal/soda"}},
+		{".", "./internal/soda/", []string{"repro/internal/soda"}},
+		{".", "internal/soda/", []string{"repro/internal/soda"}},
+		{".", "./internal/soda/...", []string{"repro/internal/soda"}},
+		{".", "./internal/nosuch", nil},
+		{"internal/soda", ".", []string{"repro/internal/soda"}},
+		{"internal/soda", "./...", []string{"repro/internal/soda"}},
+		{"internal/soda", "../rs", []string{"repro/internal/rs"}},
+		{"internal/soda", "internal/rs", []string{"repro/internal/rs"}},
+		{"internal/soda", "../../..", nil},
 	} {
-		sel, err := selectPackages(nodes, "repro", []string{tc.pattern})
+		sel, err := selectPackages(nodes, "repro", tc.dir, []string{tc.pattern})
 		if tc.want == nil {
 			if err == nil {
-				t.Errorf("%q: selected %v, want an error", tc.pattern, sel)
+				t.Errorf("%q from %s: selected %v, want an error", tc.pattern, tc.dir, sel)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("%q: %v", tc.pattern, err)
+			t.Errorf("%q from %s: %v", tc.pattern, tc.dir, err)
 			continue
 		}
 		var got []string
@@ -42,7 +48,7 @@ func TestSelectPackages(t *testing.T) {
 		}
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%q selects %v, want %v", tc.pattern, got, tc.want)
+			t.Errorf("%q from %s selects %v, want %v", tc.pattern, tc.dir, got, tc.want)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/ast"
+	"path/filepath"
+	"sort"
 	"strings"
 )
 
@@ -17,9 +19,10 @@ import (
 // Malformed directives are reported under rule "lint" and cannot
 // themselves be suppressed.
 type suppression struct {
-	rule string
-	file string
-	line int // the directive's line; also covers line+1
+	rule   string
+	reason string
+	file   string
+	line   int // the directive's line; also covers line+1
 }
 
 // suppressions scans a package's comments for lint:ignore directives,
@@ -52,11 +55,32 @@ func suppressions(p *Package, known map[string]bool) ([]suppression, []Diagnosti
 						"lint:ignore %s needs a non-empty reason", rule))
 					continue
 				}
-				sups = append(sups, suppression{rule: rule, file: pos.Filename, line: pos.Line})
+				reason := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(text), rule))
+				sups = append(sups, suppression{rule: rule, reason: reason, file: pos.Filename, line: pos.Line})
 			}
 		}
 	}
 	return sups, bad
+}
+
+// Directives lists the well-formed lint:ignore directives of pkgs, one
+// "file: rule: reason" line each, file relative to root, sorted. `make
+// lint` compares the list with testdata/directives.txt, so a new
+// suppression shows up as a reviewed diff of that file.
+func Directives(pkgs []*Package, root string) []string {
+	var lines []string
+	for _, p := range pkgs {
+		sups, _ := suppressions(p, registered())
+		for _, s := range sups {
+			file := s.file
+			if rel, err := filepath.Rel(root, file); err == nil {
+				file = filepath.ToSlash(rel)
+			}
+			lines = append(lines, file+": "+s.rule+": "+s.reason)
+		}
+	}
+	sort.Strings(lines)
+	return lines
 }
 
 // filterSuppressed drops diagnostics covered by a directive. The

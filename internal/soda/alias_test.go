@@ -959,10 +959,7 @@ func TestWholeOpAllocCeilings(t *testing.T) {
 	}
 	ctx := testCtx(t)
 	loopback := func(t *testing.T) []Conn { return NewLoopback(5).Conns() }
-	sockets := func(t *testing.T) []Conn {
-		conns, _ := startTCPCluster(t, 5)
-		return conns
-	}
+	sockets := func(t *testing.T) []Conn { return on("sockets", 0).cluster(t, 5, 3).conns() }
 	for _, tc := range []struct {
 		name                string
 		conns               func(t *testing.T) []Conn

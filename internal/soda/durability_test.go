@@ -6,26 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 )
-
-// newDurableCluster is newCluster with persistent nodes: each server
-// logs to its own directory under a fresh TempDir, FsyncAlways.
-func newDurableCluster(t *testing.T, n, k int) (*Codec, *Loopback) {
-	t.Helper()
-	codec, err := NewCodec(n, k)
-	if err != nil {
-		t.Fatalf("NewCodec(%d,%d): %v", n, k, err)
-	}
-	lb, err := NewDurableLoopback(n, t.TempDir())
-	if err != nil {
-		t.Fatalf("NewDurableLoopback: %v", err)
-	}
-	t.Cleanup(func() { lb.CloseServers() })
-	return codec, lb
-}
 
 func TestWALRecordRoundTrip(t *testing.T) {
 	recs := []walRecord{
@@ -396,191 +379,82 @@ func TestPowerCutKeepsAFreshSegment(t *testing.T) {
 // identical to the instant of the cut, with no Repairer running and
 // no donor contacted — and rejoins quorums through Membership.Readmit.
 func TestPowerCutRecoverNoDonorRepair(t *testing.T) {
-	ctx := testCtx(t)
-	codec, lb := newDurableCluster(t, 5, 3)
-	m := NewMembership(5)
-	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
+	forRows(t, powerCut|recoverDisk, func(t *testing.T, r row) {
+		ctx := testCtx(t)
+		c := r.cluster(t, 5, 3)
+		codec := c.codec
+		m := NewMembership(5)
+		w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: c.conns(), F: -1, Membership: m})
 
-	v1 := []byte("written before the cut")
-	if _, err := w.Write(ctx, testKey, v1); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-
-	lb.PowerCut(2)
-	m.MarkSuspect(2, ErrServerDown)
-	// The crashed state machine is frozen; capture what the node must
-	// come back as.
-	wantTag, wantElem, wantVLen := lb.Server(2).Snapshot(testKey)
-	if wantTag.IsZero() {
-		t.Fatal("server 2 never held the write")
-	}
-
-	// The cluster keeps going through the hole; server 2 misses this.
-	v2 := []byte("written during the outage")
-	tag2, err := w.Write(ctx, testKey, v2)
-	if err != nil {
-		t.Fatalf("Write during outage: %v", err)
-	}
-
-	s2, err := lb.Recover(2)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	// Identical to the crashed state: recovery came from the disk
-	// alone. (No Repairer exists in this test, so a matching tag can
-	// only have been replayed, not donated.)
-	gotTag, gotElem, gotVLen := s2.Snapshot(testKey)
-	if gotTag != wantTag || !bytes.Equal(gotElem, wantElem) || gotVLen != wantVLen {
-		t.Fatalf("recovered state = %v %d bytes vlen %d, want the crashed %v %d bytes vlen %d",
-			gotTag, len(gotElem), gotVLen, wantTag, len(wantElem), wantVLen)
-	}
-	if got := s2.MetricsSnapshot().Recoveries; got != 1 {
-		t.Fatalf("Recoveries = %d, want 1", got)
-	}
-
-	// FsyncAlways held everything acked, so direct readmission is safe.
-	if !m.Readmit(2) {
-		t.Fatalf("Readmit(2) failed from health %v", m.Health(2))
-	}
-	if !m.IsLive(2) {
-		t.Fatalf("server 2 health = %v after Readmit", m.Health(2))
-	}
-
-	// The readmitted server participates: reads see the outage-era
-	// write, and the next write lands on all five servers.
-	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
-	res, err := r.Read(ctx, testKey)
-	if err != nil {
-		t.Fatalf("Read after readmit: %v", err)
-	}
-	if res.Tag != tag2 || !bytes.Equal(res.Value, v2) {
-		t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag2, v2)
-	}
-	v3 := []byte("written after the rejoin")
-	tag3, err := w.Write(ctx, testKey, v3)
-	if err != nil {
-		t.Fatalf("Write after rejoin: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if tag, _, _ := lb.Server(2).Snapshot(testKey); tag == tag3 {
-			break
+		v1 := []byte("written before the cut")
+		if _, err := w.Write(ctx, testKey, v1); err != nil {
+			t.Fatalf("Write: %v", err)
 		}
-		if time.Now().After(deadline) {
-			tag, _, _ := lb.Server(2).Snapshot(testKey)
-			t.Fatalf("server 2 never received the post-rejoin write: at %v, want %v", tag, tag3)
+
+		c.powerCut(2)
+		m.MarkSuspect(2, ErrServerDown)
+		// The crashed state machine is frozen; capture what the node must
+		// come back as.
+		wantTag, wantElem, wantVLen := c.server(2).Snapshot(testKey)
+		if wantTag.IsZero() {
+			t.Fatal("server 2 never held the write")
 		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
-// TestKillRecoverRejoinSoak is the durable twin of the repair soak:
-// repeated power-cut → recover-from-disk → Readmit cycles racing
-// concurrent multi-writer multi-reader traffic, with NO Repairer —
-// every rejoin is the node's own WAL — and the whole history checked
-// for atomicity.
-func TestKillRecoverRejoinSoak(t *testing.T) {
-	ctx := testCtx(t)
-	codec, lb := newDurableCluster(t, 9, 3)
-	m := NewMembership(9)
-
-	h := &history{}
-	stop := make(chan struct{})
-	const writers, readers, minOps = 2, 2, 10
-	var wg sync.WaitGroup
-	for wi := 0; wi < writers; wi++ {
-		w := mustWriterOn(t, fmt.Sprintf("w%d", wi), &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
-		wg.Add(1)
-		go func(wi int, w *Writer) {
-			defer wg.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					if j >= minOps {
-						return
-					}
-				default:
-				}
-				value := fmt.Sprintf("w%d-%d", wi, j)
-				inv := h.begin()
-				tag, err := w.Write(ctx, testKey, []byte(value))
-				if err != nil {
-					t.Errorf("writer %d op %d: %v", wi, j, err)
-					return
-				}
-				h.end(true, inv, tag, value)
-			}
-		}(wi, w)
-	}
-	for ri := 0; ri < readers; ri++ {
-		r := mustReaderOn(t, fmt.Sprintf("r%d", ri), &Config{Codec: codec, Conns: lb.Conns(), F: 2, E: 2, Membership: m})
-		wg.Add(1)
-		go func(ri int, r *Reader) {
-			defer wg.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					if j >= minOps {
-						return
-					}
-				default:
-				}
-				inv := h.begin()
-				res, err := r.Read(ctx, testKey)
-				if err != nil {
-					t.Errorf("reader %d op %d: %v", ri, j, err)
-					return
-				}
-				h.end(false, inv, res.Tag, string(res.Value))
-			}
-		}(ri, r)
-	}
-
-	// Power-cut → recover → readmit cycles, a different server each
-	// time. Under FsyncAlways the recovered state must equal the
-	// crashed state exactly: nothing lost, nothing donated.
-	for cyc, srv := range []int{4, 7, 2} {
-		lb.PowerCut(srv)
-		m.MarkSuspect(srv, ErrServerDown)
-		time.Sleep(25 * time.Millisecond) // traffic rides through the hole
-		tagDown, _, _ := lb.Server(srv).Snapshot(testKey)
-		rec, err := lb.Recover(srv)
+		// The cluster keeps going through the hole; server 2 misses this.
+		v2 := []byte("written during the outage")
+		tag2, err := w.Write(ctx, testKey, v2)
 		if err != nil {
-			t.Fatalf("cycle %d: Recover(%d): %v", cyc, srv, err)
+			t.Fatalf("Write during outage: %v", err)
 		}
-		tagUp, _, _ := rec.Snapshot(testKey)
-		if tagUp != tagDown {
-			t.Fatalf("cycle %d: server %d recovered to %v, crashed at %v", cyc, srv, tagUp, tagDown)
-		}
-		if !m.Readmit(srv) {
-			t.Fatalf("cycle %d: Readmit(%d) failed from health %v", cyc, srv, m.Health(srv))
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	h.check(t)
 
-	// Full strength again: every server answers, and a zero-fault-
-	// budget error-locating read across all nine finds nothing corrupt.
-	for i := 0; i < 9; i++ {
-		if _, err := lb.Conns()[i].GetTag(ctx, testKey); err != nil {
-			t.Fatalf("server %d does not serve after the soak: %v", i, err)
+		s2 := c.recover(2)
+		// Identical to the crashed state: recovery came from the disk
+		// alone. (No Repairer exists in this test, so a matching tag can
+		// only have been replayed, not donated.)
+		gotTag, gotElem, gotVLen := s2.Snapshot(testKey)
+		if gotTag != wantTag || !bytes.Equal(gotElem, wantElem) || gotVLen != wantVLen {
+			t.Fatalf("recovered state = %v %d bytes vlen %d, want the crashed %v %d bytes vlen %d",
+				gotTag, len(gotElem), gotVLen, wantTag, len(wantElem), wantVLen)
 		}
-	}
-	r := mustReaderOn(t, "rz", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 2})
-	res, err := r.Read(ctx, testKey)
-	if err != nil {
-		t.Fatalf("final read: %v", err)
-	}
-	if len(res.Corrupt) != 0 {
-		t.Fatalf("final read names corrupt servers: %v", res.Corrupt)
-	}
-	if res.Tag.IsZero() {
-		t.Fatal("final read returned the initial state after all that traffic")
-	}
+		if got := s2.MetricsSnapshot().Recoveries; got != 1 {
+			t.Fatalf("Recoveries = %d, want 1", got)
+		}
+
+		// FsyncAlways held everything acked, so direct readmission is safe.
+		if !m.Readmit(2) {
+			t.Fatalf("Readmit(2) failed from health %v", m.Health(2))
+		}
+		if !m.IsLive(2) {
+			t.Fatalf("server 2 health = %v after Readmit", m.Health(2))
+		}
+
+		// The readmitted server participates: reads see the outage-era
+		// write, and the next write lands on all five servers.
+		rd := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: c.conns(), F: -1, Membership: m})
+		res, err := rd.Read(ctx, testKey)
+		if err != nil {
+			t.Fatalf("Read after readmit: %v", err)
+		}
+		if res.Tag != tag2 || !bytes.Equal(res.Value, v2) {
+			t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag2, v2)
+		}
+		v3 := []byte("written after the rejoin")
+		tag3, err := w.Write(ctx, testKey, v3)
+		if err != nil {
+			t.Fatalf("Write after rejoin: %v", err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if tag, _, _ := c.server(2).Snapshot(testKey); tag == tag3 {
+				break
+			}
+			if time.Now().After(deadline) {
+				tag, _, _ := c.server(2).Snapshot(testKey)
+				t.Fatalf("server 2 never received the post-rejoin write: at %v, want %v", tag, tag3)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }
 
 // TestPutPastTheGateIsNotAckedAfterWALCut pins what a power cut does to

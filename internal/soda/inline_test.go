@@ -758,15 +758,7 @@ func TestPendingReadKeepsItsRegistrations(t *testing.T) {
 		return n
 	}
 	before, ids := registrations(), readSeq.Load()
-	type outcome struct {
-		res ReadResult
-		err error
-	}
-	read := make(chan outcome, 1)
-	go func() {
-		res, err := r.Read(ctx, testKey)
-		read <- outcome{res, err}
-	}()
+	read := readAsync(ctx, r, testKey)
 	waitFor(t, "the read's registration on every server", func() bool { return registrations()-before == 5 })
 	select {
 	case o := <-read:
@@ -795,19 +787,10 @@ func TestPendingReadKeepsItsRegistrations(t *testing.T) {
 // readable — and starts read, which registers with all five servers on its
 // own goroutine and is left waiting on those registrations. It returns the
 // newer write's tag, value and elements, and where the read will report.
-func pendingRead(t *testing.T, codec *Codec, lb *Loopback, read func(context.Context, string) (ReadResult, error)) (t2 Tag, v2 []byte, shards [][]byte, done <-chan error) {
-	t.Helper()
-	cores := make([]*Server, lb.Size())
-	for i := range cores {
-		cores[i] = lb.Server(i)
-	}
-	return pendingReadOn(t, codec, lb.Conns(), cores, read)
-}
-
-// pendingReadOn is pendingRead over any conns to the servers cores.
-func pendingReadOn(t *testing.T, codec *Codec, conns []Conn, cores []*Server, read func(context.Context, string) (ReadResult, error)) (t2 Tag, v2 []byte, shards [][]byte, done <-chan error) {
+func pendingRead(t *testing.T, c *cluster, read func(context.Context, string) (ReadResult, error)) (t2 Tag, v2 []byte, shards [][]byte, done <-chan error) {
 	t.Helper()
 	ctx := testCtx(t)
+	codec, conns := c.codec, c.conns()
 	w := mustWriter(t, "w", codec, conns)
 	if _, err := w.Write(ctx, testKey, []byte("written in full")); err != nil {
 		t.Fatal(err)
@@ -831,8 +814,8 @@ func pendingReadOn(t *testing.T, codec *Codec, conns []Conn, cores []*Server, re
 		ended <- err
 	}()
 	waitFor(t, "the read's registration on every server", func() bool {
-		for _, s := range cores {
-			if s.readerCount(testKey) != 1 {
+		for i := range conns {
+			if c.server(i).readerCount(testKey) != 1 {
 				return false
 			}
 		}
@@ -853,22 +836,22 @@ func pendingReadOn(t *testing.T, codec *Codec, conns []Conn, cores []*Server, re
 // can reach k elements the read ends ErrUnavailable, and does not hang.
 func TestPendingReadLosesACrashedServer(t *testing.T) {
 	checkNoLeaks(t)
-	codec, lb := newCluster(t, 5, 3)
+	c := on("memory", crash).cluster(t, 5, 3)
 	m := NewMembership(5)
-	r := mustReaderOn(t, "r", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
-	_, _, _, ended := pendingRead(t, codec, lb, r.Read)
-	lb.Crash(4)
+	r := mustReaderOn(t, "r", &Config{Codec: c.codec, Conns: c.conns(), F: -1, Membership: m})
+	_, _, _, ended := pendingRead(t, c, r.Read)
+	c.crash(4)
 	waitFor(t, "the read to report the crashed server", func() bool { return m.Health(4) == Suspect })
 	if !errors.Is(m.causeOf(4), ErrServerDown) {
 		t.Fatalf("server 4 is suspect of %v, want ErrServerDown", m.causeOf(4))
 	}
-	lb.Crash(3)
+	c.crash(3)
 	select {
 	case err := <-ended:
 		t.Fatalf("read ended (%v) with three servers up and a writer that may yet reach them", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	lb.Crash(2)
+	c.crash(2)
 	select {
 	case err := <-ended:
 		if !errors.Is(err, ErrUnavailable) || !errors.Is(err, ErrServerDown) {
@@ -880,70 +863,75 @@ func TestPendingReadLosesACrashedServer(t *testing.T) {
 }
 
 // TestPendingReadEndsOnTheFlip: every server is sealed under a waiting
-// read's registrations. A Reader on a view that never flips ends with the
-// sealed stale-epoch NACK, leaving nobody registered; one on a view, the
-// flip completed and the new configuration installed, reads again under it
-// and returns the newer write, which a third put has made readable
-// meanwhile.
+// read's registrations (on sockets, its streams, which each server ends
+// with one epoch NACK on request id 0). A Reader on a view that never
+// flips ends with the sealed stale-epoch NACK, leaving nobody registered;
+// one on a view, the flip completed and the new configuration installed,
+// reads again under it and returns the newer write, which a third put has
+// made readable meanwhile.
 func TestPendingReadEndsOnTheFlip(t *testing.T) {
-	reconfig := func(t *testing.T, lb *Loopback, op ReconfigOp) {
+	reconfig := func(t *testing.T, c *cluster, op ReconfigOp) {
 		t.Helper()
-		for i := 0; i < lb.Size(); i++ {
-			if _, err := lb.Server(i).Reconfig(op, 1, 5, 3); err != nil {
+		for i := 0; i < c.n; i++ {
+			if _, err := c.server(i).Reconfig(op, 1, 5, 3); err != nil {
 				t.Fatalf("server %d: %v", i, err)
 			}
 		}
 	}
 	t.Run("Reader", func(t *testing.T) {
-		checkNoLeaks(t)
-		codec, lb := newCluster(t, 5, 3)
-		_, _, _, ended := pendingRead(t, codec, lb, mustReader(t, "r", codec, lb.Conns()).Read)
-		reconfig(t, lb, ReconfigSeal)
-		select {
-		case err := <-ended:
-			var stale *StaleEpochError
-			if !errors.Is(err, ErrUnavailable) || !errors.As(err, &stale) || !stale.Sealed || stale.Want != 1 {
-				t.Fatalf("read sealed under its registrations ended %v, want ErrUnavailable over a sealed stale-epoch NACK wanting epoch 1", err)
+		forRows(t, 0, func(t *testing.T, r row) {
+			checkNoLeaks(t)
+			c := r.cluster(t, 5, 3)
+			_, _, _, ended := pendingRead(t, c, mustReader(t, "r", c.codec, c.conns()).Read)
+			reconfig(t, c, ReconfigSeal)
+			select {
+			case err := <-ended:
+				var stale *StaleEpochError
+				if !errors.Is(err, ErrUnavailable) || !errors.As(err, &stale) || !stale.Sealed || stale.Want != 1 {
+					t.Fatalf("read sealed under its registrations ended %v, want ErrUnavailable over a sealed stale-epoch NACK wanting epoch 1", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a read registered before the seal outlived it")
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("a read registered before the seal outlived it")
-		}
-		for i := 0; i < lb.Size(); i++ {
-			if n := lb.Server(i).readerCount(testKey); n != 0 {
-				t.Fatalf("%d readers left registered on sealed server %d", n, i)
+			for i := 0; i < c.n; i++ {
+				if n := c.server(i).readerCount(testKey); n != 0 {
+					t.Fatalf("%d readers left registered on sealed server %d", n, i)
+				}
 			}
-		}
+		})
 	})
 	t.Run("ViewReader", func(t *testing.T) {
-		checkNoLeaks(t)
-		ctx := testCtx(t)
-		codec, lb := newCluster(t, 5, 3)
-		view, err := NewConfigView(&Config{Codec: codec, Conns: lb.Conns(), F: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		er, err := view.Reader("r")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t2, v2, shards, ended := pendingRead(t, codec, lb, er.Read)
-		reconfig(t, lb, ReconfigSeal)
-		reconfig(t, lb, ReconfigActivate)
-		next := lb.ConnsAt(1, 5)
-		if err := next[2].PutData(ctx, testKey, t2, shards[2], len(v2)); err != nil {
-			t.Fatal(err)
-		}
-		if err := view.Install(&Config{Codec: codec, Conns: next, F: -1}); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-ended:
+		forRows(t, 0, func(t *testing.T, r row) {
+			checkNoLeaks(t)
+			ctx := testCtx(t)
+			c := r.cluster(t, 5, 3)
+			view, err := NewConfigView(&Config{Codec: c.codec, Conns: c.conns(), F: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("a Reader flipped under its registrations did not read again under its view's new Config")
-		}
+			er, err := view.Reader("r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t2, v2, shards, ended := pendingRead(t, c, er.Read)
+			reconfig(t, c, ReconfigSeal)
+			reconfig(t, c, ReconfigActivate)
+			next := c.connsAt(1, 5)
+			if err := next[2].PutData(ctx, testKey, t2, shards[2], len(v2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := view.Install(&Config{Codec: c.codec, Conns: next, F: -1}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-ended:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a Reader flipped under its registrations did not read again under its view's new Config")
+			}
+		})
 	})
 }
 
@@ -1280,12 +1268,9 @@ func TestLegsOnlyForWrappedConns(t *testing.T) {
 		checkNoLeaks(t)
 		const held = 2
 		ctx := testCtx(t)
-		codec, err := NewCodec(5, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns, servers := startTCPCluster(t, 5)
-		mc, core := conns[held].(*MuxConn), servers[held].core
+		c := on("sockets", 0).cluster(t, 5, 3)
+		codec, conns := c.codec, c.conns()
+		mc, core := conns[held].(*MuxConn), c.server(held)
 		w := mustWriter(t, "w", codec, conns)
 		r := mustReader(t, "r", codec, conns)
 		// Primed by a writer that waits for every ack: w's returns on four
@@ -1296,8 +1281,8 @@ func TestLegsOnlyForWrappedConns(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitFor(t, "the first write on every server", func() bool {
-			for _, ns := range servers {
-				if ns.core.MetricsSnapshot().PutDatas != 1 {
+			for i := range conns {
+				if c.server(i).MetricsSnapshot().PutDatas != 1 {
 					return false
 				}
 			}
@@ -1615,15 +1600,7 @@ func TestAnswerLaterStartsNothing(t *testing.T) {
 		}
 	}
 
-	type outcome struct {
-		res ReadResult
-		err error
-	}
-	read := make(chan outcome, 1)
-	go func() {
-		res, err := r.Read(ctx, testKey)
-		read <- outcome{res, err}
-	}()
+	read := readAsync(ctx, r, testKey)
 	asks := set.pending(t, msgGetData, 5)
 	for _, a := range asks[:late] {
 		set.answer(t, a)

@@ -1,7 +1,10 @@
 package soda
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,96 +99,141 @@ func (h *history) check(t *testing.T) {
 			t.Fatalf("read returned unwritten tag %v", r.tag)
 		}
 	}
-	for _, a := range h.ops {
-		for _, b := range h.ops {
-			if a.resp >= b.inv { // a does not precede b
-				continue
-			}
+	// The real-time rules, each checked against the largest tag of its
+	// kind among the operations that precede b (responded before b was
+	// invoked): ops sorted by response, with running maxima, so a long
+	// soak's history is checked in O(n log n), not pair by pair.
+	byResp := slices.Clone(h.ops)
+	slices.SortFunc(byResp, func(a, b opRec) int { return cmp.Compare(a.resp, b.resp) })
+	maxW := make([]int, len(byResp)) // index of the largest write tag in byResp[:i+1], or -1
+	maxR := make([]int, len(byResp)) // the same for reads
+	for i, op := range byResp {
+		w, r := -1, -1
+		if i > 0 {
+			w, r = maxW[i-1], maxR[i-1]
+		}
+		if op.write && (w < 0 || byResp[w].tag.Less(op.tag)) {
+			w = i
+		} else if !op.write && (r < 0 || byResp[r].tag.Less(op.tag)) {
+			r = i
+		}
+		maxW[i], maxR[i] = w, r
+	}
+	for _, b := range h.ops {
+		n, _ := slices.BinarySearchFunc(byResp, b.inv, func(a opRec, inv uint64) int { return cmp.Compare(a.resp, inv) })
+		if n == 0 {
+			continue // nothing precedes b
+		}
+		if w := maxW[n-1]; w >= 0 {
+			a := byResp[w]
 			switch {
-			case a.write && b.write && !a.tag.Less(b.tag):
+			case b.write && !a.tag.Less(b.tag):
 				t.Fatalf("write order violation: %v (tag %v) precedes %v (tag %v)", a, a.tag, b, b.tag)
-			case a.write && !b.write && b.tag.Less(a.tag):
+			case !b.write && b.tag.Less(a.tag):
 				t.Fatalf("read missed a completed write: write %v precedes read %v", a.tag, b.tag)
-			case !a.write && !b.write && b.tag.Less(a.tag):
-				t.Fatalf("reads went backwards: %v then %v", a.tag, b.tag)
 			}
 		}
+		if r := maxR[n-1]; r >= 0 && !b.write && b.tag.Less(byResp[r].tag) {
+			t.Fatalf("reads went backwards: %v then %v", byResp[r].tag, b.tag)
+		}
 	}
+}
+
+// traffic runs ws and rs concurrently — writer wi's op j on
+// keys[(wi+j)%len(keys)], reader ri's on keys[(3ri+j)%len(keys)] — with
+// every op recorded in its key's history, for as long as more(j) holds
+// before op j. wait returns once every client has stopped.
+func traffic(t *testing.T, ctx context.Context, ws []*Writer, rs []*Reader, keys []string, more func(j int) bool) (hs map[string]*history, wait func()) {
+	hs = make(map[string]*history, len(keys))
+	for _, key := range keys {
+		hs[key] = &history{}
+	}
+	var wg sync.WaitGroup
+	for wi, w := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; more(j); j++ {
+				key := keys[(wi+j)%len(keys)]
+				value := fmt.Sprintf("%s=w%d-%d", key, wi, j)
+				inv := hs[key].begin()
+				tag, err := w.Write(ctx, key, []byte(value))
+				if err != nil {
+					t.Errorf("writer %d op %d on %s: %v", wi, j, key, err)
+					return
+				}
+				hs[key].end(true, inv, tag, value)
+			}
+		}()
+	}
+	for ri, r := range rs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; more(j); j++ {
+				key := keys[(ri*3+j)%len(keys)]
+				inv := hs[key].begin()
+				res, err := r.Read(ctx, key)
+				if err != nil {
+					t.Errorf("reader %d op %d on %s: %v", ri, j, key, err)
+					return
+				}
+				hs[key].end(false, inv, res.Tag, string(res.Value))
+			}
+		}()
+	}
+	return hs, wg.Wait
 }
 
 // runLinearizability drives concurrent writers and readers against a
 // cluster and checks the recorded history.
 // Readers read at rcfg's F and E.
-func runLinearizability(t *testing.T, codec *Codec, lb *Loopback, writers, readers, opsEach int, rcfg Config) {
+func runLinearizability(t *testing.T, c *cluster, writers, readers, opsEach int, rcfg Config) {
 	t.Helper()
-	ctx := testCtx(t)
-	h := &history{}
-	var wg sync.WaitGroup
-	for wi := 0; wi < writers; wi++ {
-		w := mustWriter(t, fmt.Sprintf("w%d", wi), codec, lb.Conns())
-		wg.Add(1)
-		go func(wi int, w *Writer) {
-			defer wg.Done()
-			for j := 0; j < opsEach; j++ {
-				value := fmt.Sprintf("w%d-%d", wi, j)
-				inv := h.begin()
-				tag, err := w.Write(ctx, testKey, []byte(value))
-				if err != nil {
-					t.Errorf("writer %d: %v", wi, err)
-					return
-				}
-				h.end(true, inv, tag, value)
-			}
-		}(wi, w)
+	ws, rs := make([]*Writer, writers), make([]*Reader, readers)
+	for i := range ws {
+		ws[i] = mustWriter(t, fmt.Sprintf("w%d", i), c.codec, c.conns())
 	}
-	for ri := 0; ri < readers; ri++ {
-		r := mustReaderOn(t, fmt.Sprintf("r%d", ri), &Config{Codec: codec, Conns: lb.Conns(), F: rcfg.F, E: rcfg.E})
-		wg.Add(1)
-		go func(ri int, r *Reader) {
-			defer wg.Done()
-			for j := 0; j < opsEach; j++ {
-				inv := h.begin()
-				res, err := r.Read(ctx, testKey)
-				if err != nil {
-					t.Errorf("reader %d: %v", ri, err)
-					return
-				}
-				h.end(false, inv, res.Tag, string(res.Value))
-			}
-		}(ri, r)
+	for i := range rs {
+		rs[i] = mustReaderOn(t, fmt.Sprintf("r%d", i), &Config{Codec: c.codec, Conns: c.conns(), F: rcfg.F, E: rcfg.E})
 	}
-	wg.Wait()
+	hs, wait := traffic(t, testCtx(t), ws, rs, []string{testKey}, func(j int) bool { return j < opsEach })
+	wait()
 	if t.Failed() {
 		return
 	}
+	h := hs[testKey]
 	h.check(t)
-	wrote := writers * opsEach
-	if got := len(h.ops); got != wrote+readers*opsEach {
+	if got := len(h.ops); got != (writers+readers)*opsEach {
 		t.Fatalf("recorded %d ops", got)
 	}
 }
 
 // TestLinearizability runs concurrent multi-writer multi-reader
-// traffic on the loopback transport and checks atomicity of the
-// recorded history.
+// traffic and checks atomicity of the recorded history.
 func TestLinearizability(t *testing.T) {
-	codec, lb := newCluster(t, 5, 3)
-	runLinearizability(t, codec, lb, 3, 3, 15, Config{F: -1})
+	forRows(t, 0, func(t *testing.T, r row) {
+		runLinearizability(t, r.cluster(t, 5, 3), 3, 3, 15, Config{F: -1})
+	})
 }
 
 // TestLinearizabilityWithFault repeats the check with one server
 // silently crashed the whole time — the protocol's f=1 budget.
 func TestLinearizabilityWithFault(t *testing.T) {
-	codec, lb := newCluster(t, 5, 3)
-	lb.hang(3)
-	runLinearizability(t, codec, lb, 2, 2, 10, Config{F: -1})
+	forRows(t, hang, func(t *testing.T, r row) {
+		c := r.cluster(t, 5, 3)
+		c.hang(3)
+		runLinearizability(t, c, 2, 2, 10, Config{F: -1})
+	})
 }
 
 // TestLinearizabilityErrReader runs the checker with SODA_err readers
 // and a corrupt server: corruption must not be able to break
 // atomicity, only show up in the corrupt report.
 func TestLinearizabilityErrReader(t *testing.T) {
-	codec, lb := newCluster(t, 5, 3)
-	lb.Corrupt(1, FlipByte(0))
-	runLinearizability(t, codec, lb, 2, 2, 10, Config{F: 0, E: 1})
+	forRows(t, corrupt, func(t *testing.T, r row) {
+		c := r.cluster(t, 5, 3)
+		c.corrupt(1, FlipByte(0))
+		runLinearizability(t, c, 2, 2, 10, Config{F: 0, E: 1})
+	})
 }

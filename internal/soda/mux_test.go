@@ -484,185 +484,6 @@ func TestMuxRedialsAfterServerRestart(t *testing.T) {
 	}
 }
 
-// TestMuxEndToEndCluster runs the full protocol stack — Writer and
-// Reader quorums, relay-completed reads — over a 5-server TCP cluster
-// on persistent multiplexed connections, and proves the whole run used
-// exactly one connection per server.
-func TestMuxEndToEndCluster(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, err := NewCodec(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs, servers := startTCPServers(t, 5)
-	conns := TCPMuxConns(addrs)
-	defer CloseConns(conns)
-	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: conns, F: 0}) // every server must list every key below
-	r := mustReader(t, "r1", codec, conns)
-
-	keys := []string{"alpha", "beta", "gamma"}
-	tags := make(map[string]Tag)
-	for round := 0; round < 3; round++ {
-		for _, key := range keys {
-			v := []byte(fmt.Sprintf("%s-%d", key, round))
-			tag, err := w.Write(ctx, key, v)
-			if err != nil {
-				t.Fatalf("Write(%s, %d): %v", key, round, err)
-			}
-			tags[key] = tag
-			res, err := r.Read(ctx, key)
-			if err != nil {
-				t.Fatalf("Read(%s, %d): %v", key, round, err)
-			}
-			if res.Tag != tag || !bytes.Equal(res.Value, v) {
-				t.Fatalf("Read(%s) = %v %q, want %v %q", key, res.Tag, res.Value, tag, v)
-			}
-		}
-	}
-	for i, s := range servers {
-		if n := s.numConns(); n != 1 {
-			t.Fatalf("server %d saw %d connections across the whole run, want 1", i, n)
-		}
-		if keys, err := conns[i].Keys(ctx); err != nil || len(keys) != 3 {
-			t.Fatalf("server %d Keys = %v, %v", i, keys, err)
-		}
-	}
-}
-
-// TestMultiKeyKillRepairRejoinSoak is the namespace-scale version of
-// the kill-repair-rejoin proof: concurrent writers and readers over
-// MANY keys, servers crashing and rejoining mid-traffic, the
-// anti-entropy loop healing every key it finds via the key-union scan,
-// and a per-key linearizability check over the full history. Run under
-// -race in CI.
-func TestMultiKeyKillRepairRejoinSoak(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 9, 3)
-	m := NewMembership(9)
-	rp := mustRepairer(t, codec, lb.Conns(), m,
-		withRepairBackoff(backoff{base: 2 * time.Millisecond, max: 50 * time.Millisecond}))
-
-	rpCtx, rpCancel := context.WithCancel(ctx)
-	rpDone := make(chan struct{})
-	go func() {
-		defer close(rpDone)
-		rp.Run(rpCtx)
-	}()
-	defer func() {
-		rpCancel()
-		<-rpDone
-	}()
-
-	keys := make([]string, 6)
-	hs := make(map[string]*history, len(keys))
-	for i := range keys {
-		keys[i] = fmt.Sprintf("soak/key-%02d", i)
-		hs[keys[i]] = &history{}
-	}
-
-	stop := make(chan struct{})
-	const writers, readers, minOps = 2, 2, 18
-	var wg sync.WaitGroup
-	for wi := 0; wi < writers; wi++ {
-		w := mustWriterOn(t, fmt.Sprintf("w%d", wi), &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
-		wg.Add(1)
-		go func(wi int, w *Writer) {
-			defer wg.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					if j >= minOps {
-						return
-					}
-				default:
-				}
-				key := keys[(wi+j)%len(keys)]
-				h := hs[key]
-				value := fmt.Sprintf("%s=w%d-%d", key, wi, j)
-				inv := h.begin()
-				tag, err := w.Write(ctx, key, []byte(value))
-				if err != nil {
-					t.Errorf("writer %d op %d on %s: %v", wi, j, key, err)
-					return
-				}
-				h.end(true, inv, tag, value)
-			}
-		}(wi, w)
-	}
-	for ri := 0; ri < readers; ri++ {
-		r := mustReaderOn(t, fmt.Sprintf("r%d", ri), &Config{Codec: codec, Conns: lb.Conns(), F: 2, E: 2, Membership: m})
-		wg.Add(1)
-		go func(ri int, r *Reader) {
-			defer wg.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					if j >= minOps {
-						return
-					}
-				default:
-				}
-				key := keys[(ri*3+j)%len(keys)]
-				h := hs[key]
-				inv := h.begin()
-				res, err := r.Read(ctx, key)
-				if err != nil {
-					t.Errorf("reader %d op %d on %s: %v", ri, j, key, err)
-					return
-				}
-				h.end(false, inv, res.Tag, string(res.Value))
-			}
-		}(ri, r)
-	}
-
-	// Kill-repair-rejoin cycles, a different server each time; the
-	// repair loop must heal every key the dead server missed, not just
-	// one register.
-	for cyc, s := range []int{4, 7, 2} {
-		lb.Crash(s)
-		m.MarkSuspect(s, ErrServerDown)
-		time.Sleep(25 * time.Millisecond) // traffic rides through the hole
-		lb.Restart(s)
-		actx, acancel := context.WithTimeout(ctx, 15*time.Second)
-		err := m.AwaitLive(actx, s)
-		acancel()
-		if err != nil {
-			t.Fatalf("cycle %d: server %d never repaired: %v (health %v, cause %v)",
-				cyc, s, err, m.Health(s), m.causeOf(s))
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	for _, key := range keys {
-		hs[key].check(t)
-		if t.Failed() {
-			t.Fatalf("linearizability violated on key %s", key)
-		}
-	}
-
-	// After the dust settles every server holds every written key at a
-	// tag no older than the completed writes require; spot-check that
-	// the namespace healed by reading each key at full strength.
-	r := mustReaderOn(t, "rz", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 2})
-	for _, key := range keys {
-		res, err := r.Read(ctx, key)
-		if err != nil {
-			t.Fatalf("final read of %s: %v", key, err)
-		}
-		if len(res.Corrupt) != 0 {
-			t.Fatalf("final read of %s names corrupt servers: %v", key, res.Corrupt)
-		}
-		if res.Tag.IsZero() {
-			t.Fatalf("final read of %s returned the initial state after the soak", key)
-		}
-	}
-}
-
 // waitNoReaders polls until the server holds zero registrations on
 // key — teardown is asynchronous with the client call returning.
 func waitNoReaders(t *testing.T, s *Server, key string) {
@@ -765,44 +586,6 @@ func TestMuxStreamCleanupOnServerLoss(t *testing.T) {
 	c.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("client still tracks %d streams after session death", n)
-	}
-}
-
-// TestMuxPendingReadEndsOnTheFlip is TestPendingReadEndsOnTheFlip's Reader
-// over sockets: every server's core is sealed under a read left waiting on
-// its streams, which each server ends with one epoch NACK on request id 0.
-// The read ends with the sealed stale-epoch NACK and nobody is left
-// registered.
-func TestMuxPendingReadEndsOnTheFlip(t *testing.T) {
-	checkNoLeaks(t)
-	codec, err := NewCodec(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns, servers := startTCPCluster(t, 5)
-	cores := make([]*Server, len(servers))
-	for i, ns := range servers {
-		cores[i] = ns.core
-	}
-	_, _, _, ended := pendingReadOn(t, codec, conns, cores, mustReader(t, "r", codec, conns).Read)
-	for i, s := range cores {
-		if _, err := s.Reconfig(ReconfigSeal, 1, 5, 3); err != nil {
-			t.Fatalf("server %d: %v", i, err)
-		}
-	}
-	select {
-	case err := <-ended:
-		var stale *StaleEpochError
-		if !errors.Is(err, ErrUnavailable) || !errors.As(err, &stale) || !stale.Sealed || stale.Want != 1 {
-			t.Fatalf("read sealed under its streams ended %v, want ErrUnavailable over a sealed stale-epoch NACK wanting epoch 1", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a read whose streams were opened before the seal outlived it")
-	}
-	for i, s := range cores {
-		if n := s.readerCount(testKey); n != 0 {
-			t.Fatalf("%d readers left registered on sealed server %d", n, i)
-		}
 	}
 }
 
@@ -1094,11 +877,8 @@ func TestMuxSteadyStateStartsNothing(t *testing.T) {
 	checkNoLeaks(t)
 	const ops = 200
 	ctx := testCtx(t)
-	codec, err := NewCodec(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns, servers := startTCPCluster(t, 5)
+	c := on("sockets", 0).cluster(t, 5, 3)
+	codec, conns := c.codec, c.conns()
 	raw := slices.Clone(conns)
 	w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: conns, F: 0})
 	r := mustReader(t, "r", codec, conns)
@@ -1144,8 +924,8 @@ func TestMuxSteadyStateStartsNothing(t *testing.T) {
 	}
 	// An idle conn set: the last read's reader-dones leave on their own.
 	deadline := time.Now().Add(50 * time.Millisecond)
-	for i := 0; i < len(servers); {
-		if servers[i].core.MetricsSnapshot().Registrations == 0 {
+	for i := 0; i < c.n; {
+		if c.server(i).MetricsSnapshot().Registrations == 0 {
 			i++
 		} else if time.Now().After(deadline) {
 			t.Fatalf("server %d still holds a registration 50 ms after the last read", i)
@@ -1223,12 +1003,8 @@ func TestMuxCallerSentVsLegsSequential(t *testing.T) {
 	}
 	overSockets := func(wrap func([]Conn) []Conn) func(*testing.T) ([]Conn, []*Server) {
 		return func(t *testing.T) ([]Conn, []*Server) {
-			conns, servers := startTCPCluster(t, 5)
-			cores := make([]*Server, len(servers))
-			for i, ns := range servers {
-				cores[i] = ns.core
-			}
-			return wrap(conns), cores
+			c := on("sockets", 0).cluster(t, 5, 3)
+			return wrap(c.conns()), c.cores
 		}
 	}
 	oneSocket := func(t *testing.T) ([]Conn, []*Server) {

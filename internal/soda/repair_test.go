@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -144,61 +144,64 @@ func TestRepairPutNeverRollsBack(t *testing.T) {
 // cycle: a server crashes, misses a write, restarts stale, and one
 // repair round brings it to the newest tag and readmits it.
 func TestRepairRestoresCrashedServer(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3)
-	m := NewMembership(5)
-	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
-	rp := mustRepairer(t, codec, lb.Conns(), m)
+	forRows(t, crash|restart, func(t *testing.T, r row) {
+		checkNoLeaks(t)
+		ctx := testCtx(t)
+		c := r.cluster(t, 5, 3)
+		codec := c.codec
+		m := NewMembership(5)
+		w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: c.conns(), F: -1, Membership: m})
+		rp := mustRepairer(t, codec, c.conns(), m)
 
-	if _, err := w.Write(ctx, testKey, []byte("version one")); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	lb.Crash(4)
-	m.MarkSuspect(4, ErrServerDown)
+		if _, err := w.Write(ctx, testKey, []byte("version one")); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		c.crash(4)
+		m.MarkSuspect(4, ErrServerDown)
 
-	v2 := []byte("version two, missed by server 4")
-	tag2, err := w.Write(ctx, testKey, v2)
-	if err != nil {
-		t.Fatalf("Write around the crash: %v", err)
-	}
+		v2 := []byte("version two, missed by server 4")
+		tag2, err := w.Write(ctx, testKey, v2)
+		if err != nil {
+			t.Fatalf("Write around the crash: %v", err)
+		}
 
-	// Repair cannot reach a still-down server; the attempt fails and
-	// the server stays quarantined.
-	if _, err := rp.RepairOnce(ctx, 4); err == nil {
-		t.Fatal("RepairOnce succeeded against a down server")
-	}
-	if m.IsLive(4) {
-		t.Fatal("failed repair readmitted the server")
-	}
+		// Repair cannot reach a still-down server; the attempt fails and
+		// the server stays quarantined.
+		if _, err := rp.RepairOnce(ctx, 4); err == nil {
+			t.Fatal("RepairOnce succeeded against a down server")
+		}
+		if m.IsLive(4) {
+			t.Fatal("failed repair readmitted the server")
+		}
 
-	lb.Restart(4)
-	out, err := rp.RepairOnce(ctx, 4)
-	if err != nil {
-		t.Fatalf("RepairOnce: %v", err)
-	}
-	if out != RepairInstalled {
-		t.Fatalf("outcome = %v, want installed", out)
-	}
-	shards2, _ := codec.EncodeValue(v2)
-	tag, elem, vlen := lb.Server(4).Snapshot(testKey)
-	if tag != tag2 || vlen != len(v2) || !bytes.Equal(elem, shards2[4]) {
-		t.Fatalf("server 4 after repair: %v vlen %d", tag, vlen)
-	}
-	if !m.IsLive(4) {
-		t.Fatal("repaired server not readmitted")
-	}
+		c.restart(4)
+		out, err := rp.RepairOnce(ctx, 4)
+		if err != nil {
+			t.Fatalf("RepairOnce: %v", err)
+		}
+		if out != RepairInstalled {
+			t.Fatalf("outcome = %v, want installed", out)
+		}
+		shards2, _ := codec.EncodeValue(v2)
+		tag, elem, vlen := c.server(4).Snapshot(testKey)
+		if tag != tag2 || vlen != len(v2) || !bytes.Equal(elem, shards2[4]) {
+			t.Fatalf("server 4 after repair: %v vlen %d", tag, vlen)
+		}
+		if !m.IsLive(4) {
+			t.Fatal("repaired server not readmitted")
+		}
 
-	// The healed server serves full-strength SODA_err reads: all 5
-	// respond and nothing is corrupt.
-	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 1, Membership: m})
-	res, err := r.Read(ctx, testKey)
-	if err != nil {
-		t.Fatalf("Read after repair: %v", err)
-	}
-	if res.Tag != tag2 || !bytes.Equal(res.Value, v2) || len(res.Corrupt) != 0 {
-		t.Fatalf("Read after repair = %v %q corrupt %v", res.Tag, res.Value, res.Corrupt)
-	}
+		// The healed server serves full-strength SODA_err reads: all 5
+		// respond and nothing is corrupt.
+		rd := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: c.conns(), F: 0, E: 1, Membership: m})
+		res, err := rd.Read(ctx, testKey)
+		if err != nil {
+			t.Fatalf("Read after repair: %v", err)
+		}
+		if res.Tag != tag2 || !bytes.Equal(res.Value, v2) || len(res.Corrupt) != 0 {
+			t.Fatalf("Read after repair = %v %q corrupt %v", res.Tag, res.Value, res.Corrupt)
+		}
+	})
 }
 
 // fakeClock is a clock the test moves by hand: now is a fixed instant
@@ -322,19 +325,22 @@ func TestRepairLoopWakesForEachCause(t *testing.T) {
 // nothing to regenerate; repair degenerates into a reachability probe
 // and readmits it.
 func TestRepairEmptyRegister(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3)
-	m := NewMembership(5)
-	rp := mustRepairer(t, codec, lb.Conns(), m)
-	m.MarkSuspect(2, errors.New("operator hunch"))
-	out, err := rp.RepairOnce(ctx, 2)
-	if err != nil {
-		t.Fatalf("RepairOnce: %v", err)
-	}
-	if out != RepairEmptyRegister || !m.IsLive(2) {
-		t.Fatalf("outcome = %v, live = %v", out, m.IsLive(2))
-	}
+	forRows(t, 0, func(t *testing.T, r row) {
+		checkNoLeaks(t)
+		ctx := testCtx(t)
+		c := r.cluster(t, 5, 3)
+		codec := c.codec
+		m := NewMembership(5)
+		rp := mustRepairer(t, codec, c.conns(), m)
+		m.MarkSuspect(2, errors.New("operator hunch"))
+		out, err := rp.RepairOnce(ctx, 2)
+		if err != nil {
+			t.Fatalf("RepairOnce: %v", err)
+		}
+		if out != RepairEmptyRegister || !m.IsLive(2) {
+			t.Fatalf("outcome = %v, live = %v", out, m.IsLive(2))
+		}
+	})
 }
 
 // TestRepairAlreadyCurrent: the suspect holds a newer tag than any
@@ -342,39 +348,42 @@ func TestRepairEmptyRegister(t *testing.T) {
 // not completed). Repair must not roll it back; the rejected install
 // doubles as a health probe and the server is readmitted.
 func TestRepairAlreadyCurrent(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3)
-	conns := lb.Conns()
-	m := NewMembership(5)
-	rp := mustRepairer(t, codec, lb.Conns(), m)
-	w := mustWriter(t, "w1", codec, lb.Conns())
-	v1 := []byte("complete everywhere")
-	tag1, err := w.Write(ctx, testKey, v1)
-	if err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	// A half-applied newer write reaches only the future suspect.
-	t2 := Tag{TS: tag1.TS + 1, Writer: "w2"}
-	v2 := []byte("ahead of the pack")
-	shards2, _ := codec.EncodeValue(v2)
-	if err := conns[4].PutData(ctx, testKey, t2, shards2[4], len(v2)); err != nil {
-		t.Fatalf("PutData: %v", err)
-	}
-	m.MarkSuspect(4, errors.New("false alarm"))
-	out, err := rp.RepairOnce(ctx, 4)
-	if err != nil {
-		t.Fatalf("RepairOnce: %v", err)
-	}
-	if out != RepairAlreadyCurrent {
-		t.Fatalf("outcome = %v, want already-current", out)
-	}
-	if tag, _, _ := lb.Server(4).Snapshot(testKey); tag != t2 {
-		t.Fatalf("repair rolled the server back to %v", tag)
-	}
-	if !m.IsLive(4) {
-		t.Fatal("healthy server not readmitted")
-	}
+	forRows(t, 0, func(t *testing.T, r row) {
+		checkNoLeaks(t)
+		ctx := testCtx(t)
+		c := r.cluster(t, 5, 3)
+		codec := c.codec
+		conns := c.conns()
+		m := NewMembership(5)
+		rp := mustRepairer(t, codec, c.conns(), m)
+		w := mustWriter(t, "w1", codec, c.conns())
+		v1 := []byte("complete everywhere")
+		tag1, err := w.Write(ctx, testKey, v1)
+		if err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		// A half-applied newer write reaches only the future suspect.
+		t2 := Tag{TS: tag1.TS + 1, Writer: "w2"}
+		v2 := []byte("ahead of the pack")
+		shards2, _ := codec.EncodeValue(v2)
+		if err := conns[4].PutData(ctx, testKey, t2, shards2[4], len(v2)); err != nil {
+			t.Fatalf("PutData: %v", err)
+		}
+		m.MarkSuspect(4, errors.New("false alarm"))
+		out, err := rp.RepairOnce(ctx, 4)
+		if err != nil {
+			t.Fatalf("RepairOnce: %v", err)
+		}
+		if out != RepairAlreadyCurrent {
+			t.Fatalf("outcome = %v, want already-current", out)
+		}
+		if tag, _, _ := c.server(4).Snapshot(testKey); tag != t2 {
+			t.Fatalf("repair rolled the server back to %v", tag)
+		}
+		if !m.IsLive(4) {
+			t.Fatal("healthy server not readmitted")
+		}
+	})
 }
 
 // TestRepairRacesTornWrite: repair runs while a newer write is applied
@@ -383,62 +392,65 @@ func TestRepairAlreadyCurrent(t *testing.T) {
 // never the torn one, and never anything below the suspect's current
 // tag — and the torn write still completes afterwards.
 func TestRepairRacesTornWrite(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 9, 3)
-	conns := lb.Conns()
-	m := NewMembership(9)
-	rp := mustRepairer(t, codec, lb.Conns(), m)
-	w := mustWriter(t, "w1", codec, lb.Conns())
+	forRows(t, crash|restart, func(t *testing.T, r row) {
+		checkNoLeaks(t)
+		ctx := testCtx(t)
+		c := r.cluster(t, 9, 3)
+		codec := c.codec
+		conns := c.conns()
+		m := NewMembership(9)
+		rp := mustRepairer(t, codec, c.conns(), m)
+		w := mustWriter(t, "w1", codec, c.conns())
 
-	v1 := []byte("the last complete version")
-	tag1, err := w.Write(ctx, testKey, v1)
-	if err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	lb.Crash(8)
-	m.MarkSuspect(8, ErrServerDown)
-	lb.Restart(8)
-
-	// The torn write: t2 lands on a minority (2 < k) before the writer
-	// stalls, racing the repair of server 8.
-	t2 := Tag{TS: tag1.TS + 1, Writer: "w2"}
-	v2 := []byte("torn, in flight")
-	shards2, _ := codec.EncodeValue(v2)
-	for _, i := range []int{0, 1} {
-		if err := conns[i].PutData(ctx, testKey, t2, shards2[i], len(v2)); err != nil {
-			t.Fatalf("PutData(%d): %v", i, err)
+		v1 := []byte("the last complete version")
+		tag1, err := w.Write(ctx, testKey, v1)
+		if err != nil {
+			t.Fatalf("Write: %v", err)
 		}
-	}
+		c.crash(8)
+		m.MarkSuspect(8, ErrServerDown)
+		c.restart(8)
 
-	out, err := rp.RepairOnce(ctx, 8)
-	if err != nil {
-		t.Fatalf("RepairOnce: %v", err)
-	}
-	if out != RepairInstalled {
-		t.Fatalf("outcome = %v", out)
-	}
-	shards1, _ := codec.EncodeValue(v1)
-	tag, elem, _ := lb.Server(8).Snapshot(testKey)
-	if tag != tag1 || !bytes.Equal(elem, shards1[8]) {
-		t.Fatalf("repair installed %v, want the complete version %v (torn %v must lose)", tag, tag1, t2)
-	}
-
-	// The torn write completes; the healed server takes it like any
-	// other and a read returns it.
-	for i := 2; i < 9; i++ {
-		if err := conns[i].PutData(ctx, testKey, t2, shards2[i], len(v2)); err != nil {
-			t.Fatalf("PutData(%d): %v", i, err)
+		// The torn write: t2 lands on a minority (2 < k) before the writer
+		// stalls, racing the repair of server 8.
+		t2 := Tag{TS: tag1.TS + 1, Writer: "w2"}
+		v2 := []byte("torn, in flight")
+		shards2, _ := codec.EncodeValue(v2)
+		for _, i := range []int{0, 1} {
+			if err := conns[i].PutData(ctx, testKey, t2, shards2[i], len(v2)); err != nil {
+				t.Fatalf("PutData(%d): %v", i, err)
+			}
 		}
-	}
-	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
-	res, err := r.Read(ctx, testKey)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if res.Tag != t2 || !bytes.Equal(res.Value, v2) {
-		t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, t2, v2)
-	}
+
+		out, err := rp.RepairOnce(ctx, 8)
+		if err != nil {
+			t.Fatalf("RepairOnce: %v", err)
+		}
+		if out != RepairInstalled {
+			t.Fatalf("outcome = %v", out)
+		}
+		shards1, _ := codec.EncodeValue(v1)
+		tag, elem, _ := c.server(8).Snapshot(testKey)
+		if tag != tag1 || !bytes.Equal(elem, shards1[8]) {
+			t.Fatalf("repair installed %v, want the complete version %v (torn %v must lose)", tag, tag1, t2)
+		}
+
+		// The torn write completes; the healed server takes it like any
+		// other and a read returns it.
+		for i := 2; i < 9; i++ {
+			if err := conns[i].PutData(ctx, testKey, t2, shards2[i], len(v2)); err != nil {
+				t.Fatalf("PutData(%d): %v", i, err)
+			}
+		}
+		rd := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: c.conns(), F: -1, Membership: m})
+		res, err := rd.Read(ctx, testKey)
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if res.Tag != t2 || !bytes.Equal(res.Value, v2) {
+			t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, t2, v2)
+		}
+	})
 }
 
 // lyingVLenConn is a donor that reports a bogus value length for its
@@ -561,74 +573,69 @@ func TestRepairDetectsCorruptDonor(t *testing.T) {
 // relayed through the server's registration — the "catches up readers
 // it missed" half of readmission.
 func TestRejoinMidReadCompletedByRepairRelay(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3)
-	conns := lb.Conns()
-	w := mustWriter(t, "w1", codec, conns)
-	tag1, err := w.Write(ctx, testKey, []byte("v1"))
-	if err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	// v2 lands on servers 0..3 by hand — a writer's own put-data
-	// stragglers could race the restart below and leak the element onto
-	// server 4, deflating the test.
-	v2 := []byte("written while 4 was down")
-	tag2 := tag1.Next("w2")
-	shards2, _ := codec.EncodeValue(v2)
-	for i := 0; i < 4; i++ {
-		if err := conns[i].PutData(ctx, testKey, tag2, shards2[i], len(v2)); err != nil {
-			t.Fatalf("PutData(%d): %v", i, err)
+	forRows(t, crash|restart, func(t *testing.T, r row) {
+		checkNoLeaks(t)
+		ctx := testCtx(t)
+		c := r.cluster(t, 5, 3)
+		codec := c.codec
+		conns := c.conns()
+		w := mustWriter(t, "w1", codec, conns)
+		tag1, err := w.Write(ctx, testKey, []byte("v1"))
+		if err != nil {
+			t.Fatalf("Write: %v", err)
 		}
-	}
-	lb.Crash(4)
-	lb.Restart(4) // rejoins stale: still holds v1's element
-
-	// e=1, f=0: the read needs k+2e = 5 elements of tag2, but only 4
-	// exist until repair catches server 4 up.
-	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 1})
-	type outcome struct {
-		res ReadResult
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		res, err := r.Read(ctx, testKey)
-		resCh <- outcome{res, err}
-	}()
-	registerBy := time.Now().Add(30 * time.Second)
-	for i := 0; i < 5; i++ {
-		for lb.Server(i).readerCount(testKey) == 0 {
-			select {
-			case o := <-resCh:
-				t.Fatalf("read finished before registering everywhere: %v %v", o.res, o.err)
-			default:
+		// v2 lands on servers 0..3 by hand — a writer's own put-data
+		// stragglers could race the restart below and leak the element onto
+		// server 4, deflating the test.
+		v2 := []byte("written while 4 was down")
+		tag2 := tag1.Next("w2")
+		shards2, _ := codec.EncodeValue(v2)
+		for i := 0; i < 4; i++ {
+			if err := conns[i].PutData(ctx, testKey, tag2, shards2[i], len(v2)); err != nil {
+				t.Fatalf("PutData(%d): %v", i, err)
 			}
-			if time.Now().After(registerBy) {
-				t.Fatalf("reader never registered at server %d", i)
-			}
-			time.Sleep(time.Millisecond)
 		}
-	}
-	select {
-	case o := <-resCh:
-		t.Fatalf("read completed with only 4 elements of its target: %v %v", o.res, o.err)
-	case <-time.After(50 * time.Millisecond):
-	}
+		c.crash(4)
+		c.restart(4) // rejoins stale: still holds v1's element
 
-	m := NewMembership(5)
-	m.MarkSuspect(4, errors.New("stale after restart"))
-	rp := mustRepairer(t, codec, lb.Conns(), m)
-	if _, err := rp.RepairOnce(ctx, 4); err != nil {
-		t.Fatalf("RepairOnce: %v", err)
-	}
-	o := <-resCh
-	if o.err != nil {
-		t.Fatalf("Read: %v", o.err)
-	}
-	if o.res.Tag != tag2 || !bytes.Equal(o.res.Value, v2) || len(o.res.Corrupt) != 0 {
-		t.Fatalf("Read = %v %q corrupt %v, want %v %q", o.res.Tag, o.res.Value, o.res.Corrupt, tag2, v2)
-	}
+		// e=1, f=0: the read needs k+2e = 5 elements of tag2, but only 4
+		// exist until repair catches server 4 up.
+		rd := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: c.conns(), F: 0, E: 1})
+		resCh := readAsync(ctx, rd, testKey)
+		registerBy := time.Now().Add(30 * time.Second)
+		for i := 0; i < 5; i++ {
+			for c.server(i).readerCount(testKey) == 0 {
+				select {
+				case o := <-resCh:
+					t.Fatalf("read finished before registering everywhere: %v %v", o.res, o.err)
+				default:
+				}
+				if time.Now().After(registerBy) {
+					t.Fatalf("reader never registered at server %d", i)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		select {
+		case o := <-resCh:
+			t.Fatalf("read completed with only 4 elements of its target: %v %v", o.res, o.err)
+		case <-time.After(50 * time.Millisecond):
+		}
+
+		m := NewMembership(5)
+		m.MarkSuspect(4, errors.New("stale after restart"))
+		rp := mustRepairer(t, codec, c.conns(), m)
+		if _, err := rp.RepairOnce(ctx, 4); err != nil {
+			t.Fatalf("RepairOnce: %v", err)
+		}
+		o := <-resCh
+		if o.err != nil {
+			t.Fatalf("Read: %v", o.err)
+		}
+		if o.res.Tag != tag2 || !bytes.Equal(o.res.Value, v2) || len(o.res.Corrupt) != 0 {
+			t.Fatalf("Read = %v %q corrupt %v, want %v %q", o.res.Tag, o.res.Value, o.res.Corrupt, tag2, v2)
+		}
+	})
 }
 
 // countingConn counts get-tag and put-data RPCs per server.
@@ -652,136 +659,153 @@ func (c countingConn) PutData(ctx context.Context, key string, t Tag, elem []byt
 // budget f — and contacts them again after readmission. Quarantine
 // beyond the budget fails fast instead of waiting out the context.
 func TestWriterExcludesQuarantinedServers(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3)
-	m := NewMembership(5)
-	raw := lb.Conns()
-	conns := make([]Conn, 5)
-	gets := make([]atomic.Int64, 5)
-	puts := make([]atomic.Int64, 5)
-	for i := range raw {
-		conns[i] = countingConn{Conn: raw[i], gets: &gets[i], puts: &puts[i]}
-	}
-	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: conns, F: -1, Membership: m})
-
-	m.MarkSuspect(4, errCorruptElement)
-	if _, err := w.Write(ctx, testKey, []byte("around the quarantine")); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if gets[4].Load() != 0 || puts[4].Load() != 0 {
-		t.Fatalf("writer contacted quarantined server 4: %d gets, %d puts", gets[4].Load(), puts[4].Load())
-	}
-
-	// Readmit: the next write includes it again.
-	m.MarkRepairing(4)
-	m.MarkLive(4)
-	if _, err := w.Write(ctx, testKey, []byte("back in the quorum")); err != nil {
-		t.Fatalf("Write after readmission: %v", err)
-	}
-	// Server 4 may be the straggler whose leg is still landing when the
-	// n-f quorum returns the write.
-	for deadline := time.Now().Add(5 * time.Second); gets[4].Load() == 0 || puts[4].Load() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("writer still skipping the readmitted server")
+	forRows(t, 0, func(t *testing.T, r row) {
+		checkNoLeaks(t)
+		ctx := testCtx(t)
+		c := r.cluster(t, 5, 3)
+		codec := c.codec
+		m := NewMembership(5)
+		raw := c.conns()
+		conns := make([]Conn, 5)
+		gets := make([]atomic.Int64, 5)
+		puts := make([]atomic.Int64, 5)
+		for i := range raw {
+			conns[i] = countingConn{Conn: raw[i], gets: &gets[i], puts: &puts[i]}
 		}
-		time.Sleep(100 * time.Microsecond)
-	}
+		w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: conns, F: -1, Membership: m})
 
-	// Quarantine past the fault budget (f=1 here) fails fast.
-	m.MarkSuspect(3, errCorruptElement)
-	m.MarkSuspect(4, errCorruptElement)
-	if _, err := w.Write(ctx, testKey, []byte("doomed")); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("Write with 2 quarantined, f=1: %v, want ErrUnavailable", err)
+		m.MarkSuspect(4, errCorruptElement)
+		if _, err := w.Write(ctx, testKey, []byte("around the quarantine")); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if gets[4].Load() != 0 || puts[4].Load() != 0 {
+			t.Fatalf("writer contacted quarantined server 4: %d gets, %d puts", gets[4].Load(), puts[4].Load())
+		}
+
+		// Readmit: the next write includes it again.
+		m.MarkRepairing(4)
+		m.MarkLive(4)
+		if _, err := w.Write(ctx, testKey, []byte("back in the quorum")); err != nil {
+			t.Fatalf("Write after readmission: %v", err)
+		}
+		// Server 4 may be the straggler whose leg is still landing when the
+		// n-f quorum returns the write.
+		for deadline := time.Now().Add(5 * time.Second); gets[4].Load() == 0 || puts[4].Load() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("writer still skipping the readmitted server")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+
+		// Quarantine past the fault budget (f=1 here) fails fast.
+		m.MarkSuspect(3, errCorruptElement)
+		m.MarkSuspect(4, errCorruptElement)
+		if _, err := w.Write(ctx, testKey, []byte("doomed")); !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("Write with 2 quarantined, f=1: %v, want ErrUnavailable", err)
+		}
+	})
+}
+
+// TestKillRepairRejoinSoak is the end-to-end proof obligation: repeated
+// kill → rejoin cycles, each killing a *different* server, racing
+// concurrent multi-writer multi-reader traffic over one key or over six,
+// with every key's history checked for atomicity. Two ways back:
+//
+//   - repair: a crash, then a restart with the storage the crash left;
+//     the Repairer runs as the background anti-entropy loop it is in
+//     production, suspects arriving via the shared membership view (fed
+//     by the traffic's own transport errors plus the explicit marks
+//     below) and healed servers rejoining quorums on their own. Repair
+//     never rolls a server back.
+//   - recover (a durable node): a power cut, then the node rebuilt from
+//     its own WAL and readmitted, with no Repairer. Under FsyncAlways it
+//     comes back at exactly the tags it crashed at: nothing lost,
+//     nothing donated.
+func TestKillRepairRejoinSoak(t *testing.T) {
+	for _, keys := range []int{1, 6} {
+		t.Run(fmt.Sprintf("repair-%dkeys", keys), func(t *testing.T) {
+			forRows(t, crash|restart, func(t *testing.T, r row) {
+				checkNoLeaks(t)
+				killRejoinSoak(t, r.cluster(t, 9, 3), keys, true)
+			})
+		})
+		t.Run(fmt.Sprintf("recover-%dkeys", keys), func(t *testing.T) {
+			forRows(t, powerCut|recoverDisk, func(t *testing.T, r row) {
+				checkNoLeaks(t)
+				killRejoinSoak(t, r.cluster(t, 9, 3), keys, false)
+			})
+		})
 	}
 }
 
-// TestKillRepairRejoinSoak is the end-to-end proof obligation:
-// repeated kill → repair → rejoin cycles, each crashing a *different*
-// server, racing concurrent multi-writer multi-reader traffic, with
-// the whole history checked for atomicity. The Repairer runs as the
-// background anti-entropy loop it is in production: suspects arrive
-// via the shared membership view (fed by the traffic's own transport
-// errors plus the explicit marks below) and healed servers rejoin
-// quorums automatically.
-func TestKillRepairRejoinSoak(t *testing.T) {
-	checkNoLeaks(t)
+func killRejoinSoak(t *testing.T, c *cluster, nkeys int, repair bool) {
 	ctx := testCtx(t)
-	codec, lb := newCluster(t, 9, 3)
+	codec := c.codec
 	m := NewMembership(9)
-	rp := mustRepairer(t, codec, lb.Conns(), m,
-		withRepairBackoff(backoff{base: 2 * time.Millisecond, max: 50 * time.Millisecond}))
+	if repair {
+		rp := mustRepairer(t, codec, c.conns(), m,
+			withRepairBackoff(backoff{base: 2 * time.Millisecond, max: 50 * time.Millisecond}))
+		rpCtx, rpCancel := context.WithCancel(ctx)
+		rpDone := make(chan error, 1)
+		go func() { rpDone <- rp.Run(rpCtx) }()
+		defer func() { rpCancel(); <-rpDone }()
+	}
 
-	rpCtx, rpCancel := context.WithCancel(ctx)
-	rpDone := make(chan struct{})
-	go func() {
-		defer close(rpDone)
-		rp.Run(rpCtx)
-	}()
-	defer func() {
-		rpCancel()
-		<-rpDone
-	}()
-
-	h := &history{}
+	keys := []string{testKey}
+	if nkeys > 1 {
+		keys = make([]string, nkeys)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("soak/key-%02d", i)
+		}
+	}
+	const writers, readers, minOps = 2, 2, 18
+	ws, rs := make([]*Writer, writers), make([]*Reader, readers)
+	for i := range ws {
+		ws[i] = mustWriterOn(t, fmt.Sprintf("w%d", i), &Config{Codec: codec, Conns: c.conns(), F: -1, Membership: m})
+	}
+	for i := range rs {
+		rs[i] = mustReaderOn(t, fmt.Sprintf("r%d", i), &Config{Codec: codec, Conns: c.conns(), F: 2, E: 2, Membership: m})
+	}
 	stop := make(chan struct{})
-	const writers, readers, minOps = 2, 2, 15
-	var wg sync.WaitGroup
-	for wi := 0; wi < writers; wi++ {
-		w := mustWriterOn(t, fmt.Sprintf("w%d", wi), &Config{Codec: codec, Conns: lb.Conns(), F: -1, Membership: m})
-		wg.Add(1)
-		go func(wi int, w *Writer) {
-			defer wg.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					if j >= minOps {
-						return
-					}
-				default:
-				}
-				value := fmt.Sprintf("w%d-%d", wi, j)
-				inv := h.begin()
-				tag, err := w.Write(ctx, testKey, []byte(value))
-				if err != nil {
-					t.Errorf("writer %d op %d: %v", wi, j, err)
-					return
-				}
-				h.end(true, inv, tag, value)
-			}
-		}(wi, w)
-	}
-	for ri := 0; ri < readers; ri++ {
-		r := mustReaderOn(t, fmt.Sprintf("r%d", ri), &Config{Codec: codec, Conns: lb.Conns(), F: 2, E: 2, Membership: m})
-		wg.Add(1)
-		go func(ri int, r *Reader) {
-			defer wg.Done()
-			for j := 0; ; j++ {
-				select {
-				case <-stop:
-					if j >= minOps {
-						return
-					}
-				default:
-				}
-				inv := h.begin()
-				res, err := r.Read(ctx, testKey)
-				if err != nil {
-					t.Errorf("reader %d op %d: %v", ri, j, err)
-					return
-				}
-				h.end(false, inv, res.Tag, string(res.Value))
-			}
-		}(ri, r)
-	}
+	hs, wait := traffic(t, ctx, ws, rs, keys, func(j int) bool {
+		select {
+		case <-stop:
+			return j < minOps
+		default:
+			return true
+		}
+	})
 
-	// The kill-repair-rejoin cycles, a different server each time.
+	// The kill-rejoin cycles, a different server each time; a rejoin
+	// must bring back every key the dead server missed, not just one
+	// register.
+	tagsOf := func(s *Server) []Tag {
+		tags := make([]Tag, len(keys))
+		for i, key := range keys {
+			tags[i], _, _ = s.Snapshot(key)
+		}
+		return tags
+	}
 	for cyc, s := range []int{4, 7, 2} {
-		lb.Crash(s)
+		if repair {
+			c.crash(s)
+		} else {
+			c.powerCut(s)
+		}
 		m.MarkSuspect(s, ErrServerDown)
 		time.Sleep(25 * time.Millisecond) // traffic rides through the hole
-		tagDown, _, _ := lb.Server(s).Snapshot(testKey)
-		lb.Restart(s)
+		tagsDown := tagsOf(c.server(s))
+		if !repair {
+			tagsUp := tagsOf(c.recover(s))
+			if !slices.Equal(tagsUp, tagsDown) {
+				t.Fatalf("cycle %d: server %d recovered to %v, crashed at %v", cyc, s, tagsUp, tagsDown)
+			}
+			if !m.Readmit(s) {
+				t.Fatalf("cycle %d: Readmit(%d) failed from health %v", cyc, s, m.Health(s))
+			}
+			continue
+		}
+		c.restart(s)
 		actx, acancel := context.WithTimeout(ctx, 15*time.Second)
 		err := m.AwaitLive(actx, s)
 		acancel()
@@ -789,36 +813,47 @@ func TestKillRepairRejoinSoak(t *testing.T) {
 			t.Fatalf("cycle %d: server %d never repaired: %v (health %v, cause %v)",
 				cyc, s, err, m.Health(s), m.causeOf(s))
 		}
-		tagUp, _, _ := lb.Server(s).Snapshot(testKey)
-		if tagUp.Less(tagDown) {
-			t.Fatalf("cycle %d: repair rolled server %d back from %v to %v", cyc, s, tagDown, tagUp)
+		for i, tagUp := range tagsOf(c.server(s)) {
+			if tagUp.Less(tagsDown[i]) {
+				t.Fatalf("cycle %d: repair rolled server %d back from %v to %v on %s", cyc, s, tagsDown[i], tagUp, keys[i])
+			}
 		}
 	}
 	close(stop)
-	wg.Wait()
+	wait()
 	if t.Failed() {
 		return
 	}
-	h.check(t)
+	for _, key := range keys {
+		hs[key].check(t)
+	}
 
 	// The healed cluster at full strength: every server answers, and a
 	// zero-fault-budget SODA_err read across all nine reports nothing
-	// corrupt — formerly quarantined servers included.
-	for i := 0; i < 9; i++ {
-		if _, err := lb.Conns()[i].GetTag(ctx, testKey); err != nil {
-			t.Fatalf("server %d does not serve after the soak: %v", i, err)
+	// corrupt on any key — formerly quarantined servers included.
+	conns := c.conns()
+	rz := mustReaderOn(t, "rz", &Config{Codec: codec, Conns: conns, F: 0, E: 2})
+	for _, key := range keys {
+		for i := range conns {
+			if _, err := conns[i].GetTag(ctx, key); err != nil {
+				t.Fatalf("server %d does not serve %s after the soak: %v", i, key, err)
+			}
 		}
-	}
-	r := mustReaderOn(t, "rz", &Config{Codec: codec, Conns: lb.Conns(), F: 0, E: 2})
-	res, err := r.Read(ctx, testKey)
-	if err != nil {
-		t.Fatalf("final read: %v", err)
-	}
-	if len(res.Corrupt) != 0 {
-		t.Fatalf("final read still names corrupt servers: %v", res.Corrupt)
-	}
-	if res.Tag.IsZero() {
-		t.Fatal("final read returned the initial state after all that traffic")
+		res, err := rz.Read(ctx, key)
+		if err != nil {
+			var servers strings.Builder
+			for i := range conns {
+				tag, _, _ := c.server(i).Snapshot(key)
+				fmt.Fprintf(&servers, "\n\tserver %d: %v, holds %v", i, m.Health(i), tag)
+			}
+			t.Fatalf("final read of %s: %v%s", key, err, servers.String())
+		}
+		if len(res.Corrupt) != 0 {
+			t.Fatalf("final read of %s names corrupt servers: %v", key, res.Corrupt)
+		}
+		if res.Tag.IsZero() {
+			t.Fatalf("final read of %s returned the initial state after the soak", key)
+		}
 	}
 }
 

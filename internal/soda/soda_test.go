@@ -82,6 +82,33 @@ func mustReaderOn(t testing.TB, id string, cfg *Config) *Reader {
 	return r
 }
 
+// awaitReaders waits, for as long as it takes, until each of the first n
+// servers holds a registration on testKey.
+func awaitReaders(server func(int) *Server, n int) {
+	for i := 0; i < n; i++ {
+		for server(i).readerCount(testKey) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// readOutcome is what a read started by readAsync came to.
+type readOutcome struct {
+	res ReadResult
+	err error
+}
+
+// readAsync starts r.Read(ctx, key) on a goroutine of its own and returns
+// where it will report.
+func readAsync(ctx context.Context, r *Reader, key string) <-chan readOutcome {
+	ch := make(chan readOutcome, 1)
+	go func() {
+		res, err := r.Read(ctx, key)
+		ch <- readOutcome{res, err}
+	}()
+	return ch
+}
+
 func TestCodecValueRoundTrip(t *testing.T) {
 	codec, err := NewCodec(5, 3)
 	if err != nil {
@@ -113,78 +140,124 @@ func TestCodecValueRoundTrip(t *testing.T) {
 }
 
 // TestWriteReadRoundTrip is the protocol happy path: two-phase write,
-// then a relayed read, on a healthy loopback cluster.
+// then a relayed read, on a healthy cluster.
 func TestWriteReadRoundTrip(t *testing.T) {
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3)
-	w := mustWriter(t, "w1", codec, lb.Conns())
-	r := mustReader(t, "r1", codec, lb.Conns())
+	forRows(t, 0, func(t *testing.T, r row) {
+		ctx := testCtx(t)
+		c := r.cluster(t, 5, 3)
+		w := mustWriterOn(t, "w1", &Config{Codec: c.codec, Conns: c.conns(), F: 0}) // every server holds a write it returns
+		rd := mustReader(t, "r1", c.codec, c.conns())
 
-	v1 := []byte("SODA stores one coded element per server")
-	tag1, err := w.Write(ctx, testKey, v1)
-	if err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if tag1.TS != 1 || tag1.Writer != "w1" {
-		t.Fatalf("first write tag = %v", tag1)
-	}
-	res, err := r.Read(ctx, testKey)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if res.Tag != tag1 || !bytes.Equal(res.Value, v1) {
-		t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag1, v1)
-	}
-	if len(res.Corrupt) != 0 {
-		t.Fatalf("healthy read reported corrupt servers %v", res.Corrupt)
-	}
-
-	// A second write supersedes the first for subsequent reads.
-	v2 := []byte("second version, bigger than the first one was")
-	tag2, err := w.Write(ctx, testKey, v2)
-	if err != nil {
-		t.Fatalf("Write 2: %v", err)
-	}
-	if !tag1.Less(tag2) {
-		t.Fatalf("tags not increasing: %v then %v", tag1, tag2)
-	}
-	if res, err = r.Read(ctx, testKey); err != nil || res.Tag != tag2 || !bytes.Equal(res.Value, v2) {
-		t.Fatalf("Read 2 = %v %q (%v), want %v", res.Tag, res.Value, err, tag2)
-	}
-
-	// Every server ended up holding exactly one coded element — the
-	// storage bound the paper is named for.
-	shards, _ := codec.EncodeValue(v2)
-	for i := 0; i < 5; i++ {
-		tag, elem, vlen := lb.Server(i).Snapshot(testKey)
-		if tag != tag2 || vlen != len(v2) || !bytes.Equal(elem, shards[i]) {
-			t.Fatalf("server %d snapshot = %v vlen %d", i, tag, vlen)
+		v1 := []byte("SODA stores one coded element per server")
+		tag1, err := w.Write(ctx, testKey, v1)
+		if err != nil {
+			t.Fatalf("Write: %v", err)
 		}
-		// Unregistration is asynchronous with Read returning; give the
-		// teardown a moment.
-		deadline := time.Now().Add(2 * time.Second)
-		for lb.Server(i).readerCount(testKey) != 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("server %d still has %d registered readers", i, lb.Server(i).readerCount(testKey))
+		if tag1.TS != 1 || tag1.Writer != "w1" {
+			t.Fatalf("first write tag = %v", tag1)
+		}
+		res, err := rd.Read(ctx, testKey)
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if res.Tag != tag1 || !bytes.Equal(res.Value, v1) {
+			t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag1, v1)
+		}
+		if len(res.Corrupt) != 0 {
+			t.Fatalf("healthy read reported corrupt servers %v", res.Corrupt)
+		}
+
+		// A second write supersedes the first for subsequent reads.
+		v2 := []byte("second version, bigger than the first one was")
+		tag2, err := w.Write(ctx, testKey, v2)
+		if err != nil {
+			t.Fatalf("Write 2: %v", err)
+		}
+		if !tag1.Less(tag2) {
+			t.Fatalf("tags not increasing: %v then %v", tag1, tag2)
+		}
+		if res, err = rd.Read(ctx, testKey); err != nil || res.Tag != tag2 || !bytes.Equal(res.Value, v2) {
+			t.Fatalf("Read 2 = %v %q (%v), want %v", res.Tag, res.Value, err, tag2)
+		}
+
+		// Every server ended up holding exactly one coded element — the
+		// storage bound the paper is named for.
+		shards, _ := c.codec.EncodeValue(v2)
+		for i := 0; i < 5; i++ {
+			s := c.server(i)
+			tag, elem, vlen := s.Snapshot(testKey)
+			if tag != tag2 || vlen != len(v2) || !bytes.Equal(elem, shards[i]) {
+				t.Fatalf("server %d snapshot = %v vlen %d", i, tag, vlen)
 			}
-			time.Sleep(time.Millisecond)
+			// Unregistration is asynchronous with Read returning; give the
+			// teardown a moment.
+			deadline := time.Now().Add(2 * time.Second)
+			for s.readerCount(testKey) != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("server %d still has %d registered readers", i, s.readerCount(testKey))
+				}
+				time.Sleep(time.Millisecond)
+			}
 		}
-	}
+	})
+}
+
+// TestMultiKeyRoundTrip: writes and reads of three keys, three rounds
+// each, through one writer and one reader: every read returns the write
+// before it on its key, and every server lists the three keys. On sockets
+// the whole run takes one connection per server.
+func TestMultiKeyRoundTrip(t *testing.T) {
+	forRows(t, 0, func(t *testing.T, r row) {
+		checkNoLeaks(t)
+		ctx := testCtx(t)
+		c := r.cluster(t, 5, 3)
+		conns := c.conns()
+		w := mustWriterOn(t, "w1", &Config{Codec: c.codec, Conns: conns, F: 0}) // every server must list every key below
+		rd := mustReader(t, "r1", c.codec, conns)
+
+		keys := []string{"alpha", "beta", "gamma"}
+		for round := 0; round < 3; round++ {
+			for _, key := range keys {
+				v := []byte(fmt.Sprintf("%s-%d", key, round))
+				tag, err := w.Write(ctx, key, v)
+				if err != nil {
+					t.Fatalf("Write(%s, %d): %v", key, round, err)
+				}
+				res, err := rd.Read(ctx, key)
+				if err != nil {
+					t.Fatalf("Read(%s, %d): %v", key, round, err)
+				}
+				if res.Tag != tag || !bytes.Equal(res.Value, v) {
+					t.Fatalf("Read(%s) = %v %q, want %v %q", key, res.Tag, res.Value, tag, v)
+				}
+			}
+		}
+		for i := range conns {
+			if keys, err := conns[i].Keys(ctx); err != nil || len(keys) != 3 {
+				t.Fatalf("server %d Keys = %v, %v", i, keys, err)
+			}
+			if c.ns != nil {
+				if n := c.ns[i].numConns(); n != 1 {
+					t.Fatalf("server %d saw %d connections across the whole run, want 1", i, n)
+				}
+			}
+		}
+	})
 }
 
 // TestReadEmptyRegister: a read before any write returns the initial
 // (zero-tag, empty) value.
 func TestReadEmptyRegister(t *testing.T) {
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3)
-	r := mustReader(t, "r1", codec, lb.Conns())
-	res, err := r.Read(ctx, testKey)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !res.Tag.IsZero() || len(res.Value) != 0 {
-		t.Fatalf("empty register read = %v %q", res.Tag, res.Value)
-	}
+	forRows(t, 0, func(t *testing.T, r row) {
+		c := r.cluster(t, 5, 3)
+		res, err := mustReader(t, "r1", c.codec, c.conns()).Read(testCtx(t), testKey)
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if !res.Tag.IsZero() || len(res.Value) != 0 {
+			t.Fatalf("empty register read = %v %q", res.Tag, res.Value)
+		}
+	})
 }
 
 // diedBeforePut is the conn of a writer that dies between its phases, as
@@ -290,69 +363,107 @@ func TestWriterCrashBetweenPhases(t *testing.T) {
 }
 
 // TestReadRidesThroughServerFailures covers f server failures around
-// a read: one server silently dead before the read starts, and one
-// fail-stop crash mid-read, right after its initial response.
+// a read: one server silently dead before the read starts, one fail-stop
+// crash mid-read, right after its initial response, and one between two
+// writes, which the second write and the read after it ride through.
 func TestReadRidesThroughServerFailures(t *testing.T) {
 	ctx := testCtx(t)
 	v1 := []byte("still readable with f failures")
-
 	t.Run("silent crash before read", func(t *testing.T) {
-		codec, lb := newCluster(t, 5, 3)
-		w := mustWriter(t, "w1", codec, lb.Conns())
-		tag1, err := w.Write(ctx, testKey, v1)
-		if err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-		lb.hang(2) // crashes: never answers again, connections stay up
-		r := mustReader(t, "r1", codec, lb.Conns())
-		res, err := r.Read(ctx, testKey)
-		if err != nil {
-			t.Fatalf("Read with a hung server: %v", err)
-		}
-		if res.Tag != tag1 || !bytes.Equal(res.Value, v1) {
-			t.Fatalf("Read = %v %q", res.Tag, res.Value)
-		}
+		forRows(t, hang, func(t *testing.T, r row) {
+			c := r.cluster(t, 5, 3)
+			w := mustWriter(t, "w1", c.codec, c.conns())
+			tag1, err := w.Write(ctx, testKey, v1)
+			if err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+			c.hang(2) // crashes: never answers again, connections stay up
+			res, err := mustReader(t, "r1", c.codec, c.conns()).Read(ctx, testKey)
+			if err != nil {
+				t.Fatalf("Read with a hung server: %v", err)
+			}
+			if res.Tag != tag1 || !bytes.Equal(res.Value, v1) {
+				t.Fatalf("Read = %v %q", res.Tag, res.Value)
+			}
+		})
 	})
 
 	t.Run("fail-stop crash mid-read", func(t *testing.T) {
-		codec, lb := newCluster(t, 5, 3)
-		w := mustWriter(t, "w1", codec, lb.Conns())
-		tag1, err := w.Write(ctx, testKey, v1)
-		if err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-		// The moment server 2's initial response reaches the reader,
-		// kill server 2: the crash is concurrent with the read, after
-		// the response is on the wire.
-		lb.OnDeliver(func(server int, _, _ string, d Delivery) {
-			if server == 2 && d.Initial {
-				lb.Crash(2)
+		forRows(t, crash|deliverHook, func(t *testing.T, r row) {
+			c := r.cluster(t, 5, 3)
+			w := mustWriter(t, "w1", c.codec, c.conns())
+			tag1, err := w.Write(ctx, testKey, v1)
+			if err != nil {
+				t.Fatalf("Write: %v", err)
 			}
+			// The moment server 2's initial response reaches the reader,
+			// kill server 2: the crash is concurrent with the read, after
+			// the response is on the wire.
+			c.onDeliver(func(server int, _, _ string, d Delivery) {
+				if server == 2 && d.Initial {
+					c.crash(2)
+				}
+			})
+			res, err := mustReader(t, "r1", c.codec, c.conns()).Read(ctx, testKey)
+			if err != nil {
+				t.Fatalf("Read with a mid-read crash: %v", err)
+			}
+			if res.Tag != tag1 || !bytes.Equal(res.Value, v1) {
+				t.Fatalf("Read = %v %q", res.Tag, res.Value)
+			}
+			// The read may have returned on the other four before server 2's
+			// leg delivered; the leg still lands, and the hook with it.
+			waitFor(t, "the hook to crash server 2", func() bool {
+				_, err := c.conns()[2].GetTag(ctx, testKey)
+				return err == ErrServerDown
+			})
 		})
-		r := mustReader(t, "r1", codec, lb.Conns())
-		res, err := r.Read(ctx, testKey)
-		if err != nil {
-			t.Fatalf("Read with a mid-read crash: %v", err)
-		}
-		if res.Tag != tag1 || !bytes.Equal(res.Value, v1) {
-			t.Fatalf("Read = %v %q", res.Tag, res.Value)
-		}
-		// The read may have returned on the other four before server 2's
-		// leg delivered; the leg still lands, and the hook with it.
-		waitFor(t, "the hook to crash server 2", func() bool {
-			_, err := lb.Conns()[2].GetTag(ctx, testKey)
-			return err == ErrServerDown
+	})
+
+	t.Run("fail-stop crash between writes", func(t *testing.T) {
+		forRows(t, crash, func(t *testing.T, r row) {
+			checkNoLeaks(t)
+			c := r.cluster(t, 5, 3)
+			conns := c.conns()
+			w := mustWriter(t, "w1", c.codec, conns)
+			rd := mustReader(t, "r1", c.codec, conns)
+			tag1, err := w.Write(ctx, testKey, v1)
+			if err != nil {
+				t.Fatalf("Write: %v", err)
+			}
+			res, err := rd.Read(ctx, testKey)
+			if err != nil {
+				t.Fatalf("Read: %v", err)
+			}
+			if res.Tag != tag1 || !bytes.Equal(res.Value, v1) {
+				t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag1, v1)
+			}
+			c.crash(0) // on sockets: connections are refused from here on
+			v2 := []byte("written around the crashed server")
+			tag2, err := w.Write(ctx, testKey, v2)
+			if err != nil {
+				t.Fatalf("Write after crash: %v", err)
+			}
+			res, err = rd.Read(ctx, testKey)
+			if err != nil {
+				t.Fatalf("Read after crash: %v", err)
+			}
+			if res.Tag != tag2 || !bytes.Equal(res.Value, v2) {
+				t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag2, v2)
+			}
 		})
 	})
 
 	t.Run("too many failures fails fast", func(t *testing.T) {
-		codec, lb := newCluster(t, 5, 3)
-		lb.Crash(0)
-		lb.Crash(1)
-		r := mustReader(t, "r1", codec, lb.Conns()) // f = 1
-		if _, err := r.Read(ctx, testKey); err == nil {
-			t.Fatal("Read with 2 crashed servers and f=1 succeeded")
-		}
+		forRows(t, crash, func(t *testing.T, r row) {
+			c := r.cluster(t, 5, 3)
+			c.crash(0)
+			c.crash(1)
+			rd := mustReader(t, "r1", c.codec, c.conns()) // f = 1
+			if _, err := rd.Read(ctx, testKey); err == nil {
+				t.Fatal("Read with 2 crashed servers and f=1 succeeded")
+			}
+		})
 	})
 }
 
@@ -363,69 +474,121 @@ func TestReadRidesThroughServerFailures(t *testing.T) {
 // and relays its element. A concurrent fail-stop of an unrelated
 // server rides along.
 func TestRelayCompletesPendingRead(t *testing.T) {
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 5, 3)
-	conns := lb.Conns()
-	w := mustWriter(t, "w1", codec, lb.Conns())
-	v1 := []byte("version one, fully written")
-	if _, err := w.Write(ctx, testKey, v1); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-
-	// Half-apply a second write by hand: tag t2 reaches servers 0 and
-	// 1 only, as if the writer were slow mid-put-data.
-	v2 := []byte("version two, in flight")
-	t2 := Tag{TS: 2, Writer: "w2"}
-	shards2, err := codec.EncodeValue(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, 1} {
-		if err := conns[i].PutData(ctx, testKey, t2, shards2[i], len(v2)); err != nil {
-			t.Fatalf("PutData(%d): %v", i, err)
+	forRows(t, crash, func(t *testing.T, r row) {
+		ctx := testCtx(t)
+		c := r.cluster(t, 5, 3)
+		codec, conns := c.codec, c.conns()
+		w := mustWriter(t, "w1", codec, c.conns())
+		v1 := []byte("version one, fully written")
+		if _, err := w.Write(ctx, testKey, v1); err != nil {
+			t.Fatalf("Write: %v", err)
 		}
-	}
 
-	// The read's target tag becomes t2 (servers 0 and 1 answer with
-	// it), but only two t2 elements exist: the read must block.
-	r := mustReader(t, "r1", codec, lb.Conns())
-	type outcome struct {
-		res ReadResult
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		res, err := r.Read(ctx, testKey)
-		resCh <- outcome{res, err}
-	}()
-
-	// Wait until the read is registered everywhere, then prove it is
-	// genuinely pending.
-	for i := 0; i < 5; i++ {
-		for lb.Server(i).readerCount(testKey) == 0 {
-			time.Sleep(time.Millisecond)
+		// Half-apply a second write by hand: tag t2 reaches servers 0 and
+		// 1 only, as if the writer were slow mid-put-data.
+		v2 := []byte("version two, in flight")
+		t2 := Tag{TS: 2, Writer: "w2"}
+		shards2, err := codec.EncodeValue(v2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	select {
-	case o := <-resCh:
-		t.Fatalf("read completed with only 2 elements of its target tag: %v %v", o.res, o.err)
-	case <-time.After(50 * time.Millisecond):
-	}
+		for _, i := range []int{0, 1} {
+			if err := conns[i].PutData(ctx, testKey, t2, shards2[i], len(v2)); err != nil {
+				t.Fatalf("PutData(%d): %v", i, err)
+			}
+		}
 
-	lb.Crash(4) // an unrelated server dies mid-read
+		// The read's target tag becomes t2 (servers 0 and 1 answer with
+		// it), but only two t2 elements exist: the read must block.
+		rd := mustReader(t, "r1", codec, c.conns())
+		resCh := readAsync(ctx, rd, testKey)
 
-	// The write makes progress on one more server; its relay is what
-	// completes the read.
-	if err := conns[2].PutData(ctx, testKey, t2, shards2[2], len(v2)); err != nil {
-		t.Fatalf("PutData(2): %v", err)
-	}
-	o := <-resCh
-	if o.err != nil {
-		t.Fatalf("Read: %v", o.err)
-	}
-	if o.res.Tag != t2 || !bytes.Equal(o.res.Value, v2) {
-		t.Fatalf("Read = %v %q, want %v %q", o.res.Tag, o.res.Value, t2, v2)
-	}
+		// Wait until the read is registered everywhere, then prove it is
+		// genuinely pending.
+		awaitReaders(c.server, 5)
+		select {
+		case o := <-resCh:
+			t.Fatalf("read completed with only 2 elements of its target tag: %v %v", o.res, o.err)
+		case <-time.After(50 * time.Millisecond):
+		}
+
+		c.crash(4) // an unrelated server dies mid-read
+
+		// The write makes progress on one more server; its relay is what
+		// completes the read.
+		if err := conns[2].PutData(ctx, testKey, t2, shards2[2], len(v2)); err != nil {
+			t.Fatalf("PutData(2): %v", err)
+		}
+		o := <-resCh
+		if o.err != nil {
+			t.Fatalf("Read: %v", o.err)
+		}
+		if o.res.Tag != t2 || !bytes.Equal(o.res.Value, v2) {
+			t.Fatalf("Read = %v %q, want %v %q", o.res.Tag, o.res.Value, t2, v2)
+		}
+	})
+}
+
+// TestRelayStream pins the streaming half of a transport: a standing
+// get-data subscription receives the initial snapshot and then one
+// relayed delivery per put that lands on the server, scoped to the
+// subscribed key only.
+func TestRelayStream(t *testing.T) {
+	forRows(t, 0, func(t *testing.T, r row) {
+		checkNoLeaks(t)
+		ctx := testCtx(t)
+		c := r.cluster(t, 5, 3)
+		codec, conns := c.codec, c.conns()
+		// f=0: Write returns on n-f acks, so only a full ack quorum
+		// guarantees that server 2 — the one subscribed to below — holds
+		// every write by the time it does.
+		w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: conns, F: 0})
+		v1 := []byte("subscription smoke value")
+		tag1, err := w.Write(ctx, testKey, v1)
+		if err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+
+		// Subscribe to server 2 directly.
+		subCtx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		got := make(chan Delivery, 16)
+		errCh := make(chan error, 1)
+		go func() {
+			errCh <- conns[2].GetData(subCtx, testKey, "sub#1", func(d Delivery) { got <- d })
+		}()
+		first := <-got
+		if !first.Initial || first.Tag != tag1 || first.Server != 2 {
+			t.Fatalf("initial delivery = %+v", first)
+		}
+
+		// A write to a different key must not reach this stream.
+		if _, err := w.Write(ctx, testKey+"/other", []byte("different register")); err != nil {
+			t.Fatalf("Write other key: %v", err)
+		}
+
+		v2 := []byte("relayed while subscribed")
+		tag2, err := w.Write(ctx, testKey, v2)
+		if err != nil {
+			t.Fatalf("Write 2: %v", err)
+		}
+		shards2, _ := codec.EncodeValue(v2)
+		select {
+		case d := <-got:
+			if d.Initial || d.Tag != tag2 || !bytes.Equal(d.Elem, shards2[2]) || d.VLen != len(v2) {
+				t.Fatalf("relayed delivery = %+v (cross-key leak?)", d)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no relayed delivery arrived")
+		}
+
+		// Cancelling unsubscribes cleanly (nil error) and the server
+		// forgets the reader.
+		cancel()
+		if err := <-errCh; err != nil {
+			t.Fatalf("GetData returned %v after cancel", err)
+		}
+	})
 }
 
 // TestPendingReadFailsFastWhenHopeless: a read that is pending on
@@ -462,11 +625,7 @@ func TestPendingReadFailsFastWhenHopeless(t *testing.T) {
 		_, err := r.Read(ctx, testKey)
 		errCh <- err
 	}()
-	for i := 0; i < 5; i++ {
-		for lb.Server(i).readerCount(testKey) == 0 {
-			time.Sleep(time.Millisecond)
-		}
-	}
+	awaitReaders(lb.Server, 5)
 	// Kill everything: no element of any tag can ever arrive again,
 	// and t2 is stuck at two elements.
 	for i := 0; i < 5; i++ {
@@ -494,74 +653,68 @@ func TestPendingReadFailsFastWhenHopeless(t *testing.T) {
 // could quorum entirely on the other servers and return the older
 // tag; NewReader rejects that configuration, see TestConfigValidation.)
 func TestReadNeverGoesBackwards(t *testing.T) {
-	ctx := testCtx(t)
-	codec, lb := newCluster(t, 9, 3)
-	conns := lb.Conns()
-	w := mustWriter(t, "w1", codec, lb.Conns())
-	if _, err := w.Write(ctx, testKey, []byte("old value")); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	// tag2 half-applied: exactly k=3 servers hold it.
-	t2 := Tag{TS: 2, Writer: "w2"}
-	v2 := []byte("new value")
-	shards2, err := codec.EncodeValue(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, 1, 2} {
-		if err := conns[i].PutData(ctx, testKey, t2, shards2[i], len(v2)); err != nil {
-			t.Fatalf("PutData(%d): %v", i, err)
+	forRows(t, hang, func(t *testing.T, r row) {
+		ctx := testCtx(t)
+		c := r.cluster(t, 9, 3)
+		codec, conns := c.codec, c.conns()
+		w := mustWriter(t, "w1", codec, c.conns())
+		if _, err := w.Write(ctx, testKey, []byte("old value")); err != nil {
+			t.Fatalf("Write: %v", err)
 		}
-	}
-	// R1 adopts the half-applied write (its initials include servers
-	// 0-2, so t* = t2 and the three elements decode).
-	r1 := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: lb.Conns(), F: 2})
-	res1, err := r1.Read(ctx, testKey)
-	if err != nil {
-		t.Fatalf("R1: %v", err)
-	}
-	if res1.Tag != t2 || !bytes.Equal(res1.Value, v2) {
-		t.Fatalf("R1 = %v %q, want the half-applied %v", res1.Tag, res1.Value, t2)
-	}
-	// f of the k holders die. The one survivor (server 2) is in every
-	// n-f=7 initial quorum, so R2's target stays t2: it must block
-	// rather than return the old tag...
-	lb.hang(0)
-	lb.hang(1)
-	r2 := mustReaderOn(t, "r2", &Config{Codec: codec, Conns: lb.Conns(), F: 2})
-	type outcome struct {
-		res ReadResult
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		res, err := r2.Read(ctx, testKey)
-		resCh <- outcome{res, err}
-	}()
-	select {
-	case o := <-resCh:
-		if o.err == nil && o.res.Tag.Less(res1.Tag) {
+		// tag2 half-applied: exactly k=3 servers hold it.
+		t2 := Tag{TS: 2, Writer: "w2"}
+		v2 := []byte("new value")
+		shards2, err := codec.EncodeValue(v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{0, 1, 2} {
+			if err := conns[i].PutData(ctx, testKey, t2, shards2[i], len(v2)); err != nil {
+				t.Fatalf("PutData(%d): %v", i, err)
+			}
+		}
+		// R1 adopts the half-applied write (its initials include servers
+		// 0-2, so t* = t2 and the three elements decode).
+		r1 := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: c.conns(), F: 2})
+		res1, err := r1.Read(ctx, testKey)
+		if err != nil {
+			t.Fatalf("R1: %v", err)
+		}
+		if res1.Tag != t2 || !bytes.Equal(res1.Value, v2) {
+			t.Fatalf("R1 = %v %q, want the half-applied %v", res1.Tag, res1.Value, t2)
+		}
+		// f of the k holders die. The one survivor (server 2) is in every
+		// n-f=7 initial quorum, so R2's target stays t2: it must block
+		// rather than return the old tag...
+		c.hang(0)
+		c.hang(1)
+		r2 := mustReaderOn(t, "r2", &Config{Codec: codec, Conns: c.conns(), F: 2})
+		resCh := readAsync(ctx, r2, testKey)
+		select {
+		case o := <-resCh:
+			if o.err == nil && o.res.Tag.Less(res1.Tag) {
+				t.Fatalf("reads went backwards: R1 returned %v, then R2 returned %v", res1.Tag, o.res.Tag)
+			}
+			t.Fatalf("R2 completed early: %v %v", o.res, o.err)
+		case <-time.After(100 * time.Millisecond):
+		}
+		// ...until the write makes progress and the relays complete it.
+		for _, i := range []int{3, 4} {
+			if err := conns[i].PutData(ctx, testKey, t2, shards2[i], len(v2)); err != nil {
+				t.Fatalf("PutData(%d): %v", i, err)
+			}
+		}
+		o := <-resCh
+		if o.err != nil {
+			t.Fatalf("R2: %v", o.err)
+		}
+		if o.res.Tag.Less(res1.Tag) {
 			t.Fatalf("reads went backwards: R1 returned %v, then R2 returned %v", res1.Tag, o.res.Tag)
 		}
-		t.Fatalf("R2 completed early: %v %v", o.res, o.err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	// ...until the write makes progress and the relays complete it.
-	for _, i := range []int{3, 4} {
-		if err := conns[i].PutData(ctx, testKey, t2, shards2[i], len(v2)); err != nil {
-			t.Fatalf("PutData(%d): %v", i, err)
+		if o.res.Tag != t2 || !bytes.Equal(o.res.Value, v2) {
+			t.Fatalf("R2 = %v %q, want %v %q", o.res.Tag, o.res.Value, t2, v2)
 		}
-	}
-	o := <-resCh
-	if o.err != nil {
-		t.Fatalf("R2: %v", o.err)
-	}
-	if o.res.Tag.Less(res1.Tag) {
-		t.Fatalf("reads went backwards: R1 returned %v, then R2 returned %v", res1.Tag, o.res.Tag)
-	}
-	if o.res.Tag != t2 || !bytes.Equal(o.res.Value, v2) {
-		t.Fatalf("R2 = %v %q, want %v %q", o.res.Tag, o.res.Value, t2, v2)
-	}
+	})
 }
 
 // TestSodaErrReadNamesCorruptServers exercises the SODA_err read
@@ -669,64 +822,74 @@ func TestSodaErrBoundary(t *testing.T) {
 				name := fmt.Sprintf("n%dk%d/e%df%d", n, k, e, f)
 				// damaged builds a written cluster with its first bad servers
 				// corrupting and its last f crashed, and the (e, f) reader.
-				damaged := func(t *testing.T, bad int) (*Reader, error) {
-					codec, lb := newCluster(t, n, k)
-					w := mustWriter(t, "w1", codec, lb.Conns())
+				damaged := func(t *testing.T, r row, bad int) (*Reader, error) {
+					c := r.cluster(t, n, k)
+					w := mustWriter(t, "w1", c.codec, c.conns())
 					if _, err := w.Write(ctx, testKey, value); err != nil {
 						t.Fatalf("Write: %v", err)
 					}
 					for i := 0; i < bad; i++ {
-						lb.Corrupt(i, FlipByte(3))
+						c.corrupt(i, FlipByte(3))
 					}
 					for i := n - f; i < n; i++ {
-						lb.Crash(i)
+						c.crash(i)
 					}
-					return mustView(t, &Config{Codec: codec, Conns: lb.Conns(), F: f, E: e}).Reader("r1")
+					return mustView(t, &Config{Codec: c.codec, Conns: c.conns(), F: f, E: e}).Reader("r1")
 				}
 				if k+2*e > n-f || f >= k {
 					t.Run(name+"/refused", func(t *testing.T) {
-						if _, err := damaged(t, 0); !errors.Is(err, ErrConfig) {
-							t.Fatalf("NewReader = %v, want ErrConfig", err)
-						}
+						forRows(t, crash, func(t *testing.T, r row) {
+							if _, err := damaged(t, r, 0); !errors.Is(err, ErrConfig) {
+								t.Fatalf("NewReader = %v, want ErrConfig", err)
+							}
+						})
 					})
 					continue
 				}
+				needs := crash
+				if e > 0 {
+					needs |= corrupt
+				}
 				t.Run(name, func(t *testing.T) {
-					r, err := damaged(t, e)
-					if err != nil {
-						t.Fatalf("NewReader: %v", err)
-					}
-					res, err := r.Read(ctx, testKey)
-					if err != nil {
-						t.Fatalf("Read: %v", err)
-					}
-					want := make([]int, e)
-					for i := range want {
-						want[i] = i
-					}
-					if !bytes.Equal(res.Value, value) || !slices.Equal(res.Corrupt, want) {
-						t.Fatalf("Read = %q corrupt %v, want the value and %v", res.Value, res.Corrupt, want)
-					}
+					forRows(t, needs, func(t *testing.T, r row) {
+						rd, err := damaged(t, r, e)
+						if err != nil {
+							t.Fatalf("NewReader: %v", err)
+						}
+						res, err := rd.Read(ctx, testKey)
+						if err != nil {
+							t.Fatalf("Read: %v", err)
+						}
+						want := make([]int, e)
+						for i := range want {
+							want[i] = i
+						}
+						if !bytes.Equal(res.Value, value) || !slices.Equal(res.Corrupt, want) {
+							t.Fatalf("Read = %q corrupt %v, want the value and %v", res.Value, res.Corrupt, want)
+						}
+					})
 				})
 				if e == 0 {
 					continue // plain SODA takes its k elements on trust
 				}
 				t.Run(name+"/one-more", func(t *testing.T) {
-					r, err := damaged(t, e+1)
-					if err != nil {
-						t.Fatalf("NewReader: %v", err)
-					}
-					// Nothing the read can decode may ever arrive, and then
-					// only its context ends it.
-					short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-					defer cancel()
-					res, err := r.Read(short, testKey)
-					switch {
-					case err == nil && !bytes.Equal(res.Value, value):
-						t.Fatalf("Read returned a wrong value %q (corrupt %v)", res.Value, res.Corrupt)
-					case err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrUnavailable):
-						t.Fatalf("Read = %v, want the value, a deadline or ErrUnavailable", err)
-					}
+					forRows(t, crash|corrupt, func(t *testing.T, r row) {
+						rd, err := damaged(t, r, e+1)
+						if err != nil {
+							t.Fatalf("NewReader: %v", err)
+						}
+						// Nothing the read can decode may ever arrive, and then
+						// only its context ends it.
+						short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+						defer cancel()
+						res, err := rd.Read(short, testKey)
+						switch {
+						case err == nil && !bytes.Equal(res.Value, value):
+							t.Fatalf("Read returned a wrong value %q (corrupt %v)", res.Value, res.Corrupt)
+						case err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrUnavailable):
+							t.Fatalf("Read = %v, want the value, a deadline or ErrUnavailable", err)
+						}
+					})
 				})
 			}
 		}
@@ -749,34 +912,36 @@ func TestWriterFaultBoundary(t *testing.T) {
 		n, k := sh.n, sh.k
 		for f := 0; f <= n-k; f++ {
 			t.Run(fmt.Sprintf("n%dk%d/f%d", n, k, f), func(t *testing.T) {
-				codec, lb := newCluster(t, n, k)
-				w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: lb.Conns(), F: f})
-				for i := n - f - 1; i < n; i++ {
-					lb.Crash(i)
-				}
-				if _, err := w.Write(ctx, testKey, []byte("one crash too many")); !errors.Is(err, ErrUnavailable) {
-					t.Fatalf("Write with %d crashed = %v, want ErrUnavailable", f+1, err)
-				}
-				lb.Restart(n - f - 1)
-				tag, err := w.Write(ctx, testKey, value)
-				if err != nil {
-					t.Fatalf("Write with %d crashed: %v", f, err)
-				}
-				for i := n - f; i < n; i++ {
-					lb.Restart(i) // without the write
-				}
-				lb.Crash(0)
-				short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-				defer cancel()
-				res, err := mustReader(t, "r1", codec, lb.Conns()).Read(short, testKey)
-				switch {
-				case err == nil && (res.Tag != tag || !bytes.Equal(res.Value, value)):
-					t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag, value)
-				case err != nil && n >= k+2*f:
-					t.Fatalf("Read inside n >= k + 2F = %v, want the value", err)
-				case err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrUnavailable):
-					t.Fatalf("Read = %v, want the value, a deadline or ErrUnavailable", err)
-				}
+				forRows(t, crash|restart, func(t *testing.T, r row) {
+					c := r.cluster(t, n, k)
+					w := mustWriterOn(t, "w1", &Config{Codec: c.codec, Conns: c.conns(), F: f})
+					for i := n - f - 1; i < n; i++ {
+						c.crash(i)
+					}
+					if _, err := w.Write(ctx, testKey, []byte("one crash too many")); !errors.Is(err, ErrUnavailable) {
+						t.Fatalf("Write with %d crashed = %v, want ErrUnavailable", f+1, err)
+					}
+					c.restart(n - f - 1)
+					tag, err := w.Write(ctx, testKey, value)
+					if err != nil {
+						t.Fatalf("Write with %d crashed: %v", f, err)
+					}
+					for i := n - f; i < n; i++ {
+						c.restart(i) // without the write
+					}
+					c.crash(0)
+					short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+					defer cancel()
+					res, err := mustReader(t, "r1", c.codec, c.conns()).Read(short, testKey)
+					switch {
+					case err == nil && (res.Tag != tag || !bytes.Equal(res.Value, value)):
+						t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag, value)
+					case err != nil && n >= k+2*f:
+						t.Fatalf("Read inside n >= k + 2F = %v, want the value", err)
+					case err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrUnavailable):
+						t.Fatalf("Read = %v, want the value, a deadline or ErrUnavailable", err)
+					}
+				})
 			})
 		}
 	}
@@ -999,20 +1164,8 @@ func TestReadCompletesThroughReregistration(t *testing.T) {
 	// f=0: all five initials required, so the read's target is t2 and
 	// it blocks on the third element.
 	r := mustReaderOn(t, "r1", &Config{Codec: codec, Conns: rconns, F: 0})
-	type outcome struct {
-		res ReadResult
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		res, err := r.Read(ctx, testKey)
-		resCh <- outcome{res, err}
-	}()
-	for i := 0; i < 5; i++ {
-		for lb.Server(i).readerCount(testKey) == 0 {
-			time.Sleep(time.Millisecond)
-		}
-	}
+	resCh := readAsync(ctx, r, testKey)
+	awaitReaders(lb.Server, 5)
 	select {
 	case o := <-resCh:
 		t.Fatalf("read completed with 2/3 elements: %v %v", o.res, o.err)

@@ -12,16 +12,6 @@ import (
 	"time"
 )
 
-// startTCPCluster brings up n NetServers on ephemeral localhost ports
-// and returns their conns, closed at cleanup.
-func startTCPCluster(t *testing.T, n int) ([]Conn, []*NetServer) {
-	t.Helper()
-	addrs, servers := startTCPServers(t, n)
-	conns := TCPMuxConns(addrs)
-	t.Cleanup(func() { CloseConns(conns) })
-	return conns, servers
-}
-
 func startTCPServers(t testing.TB, n int) ([]string, []*NetServer) {
 	t.Helper()
 	addrs := make([]string, n)
@@ -104,7 +94,16 @@ func TestTCPClientsFollowTheEpoch(t *testing.T) {
 		_, err := w.Write(ctx, testKey+"/parked", v1)
 		wErr <- err
 	}()
-	waitFor(t, "the write NACKed by every server", func() bool { return nacks() >= before+5 })
+	// awaitNacks is waitFor, saying how many NACKs came if too few did.
+	awaitNacks := func(what string, want uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); nacks() < before+want; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %d of %d NACKs came", what, nacks()-before, want)
+			}
+		}
+	}
+	awaitNacks("the write NACKed by every server", 5)
 	go func() {
 		res, err := r.Read(ctx, testKey)
 		if err == nil && (res.Tag != tag0 || !bytes.Equal(res.Value, v0)) {
@@ -112,7 +111,7 @@ func TestTCPClientsFollowTheEpoch(t *testing.T) {
 		}
 		rErr <- err
 	}()
-	waitFor(t, "the read NACKed", func() bool { return nacks() >= before+7 })
+	awaitNacks("the read NACKed", 7)
 	select {
 	case err := <-wErr:
 		t.Fatalf("Write NACKed with the view at epoch 0 returned %v", err)
@@ -138,112 +137,6 @@ func TestTCPClientsFollowTheEpoch(t *testing.T) {
 	}
 	if got := view.Current().Epoch(); got != 1 {
 		t.Fatalf("view at epoch %d", got)
-	}
-}
-
-// TestTCPEndToEnd runs the protocol over real localhost TCP: a write,
-// a read, a server crash (listener closed), and a write/read pair
-// that ride through it on the n-f quorums.
-func TestTCPEndToEnd(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, err := NewCodec(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns, servers := startTCPCluster(t, 5)
-	w := mustWriter(t, "w1", codec, conns)
-	r := mustReader(t, "r1", codec, conns)
-
-	v1 := []byte("over the wire this time")
-	tag1, err := w.Write(ctx, testKey, v1)
-	if err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	res, err := r.Read(ctx, testKey)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if res.Tag != tag1 || !bytes.Equal(res.Value, v1) {
-		t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag1, v1)
-	}
-
-	// Crash server 0: connections are refused from here on.
-	servers[0].Close()
-	v2 := []byte("written around the crashed server")
-	tag2, err := w.Write(ctx, testKey, v2)
-	if err != nil {
-		t.Fatalf("Write after crash: %v", err)
-	}
-	res, err = r.Read(ctx, testKey)
-	if err != nil {
-		t.Fatalf("Read after crash: %v", err)
-	}
-	if res.Tag != tag2 || !bytes.Equal(res.Value, v2) {
-		t.Fatalf("Read = %v %q, want %v %q", res.Tag, res.Value, tag2, v2)
-	}
-}
-
-// TestTCPRelayStream pins the streaming half of the TCP transport: a
-// standing get-data subscription receives the initial snapshot and
-// then one relayed delivery per put that lands on the server, scoped
-// to the subscribed key only.
-func TestTCPRelayStream(t *testing.T) {
-	checkNoLeaks(t)
-	ctx := testCtx(t)
-	codec, err := NewCodec(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns, _ := startTCPCluster(t, 5)
-	// f=0: Write returns on n-f acks, so only a full ack quorum
-	// guarantees that server 2 — the one subscribed to below — holds
-	// every write by the time it does.
-	w := mustWriterOn(t, "w1", &Config{Codec: codec, Conns: conns, F: 0})
-	v1 := []byte("subscription smoke value")
-	tag1, err := w.Write(ctx, testKey, v1)
-	if err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-
-	// Subscribe to server 2 directly.
-	subCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	got := make(chan Delivery, 16)
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- conns[2].GetData(subCtx, testKey, "sub#1", func(d Delivery) { got <- d })
-	}()
-	first := <-got
-	if !first.Initial || first.Tag != tag1 || first.Server != 2 {
-		t.Fatalf("initial delivery = %+v", first)
-	}
-
-	// A write to a different key must not reach this stream.
-	if _, err := w.Write(ctx, testKey+"/other", []byte("different register")); err != nil {
-		t.Fatalf("Write other key: %v", err)
-	}
-
-	v2 := []byte("relayed while subscribed")
-	tag2, err := w.Write(ctx, testKey, v2)
-	if err != nil {
-		t.Fatalf("Write 2: %v", err)
-	}
-	shards2, _ := codec.EncodeValue(v2)
-	select {
-	case d := <-got:
-		if d.Initial || d.Tag != tag2 || !bytes.Equal(d.Elem, shards2[2]) || d.VLen != len(v2) {
-			t.Fatalf("relayed delivery = %+v (cross-key leak?)", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no relayed delivery arrived")
-	}
-
-	// Cancelling unsubscribes cleanly (nil error) and the server
-	// forgets the reader.
-	cancel()
-	if err := <-errCh; err != nil {
-		t.Fatalf("GetData returned %v after cancel", err)
 	}
 }
 
@@ -510,13 +403,10 @@ func TestTCPDialRetryTimeout(t *testing.T) {
 
 	// And a write still completes when one address in the cluster is
 	// dead: the fault budget absorbs the failed dials.
-	codec, err := NewCodec(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns, _ := startTCPCluster(t, 5)
+	cl := on("sockets", 0).cluster(t, 5, 3)
+	conns := cl.conns()
 	conns[0] = testMuxConn(0, dead, withDialRetry(1, backoff{base: time.Millisecond}))
-	w := mustWriter(t, "w1", codec, conns)
+	w := mustWriter(t, "w1", cl.codec, conns)
 	if _, err := w.Write(testCtx(t), testKey, []byte("around the dead address")); err != nil {
 		t.Fatalf("Write with one dead address: %v", err)
 	}
