@@ -21,10 +21,11 @@ import (
 // floor, which makes late responses to cancelled requests harmless.
 //
 // The connection is established lazily and re-established on demand
-// after a failure; concurrent operations needing a connection share
-// one dial (singleflight) instead of stampeding the server. A
-// connection failure fails every in-flight exchange on it — the
-// per-server error the quorum layer already knows how to charge.
+// after a failure. The conn owns the dial, one at a time, under a context
+// only Close cancels: an exchange, the one that started it included,
+// waits for it only as long as its own context allows. A connection
+// failure fails every in-flight exchange on it — the per-server error
+// the quorum layer already knows how to charge.
 var errConnClosed = errors.New("soda: mux conn closed")
 
 // muxSession is one live connection generation: the connection, the
@@ -56,14 +57,12 @@ const callerSendMax = 8 << 10
 // before the conn queues it on its own.
 const doneFlush = time.Millisecond
 
-// dialAttempt is the singleflight cell concurrent session() calls
-// share: the winner dials, under its own context, and publishes, the rest
-// wait on done.
+// dialAttempt is one dial of the conn's: dial runs it and publishes its
+// outcome by closing done; every session() call waits on done.
 type dialAttempt struct {
-	done      chan struct{}
-	sess      *muxSession
-	err       error
-	abandoned bool // the winner's context ended: the dial says nothing of the server
+	done chan struct{}
+	sess *muxSession
+	err  error
 }
 
 // muxExchange is one request awaiting its answer, completed exactly once
@@ -98,6 +97,8 @@ type MuxConn struct {
 	rpcConn
 	addr   string
 	policy dialPolicy
+	life   context.Context // what the dial runs under: Close cancels it
+	end    context.CancelFunc
 
 	reqSeq atomic.Uint64
 
@@ -120,6 +121,7 @@ func newMuxConn(idx int, addr string, epoch uint64) *MuxConn {
 		policy:  dialPolicy{timeout: 2 * time.Second, attempts: 3},
 		waiting: make(map[uint64]muxExchange),
 	}
+	c.life, c.end = context.WithCancel(context.Background())
 	c.rpcConn = rpcConn{idx: idx, epoch: epoch, t: c}
 	return c
 }
@@ -160,67 +162,57 @@ func (c *MuxConn) Close() error {
 		c.flusher.Stop()
 	}
 	c.mu.Unlock()
+	c.end()
 	if s != nil {
 		c.teardown(s, errConnClosed)
 	}
 	return nil
 }
 
-// session returns the live connection, dialing (once, shared) if
-// needed.
+// session returns the live connection, starting the conn's dial if none
+// is up or under way, and waits for that dial no longer than ctx allows.
 func (c *MuxConn) session(ctx context.Context) (*muxSession, error) {
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, errConnClosed
-		}
-		if c.sess != nil {
-			s := c.sess
-			c.mu.Unlock()
-			return s, nil
-		}
-		att := c.dialing
-		if att == nil {
-			att = &dialAttempt{done: make(chan struct{})}
-			c.dialing = att
-			c.mu.Unlock()
-			conn, err := c.policy.dial(ctx, c.addr)
-			c.mu.Lock()
-			c.dialing = nil
-			if err == nil && c.closed {
-				err = errConnClosed
-				conn.Close()
-				conn = nil
-			}
-			if err != nil {
-				c.mu.Unlock()
-				att.err, att.abandoned = err, ctx.Err() != nil
-				close(att.done)
-				return nil, err
-			}
-			s := c.open(conn)
-			c.mu.Unlock()
-			att.sess = s
-			close(att.done)
-			return s, nil
-		}
+	c.mu.Lock()
+	if c.closed {
 		c.mu.Unlock()
-		select {
-		case <-att.done:
-			if att.sess != nil {
-				return att.sess, nil
-			}
-			if att.abandoned && ctx.Err() == nil {
-				// A finished operation's leg won the dial and has since
-				// let go of it; this caller has not: dial again.
-				continue
-			}
-			return nil, att.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		return nil, errConnClosed
 	}
+	if s := c.sess; s != nil {
+		c.mu.Unlock()
+		return s, nil
+	}
+	att := c.dialing
+	if att == nil {
+		att = &dialAttempt{done: make(chan struct{})}
+		c.dialing = att
+		go c.dial(att)
+	}
+	c.mu.Unlock()
+	select {
+	case <-att.done:
+		return att.sess, att.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// dial runs att under the conn's life, which no caller's context ends.
+func (c *MuxConn) dial(att *dialAttempt) {
+	conn, err := c.policy.dial(c.life, c.addr)
+	c.mu.Lock()
+	c.dialing = nil
+	switch {
+	case err == nil && !c.closed:
+		att.sess = c.open(conn)
+	case err == nil:
+		conn.Close()
+		fallthrough
+	case c.closed:
+		err = errConnClosed
+	}
+	att.err = err
+	c.mu.Unlock()
+	close(att.done)
 }
 
 // open makes conn the live session and starts its writer and pump, either

@@ -439,7 +439,7 @@ func TestConnWriterBatchesFlushes(t *testing.T) {
 
 // TestMuxRedialsAfterServerRestart: losing the connection fails the
 // in-flight exchanges, and the next operation lazily redials — the
-// singleflight path — once the server is back.
+// conn's own dial — once the server is back.
 func TestMuxRedialsAfterServerRestart(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
@@ -647,10 +647,10 @@ func TestMuxFlipEndsEveryStreamOnce(t *testing.T) {
 }
 
 // TestMuxSharedDialOutlivesItsWinner: exchanges with a server not yet
-// dialed share one dial, made under the context of whoever started it.
-// When that caller gives up — a leg of an operation that has returned —
-// one still waiting dials again instead of failing with the dial its
-// winner abandoned.
+// dialed share one dial, which belongs to the conn. When the caller that
+// started it gives up — a leg of an operation that has returned — it gets
+// its own context's error, and one still waiting gets the session that
+// same dial brings once the server is up.
 func TestMuxSharedDialOutlivesItsWinner(t *testing.T) {
 	checkNoLeaks(t)
 	ctx := testCtx(t)
@@ -660,13 +660,13 @@ func TestMuxSharedDialOutlivesItsWinner(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // refused until the server below is up
-	c := testMuxConn(0, addr, withDialRetry(2, backoff{base: time.Minute, max: time.Minute}))
+	c := testMuxConn(0, addr, withDialRetry(5000, backoff{base: 2 * time.Millisecond, max: 2 * time.Millisecond}))
 	defer c.Close()
-	winnerCtx, giveUp := context.WithCancel(ctx)
-	winner, waiter := make(chan error, 1), make(chan error, 1)
+	starterCtx, giveUp := context.WithCancel(ctx)
+	starter, waiter := make(chan error, 1), make(chan error, 1)
 	go func() {
-		_, err := c.session(winnerCtx)
-		winner <- err
+		_, err := c.session(starterCtx)
+		starter <- err
 	}()
 	waitFor(t, "the first dial", func() bool {
 		c.mu.Lock()
@@ -686,22 +686,107 @@ func TestMuxSharedDialOutlivesItsWinner(t *testing.T) {
 		}
 		return n == 2
 	})
+	giveUp()
+	if err := <-starter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the caller that started the dial and gave up got %v, want its context's error", err)
+	}
 	ns, err := ListenAndServe(NewServer(0), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ns.Close()
-	giveUp()
-	if err := <-winner; err == nil {
-		t.Fatal("the winner's dial, refused and then abandoned, succeeded")
-	}
 	select {
 	case err := <-waiter:
 		if err != nil {
-			t.Fatalf("a caller still waiting failed with the dial its winner abandoned: %v", err)
+			t.Fatalf("a caller still waiting failed with the dial its starter left: %v", err)
+		}
+	case <-ctx.Done():
+		t.Fatal("a caller still waiting never got its session")
+	}
+}
+
+// TestMuxDialOutlivesTheWriteThatStartedIt: an F=1 write returns on four
+// servers while the fifth still refuses. The dial the write's leg started
+// is the conn's, so once the fifth server listens its conn holds a session
+// with no further operation.
+func TestMuxDialOutlivesTheWriteThatStartedIt(t *testing.T) {
+	checkNoLeaks(t)
+	ctx := testCtx(t)
+	codec, err := NewCodec(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, _ := startTCPServers(t, 4)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := ln.Addr().String()
+	ln.Close() // refused until the server below is up
+	mc := testMuxConn(4, late, withDialRetry(5000, backoff{base: 2 * time.Millisecond, max: 2 * time.Millisecond}))
+	conns := append(TCPMuxConns(addrs), mc)
+	defer CloseConns(conns)
+	w := mustWriterOn(t, "w", &Config{Codec: codec, Conns: conns, F: 1})
+	if _, err := w.Write(ctx, testKey, []byte("written on four servers")); err != nil {
+		t.Fatalf("F=1 write with the fifth server refusing: %v", err)
+	}
+	ns, err := ListenAndServe(NewServer(4), late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	for {
+		mc.mu.Lock()
+		up := mc.sess != nil
+		mc.mu.Unlock()
+		if up {
+			return
+		}
+		if ctx.Err() != nil {
+			t.Fatal("the fifth conn got no session after its server came up: the write that started its dial ended it")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMuxCloseEndsABackingOffDial: Close during a dial that sleeps between
+// attempts ends the dial at once, and an exchange waiting on it fails with
+// the conn closed.
+func TestMuxCloseEndsABackingOffDial(t *testing.T) {
+	checkNoLeaks(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	c := testMuxConn(0, dead, withDialRetry(2, backoff{base: time.Hour, max: time.Hour}))
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.session(testCtx(t))
+		errc <- err
+	}()
+	waitFor(t, "the dial to back off", func() bool {
+		for _, g := range goroutineStanzas() {
+			if strings.Contains(g, "(*backoff).sleep(") {
+				return true
+			}
+		}
+		return false
+	})
+	c.Close()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, errConnClosed) {
+			t.Fatalf("an exchange waiting on the dial got %v after Close, want errConnClosed", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("a caller still waiting never got its session")
+		t.Fatal("Close left the dial backing off")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dialing != nil {
+		t.Fatal("the dial outlived Close")
 	}
 }
 
@@ -1286,7 +1371,12 @@ func TestMuxServerKilledMidPhase(t *testing.T) {
 	if len(probes) < rounds {
 		t.Errorf("only %d probe exchanges were sent from the caller in %d rounds", len(probes), rounds)
 	}
+	// The pump answers an exchange it took from the table after unlocking
+	// mu, so CloseConns can return before that answer lands: wait for it.
 	for i, p := range probes {
+		for p.n.Load() == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
 		if n := p.n.Load(); n != 1 {
 			t.Fatalf("probe exchange %d was completed %d times", i, n)
 		}

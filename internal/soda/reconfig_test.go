@@ -1210,6 +1210,12 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 			mu    sync.Mutex
 			nacks = map[uint64]int{} // by get-data id
 			tries atomic.Int64
+			// answers counts the frames that answer a get-data: its initial
+			// delivery, or a NACK on its own id. One swept between its
+			// register and the admission re-check hears only its sweep's
+			// NACK on id 0, so each of those counts too.
+			answers  atomic.Int64
+			answered = make(chan struct{}, 1)
 		)
 		status := make(chan struct{}) // the reconfig-status answer, which follows every NACK
 		go func() {
@@ -1224,6 +1230,13 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 					mu.Lock()
 					nacks[id]++
 					mu.Unlock()
+					fallthrough
+				case msgData:
+					answers.Add(1)
+					select {
+					case answered <- struct{}{}:
+					default:
+					}
 				case msgReconfigResp:
 					close(status)
 				}
@@ -1232,7 +1245,12 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 		// One sender: frames on a socket must not interleave. Every third
 		// stream it ends at once with a reader-done, which races the
 		// flip's sweep for the registration: that one gets a NACK only if
-		// the sweep won.
+		// the sweep won. The sender keeps at most maxUnanswered get-datas
+		// unanswered, far below the server's outbound queue (outQueueDepth),
+		// which the initial deliveries to a starved reader would otherwise
+		// overflow: the server then kills the connection, as it should.
+		const maxUnanswered = 256
+		ctx := testCtx(t)
 		var last uint64
 		ended := map[uint64]bool{}
 		stop, sent := make(chan struct{}), make(chan struct{})
@@ -1241,6 +1259,16 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 		go func() {
 			defer close(sent)
 			for id := uint64(1); ; id++ {
+				for int64(id) > answers.Load()+maxUnanswered {
+					select {
+					case <-answered:
+					case <-stop:
+						return
+					case <-ctx.Done():
+						t.Errorf("get-data %d: %d answered before %v", id, answers.Load(), ctx.Err())
+						return
+					}
+				}
 				select {
 				case <-stop:
 					return
@@ -1252,14 +1280,14 @@ func TestRegistrationsRaceTheFlip(t *testing.T) {
 					ended[id] = true
 				}
 				if _, err := conn.Write(b); err != nil {
-					t.Error(err)
+					t.Errorf("%v (server RelayDrops: %d)", err, srv.MetricsSnapshot().RelayDrops)
 					return
 				}
 				last = id
 				tries.Add(1)
 			}
 		}()
-		flip(testCtx(t), t, srv, tries.Load)
+		flip(ctx, t, srv, tries.Load)
 		stopSender()
 		<-sent
 		if _, err := conn.Write(appendFrame(nil, &request{typ: msgReconfig, id: last + 1, epoch: epochNone, op: ReconfigStatus})); err != nil {

@@ -822,9 +822,12 @@ func TestSodaErrBoundary(t *testing.T) {
 				name := fmt.Sprintf("n%dk%d/e%df%d", n, k, e, f)
 				// damaged builds a written cluster with its first bad servers
 				// corrupting and its last f crashed, and the (e, f) reader.
+				// The writer waits for every ack (F: 0): a write that returned
+				// on n-f of them may have left a server the crashes spare
+				// without its element, and the read then waits for ever.
 				damaged := func(t *testing.T, r row, bad int) (*Reader, error) {
 					c := r.cluster(t, n, k)
-					w := mustWriter(t, "w1", c.codec, c.conns())
+					w := mustWriterOn(t, "w1", &Config{Codec: c.codec, Conns: c.conns(), F: 0})
 					if _, err := w.Write(ctx, testKey, value); err != nil {
 						t.Fatalf("Write: %v", err)
 					}

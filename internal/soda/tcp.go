@@ -457,8 +457,8 @@ func (w *connWriter) run() {
 
 // dialPolicy is how the TCP client dials: a per-attempt deadline — a dial that has not completed
 // in timeout is as dead as a refused one; without the cap, a
-// blackholed server would pin a quorum goroutine until the caller's
-// whole context expired — and bounded retry with backoff so a server
+// blackholed server would hold the conn's one dial, and so its next
+// session, until Close — and bounded retry with backoff so a server
 // mid-restart is not instantly written off.
 type dialPolicy struct {
 	timeout  time.Duration
@@ -466,10 +466,10 @@ type dialPolicy struct {
 	backoff  backoff
 }
 
-// dial connects with the per-attempt deadline and bounded retry. The
-// context always wins: cancellation aborts both an in-flight dial
-// (DialContext honors it) and any backoff sleep, so a hung dial can
-// never stall a quorum past its caller's cancellation.
+// dial connects with the per-attempt deadline and bounded retry. ctx is
+// the conn's life, which only Close ends, aborting both an in-flight dial
+// (DialContext honors it) and any backoff sleep; a caller waits on the
+// dial only as long as its own context allows, and never cancels it.
 func (p dialPolicy) dial(ctx context.Context, addr string) (net.Conn, error) {
 	d := net.Dialer{Timeout: p.timeout}
 	var conn net.Conn

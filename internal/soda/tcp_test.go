@@ -56,17 +56,24 @@ func TestTCPClientsFollowTheEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A conn with no session when the parked write's pass runs is not
+	// asked once two NACKs have failed the write: an F=0 write first, so
+	// every conn has answered and holds its session.
+	if _, err := mustWriterOn(t, "warm", &Config{Codec: codec, Conns: conns0, F: 0}).Write(ctx, testKey+"/warm", []byte("warm-up")); err != nil {
+		t.Fatalf("warm-up write: %v", err)
+	}
 	v0 := []byte("written at epoch 0 over sockets")
 	tag0, err := w.Write(ctx, testKey, v0)
 	if err != nil {
 		t.Fatalf("Write at epoch 0: %v", err)
 	}
 
-	nacks := func() (n uint64) {
+	nacks := func() (n uint64, per []uint64) {
 		for _, ns := range servers {
-			n += ns.core.MetricsSnapshot().EpochNacks
+			per = append(per, ns.core.MetricsSnapshot().EpochNacks)
+			n += per[len(per)-1]
 		}
-		return n
+		return n, per
 	}
 	for i, ns := range servers {
 		for _, op := range []ReconfigOp{ReconfigSeal, ReconfigActivate} {
@@ -87,19 +94,30 @@ func TestTCPClientsFollowTheEpoch(t *testing.T) {
 	// The view's clients, still on the epoch-0 conns, park on the NACK: the
 	// write's get-tag pass asks all five servers, the read fails on its
 	// second refusal.
-	before := nacks()
+	before, perBefore := nacks()
 	wErr, rErr := make(chan error, 1), make(chan error, 1)
 	v1 := []byte("parked on the NACK")
 	go func() {
 		_, err := w.Write(ctx, testKey+"/parked", v1)
 		wErr <- err
 	}()
-	// awaitNacks is waitFor, saying how many NACKs came if too few did.
+	// awaitNacks is waitFor, saying how many NACKs came, and which servers
+	// sent none, if too few did.
 	awaitNacks := func(what string, want uint64) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); nacks() < before+want; time.Sleep(50 * time.Microsecond) {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+			n, per := nacks()
+			if n >= before+want {
+				return
+			}
 			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s: %d of %d NACKs came", what, nacks()-before, want)
+				var silent []int
+				for i := range per {
+					if per[i] == perBefore[i] {
+						silent = append(silent, i)
+					}
+				}
+				t.Fatalf("timed out waiting for %s: %d of %d NACKs came, none from servers %v", what, n-before, want, silent)
 			}
 		}
 	}
